@@ -1,16 +1,15 @@
 #include "src/serve/client.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
+#include "src/common/framed_log.h"
 #include "src/serve/proto.h"
 #include "src/sweep/stream.h"
 
@@ -25,50 +24,6 @@ Fail(std::string* error, const std::string& message)
         *error = message;
     }
     return false;
-}
-
-/** write(2) until every byte landed (regular files; EINTR-safe). */
-bool
-WriteAllFile(int fd, const std::string& data)
-{
-    size_t written = 0;
-    while (written < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + written, data.size() - written);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            return false;
-        }
-        written += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-/** Reads @p path fully; missing file = empty contents, not an error. */
-bool
-ReadFileIfExists(const std::string& path, std::string* contents,
-                 std::string* error)
-{
-    FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-        if (errno == ENOENT) {
-            return true;
-        }
-        return Fail(error, path + ": cannot open");
-    }
-    char buffer[1 << 16];
-    size_t read = 0;
-    while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-        contents->append(buffer, read);
-    }
-    const bool io_error = (std::ferror(file) != 0);
-    std::fclose(file);
-    if (io_error) {
-        return Fail(error, path + ": read error");
-    }
-    return true;
 }
 
 int
@@ -98,7 +53,7 @@ ConnectUnix(const std::string& path, std::string* error)
     return fd;
 }
 
-/** RAII close for the two descriptors this call can hold. */
+/** RAII close for the connection socket. */
 struct FdCloser {
     int fd = -1;
     ~FdCloser()
@@ -120,8 +75,10 @@ SubmitRequest(const SweepRequest& request, const SubmitOptions& options,
     std::string have_bytes;
     uint64_t have_records = 0;
     if (!save_path.empty()) {
+        // A save file that does not exist yet is an empty one.
         std::string bytes;
-        if (!ReadFileIfExists(save_path, &bytes, error)) {
+        if (!framed_log::ReadFile(save_path, &bytes, error) &&
+            errno != ENOENT) {
             return std::nullopt;
         }
         if (!bytes.empty()) {
@@ -203,27 +160,16 @@ SubmitRequest(const SweepRequest& request, const SubmitOptions& options,
 
     // From here on every received byte goes straight to the save file,
     // so a kill at any moment leaves a recoverable stream prefix.
-    std::string reply = have_bytes;
-    FdCloser save_fd;
-    if (!save_path.empty()) {
-        save_fd.fd = ::open(save_path.c_str(),
-                            O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                            0644);
-        if (save_fd.fd < 0) {
-            Fail(error, save_path + ": cannot write");
-            return std::nullopt;
-        }
-        if (!WriteAllFile(save_fd.fd, have_bytes)) {
-            Fail(error, save_path + ": write failed");
-            return std::nullopt;
-        }
+    std::string reply;
+    framed_log::DurableAppender save;
+    if (!save_path.empty() && !save.Open(save_path, error)) {
+        return std::nullopt;
     }
     const auto append = [&](const std::string& data) {
         reply += data;
-        return save_fd.fd < 0 || WriteAllFile(save_fd.fd, data);
+        return save_path.empty() || save.Append(data, error);
     };
-    if (!append(reader.TakeBuffered())) {
-        Fail(error, save_path + ": write failed");
+    if (!append(have_bytes) || !append(reader.TakeBuffered())) {
         return std::nullopt;
     }
     bool torn = false;
@@ -252,7 +198,6 @@ SubmitRequest(const SweepRequest& request, const SubmitOptions& options,
             break;  // Server finished (or died after its last byte).
         }
         if (!append(std::string(chunk, static_cast<size_t>(n)))) {
-            Fail(error, save_path + ": write failed");
             return std::nullopt;
         }
     }

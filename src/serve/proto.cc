@@ -8,8 +8,8 @@
 #include <chrono>
 #include <utility>
 
+#include "src/common/framed_log.h"
 #include "src/sweep/json.h"
-#include "src/sweep/stream.h"
 
 namespace spur::serve {
 
@@ -17,6 +17,9 @@ namespace {
 
 /** Protocol payloads larger than this are hostile, not requests. */
 constexpr uint64_t kMaxProtoPayload = 1ULL << 24;
+
+/** The SPUR-SERVE/1 frame tag alphabet. */
+constexpr char kProtoTags[] = {kTagRequest, kTagAccept, kTagReject, '\0'};
 
 bool
 Fail(std::string* error, const std::string& message)
@@ -71,7 +74,7 @@ EncodeHelloFrame(const ClientHello& hello)
     payload += ", \"request\": ";
     payload += ToJson(hello.request);
     payload += '}';
-    return sweep::EncodeStreamFrame(kTagRequest, payload);
+    return framed_log::EncodeFrame(kTagRequest, payload);
 }
 
 std::string
@@ -84,7 +87,7 @@ EncodeAcceptFrame(const ServerAccept& accept)
     payload += ", \"skip_records\": ";
     payload += std::to_string(accept.skip_records);
     payload += '}';
-    return sweep::EncodeStreamFrame(kTagAccept, payload);
+    return framed_log::EncodeFrame(kTagAccept, payload);
 }
 
 std::string
@@ -95,7 +98,7 @@ EncodeRejectFrame(const std::string& reason)
     payload += ", \"error\": \"";
     payload += stats::JsonWriter::Escape(reason);
     payload += "\"}";
-    return sweep::EncodeStreamFrame(kTagReject, payload);
+    return framed_log::EncodeFrame(kTagReject, payload);
 }
 
 bool
@@ -248,40 +251,22 @@ FrameReader::ReadFrame(char* tag, std::string* payload, int timeout_ms,
 {
     const int64_t deadline = MonotonicMs() + timeout_ms;
     for (;;) {
-        // Try to parse "<tag> <len>\n<payload>\n" from the buffer.
-        const size_t newline = buffer_.find('\n');
-        if (newline != std::string::npos) {
-            if (newline < 3 || buffer_[1] != ' ') {
-                return Fail(error, "malformed frame header");
+        framed_log::Frame frame;
+        std::string why;
+        switch (framed_log::ParseFrame(buffer_, 0, kProtoTags,
+                                       kMaxProtoPayload, &frame, &why)) {
+          case framed_log::ParseStatus::kOk:
+            *tag = frame.tag;
+            payload->assign(frame.payload);
+            buffer_.erase(0, frame.end);
+            return true;
+          case framed_log::ParseStatus::kCorrupt:
+            return Fail(error, why);
+          case framed_log::ParseStatus::kTruncated:
+            if (!FillSome(deadline, error)) {
+                return false;
             }
-            uint64_t length = 0;
-            for (size_t i = 2; i < newline; ++i) {
-                if (buffer_[i] < '0' || buffer_[i] > '9') {
-                    return Fail(error, "malformed frame length");
-                }
-                length = length * 10 +
-                         static_cast<uint64_t>(buffer_[i] - '0');
-                if (length > kMaxProtoPayload) {
-                    return Fail(error, "frame length out of range");
-                }
-            }
-            if (buffer_.size() >= newline + 1 + length + 1) {
-                if (buffer_[newline + 1 + length] != '\n') {
-                    return Fail(error,
-                                "frame payload not newline-terminated");
-                }
-                *tag = buffer_[0];
-                *payload = buffer_.substr(newline + 1, length);
-                buffer_.erase(0, newline + 1 + length + 1);
-                return true;
-            }
-        } else if (buffer_.size() > 32) {
-            // A frame header fits well inside 32 bytes; anything longer
-            // without a newline is not this protocol.
-            return Fail(error, "malformed frame header");
-        }
-        if (!FillSome(deadline, error)) {
-            return false;
+            break;
         }
     }
 }

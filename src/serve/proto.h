@@ -26,10 +26,11 @@
  * plain concatenation, and a completed reply file recovers to the exact
  * offline --json document via the existing `spur_sweep recover` path.
  *
- * Frames reuse the stream encoding ("<tag> <len>\n<payload>\n"), so one
- * reader handles both layers.  Every payload carries proto_version and
- * is strictly parsed; anything malformed is a reject-with-reason, never
- * a daemon death.
+ * Frames are framed-log frames (src/common/framed_log.h, DESIGN.md
+ * §20) over the tag alphabet {Q, A, E}, the same codec as the stream
+ * they carry.  Every payload carries proto_version and is strictly
+ * parsed; anything malformed is a reject-with-reason, never a daemon
+ * death.
  */
 #ifndef SPUR_SERVE_PROTO_H_
 #define SPUR_SERVE_PROTO_H_
@@ -109,9 +110,9 @@ class FrameReader
     }
 
     /**
-     * Reads one "<tag> <len>\n<payload>\n" frame, waiting at most
-     * @p timeout_ms.  False + *error on timeout, EOF, oversized or
-     * malformed framing.
+     * Reads one Q, A or E frame, waiting at most @p timeout_ms.  False +
+     * *error on timeout, EOF, or a frame the framed-log parser calls
+     * corrupt (unknown tag, oversized or malformed length).
      */
     bool ReadFrame(char* tag, std::string* payload, int timeout_ms,
                    std::string* error);

@@ -1,10 +1,13 @@
 #include "src/serve/request.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
+#include "src/common/framed_log.h"
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/runner/runner.h"
@@ -309,23 +312,12 @@ ParseSweepRequest(const std::string& json, std::string* error)
 std::optional<SweepRequest>
 LoadRequestFile(const std::string& path, std::string* error)
 {
-    FILE* file = (path == "-") ? stdin : std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-        Fail(error, path + ": cannot open");
-        return std::nullopt;
-    }
     std::string contents;
-    char buffer[1 << 16];
-    size_t read = 0;
-    while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-        contents.append(buffer, read);
-    }
-    const bool io_error = (std::ferror(file) != 0);
-    if (file != stdin) {
-        std::fclose(file);
-    }
-    if (io_error) {
-        Fail(error, path + ": read error");
+    const bool read =
+        (path == "-")
+            ? framed_log::ReadAll(STDIN_FILENO, path, &contents, error)
+            : framed_log::ReadFile(path, &contents, error);
+    if (!read) {
         return std::nullopt;
     }
     std::string parse_error;
@@ -488,11 +480,12 @@ ExecuteSweepRequest(const SweepRequest& request, unsigned jobs,
                 state.cancel = true;
             }
         }
-        {
-            MutexLock lock(state.mutex);
-            state.finished[slot] = 1;
-            --state.remaining;
-        }
+        // Notify under the lock: once remaining reaches 0 the committer
+        // may return and destroy `state`, so this worker must not touch
+        // the condition variable after releasing the mutex.
+        MutexLock lock(state.mutex);
+        state.finished[slot] = 1;
+        --state.remaining;
         state.changed.NotifyAll();
     };
 

@@ -61,7 +61,7 @@ SweepServer::SweepServer(ServeOptions options)
 SweepServer::~SweepServer()
 {
     // Join the pool before any member dies: queued task wrappers lock
-    // mutex_ after their cell runs, and members destruct in reverse
+    // mutex_ when they start, and members destruct in reverse
     // declaration order (mutex_ would go before pool_).
     pool_.reset();
     if (listen_fd_ >= 0) {
@@ -268,8 +268,8 @@ SweepServer::HandleRequest(int fd)
     }
 
     // Admitted: every cell now occupies a queue slot until its task
-    // runs (as a no-op once cancelled), so capacity frees even when the
-    // client dies immediately.
+    // starts (as a no-op once cancelled), so capacity frees even when
+    // the client dies immediately, and is back before the reply ends.
     ServerAccept accept;
     accept.total_cells = total;
     accept.skip_records = hello.have_records;
@@ -278,20 +278,22 @@ SweepServer::HandleRequest(int fd)
         // Fresh request: the reply starts a new stream file.  A resume
         // (have_records > 0) already holds magic + header client-side.
         preface += sweep::kStreamMagic;
-        preface += sweep::EncodeStreamFrame(
+        preface += framed_log::EncodeFrame(
             'H', sweep::EncodeStreamHeaderPayload(hello.request.name, 0,
                                                   1));
     }
     bool alive = WriteAllFd(fd, preface);
 
-    uint64_t digest = sweep::StreamDigestInit();
+    uint64_t digest = framed_log::kDigestInit;
     uint64_t committed = 0;
     ExecuteHooks hooks;
     hooks.submit = [this](std::function<void()> task) {
         pool_->Submit([this, task = std::move(task)] {
+            {
+                MutexLock lock(mutex_);
+                --queued_cells_;
+            }
             task();
-            MutexLock lock(mutex_);
-            --queued_cells_;
         });
     };
     if (!options_.costs.empty()) {
@@ -305,7 +307,7 @@ SweepServer::HandleRequest(int fd)
         // prefix — because the trailer must verify the client's full
         // reconstructed file, not just the bytes this connection sent.
         const std::string record_json = stats::JsonWriter::ToJson(record);
-        digest = sweep::StreamDigestMix(digest, record_json);
+        digest = framed_log::DigestMix(digest, record_json);
         ++committed;
         if (!alive) {
             return false;
@@ -314,14 +316,14 @@ SweepServer::HandleRequest(int fd)
             return true;  // Client already holds this frame.
         }
         alive = WriteAllFd(fd,
-                           sweep::EncodeStreamFrame('R', record_json));
+                           framed_log::EncodeFrame('R', record_json));
         return alive;
     };
 
     const ExecuteOutcome outcome =
         ExecuteSweepRequest(hello.request, 0, hooks);
     if (alive && outcome.completed) {
-        WriteAllFd(fd, sweep::EncodeStreamFrame(
+        WriteAllFd(fd, framed_log::EncodeFrame(
                            'T', sweep::EncodeStreamTrailerPayload(
                                     outcome.document.meta, total, digest)));
     }

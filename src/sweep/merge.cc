@@ -1,12 +1,14 @@
 #include "src/sweep/merge.h"
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <set>
 #include <tuple>
 #include <utility>
 
+#include "src/common/framed_log.h"
 #include "src/sweep/json.h"
 
 namespace spur::sweep {
@@ -326,23 +328,12 @@ ParseSweepDocument(const std::string& json, std::string* error)
 std::optional<SweepDocument>
 LoadSweepFile(const std::string& path, std::string* error)
 {
-    FILE* file = (path == "-") ? stdin : std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-        Fail(error, path + ": cannot open");
-        return std::nullopt;
-    }
     std::string contents;
-    char buffer[1 << 16];
-    size_t read = 0;
-    while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-        contents.append(buffer, read);
-    }
-    const bool io_error = (std::ferror(file) != 0);
-    if (file != stdin) {
-        std::fclose(file);
-    }
-    if (io_error) {
-        Fail(error, path + ": read error");
+    const bool read =
+        (path == "-")
+            ? framed_log::ReadAll(STDIN_FILENO, path, &contents, error)
+            : framed_log::ReadFile(path, &contents, error);
+    if (!read) {
         return std::nullopt;
     }
     std::string parse_error;

@@ -1,11 +1,6 @@
 #include "src/sweep/stream.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "src/sweep/json.h"
@@ -14,23 +9,7 @@ namespace spur::sweep {
 
 namespace {
 
-// FNV-1a 64 (public domain): deterministic, dependency-free content
-// digest for the trailer.  Each record payload is mixed followed by a
-// '\n' separator so payload boundaries cannot alias.
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-/** Frame payloads larger than this are corruption, not sweep records. */
-constexpr uint64_t kMaxFramePayload = 1ULL << 30;
-
-std::string
-DigestHex(uint64_t digest)
-{
-    char buffer[24];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buffer;
-}
+constexpr std::string_view kStreamTags = "HRT";
 
 bool
 Fail(std::string* error, const std::string& message)
@@ -39,91 +18,6 @@ Fail(std::string* error, const std::string& message)
         *error = message;
     }
     return false;
-}
-
-/** write(2) until every byte landed (EINTR-safe). */
-bool
-WriteAll(int fd, const std::string& data)
-{
-    size_t written = 0;
-    while (written < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + written, data.size() - written);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            return false;
-        }
-        written += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------------
-// Frame scanning (reader side)
-// ---------------------------------------------------------------------------
-
-enum class FrameStatus : uint8_t {
-    kOk,
-    kTruncated,  ///< Bytes ran out mid-frame: a crash artifact.
-    kCorrupt,    ///< Malformed despite enough bytes: never truncation.
-};
-
-struct Frame {
-    char tag = '\0';
-    std::string payload;
-    size_t end = 0;  ///< Offset of the first byte after the frame.
-};
-
-FrameStatus
-NextFrame(const std::string& bytes, size_t pos, Frame* out,
-          std::string* why)
-{
-    const char tag = bytes[pos];
-    if (tag != 'H' && tag != 'R' && tag != 'T') {
-        *why = "unknown frame tag";
-        return FrameStatus::kCorrupt;
-    }
-    size_t p = pos + 1;
-    if (p >= bytes.size()) {
-        return FrameStatus::kTruncated;
-    }
-    if (bytes[p] != ' ') {
-        *why = "missing space after frame tag";
-        return FrameStatus::kCorrupt;
-    }
-    ++p;
-    uint64_t length = 0;
-    size_t digits = 0;
-    while (p < bytes.size() && bytes[p] >= '0' && bytes[p] <= '9') {
-        length = length * 10 + static_cast<uint64_t>(bytes[p] - '0');
-        if (length > kMaxFramePayload) {
-            *why = "frame length out of range";
-            return FrameStatus::kCorrupt;
-        }
-        ++digits;
-        ++p;
-    }
-    if (p >= bytes.size()) {
-        return FrameStatus::kTruncated;
-    }
-    if (digits == 0 || bytes[p] != '\n') {
-        *why = "malformed frame length";
-        return FrameStatus::kCorrupt;
-    }
-    ++p;
-    if (p + length + 1 > bytes.size()) {
-        return FrameStatus::kTruncated;
-    }
-    if (bytes[p + length] != '\n') {
-        *why = "frame payload not newline-terminated";
-        return FrameStatus::kCorrupt;
-    }
-    out->tag = tag;
-    out->payload = bytes.substr(p, length);
-    out->end = p + length + 1;
-    return FrameStatus::kOk;
 }
 
 /** Reads one exact non-negative integer member, or fails. */
@@ -199,22 +93,8 @@ ParseStreamHeader(const std::string& payload, stats::DocumentMeta* meta,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Frame encoding (shared with src/serve/)
+// Payloads (shared with src/serve/)
 // ---------------------------------------------------------------------------
-
-std::string
-EncodeStreamFrame(char tag, const std::string& payload)
-{
-    std::string frame;
-    frame.reserve(payload.size() + 16);
-    frame += tag;
-    frame += ' ';
-    frame += std::to_string(payload.size());
-    frame += '\n';
-    frame += payload;
-    frame += '\n';
-    return frame;
-}
 
 std::string
 EncodeStreamHeaderPayload(const std::string& bench, uint32_t shard_index,
@@ -249,98 +129,40 @@ EncodeStreamTrailerPayload(const stats::DocumentMeta& meta,
     trailer += ", \"ran_cells\": ";
     trailer += std::to_string(meta.ran_cells);
     trailer += "}, \"digest\": \"";
-    trailer += DigestHex(digest);
+    trailer += framed_log::DigestHex(digest);
     trailer += "\"}";
     return trailer;
-}
-
-uint64_t
-StreamDigestInit()
-{
-    return kFnvOffset;
-}
-
-uint64_t
-StreamDigestMix(uint64_t digest, const std::string& payload)
-{
-    for (const char c : payload) {
-        digest ^= static_cast<unsigned char>(c);
-        digest *= kFnvPrime;
-    }
-    digest ^= static_cast<unsigned char>('\n');
-    digest *= kFnvPrime;
-    return digest;
 }
 
 // ---------------------------------------------------------------------------
 // StreamWriter
 // ---------------------------------------------------------------------------
 
-StreamWriter::~StreamWriter()
-{
-    Close();
-}
-
-void
-StreamWriter::Close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
-
-bool
-StreamWriter::WriteFrame(char tag, const std::string& payload,
-                         std::string* error)
-{
-    const std::string frame = EncodeStreamFrame(tag, payload);
-    if (!WriteAll(fd_, frame) || ::fsync(fd_) != 0) {
-        Fail(error, std::string("stream write failed: ") +
-                        std::strerror(errno));
-        Close();
-        return false;
-    }
-    return true;
-}
-
 bool
 StreamWriter::Open(const std::string& path, const std::string& bench,
                    uint32_t shard_index, uint32_t shard_count,
                    std::string* error)
 {
-    if (fd_ >= 0) {
-        return Fail(error, "stream already open");
-    }
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                 0644);
-    if (fd_ < 0) {
-        return Fail(error,
-                    path + ": cannot open: " + std::strerror(errno));
-    }
-    appended_ = 0;
-    digest_ = StreamDigestInit();
-    if (!WriteAll(fd_, kStreamMagic)) {
-        Fail(error, path + ": write failed: " + std::strerror(errno));
-        Close();
+    if (!log_.Open(path, error)) {
         return false;
     }
-    return WriteFrame(
-        'H', EncodeStreamHeaderPayload(bench, shard_index, shard_count),
-        error);
+    appended_ = 0;
+    digest_ = framed_log::kDigestInit;
+    return log_.Append(kStreamMagic +
+                           framed_log::EncodeFrame(
+                               'H', EncodeStreamHeaderPayload(
+                                        bench, shard_index, shard_count)),
+                       error);
 }
 
 bool
 StreamWriter::Append(const stats::RunRecord& record, std::string* error)
 {
-    if (fd_ < 0) {
-        return Fail(error, "stream is not open");
-    }
     const std::string payload = stats::JsonWriter::ToJson(record);
-    if (!WriteFrame('R', payload, error)) {
+    if (!log_.Append(framed_log::EncodeFrame('R', payload), error)) {
         return false;
     }
-    digest_ = StreamDigestMix(digest_, payload);
+    digest_ = framed_log::DigestMix(digest_, payload);
     ++appended_;
     return true;
 }
@@ -348,12 +170,11 @@ StreamWriter::Append(const stats::RunRecord& record, std::string* error)
 bool
 StreamWriter::Finish(const stats::DocumentMeta& meta, std::string* error)
 {
-    if (fd_ < 0) {
-        return Fail(error, "stream is not open");
-    }
-    const bool ok = WriteFrame(
-        'T', EncodeStreamTrailerPayload(meta, appended_, digest_), error);
-    Close();
+    const bool ok = log_.Append(
+        framed_log::EncodeFrame(
+            'T', EncodeStreamTrailerPayload(meta, appended_, digest_)),
+        error);
+    log_.Close();
     return ok;
 }
 
@@ -364,57 +185,59 @@ StreamWriter::Finish(const stats::DocumentMeta& meta, std::string* error)
 std::optional<RecoveredStream>
 RecoverStreamBytes(const std::string& bytes, std::string* error)
 {
-    const std::string magic = kStreamMagic;
     RecoveredStream out;
-    if (bytes.size() < magic.size()) {
-        if (magic.compare(0, bytes.size(), bytes) != 0) {
-            Fail(error, "not a SPUR stream (bad magic)");
-            return std::nullopt;
-        }
+    switch (framed_log::CheckMagic(bytes, kStreamMagic)) {
+      case framed_log::ParseStatus::kTruncated:
         out.dropped_bytes = bytes.size();
         out.note = "stream cut inside the magic line; nothing recovered";
         return out;
-    }
-    if (bytes.compare(0, magic.size(), magic) != 0) {
+      case framed_log::ParseStatus::kCorrupt:
         Fail(error, "not a SPUR stream (bad magic)");
         return std::nullopt;
+      case framed_log::ParseStatus::kOk:
+        break;
     }
-    size_t pos = magic.size();
+    size_t pos = std::string_view(kStreamMagic).size();
 
     // Header frame.
-    Frame frame;
+    framed_log::Frame frame;
     std::string why;
     if (pos >= bytes.size()) {
         out.note = "stream cut before the header frame; nothing recovered";
         return out;
     }
-    switch (NextFrame(bytes, pos, &frame, &why)) {
-      case FrameStatus::kTruncated:
+    switch (framed_log::ParseFrame(bytes, pos, kStreamTags,
+                                   framed_log::kMaxFilePayload, &frame,
+                                   &why)) {
+      case framed_log::ParseStatus::kTruncated:
         out.dropped_bytes = bytes.size() - pos;
         out.note = "stream cut inside the header frame; nothing recovered";
         return out;
-      case FrameStatus::kCorrupt:
+      case framed_log::ParseStatus::kCorrupt:
         Fail(error, "corrupt stream: " + why + " at byte " +
                         std::to_string(pos));
         return std::nullopt;
-      case FrameStatus::kOk:
+      case framed_log::ParseStatus::kOk:
         break;
     }
     if (frame.tag != 'H') {
         Fail(error, "corrupt stream: first frame is not a header");
         return std::nullopt;
     }
-    if (!ParseStreamHeader(frame.payload, &out.document.meta, &why)) {
+    if (!ParseStreamHeader(std::string(frame.payload), &out.document.meta,
+                           &why)) {
         Fail(error, "corrupt stream header: " + why);
         return std::nullopt;
     }
     pos = frame.end;
 
-    uint64_t digest = kFnvOffset;
+    uint64_t digest = framed_log::kDigestInit;
     while (pos < bytes.size()) {
         const size_t frame_start = pos;
-        switch (NextFrame(bytes, pos, &frame, &why)) {
-          case FrameStatus::kTruncated:
+        switch (framed_log::ParseFrame(bytes, pos, kStreamTags,
+                                       framed_log::kMaxFilePayload, &frame,
+                                       &why)) {
+          case framed_log::ParseStatus::kTruncated:
             out.dropped_bytes = bytes.size() - frame_start;
             out.note = "truncated stream: recovered " +
                        std::to_string(out.document.records.size()) +
@@ -422,11 +245,11 @@ RecoverStreamBytes(const std::string& bytes, std::string* error)
                        std::to_string(out.dropped_bytes) +
                        " torn tail byte(s)";
             return out;
-          case FrameStatus::kCorrupt:
+          case framed_log::ParseStatus::kCorrupt:
             Fail(error, "corrupt stream: " + why + " at byte " +
                             std::to_string(frame_start));
             return std::nullopt;
-          case FrameStatus::kOk:
+          case framed_log::ParseStatus::kOk:
             break;
         }
         if (frame.tag == 'H') {
@@ -434,18 +257,12 @@ RecoverStreamBytes(const std::string& bytes, std::string* error)
                             std::to_string(frame_start));
             return std::nullopt;
         }
+        std::string parse_error;
+        const std::optional<JsonValue> root =
+            ParseJson(std::string(frame.payload), &parse_error);
         if (frame.tag == 'R') {
-            std::string parse_error;
-            const std::optional<JsonValue> value =
-                ParseJson(frame.payload, &parse_error);
-            if (!value) {
-                Fail(error, "corrupt record frame at byte " +
-                                std::to_string(frame_start) + ": " +
-                                parse_error);
-                return std::nullopt;
-            }
             stats::RunRecord record;
-            if (!ParseRunRecord(*value, &record, &parse_error)) {
+            if (!root || !ParseRunRecord(*root, &record, &parse_error)) {
                 Fail(error, "corrupt record frame at byte " +
                                 std::to_string(frame_start) + ": " +
                                 parse_error);
@@ -458,16 +275,13 @@ RecoverStreamBytes(const std::string& bytes, std::string* error)
                          "producer)");
                 return std::nullopt;
             }
-            digest = StreamDigestMix(digest, frame.payload);
+            digest = framed_log::DigestMix(digest, frame.payload);
             out.document.records.push_back(std::move(record));
             pos = frame.end;
             continue;
         }
 
         // Trailer frame: verify and require it to be final.
-        std::string parse_error;
-        const std::optional<JsonValue> root =
-            ParseJson(frame.payload, &parse_error);
         if (!root || !root->IsObject()) {
             Fail(error, "corrupt trailer: " +
                             (root ? std::string("not an object")
@@ -527,10 +341,10 @@ RecoverStreamBytes(const std::string& bytes, std::string* error)
             Fail(error, "corrupt trailer: 'digest' must be a string");
             return std::nullopt;
         }
-        if (digest_field->AsString() != DigestHex(digest)) {
+        if (digest_field->AsString() != framed_log::DigestHex(digest)) {
             Fail(error, "content digest mismatch: trailer has " +
                             digest_field->AsString() + ", records hash "
-                            "to " + DigestHex(digest) +
+                            "to " + framed_log::DigestHex(digest) +
                             " (corrupt records?)");
             return std::nullopt;
         }
@@ -556,21 +370,8 @@ RecoverStreamBytes(const std::string& bytes, std::string* error)
 std::optional<RecoveredStream>
 RecoverStreamFile(const std::string& path, std::string* error)
 {
-    FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-        Fail(error, path + ": cannot open");
-        return std::nullopt;
-    }
     std::string contents;
-    char buffer[1 << 16];
-    size_t read = 0;
-    while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-        contents.append(buffer, read);
-    }
-    const bool io_error = (std::ferror(file) != 0);
-    std::fclose(file);
-    if (io_error) {
-        Fail(error, path + ": read error");
+    if (!framed_log::ReadFile(path, &contents, error)) {
         return std::nullopt;
     }
     std::string recover_error;

@@ -16,20 +16,21 @@
  *                                        full shard header, FNV-1a64
  *                                        content digest (hex)
  *
- * Frame payloads are exactly the bytes `stats::JsonWriter` emits for the
- * same object, so a recovered document re-serializes byte-identically.
+ * The framing, the digest and the truncated-vs-corrupt rule are the
+ * shared framed-log codec's (src/common/framed_log.h, DESIGN.md §20);
+ * this file owns only the payloads.  Frame payloads are exactly the
+ * bytes `stats::JsonWriter` emits for the same object, so a recovered
+ * document re-serializes byte-identically.
  *
- * Recovery semantics (spur_sweep recover): a stream whose tail was cut
- * at *any* byte offset — the only artifact a crash can leave, since
- * every frame is fsync'd before the next begins — recovers to the
- * longest prefix of complete frames; the torn tail is dropped and
- * reported.  A stream with a verified trailer recovers to the exact
- * document `--json` would have written.  Damage that truncation cannot
- * explain (bad magic, a complete frame that does not round-trip, a
- * trailer whose count or digest disagrees) is a hard error, never a
- * silent partial result.  tests/stream_test.cc cuts a stream at every
- * byte offset and proves recover + --resume reproduce the uninterrupted
- * document byte for byte.
+ * Recovery semantics (spur_sweep recover): a stream cut at any byte
+ * offset recovers to the longest prefix of complete frames; the torn
+ * tail is dropped and reported.  A stream with a verified trailer
+ * recovers to the exact document `--json` would have written.  Damage
+ * that truncation cannot explain (bad magic, a corrupt frame, a record
+ * that does not round-trip, a trailer whose count or digest disagrees)
+ * is a hard error, never a silent partial result.  tests/stream_test.cc
+ * cuts a stream at every byte offset and proves recover + --resume
+ * reproduce the uninterrupted document byte for byte.
  */
 #ifndef SPUR_SWEEP_STREAM_H_
 #define SPUR_SWEEP_STREAM_H_
@@ -38,6 +39,7 @@
 #include <optional>
 #include <string>
 
+#include "src/common/framed_log.h"
 #include "src/stats/run_record.h"
 #include "src/sweep/merge.h"
 
@@ -49,15 +51,11 @@ inline constexpr int kStreamVersion = 1;
 /** First line of every stream file. */
 inline constexpr char kStreamMagic[] = "SPUR-STREAM/1\n";
 
-// ---------------------------------------------------------------------------
-// Frame encoding, shared by StreamWriter (fsync'd files) and the sweep
+// Payload encoding, shared by StreamWriter (fsync'd files) and the sweep
 // service (src/serve/), whose reply to a client is exactly the bytes a
-// local --stream run would have written — the byte-identity contract
-// rests on both producers calling these functions.
-// ---------------------------------------------------------------------------
-
-/** Renders one frame: "<tag> <len>\n<payload>\n". */
-std::string EncodeStreamFrame(char tag, const std::string& payload);
+// local --stream run would have written.  Both producers frame these
+// payloads with framed_log::EncodeFrame and digest the record payloads
+// with framed_log::DigestMix.
 
 /** The header-frame payload (stream version, bench, shard K/N). */
 std::string EncodeStreamHeaderPayload(const std::string& bench,
@@ -71,12 +69,6 @@ std::string EncodeStreamHeaderPayload(const std::string& bench,
 std::string EncodeStreamTrailerPayload(const stats::DocumentMeta& meta,
                                        uint64_t records, uint64_t digest);
 
-/** Initial value of the rolling content digest (FNV-1a 64 offset). */
-uint64_t StreamDigestInit();
-
-/** Mixes one record payload (plus frame separator) into the digest. */
-uint64_t StreamDigestMix(uint64_t digest, const std::string& payload);
-
 /**
  * Appends records to a stream file as they are recorded.  Every write
  * (the header at Open, each record frame, the trailer at Finish) is
@@ -87,12 +79,6 @@ uint64_t StreamDigestMix(uint64_t digest, const std::string& payload);
 class StreamWriter
 {
   public:
-    StreamWriter() = default;
-    ~StreamWriter();
-
-    StreamWriter(const StreamWriter&) = delete;
-    StreamWriter& operator=(const StreamWriter&) = delete;
-
     /**
      * Creates/truncates @p path and writes the magic line plus the
      * header frame (bench name, shard index/count).  False + *error on
@@ -113,17 +99,13 @@ class StreamWriter
     bool Finish(const stats::DocumentMeta& meta, std::string* error);
 
     /** True between a successful Open and Finish (or a write failure). */
-    bool is_open() const { return fd_ >= 0; }
+    bool is_open() const { return log_.is_open(); }
 
     /** Record frames appended so far. */
     uint64_t appended() const { return appended_; }
 
   private:
-    bool WriteFrame(char tag, const std::string& payload,
-                    std::string* error);
-    void Close();
-
-    int fd_ = -1;
+    framed_log::DurableAppender log_;
     uint64_t appended_ = 0;
     uint64_t digest_ = 0;
 };

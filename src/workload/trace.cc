@@ -1,14 +1,12 @@
 #include "src/workload/trace.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
+#include "src/common/framed_log.h"
 #include "src/common/log.h"
 #include "src/vm/region.h"
 
@@ -16,13 +14,8 @@ namespace spur::workload {
 
 namespace {
 
-// FNV-1a 64, byte-compatible with the §13 stream digest: payload bytes
-// followed by a '\n' separator so payload boundaries cannot alias.
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-/** Frame payloads larger than this are corruption, not trace data. */
-constexpr uint64_t kMaxFramePayload = 1ULL << 30;
+/** The SPUR-TRACE/1 frame tag alphabet. */
+constexpr std::string_view kTraceTags = "HSBET";
 
 /** Flush an open op batch into a B frame at this size. */
 constexpr size_t kBatchFlushBytes = 64 * 1024;
@@ -45,27 +38,6 @@ constexpr uint8_t kOpIFetch = 6;
 constexpr uint8_t kOpRead = 7;
 constexpr uint8_t kOpWrite = 8;
 
-uint64_t
-Mix(uint64_t digest, const std::string& payload)
-{
-    for (const char c : payload) {
-        digest ^= static_cast<unsigned char>(c);
-        digest *= kFnvPrime;
-    }
-    digest ^= static_cast<unsigned char>('\n');
-    digest *= kFnvPrime;
-    return digest;
-}
-
-std::string
-DigestHex(uint64_t digest)
-{
-    char buffer[24];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buffer;
-}
-
 std::string
 FormatUint(uint64_t value)
 {
@@ -82,20 +54,6 @@ FormatDouble(double value)
     char buffer[40];
     std::snprintf(buffer, sizeof(buffer), "%.17g", value);
     return buffer;
-}
-
-std::string
-EncodeFrame(char tag, const std::string& payload)
-{
-    std::string frame;
-    frame.reserve(payload.size() + 16);
-    frame.push_back(tag);
-    frame.push_back(' ');
-    frame += FormatUint(payload.size());
-    frame.push_back('\n');
-    frame += payload;
-    frame.push_back('\n');
-    return frame;
 }
 
 std::string
@@ -125,7 +83,7 @@ EndPayload(uint64_t ops, uint64_t accesses, uint64_t refs_issued,
     std::string payload = "{\"ops\": " + FormatUint(ops);
     payload += ", \"accesses\": " + FormatUint(accesses);
     payload += ", \"refs_issued\": " + FormatUint(refs_issued);
-    payload += ", \"digest\": \"" + DigestHex(digest) + "\"}";
+    payload += ", \"digest\": \"" + framed_log::DigestHex(digest) + "\"}";
     return payload;
 }
 
@@ -133,7 +91,7 @@ std::string
 TrailerPayload(uint64_t streams, uint64_t digest)
 {
     return "{\"streams\": " + FormatUint(streams) + ", \"digest\": \"" +
-           DigestHex(digest) + "\"}";
+           framed_log::DigestHex(digest) + "\"}";
 }
 
 // ---------------------------------------------------------------------------
@@ -144,7 +102,7 @@ TrailerPayload(uint64_t streams, uint64_t digest)
 // ---------------------------------------------------------------------------
 
 bool
-ScanLiteral(const std::string& s, size_t* pos, const char* literal)
+ScanLiteral(std::string_view s, size_t* pos, const char* literal)
 {
     const size_t n = std::strlen(literal);
     if (s.compare(*pos, n, literal) != 0) {
@@ -155,7 +113,7 @@ ScanLiteral(const std::string& s, size_t* pos, const char* literal)
 }
 
 bool
-ScanUint(const std::string& s, size_t* pos, uint64_t* out)
+ScanUint(std::string_view s, size_t* pos, uint64_t* out)
 {
     size_t p = *pos;
     uint64_t value = 0;
@@ -179,7 +137,7 @@ ScanUint(const std::string& s, size_t* pos, uint64_t* out)
 
 /** A quoted string with no escapes: printable ASCII minus '"' and '\\'. */
 bool
-ScanQuoted(const std::string& s, size_t* pos, std::string* out)
+ScanQuoted(std::string_view s, size_t* pos, std::string* out)
 {
     size_t p = *pos;
     if (p >= s.size() || s[p] != '"') {
@@ -197,14 +155,14 @@ ScanQuoted(const std::string& s, size_t* pos, std::string* out)
     if (p >= s.size()) {
         return false;
     }
-    out->assign(s, start, p - start);
+    out->assign(s.substr(start, p - start));
     *pos = p + 1;
     return true;
 }
 
 /** A double token that round-trips through the canonical rendering. */
 bool
-ScanDouble(const std::string& s, size_t* pos, double* out)
+ScanDouble(std::string_view s, size_t* pos, double* out)
 {
     size_t p = *pos;
     const size_t start = p;
@@ -215,7 +173,7 @@ ScanDouble(const std::string& s, size_t* pos, double* out)
     if (p == start) {
         return false;
     }
-    const std::string token = s.substr(start, p - start);
+    const std::string token(s.substr(start, p - start));
     char* end = nullptr;
     errno = 0;
     const double value = std::strtod(token.c_str(), &end);
@@ -231,7 +189,7 @@ ScanDouble(const std::string& s, size_t* pos, double* out)
 }
 
 bool
-ScanHexDigest(const std::string& s, size_t* pos, uint64_t* out)
+ScanHexDigest(std::string_view s, size_t* pos, uint64_t* out)
 {
     std::string hex;
     if (!ScanQuoted(s, pos, &hex) || hex.size() != 16) {
@@ -254,13 +212,13 @@ ScanHexDigest(const std::string& s, size_t* pos, uint64_t* out)
 }
 
 bool
-ParseHeaderPayload(const std::string& payload)
+ParseHeaderPayload(std::string_view payload)
 {
     return payload == HeaderPayload();
 }
 
 bool
-ParseMetaPayload(const std::string& payload, TraceStreamMeta* meta)
+ParseMetaPayload(std::string_view payload, TraceStreamMeta* meta)
 {
     size_t pos = 0;
     if (!ScanLiteral(payload, &pos, "{\"workload\": ") ||
@@ -282,7 +240,7 @@ ParseMetaPayload(const std::string& payload, TraceStreamMeta* meta)
 }
 
 bool
-ParseEndPayload(const std::string& payload, uint64_t* ops,
+ParseEndPayload(std::string_view payload, uint64_t* ops,
                 uint64_t* accesses, uint64_t* refs_issued, uint64_t* digest)
 {
     size_t pos = 0;
@@ -301,7 +259,7 @@ ParseEndPayload(const std::string& payload, uint64_t* ops,
 }
 
 bool
-ParseTrailerPayload(const std::string& payload, uint64_t* streams,
+ParseTrailerPayload(std::string_view payload, uint64_t* streams,
                     uint64_t* digest)
 {
     size_t pos = 0;
@@ -329,7 +287,9 @@ AppendVarint(std::string* out, uint64_t value)
     out->push_back(static_cast<char>(value));
 }
 
-bool
+// Forced inline: it runs once per replayed access, and with DecodeOps
+// instantiated twice GCC otherwise keeps it out of line.
+[[gnu::always_inline]] inline bool
 ReadVarint(const std::string& bytes, size_t* pos, uint64_t* out)
 {
     uint64_t value = 0;
@@ -372,101 +332,6 @@ ZigzagDecode(uint64_t value)
            -static_cast<int64_t>(value & 1);
 }
 
-/** Summary facts ValidateOps checks against the E payload. */
-struct OpCounts {
-    uint64_t ops = 0;
-    uint64_t accesses = 0;
-    uint64_t created = 0;
-};
-
-/**
- * Walks an op payload, enforcing well-formed varints, known opcodes,
- * dense pid assignment and in-range field values.  What this accepts,
- * ReplayStream can execute without further checks.
- */
-bool
-ValidateOps(const std::string& ops, OpCounts* out, std::string* why)
-{
-    size_t pos = 0;
-    uint64_t created = 0;
-    while (pos < ops.size()) {
-        const uint8_t opcode = static_cast<uint8_t>(ops[pos]);
-        ++pos;
-        ++out->ops;
-        uint64_t value = 0;
-        switch (opcode) {
-          case kOpCreate:
-            if (!ReadVarint(ops, &pos, &value) || value != created) {
-                *why = "op stream: bad create pid";
-                return false;
-            }
-            ++created;
-            break;
-          case kOpDestroy:
-          case kOpSetPid:
-            if (!ReadVarint(ops, &pos, &value) || value >= created) {
-                *why = "op stream: pid out of range";
-                return false;
-            }
-            break;
-          case kOpMapRegion: {
-            uint64_t base = 0;
-            uint64_t bytes = 0;
-            if (!ReadVarint(ops, &pos, &value) || value >= created ||
-                !ReadVarint(ops, &pos, &base) || base > ~ProcessAddr{0} ||
-                !ReadVarint(ops, &pos, &bytes) || pos >= ops.size() ||
-                static_cast<uint8_t>(ops[pos]) > kMaxPageKind) {
-                *why = "op stream: bad map op";
-                return false;
-            }
-            ++pos;
-            break;
-          }
-          case kOpShare: {
-            uint64_t other = 0;
-            if (!ReadVarint(ops, &pos, &value) || value >= created ||
-                pos >= ops.size() ||
-                static_cast<uint8_t>(ops[pos]) > kMaxSegReg) {
-                *why = "op stream: bad share op";
-                return false;
-            }
-            ++pos;
-            if (!ReadVarint(ops, &pos, &other) || other >= created ||
-                pos >= ops.size() ||
-                static_cast<uint8_t>(ops[pos]) > kMaxSegReg) {
-                *why = "op stream: bad share op";
-                return false;
-            }
-            ++pos;
-            break;
-          }
-          case kOpSwitch:
-            break;
-          case kOpIFetch:
-          case kOpRead:
-          case kOpWrite:
-            if (!ReadVarint(ops, &pos, &value)) {
-                *why = "op stream: bad access delta";
-                return false;
-            }
-            ++out->accesses;
-            break;
-          default:
-            *why = "op stream: unknown opcode";
-            return false;
-        }
-    }
-    out->created = created;
-    return true;
-}
-
-/** Only reachable on a bug: recovery validates ops before replay. */
-[[noreturn]] void
-BadOps()
-{
-    Fatal("trace: malformed op stream escaped validation");
-}
-
 bool
 Fail(std::string* error, const std::string& message)
 {
@@ -476,112 +341,198 @@ Fail(std::string* error, const std::string& message)
     return false;
 }
 
-/** write(2) until every byte landed (EINTR-safe). */
+/**
+ * The one op decoder.  Walks an op payload, enforcing well-formed
+ * varints, known opcodes, dense pid assignment, a current pid before the
+ * first access, and in-range field values, and hands each op to
+ * @p visitor with its pids already range-checked and its access address
+ * already un-delta'd.  Stops at the first malformed op with *why set.
+ * The visitor is a template parameter, not a virtual interface, so every
+ * visitor call inlines into the replay loop.
+ */
+template <class Visitor>
 bool
-WriteAll(int fd, const std::string& data)
+DecodeOps(const std::string& ops, Visitor& visitor, std::string* why)
 {
-    size_t written = 0;
-    while (written < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + written, data.size() - written);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
+    size_t pos = 0;
+    uint64_t created = 0;
+    bool have_pid = false;
+    ProcessAddr last_addr = 0;
+    while (pos < ops.size()) {
+        const uint8_t opcode = static_cast<uint8_t>(ops[pos]);
+        ++pos;
+        uint64_t value = 0;
+        switch (opcode) {
+          case kOpCreate:
+            if (!ReadVarint(ops, &pos, &value) || value != created) {
+                return Fail(why, "op stream: bad create pid");
             }
-            return false;
+            ++created;
+            visitor.Create();
+            break;
+          case kOpDestroy:
+          case kOpSetPid:
+            if (!ReadVarint(ops, &pos, &value) || value >= created) {
+                return Fail(why, "op stream: pid out of range");
+            }
+            if (opcode == kOpDestroy) {
+                visitor.Destroy(value);
+            } else {
+                have_pid = true;
+                visitor.SetPid(value);
+            }
+            break;
+          case kOpMapRegion: {
+            uint64_t base = 0;
+            uint64_t bytes = 0;
+            if (!ReadVarint(ops, &pos, &value) || value >= created ||
+                !ReadVarint(ops, &pos, &base) || base > ~ProcessAddr{0} ||
+                !ReadVarint(ops, &pos, &bytes) || pos >= ops.size() ||
+                static_cast<uint8_t>(ops[pos]) > kMaxPageKind) {
+                return Fail(why, "op stream: bad map op");
+            }
+            const auto kind =
+                static_cast<vm::PageKind>(static_cast<uint8_t>(ops[pos]));
+            ++pos;
+            visitor.Map(value, static_cast<ProcessAddr>(base), bytes, kind);
+            break;
+          }
+          case kOpShare: {
+            uint64_t other = 0;
+            if (!ReadVarint(ops, &pos, &value) || value >= created ||
+                pos >= ops.size() ||
+                static_cast<uint8_t>(ops[pos]) > kMaxSegReg) {
+                return Fail(why, "op stream: bad share op");
+            }
+            const auto reg = static_cast<uint8_t>(ops[pos]);
+            ++pos;
+            if (!ReadVarint(ops, &pos, &other) || other >= created ||
+                pos >= ops.size() ||
+                static_cast<uint8_t>(ops[pos]) > kMaxSegReg) {
+                return Fail(why, "op stream: bad share op");
+            }
+            const auto other_reg = static_cast<uint8_t>(ops[pos]);
+            ++pos;
+            visitor.Share(value, reg, other, other_reg);
+            break;
+          }
+          case kOpSwitch:
+            visitor.Switch();
+            break;
+          case kOpIFetch:
+          case kOpRead:
+          case kOpWrite:
+            if (!ReadVarint(ops, &pos, &value) || !have_pid) {
+                return Fail(why, "op stream: bad access");
+            }
+            last_addr = static_cast<ProcessAddr>(
+                static_cast<int64_t>(last_addr) + ZigzagDecode(value));
+            visitor.Access(opcode == kOpIFetch ? AccessType::kIFetch
+                           : opcode == kOpRead ? AccessType::kRead
+                                               : AccessType::kWrite,
+                           last_addr);
+            break;
+          default:
+            return Fail(why, "op stream: unknown opcode");
         }
-        written += static_cast<size_t>(n);
     }
     return true;
 }
 
-// ---------------------------------------------------------------------------
-// Frame scanning (reader side), mirroring src/sweep/stream.cc.
-// ---------------------------------------------------------------------------
+/** Validation: counts what the E payload claims, touches nothing. */
+struct OpCounter {
+    uint64_t ops = 0;
+    uint64_t accesses = 0;
 
-enum class FrameStatus : uint8_t {
-    kOk,
-    kTruncated,  ///< Bytes ran out mid-frame: a crash artifact.
-    kCorrupt,    ///< Malformed despite enough bytes: never truncation.
+    void Create() { ++ops; }
+    void Destroy(uint64_t) { ++ops; }
+    void SetPid(uint64_t) { ++ops; }
+    void Map(uint64_t, ProcessAddr, uint64_t, vm::PageKind) { ++ops; }
+    void Share(uint64_t, unsigned, uint64_t, unsigned) { ++ops; }
+    void Switch() { ++ops; }
+    void Access(AccessType, ProcessAddr)
+    {
+        ++ops;
+        ++accesses;
+    }
 };
 
-struct Frame {
-    char tag = '\0';
-    std::string payload;
-    size_t end = 0;  ///< Offset of the first byte after the frame.
-};
-
-FrameStatus
-NextFrame(const std::string& bytes, size_t pos, Frame* out,
-          std::string* why)
+/**
+ * Replay: renames trace pids back to host pids and issues every op to
+ * the host, batching accesses through AccessBatch.  Any other op
+ * flushes the open batch first, so the host sees recording order.
+ */
+class Replayer
 {
-    const char tag = bytes[pos];
-    if (tag != 'H' && tag != 'S' && tag != 'B' && tag != 'E' &&
-        tag != 'T') {
-        *why = "unknown frame tag";
-        return FrameStatus::kCorrupt;
+  public:
+    explicit Replayer(WorkloadHost& host)
+        : host_(host)
+    {
+        batch_.reserve(4096);
     }
-    size_t p = pos + 1;
-    if (p >= bytes.size()) {
-        return FrameStatus::kTruncated;
+
+    void Create()
+    {
+        Flush();
+        host_pid_.push_back(host_.CreateProcess());
+        ++stats.processes;
     }
-    if (bytes[p] != ' ') {
-        *why = "missing space after frame tag";
-        return FrameStatus::kCorrupt;
+
+    void Destroy(uint64_t pid)
+    {
+        Flush();
+        host_.DestroyProcess(host_pid_[pid]);
     }
-    ++p;
-    uint64_t length = 0;
-    size_t digits = 0;
-    while (p < bytes.size() && bytes[p] >= '0' && bytes[p] <= '9') {
-        length = length * 10 + static_cast<uint64_t>(bytes[p] - '0');
-        if (length > kMaxFramePayload) {
-            *why = "frame length out of range";
-            return FrameStatus::kCorrupt;
+
+    void SetPid(uint64_t pid) { current_pid_ = host_pid_[pid]; }
+
+    void Map(uint64_t pid, ProcessAddr base, uint64_t bytes,
+             vm::PageKind kind)
+    {
+        Flush();
+        host_.MapRegion(host_pid_[pid], base, bytes, kind);
+    }
+
+    void Share(uint64_t pid, unsigned reg, uint64_t other,
+               unsigned other_reg)
+    {
+        Flush();
+        host_.ShareSegment(host_pid_[pid], reg, host_pid_[other],
+                           other_reg);
+    }
+
+    void Switch()
+    {
+        Flush();
+        host_.OnContextSwitch();
+        ++stats.context_switches;
+    }
+
+    void Access(AccessType type, ProcessAddr addr)
+    {
+        batch_.push_back(MemRef{current_pid_, addr, type});
+        if (batch_.size() == batch_.capacity()) {
+            Flush();
         }
-        ++digits;
-        ++p;
+        ++stats.accesses;
     }
-    if (p >= bytes.size()) {
-        return FrameStatus::kTruncated;
-    }
-    if (digits == 0 || bytes[p] != '\n') {
-        *why = "malformed frame length";
-        return FrameStatus::kCorrupt;
-    }
-    ++p;
-    if (p + length + 1 > bytes.size()) {
-        return FrameStatus::kTruncated;
-    }
-    if (bytes[p + length] != '\n') {
-        *why = "frame payload not newline-terminated";
-        return FrameStatus::kCorrupt;
-    }
-    out->tag = tag;
-    out->payload.assign(bytes, p, length);
-    out->end = p + length + 1;
-    return FrameStatus::kOk;
-}
 
-bool
-ReadFileBytes(const std::string& path, std::string* bytes,
-              std::string* error)
-{
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-        return Fail(error, "cannot open '" + path + "'");
+    void Flush()
+    {
+        if (!batch_.empty()) {
+            host_.AccessBatch(batch_.data(), batch_.size());
+            batch_.clear();
+        }
     }
-    char buffer[64 * 1024];
-    size_t n = 0;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-        bytes->append(buffer, n);
-    }
-    const bool ok = std::ferror(file) == 0;
-    std::fclose(file);
-    if (!ok) {
-        return Fail(error, "read error on '" + path + "'");
-    }
-    return true;
-}
+
+    ReplayStats stats;
+
+  private:
+    WorkloadHost& host_;
+    std::vector<Pid> host_pid_;  ///< Indexed by trace pid.
+    std::vector<MemRef> batch_;
+    Pid current_pid_ = 0;
+};
 
 }  // namespace
 
@@ -606,7 +557,7 @@ TraceStreamMeta::Identity() const
 // ---------------------------------------------------------------------------
 
 TraceEncoder::TraceEncoder(TraceStreamMeta meta)
-    : meta_(std::move(meta)), digest_(kFnvOffset)
+    : meta_(std::move(meta)), digest_(framed_log::kDigestInit)
 {
     for (const char c : meta_.workload) {
         if (c < 0x20 || c > 0x7e || c == '"' || c == '\\') {
@@ -614,7 +565,7 @@ TraceEncoder::TraceEncoder(TraceStreamMeta meta)
                   "' is not representable");
         }
     }
-    framed_ = EncodeFrame('S', MetaPayload(meta_));
+    framed_ = framed_log::EncodeFrame('S', MetaPayload(meta_));
 }
 
 void
@@ -636,8 +587,8 @@ TraceEncoder::FlushBatch()
     if (batch_.empty()) {
         return;
     }
-    digest_ = Mix(digest_, batch_);
-    framed_ += EncodeFrame('B', batch_);
+    digest_ = framed_log::DigestMix(digest_, batch_);
+    framed_log::AppendFrame(&framed_, 'B', batch_);
     batch_.clear();
 }
 
@@ -757,8 +708,8 @@ TraceEncoder::Finish(uint64_t refs_issued)
     }
     finished_ = true;
     FlushBatch();
-    framed_ += EncodeFrame(
-        'E', EndPayload(ops_, accesses_, refs_issued, digest_));
+    framed_log::AppendFrame(
+        &framed_, 'E', EndPayload(ops_, accesses_, refs_issued, digest_));
     return std::move(framed_);
 }
 
@@ -844,54 +795,27 @@ RecordingHost::config() const
 // TraceFileWriter
 // ---------------------------------------------------------------------------
 
-TraceFileWriter::~TraceFileWriter()
-{
-    Close();
-}
-
-void
-TraceFileWriter::Close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
-
 bool
 TraceFileWriter::Open(const std::string& path, std::string* error)
 {
-    if (fd_ >= 0) {
-        return Fail(error, "trace writer already open");
+    if (!log_.Open(path, error)) {
+        return false;
     }
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd_ < 0) {
-        return Fail(error, "cannot open '" + path + "' for writing: " +
-                               std::strerror(errno));
-    }
-    digest_ = kFnvOffset;
+    digest_ = framed_log::kDigestInit;
     streams_ = 0;
-    const std::string head =
-        std::string(kTraceMagic) + EncodeFrame('H', HeaderPayload());
-    if (!WriteAll(fd_, head) || ::fsync(fd_) != 0) {
-        Close();
-        return Fail(error, "write failed on '" + path + "'");
-    }
-    return true;
+    return log_.Append(kTraceMagic + framed_log::EncodeFrame(
+                                         'H', HeaderPayload()),
+                       error);
 }
 
 bool
 TraceFileWriter::AppendStream(const std::string& stream_bytes,
                               std::string* error)
 {
-    if (fd_ < 0) {
-        return Fail(error, "trace writer is not open");
+    if (!log_.Append(stream_bytes, error)) {
+        return false;
     }
-    if (!WriteAll(fd_, stream_bytes) || ::fsync(fd_) != 0) {
-        Close();
-        return Fail(error, "stream append failed");
-    }
-    digest_ = Mix(digest_, stream_bytes);
+    digest_ = framed_log::DigestMix(digest_, stream_bytes);
     ++streams_;
     return true;
 }
@@ -899,17 +823,11 @@ TraceFileWriter::AppendStream(const std::string& stream_bytes,
 bool
 TraceFileWriter::Finish(std::string* error)
 {
-    if (fd_ < 0) {
-        return Fail(error, "trace writer is not open");
-    }
-    const std::string trailer =
-        EncodeFrame('T', TrailerPayload(streams_, digest_));
-    const bool ok = WriteAll(fd_, trailer) && ::fsync(fd_) == 0;
-    Close();
-    if (!ok) {
-        return Fail(error, "trailer write failed");
-    }
-    return true;
+    const bool ok = log_.Append(
+        framed_log::EncodeFrame('T', TrailerPayload(streams_, digest_)),
+        error);
+    log_.Close();
+    return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -920,42 +838,37 @@ std::string
 EncodeTraceFile(const std::vector<std::string>& stream_frames)
 {
     std::string bytes = kTraceMagic;
-    bytes += EncodeFrame('H', HeaderPayload());
-    uint64_t digest = kFnvOffset;
+    framed_log::AppendFrame(&bytes, 'H', HeaderPayload());
+    uint64_t digest = framed_log::kDigestInit;
     for (const std::string& frames : stream_frames) {
         bytes += frames;
-        digest = Mix(digest, frames);
+        digest = framed_log::DigestMix(digest, frames);
     }
-    bytes += EncodeFrame('T', TrailerPayload(stream_frames.size(), digest));
+    framed_log::AppendFrame(&bytes, 'T',
+                            TrailerPayload(stream_frames.size(), digest));
     return bytes;
 }
 
 std::optional<RecoveredTrace>
 RecoverTraceBytes(const std::string& bytes, std::string* error)
 {
-    const std::string magic = kTraceMagic;
-    if (bytes.size() < magic.size()) {
-        if (magic.compare(0, bytes.size(), bytes) != 0) {
-            Fail(error, "not a SPUR-TRACE/1 file");
-            return std::nullopt;
-        }
-        RecoveredTrace result;
+    RecoveredTrace result;
+    switch (framed_log::CheckMagic(bytes, kTraceMagic)) {
+      case framed_log::ParseStatus::kTruncated:
         result.dropped_bytes = bytes.size();
         result.note = "torn before the header; recovered 0 streams";
         return result;
-    }
-    if (bytes.compare(0, magic.size(), magic) != 0) {
+      case framed_log::ParseStatus::kCorrupt:
         Fail(error, "not a SPUR-TRACE/1 file");
         return std::nullopt;
+      case framed_log::ParseStatus::kOk:
+        break;
     }
-
-    RecoveredTrace result;
-    size_t pos = magic.size();
+    size_t pos = std::string_view(kTraceMagic).size();
     // recovered_end: the offset up to which the file is a sequence of
     // complete verified streams (truncation recovery resumes here).
     size_t recovered_end = pos;
-    std::string why;
-    uint64_t file_digest = kFnvOffset;
+    uint64_t file_digest = framed_log::kDigestInit;
 
     const auto truncated = [&](const char* where) {
         result.complete = false;
@@ -965,39 +878,46 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
                       FormatUint(result.dropped_bytes) + " byte(s) dropped";
         return result;
     };
+    framed_log::Frame frame;
+    const auto next = [&] {
+        std::string why;
+        const framed_log::ParseStatus status =
+            framed_log::ParseFrame(bytes, pos, kTraceTags,
+                                   framed_log::kMaxFilePayload, &frame,
+                                   &why);
+        if (status == framed_log::ParseStatus::kCorrupt) {
+            Fail(error, "frame at offset " + FormatUint(pos) + ": " + why);
+        }
+        return status;
+    };
 
     // The H frame.
-    {
-        if (pos >= bytes.size()) {
-            return truncated("before the header");
-        }
-        Frame frame;
-        const FrameStatus status = NextFrame(bytes, pos, &frame, &why);
-        if (status == FrameStatus::kTruncated) {
-            return truncated("inside the header");
-        }
-        if (status == FrameStatus::kCorrupt) {
-            Fail(error, "header frame: " + why);
-            return std::nullopt;
-        }
-        if (frame.tag != 'H' || !ParseHeaderPayload(frame.payload)) {
-            Fail(error, "bad or unsupported trace header");
-            return std::nullopt;
-        }
-        pos = frame.end;
-        recovered_end = pos;
+    if (pos >= bytes.size()) {
+        return truncated("before the header");
     }
+    switch (next()) {
+      case framed_log::ParseStatus::kTruncated:
+        return truncated("inside the header");
+      case framed_log::ParseStatus::kCorrupt:
+        return std::nullopt;
+      case framed_log::ParseStatus::kOk:
+        break;
+    }
+    if (frame.tag != 'H' || !ParseHeaderPayload(frame.payload)) {
+        Fail(error, "bad or unsupported trace header");
+        return std::nullopt;
+    }
+    pos = recovered_end = frame.end;
 
     // Streams, then the trailer.
     while (pos < bytes.size()) {
-        Frame frame;
-        FrameStatus status = NextFrame(bytes, pos, &frame, &why);
-        if (status == FrameStatus::kTruncated) {
+        switch (next()) {
+          case framed_log::ParseStatus::kTruncated:
             return truncated("mid-stream");
-        }
-        if (status == FrameStatus::kCorrupt) {
-            Fail(error, "frame at offset " + FormatUint(pos) + ": " + why);
+          case framed_log::ParseStatus::kCorrupt:
             return std::nullopt;
+          case framed_log::ParseStatus::kOk:
+            break;
         }
         if (frame.tag == 'T') {
             uint64_t stream_count = 0;
@@ -1042,61 +962,55 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
             return std::nullopt;
         }
         pos = frame.end;
-        uint64_t ops_digest = kFnvOffset;
-        bool stream_done = false;
-        while (!stream_done) {
-            if (pos >= bytes.size()) {
+        uint64_t ops_digest = framed_log::kDigestInit;
+        for (;;) {
+            switch (next()) {
+              case framed_log::ParseStatus::kTruncated:
                 return truncated("inside a stream");
-            }
-            status = NextFrame(bytes, pos, &frame, &why);
-            if (status == FrameStatus::kTruncated) {
-                return truncated("inside a stream");
-            }
-            if (status == FrameStatus::kCorrupt) {
-                Fail(error,
-                     "frame at offset " + FormatUint(pos) + ": " + why);
+              case framed_log::ParseStatus::kCorrupt:
                 return std::nullopt;
+              case framed_log::ParseStatus::kOk:
+                break;
             }
-            if (frame.tag == 'B') {
-                ops_digest = Mix(ops_digest, frame.payload);
-                stream.ops += frame.payload;
-                pos = frame.end;
-                continue;
+            if (frame.tag != 'B') {
+                break;
             }
-            if (frame.tag != 'E') {
-                Fail(error, "expected B or E frame at offset " +
-                                FormatUint(pos));
-                return std::nullopt;
-            }
-            if (!ParseEndPayload(frame.payload, &stream.op_count,
-                                 &stream.accesses, &stream.refs_issued,
-                                 &stream.digest)) {
-                Fail(error, "malformed stream end at offset " +
-                                FormatUint(pos));
-                return std::nullopt;
-            }
-            if (stream.digest != ops_digest) {
-                Fail(error, "stream '" + stream.meta.Identity() +
-                                "': op digest mismatch");
-                return std::nullopt;
-            }
-            OpCounts counts;
-            if (!ValidateOps(stream.ops, &counts, &why)) {
-                Fail(error,
-                     "stream '" + stream.meta.Identity() + "': " + why);
-                return std::nullopt;
-            }
-            if (counts.ops != stream.op_count ||
-                counts.accesses != stream.accesses) {
-                Fail(error, "stream '" + stream.meta.Identity() +
-                                "': op counts disagree with the E frame");
-                return std::nullopt;
-            }
+            ops_digest = framed_log::DigestMix(ops_digest, frame.payload);
+            stream.ops += frame.payload;
             pos = frame.end;
-            stream_done = true;
         }
+        if (frame.tag != 'E') {
+            Fail(error, "expected B or E frame at offset " +
+                            FormatUint(pos));
+            return std::nullopt;
+        }
+        if (!ParseEndPayload(frame.payload, &stream.op_count,
+                             &stream.accesses, &stream.refs_issued,
+                             &stream.digest)) {
+            Fail(error, "malformed stream end at offset " +
+                            FormatUint(pos));
+            return std::nullopt;
+        }
+        if (stream.digest != ops_digest) {
+            Fail(error, "stream '" + stream.meta.Identity() +
+                            "': op digest mismatch");
+            return std::nullopt;
+        }
+        OpCounter counts;
+        std::string why;
+        if (!DecodeOps(stream.ops, counts, &why)) {
+            Fail(error, "stream '" + stream.meta.Identity() + "': " + why);
+            return std::nullopt;
+        }
+        if (counts.ops != stream.op_count ||
+            counts.accesses != stream.accesses) {
+            Fail(error, "stream '" + stream.meta.Identity() +
+                            "': op counts disagree with the E frame");
+            return std::nullopt;
+        }
+        pos = frame.end;
         stream.framed.assign(bytes, stream_start, pos - stream_start);
-        file_digest = Mix(file_digest, stream.framed);
+        file_digest = framed_log::DigestMix(file_digest, stream.framed);
         result.streams.push_back(std::move(stream));
         recovered_end = pos;
     }
@@ -1107,7 +1021,7 @@ std::optional<RecoveredTrace>
 RecoverTraceFile(const std::string& path, std::string* error)
 {
     std::string bytes;
-    if (!ReadFileBytes(path, &bytes, error)) {
+    if (!framed_log::ReadFile(path, &bytes, error)) {
         return std::nullopt;
     }
     return RecoverTraceBytes(bytes, error);
@@ -1164,123 +1078,15 @@ ReplayStream(const TraceStream& stream, WorkloadHost& host)
               FormatUint(config.block_bytes));
     }
 
-    ReplayStats stats;
-    stats.refs_issued = stream.refs_issued;
-    std::vector<Pid> host_pid;   // Indexed by trace pid.
-    std::vector<MemRef> batch;
-    batch.reserve(4096);
-    Pid current_pid = 0;
-    bool have_pid = false;
-    ProcessAddr last_addr = 0;
-
-    const auto flush = [&] {
-        if (!batch.empty()) {
-            host.AccessBatch(batch.data(), batch.size());
-            batch.clear();
-        }
-    };
-    const std::string& ops = stream.ops;
-    size_t pos = 0;
-    while (pos < ops.size()) {
-        const uint8_t opcode = static_cast<uint8_t>(ops[pos]);
-        ++pos;
-        uint64_t value = 0;
-        switch (opcode) {
-          case kOpCreate: {
-            flush();
-            if (!ReadVarint(ops, &pos, &value) ||
-                value != host_pid.size()) {
-                BadOps();
-            }
-            host_pid.push_back(host.CreateProcess());
-            ++stats.processes;
-            break;
-          }
-          case kOpDestroy:
-            flush();
-            if (!ReadVarint(ops, &pos, &value) ||
-                value >= host_pid.size()) {
-                BadOps();
-            }
-            host.DestroyProcess(host_pid[value]);
-            break;
-          case kOpMapRegion: {
-            flush();
-            uint64_t base = 0;
-            uint64_t map_bytes = 0;
-            if (!ReadVarint(ops, &pos, &value) ||
-                value >= host_pid.size() ||
-                !ReadVarint(ops, &pos, &base) ||
-                !ReadVarint(ops, &pos, &map_bytes) || pos >= ops.size()) {
-                BadOps();
-            }
-            const auto kind =
-                static_cast<vm::PageKind>(static_cast<uint8_t>(ops[pos]));
-            ++pos;
-            host.MapRegion(host_pid[value],
-                           static_cast<ProcessAddr>(base), map_bytes,
-                           kind);
-            break;
-          }
-          case kOpShare: {
-            flush();
-            uint64_t other = 0;
-            if (!ReadVarint(ops, &pos, &value) ||
-                value >= host_pid.size() || pos >= ops.size()) {
-                BadOps();
-            }
-            const auto reg = static_cast<uint8_t>(ops[pos]);
-            ++pos;
-            if (!ReadVarint(ops, &pos, &other) ||
-                other >= host_pid.size() || pos >= ops.size()) {
-                BadOps();
-            }
-            const auto other_reg = static_cast<uint8_t>(ops[pos]);
-            ++pos;
-            host.ShareSegment(host_pid[value], reg, host_pid[other],
-                              other_reg);
-            break;
-          }
-          case kOpSwitch:
-            flush();
-            host.OnContextSwitch();
-            ++stats.context_switches;
-            break;
-          case kOpSetPid:
-            if (!ReadVarint(ops, &pos, &value) ||
-                value >= host_pid.size()) {
-                BadOps();
-            }
-            current_pid = host_pid[value];
-            have_pid = true;
-            break;
-          case kOpIFetch:
-          case kOpRead:
-          case kOpWrite: {
-            if (!ReadVarint(ops, &pos, &value) || !have_pid) {
-                BadOps();
-            }
-            last_addr = static_cast<ProcessAddr>(
-                static_cast<int64_t>(last_addr) + ZigzagDecode(value));
-            MemRef ref;
-            ref.pid = current_pid;
-            ref.addr = last_addr;
-            ref.type = (opcode == kOpIFetch) ? AccessType::kIFetch
-                       : (opcode == kOpRead) ? AccessType::kRead
-                                             : AccessType::kWrite;
-            batch.push_back(ref);
-            if (batch.size() == batch.capacity()) {
-                flush();
-            }
-            ++stats.accesses;
-            break;
-          }
-          default:
-            BadOps();
-        }
+    Replayer replayer(host);
+    std::string why;
+    if (!DecodeOps(stream.ops, replayer, &why)) {
+        // Only reachable on a bug: recovery validates ops before replay.
+        Fatal("trace: malformed op stream escaped validation: " + why);
     }
-    flush();
-    return stats;
+    replayer.Flush();
+    replayer.stats.refs_issued = stream.refs_issued;
+    return replayer.stats;
 }
 
 ReplayStats

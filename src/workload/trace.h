@@ -23,8 +23,9 @@
  * host — the real SpurSystem or the counts-only CountingHost — produces
  * byte-identical trace bytes.
  *
- * File format, following the §13 stream discipline (same framing,
- * digesting and truncation-vs-corruption rules as SPUR-STREAM/1):
+ * File format, a framed log (src/common/framed_log.h, DESIGN.md §20,
+ * which owns the framing, the digest and the truncation-vs-corruption
+ * rule; this file owns the payloads and the op coding):
  *
  *     SPUR-TRACE/1\n                    magic line
  *     H <len>\n<header-json>\n          trace format version
@@ -51,6 +52,10 @@
  *     7 read     <zigzag addr delta>
  *     8 write    <zigzag addr delta>
  *
+ * An access before the first setpid is malformed.  One decoder both
+ * validates ops at recovery and executes them at replay, so whatever
+ * recovery accepts, replay runs.
+ *
  * Recovery semantics: a trace cut at any byte offset recovers the
  * streams whose E frame is present and verified; a torn tail (and any
  * stream it cut) is dropped and reported.  Damage truncation cannot
@@ -67,6 +72,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/framed_log.h"
 #include "src/common/types.h"
 #include "src/sim/config.h"
 #include "src/workload/host.h"
@@ -229,12 +235,6 @@ class CountingHost : public WorkloadHost
 class TraceFileWriter
 {
   public:
-    TraceFileWriter() = default;
-    ~TraceFileWriter();
-
-    TraceFileWriter(const TraceFileWriter&) = delete;
-    TraceFileWriter& operator=(const TraceFileWriter&) = delete;
-
     /** Creates/truncates @p path, writes magic + H frame (fsync'd). */
     bool Open(const std::string& path, std::string* error);
 
@@ -244,15 +244,13 @@ class TraceFileWriter
     /** Writes the T trailer frame and closes. */
     bool Finish(std::string* error);
 
-    bool is_open() const { return fd_ >= 0; }
+    bool is_open() const { return log_.is_open(); }
 
     /** Streams appended so far. */
     uint64_t streams() const { return streams_; }
 
   private:
-    void Close();
-
-    int fd_ = -1;
+    framed_log::DurableAppender log_;
     uint64_t streams_ = 0;
     uint64_t digest_ = 0;
 };

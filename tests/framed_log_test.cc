@@ -1,0 +1,309 @@
+/**
+ * @file
+ * Tests for the framed-log codec (src/common/framed_log.h, DESIGN.md
+ * §20) and for the properties every format built on it inherits: the
+ * canonical-length rule in each consumer (SPUR-STREAM/1, SPUR-TRACE/1,
+ * SPUR-SERVE/1) and the durable appender behind both file writers.
+ * The seeded frame-level fuzzer lives with the other fuzzers in
+ * tests/json_fuzz_test.cc.
+ */
+#include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+
+#include "src/common/framed_log.h"
+#include "src/serve/proto.h"
+#include "src/stats/run_record.h"
+#include "src/sweep/stream.h"
+#include "src/workload/trace.h"
+
+namespace spur {
+namespace {
+
+std::string
+ReadFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    return contents.str();
+}
+
+/** A complete one-record stream with its R length zero-padded. */
+std::string
+PaddedStream()
+{
+    const std::string path = testing::TempDir() + "framed_log_padded";
+    sweep::StreamWriter writer;
+    std::string error;
+    EXPECT_TRUE(writer.Open(path, "t", 0, 1, &error)) << error;
+    stats::RunRecord record;
+    record.bench = "t";
+    EXPECT_TRUE(writer.Append(record, &error)) << error;
+    stats::DocumentMeta meta;
+    meta.total_cells = 1;
+    meta.ran_cells = 1;
+    EXPECT_TRUE(writer.Finish(meta, &error)) << error;
+    const std::string bytes = ReadFile(path);
+    std::remove(path.c_str());
+    const size_t length = bytes.find("\nR ") + 3;
+    return bytes.substr(0, length) + "0" + bytes.substr(length);
+}
+
+/** Feeds @p bytes to a FrameReader over a socket pair. */
+bool
+ServeReadsFrame(const std::string& bytes, std::string* error)
+{
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    EXPECT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(fds[1]);
+    serve::FrameReader reader(fds[0]);
+    char tag = '\0';
+    std::string payload;
+    const bool ok = reader.ReadFrame(&tag, &payload, 1000, error);
+    ::close(fds[0]);
+    return ok;
+}
+
+TEST(FramedLogTest, ZeroPaddedLengthIsCorruptInEveryConsumer)
+{
+    std::string trace = workload::EncodeTraceFile({});
+    trace.replace(trace.find("H 20\n"), 4, "H 020");
+    const struct {
+        const char* consumer;
+        std::function<bool(std::string*)> accepts;
+    } cases[] = {
+        {"stream R frame",
+         [](std::string* error) {
+             return sweep::RecoverStreamBytes(PaddedStream(), error)
+                 .has_value();
+         }},
+        {"trace H frame",
+         [&trace](std::string* error) {
+             return workload::RecoverTraceBytes(trace, error).has_value();
+         }},
+        {"serve frame",
+         [](std::string* error) {
+             return ServeReadsFrame("Q 05\nhello\n", error);
+         }},
+    };
+    for (const auto& c : cases) {
+        std::string error;
+        EXPECT_FALSE(c.accepts(&error)) << c.consumer;
+        EXPECT_NE(error.find("leading zero"), std::string::npos)
+            << c.consumer << ": " << error;
+    }
+}
+
+// ---- The codec --------------------------------------------------------
+
+framed_log::ParseStatus
+Parse(const std::string& bytes, framed_log::Frame* frame = nullptr)
+{
+    framed_log::Frame scratch;
+    std::string why;
+    return framed_log::ParseFrame(bytes, 0, "AB", 100,
+                                  frame != nullptr ? frame : &scratch,
+                                  &why);
+}
+
+TEST(FramedLogTest, ParsesWhatItEncodes)
+{
+    const std::string bytes = framed_log::EncodeFrame('A', "xyz") +
+                              framed_log::EncodeFrame('B', "");
+    EXPECT_EQ(bytes, "A 3\nxyz\nB 0\n\n");
+    framed_log::Frame frame;
+    ASSERT_EQ(Parse(bytes, &frame), framed_log::ParseStatus::kOk);
+    EXPECT_EQ(frame.tag, 'A');
+    EXPECT_EQ(frame.payload, "xyz");
+    EXPECT_EQ(frame.end, 8u);
+    std::string why;
+    ASSERT_EQ(framed_log::ParseFrame(bytes, frame.end, "AB", 100, &frame,
+                                     &why),
+              framed_log::ParseStatus::kOk);
+    EXPECT_EQ(frame.tag, 'B');
+    EXPECT_TRUE(frame.payload.empty());
+    EXPECT_EQ(frame.end, bytes.size());
+}
+
+TEST(FramedLogTest, ClassifiesTruncationAndCorruption)
+{
+    using framed_log::ParseStatus;
+    const struct {
+        const char* bytes;
+        ParseStatus status;
+    } cases[] = {
+        {"", ParseStatus::kTruncated},
+        {"A", ParseStatus::kTruncated},
+        {"A 0", ParseStatus::kTruncated},  // A cut right after a lone 0.
+        {"A 12", ParseStatus::kTruncated},
+        {"A 3\nxy", ParseStatus::kTruncated},
+        {"A 3\nxyz", ParseStatus::kTruncated},
+        {"A 0\n\n", ParseStatus::kOk},
+        {"C 0\n\n", ParseStatus::kCorrupt},    // Tag outside the alphabet.
+        {"A0\n\n", ParseStatus::kCorrupt},     // No space after the tag.
+        {"A \n\n", ParseStatus::kCorrupt},     // No digits.
+        {"A 00\n\n", ParseStatus::kCorrupt},   // Leading zero.
+        {"A 03\nxyz\n", ParseStatus::kCorrupt},
+        {"A 101\n", ParseStatus::kCorrupt},    // Over the payload bound.
+        {"A 3x\nxyz\n", ParseStatus::kCorrupt},
+        {"A 3\nxyzw", ParseStatus::kCorrupt},  // Payload not terminated.
+    };
+    for (const auto& c : cases) {
+        EXPECT_EQ(Parse(c.bytes), c.status) << '"' << c.bytes << '"';
+    }
+}
+
+TEST(FramedLogTest, ShortMagicPrefixIsTruncation)
+{
+    using framed_log::ParseStatus;
+    EXPECT_EQ(framed_log::CheckMagic("", "MAGIC\n"), ParseStatus::kTruncated);
+    EXPECT_EQ(framed_log::CheckMagic("MAG", "MAGIC\n"),
+              ParseStatus::kTruncated);
+    EXPECT_EQ(framed_log::CheckMagic("MAX", "MAGIC\n"),
+              ParseStatus::kCorrupt);
+    EXPECT_EQ(framed_log::CheckMagic("MAGIC\nA 0", "MAGIC\n"),
+              ParseStatus::kOk);
+    EXPECT_EQ(framed_log::CheckMagic("MAGIK\nA 0", "MAGIC\n"),
+              ParseStatus::kCorrupt);
+}
+
+TEST(FramedLogTest, DigestSeparatesPayloadBoundaries)
+{
+    // An empty payload still mixes its separator: FNV-1a 64 of "\n".
+    EXPECT_EQ(framed_log::DigestHex(
+                  framed_log::DigestMix(framed_log::kDigestInit, "")),
+              "af63c74c8601c8dd");
+    const uint64_t ab = framed_log::DigestMix(framed_log::kDigestInit, "ab");
+    const uint64_t a_b = framed_log::DigestMix(
+        framed_log::DigestMix(framed_log::kDigestInit, "a"), "b");
+    EXPECT_NE(ab, a_b);
+}
+
+TEST(FramedLogTest, ReadFileReportsMissingFiles)
+{
+    std::string bytes;
+    std::string error;
+    EXPECT_FALSE(framed_log::ReadFile("/nonexistent-dir/x", &bytes, &error));
+    EXPECT_EQ(errno, ENOENT);
+    EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+}
+
+// ---- The durable appender, through both file writers -----------------
+
+/** Adapts sweep::StreamWriter to the shared test bodies. */
+struct StreamFormat {
+    static constexpr char kName[] = "Stream";
+    sweep::StreamWriter writer;
+
+    bool Open(const std::string& path, std::string* error)
+    {
+        return writer.Open(path, "t", 0, 1, error);
+    }
+    bool Append(std::string* error)
+    {
+        return writer.Append(stats::RunRecord{}, error);
+    }
+    bool Finish(std::string* error)
+    {
+        return writer.Finish(stats::DocumentMeta{}, error);
+    }
+};
+
+/** Adapts workload::TraceFileWriter to the shared test bodies. */
+struct TraceFormat {
+    static constexpr char kName[] = "Trace";
+    workload::TraceFileWriter writer;
+
+    bool Open(const std::string& path, std::string* error)
+    {
+        return writer.Open(path, error);
+    }
+    bool Append(std::string* error)
+    {
+        return writer.AppendStream("", error);
+    }
+    bool Finish(std::string* error) { return writer.Finish(error); }
+};
+
+template <class Format>
+void
+CheckAppendAndFinishRequireOpen()
+{
+    SCOPED_TRACE(Format::kName);
+    Format format;
+    std::string error;
+    EXPECT_FALSE(format.writer.is_open());
+    EXPECT_FALSE(format.Append(&error));
+    EXPECT_FALSE(error.empty());
+    error.clear();
+    EXPECT_FALSE(format.Finish(&error));
+    EXPECT_FALSE(error.empty());
+}
+
+template <class Format>
+void
+CheckOpenFailsOnUnwritablePath()
+{
+    SCOPED_TRACE(Format::kName);
+    Format format;
+    std::string error;
+    EXPECT_FALSE(format.Open("/nonexistent-dir/x.log", &error));
+    EXPECT_FALSE(format.writer.is_open());
+    // The reason travels with the path.
+    EXPECT_NE(error.find("/nonexistent-dir/x.log"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find(std::strerror(ENOENT)), std::string::npos)
+        << error;
+}
+
+template <class Format>
+void
+CheckFinishClosesAndLeavesACompleteLog()
+{
+    SCOPED_TRACE(Format::kName);
+    const std::string path = testing::TempDir() + "framed_log_writer_" +
+                             Format::kName;
+    Format format;
+    std::string error;
+    ASSERT_TRUE(format.Open(path, &error)) << error;
+    EXPECT_TRUE(format.writer.is_open());
+    EXPECT_FALSE(format.Open(path, &error));  // Already open.
+    ASSERT_TRUE(format.Finish(&error)) << error;
+    EXPECT_FALSE(format.writer.is_open());
+    const std::string bytes = ReadFile(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(bytes.back(), '\n');
+}
+
+TEST(DurableWriterTest, AppendAndFinishRequireOpen)
+{
+    CheckAppendAndFinishRequireOpen<StreamFormat>();
+    CheckAppendAndFinishRequireOpen<TraceFormat>();
+}
+
+TEST(DurableWriterTest, OpenFailsOnUnwritablePath)
+{
+    CheckOpenFailsOnUnwritablePath<StreamFormat>();
+    CheckOpenFailsOnUnwritablePath<TraceFormat>();
+}
+
+TEST(DurableWriterTest, FinishClosesAndLeavesACompleteLog)
+{
+    CheckFinishClosesAndLeavesACompleteLog<StreamFormat>();
+    CheckFinishClosesAndLeavesACompleteLog<TraceFormat>();
+}
+
+}  // namespace
+}  // namespace spur

@@ -1,14 +1,17 @@
 /**
  * @file
- * Deterministic seeded fuzzer for the sweep-pipeline readers: the JSON
- * parser (src/sweep/json.h), the document parser (src/sweep/merge.h)
- * and the stream reader (src/sweep/stream.h).
+ * Deterministic seeded fuzzer for the readers: the JSON parser
+ * (src/sweep/json.h), the document parser (src/sweep/merge.h), the
+ * framed-log codec every durable format shares
+ * (src/common/framed_log.h), and the stream and trace payload readers
+ * above it (src/sweep/stream.h, src/workload/trace.h).
  *
- * Structure-aware mutations of valid documents and streams assert the
- * crash-interruptible-format contract: the parsers never crash on
- * arbitrary bytes, and every input is either rejected with a diagnostic
- * or accepted into a value whose re-serialization is a parse fixpoint
- * (serialize(parse(x)) parses back byte-identically).
+ * Structure-aware mutations of valid documents, logs, streams and traces
+ * assert the crash-interruptible-format contract: the parsers never
+ * crash on arbitrary bytes, every prefix of a valid log is truncation,
+ * never corruption, and every input is either rejected with a
+ * diagnostic or accepted into a value whose re-serialization is a parse
+ * fixpoint (serialize(parse(x)) parses back byte-identically).
  *
  * Everything is seeded through spur::Rng, so a failure reproduces from
  * its iteration number alone.  The default iteration count keeps the
@@ -19,13 +22,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/framed_log.h"
 #include "src/common/random.h"
 #include "src/common/types.h"
 #include "src/stats/run_record.h"
@@ -91,8 +94,8 @@ CorpusDocument()
 std::string
 CorpusStream()
 {
-    // Composed by hand (no file I/O in the hot fuzz path); the framing
-    // here matches StreamWriter's and the golden files pin that.
+    // Composed in memory (no file I/O in the hot fuzz path); the golden
+    // files pin that this is StreamWriter's framing.
     stats::RunRecord record;
     record.bench = "fuzz";
     record.workload = "SLC";
@@ -108,28 +111,17 @@ CorpusStream()
     record.AddMetric("n_ds", 1.0);
     const std::string payload = stats::JsonWriter::ToJson(record);
 
+    stats::DocumentMeta meta;
+    meta.total_cells = 1;
+    meta.ran_cells = 1;
     std::string bytes = kStreamMagic;
-    const std::string header =
-        "{\"stream_version\": 1, \"bench\": \"fuzz\", "
-        "\"shard\": {\"index\": 0, \"count\": 1}}";
-    bytes += "H " + std::to_string(header.size()) + "\n" + header + "\n";
-    bytes += "R " + std::to_string(payload.size()) + "\n" + payload + "\n";
-
-    // FNV-1a64 over payload + '\n', matching the writer.
-    uint64_t digest = 14695981039346656037ULL;
-    for (const char c : payload + "\n") {
-        digest ^= static_cast<unsigned char>(c);
-        digest *= 1099511628211ULL;
-    }
-    char hex[24];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    const std::string trailer =
-        "{\"records\": 1, \"schema_version\": 1, \"shard\": {\"index\": 0, "
-        "\"count\": 1, \"total_cells\": 1, \"ran_cells\": 1}, \"digest\": "
-        "\"" +
-        std::string(hex) + "\"}";
-    bytes += "T " + std::to_string(trailer.size()) + "\n" + trailer + "\n";
+    bytes += framed_log::EncodeFrame('H',
+                                     EncodeStreamHeaderPayload("fuzz", 0, 1));
+    bytes += framed_log::EncodeFrame('R', payload);
+    bytes += framed_log::EncodeFrame(
+        'T', EncodeStreamTrailerPayload(
+                 meta, 1,
+                 framed_log::DigestMix(framed_log::kDigestInit, payload)));
     return bytes;
 }
 
@@ -140,7 +132,7 @@ Mutate(std::string input, Rng& rng)
     if (input.empty()) {
         return input;
     }
-    switch (rng.NextBelow(8)) {
+    switch (rng.NextBelow(9)) {
       case 0: {  // Flip one byte to an arbitrary value.
         input[rng.NextBelow(input.size())] =
             static_cast<char>(rng.NextBelow(256));
@@ -180,6 +172,20 @@ Mutate(std::string input, Rng& rng)
         const size_t a = rng.NextBelow(input.size());
         const size_t b = rng.NextBelow(input.size());
         std::swap(input[a], input[b]);
+        return input;
+      }
+      case 7: {  // Zero-pad a frame length: "R 12\n" -> "R 012\n".
+        std::vector<size_t> lengths;
+        for (size_t at = 2; at < input.size(); ++at) {
+            if (input[at - 1] == ' ' && input[at - 2] >= 'A' &&
+                input[at - 2] <= 'Z' && input[at] >= '0' &&
+                input[at] <= '9' && (at == 2 || input[at - 3] == '\n')) {
+                lengths.push_back(at);
+            }
+        }
+        if (!lengths.empty()) {
+            input.insert(lengths[rng.NextBelow(lengths.size())], 1, '0');
+        }
         return input;
       }
       default: {  // Splice: overwrite a range with bytes from elsewhere.
@@ -295,6 +301,98 @@ TEST(StreamFuzzTest, EveryPrefixOfCorpusStreamRecovers)
         ASSERT_TRUE(recovered.has_value())
             << "cut at byte " << cut << ": " << error;
         EXPECT_FALSE(recovered->complete) << "cut at byte " << cut;
+    }
+}
+
+// ---- The framed-log codec (src/common/framed_log.h) -------------------
+
+constexpr char kFuzzTags[] = "HRT";
+constexpr uint64_t kFuzzMaxPayload = 4096;
+
+/**
+ * A tag-and-length log with payloads of every awkward shape: empty,
+ * one-digit and multi-digit lengths, embedded newlines and frame-like
+ * text, and raw bytes.
+ */
+std::string
+CorpusLog()
+{
+    std::string binary;
+    for (int byte = 0; byte < 256; byte += 7) {
+        binary.push_back(static_cast<char>(byte));
+    }
+    std::string log = framed_log::EncodeFrame('H', "{\"v\": 1}");
+    log += framed_log::EncodeFrame('R', "");
+    log += framed_log::EncodeFrame('R', "x");
+    log += framed_log::EncodeFrame('R', "R 3\nabc\n\n0\n");
+    log += framed_log::EncodeFrame('R', binary);
+    log += framed_log::EncodeFrame('T', "{\"records\": 4}");
+    return log;
+}
+
+/**
+ * Parses @p bytes frame by frame until it stops; returns the status
+ * that stopped it (kTruncated at a clean end) and checks that every
+ * accepted frame re-encodes to exactly the bytes it came from.
+ */
+framed_log::ParseStatus
+WalkLog(const std::string& bytes, uint64_t* frames, uint64_t iteration)
+{
+    size_t pos = 0;
+    for (;;) {
+        framed_log::Frame frame;
+        std::string why;
+        const framed_log::ParseStatus status = framed_log::ParseFrame(
+            bytes, pos, kFuzzTags, kFuzzMaxPayload, &frame, &why);
+        if (status != framed_log::ParseStatus::kOk) {
+            if (status == framed_log::ParseStatus::kCorrupt) {
+                EXPECT_FALSE(why.empty()) << "iteration " << iteration;
+            }
+            return status;
+        }
+        EXPECT_EQ(framed_log::EncodeFrame(frame.tag, frame.payload),
+                  bytes.substr(pos, frame.end - pos))
+            << "iteration " << iteration << ", frame at byte " << pos;
+        ++*frames;
+        pos = frame.end;
+    }
+}
+
+TEST(FramedLogFuzzTest, ParserNeverCrashesAndAcceptedFramesReencode)
+{
+    const std::string corpus = CorpusLog();
+    uint64_t frames = 0;
+    ASSERT_EQ(WalkLog(corpus, &frames, 0),
+              framed_log::ParseStatus::kTruncated);
+    ASSERT_EQ(frames, 6u);
+    Rng rng(0x5eed0004);
+    const uint64_t iterations = Iterations();
+    uint64_t corrupt = 0;
+    frames = 0;
+    for (uint64_t i = 0; i < iterations; ++i) {
+        std::string input = corpus;
+        const uint64_t rounds = 1 + rng.NextBelow(4);
+        for (uint64_t round = 0; round < rounds; ++round) {
+            input = Mutate(std::move(input), rng);
+        }
+        if (WalkLog(input, &frames, i) ==
+            framed_log::ParseStatus::kCorrupt) {
+            ++corrupt;
+        }
+    }
+    // The mutator must reach both sides of the parser.
+    EXPECT_GT(frames, 0u);
+    EXPECT_GT(corrupt, 0u);
+}
+
+TEST(FramedLogFuzzTest, EveryPrefixOfCorpusLogIsTruncation)
+{
+    const std::string corpus = CorpusLog();
+    for (size_t cut = 0; cut < corpus.size(); ++cut) {
+        uint64_t frames = 0;
+        EXPECT_EQ(WalkLog(corpus.substr(0, cut), &frames, cut),
+                  framed_log::ParseStatus::kTruncated)
+            << "cut at byte " << cut;
     }
 }
 
