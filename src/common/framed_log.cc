@@ -1,6 +1,7 @@
 #include "src/common/framed_log.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -113,15 +114,33 @@ CheckMagic(std::string_view bytes, std::string_view magic)
 }
 
 uint64_t
-DigestMix(uint64_t digest, std::string_view payload)
+DigestBytes(uint64_t digest, std::string_view bytes)
 {
-    for (const char c : payload) {
+    for (const char c : bytes) {
         digest ^= static_cast<unsigned char>(c);
         digest *= kFnvPrime;
     }
-    digest ^= static_cast<unsigned char>('\n');
-    digest *= kFnvPrime;
     return digest;
+}
+
+uint64_t
+DigestMix(uint64_t digest, std::string_view payload)
+{
+    return DigestBytes(DigestBytes(digest, payload), "\n");
+}
+
+void
+DigestMixPair(uint64_t* first, uint64_t* second, std::string_view payload)
+{
+    uint64_t a = *first;
+    uint64_t b = *second;
+    for (const char c : payload) {
+        const auto byte = static_cast<unsigned char>(c);
+        a = (a ^ byte) * kFnvPrime;
+        b = (b ^ byte) * kFnvPrime;
+    }
+    *first = DigestBytes(a, "\n");
+    *second = DigestBytes(b, "\n");
 }
 
 std::string
@@ -226,6 +245,13 @@ ReadFile(const std::string& path, std::string* out, std::string* error)
         Fail(error, path + ": cannot open: " + std::strerror(open_errno));
         errno = open_errno;
         return false;
+    }
+    // Reserve a regular file's size up front so the read never
+    // reallocates; ReadAll still reads to EOF in case the file grew.
+    struct stat info;
+    if (::fstat(fd, &info) == 0 && S_ISREG(info.st_mode) &&
+        info.st_size > 0) {
+        out->reserve(out->size() + static_cast<size_t>(info.st_size));
     }
     const bool ok = ReadAll(fd, path, out, error);
     ::close(fd);

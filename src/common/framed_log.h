@@ -80,6 +80,20 @@ inline constexpr uint64_t kDigestInit = 14695981039346656037ULL;
 /** Mixes @p payload and a '\n' separator into @p digest. */
 uint64_t DigestMix(uint64_t digest, std::string_view payload);
 
+/**
+ * Mixes @p bytes into @p digest with no separator, so raw updates over
+ * any split of a buffer followed by '\n' equal one DigestMix of it.
+ */
+uint64_t DigestBytes(uint64_t digest, std::string_view bytes);
+
+/**
+ * Advances two digests over one @p payload, then mixes '\n' into both:
+ * the same values as DigestMix on each, in one pass whose two
+ * independent multiply chains overlap.
+ */
+void DigestMixPair(uint64_t* first, uint64_t* second,
+                   std::string_view payload);
+
 /** A digest as 16 lowercase hex digits. */
 std::string DigestHex(uint64_t digest);
 

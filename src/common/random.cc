@@ -17,12 +17,6 @@ SplitMix64(uint64_t& x)
     return z ^ (z >> 31);
 }
 
-constexpr uint64_t
-Rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(uint64_t seed)
@@ -36,51 +30,6 @@ Rng::Rng(uint64_t seed)
     if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
         state_[0] = 1;
     }
-}
-
-uint64_t
-Rng::Next()
-{
-    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
-
-    return result;
-}
-
-uint64_t
-Rng::NextBelow(uint64_t bound)
-{
-    // Lemire's multiply-shift bounded draw; the slight modulo bias of the
-    // plain form is irrelevant for workload synthesis, so we skip the
-    // rejection step for speed.
-    const unsigned __int128 product =
-        static_cast<unsigned __int128>(Next()) * bound;
-    return static_cast<uint64_t>(product >> 64);
-}
-
-double
-Rng::NextDouble()
-{
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::Chance(double p)
-{
-    if (p <= 0.0) {
-        return false;
-    }
-    if (p >= 1.0) {
-        return true;
-    }
-    return NextDouble() < p;
 }
 
 uint64_t

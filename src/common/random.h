@@ -43,8 +43,61 @@ class Rng
     uint64_t NextZipf(uint64_t n, double skew);
 
   private:
+    static constexpr uint64_t Rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t state_[4];
 };
+
+// The per-draw calls are defined here, inline: workload generation makes
+// several per simulated reference.
+
+inline uint64_t
+Rng::Next()
+{
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+
+    return result;
+}
+
+inline uint64_t
+Rng::NextBelow(uint64_t bound)
+{
+    // Lemire's multiply-shift bounded draw; the slight modulo bias of the
+    // plain form is irrelevant for workload synthesis, so we skip the
+    // rejection step for speed.
+    const unsigned __int128 product =
+        static_cast<unsigned __int128>(Next()) * bound;
+    return static_cast<uint64_t>(product >> 64);
+}
+
+inline double
+Rng::NextDouble()
+{
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+}
+
+inline bool
+Rng::Chance(double p)
+{
+    if (p <= 0.0) {
+        return false;
+    }
+    if (p >= 1.0) {
+        return true;
+    }
+    return NextDouble() < p;
+}
 
 }  // namespace spur
 

@@ -290,7 +290,7 @@ AppendVarint(std::string* out, uint64_t value)
 // Forced inline: it runs once per replayed access, and with DecodeOps
 // instantiated twice GCC otherwise keeps it out of line.
 [[gnu::always_inline]] inline bool
-ReadVarint(const std::string& bytes, size_t* pos, uint64_t* out)
+ReadVarint(std::string_view bytes, size_t* pos, uint64_t* out)
 {
     uint64_t value = 0;
     unsigned shift = 0;
@@ -341,23 +341,35 @@ Fail(std::string* error, const std::string& message)
     return false;
 }
 
+/** Decoder state carried from one B payload of a stream to the next. */
+struct DecodeState {
+    uint64_t created = 0;      ///< Trace pids created so far.
+    bool have_pid = false;     ///< A setpid has been seen.
+    ProcessAddr last_addr = 0; ///< Base of the next access delta.
+};
+
 /**
- * The one op decoder.  Walks an op payload, enforcing well-formed
- * varints, known opcodes, dense pid assignment, a current pid before the
- * first access, and in-range field values, and hands each op to
- * @p visitor with its pids already range-checked and its access address
- * already un-delta'd.  Stops at the first malformed op with *why set.
- * The visitor is a template parameter, not a virtual interface, so every
- * visitor call inlines into the replay loop.
+ * The one op decoder.  Walks one B payload of whole ops, enforcing
+ * well-formed varints, known opcodes, dense pid assignment, a current
+ * pid before the first access, and in-range field values, and hands
+ * each op to @p visitor with its pids already range-checked and its
+ * access address already un-delta'd.  An op cut by the payload's end is
+ * malformed: ops never straddle B frames.  Stops at the first malformed
+ * op with *why set.  The visitor is a template parameter, not a virtual
+ * interface, so every visitor call inlines into the replay loop.
  */
 template <class Visitor>
 bool
-DecodeOps(const std::string& ops, Visitor& visitor, std::string* why)
+DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
+          std::string* why)
 {
+    // Locals, not *state, so the loop keeps them in registers across the
+    // visitor calls; written back on success only (a failure ends the
+    // stream anyway).
     size_t pos = 0;
-    uint64_t created = 0;
-    bool have_pid = false;
-    ProcessAddr last_addr = 0;
+    uint64_t created = state->created;
+    bool have_pid = state->have_pid;
+    ProcessAddr last_addr = state->last_addr;
     while (pos < ops.size()) {
         const uint8_t opcode = static_cast<uint8_t>(ops[pos]);
         ++pos;
@@ -436,6 +448,9 @@ DecodeOps(const std::string& ops, Visitor& visitor, std::string* why)
             return Fail(why, "op stream: unknown opcode");
         }
     }
+    state->created = created;
+    state->have_pid = have_pid;
+    state->last_addr = last_addr;
     return true;
 }
 
@@ -864,6 +879,7 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
       case framed_log::ParseStatus::kOk:
         break;
     }
+    const std::string_view view(bytes);
     size_t pos = std::string_view(kTraceMagic).size();
     // recovered_end: the offset up to which the file is a sequence of
     // complete verified streams (truncation recovery resumes here).
@@ -953,7 +969,9 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
             return std::nullopt;
         }
 
-        // One stream: S, B*, E.
+        // One stream: S, B*, E, read in one pass.  Each B payload goes
+        // through both digests at once and is validated where it lies;
+        // the stream's bytes are copied once, into `framed`.
         TraceStream stream;
         const size_t stream_start = pos;
         if (!ParseMetaPayload(frame.payload, &stream.meta)) {
@@ -961,8 +979,19 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
                             FormatUint(pos));
             return std::nullopt;
         }
+        // The file digest mixes the stream's frame bytes in order: raw
+        // updates here, its '\n' separator after the E frame.
+        uint64_t stream_file_digest = framed_log::DigestBytes(
+            file_digest, view.substr(pos, frame.end - pos));
         pos = frame.end;
         uint64_t ops_digest = framed_log::kDigestInit;
+        DecodeState state;
+        OpCounter counts;
+        // A malformed op stops decoding but not digesting: it is
+        // reported only after the truncation, E-frame and op-digest
+        // checks, where a whole-stream decode would have reported it.
+        bool decoded = true;
+        std::string why;
         for (;;) {
             switch (next()) {
               case framed_log::ParseStatus::kTruncated:
@@ -975,8 +1004,16 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
             if (frame.tag != 'B') {
                 break;
             }
-            ops_digest = framed_log::DigestMix(ops_digest, frame.payload);
-            stream.ops += frame.payload;
+            const size_t payload_start =
+                static_cast<size_t>(frame.payload.data() - view.data());
+            stream_file_digest = framed_log::DigestBytes(
+                stream_file_digest, view.substr(pos, payload_start - pos));
+            // The payload's '\n' terminator is the op digest's separator.
+            framed_log::DigestMixPair(&ops_digest, &stream_file_digest,
+                                      frame.payload);
+            if (decoded) {
+                decoded = DecodeOps(frame.payload, &state, counts, &why);
+            }
             pos = frame.end;
         }
         if (frame.tag != 'E') {
@@ -996,9 +1033,7 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
                             "': op digest mismatch");
             return std::nullopt;
         }
-        OpCounter counts;
-        std::string why;
-        if (!DecodeOps(stream.ops, counts, &why)) {
+        if (!decoded) {
             Fail(error, "stream '" + stream.meta.Identity() + "': " + why);
             return std::nullopt;
         }
@@ -1008,9 +1043,10 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
                             "': op counts disagree with the E frame");
             return std::nullopt;
         }
+        file_digest = framed_log::DigestMix(
+            stream_file_digest, view.substr(pos, frame.end - pos));
         pos = frame.end;
         stream.framed.assign(bytes, stream_start, pos - stream_start);
-        file_digest = framed_log::DigestMix(file_digest, stream.framed);
         result.streams.push_back(std::move(stream));
         recovered_end = pos;
     }
@@ -1078,11 +1114,25 @@ ReplayStream(const TraceStream& stream, WorkloadHost& host)
               FormatUint(config.block_bytes));
     }
 
+    // `framed` is the S, B*, E frames recovery validated; decode its B
+    // payloads in place.  A failure here is only reachable on a bug.
     Replayer replayer(host);
+    DecodeState state;
+    framed_log::Frame frame;
     std::string why;
-    if (!DecodeOps(stream.ops, replayer, &why)) {
-        // Only reachable on a bug: recovery validates ops before replay.
-        Fatal("trace: malformed op stream escaped validation: " + why);
+    for (size_t pos = 0;; pos = frame.end) {
+        if (framed_log::ParseFrame(stream.framed, pos, kTraceTags,
+                                   framed_log::kMaxFilePayload, &frame,
+                                   &why) != framed_log::ParseStatus::kOk) {
+            Fatal("trace: malformed stream frames escaped validation");
+        }
+        if (frame.tag == 'E') {
+            break;
+        }
+        if (frame.tag == 'B' &&
+            !DecodeOps(frame.payload, &state, replayer, &why)) {
+            Fatal("trace: malformed op stream escaped validation: " + why);
+        }
     }
     replayer.Flush();
     replayer.stats.refs_issued = stream.refs_issued;

@@ -52,9 +52,18 @@
  *     7 read     <zigzag addr delta>
  *     8 write    <zigzag addr delta>
  *
- * An access before the first setpid is malformed.  One decoder both
- * validates ops at recovery and executes them at replay, so whatever
- * recovery accepts, replay runs.
+ * An access before the first setpid is malformed.  Every B payload
+ * holds whole ops: an op never straddles two B frames (the encoder
+ * flushes its batch only between ops), and an op cut by its
+ * payload's end is malformed.  Decoder state — pids created, the current
+ * pid, the delta base — does carry from one payload to the next.  One
+ * decoder both validates ops at recovery and executes them at replay, so
+ * whatever recovery accepts, replay runs.
+ *
+ * Recovery reads each stream once: every B payload goes through the op
+ * digest and the file digest together and is validated in place, and
+ * the stream's S..E bytes are then copied once, into TraceStream::framed,
+ * which replay decodes directly.
  *
  * Recovery semantics: a trace cut at any byte offset recovers the
  * streams whose E frame is present and verified; a torn tail (and any
@@ -255,11 +264,14 @@ class TraceFileWriter
     uint64_t digest_ = 0;
 };
 
-/** One complete, digest-verified stream read back from a trace. */
+/**
+ * One complete, digest-verified stream read back from a trace.  Its
+ * only copy of the stream bytes is `framed`: re-encoding writes it as
+ * is, and replay decodes the B payloads inside it.
+ */
 struct TraceStream {
     TraceStreamMeta meta;
-    std::string ops;       ///< Concatenated B payloads (decoded on replay).
-    std::string framed;    ///< The exact S..E frame bytes (re-encoding).
+    std::string framed;    ///< The exact S..E frame bytes.
     uint64_t op_count = 0;
     uint64_t accesses = 0;
     uint64_t refs_issued = 0;

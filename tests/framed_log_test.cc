@@ -19,6 +19,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "src/common/framed_log.h"
 #include "src/serve/proto.h"
@@ -189,6 +190,40 @@ TEST(FramedLogTest, DigestSeparatesPayloadBoundaries)
     const uint64_t a_b = framed_log::DigestMix(
         framed_log::DigestMix(framed_log::kDigestInit, "a"), "b");
     EXPECT_NE(ab, a_b);
+}
+
+TEST(FramedLogTest, RawDigestUpdatesComposeToDigestMix)
+{
+    const std::string buffer = "B 11\nhello world\n\x01\x80\xff";
+    const uint64_t whole =
+        framed_log::DigestMix(framed_log::kDigestInit, buffer);
+    for (size_t i = 0; i <= buffer.size(); ++i) {
+        for (size_t j = i; j <= buffer.size(); ++j) {
+            const std::string_view view(buffer);
+            uint64_t digest = framed_log::kDigestInit;
+            digest = framed_log::DigestBytes(digest, view.substr(0, i));
+            digest = framed_log::DigestBytes(digest, view.substr(i, j - i));
+            digest = framed_log::DigestBytes(digest, view.substr(j));
+            EXPECT_EQ(framed_log::DigestBytes(digest, "\n"), whole)
+                << "split at " << i << "," << j;
+        }
+    }
+}
+
+TEST(FramedLogTest, PairedDigestEqualsTwoDigestMixes)
+{
+    const uint64_t other_init =
+        framed_log::DigestMix(framed_log::kDigestInit, "prefix");
+    for (const std::string& payload :
+         {std::string(), std::string("a"), std::string("\n\n"),
+          std::string(1000, '\x9c')}) {
+        uint64_t first = framed_log::kDigestInit;
+        uint64_t second = other_init;
+        framed_log::DigestMixPair(&first, &second, payload);
+        EXPECT_EQ(first,
+                  framed_log::DigestMix(framed_log::kDigestInit, payload));
+        EXPECT_EQ(second, framed_log::DigestMix(other_init, payload));
+    }
 }
 
 TEST(FramedLogTest, ReadFileReportsMissingFiles)

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/framed_log.h"
 #include "src/core/system.h"
 #include "src/workload/trace.h"
 #include "src/workload/workloads.h"
@@ -330,6 +331,123 @@ TEST(TraceTest, CorruptionIsAHardError)
     std::string error;
     EXPECT_FALSE(RecoverTraceBytes(file, &error).has_value());
     EXPECT_FALSE(error.empty());
+}
+
+// ---- Hand-built streams -------------------------------------------------
+
+/**
+ * A stream whose B frames carry @p payloads verbatim, with the E frame
+ * claiming @p ops / @p accesses and the payloads' true op digest, so
+ * only the payload contents decide how recovery classifies it.
+ */
+std::string
+HandBuiltStream(const std::string& workload,
+                const std::vector<std::string>& payloads, uint64_t ops,
+                uint64_t accesses)
+{
+    // The S frame is the first frame of an empty encoded stream.
+    TraceEncoder encoder(MetaFor(workload, 1, accesses));
+    const std::string empty = encoder.Finish(accesses);
+    framed_log::Frame meta_frame;
+    std::string why;
+    EXPECT_EQ(framed_log::ParseFrame(empty, 0, "S",
+                                     framed_log::kMaxFilePayload,
+                                     &meta_frame, &why),
+              framed_log::ParseStatus::kOk)
+        << why;
+    std::string stream = empty.substr(0, meta_frame.end);
+    uint64_t digest = framed_log::kDigestInit;
+    for (const std::string& payload : payloads) {
+        framed_log::AppendFrame(&stream, 'B', payload);
+        digest = framed_log::DigestMix(digest, payload);
+    }
+    framed_log::AppendFrame(
+        &stream, 'E',
+        "{\"ops\": " + std::to_string(ops) +
+            ", \"accesses\": " + std::to_string(accesses) +
+            ", \"refs_issued\": " + std::to_string(accesses) +
+            ", \"digest\": \"" + framed_log::DigestHex(digest) + "\"}");
+    return stream;
+}
+
+// create 0, setpid 0, read +0x10, write +0x1000: four ops, two accesses.
+// The write's address delta zigzags to 0x2000, a two-byte varint.
+const std::string kCreate = std::string("\x00\x00", 2);
+const std::string kSetPid = std::string("\x05\x00", 2);
+const std::string kRead = "\x07\x20";
+const std::string kWrite = "\x08\x80\x40";
+
+TEST(TraceTest, OpsMustNotStraddleBFrames)
+{
+    // In one payload, the hand-built stream is what the encoder writes.
+    const std::string ops = kCreate + kSetPid + kRead + kWrite;
+    TraceEncoder encoder(MetaFor("straddle", 1, 2));
+    encoder.OnCreateProcess(3);
+    encoder.OnAccess(MemRef{3, 0x10, AccessType::kRead});
+    encoder.OnAccess(MemRef{3, 0x1010, AccessType::kWrite});
+    ASSERT_EQ(encoder.Finish(2), HandBuiltStream("straddle", {ops}, 4, 2));
+
+    // Cut inside the write's varint, then between its opcode and its
+    // varint: each op is whole only across the two payloads, so the
+    // stream is corrupt even though every digest and count agrees.
+    for (const size_t cut : {ops.size() - 1, ops.size() - 2}) {
+        const std::string file = EncodeTraceFile({HandBuiltStream(
+            "straddle", {ops.substr(0, cut), ops.substr(cut)}, 4, 2)});
+        std::string error;
+        EXPECT_FALSE(RecoverTraceBytes(file, &error).has_value())
+            << "cut at " << cut;
+        EXPECT_NE(error.find("bad access"), std::string::npos) << error;
+    }
+
+    // Split exactly at an op boundary: accepted, and replayed whole.
+    const std::string file = EncodeTraceFile({HandBuiltStream(
+        "boundary", {kCreate + kSetPid + kRead, kWrite}, 4, 2)});
+    std::string error;
+    const auto recovered = RecoverTraceBytes(file, &error);
+    ASSERT_TRUE(recovered.has_value()) << error;
+    EXPECT_TRUE(recovered->complete);
+    ASSERT_EQ(recovered->streams.size(), 1u);
+    CountingHost host(sim::MachineConfig::Prototype(8));
+    EXPECT_EQ(ReplayStream(recovered->streams[0], host).accesses, 2u);
+    EXPECT_EQ(host.accesses(), 2u);
+}
+
+TEST(TraceTest, MalformedOpIsCorruptUnlessTruncatedBeforeItsEnd)
+{
+    const std::string good =
+        HandBuiltStream("good", {kCreate + kSetPid + kRead}, 3, 1);
+    // create 0, then opcode 9, which does not exist.
+    const std::string bad = HandBuiltStream("bad", {kCreate + "\x09"}, 2, 0);
+    const std::string file = EncodeTraceFile({good, bad});
+
+    // Whole, with its E frame and both digests valid: corrupt.
+    std::string error;
+    EXPECT_FALSE(RecoverTraceBytes(file, &error).has_value());
+    EXPECT_NE(error.find("unknown opcode"), std::string::npos) << error;
+
+    // A wrong op digest is reported first, as before the decode.
+    std::string tampered = file;
+    const size_t trailer = tampered.find("\nT ");
+    const size_t hex = tampered.rfind("\"digest\": \"", trailer) + 11;
+    tampered[hex] = (tampered[hex] == '0') ? '1' : '0';
+    EXPECT_FALSE(RecoverTraceBytes(tampered, &error).has_value());
+    EXPECT_NE(error.find("op digest mismatch"), std::string::npos)
+        << error;
+
+    // Cut before its E frame, or inside its B payload, the bad stream
+    // is a torn tail: dropped, with the good stream kept.
+    const size_t bad_start = file.find(bad);
+    ASSERT_NE(bad_start, std::string::npos);
+    for (const size_t cut :
+         {bad_start + bad.find("\nE ") + 1, bad_start + bad.find("\x09")}) {
+        const auto recovered =
+            RecoverTraceBytes(file.substr(0, cut), &error);
+        ASSERT_TRUE(recovered.has_value()) << error;
+        EXPECT_FALSE(recovered->complete);
+        ASSERT_EQ(recovered->streams.size(), 1u);
+        EXPECT_EQ(recovered->streams[0].framed, good);
+        EXPECT_EQ(recovered->dropped_bytes, cut - bad_start);
+    }
 }
 
 TEST(TraceDeathTest, RejectsMissingFile)
