@@ -1,5 +1,7 @@
 #include "src/workload/trace.h"
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -275,16 +277,95 @@ ParseTrailerPayload(std::string_view payload, uint64_t* streams,
 
 // ---------------------------------------------------------------------------
 // Varint / zigzag op coding.
+//
+// Access ops are coded without a branch on varint length (DESIGN.md §19):
+// a varint is spread into, or compacted out of, one 8-byte word with
+// SWAR ("SIMD within a register") masks and shifts, so the two common
+// access-delta lengths (1 byte within a segment, 5 bytes between
+// segments) cost the same and mispredict nothing.  The word layout is
+// little-endian: byte i of the varint is bits 8i..8i+7 of the word.
 // ---------------------------------------------------------------------------
 
-void
-AppendVarint(std::string* out, uint64_t value)
+static_assert(std::endian::native == std::endian::little,
+              "SPUR-TRACE/1 SWAR varint coding assumes a little-endian host");
+
+/** The high bit of every byte. */
+constexpr uint64_t kHighBits = 0x8080808080808080;
+
+/** Values below this are written with one 8-byte store. */
+constexpr uint64_t kSwarVarintLimit = uint64_t{1} << 56;
+
+/** Room TraceEncoder makes per op: its longest op plus a word store. */
+constexpr size_t kMaxOpBytes = 32;
+
+/** Bytes an access run needs left in its payload (DecodeAccessRun). */
+constexpr size_t kRunBytes = 72;
+
+/** Most accesses one 64-byte run window can hold (2 bytes each). */
+constexpr size_t kMaxRunAccesses = 32;
+
+uint64_t
+Load64(const char* p)
 {
-    while (value >= 0x80) {
-        out->push_back(static_cast<char>((value & 0x7f) | 0x80));
-        value >>= 7;
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    return word;
+}
+
+/**
+ * Writes @p value as LEB128 at @p out and returns the end of it.  Below
+ * 2^56 the 7-bit groups are spread into bytes with three mask-and-shift
+ * steps (28-, 14-, then 7-bit lanes) and the continuation bits ORed in
+ * below the last byte, all in one 8-byte store: the caller leaves 8
+ * bytes of room, and bytes past the varint's end are scratch.
+ */
+[[gnu::always_inline]] inline char*
+PutVarint(char* out, uint64_t value)
+{
+    if (value >= kSwarVarintLimit) [[unlikely]] {
+        while (value >= 0x80) {
+            *out++ = static_cast<char>((value & 0x7f) | 0x80);
+            value >>= 7;
+        }
+        *out++ = static_cast<char>(value);
+        return out;
     }
-    out->push_back(static_cast<char>(value));
+    uint64_t word = (value & 0x000000000FFFFFFF) |
+                    ((value & 0x00FFFFFFF0000000) << 4);
+    word = (word & 0x00003FFF00003FFF) | ((word & 0x0FFFC0000FFFC000) << 2);
+    word = (word & 0x007F007F007F007F) | ((word & 0x3F803F803F803F80) << 1);
+    // (bit_width + 6) / 7, as a multiply-shift exact for widths <= 56.
+    const unsigned bytes =
+        (static_cast<unsigned>(std::bit_width(value | 1)) * 9 + 64) / 64;
+    word |= kHighBits & ((uint64_t{1} << (8 * bytes - 8)) - 1);
+    std::memcpy(out, &word, sizeof(word));
+    return out + bytes;
+}
+
+/** Inverse of PutVarint's spread: 7-bit groups in bytes -> value. */
+uint64_t
+CompactVarint(uint64_t word)
+{
+    word = (word & 0x007F007F007F007F) | ((word & 0x7F007F007F007F00) >> 1);
+    word = (word & 0x00003FFF00003FFF) | ((word & 0x3FFF00003FFF0000) >> 2);
+    return (word & 0x000000000FFFFFFF) | ((word & 0x0FFFFFFF00000000) >> 4);
+}
+
+/**
+ * The stop bits of the 64 bytes at @p p: bit i is set when byte i is
+ * below 0x80, which marks every opcode and every varint's last byte.
+ * The multiply gathers each word's inverted high bits into its top
+ * byte (the partial products never collide, so nothing carries).
+ */
+uint64_t
+StopBits(const char* p)
+{
+    uint64_t stops = 0;
+    for (unsigned k = 0; k < 8; ++k) {
+        const uint64_t word = Load64(p + 8 * k);
+        stops |= (((~word & kHighBits) * 0x0002040810204081) >> 56) << (8 * k);
+    }
+    return stops;
 }
 
 // Forced inline: it runs once per replayed access, and with DecodeOps
@@ -332,6 +413,13 @@ ZigzagDecode(uint64_t value)
            -static_cast<int64_t>(value & 1);
 }
 
+/** Out of line, so TraceEncoder::OnAccess needs no stack frame. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+FatalAccessType(uint8_t type)
+{
+    Fatal("trace: invalid access type " + std::to_string(type));
+}
+
 bool
 Fail(std::string* error, const std::string& message)
 {
@@ -339,6 +427,60 @@ Fail(std::string* error, const std::string& message)
         *error = message;
     }
     return false;
+}
+
+/**
+ * The access-run fast path of DecodeOps.  Decodes the access ops at the
+ * start of the 64-byte window at @p p (the caller guarantees kRunBytes
+ * readable bytes) into @p types / @p addrs, advancing *last_addr, and
+ * returns the bytes they span.  An access op is an opcode and one
+ * varint, so in a run the window's stop bits come in pairs: the lowest
+ * set bit is the next opcode and the one after it ends its varint.
+ * Clearing them is all the loop carries, and one 8-byte load compacts
+ * each value, so no branch depends on varint length.  The run stops,
+ * leaving the rest to DecodeOps' switch, at anything else: a byte that
+ * is not an access opcode (a byte of 0x80 or more shows up as a gap
+ * before the next stop bit), a varint longer than 5 bytes or
+ * non-canonical (a trailing 0x00 group), or an op that reaches the
+ * window's end.
+ */
+[[gnu::always_inline]] inline size_t
+DecodeAccessRun(const char* p, ProcessAddr* last_addr, AccessType* types,
+                ProcessAddr* addrs, size_t* count)
+{
+    uint64_t stops = StopBits(p);
+    ProcessAddr addr = *last_addr;
+    unsigned next = 0;  // Where the next op must start.
+    size_t n = 0;
+    for (;;) {
+        const auto at = static_cast<unsigned>(std::countr_zero(stops));
+        stops &= stops - 1;
+        const auto end = static_cast<unsigned>(std::countr_zero(stops));
+        stops &= stops - 1;
+        if (end > 63) {
+            break;
+        }
+        // Shift counts are masked: when bytes is out of range the op is
+        // rejected below, and only its value is garbage.
+        const unsigned bytes = end - at;
+        const uint64_t word = Load64(p + at + 1) &
+                              (~uint64_t{0} >> ((64 - 8 * bytes) & 63));
+        const unsigned type = static_cast<uint8_t>(p[at]) - kOpIFetch;
+        const bool trailing_zero = (bytes > 1) & (p[end] == 0);
+        if ((at != next) | (type > kOpWrite - kOpIFetch) | (bytes > 5) |
+            trailing_zero) {
+            break;
+        }
+        addr = static_cast<ProcessAddr>(static_cast<int64_t>(addr) +
+                                        ZigzagDecode(CompactVarint(word)));
+        types[n] = static_cast<AccessType>(type);
+        addrs[n] = addr;
+        ++n;
+        next = end + 1;
+    }
+    *last_addr = addr;
+    *count = n;
+    return next;
 }
 
 /** Decoder state carried from one B payload of a stream to the next. */
@@ -370,7 +512,22 @@ DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
     uint64_t created = state->created;
     bool have_pid = state->have_pid;
     ProcessAddr last_addr = state->last_addr;
+    AccessType types[kMaxRunAccesses];
+    ProcessAddr addrs[kMaxRunAccesses];
     while (pos < ops.size()) {
+        // Access runs first; whatever the run path declines (including
+        // the payload's last kRunBytes) falls to the switch at the same
+        // offset, which alone accepts, rejects and words the errors.
+        if (have_pid && ops.size() - pos >= kRunBytes) {
+            size_t n = 0;
+            const size_t used = DecodeAccessRun(ops.data() + pos, &last_addr,
+                                                types, addrs, &n);
+            if (n != 0) {
+                visitor.Accesses(types, addrs, n);
+                pos += used;
+                continue;
+            }
+        }
         const uint8_t opcode = static_cast<uint8_t>(ops[pos]);
         ++pos;
         uint64_t value = 0;
@@ -470,6 +627,11 @@ struct OpCounter {
         ++ops;
         ++accesses;
     }
+    void Accesses(const AccessType*, const ProcessAddr*, size_t n)
+    {
+        ops += n;
+        accesses += n;
+    }
 };
 
 /**
@@ -483,7 +645,6 @@ class Replayer
     explicit Replayer(WorkloadHost& host)
         : host_(host)
     {
-        batch_.reserve(4096);
     }
 
     void Create()
@@ -525,27 +686,48 @@ class Replayer
 
     void Access(AccessType type, ProcessAddr addr)
     {
-        batch_.push_back(MemRef{current_pid_, addr, type});
-        if (batch_.size() == batch_.capacity()) {
-            Flush();
+        Accesses(&type, &addr, 1);
+    }
+
+    /** Appends a decoded run, flushing each time the batch fills. */
+    void Accesses(const AccessType* types, const ProcessAddr* addrs,
+                  size_t n)
+    {
+        stats.accesses += n;
+        while (n != 0) {
+            const size_t take = std::min(n, kBatchRefs - fill_);
+            MemRef* out = batch_.data() + fill_;
+            for (size_t k = 0; k < take; ++k) {
+                out[k] = MemRef{current_pid_, addrs[k], types[k]};
+            }
+            fill_ += take;
+            types += take;
+            addrs += take;
+            n -= take;
+            if (fill_ == kBatchRefs) {
+                Flush();
+            }
         }
-        ++stats.accesses;
     }
 
     void Flush()
     {
-        if (!batch_.empty()) {
-            host_.AccessBatch(batch_.data(), batch_.size());
-            batch_.clear();
+        if (fill_ != 0) {
+            host_.AccessBatch(batch_.data(), fill_);
+            fill_ = 0;
         }
     }
 
     ReplayStats stats;
 
   private:
+    /** AccessBatch size: a full batch is issued as soon as it fills. */
+    static constexpr size_t kBatchRefs = 4096;
+
     WorkloadHost& host_;
     std::vector<Pid> host_pid_;  ///< Indexed by trace pid.
-    std::vector<MemRef> batch_;
+    std::vector<MemRef> batch_ = std::vector<MemRef>(kBatchRefs);
+    size_t fill_ = 0;            ///< References in batch_.
     Pid current_pid_ = 0;
 };
 
@@ -584,27 +766,37 @@ TraceEncoder::TraceEncoder(TraceStreamMeta meta)
 }
 
 void
-TraceEncoder::Op(uint8_t opcode)
+TraceEncoder::Grow()
 {
-    batch_.push_back(static_cast<char>(opcode));
-    ++ops_;
+    batch_.resize(std::max(2 * batch_.size(), 2 * kBatchFlushBytes));
+}
+
+char*
+TraceEncoder::Room()
+{
+    if (batch_.size() - batch_len_ < kMaxOpBytes) [[unlikely]] {
+        Grow();
+    }
+    return batch_.data() + batch_len_;
 }
 
 void
-TraceEncoder::Varint(uint64_t value)
+TraceEncoder::Emit(const char* end, uint64_t ops)
 {
-    AppendVarint(&batch_, value);
+    batch_len_ = static_cast<size_t>(end - batch_.data());
+    ops_ += ops;
 }
 
 void
 TraceEncoder::FlushBatch()
 {
-    if (batch_.empty()) {
+    if (batch_len_ == 0) {
         return;
     }
-    digest_ = framed_log::DigestMix(digest_, batch_);
-    framed_log::AppendFrame(&framed_, 'B', batch_);
-    batch_.clear();
+    const std::string_view ops(batch_.data(), batch_len_);
+    digest_ = framed_log::DigestMix(digest_, ops);
+    framed_log::AppendFrame(&framed_, 'B', ops);
+    batch_len_ = 0;
 }
 
 uint32_t
@@ -631,8 +823,9 @@ TraceEncoder::OnCreateProcess(Pid host_pid)
     }
     const uint32_t trace_pid = next_trace_pid_++;
     pid_map_.emplace_back(host_pid, trace_pid);
-    Op(kOpCreate);
-    Varint(trace_pid);
+    char* out = Room();
+    *out++ = static_cast<char>(kOpCreate);
+    Emit(PutVarint(out, trace_pid), 1);
 }
 
 void
@@ -647,21 +840,24 @@ TraceEncoder::OnDestroyProcess(Pid host_pid)
         }
     }
     if (current_pid_ == trace_pid) {
-        current_pid_ = ~uint32_t{0};
+        current_pid_ = kNoTracePid;  // Also drops OnAccess's pid cache.
     }
-    Op(kOpDestroy);
-    Varint(trace_pid);
+    char* out = Room();
+    *out++ = static_cast<char>(kOpDestroy);
+    Emit(PutVarint(out, trace_pid), 1);
 }
 
 void
 TraceEncoder::OnMapRegion(Pid host_pid, ProcessAddr base, uint64_t bytes,
                           vm::PageKind kind)
 {
-    Op(kOpMapRegion);
-    Varint(TracePid(host_pid));
-    Varint(base);
-    Varint(bytes);
-    batch_.push_back(static_cast<char>(kind));
+    char* out = Room();
+    *out++ = static_cast<char>(kOpMapRegion);
+    out = PutVarint(out, TracePid(host_pid));
+    out = PutVarint(out, base);
+    out = PutVarint(out, bytes);
+    *out++ = static_cast<char>(kind);
+    Emit(out, 1);
 }
 
 void
@@ -671,18 +867,22 @@ TraceEncoder::OnShareSegment(Pid host_pid, unsigned reg, Pid other,
     if (reg > kMaxSegReg || other_reg > kMaxSegReg) {
         Fatal("trace: segment register out of range");
     }
-    Op(kOpShare);
-    Varint(TracePid(host_pid));
-    batch_.push_back(static_cast<char>(reg));
-    Varint(TracePid(other));
-    batch_.push_back(static_cast<char>(other_reg));
+    char* out = Room();
+    *out++ = static_cast<char>(kOpShare);
+    out = PutVarint(out, TracePid(host_pid));
+    *out++ = static_cast<char>(reg);
+    out = PutVarint(out, TracePid(other));
+    *out++ = static_cast<char>(other_reg);
+    Emit(out, 1);
 }
 
 void
 TraceEncoder::OnContextSwitch()
 {
-    Op(kOpSwitch);
-    if (batch_.size() >= kBatchFlushBytes) {
+    char* out = Room();
+    *out++ = static_cast<char>(kOpSwitch);
+    Emit(out, 1);
+    if (batch_len_ >= kBatchFlushBytes) {
         FlushBatch();
     }
 }
@@ -690,27 +890,26 @@ TraceEncoder::OnContextSwitch()
 void
 TraceEncoder::OnAccess(const MemRef& ref)
 {
-    const uint32_t trace_pid = TracePid(ref.pid);
-    if (trace_pid != current_pid_) {
-        Op(kOpSetPid);
-        Varint(trace_pid);
-        current_pid_ = trace_pid;
+    const auto type = static_cast<uint8_t>(ref.type);
+    if (type > static_cast<uint8_t>(AccessType::kWrite)) [[unlikely]] {
+        FatalAccessType(type);
     }
-    uint8_t opcode = kOpRead;
-    switch (ref.type) {
-      case AccessType::kIFetch:
-        opcode = kOpIFetch;
-        break;
-      case AccessType::kRead:
-        opcode = kOpRead;
-        break;
-      case AccessType::kWrite:
-        opcode = kOpWrite;
-        break;
+    char* out = Room();
+    uint64_t ops = 1;
+    // current_host_pid_ is a one-entry cache of the current pid's host
+    // pid, valid while current_pid_ is: any other pid needs a setpid.
+    if (ref.pid != current_host_pid_ || current_pid_ == kNoTracePid)
+        [[unlikely]] {
+        current_pid_ = TracePid(ref.pid);
+        current_host_pid_ = ref.pid;
+        *out++ = static_cast<char>(kOpSetPid);
+        out = PutVarint(out, current_pid_);
+        ++ops;
     }
-    Op(opcode);
-    Varint(ZigzagEncode(static_cast<int64_t>(ref.addr) -
-                        static_cast<int64_t>(last_addr_)));
+    *out++ = static_cast<char>(kOpIFetch + type);
+    out = PutVarint(out, ZigzagEncode(static_cast<int64_t>(ref.addr) -
+                                      static_cast<int64_t>(last_addr_)));
+    Emit(out, ops);
     last_addr_ = ref.addr;
     ++accesses_;
 }
@@ -852,15 +1051,23 @@ TraceFileWriter::Finish(std::string* error)
 std::string
 EncodeTraceFile(const std::vector<std::string>& stream_frames)
 {
-    std::string bytes = kTraceMagic;
-    framed_log::AppendFrame(&bytes, 'H', HeaderPayload());
+    const std::string header = framed_log::EncodeFrame('H', HeaderPayload());
     uint64_t digest = framed_log::kDigestInit;
+    size_t size = std::string_view(kTraceMagic).size() + header.size();
+    for (const std::string& frames : stream_frames) {
+        digest = framed_log::DigestMix(digest, frames);
+        size += frames.size();
+    }
+    const std::string trailer = framed_log::EncodeFrame(
+        'T', TrailerPayload(stream_frames.size(), digest));
+    std::string bytes;
+    bytes.reserve(size + trailer.size());
+    bytes += kTraceMagic;
+    bytes += header;
     for (const std::string& frames : stream_frames) {
         bytes += frames;
-        digest = framed_log::DigestMix(digest, frames);
     }
-    framed_log::AppendFrame(&bytes, 'T',
-                            TrailerPayload(stream_frames.size(), digest));
+    bytes += trailer;
     return bytes;
 }
 

@@ -52,6 +52,15 @@
  *     7 read     <zigzag addr delta>
  *     8 write    <zigzag addr delta>
  *
+ * The coding of access ops has no branch on varint length (DESIGN.md
+ * §19), so it assumes a little-endian host (a static_assert).  The
+ * encoder writes each varint below 2^56 with one 8-byte word store; the
+ * decoder walks runs of access ops through the stop bits (bytes below
+ * 0x80) of a 64-byte window, extracting each 1-5 byte varint from one
+ * 8-byte load, and leaves everything else — other ops, longer or
+ * non-canonical varints, a payload's last 72 bytes — to its op switch.
+ * Both paths accept exactly the same bytes.
+ *
  * An access before the first setpid is malformed.  Every B payload
  * holds whole ops: an op never straddles two B frames (the encoder
  * flushes its batch only between ops), and an op cut by its
@@ -151,20 +160,30 @@ class TraceEncoder
     uint64_t ops() const { return ops_; }
 
   private:
-    void Op(uint8_t opcode);
-    void Varint(uint64_t value);
+    /** No current pid: the next access writes a setpid. */
+    static constexpr uint32_t kNoTracePid = ~uint32_t{0};
+
+    /** Makes room for one op in the batch; returns where it starts. */
+    char* Room();
+    /** Room()'s cold path, out of line so Room() inlines. */
+    void Grow();
+    /** Closes the op(s) written from Room() up to @p end. */
+    void Emit(const char* end, uint64_t ops);
     void FlushBatch();
     uint32_t TracePid(Pid host_pid) const;
 
     TraceStreamMeta meta_;
     std::string framed_;        ///< S frame + completed B frames.
-    std::string batch_;         ///< Op bytes of the open batch.
+    std::string batch_;         ///< Open batch buffer; bytes past
+                                ///< batch_len_ are scratch.
+    size_t batch_len_ = 0;      ///< Op bytes in the open batch.
     uint64_t digest_;           ///< Rolling FNV over B payloads.
     uint64_t ops_ = 0;
     uint64_t accesses_ = 0;
     uint32_t next_trace_pid_ = 0;
     std::vector<std::pair<Pid, uint32_t>> pid_map_;  ///< host -> trace.
-    uint32_t current_pid_ = ~uint32_t{0};
+    uint32_t current_pid_ = kNoTracePid;  ///< Trace pid of the last setpid.
+    Pid current_host_pid_ = 0;  ///< Its host pid, when current_pid_ is set.
     ProcessAddr last_addr_ = 0;
     bool finished_ = false;
 };
@@ -222,6 +241,7 @@ class CountingHost : public WorkloadHost
     void MapRegion(Pid, ProcessAddr, uint64_t, vm::PageKind) override {}
     void ShareSegment(Pid, unsigned, Pid, unsigned) override {}
     void Access(const MemRef&) override { ++accesses_; }
+    void AccessBatch(const MemRef*, size_t n) override { accesses_ += n; }
     void OnContextSwitch() override { ++context_switches_; }
     const sim::MachineConfig& config() const override { return config_; }
 

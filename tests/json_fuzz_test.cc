@@ -132,7 +132,7 @@ Mutate(std::string input, Rng& rng)
     if (input.empty()) {
         return input;
     }
-    switch (rng.NextBelow(9)) {
+    switch (rng.NextBelow(11)) {
       case 0: {  // Flip one byte to an arbitrary value.
         input[rng.NextBelow(input.size())] =
             static_cast<char>(rng.NextBelow(256));
@@ -185,6 +185,25 @@ Mutate(std::string input, Rng& rng)
         }
         if (!lengths.empty()) {
             input.insert(lengths[rng.NextBelow(lengths.size())], 1, '0');
+        }
+        return input;
+      }
+      // The next two rewrite bytes in place, so frame lengths still
+      // hold and a mutated trace op payload reaches the op decoder.
+      case 8: {  // Trailing-0x00 varint: "05 07" -> "85 00".
+        const size_t at = rng.NextBelow(input.size());
+        input[at] = static_cast<char>(input[at] | 0x80);
+        if (at + 1 < input.size()) {
+            input[at + 1] = '\0';
+        }
+        return input;
+      }
+      case 9: {  // Long varint: set the continuation bit of 1-8 bytes.
+        const size_t at = rng.NextBelow(input.size());
+        const size_t end = std::min<size_t>(at + 1 + rng.NextBelow(8),
+                                            input.size());
+        for (size_t i = at; i < end; ++i) {
+            input[i] = static_cast<char>(input[i] | 0x80);
         }
         return input;
       }
@@ -424,6 +443,12 @@ CorpusTrace()
     first.OnAccess(MemRef{3, 0x00000040, AccessType::kIFetch});
     first.OnDestroyProcess(3);
     first.OnAccess(MemRef{12, 0x80000084, AccessType::kRead});
+    // A run of accesses past 72 bytes, jumping between the code and heap
+    // segments (1- and 5-byte deltas), feeds DecodeOps' access-run path.
+    for (ProcessAddr i = 0; i < 24; ++i) {
+        first.OnAccess(MemRef{12, 0x00000100 + 4 * i, AccessType::kIFetch});
+        first.OnAccess(MemRef{12, 0x80000100 + 8 * i, AccessType::kWrite});
+    }
 
     workload::TraceStreamMeta second_meta = meta;
     second_meta.workload = "fuzz-b";

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -450,6 +451,270 @@ TEST(TraceTest, MalformedOpIsCorruptUnlessTruncatedBeforeItsEnd)
     }
 }
 
+// ---- Access coding ------------------------------------------------------
+
+/** The byte-loop LEB128 writer the encoder's word stores must match. */
+std::string
+Leb128(uint64_t value)
+{
+    std::string out;
+    while (value >= 0x80) {
+        out.push_back(static_cast<char>((value & 0x7f) | 0x80));
+        value >>= 7;
+    }
+    out.push_back(static_cast<char>(value));
+    return out;
+}
+
+uint64_t
+Zigzag(int64_t value)
+{
+    return (static_cast<uint64_t>(value) << 1) ^
+           static_cast<uint64_t>(value >> 63);
+}
+
+/** A host that logs every operation it receives, one line each. */
+class OpLogHost : public WorkloadHost
+{
+  public:
+    explicit OpLogHost(Pid first_pid)
+        : config_(sim::MachineConfig::Prototype(8)), next_pid_(first_pid)
+    {
+    }
+
+    Pid CreateProcess() override
+    {
+        log.push_back("create " + std::to_string(next_pid_));
+        return next_pid_++;
+    }
+    void DestroyProcess(Pid pid) override
+    {
+        log.push_back("destroy " + std::to_string(pid));
+    }
+    void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
+                   vm::PageKind kind) override
+    {
+        log.push_back(MapLine(pid, base, bytes, kind));
+    }
+    void ShareSegment(Pid pid, unsigned reg, Pid other,
+                      unsigned other_reg) override
+    {
+        log.push_back("share " + std::to_string(pid) + " " +
+                      std::to_string(reg) + " " + std::to_string(other) +
+                      " " + std::to_string(other_reg));
+    }
+    void Access(const MemRef& ref) override { log.push_back(AccessLine(ref)); }
+    void OnContextSwitch() override { log.push_back("switch"); }
+    const sim::MachineConfig& config() const override { return config_; }
+
+    static std::string MapLine(Pid pid, ProcessAddr base, uint64_t bytes,
+                               vm::PageKind kind)
+    {
+        return "map " + std::to_string(pid) + " " + std::to_string(base) +
+               " " + std::to_string(bytes) + " " +
+               std::to_string(static_cast<int>(kind));
+    }
+    static std::string AccessLine(const MemRef& ref)
+    {
+        return "access " + std::to_string(ref.pid) + " " +
+               std::to_string(ref.addr) + " " +
+               std::to_string(static_cast<int>(ref.type));
+    }
+
+    std::vector<std::string> log;
+
+  private:
+    sim::MachineConfig config_;
+    Pid next_pid_;
+};
+
+TEST(TraceTest, AccessDeltasOfEveryVarintLengthRoundTrip)
+{
+    // Zigzag values at and on either side of each 7-bit boundary (1-5
+    // byte varints), the largest a 32-bit address delta reaches, and
+    // deltas of +-2^31 and their neighbours.
+    std::vector<int64_t> deltas;
+    for (const uint64_t boundary : {uint64_t{1} << 7, uint64_t{1} << 14,
+                                    uint64_t{1} << 21, uint64_t{1} << 28}) {
+        for (const uint64_t zigzag : {boundary - 1, boundary, boundary + 1}) {
+            deltas.push_back(static_cast<int64_t>(zigzag >> 1) ^
+                             -static_cast<int64_t>(zigzag & 1));
+        }
+    }
+    const int64_t two31 = int64_t{1} << 31;
+    const int64_t two32 = int64_t{1} << 32;
+    for (const int64_t delta : {two31 - 1, two31, two31 + 1, two32 - 1}) {
+        deltas.push_back(delta);
+        deltas.push_back(-delta);
+    }
+    deltas.push_back(0);
+
+    // Each round shifts the deltas' alignment by one more 2-byte access,
+    // so runs cross the 64-byte window at every offset.  A 64 KiB filler
+    // and a context switch close the first B payload; both payloads end
+    // in accesses, so runs also end inside a payload's last 72 bytes.
+    std::vector<MemRef> refs;
+    ProcessAddr addr = 0x40000000;
+    const auto access = [&](int64_t delta) {
+        const auto type = static_cast<AccessType>(refs.size() % 3);
+        addr = static_cast<ProcessAddr>(static_cast<int64_t>(addr) + delta);
+        refs.push_back(MemRef{5, addr, type});
+    };
+    const auto rounds = [&] {
+        for (int shift = 0; shift < 36; ++shift) {
+            for (int pad = 0; pad < shift; ++pad) {
+                access(4);
+            }
+            for (const int64_t delta : deltas) {
+                // Step to an end of the address space when the delta
+                // would leave it.
+                const int64_t target = static_cast<int64_t>(addr) + delta;
+                if (target < 0 || target > int64_t{0xFFFFFFFF}) {
+                    access((delta < 0 ? int64_t{0xFFFFFFFF} : 0) -
+                           static_cast<int64_t>(addr));
+                }
+                access(delta);
+            }
+        }
+    };
+    rounds();
+    const size_t switch_at = refs.size() + 33'000;
+    while (refs.size() < switch_at) {
+        access(4);
+    }
+    rounds();
+
+    TraceEncoder encoder(MetaFor("deltas", 1, refs.size()));
+    std::vector<std::string> payloads(1);
+    std::vector<std::string> expected;
+    uint64_t ops = 0;
+    const auto map = [&](uint64_t bytes) {
+        encoder.OnMapRegion(5, 0x40000000, bytes, vm::PageKind::kData);
+        payloads.back() += "\x02" + Leb128(0) + Leb128(0x40000000) +
+                           Leb128(bytes) + "\x01";
+        expected.push_back(
+            OpLogHost::MapLine(5, 0x40000000, bytes, vm::PageKind::kData));
+        ++ops;
+    };
+    encoder.OnCreateProcess(5);
+    payloads.back() += kCreate;
+    expected.push_back("create 5");
+    ++ops;
+    // Map lengths of 2^56 and up take the byte-loop varint path.
+    map(0x2000);
+    map(uint64_t{1} << 56);
+    map(~uint64_t{0});
+    payloads.back() += kSetPid;
+    ++ops;
+    ProcessAddr last = 0;
+    for (size_t i = 0; i < refs.size(); ++i) {
+        if (i == switch_at) {
+            encoder.OnContextSwitch();
+            payloads.back() += "\x04";
+            payloads.emplace_back();
+            expected.push_back("switch");
+            ++ops;
+        }
+        encoder.OnAccess(refs[i]);
+        payloads.back() +=
+            static_cast<char>(6 + static_cast<int>(refs[i].type)) +
+            Leb128(Zigzag(static_cast<int64_t>(refs[i].addr) -
+                          static_cast<int64_t>(last)));
+        last = refs[i].addr;
+        expected.push_back(OpLogHost::AccessLine(refs[i]));
+        ++ops;
+    }
+    ASSERT_GE(payloads[0].size(), 64u * 1024);
+    const std::string framed = encoder.Finish(refs.size());
+    ASSERT_EQ(framed, HandBuiltStream("deltas", payloads, ops, refs.size()));
+
+    std::string error;
+    const auto recovered =
+        RecoverTraceBytes(EncodeTraceFile({framed}), &error);
+    ASSERT_TRUE(recovered.has_value()) << error;
+    ASSERT_EQ(recovered->streams.size(), 1u);
+    EXPECT_EQ(recovered->streams[0].op_count, ops);
+    OpLogHost host(5);
+    EXPECT_EQ(ReplayStream(recovered->streams[0], host).accesses,
+              refs.size());
+    ASSERT_EQ(host.log.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(host.log[i], expected[i]) << "op " << i;
+    }
+}
+
+TEST(TraceTest, RunPathRejectsWhatTheSwitchRejects)
+{
+    // Access ops with 1-byte deltas, or alternating 1- and 4-byte ones:
+    // 7 bytes a pair, so 64 pairs put a following op at every offset
+    // mod 64.
+    const auto run = [](size_t accesses, bool mixed = true) {
+        std::string ops;
+        for (size_t i = 0; i < accesses; ++i) {
+            ops += (!mixed || i % 2 == 0)
+                       ? std::string("\x07\x08")
+                       : std::string("\x06\x80\x80\x80\x01");
+        }
+        return ops;
+    };
+    struct Case {
+        const char* what;
+        std::string op;
+        const char* error;
+    };
+    const Case cases[] = {
+        {"trailing 0x00", std::string("\x06\x80\x00", 3), "bad access"},
+        {"6-byte trailing 0x00",
+         std::string("\x06\x80\x80\x80\x80\x80\x00", 7), "bad access"},
+        {"opcode 0x86", "\x86\x08", "unknown opcode"},
+        {"opcode 9", "\x09\x08", "unknown opcode"},
+    };
+    // The accesses before the bad op put it at every offset of a run
+    // window, with more than 72 bytes of payload after it; the 1-byte
+    // run after it would parse whole from any misaligned start.  Only
+    // the op check can fail: the op digest, the E counts and the file
+    // digest all agree.
+    for (const Case& c : cases) {
+        for (const bool mixed : {true, false}) {
+            for (size_t before = 0; before < 128; ++before) {
+                const std::string ops = kCreate + kSetPid + run(before) +
+                                        c.op + run(40, mixed);
+                const std::string file = EncodeTraceFile({HandBuiltStream(
+                    "inject", {ops}, 43 + before, 41 + before)});
+                std::string error;
+                EXPECT_FALSE(RecoverTraceBytes(file, &error).has_value())
+                    << c.what << " after " << before;
+                EXPECT_NE(error.find(std::string("op stream: ") + c.error),
+                          std::string::npos)
+                    << c.what << " after " << before << ": " << error;
+            }
+        }
+    }
+
+    // A run before any setpid.
+    const std::string file = EncodeTraceFile(
+        {HandBuiltStream("no-setpid", {kCreate + run(80)}, 81, 80)});
+    std::string error;
+    EXPECT_FALSE(RecoverTraceBytes(file, &error).has_value());
+    EXPECT_NE(error.find("op stream: bad access"), std::string::npos)
+        << error;
+
+    // A canonical 6-byte varint is valid: the run leaves it to the
+    // switch, which adds its delta (2^34, so the address is unchanged).
+    const std::string six = EncodeTraceFile({HandBuiltStream(
+        "six", {kCreate + kSetPid + "\x07\x08" +
+                std::string("\x07\x80\x80\x80\x80\x80\x01", 7) + run(40)},
+        44, 42)});
+    const auto recovered = RecoverTraceBytes(six, &error);
+    ASSERT_TRUE(recovered.has_value()) << error;
+    OpLogHost host(0);
+    EXPECT_EQ(ReplayStream(recovered->streams[0], host).accesses, 42u);
+    ASSERT_GE(host.log.size(), 4u);
+    EXPECT_EQ(host.log[1], "access 0 4 1");
+    EXPECT_EQ(host.log[2], "access 0 4 1");
+    EXPECT_EQ(host.log[3], "access 0 8 1");
+}
+
 TEST(TraceDeathTest, RejectsMissingFile)
 {
     CountingHost host(sim::MachineConfig::Prototype(8));
@@ -465,6 +730,29 @@ TEST(TraceDeathTest, RejectsBadMagic)
     CountingHost host(sim::MachineConfig::Prototype(8));
     EXPECT_EXIT(ReplayTrace(path, host), testing::ExitedWithCode(1),
                 "not a SPUR-TRACE/1");
+}
+
+TEST(TraceDeathTest, EncoderRejectsUnknownPidAndAccessType)
+{
+    const auto encoder = [] {
+        auto e = std::make_unique<TraceEncoder>(MetaFor("bad", 1, 1));
+        e->OnCreateProcess(3);
+        e->OnAccess(MemRef{3, 0x10, AccessType::kRead});
+        return e;
+    };
+    EXPECT_EXIT(encoder()->OnAccess(MemRef{4, 0x10, AccessType::kRead}),
+                testing::ExitedWithCode(1), "pid 4 was not created");
+    // Destroying the current pid drops OnAccess's pid cache with it.
+    EXPECT_EXIT(
+        {
+            auto e = encoder();
+            e->OnDestroyProcess(3);
+            e->OnAccess(MemRef{3, 0x10, AccessType::kRead});
+        },
+        testing::ExitedWithCode(1), "pid 3 was not created");
+    EXPECT_EXIT(
+        encoder()->OnAccess(MemRef{3, 0x10, static_cast<AccessType>(3)}),
+        testing::ExitedWithCode(1), "invalid access type 3");
 }
 
 TEST(TraceDeathTest, RejectsGeometryMismatch)
