@@ -45,11 +45,8 @@ MakeRefStream(workload::WorkloadHost& host)
 {
     workload::ProcessProfile profile;
     workload::SyntheticProcess proc(host, profile, /*seed=*/42);
-    std::vector<MemRef> refs;
-    refs.reserve(kBufRefs);
-    for (size_t i = 0; i < kBufRefs; ++i) {
-        refs.push_back(proc.Next());
-    }
+    std::vector<MemRef> refs(kBufRefs);
+    proc.NextBatch(refs.data(), refs.size());
     return refs;
     // ~SyntheticProcess() destroys the pid; the bench recreates an
     // identical process (same seed, same fresh system) to replay into.

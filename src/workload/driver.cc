@@ -112,7 +112,6 @@ Driver::Spawn(size_t job_index)
             // process that exists for the whole run.
             const Pid owner = system_.CreateProcess();
             const uint64_t page_bytes = system_.config().page_bytes;
-            (void)page_bytes;
             if (job.share_text && job.profile.code_pages > 0) {
                 system_.MapRegion(owner, kCodeBase,
                                   job.profile.code_pages * page_bytes,

@@ -71,18 +71,11 @@ class SyntheticProcess
     /**
      * Fills @p out with up to @p max references and returns how many were
      * generated (short only when the process finishes).  Exactly the
-     * stream a sequence of Next() calls would produce: the generator is
-     * pure (rng + cursors, no feedback from the system), so batching
-     * cannot change it.
+     * stream a sequence of Next() calls would produce: both run the same
+     * generator body, which is pure (rng + cursors, no feedback from the
+     * system), so batching cannot change it.
      */
-    size_t NextBatch(MemRef* out, size_t max)
-    {
-        size_t n = 0;
-        while (n < max && !Done()) {
-            out[n++] = Next();
-        }
-        return n;
-    }
+    size_t NextBatch(MemRef* out, size_t max);
 
     /** Issues the next reference directly into the system. */
     void Step() { system_.Access(Next()); }
@@ -105,20 +98,53 @@ class SyntheticProcess
     Pid pid_;
     uint64_t refs_issued_ = 0;
 
-    unsigned page_shift_;
     uint32_t block_bytes_;
     uint32_t page_bytes_;
+    uint32_t blocks_per_page_;
 
-    // Normalized cumulative generator weights.
-    std::array<double, 6> gen_cdf_{};
+    // ---- Precomputed draws ----------------------------------------------
+    // Every `NextDouble() < p` test of the generator as the integer test
+    // `Next53() < Rng::Threshold53(p)`: same draw, same answer.
+    uint64_t ifetch_below_;      ///< frac_ifetch.
+    uint64_t stack_below_;       ///< frac_stack.
+    uint64_t rand_write_below_;  ///< rand_write_frac.
+    uint64_t reread_below_;      ///< file_reread_frac.
+    uint64_t stack_store_below_; ///< GenStack's 0.55 store bias.
+    /// Chance(ws_slide_prob): p <= 0 or p >= 1 draws nothing and then
+    /// slides when slide_below_ != 0.
+    uint64_t slide_below_;
+    bool slide_draws_;
+
+    /** The data generators, in weight order, then the stack. */
+    enum class Gen : uint8_t {
+        kSeqRead, kSeqWrite, kRmw, kScanUpdate, kRand, kFileWrite, kStack,
+    };
+    /// Integer thresholds of the cumulative generator weights (the last,
+    /// 1.0, needs none): k = the number at or below a draw.
+    std::array<uint64_t, 5> gen_below_{};
+    /// The generator for each k, with the region fall-throughs resolved.
+    std::array<Gen, 6> gen_of_k_{};
+
+    ZipfTable code_zipf_;   ///< Over the hot-code window.
+    ZipfTable heap_zipf_;   ///< Over the heap working-set window.
+    ZipfTable stack_zipf_;  ///< Over the whole stack, skew 0.85.
+
+    // Region geometry, fixed at construction.
+    uint32_t heap_wrap_;          ///< max(1, heap_pages).
+    uint32_t rand_write_span_;    ///< GenRand's write window, pages.
+    ProcessAddr code_end_;        ///< End of the text region.
+    ProcessAddr seq_read_end_;    ///< End of the input files.
+    ProcessAddr heap_end_;        ///< End of the heap region.
+    ProcessAddr file_lo_;         ///< Start of the output files.
+    ProcessAddr data_end_;        ///< End of the data region.
 
     // ---- Generator state ----------------------------------------------------
     // Instruction-fetch loop model.
     ProcessAddr loop_base_ = 0;   ///< First block of the current loop body.
     uint32_t loop_blocks_ = 1;    ///< Body length in blocks.
     uint32_t loop_iters_left_ = 1;///< Iterations remaining.
-    uint32_t loop_block_idx_ = 0; ///< Current block within the body.
-    uint32_t loop_offset_ = 0;    ///< Byte offset within the block.
+    ProcessAddr loop_pc_ = 0;     ///< Next fetch address.
+    ProcessAddr loop_end_ = 0;    ///< End of the body.
     uint32_t code_ws_base_ = 0;   ///< Hot-code window base page.
     ProcessAddr seq_read_pos_;    ///< Data-scan cursor.
     ProcessAddr alloc_front_;     ///< Heap allocation cursor (seq_write).
@@ -132,32 +158,44 @@ class SyntheticProcess
     uint32_t scan_index_ = 0;     ///< Next block within the burst.
     bool scan_writing_ = false;   ///< Read phase vs. write-back phase.
 
-    MemRef MakeIFetch();
+    /** Generates @p n references into @p out: the one loop behind
+     *  Next() and NextBatch(), with no lifetime check. */
+    void Fill(MemRef* out, size_t n);
+
+    // The generator body, written straight into the caller's MemRef.
+    // Everything but PickNextLoop inlines into Fill().
+    void Generate(MemRef& out);
+    void IFetch(MemRef& out);
     void PickNextLoop();
-    MemRef MakeDataRef();
-    MemRef GenSeqRead();
-    MemRef GenSeqWrite();
-    MemRef GenRmw();
-    MemRef GenScanUpdate();
-    MemRef GenRand();
-    MemRef GenStack();
-    MemRef GenFileWrite();
+    void DataRef(MemRef& out);
+    void GenSeqRead(MemRef& out);
+    void GenSeqWrite(MemRef& out);
+    void GenRmw(MemRef& out);
+    void GenScanUpdate(MemRef& out);
+    void GenRand(MemRef& out);
+    void GenStack(MemRef& out);
+    void GenFileWrite(MemRef& out);
 
     /** Starts a write burst at @p addr, clipped to its cache block, and
-     *  returns the first write of the burst. */
-    MemRef StartBurst(ProcessAddr addr, uint32_t words);
+     *  emits the first write of the burst. */
+    void StartBurst(MemRef& out, ProcessAddr addr, uint32_t words);
 
-    /** Picks a page within [base, base+window) of a region via Zipf. */
-    uint32_t ZipfPage(uint32_t window_base, uint32_t window_pages,
-                      uint32_t region_pages);
+    /** Picks a page within [base, base + window) of a region of
+     *  max(1, @p wrap) pages; base + window <= 2 * wrap. */
+    uint32_t ZipfPage(const ZipfTable& window, uint32_t window_base,
+                      uint32_t wrap);
 
-    /** A random block-aligned address inside @p region_base + page. */
+    /** A block-aligned address inside @p region_base + page. */
     ProcessAddr BlockAddr(ProcessAddr region_base, uint32_t page,
-                          uint32_t block);
-
-    MemRef Ref(ProcessAddr addr, AccessType type)
+                          uint32_t block) const
     {
-        return MemRef{pid_, addr, type};
+        return region_base + page * page_bytes_ + block * block_bytes_;
+    }
+
+    static void Emit(MemRef& out, ProcessAddr addr, AccessType type)
+    {
+        out.addr = addr;
+        out.type = type;
     }
 };
 

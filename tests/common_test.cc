@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -202,6 +204,109 @@ TEST(RngTest, ZipfDegenerateCases)
     EXPECT_EQ(rng.NextZipf(1, 0.8), 0u);
     for (int i = 0; i < 100; ++i) {
         EXPECT_LT(rng.NextZipf(5, 0.99), 5u);  // Near-1 skew is clamped.
+    }
+}
+
+TEST(RngTest, Threshold53MatchesNextDoubleCompare)
+{
+    // NextDouble() is m * 2^-53; Next53() < Threshold53(p) must agree
+    // with m * 2^-53 < p on every draw m, so check the draws around the
+    // threshold and at both ends of the range.
+    constexpr uint64_t kTop = uint64_t{1} << 53;
+    const double probabilities[] = {
+        -1.0, 0.0, 0x1.0p-60, 2e-4, 0.55, 0.7, 1.0 - 0x1.0p-53, 1.0, 2.0};
+    for (const double p : probabilities) {
+        const uint64_t t = Rng::Threshold53(p);
+        ASSERT_LE(t, kTop) << p;
+        for (const uint64_t m : {uint64_t{0}, t - 1, t, t + 1, kTop - 1}) {
+            if (m >= kTop) {
+                continue;  // Outside [0, 2^53), including t - 1 at t = 0.
+            }
+            const double u = static_cast<double>(m) * 0x1.0p-53;
+            EXPECT_EQ(m < t, u < p) << "p=" << p << " m=" << m;
+        }
+    }
+}
+
+/** The deep variant runs under the `fuzz` ctest label. */
+bool
+DeepFuzz()
+{
+    const char* env = std::getenv("SPUR_FUZZ_ITERATIONS");
+    return env != nullptr && std::atoll(env) >= 10000;
+}
+
+/** The least 53-bit draw whose Zipf index exceeds @p j, by bisection
+ *  of the formula alone (2^53 when none does). */
+uint64_t
+FormulaStep(uint64_t n, double exponent, uint64_t j)
+{
+    uint64_t lo = 0;                  // index(lo) <= j
+    uint64_t hi = uint64_t{1} << 53;  // index(hi) > j, or the end
+    while (hi - lo > 1) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        (ZipfIndex(n, exponent, mid) > j ? hi : lo) = mid;
+    }
+    return hi;
+}
+
+TEST(ZipfTableTest, TableEqualsFormula)
+{
+    // Every draw near a step of the formula, where a table and the
+    // formula could disagree, plus random draws through Sample() against
+    // Rng::NextZipf on twin generators.
+    constexpr uint64_t kTop = uint64_t{1} << 53;
+    const bool deep = DeepFuzz();
+    const uint64_t band = deep ? 3000 : 256;
+    const int draws = deep ? 1'000'000 : 100'000;
+    const uint64_t sizes[] = {2, 3, 8, 24, 96, 240, 900, 1400};
+    const double skews[] = {0.5, 0.85, 0.88, 0.95, 1.2};
+    for (const uint64_t n : sizes) {
+        for (const double skew : skews) {
+            const ZipfTable table(n, skew);
+            const double exponent = ZipfExponent(skew);
+            uint64_t mismatches = 0;
+            for (uint64_t j = 0; j + 1 < n; ++j) {
+                const uint64_t step = FormulaStep(n, exponent, j);
+                const uint64_t lo = (step > band) ? step - band : 0;
+                const uint64_t hi = std::min(step + band, kTop - 1);
+                for (uint64_t m = lo; m <= hi; ++m) {
+                    mismatches += table.Index(m) != ZipfIndex(n, exponent, m);
+                }
+            }
+            Rng formula(n * 31 + static_cast<uint64_t>(skew * 100));
+            Rng sampled = formula;
+            for (int i = 0; i < draws; ++i) {
+                mismatches +=
+                    table.Sample(sampled) != formula.NextZipf(n, skew);
+            }
+            EXPECT_EQ(formula.Next(), sampled.Next());
+            EXPECT_EQ(mismatches, 0u) << "n=" << n << " skew=" << skew;
+        }
+    }
+}
+
+TEST(ZipfTableTest, TinyWindowsConsumeNoDraw)
+{
+    for (const uint64_t n : {uint64_t{0}, uint64_t{1}}) {
+        const ZipfTable table(n, 0.88);
+        Rng rng(5);
+        Rng twin = rng;
+        EXPECT_EQ(table.Sample(rng), 0u);
+        EXPECT_EQ(twin.NextZipf(n, 0.88), 0u);
+        EXPECT_EQ(rng.Next(), twin.Next()) << n;
+    }
+}
+
+TEST(ZipfTableTest, FormulaOnlyTablesStillAgree)
+{
+    // skew < 0 gives an exponent below 1, where the table keeps no
+    // bounds and evaluates the formula on every draw.
+    const ZipfTable table(50, -0.5);
+    Rng formula(21);
+    Rng sampled = formula;
+    for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(table.Sample(sampled), formula.NextZipf(50, -0.5));
     }
 }
 

@@ -2,9 +2,9 @@
  * @file
  * The scenario library (DESIGN.md §19): per-scenario determinism (same
  * seed, same trace bytes), plausibility bounds tying each scenario to
- * the VAC behaviour it was built to stress, and a RealTreeIsClean-style
+ * the VAC behaviour it was built to stress, a RealTreeIsClean-style
  * registration check that every scenario is wired into run_all.sh and
- * the bench matrix.
+ * the bench matrix, and digests pinning every generated stream.
  */
 #include <gtest/gtest.h>
 
@@ -18,9 +18,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/framed_log.h"
 #include "src/core/experiment.h"
 #include "src/core/run_trace.h"
 #include "src/core/system.h"
+#include "src/workload/process.h"
 #include "src/workload/trace.h"
 #include "src/workload/workloads.h"
 
@@ -218,6 +220,224 @@ TEST(ScenarioLibraryTest, GcSweepTouchesALargeWorkingSet)
     // interactive mix is built from small processes.
     EXPECT_GT(gc_pages, size_t{1200});
     EXPECT_GT(gc_pages, 4 * ctx_pages);
+}
+
+// ---- Stream goldens -------------------------------------------------------
+//
+// The generator is pure (seed in, references out), so every byte of a
+// generated stream is pinned here: a change that moves any RNG draw,
+// reference or fall-through shows up as a digest mismatch.  Only a
+// deliberate generator change may re-pin these values.
+
+/** The FNV-1a64 digest in @p framed's E frame. */
+std::string
+EndFrameDigest(const std::string& framed)
+{
+    const std::string key = "\"digest\": \"";
+    const size_t at = framed.rfind(key);
+    if (at == std::string::npos) {
+        return "";
+    }
+    const size_t begin = at + key.size();
+    return framed.substr(begin, framed.find('"', begin) - begin);
+}
+
+TEST(GeneratedStreamGoldenTest, EveryWorkloadStreamIsPinned)
+{
+    const std::map<core::WorkloadId, std::string> expected = {
+        {core::WorkloadId::kWorkload1, "82cdf9629535dfcc"},
+        {core::WorkloadId::kSlc, "17a84d5d54b746c7"},
+        {core::WorkloadId::kDevMachine, "dd098f9879cbd37d"},
+        {core::WorkloadId::kCtxSwitch, "19e19a1ac6cfb931"},
+        {core::WorkloadId::kFlushStorm, "afcfac46a23198bf"},
+        {core::WorkloadId::kServerChurn, "d90cf4733bbdd1a6"},
+        {core::WorkloadId::kGcSweep, "fac613b310df9114"},
+    };
+    for (const core::WorkloadId id : core::kAllWorkloads) {
+        ASSERT_EQ(expected.count(id), 1u) << core::ToString(id);
+        EXPECT_EQ(EndFrameDigest(RecordStream(id)), expected.at(id))
+            << core::ToString(id);
+    }
+}
+
+/** FNV-1a64 over each reference's pid, address (little-endian) and
+ *  type byte. */
+uint64_t
+MixRefs(uint64_t digest, const MemRef* refs, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        char bytes[9];
+        for (int b = 0; b < 4; ++b) {
+            bytes[b] = static_cast<char>(refs[i].pid >> (8 * b));
+            bytes[4 + b] = static_cast<char>(refs[i].addr >> (8 * b));
+        }
+        bytes[8] = static_cast<char>(refs[i].type);
+        digest = framed_log::DigestBytes(digest, std::string_view(bytes, 9));
+    }
+    return digest;
+}
+
+constexpr uint64_t kEdgeRefs = 200'000;
+constexpr uint64_t kEdgeSeed = 7;
+
+/** Digest of the first kEdgeRefs references of one process, drawn in
+ *  batches of an odd size so batch ends fall at varied generator
+ *  states. */
+std::string
+EdgeDigest(const workload::ProcessProfile& profile)
+{
+    workload::CountingHost host(sim::MachineConfig::Prototype(8));
+    workload::SyntheticProcess process(host, profile, kEdgeSeed);
+    std::vector<MemRef> batch(1000);
+    uint64_t digest = framed_log::kDigestInit;
+    uint64_t total = 0;
+    while (total < kEdgeRefs) {
+        const size_t n = process.NextBatch(
+            batch.data(),
+            static_cast<size_t>(std::min<uint64_t>(batch.size(),
+                                                   kEdgeRefs - total)));
+        if (n == 0) {
+            break;
+        }
+        digest = MixRefs(digest, batch.data(), n);
+        total += n;
+    }
+    return framed_log::DigestHex(digest);
+}
+
+/** The edge profiles: each one drives a fall-through or boundary of
+ *  the generator that the shipped workloads may never reach. */
+std::vector<std::pair<std::string, workload::ProcessProfile>>
+EdgeProfiles()
+{
+    using workload::ProcessProfile;
+    std::vector<std::pair<std::string, ProcessProfile>> out;
+    const auto add = [&out](std::string name, auto edit) {
+        ProcessProfile profile;
+        edit(profile);
+        out.emplace_back(std::move(name), profile);
+    };
+    add("default", [](ProcessProfile&) {});
+    add("no-data", [](ProcessProfile& p) { p.data_pages = 0; });
+    add("no-heap", [](ProcessProfile& p) { p.heap_pages = 0; });
+    add("no-data-no-heap", [](ProcessProfile& p) {
+        p.data_pages = 0;
+        p.heap_pages = 0;
+    });
+    add("no-stack", [](ProcessProfile& p) { p.stack_pages = 0; });
+    add("one-stack-page", [](ProcessProfile& p) { p.stack_pages = 1; });
+    add("one-code-ws-page", [](ProcessProfile& p) { p.code_ws_pages = 1; });
+    add("no-ifetch", [](ProcessProfile& p) { p.frac_ifetch = 0; });
+    add("all-ifetch", [](ProcessProfile& p) { p.frac_ifetch = 1; });
+    add("never-slide", [](ProcessProfile& p) { p.ws_slide_prob = 0; });
+    add("always-slide", [](ProcessProfile& p) { p.ws_slide_prob = 1; });
+    add("file-writer", [](ProcessProfile& p) { p.w_file_write = 1.0; });
+    const auto only = [&add](std::string name, double ProcessProfile::*w) {
+        add(std::move(name), [w](ProcessProfile& p) {
+            p.w_seq_read = p.w_seq_write = p.w_rmw = p.w_scan_update =
+                p.w_rand = p.w_file_write = 0.0;
+            p.*w = 1.0;
+        });
+    };
+    only("only-seq-read", &ProcessProfile::w_seq_read);
+    only("only-seq-write", &ProcessProfile::w_seq_write);
+    only("only-rmw", &ProcessProfile::w_rmw);
+    only("only-scan-update", &ProcessProfile::w_scan_update);
+    only("only-rand", &ProcessProfile::w_rand);
+    only("only-file-write", &ProcessProfile::w_file_write);
+    add("scan-after-alloc", [](ProcessProfile& p) {
+        p.w_seq_read = p.w_rmw = p.w_rand = 0.0;
+    });
+    add("small-file-writer", [](ProcessProfile& p) {
+        p.data_pages = 3;
+        p.w_file_write = 1.0;
+    });
+    // One code page and no far jumps: every loop falls through until it
+    // wraps to text offset 0, the loop_base_ == 0 sentinel (DESIGN.md §6).
+    add("wrap-sentinel", [](ProcessProfile& p) {
+        p.code_pages = 1;
+        p.call_prob = 0.0;
+    });
+    add("skew-clamped", [](ProcessProfile& p) { p.zipf_skew = 0.99; });
+    add("skew-low", [](ProcessProfile& p) { p.zipf_skew = 0.5; });
+    return out;
+}
+
+TEST(GeneratedStreamGoldenTest, EdgeProfileStreamsArePinned)
+{
+    // only-scan-update equals only-rand: with no allocation front, a
+    // scan has no allocated page to walk and falls back to GenRand.
+    const std::map<std::string, std::string> expected = {
+        {"default", "094ea1874f9e1d5f"},
+        {"no-data", "5b6880391639e90c"},
+        {"no-heap", "9ccccfd7dca7d67e"},
+        {"no-data-no-heap", "979c03cc8244f5d3"},
+        {"no-stack", "f2f40fe8b45641ab"},
+        {"one-stack-page", "c85edea010241e31"},
+        {"one-code-ws-page", "8a0cb7afb499de50"},
+        {"no-ifetch", "4bd6d5cf45f2563e"},
+        {"all-ifetch", "021fa5b57cf4241d"},
+        {"never-slide", "04b4dc58cc3b9264"},
+        {"always-slide", "283e04541f8f6523"},
+        {"file-writer", "8f225fcfb75caa28"},
+        {"only-seq-read", "a9c6f05281ecc64a"},
+        {"only-seq-write", "b81e3965bbc6d014"},
+        {"only-rmw", "46de1148424fc289"},
+        {"only-scan-update", "6c9f02b411ebe3f2"},
+        {"only-rand", "6c9f02b411ebe3f2"},
+        {"only-file-write", "63b49a28ebbb34be"},
+        {"wrap-sentinel", "87eb671ed7fcc250"},
+        {"skew-clamped", "2cf3b69821059a9a"},
+        {"skew-low", "6d6945ee71c69541"},
+        {"scan-after-alloc", "19147b836ee5f1cc"},
+        {"small-file-writer", "589d0c5692e5bb74"},
+    };
+    for (const auto& [name, profile] : EdgeProfiles()) {
+        const auto it = expected.find(name);
+        ASSERT_NE(it, expected.end()) << name;
+        EXPECT_EQ(EdgeDigest(profile), it->second) << name;
+    }
+}
+
+TEST(GeneratedStreamGoldenTest, LifetimeEndsMidBatch)
+{
+    workload::ProcessProfile profile;
+    profile.lifetime_refs = 123'457;
+    workload::CountingHost host(sim::MachineConfig::Prototype(8));
+    workload::SyntheticProcess process(host, profile, kEdgeSeed);
+    std::vector<MemRef> batch(1000);
+    uint64_t digest = framed_log::kDigestInit;
+    std::vector<size_t> sizes;
+    while (const size_t n = process.NextBatch(batch.data(), batch.size())) {
+        digest = MixRefs(digest, batch.data(), n);
+        sizes.push_back(n);
+    }
+    ASSERT_EQ(sizes.size(), 124u);
+    EXPECT_EQ(sizes.back(), 457u);  // The short final batch.
+    EXPECT_TRUE(process.Done());
+    EXPECT_EQ(process.refs_issued(), profile.lifetime_refs);
+    EXPECT_EQ(framed_log::DigestHex(digest), "a0d6a15fab778b0a");
+}
+
+TEST(GeneratedStreamGoldenTest, NextMatchesNextBatch)
+{
+    // Next() is the one-reference form of the same generator.
+    for (const auto& [name, profile] : EdgeProfiles()) {
+        workload::CountingHost host_a(sim::MachineConfig::Prototype(8));
+        workload::CountingHost host_b(sim::MachineConfig::Prototype(8));
+        workload::SyntheticProcess a(host_a, profile, kEdgeSeed);
+        workload::SyntheticProcess b(host_b, profile, kEdgeSeed);
+        std::vector<MemRef> batch(777);
+        for (int round = 0; round < 20; ++round) {
+            ASSERT_EQ(b.NextBatch(batch.data(), batch.size()), batch.size());
+            for (const MemRef& want : batch) {
+                const MemRef got = a.Next();
+                ASSERT_EQ(got.pid, want.pid) << name;
+                ASSERT_EQ(got.addr, want.addr) << name;
+                ASSERT_EQ(got.type, want.type) << name;
+            }
+        }
+    }
 }
 
 // ---- Registration (RealTreeIsClean-style) -----------------------------
