@@ -76,7 +76,7 @@ bool ParseUnsigned(const std::string& text, uint64_t* out);
 
 // ---------------------------------------------------------------------------
 // Unified --help / usage rendering.  Every subcommand tool (spur_sweep,
-// spur_lint, spur_model, spur_serve) declares its commands as data and
+// spur_lint, spur_model, spur_trace) declares its commands as data and
 // renders them through FormatToolUsage, so flag docs line up the same
 // way in every tool instead of each hand-wrapping its own string.
 // ---------------------------------------------------------------------------

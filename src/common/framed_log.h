@@ -1,10 +1,9 @@
 /**
  * @file
- * The framed-log codec under SPUR-STREAM/1 (src/sweep/stream.h),
- * SPUR-TRACE/1 (src/workload/trace.h) and SPUR-SERVE/1
- * (src/serve/proto.h), DESIGN.md §20.
+ * The framed-log codec under SPUR-STREAM/1 (src/sweep/stream.h) and
+ * SPUR-TRACE/1 (src/workload/trace.h), DESIGN.md §20.
  *
- * Every one of those formats is a magic line followed by frames
+ * Both formats are a magic line followed by frames
  *
  *     <tag> <len>\n<payload>\n
  *

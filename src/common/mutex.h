@@ -22,7 +22,6 @@
 #ifndef SPUR_COMMON_MUTEX_H_
 #define SPUR_COMMON_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -83,20 +82,6 @@ class CondVar
      * from a while loop re-checking the guarded condition.
      */
     void Wait(Mutex& mutex) SPUR_REQUIRES(mutex) { cv_.wait(mutex); }
-
-    /**
-     * Wait() with a wakeup after at most @p timeout_ms milliseconds,
-     * for callers that must re-check external state (a cancelled
-     * client, a drain request) even when nobody notifies.  Spurious and
-     * timeout wakeups are indistinguishable by design — always re-check
-     * the guarded condition in a loop.  The timeout is scheduling, not
-     * data: it can never influence result bytes, which is why this does
-     * not count as a wall-clock read (DESIGN.md §13).
-     */
-    void WaitFor(Mutex& mutex, int timeout_ms) SPUR_REQUIRES(mutex)
-    {
-        cv_.wait_for(mutex, std::chrono::milliseconds(timeout_ms));
-    }
 
     void NotifyOne() { cv_.notify_one(); }
     void NotifyAll() { cv_.notify_all(); }

@@ -656,26 +656,14 @@ ScanCxx(const std::string& path, const std::vector<std::string>& code)
             }
             held.push_back({node, tokens[i].line, scopes.size(), context});
             i = close;
-        } else if ((t == "Wait" || t == "WaitFor") &&
-                   i + 1 < tokens.size() && tokens[i + 1].text == "(") {
+        } else if (t == "Wait" && i + 1 < tokens.size() &&
+                   tokens[i + 1].text == "(") {
             const size_t close = MatchParen(tokens, i + 1);
             if (close == std::string::npos) {
                 continue;
             }
-            size_t arg_end = i + 2;
-            int depth = 0;
-            for (; arg_end < close; ++arg_end) {
-                const std::string& e = tokens[arg_end].text;
-                if (e == "(" || e == "[" || e == "{") {
-                    ++depth;
-                } else if (e == ")" || e == "]" || e == "}") {
-                    --depth;
-                } else if (e == "," && depth == 0) {
-                    break;  // WaitFor(mutex, timeout_ms)
-                }
-            }
             const std::string node =
-                normalize_lock(JoinExpr(tokens, i + 2, arg_end));
+                normalize_lock(JoinExpr(tokens, i + 2, close));
             const size_t context = current_context();
             for (const HeldLock& h : held) {
                 if (h.context == context && h.node != node) {

@@ -123,7 +123,7 @@ struct LockEdge {
     size_t first_line = 0;  ///< Where @c first was acquired.
     size_t line = 0;        ///< Where @c second was acquired / waited on.
     std::string function;   ///< Enclosing function of the site.
-    bool wait = false;      ///< Edge came from CondVar::Wait/WaitFor.
+    bool wait = false;      ///< Edge came from CondVar::Wait.
 };
 
 /** Everything one file contributes to the cross-file passes. */

@@ -3,7 +3,7 @@
  * Static lock-order deadlock detection (DESIGN.md §18).
  *
  * The scanner (cxx_scan.h) reports every site that acquires a
- * spur::MutexLock — or blocks in CondVar::Wait/WaitFor — while already
+ * spur::MutexLock — or blocks in CondVar::Wait — while already
  * holding another lock in the same function context.  Each such pair is
  * an edge `held -> acquired` in a global lock-order graph; a cycle in
  * that graph means two code paths take the same locks in opposite

@@ -93,7 +93,7 @@ ParseStreamHeader(const std::string& payload, stats::DocumentMeta* meta,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Payloads (shared with src/serve/)
+// Payloads
 // ---------------------------------------------------------------------------
 
 std::string

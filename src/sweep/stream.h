@@ -51,11 +51,10 @@ inline constexpr int kStreamVersion = 1;
 /** First line of every stream file. */
 inline constexpr char kStreamMagic[] = "SPUR-STREAM/1\n";
 
-// Payload encoding, shared by StreamWriter (fsync'd files) and the sweep
-// service (src/serve/), whose reply to a client is exactly the bytes a
-// local --stream run would have written.  Both producers frame these
-// payloads with framed_log::EncodeFrame and digest the record payloads
-// with framed_log::DigestMix.
+// Payload encoding used by StreamWriter, which frames these payloads with
+// framed_log::EncodeFrame and digests the record payloads with
+// framed_log::DigestMix.  Public so tests can build streams byte for
+// byte without a writer.
 
 /** The header-frame payload (stream version, bench, shard K/N). */
 std::string EncodeStreamHeaderPayload(const std::string& bench,

@@ -2,15 +2,12 @@
  * @file
  * Tests for the framed-log codec (src/common/framed_log.h, DESIGN.md
  * §20) and for the properties every format built on it inherits: the
- * canonical-length rule in each consumer (SPUR-STREAM/1, SPUR-TRACE/1,
- * SPUR-SERVE/1) and the durable appender behind both file writers.
+ * canonical-length rule in each consumer (SPUR-STREAM/1, SPUR-TRACE/1)
+ * and the durable appender behind both file writers.
  * The seeded frame-level fuzzer lives with the other fuzzers in
  * tests/json_fuzz_test.cc.
  */
 #include <gtest/gtest.h>
-
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -22,7 +19,6 @@
 #include <string_view>
 
 #include "src/common/framed_log.h"
-#include "src/serve/proto.h"
 #include "src/stats/run_record.h"
 #include "src/sweep/stream.h"
 #include "src/workload/trace.h"
@@ -60,23 +56,6 @@ PaddedStream()
     return bytes.substr(0, length) + "0" + bytes.substr(length);
 }
 
-/** Feeds @p bytes to a FrameReader over a socket pair. */
-bool
-ServeReadsFrame(const std::string& bytes, std::string* error)
-{
-    int fds[2];
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    EXPECT_EQ(::write(fds[1], bytes.data(), bytes.size()),
-              static_cast<ssize_t>(bytes.size()));
-    ::close(fds[1]);
-    serve::FrameReader reader(fds[0]);
-    char tag = '\0';
-    std::string payload;
-    const bool ok = reader.ReadFrame(&tag, &payload, 1000, error);
-    ::close(fds[0]);
-    return ok;
-}
-
 TEST(FramedLogTest, ZeroPaddedLengthIsCorruptInEveryConsumer)
 {
     std::string trace = workload::EncodeTraceFile({});
@@ -93,10 +72,6 @@ TEST(FramedLogTest, ZeroPaddedLengthIsCorruptInEveryConsumer)
         {"trace H frame",
          [&trace](std::string* error) {
              return workload::RecoverTraceBytes(trace, error).has_value();
-         }},
-        {"serve frame",
-         [](std::string* error) {
-             return ServeReadsFrame("Q 05\nhello\n", error);
          }},
     };
     for (const auto& c : cases) {

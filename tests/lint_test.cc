@@ -7,10 +7,12 @@
 //
 // NOTE: this file's path is rule-exempt (see RuleExempt in lint.cc), so
 // it may spell forbidden tokens when building inline file contents.
+#include "src/lint/include_graph.h"
 #include "src/lint/lint.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -22,6 +24,7 @@ namespace {
 using spur::lint::AllowSite;
 using spur::lint::FormatViolation;
 using spur::lint::FormatViolationJson;
+using spur::lint::LayerManifest;
 using spur::lint::Linter;
 using spur::lint::LintReport;
 using spur::lint::NormalizePath;
@@ -95,10 +98,6 @@ constexpr SeededFixture kSeeded[] = {
     {"bench/no_session.cc", "bench-session"},
     {"hot_path_virtual.cc", "no-virtual-in-hot-path"},
     {"raw_meta_violation.cc", "no-raw-meta-bits"},
-    // Serve code gets no wall-clock whitelist: its deadline reads are
-    // legal only behind a scoped allow (src/serve/proto.cc); without
-    // the marker the rule must still fire.
-    {"src/serve/deadline_violation.cc", "no-wallclock"},
     // The semantic passes: each seeded fixture trips exactly one of
     // the cross-file rules.
     {"src/cache/layer_breach.cc", "layering"},
@@ -139,7 +138,7 @@ TEST(LintTest, CleanFixturesPass)
 {
     for (const char* fixture :
          {"clean.cc", "suppressed_ok.cc", "hot_path_ok.cc",
-          "src/sweep/telemetry.cc", "src/serve/deadline_ok.cc"}) {
+          "src/sweep/telemetry.cc"}) {
         const std::vector<Violation> violations = LintFixture(fixture);
         for (const Violation& violation : violations) {
             ADD_FAILURE() << fixture << ": " << FormatViolation(violation);
@@ -340,6 +339,21 @@ TEST(LintTest, ConsistentLockOrderIsNotACycle)
     EXPECT_TRUE(linter.Run().empty());
 }
 
+TEST(LintTest, WaitWhileHoldingALockIsAnOrderEdge)
+{
+    // CondVar::Wait(m) re-acquires m, so waiting on g_y while holding
+    // g_x orders g_x before g_y; B's opposite nesting closes the cycle.
+    Linter linter;
+    linter.AddFile("src/core/waits.cc",
+                   "void A() { MutexLock a(g_x); g_cv.Wait(g_y); }\n"
+                   "void B() { MutexLock a(g_y); MutexLock b(g_x); }\n");
+    const std::vector<Violation> violations = linter.Run();
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations[0].rule, "lock-order");
+    EXPECT_NE(violations[0].message.find("(wait)"), std::string::npos)
+        << violations[0].message;
+}
+
 TEST(LintTest, SwitchWithDefaultOrFullCoverageIsExempt)
 {
     Linter linter;
@@ -434,6 +448,33 @@ TEST(LintTest, RealTreeIsClean)
     }
 }
 
+TEST(LintTest, ManifestMatchesSourceTree)
+{
+    // A subsystem deleted from src/ must leave LAYERS.toml with it, and
+    // a new one must be declared there: the layering pass alone checks
+    // neither a stale entry nor one whose files are all gone.
+    LayerManifest manifest;
+    std::string error;
+    ASSERT_TRUE(spur::lint::LoadLayerManifest(SourceRootPath("LAYERS.toml"),
+                                              &manifest, &error))
+        << error;
+    std::set<std::string> declared;
+    for (const auto& [subsystem, deps] : manifest.deps) {
+        declared.insert(subsystem);
+    }
+    for (const char* shell : {"tools", "bench", "examples", "tests"}) {
+        EXPECT_EQ(declared.erase(shell), 1u) << shell;
+    }
+    std::set<std::string> on_disk;
+    for (const std::filesystem::directory_entry& entry :
+         std::filesystem::directory_iterator(SourceRootPath("src"))) {
+        if (entry.is_directory()) {
+            on_disk.insert(entry.path().filename().string());
+        }
+    }
+    EXPECT_EQ(declared, on_disk);
+}
+
 TEST(LintTest, ParallelAnalyzeIsByteIdenticalToSequential)
 {
     // The determinism contract applied to the linter itself: the whole
@@ -497,7 +538,7 @@ TEST(LintTest, ReportInventoriesAllowSitesWithLiveness)
             << error;
     }
     const LintReport report = linter.Analyze();
-    ASSERT_EQ(report.allows.size(), 2u);
+    ASSERT_EQ(report.allows.size(), 3u);
     EXPECT_EQ(report.allows[0].file, "tests/lint_fixtures/dead_allow.cc");
     EXPECT_EQ(report.allows[0].rule, "no-rand");
     EXPECT_FALSE(report.allows[0].used);
@@ -505,6 +546,10 @@ TEST(LintTest, ReportInventoriesAllowSitesWithLiveness)
               "tests/lint_fixtures/suppressed_ok.cc");
     EXPECT_EQ(report.allows[1].rule, "no-rand");
     EXPECT_TRUE(report.allows[1].used);
+    EXPECT_EQ(report.allows[2].file,
+              "tests/lint_fixtures/suppressed_ok.cc");
+    EXPECT_EQ(report.allows[2].rule, "no-wallclock");
+    EXPECT_TRUE(report.allows[2].used);
 }
 
 }  // namespace

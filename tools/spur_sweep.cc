@@ -30,19 +30,6 @@
  *       Corruption (anything truncation cannot explain) is a hard
  *       error, exit 1.
  *
- *   spur_sweep submit --socket=PATH --save=FILE [--out=FILE] REQUEST
- *   spur_sweep wait   --socket=PATH --save=FILE [--out=FILE] REQUEST
- *       Client side of the sweep service (DESIGN.md §17).  submit sends
- *       the request to a spur_serve daemon and streams the reply into
- *       --save; on a complete reply it writes the recovered document to
- *       --out and exits 0.  A rejected request exits 3 (reason on
- *       stderr); a torn connection exits 4, leaving --save holding every
- *       byte received so far.  wait is the resume path: it requires
- *       --save to exist (from an earlier torn submit) and re-submits
- *       with that prefix, so the daemon skips the records the client
- *       already holds.  A save file that already carries a verified
- *       trailer completes locally without contacting the daemon.
- *
  *   spur_sweep audit [--strict] FILE...
  *       Re-runs the MIN / NOREF dominance audits over the records of a
  *       (merged) sweep document — the post-hoc audit for sharded sweeps,
@@ -59,8 +46,6 @@
 
 #include "src/audit/doc_audit.h"
 #include "src/common/args.h"
-#include "src/serve/client.h"
-#include "src/serve/request.h"
 #include "src/stats/run_record.h"
 #include "src/sweep/diff.h"
 #include "src/sweep/merge.h"
@@ -71,7 +56,6 @@ namespace {
 using spur::IsFlagArg;
 using spur::MatchFlag;
 using spur::ParsePositiveDouble;
-using spur::ParseUnsigned;
 using spur::ToolCommand;
 using spur::sweep::DiffOptions;
 using spur::sweep::DiffTelemetry;
@@ -112,17 +96,6 @@ Usage()
          "turn a --stream file (possibly truncated by a crash) into a "
          "sweep document for --resume",
          {{"--out=FILE", "write the document here (default '-')"}}},
-        {"submit --socket=PATH --save=FILE [options] REQUEST",
-         "send a sweep request to a spur_serve daemon, streaming the "
-         "reply into --save; exit 0 complete, 3 rejected, 4 torn",
-         {{"--socket=PATH", "daemon Unix-domain socket"},
-          {"--save=FILE", "resumable reply stream (kept on tear)"},
-          {"--out=FILE", "write the completed document here"},
-          {"--timeout-ms=N", "per-read reply timeout (default 60000)"}}},
-        {"wait --socket=PATH --save=FILE [options] REQUEST",
-         "resume a torn submit: re-send with the records already in "
-         "--save so the daemon skips them; same flags and exits",
-         {}},
         {"audit [--strict] FILE...",
          "re-run MIN/NOREF dominance audits over (merged) document "
          "records; exit 1 on errors",
@@ -131,10 +104,27 @@ Usage()
     std::cerr << spur::FormatToolUsage(
         "spur_sweep",
         "Sweep document tool: validate, merge and audit distributed "
-        "sweep output,\nrecover crashed --stream files, and talk to the "
-        "spur_serve sweep service.",
+        "sweep output,\nand recover crashed --stream files.",
         commands);
     return 2;
+}
+
+/** Writes @p json to @p out_path ('-' = stdout); returns the exit code. */
+int
+WriteDocument(const std::string& json, const std::string& out_path)
+{
+    if (out_path == "-") {
+        std::cout << json;
+        return 0;
+    }
+    std::ofstream out(out_path, std::ios::binary);
+    out << json;
+    out.flush();
+    if (!out) {
+        std::cerr << "spur_sweep: failed to write " << out_path << "\n";
+        return 1;
+    }
+    return 0;
 }
 
 int
@@ -208,19 +198,7 @@ Merge(const std::vector<std::string>& args)
         return 1;
     }
 
-    const std::string json = spur::sweep::ToJson(*merged);
-    if (out_path == "-") {
-        std::cout << json;
-        return 0;
-    }
-    std::ofstream out(out_path, std::ios::binary);
-    out << json;
-    out.flush();
-    if (!out) {
-        std::cerr << "spur_sweep: failed to write " << out_path << "\n";
-        return 1;
-    }
-    return 0;
+    return WriteDocument(spur::sweep::ToJson(*merged), out_path);
 }
 
 int
@@ -315,120 +293,7 @@ Recover(const std::vector<std::string>& args)
     std::cerr << "spur_sweep: " << paths[0] << ": " << recovered->note
               << "\n";
 
-    const std::string json = spur::sweep::ToJson(recovered->document);
-    if (out_path == "-") {
-        std::cout << json;
-        return 0;
-    }
-    std::ofstream out(out_path, std::ios::binary);
-    out << json;
-    out.flush();
-    if (!out) {
-        std::cerr << "spur_sweep: failed to write " << out_path << "\n";
-        return 1;
-    }
-    return 0;
-}
-
-/** Writes @p json to @p out_path ('-' = stdout); returns the exit code. */
-int
-WriteDocument(const std::string& json, const std::string& out_path)
-{
-    if (out_path == "-") {
-        std::cout << json;
-        return 0;
-    }
-    std::ofstream out(out_path, std::ios::binary);
-    out << json;
-    out.flush();
-    if (!out) {
-        std::cerr << "spur_sweep: failed to write " << out_path << "\n";
-        return 1;
-    }
-    return 0;
-}
-
-/**
- * Shared body of submit and wait — the only difference is that wait
- * (@p resume true) requires the save file to already exist, making a
- * typo'd --save an error instead of a silent from-scratch run.
- */
-int
-Submit(const std::vector<std::string>& args, bool resume)
-{
-    const char* verb = resume ? "wait" : "submit";
-    spur::serve::SubmitOptions options;
-    std::string save_path;
-    std::string out_path;
-    std::vector<std::string> paths;
-    std::string value;
-    for (const std::string& arg : args) {
-        if (MatchFlag(arg, "socket", &value)) {
-            options.socket_path = value;
-        } else if (MatchFlag(arg, "save", &value)) {
-            save_path = value;
-        } else if (MatchFlag(arg, "out", &value)) {
-            out_path = value;
-        } else if (MatchFlag(arg, "timeout-ms", &value)) {
-            uint64_t number = 0;
-            if (!ParseUnsigned(value, &number) || number == 0 ||
-                number > (1u << 30)) {
-                std::cerr << "spur_sweep: bad --timeout-ms value in '"
-                          << arg << "'\n";
-                return 2;
-            }
-            options.timeout_ms = static_cast<int>(number);
-        } else if (IsFlagArg(arg)) {
-            std::cerr << "spur_sweep: unknown " << verb << " option '"
-                      << arg << "'\n";
-            return 2;
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.size() != 1 || options.socket_path.empty() ||
-        save_path.empty()) {
-        return Usage();
-    }
-    if (resume) {
-        std::ifstream probe(save_path, std::ios::binary);
-        if (!probe) {
-            std::cerr << "spur_sweep: wait: no save file at " << save_path
-                      << " (nothing to resume)\n";
-            return 1;
-        }
-    }
-
-    std::string error;
-    const std::optional<spur::serve::SweepRequest> request =
-        spur::serve::LoadRequestFile(paths[0], &error);
-    if (!request) {
-        std::cerr << "spur_sweep: " << error << "\n";
-        return 1;
-    }
-    const std::optional<spur::serve::SubmitResult> result =
-        spur::serve::SubmitRequest(*request, options, save_path, &error);
-    if (!result) {
-        std::cerr << "spur_sweep: " << verb << ": " << error << "\n";
-        return 1;
-    }
-    if (!result->accepted) {
-        std::cerr << "spur_sweep: request rejected: "
-                  << result->reject_reason << "\n";
-        return 3;
-    }
-    if (!result->complete) {
-        std::cerr << "spur_sweep: connection torn after "
-                  << result->records << " records; " << save_path
-                  << " holds the prefix (resume with 'spur_sweep wait')\n";
-        return 4;
-    }
-    std::cerr << "spur_sweep: complete (" << result->records
-              << " records)\n";
-    if (out_path.empty()) {
-        return 0;
-    }
-    return WriteDocument(spur::sweep::ToJson(result->document), out_path);
+    return WriteDocument(spur::sweep::ToJson(recovered->document), out_path);
 }
 
 int
@@ -510,12 +375,6 @@ main(int argc, char** argv)
     }
     if (mode == "recover") {
         return Recover(rest);
-    }
-    if (mode == "submit") {
-        return Submit(rest, /*resume=*/false);
-    }
-    if (mode == "wait") {
-        return Submit(rest, /*resume=*/true);
     }
     if (mode == "audit") {
         return Audit(rest);
