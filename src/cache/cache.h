@@ -183,20 +183,6 @@ class LineRef : public ConstLineRef
             static_cast<uint8_t>(CoherencyState::kOwnedExclusive));
     }
 
-    /**
-     * MarkWritten() iff @p is_write, as one unconditional
-     * read-modify-write (a no-op OR when false).  Batch loops use this
-     * so the hit path carries no data-dependent write branch.
-     */
-    void MarkWrittenIf(bool is_write)
-    {
-        const uint8_t bits = static_cast<uint8_t>(
-            (meta::kBlockDirtyBit |
-             static_cast<uint8_t>(CoherencyState::kOwnedExclusive)) &
-            -static_cast<int>(is_write));
-        *mutable_meta() = static_cast<uint8_t>(*meta_ | bits);
-    }
-
     /** Overwrites the whole line from a snapshot. */
     void Set(const Line& line)
     {

@@ -295,28 +295,28 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
             if ((m & cache::meta::kStateMask) != 0 &&
                 hv.tags[index] == tag) {
                 ++hits;
-                // Branch-free hit tail: the random read/write mix makes
-                // a per-type branch mispredict-prone, so the write
-                // marking is an unconditional masked OR and the Table
-                // 3.3 N_w-hit count a register accumulator.  Only the
-                // rare non-fast-path write (first write under a lazy
-                // dirty policy) takes a branch.
-                const bool is_write = (ref.type == AccessType::kWrite);
-                clean_write_hits += static_cast<uint64_t>(
-                    // spur-lint: allow(no-raw-meta-bits) — hot loop
-                    is_write && (m & cache::meta::kBlockDirtyBit) == 0);
-                cache::LineRef line(&hv.tags[index], &hv.meta[index]);
-                if (is_write &&
-                    !policy::DirtyOps<D>::WriteHitFastPath(line)) {
-                    WriteHitSlow<D, R, false>(line, gva);
-                    continue;
+                // Hit tail: fetches and reads store nothing, so
+                // consecutive references to one block never chain a
+                // metadata store into the next tag check.  A write counts
+                // the Table 3.3 N_w-hit population, then either takes the
+                // fast path (B set, CS promoted to OwnedExclusive: one OR
+                // into the packed byte) or, under a lazy dirty policy's
+                // first write, the slow path.
+                if (ref.type == AccessType::kWrite) {
+                    clean_write_hits += static_cast<uint64_t>(
+                        // spur-lint: allow(no-raw-meta-bits) — hot loop
+                        (m & cache::meta::kBlockDirtyBit) == 0);
+                    cache::LineRef line(&hv.tags[index], &hv.meta[index]);
+                    if (!policy::DirtyOps<D>::WriteHitFastPath(line)) {
+                        WriteHitSlow<D, R, false>(line, gva);
+                        continue;
+                    }
+                    hv.meta[index] = static_cast<uint8_t>(
+                        // spur-lint: allow(no-raw-meta-bits) — hot loop
+                        m | cache::meta::kBlockDirtyBit |
+                        static_cast<uint8_t>(
+                            cache::CoherencyState::kOwnedExclusive));
                 }
-                hv.meta[index] = static_cast<uint8_t>(
-                    // spur-lint: allow(no-raw-meta-bits) — hot loop
-                    m | ((cache::meta::kBlockDirtyBit |
-                          static_cast<uint8_t>(
-                              cache::CoherencyState::kOwnedExclusive)) &
-                         -static_cast<int>(is_write)));
                 continue;
             }
             events.Add(MissEvent(ref.type));

@@ -1,23 +1,27 @@
 #include "src/pt/page_table.h"
 
+#include <bit>
+
 namespace spur::pt {
 
-namespace {
-
-/** Fibonacci mix so nearby second-level indices land in distinct slots. */
-inline uint64_t
-MixIndex(uint64_t index)
+uint64_t
+PageTable::Home(const std::vector<Slot>& slots, uint64_t index)
 {
-    return index * uint64_t{0x9E3779B97F4A7C15};
+    // Fibonacci hashing, taking the product's *top* log2(size) bits:
+    // they depend on every bit of the index, while its low bits depend
+    // only on the index's own low bits.  Table pages at one in-segment
+    // offset across many segments differ only in their high index bits
+    // (WORKLOAD1's processes lay out every segment alike), so a low-bit
+    // hash piles them into one linear-probe run.
+    const auto bits = static_cast<unsigned>(std::countr_zero(slots.size()));
+    return (index * uint64_t{0x9E3779B97F4A7C15}) >> (64 - bits);
 }
-
-}  // namespace
 
 PageTable::Slot&
 PageTable::Probe(std::vector<Slot>& slots, uint64_t index)
 {
     const uint64_t mask = slots.size() - 1;
-    uint64_t i = MixIndex(index) & mask;
+    uint64_t i = Home(slots, index);
     while (slots[i].page != nullptr && slots[i].index != index) {
         i = (i + 1) & mask;
     }
@@ -85,6 +89,16 @@ PageTable::ForEachPte(
             fn(base + i, (*slot.page)[i]);
         }
     }
+}
+
+size_t
+PageTable::ProbeLength(GlobalVpn vpn) const
+{
+    const uint64_t index = SecondLevelIndex(vpn);
+    const Slot& slot =
+        Probe(const_cast<std::vector<Slot>&>(slots_), index);
+    const uint64_t at = static_cast<uint64_t>(&slot - slots_.data());
+    return ((at - Home(slots_, index)) & (slots_.size() - 1)) + 1;
 }
 
 size_t

@@ -120,6 +120,13 @@ class PageTable
     /** Number of *valid* (resident) PTEs across all table pages. */
     size_t NumValidPtes() const;
 
+    /**
+     * Slots the second-level probe examines for @p vpn, counting the
+     * match or the empty slot that ends the walk (1 = its home slot).
+     * A diagnostic of the hash's spread; bypasses the MRU entry.
+     */
+    size_t ProbeLength(GlobalVpn vpn) const;
+
   private:
     using TablePage = std::array<Pte, kPtesPerPage>;
 
@@ -138,6 +145,9 @@ class PageTable
 
     /** Table lookup/creation behind the MRU fast path. */
     Pte& EnsureSlow(GlobalVpn vpn);
+
+    /** Position @p index hashes to in @p slots (its home slot). */
+    static uint64_t Home(const std::vector<Slot>& slots, uint64_t index);
 
     /** Slot for @p index in @p slots (match or first empty). */
     static Slot& Probe(std::vector<Slot>& slots, uint64_t index);

@@ -236,9 +236,9 @@ RunDifferential(const sim::MachineConfig& config, uint64_t num_ops,
         const uint64_t dice = rng.NextBelow(100);
         if (dice < 55) {
             // Lookup, optionally marking the hit written — the
-            // read/write hit path.  Odd ops route the write through
-            // MarkWrittenIf (the branchless batch-loop flavour) and
-            // also cross-check the HotView fast path against Lookup.
+            // read/write hit path.  Odd ops route the write through the
+            // HotView line (the batch-loop flavour) and also
+            // cross-check the HotView fast path against Lookup.
             LineRef line = vcache.Lookup(addr);
             Line* ref = model.Lookup(addr);
             ASSERT_EQ(static_cast<bool>(line), ref != nullptr)
@@ -252,13 +252,12 @@ RunDifferential(const sim::MachineConfig& config, uint64_t num_ops,
             if (line) {
                 ASSERT_EQ(line.tag(), ref->tag);
                 ASSERT_EQ(line.block_dirty(), ref->block_dirty);
-                if ((op & 1) != 0) {
-                    hv_line.MarkWrittenIf(is_write);
-                    if (is_write) {
-                        AosReferenceCache::MarkWritten(*ref);
+                if (is_write) {
+                    if ((op & 1) != 0) {
+                        hv_line.MarkWritten();
+                    } else {
+                        VirtualCache::MarkWritten(line);
                     }
-                } else if (is_write) {
-                    VirtualCache::MarkWritten(line);
                     AosReferenceCache::MarkWritten(*ref);
                 }
             }

@@ -5,11 +5,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
+#include "src/common/random.h"
 #include "src/pt/page_table.h"
 #include "src/pt/segment_map.h"
 
 namespace spur::pt {
 namespace {
+
+/** 4 KB pages: one page of 4-byte PTEs maps kPtesPerPage of them. */
+constexpr unsigned kPageShift = 12;
 
 // ---------------------------------------------------------------------------
 // SegmentMap
@@ -165,6 +173,104 @@ TEST(PageTableTest, PteSegmentIsAboveUserSegments)
         }
     }
     EXPECT_LT(max_segment, kPteSegment);
+}
+
+TEST(PageTableTest, SameOffsetsAcrossSegmentsProbeInConstantTime)
+{
+    // WORKLOAD1's shape: every process lays out its four segments alike,
+    // so table pages sit at the same in-segment offsets across many
+    // segments and their second-level indices differ only in high bits.
+    // A hash that reads the index's low bits piles them into one
+    // linear-probe run; linear probing at the table's 50% load bound
+    // expects 1.5 slots per successful probe.
+    SegmentMap map;
+    PageTable table;
+    std::vector<GlobalVpn> vpns;
+    for (int p = 0; p < 16; ++p) {
+        const Pid pid = map.CreateProcess();
+        for (unsigned reg = 0; reg < kSegmentsPerProcess; ++reg) {
+            for (const ProcessAddr offset :
+                 {0x00000000u, 0x00400000u, 0x00800000u, 0x3FC00000u}) {
+                const ProcessAddr addr =
+                    (static_cast<ProcessAddr>(reg) << kSegmentShift) |
+                    offset;
+                vpns.push_back(map.ToGlobal(pid, addr) >> kPageShift);
+                table.Ensure(vpns.back());
+            }
+        }
+    }
+    ASSERT_EQ(table.NumTablePages(), vpns.size());  // 64 segments x 4.
+    size_t total = 0;
+    size_t longest = 0;
+    for (const GlobalVpn vpn : vpns) {
+        const size_t length = table.ProbeLength(vpn);
+        total += length;
+        longest = std::max(longest, length);
+    }
+    const double mean =
+        static_cast<double>(total) / static_cast<double>(vpns.size());
+    EXPECT_LT(mean, 2.0) << "longest probe " << longest;
+}
+
+TEST(PageTableTest, MatchesAnOrderedMapAcrossGrowth)
+{
+    // Differential test against std::map over seeded Ensure/Find/
+    // FindMutable calls.  Enough distinct table pages are created to
+    // cross several Grow() steps (64 -> 128 -> 256 -> 512 slots).
+    Rng rng(17);
+    PageTable table;
+    std::map<GlobalVpn, Pte> written;    // PTEs the test has set.
+    std::set<uint64_t> pages;            // Table pages created.
+    const auto random_vpn = [&rng]() -> GlobalVpn {
+        const uint64_t segment = 1 + rng.NextBelow(48);
+        const uint64_t table_page = rng.NextBelow(12);
+        return (segment << (kSegmentShift - kPageShift)) +
+               table_page * kPtesPerPage + rng.NextBelow(kPtesPerPage);
+    };
+    const auto expected = [&](GlobalVpn vpn) -> Pte {
+        const auto it = written.find(vpn);
+        return it == written.end() ? Pte{} : it->second;
+    };
+    for (int op = 0; op < 20000; ++op) {
+        const GlobalVpn vpn = random_vpn();
+        const bool mapped =
+            pages.count(PageTable::SecondLevelIndex(vpn)) != 0;
+        const uint64_t dice = rng.NextBelow(3);
+        if (dice == 0) {
+            const Pte value(static_cast<uint32_t>(rng.Next()));
+            table.Ensure(vpn) = value;
+            written[vpn] = value;
+            pages.insert(PageTable::SecondLevelIndex(vpn));
+        } else if (dice == 1) {
+            const Pte* pte = table.Find(vpn);
+            ASSERT_EQ(pte != nullptr, mapped) << "op " << op;
+            if (pte != nullptr) {
+                ASSERT_EQ(*pte, expected(vpn)) << "op " << op;
+            }
+        } else {
+            Pte* pte = table.FindMutable(vpn);
+            ASSERT_EQ(pte != nullptr, mapped) << "op " << op;
+            if (pte != nullptr) {
+                ASSERT_EQ(*pte, expected(vpn)) << "op " << op;
+                pte->set_referenced(true);
+                written[vpn] = *pte;
+            }
+        }
+        ASSERT_EQ(table.NumTablePages(), pages.size()) << "op " << op;
+    }
+    ASSERT_GT(pages.size(), 256u);  // Grew to 1024 slots.
+
+    // ForEachPte visits every PTE of exactly the created pages, once.
+    std::map<uint64_t, size_t> visits;
+    table.ForEachPte([&](GlobalVpn vpn, const Pte& pte) {
+        ++visits[PageTable::SecondLevelIndex(vpn)];
+        EXPECT_EQ(pte, expected(vpn)) << "vpn " << vpn;
+    });
+    ASSERT_EQ(visits.size(), pages.size());
+    for (const auto& [index, count] : visits) {
+        EXPECT_EQ(pages.count(index), 1u) << "index " << index;
+        EXPECT_EQ(count, kPtesPerPage) << "index " << index;
+    }
 }
 
 }  // namespace
