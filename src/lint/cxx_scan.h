@@ -1,25 +1,13 @@
 /**
  * @file
- * The lightweight C++ token/scope model shared by every semantic lint
- * pass (DESIGN.md §18).
+ * The line-level C++ scanning shared by the lint rules (DESIGN.md §18):
+ * line splitting, comment stripping, word-boundary token matching, and
+ * the quoted-#include list the layering pass builds its graph from.
  *
- * This is deliberately not a parser: it is a tokenizer plus a scoped
- * scanner that tracks just enough structure — namespace/class/function/
- * lambda nesting, brace depth, qualified-identifier chains — to extract
- * the facts the cross-file passes need:
- *
- *   - #include directives            (layering pass, include_graph.h)
- *   - scoped-enum definitions and
- *     switch statements with labels  (exhaustive-switch pass)
- *   - nested lock acquisitions and
- *     condition waits                (lock-order pass, lock_order.h)
- *
- * Everything here errs on the side of *missing* a construct rather than
- * misreading one: a switch whose labels do not parse as Enum::Member is
- * skipped, a lock expression that cannot be normalized becomes a
- * function-local node that can never alias another function's locks.
- * The passes built on top inherit that conservatism — they only report
- * what the scan established positively.
+ * This is deliberately not a parser.  Every rule built on it matches
+ * tokens on comment-stripped lines; anything that needs real C++
+ * semantics (switch coverage, lock discipline) is left to the compiler
+ * (-Wswitch, -Wthread-safety) and TSan.
  */
 #ifndef SPUR_LINT_CXX_SCAN_H_
 #define SPUR_LINT_CXX_SCAN_H_
@@ -31,7 +19,7 @@
 namespace spur::lint {
 
 // ---------------------------------------------------------------------------
-// Line utilities (shared with the text rules in rules.cc)
+// Line utilities
 // ---------------------------------------------------------------------------
 
 /** Splits @p content into lines (newline characters removed). */
@@ -52,37 +40,12 @@ bool IsIdentChar(char c);
  * True when @p text contains @p token starting at a word boundary (the
  * preceding character is not part of an identifier).  @p token may end
  * in punctuation — "time(" matches a bare call but not elapsed_time(.
- * When found, *column (if non-null) receives the 0-based offset.
  */
-bool HasToken(const std::string& text, const std::string& token,
-              size_t* column = nullptr);
+bool HasToken(const std::string& text, const std::string& token);
 
 /** True when @p text contains @p word with identifier boundaries on
  *  BOTH sides, so `virtual` does not match VirtualCache. */
 bool HasWord(const std::string& text, const std::string& word);
-
-// ---------------------------------------------------------------------------
-// Tokens
-// ---------------------------------------------------------------------------
-
-/** One lexical token with its 1-based source line. */
-struct Token {
-    std::string text;
-    size_t line = 0;
-};
-
-/**
- * Tokenizes comment-stripped code lines.  Qualified identifier chains
- * (`sim::TimeBucket::kCpu`, `::g_flag`) are single tokens; `->` is one
- * token; string and character literals collapse to `""` / `''` so their
- * contents can never fake code; preprocessor lines are dropped (use
- * CxxScan::includes for the #include facts).
- */
-std::vector<Token> Tokenize(const std::vector<std::string>& code);
-
-// ---------------------------------------------------------------------------
-// Scan results
-// ---------------------------------------------------------------------------
 
 /** One `#include "..."` directive (quoted form only). */
 struct IncludeDirective {
@@ -90,57 +53,13 @@ struct IncludeDirective {
     std::string path;  ///< As written, e.g. "src/cache/cache.h".
 };
 
-/** One scoped-enum definition (`enum class Name { ... }`). */
-struct EnumDef {
-    std::string name;  ///< Unqualified.
-    std::vector<std::string> enumerators;
-    size_t line = 0;
-};
-
-/** One switch statement and what its labels established. */
-struct SwitchRecord {
-    size_t line = 0;
-    bool has_default = false;
-    /// False when any label failed to parse as a qualified Enum::Member
-    /// (numeric labels, unscoped enumerators): the pass must skip it.
-    bool labels_parsed = true;
-    std::vector<std::string> labels;  ///< Qualified, e.g. "Color::kRed".
-};
-
 /**
- * One observed lock-order edge: @c second was acquired (or waited on)
- * while @c first was held in the same function context.  Node ids are
- * normalized so the same lock names the same node across files:
- * globals and qualified names stay as written, members become
- * `Class::member`, and anything function-local becomes
- * `file:function:expr` (which can never alias across functions — the
- * model is intraprocedural by design, see DESIGN.md §18).
+ * Every quoted `#include` of @p code, the comment-stripped lines of one
+ * file (StripComments).  <system> includes are skipped: they never
+ * cross a subsystem boundary.
  */
-struct LockEdge {
-    std::string first;
-    std::string second;
-    std::string file;       ///< Normalized path of the witnessing site.
-    size_t first_line = 0;  ///< Where @c first was acquired.
-    size_t line = 0;        ///< Where @c second was acquired / waited on.
-    std::string function;   ///< Enclosing function of the site.
-    bool wait = false;      ///< Edge came from CondVar::Wait.
-};
-
-/** Everything one file contributes to the cross-file passes. */
-struct CxxScan {
-    std::vector<IncludeDirective> includes;
-    std::vector<EnumDef> enums;
-    std::vector<SwitchRecord> switches;
-    std::vector<LockEdge> lock_edges;
-};
-
-/**
- * Runs the scoped scanner over one file.  @p path must already be
- * normalized (NormalizePath in lint.h); @p code must be the
- * comment-stripped lines of the file (StripComments).
- */
-CxxScan ScanCxx(const std::string& path,
-                const std::vector<std::string>& code);
+std::vector<IncludeDirective> ScanIncludes(
+    const std::vector<std::string>& code);
 
 }  // namespace spur::lint
 

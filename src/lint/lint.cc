@@ -1,9 +1,8 @@
 /**
  * @file
- * The linter orchestrator: file collection, the parallel per-file scan
- * phase, and the sequential cross-file passes (layering, lock-order,
- * exhaustive-switch, suppression hygiene).  Per-file rules live in
- * rules.cc, the token/scope model in cxx_scan.cc.
+ * The linter orchestrator: file collection, the per-file scan phase,
+ * and the cross-file passes (layering, suppression hygiene).  Per-file
+ * rules live in rules.cc, the line scanning in cxx_scan.cc.
  */
 #include "src/lint/lint.h"
 
@@ -16,11 +15,8 @@
 #include <utility>
 
 #include "src/lint/include_graph.h"
-#include "src/lint/lock_order.h"
 #include "src/lint/rules.h"
-#include "src/runner/thread_pool.h"
 #include "src/stats/run_record.h"
-#include "src/sweep/json.h"
 
 namespace spur::lint {
 
@@ -150,52 +146,6 @@ Linter::AddTree(const std::string& dir, std::string* error)
 }
 
 bool
-Linter::AddCompileCommands(const std::string& path, std::string* error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error != nullptr) {
-            *error = "cannot read " + path;
-        }
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::optional<sweep::JsonValue> document =
-        sweep::ParseJson(buffer.str(), error);
-    if (!document) {
-        if (error != nullptr) {
-            *error = path + ": " + *error;
-        }
-        return false;
-    }
-    if (!document->IsArray()) {
-        if (error != nullptr) {
-            *error = path + ": expected a JSON array of commands";
-        }
-        return false;
-    }
-    std::vector<std::string> paths;
-    for (const sweep::JsonValue& entry : document->items()) {
-        const sweep::JsonValue* file = entry.Find("file");
-        if (file == nullptr || !file->IsString()) {
-            continue;
-        }
-        paths.push_back(file->AsString());
-    }
-    std::sort(paths.begin(), paths.end());
-    for (const std::string& source : paths) {
-        if (AlreadyAdded(NormalizePath(source))) {
-            continue;
-        }
-        if (!AddFileFromDisk(source, error)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
 Linter::LoadLayerManifest(const std::string& path, std::string* error)
 {
     std::ifstream in(path, std::ios::binary);
@@ -222,123 +172,16 @@ Linter::LoadLayerManifest(const std::string& path, std::string* error)
 // Analysis
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/** The exhaustive-switch pass over the merged per-file facts. */
-void
-CheckExhaustiveSwitches(std::vector<FileScan>& scans,
-                        std::vector<Violation>* violations)
-{
-    // Tree-wide enum index.  Same-named enums are fine when their
-    // enumerator sets agree (a header scanned plus re-exported facts);
-    // when they disagree the name is ambiguous and, being unable to
-    // tell which enum a switch means, the pass skips it (conservative).
-    std::map<std::string, std::vector<std::string>> enums;
-    std::set<std::string> ambiguous;
-    for (const FileScan& scan : scans) {
-        for (const EnumDef& def : scan.cxx.enums) {
-            std::vector<std::string> sorted = def.enumerators;
-            std::sort(sorted.begin(), sorted.end());
-            const auto it = enums.find(def.name);
-            if (it == enums.end()) {
-                enums.emplace(def.name, std::move(sorted));
-            } else if (it->second != sorted) {
-                ambiguous.insert(def.name);
-            }
-        }
-    }
-
-    for (FileScan& scan : scans) {
-        for (const SwitchRecord& record : scan.cxx.switches) {
-            if (record.has_default || !record.labels_parsed ||
-                record.labels.empty()) {
-                continue;
-            }
-            // Every label must name the same enum: the second-to-last
-            // component of the qualified label ("A::Color::kRed" and
-            // "Color::kRed" both name Color).
-            std::string enum_name;
-            std::vector<std::string> named;
-            bool consistent = true;
-            for (const std::string& label : record.labels) {
-                const size_t last_sep = label.rfind("::");
-                const std::string enumerator = label.substr(last_sep + 2);
-                const std::string qualifier = label.substr(0, last_sep);
-                const size_t prev_sep = qualifier.rfind("::");
-                const std::string name =
-                    prev_sep == std::string::npos
-                        ? qualifier
-                        : qualifier.substr(prev_sep + 2);
-                if (enum_name.empty()) {
-                    enum_name = name;
-                } else if (enum_name != name) {
-                    consistent = false;
-                    break;
-                }
-                named.push_back(enumerator);
-            }
-            if (!consistent || enum_name.empty() ||
-                ambiguous.count(enum_name) != 0) {
-                continue;
-            }
-            const auto enum_it = enums.find(enum_name);
-            if (enum_it == enums.end()) {
-                continue;  // Not a scoped enum the tree defines.
-            }
-            std::sort(named.begin(), named.end());
-            std::vector<std::string> missing;
-            std::set_difference(enum_it->second.begin(),
-                                enum_it->second.end(), named.begin(),
-                                named.end(), std::back_inserter(missing));
-            if (missing.empty()) {
-                continue;
-            }
-            if (Suppress(scan, record.line, kExhaustiveSwitchRule)) {
-                continue;
-            }
-            std::string list = missing.front();
-            for (size_t i = 1; i < missing.size(); ++i) {
-                list += ", " + missing[i];
-            }
-            violations->push_back(
-                {scan.path, record.line, kExhaustiveSwitchRule,
-                 "switch over " + enum_name + " has no default and does "
-                 "not handle: " + list + " — name every enumerator so "
-                 "adding one breaks loudly, or add a default"});
-        }
-    }
-}
-
-}  // namespace
-
 LintReport
-Linter::Analyze(size_t jobs) const
+Linter::Analyze() const
 {
-    // Phase 1: per-file scans, parallel over a thread pool.  Results
-    // land in order-preserving slots, so the merge below — and with it
-    // every output byte — is identical at any job count.
-    std::vector<FileScan> scans(files_.size());
-    const auto scan_one = [&](size_t index) {
-        scans[index] =
-            ScanSourceFile(files_[index].path, files_[index].content);
-    };
-    if (jobs == 0) {
-        jobs = runner::HardwareJobs();
-    }
-    const size_t workers = std::min(jobs, files_.size());
-    if (workers > 1) {
-        runner::ThreadPool pool(static_cast<unsigned>(workers));
-        for (size_t i = 0; i < files_.size(); ++i) {
-            pool.Submit([&scan_one, i] { scan_one(i); });
-        }
-        // ~ThreadPool drains the queue and joins: a full barrier.
-    } else {
-        for (size_t i = 0; i < files_.size(); ++i) {
-            scan_one(i);
-        }
+    std::vector<FileScan> scans;
+    scans.reserve(files_.size());
+    for (const SourceFile& file : files_) {
+        scans.push_back(ScanSourceFile(file.path, file.content));
     }
 
-    // Phase 2: sequential cross-file passes over the merged facts.
+    // Cross-file passes over the merged per-file results.
     LintReport report;
     std::map<std::string, size_t> scan_index;
     for (size_t i = 0; i < scans.size(); ++i) {
@@ -371,7 +214,7 @@ Linter::Analyze(size_t jobs) const
     // observed subsystem cycles, which need no manifest to be wrong.
     IncludeGraph graph;
     for (const FileScan& scan : scans) {
-        graph.AddFile(scan.path, scan.cxx.includes);
+        graph.AddFile(scan.path, scan.includes);
     }
     report.subsystem_dot = graph.ToDot();
     if (!layer_manifest_toml_.empty()) {
@@ -390,22 +233,6 @@ Linter::Analyze(size_t jobs) const
             report.violations.push_back(violation);
         }
     }
-
-    // Lock order: one global graph over every file's observed edges.
-    LockOrderGraph locks;
-    for (const FileScan& scan : scans) {
-        for (const LockEdge& edge : scan.cxx.lock_edges) {
-            locks.AddEdge(edge);
-        }
-    }
-    for (const Violation& violation : locks.CheckCycles()) {
-        if (!suppress(violation)) {
-            report.violations.push_back(violation);
-        }
-    }
-
-    // Exhaustive switches (needs the tree-wide enum index).
-    CheckExhaustiveSwitches(scans, &report.violations);
 
     // Suppression hygiene, last: every pass that could mark a site
     // used has run.  dead-allow and allow-budget findings are about
@@ -469,14 +296,25 @@ Linter::Analyze(size_t jobs) const
 }
 
 std::vector<Violation>
-Linter::Run(size_t jobs) const
+Linter::Run() const
 {
-    return Analyze(jobs).violations;
+    return Analyze().violations;
 }
 
 // ---------------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------------
+
+std::string
+FormatRuleMarkdown(const RuleInfo& rule)
+{
+    std::string out = "| `";
+    out += rule.name;
+    out += "` | ";
+    out += rule.summary;
+    out += " |";
+    return out;
+}
 
 std::string
 FormatViolation(const Violation& violation)

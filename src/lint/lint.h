@@ -12,19 +12,17 @@
  * output-feeding code — plus structural rules (a single schema_version
  * definition site, benches recording through BenchSession).
  *
- * On top of the per-file scan sit four cross-file semantic passes built
- * on a shared token/scope model (cxx_scan.h):
+ * On top of the per-file scan sit two cross-file passes:
  *
  *   layering           include reach vs the LAYERS.toml manifest, with
  *                      shortest witnessing chains (include_graph.h)
- *   lock-order         static deadlock detection over the global
- *                      lock-acquisition graph (lock_order.h)
- *   exhaustive-switch  a defaultless switch over a scoped enum must
- *                      name every enumerator, even in headers and
- *                      dead configurations the compiler never sees
  *   dead-allow /       suppression hygiene: every allow() marker must
  *   allow-budget       suppress something, and each rule has a
  *                      tree-wide budget of suppression sites
+ *
+ * Rules that need C++ semantics are left to the toolchain: switch
+ * coverage to -Wswitch under -Werror, lock discipline to clang's
+ * -Wthread-safety, lock order to TSan (DESIGN.md §18).
  *
  * Any line-anchored finding can be suppressed at the site with a
  * justification comment on the same or the preceding line:
@@ -32,10 +30,10 @@
  *     legacy_call();  // spur-lint: allow(no-wallclock) — measures only
  *
  * The tools/spur_lint CLI (check | graph | allows subcommands) drives
- * this library from explicit paths, directory trees and/or a
- * compile_commands.json file list, and exits nonzero on violations so
- * CI can gate on it.  tests/lint_test.cc runs every rule against
- * seeded fixture files and asserts the real tree is clean.
+ * this library from explicit paths and directory trees, and exits
+ * nonzero on violations so CI can gate on it.  tests/lint_test.cc runs
+ * every rule against seeded fixture files and asserts the real tree is
+ * clean.
  */
 #ifndef SPUR_LINT_LINT_H_
 #define SPUR_LINT_LINT_H_
@@ -88,10 +86,9 @@ struct AllowSite {
  * Normalizes an on-disk path to its repo-relative form by keeping
  * everything from the last path component that starts one of the
  * project's top-level source dirs (src/, tools/, bench/, examples/,
- * tests/).  Absolute build-tree paths (compile_commands.json entries)
- * and fixture paths like tests/lint_fixtures/src/cache/x.cc thus map
- * onto the path space the rule whitelists and the layer manifest are
- * written against.
+ * tests/).  Absolute paths and fixture paths like
+ * tests/lint_fixtures/src/cache/x.cc thus map onto the path space the
+ * rule whitelists and the layer manifest are written against.
  */
 std::string NormalizePath(const std::string& path);
 
@@ -125,14 +122,6 @@ class Linter
     bool AddTree(const std::string& dir, std::string* error);
 
     /**
-     * Adds every "file" entry of a compile_commands.json document
-     * (CMAKE_EXPORT_COMPILE_COMMANDS=ON).  Entries already registered
-     * — e.g. via AddTree — are skipped.  False + *error on parse or
-     * I/O failure.
-     */
-    bool AddCompileCommands(const std::string& path, std::string* error);
-
-    /**
      * Arms the layering pass with the manifest at @p path (LAYERS.toml
      * format).  Without a manifest, reachability is unchecked but
      * observed subsystem cycles are still violations.  False + *error
@@ -143,17 +132,11 @@ class Linter
     /** Number of registered files. */
     size_t file_count() const { return files_.size(); }
 
-    /**
-     * Runs every pass.  @p jobs > 1 scans files on a thread pool; the
-     * report is byte-identical at any job count (per-file results land
-     * in order-preserving slots, and every cross-file pass runs
-     * sequentially over the merged facts).  0 means one job per
-     * hardware thread.
-     */
-    LintReport Analyze(size_t jobs = 1) const;
+    /** Runs every pass over the registered files, in file order. */
+    LintReport Analyze() const;
 
-    /** Analyze(jobs).violations, for callers that only gate. */
-    std::vector<Violation> Run(size_t jobs = 1) const;
+    /** Analyze().violations, for callers that only gate. */
+    std::vector<Violation> Run() const;
 
   private:
     struct SourceFile {
@@ -166,6 +149,10 @@ class Linter
     std::vector<SourceFile> files_;
     std::string layer_manifest_toml_;  ///< Raw content; empty = unset.
 };
+
+/** Renders @p rule as one row of the `--list-rules --markdown` table:
+ *  "| `name` | summary |". */
+std::string FormatRuleMarkdown(const RuleInfo& rule);
 
 /** Renders @p violation as "file:line: [rule] message". */
 std::string FormatViolation(const Violation& violation);

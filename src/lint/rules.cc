@@ -2,14 +2,11 @@
  * @file
  * The per-file rules: the table-driven token rules, the structural
  * special rules, and the allow() marker collection.  Cross-file passes
- * live in lint.cc (orchestration), include_graph.cc and lock_order.cc.
+ * live in lint.cc (orchestration) and include_graph.cc.
  */
 #include "src/lint/rules.h"
 
-#include <algorithm>
-
 #include "src/lint/include_graph.h"
-#include "src/lint/lock_order.h"
 
 namespace spur::lint {
 
@@ -89,8 +86,8 @@ RuleExempt(const std::string& path)
 {
     // The lint layer itself names every forbidden token (and the allow
     // marker) in its rule table and its tests; scanning it would only
-    // flag the scanner.  The token/scope scan still runs — src/lint's
-    // own includes obey the layer manifest like everyone else's.
+    // flag the scanner.  The include scan still runs — src/lint's own
+    // includes obey the layer manifest like everyone else's.
     return StartsWith(path, "src/lint/") ||
            StartsWith(path, "tests/lint_test.");
 }
@@ -269,11 +266,6 @@ Rules()
                      "no virtual members in files marked // spur:hot-path "
                      "(the per-reference path is devirtualized)"});
     rules.push_back({kLayeringRule, kLayeringSummary});
-    rules.push_back({kLockOrderRule, kLockOrderSummary});
-    rules.push_back({kExhaustiveSwitchRule,
-                     "a defaultless switch over a scoped enum names every "
-                     "enumerator, even in headers and dead configurations "
-                     "the compiler never checks"});
     rules.push_back({kDeadAllowRule,
                      "every spur-lint: allow(...) marker suppresses a "
                      "finding; stale markers are deleted, not collected"});
@@ -308,9 +300,9 @@ ScanSourceFile(const std::string& path, const std::string& content)
         CollectAllowSites(raw, &scan);
     }
 
-    // The token/scope scan runs for every file, exempt or not: layer
-    // reach, lock edges and enum facts are architecture, not style.
-    scan.cxx = ScanCxx(path, code);
+    // The include scan runs for every file, exempt or not: layer reach
+    // is architecture, not style.
+    scan.includes = ScanIncludes(code);
 
     scan.is_schema_home = path == kSchemaHome;
     if (exempt) {

@@ -3,11 +3,11 @@
  * Internal interface between the per-file rule scan (rules.cc) and the
  * orchestrator (lint.cc).  Not installed; tools use lint.h.
  *
- * ScanSourceFile is the unit of parallelism: it owns everything that
- * can be computed from one file in isolation — the text-rule
- * violations, the allow() marker sites, and the token/scope facts the
- * cross-file passes consume — so Analyze() can fan files out over a
- * thread pool and still merge byte-identically in file order.
+ * ScanSourceFile owns everything that can be computed from one file in
+ * isolation — the text-rule violations, the allow() marker sites, and
+ * the include list the layering pass consumes — so Analyze() only has
+ * to merge per-file results in file order and run the cross-file
+ * passes.
  */
 #ifndef SPUR_LINT_RULES_H_
 #define SPUR_LINT_RULES_H_
@@ -27,15 +27,15 @@ struct FileScan {
     std::vector<Violation> violations;
     /// Every spur-lint: allow(...) marker (empty for rule-exempt files).
     std::vector<AllowSite> allows;
-    /// Token/scope facts for the cross-file passes.
-    CxxScan cxx;
+    /// Quoted #include directives, for the layering pass.
+    std::vector<IncludeDirective> includes;
     /// kSchemaVersion definitions found when this file is the schema
     /// home (the tree-level missing-definition check needs the count).
     size_t schema_definitions = 0;
     bool is_schema_home = false;
 };
 
-/** Runs every per-file rule plus the token/scope scan over one file. */
+/** Runs every per-file rule plus the include scan over one file. */
 FileScan ScanSourceFile(const std::string& path,
                         const std::string& content);
 
@@ -51,7 +51,6 @@ bool Suppress(FileScan& scan, size_t line, const std::string& rule);
  *  reported by lint.cc). */
 inline constexpr char kDeadAllowRule[] = "dead-allow";
 inline constexpr char kAllowBudgetRule[] = "allow-budget";
-inline constexpr char kExhaustiveSwitchRule[] = "exhaustive-switch";
 
 /** The schema rule spans file and tree level, so both halves share
  *  these (per-file in rules.cc, tree-level in lint.cc). */

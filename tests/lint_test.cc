@@ -21,7 +21,7 @@
 
 namespace {
 
-using spur::lint::AllowSite;
+using spur::lint::FormatRuleMarkdown;
 using spur::lint::FormatViolation;
 using spur::lint::FormatViolationJson;
 using spur::lint::LayerManifest;
@@ -66,24 +66,6 @@ LintFixture(const std::string& name)
     return linter.Run();
 }
 
-/// Serializes every byte a report carries, so two reports compare as
-/// byte-identical exactly when a CLI invocation would print the same.
-std::string
-RenderReport(const LintReport& report)
-{
-    std::string out;
-    for (const Violation& violation : report.violations) {
-        out += FormatViolation(violation) + "\n";
-        out += FormatViolationJson(violation) + "\n";
-    }
-    for (const AllowSite& site : report.allows) {
-        out += site.file + ":" + std::to_string(site.line) + " allow(" +
-               site.rule + ") " + (site.used ? "live" : "dead") + "\n";
-    }
-    out += report.subsystem_dot;
-    return out;
-}
-
 struct SeededFixture {
     const char* fixture;
     const char* rule;
@@ -98,11 +80,9 @@ constexpr SeededFixture kSeeded[] = {
     {"bench/no_session.cc", "bench-session"},
     {"hot_path_virtual.cc", "no-virtual-in-hot-path"},
     {"raw_meta_violation.cc", "no-raw-meta-bits"},
-    // The semantic passes: each seeded fixture trips exactly one of
+    // The cross-file passes: each seeded fixture trips exactly one of
     // the cross-file rules.
     {"src/cache/layer_breach.cc", "layering"},
-    {"lock_cycle.cc", "lock-order"},
-    {"switch_nonexhaustive.cc", "exhaustive-switch"},
     {"dead_allow.cc", "dead-allow"},
     {"allow_budget.cc", "allow-budget"},
 };
@@ -132,6 +112,30 @@ TEST(LintTest, SeededCorpusCoversEveryRule)
             << "rule '" << rule.name << "' has no seeded fixture";
     }
     EXPECT_EQ(covered.size(), Rules().size());
+}
+
+TEST(LintTest, DesignRuleTableMatchesRules)
+{
+    // DESIGN.md §18 embeds `spur_lint --list-rules --markdown`; a rule
+    // added, removed or reworded without regenerating the table fails
+    // here.
+    std::ifstream in(SourceRootPath("DESIGN.md"));
+    ASSERT_TRUE(in.is_open());
+    std::vector<std::string> rows;
+    bool in_section = false;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("## ", 0) == 0) {
+            in_section = line.rfind("## 18.", 0) == 0;
+        } else if (in_section && line.rfind("| `", 0) == 0) {
+            rows.push_back(line);
+        }
+    }
+    const std::vector<RuleInfo> rules = Rules();
+    ASSERT_EQ(rows.size(), rules.size());
+    for (size_t i = 0; i < rules.size(); ++i) {
+        EXPECT_EQ(rows[i], FormatRuleMarkdown(rules[i]));
+    }
 }
 
 TEST(LintTest, CleanFixturesPass)
@@ -317,56 +321,6 @@ TEST(LintTest, LayeringReportsTheFullIncludeChain)
     EXPECT_EQ(violations[1].rule, "layering");
 }
 
-TEST(LintTest, LockOrderCycleNamesBothWitnesses)
-{
-    const std::vector<Violation> violations = LintFixture("lock_cycle.cc");
-    ASSERT_EQ(violations.size(), 1u);
-    EXPECT_EQ(violations[0].rule, "lock-order");
-    EXPECT_NE(violations[0].message.find("ForwardOrder"), std::string::npos)
-        << violations[0].message;
-    EXPECT_NE(violations[0].message.find("ReverseOrder"), std::string::npos)
-        << violations[0].message;
-}
-
-TEST(LintTest, ConsistentLockOrderIsNotACycle)
-{
-    // Same two locks, same order in both functions: edges exist but no
-    // cycle, so no finding.
-    Linter linter;
-    linter.AddFile("src/core/ordered.cc",
-                   "void A() { MutexLock a(g_x); MutexLock b(g_y); }\n"
-                   "void B() { MutexLock a(g_x); MutexLock b(g_y); }\n");
-    EXPECT_TRUE(linter.Run().empty());
-}
-
-TEST(LintTest, WaitWhileHoldingALockIsAnOrderEdge)
-{
-    // CondVar::Wait(m) re-acquires m, so waiting on g_y while holding
-    // g_x orders g_x before g_y; B's opposite nesting closes the cycle.
-    Linter linter;
-    linter.AddFile("src/core/waits.cc",
-                   "void A() { MutexLock a(g_x); g_cv.Wait(g_y); }\n"
-                   "void B() { MutexLock a(g_y); MutexLock b(g_x); }\n");
-    const std::vector<Violation> violations = linter.Run();
-    ASSERT_EQ(violations.size(), 1u);
-    EXPECT_EQ(violations[0].rule, "lock-order");
-    EXPECT_NE(violations[0].message.find("(wait)"), std::string::npos)
-        << violations[0].message;
-}
-
-TEST(LintTest, SwitchWithDefaultOrFullCoverageIsExempt)
-{
-    Linter linter;
-    linter.AddFile(
-        "src/core/switches.cc",
-        "enum class Mode { kA, kB };\n"
-        "int F(Mode m) { switch (m) { case Mode::kA: return 1;\n"
-        "  default: return 0; } }\n"
-        "int G(Mode m) { switch (m) { case Mode::kA: return 1;\n"
-        "  case Mode::kB: return 2; } return 0; }\n");
-    EXPECT_TRUE(linter.Run().empty());
-}
-
 TEST(LintTest, NormalizePathKeepsRepoRelativeSuffix)
 {
     EXPECT_EQ(NormalizePath("/root/repo/src/common/log.cc"),
@@ -389,31 +343,6 @@ TEST(LintTest, FormatViolationRendersFileLineRule)
               "src/a.cc: [schema-version-once] gone");
 }
 
-TEST(LintTest, AddCompileCommandsPullsFileEntries)
-{
-    // Build a minimal compile_commands.json pointing at two fixtures.
-    const std::string json_path =
-        ::testing::TempDir() + "/lint_compile_commands.json";
-    {
-        std::ofstream out(json_path);
-        ASSERT_TRUE(out.is_open());
-        out << "[\n"
-            << "  {\"directory\": \"/tmp\", \"command\": \"c++ a.cc\",\n"
-            << "   \"file\": \"" << FixturePath("rand_violation.cc")
-            << "\"},\n"
-            << "  {\"directory\": \"/tmp\", \"command\": \"c++ b.cc\",\n"
-            << "   \"file\": \"" << FixturePath("clean.cc") << "\"}\n"
-            << "]\n";
-    }
-    Linter linter;
-    std::string error;
-    ASSERT_TRUE(linter.AddCompileCommands(json_path, &error)) << error;
-    EXPECT_EQ(linter.file_count(), 2u);
-    const std::vector<Violation> violations = linter.Run();
-    ASSERT_EQ(violations.size(), 1u);
-    EXPECT_EQ(violations[0].rule, "no-rand");
-}
-
 TEST(LintTest, AddTreeSkipsFixturesAndDeduplicates)
 {
     Linter linter;
@@ -434,8 +363,7 @@ TEST(LintTest, AddTreeSkipsFixturesAndDeduplicates)
 TEST(LintTest, RealTreeIsClean)
 {
     // The CI gate, as a unit test: the entire repo must lint clean —
-    // including the layering manifest, the lock-order graph, switch
-    // exhaustiveness and suppression hygiene.
+    // including the layering manifest and suppression hygiene.
     Linter linter = MakeLinter();
     std::string error;
     for (const char* dir :
@@ -475,28 +403,6 @@ TEST(LintTest, ManifestMatchesSourceTree)
     EXPECT_EQ(declared, on_disk);
 }
 
-TEST(LintTest, ParallelAnalyzeIsByteIdenticalToSequential)
-{
-    // The determinism contract applied to the linter itself: the whole
-    // tree plus the seeded corpus, scanned at several job counts, must
-    // render the identical report down to the last byte.
-    Linter linter = MakeLinter();
-    std::string error;
-    for (const char* dir :
-         {"src", "tools", "bench", "examples", "tests"}) {
-        ASSERT_TRUE(linter.AddTree(SourceRootPath(dir), &error)) << error;
-    }
-    for (const SeededFixture& seeded : kSeeded) {
-        ASSERT_TRUE(
-            linter.AddFileFromDisk(FixturePath(seeded.fixture), &error))
-            << error;
-    }
-    const std::string sequential = RenderReport(linter.Analyze(1));
-    ASSERT_FALSE(sequential.empty());
-    EXPECT_EQ(sequential, RenderReport(linter.Analyze(4)));
-    EXPECT_EQ(sequential, RenderReport(linter.Analyze(0)));
-}
-
 TEST(LintTest, FormatViolationJsonEscapesAndOrdersKeys)
 {
     EXPECT_EQ(FormatViolationJson(
@@ -514,7 +420,7 @@ TEST(LintTest, SubsystemGraphMatchesGoldenDot)
     std::string error;
     for (const char* name :
          {"src/cache/layer_breach.cc", "src/cache/layer_chain.cc",
-          "src/cache/layer_chain_mid.h", "lock_cycle.cc"}) {
+          "src/cache/layer_chain_mid.h", "unordered_violation.cc"}) {
         ASSERT_TRUE(linter.AddFileFromDisk(FixturePath(name), &error))
             << error;
     }

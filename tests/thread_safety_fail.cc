@@ -1,9 +1,10 @@
 // Compile-SHOULD-FAIL probe for the thread-safety annotations
 // (DESIGN.md §13).  This file is deliberately mis-locked: it writes a
 // SPUR_GUARDED_BY member without holding its mutex.  Under clang with
-// -Wthread-safety -Werror it must NOT compile; the thread_safety_fail
-// ctest entry builds it on demand and asserts the build fails
-// (WILL_FAIL).  It is EXCLUDE_FROM_ALL and never part of spur_tests.
+// -Wthread-safety -Werror it must NOT compile; the
+// thread_safety_rejects_mislocked_code ctest entry builds it on demand
+// and asserts clang's "requires holding mutex" diagnostic.  It is
+// EXCLUDE_FROM_ALL and never part of spur_tests.
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 

@@ -3,27 +3,22 @@
  * CLI driver for the determinism/architecture linter (src/lint/,
  * DESIGN.md §13 and §18).
  *
- *   spur_lint check [--layers=FILE] [--compile-commands=FILE]
- *                   [--format=text|json] [--jobs=N] [PATH...]
- *       Runs every pass over the union of: every "file" entry of the
- *       compile database, every explicit source file argument, and
- *       every *.h / *.cc found under directory arguments.  Headers are
- *       not part of the compile database, so a typical CI invocation
- *       passes both:
+ *   spur_lint check [--layers=FILE] [--format=text|json] [PATH...]
+ *       Runs every pass over every explicit source file argument and
+ *       every *.h / *.cc found under directory arguments:
  *
- *           spur_lint check --compile-commands=build/compile_commands.json \
- *               src tools bench examples tests
+ *           spur_lint check src tools bench examples tests
  *
  *       Prints one "file:line: [rule] message" per violation (or, with
  *       --format=json, a JSON array with one finding object per line —
  *       stable ordering, machine-diffable) and exits 1 when there is
- *       any, 0 on a clean tree, 2 on usage/IO errors.  --jobs=N scans
- *       files in parallel; output is byte-identical at any job count.
+ *       any, 0 on a clean tree, 2 on usage/IO errors.  Layering
+ *       findings are violations like any other, so `check` is also the
+ *       architecture gate.
  *
- *   spur_lint graph [--dot] [--check-layers] [--layers=FILE] [PATH...]
- *       The subsystem include graph: --dot prints it in DOT form
- *       (pipe through `dot -Tsvg` to render), --check-layers exits 1
- *       if any layering finding exists (the CI architecture gate).
+ *   spur_lint graph [--dot] [--layers=FILE] [PATH...]
+ *       --dot prints the subsystem include graph in DOT form (pipe
+ *       through `dot -Tsvg` to render).
  *
  *   spur_lint allows [PATH...]
  *       Inventories every allow() suppression marker with its
@@ -33,8 +28,7 @@
  *       Prints every rule name with its one-line summary; --markdown
  *       emits the table DESIGN.md §18 embeds.
  *
- * The legacy flat form `spur_lint [--compile-commands=...] PATH...` is
- * still accepted and behaves as `check`.
+ * The flat form `spur_lint PATH...` behaves as `check`.
  *
  * The layer manifest defaults to ./LAYERS.toml when present; pass
  * --layers=FILE to point elsewhere.  Without a manifest the layering
@@ -57,23 +51,16 @@ int
 Usage()
 {
     const std::vector<spur::ToolCommand> commands = {
-        {"check [--layers=FILE] [--compile-commands=FILE] "
-         "[--format=text|json] [--jobs=N] [PATH...]",
-         "run every pass over source files, directory trees, and/or a "
-         "compile database file list; exit 1 on violations",
+        {"check [--layers=FILE] [--format=text|json] [PATH...]",
+         "run every pass over source files and directory trees; exit 1 "
+         "on violations",
          {{"--layers=FILE",
            "layer manifest (default: ./LAYERS.toml when present)"},
-          {"--compile-commands=FILE",
-           "lint every \"file\" entry of the compile database"},
           {"--format=text|json",
            "violation rendering (json: one finding object per line, "
-           "stable ordering)"},
-          {"--jobs=N",
-           "parallel file scanning (0 = hardware threads); output is "
-           "byte-identical at any job count"}}},
-        {"graph [--dot] [--check-layers] [--layers=FILE] [PATH...]",
-         "print the observed subsystem include graph (--dot), or exit 1 "
-         "on layering findings (--check-layers)",
+           "stable ordering)"}}},
+        {"graph [--dot] [--layers=FILE] [PATH...]",
+         "print the observed subsystem include graph (--dot)",
          {}},
         {"allows [PATH...]",
          "inventory every allow() suppression marker with its liveness",
@@ -93,12 +80,9 @@ Usage()
 
 struct Options {
     std::string command = "check";
-    std::string compile_commands;
     std::string layers;
     std::string format = "text";
-    size_t jobs = 1;
     bool dot = false;
-    bool check_layers = false;
     bool list_rules = false;
     bool markdown = false;
     std::vector<std::string> paths;
@@ -116,9 +100,7 @@ ParseArgs(const std::vector<std::string>& args, Options* options)
     std::string value;
     for (size_t i = first; i < args.size(); ++i) {
         const std::string& arg = args[i];
-        if (spur::MatchFlag(arg, "compile-commands", &value)) {
-            options->compile_commands = value;
-        } else if (spur::MatchFlag(arg, "layers", &value)) {
+        if (spur::MatchFlag(arg, "layers", &value)) {
             options->layers = value;
         } else if (spur::MatchFlag(arg, "format", &value)) {
             if (value != "text" && value != "json") {
@@ -127,12 +109,8 @@ ParseArgs(const std::vector<std::string>& args, Options* options)
                 return false;
             }
             options->format = value;
-        } else if (spur::MatchFlag(arg, "jobs", &value)) {
-            options->jobs = static_cast<size_t>(std::stoul(value));
         } else if (arg == "--dot") {
             options->dot = true;
-        } else if (arg == "--check-layers") {
-            options->check_layers = true;
         } else if (arg == "--list-rules") {
             options->list_rules = true;
         } else if (arg == "--markdown") {
@@ -154,8 +132,8 @@ ListRules(bool markdown)
     if (markdown) {
         std::printf("| Rule | Enforces |\n|------|----------|\n");
         for (const spur::lint::RuleInfo& rule : spur::lint::Rules()) {
-            std::printf("| `%s` | %s |\n", rule.name.c_str(),
-                        rule.summary.c_str());
+            std::printf("%s\n",
+                        spur::lint::FormatRuleMarkdown(rule).c_str());
         }
     } else {
         for (const spur::lint::RuleInfo& rule : spur::lint::Rules()) {
@@ -182,17 +160,12 @@ main(int argc, char** argv)
     if (options.list_rules) {
         return ListRules(options.markdown);
     }
-    if (options.compile_commands.empty() && options.paths.empty()) {
+    if (options.paths.empty()) {
         return Usage();
     }
 
     spur::lint::Linter linter;
     std::string error;
-    if (!options.compile_commands.empty() &&
-        !linter.AddCompileCommands(options.compile_commands, &error)) {
-        std::fprintf(stderr, "spur_lint: %s\n", error.c_str());
-        return 2;
-    }
     for (const std::string& path : options.paths) {
         std::error_code ec;
         const bool ok = std::filesystem::is_directory(path, ec)
@@ -216,33 +189,12 @@ main(int argc, char** argv)
         return 2;
     }
 
-    const spur::lint::LintReport report = linter.Analyze(options.jobs);
+    const spur::lint::LintReport report = linter.Analyze();
 
     if (options.command == "graph") {
         if (options.dot) {
             std::fputs(report.subsystem_dot.c_str(), stdout);
         }
-        if (!options.check_layers) {
-            return 0;
-        }
-        size_t findings = 0;
-        for (const spur::lint::Violation& violation : report.violations) {
-            if (violation.rule == "layering") {
-                std::printf(
-                    "%s\n",
-                    spur::lint::FormatViolation(violation).c_str());
-                ++findings;
-            }
-        }
-        if (findings > 0) {
-            std::fprintf(stderr,
-                         "spur_lint: %zu layering finding(s) in %zu "
-                         "files\n",
-                         findings, linter.file_count());
-            return 1;
-        }
-        std::fprintf(stderr, "spur_lint: layers OK (%zu files)\n",
-                     linter.file_count());
         return 0;
     }
 
