@@ -1,0 +1,141 @@
+/**
+ * @file
+ * google-benchmark micro-benchmarks for SPUR-TRACE/1 decode on its own:
+ *
+ *   BM_RecoverTrace   RecoverTraceBytes over a whole trace file: frame
+ *                     parse, both digests and count-only op validation.
+ *   BM_ReplayDecode   ReplayStream of the recovered stream into a host
+ *                     whose AccessBatch only sums the references, so
+ *                     the time is decode plus batching, no simulation.
+ *
+ * Both run over one WORKLOAD1 recording of 1 M references (seed 1, the
+ * 8 MB prototype's geometry), generated untimed before the loop, and
+ * report time_per_ref, the run time per recorded access (printed in ns;
+ * google-benchmark's JSON holds it in seconds).
+ */
+#include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+
+#include "bench/micro_common.h"
+
+#include "src/common/log.h"
+#include "src/core/experiment.h"
+#include "src/core/run_trace.h"
+#include "src/sim/config.h"
+#include "src/workload/trace.h"
+#include "src/workload/workloads.h"
+
+namespace {
+
+using namespace spur;
+
+/** A recorded trace file and the accesses it holds. */
+struct Recording {
+    std::string file;
+    uint64_t accesses = 0;
+};
+
+/** Records 1 M references of WORKLOAD1 through the counts-only host. */
+const Recording&
+Workload1Recording()
+{
+    static const Recording recording = [] {
+        core::RunConfig config;
+        config.workload = core::WorkloadId::kWorkload1;
+        config.refs = 1'000'000;
+        const workload::TraceStreamMeta meta = core::TraceMetaFor(config);
+        workload::WorkloadSpec spec = core::SpecFor(config);
+        const uint32_t slice_refs = spec.slice_refs;
+        workload::CountingHost counting(
+            sim::MachineConfig::Prototype(config.memory_mb));
+        workload::TraceEncoder encoder(meta);
+        workload::RecordingHost recorder(counting, encoder);
+        workload::Driver driver(recorder, std::move(spec), meta.refs,
+                                config.seed, slice_refs);
+        driver.Run();
+        recorder.StopRecording();
+        Recording r;
+        r.accesses = encoder.accesses();
+        r.file = workload::EncodeTraceFile(
+            {encoder.Finish(driver.refs_issued())});
+        return r;
+    }();
+    return recording;
+}
+
+/** Sets the time_per_ref counter: run time over every decoded access. */
+void
+ReportTimePerRef(benchmark::State& state, uint64_t accesses)
+{
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(accesses));
+    // An inverted iteration-invariant rate: seconds per access.
+    state.counters["time_per_ref"] = benchmark::Counter(
+        static_cast<double>(accesses),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
+/** Lifecycle ops are counted, and each batch is only summed. */
+class SumHost : public workload::CountingHost
+{
+  public:
+    SumHost()
+        : CountingHost(sim::MachineConfig::Prototype(8))
+    {
+    }
+
+    void AccessBatch(const MemRef* refs, size_t n) override
+    {
+        for (size_t i = 0; i < n; ++i) {
+            sum_ += refs[i].pid + refs[i].addr +
+                    static_cast<uint64_t>(refs[i].type);
+        }
+    }
+
+    uint64_t sum() const { return sum_; }
+
+  private:
+    uint64_t sum_ = 0;
+};
+
+void
+BM_RecoverTrace(benchmark::State& state)
+{
+    const Recording& recording = Workload1Recording();
+    std::string error;
+    for (auto _ : state) {
+        auto recovered = workload::RecoverTraceBytes(recording.file, &error);
+        if (!recovered || !recovered->complete) {
+            Fatal("micro_trace: the recording did not recover: " + error);
+        }
+        benchmark::DoNotOptimize(recovered);
+    }
+    ReportTimePerRef(state, recording.accesses);
+}
+BENCHMARK(BM_RecoverTrace)->Unit(benchmark::kMillisecond);
+
+void
+BM_ReplayDecode(benchmark::State& state)
+{
+    const Recording& recording = Workload1Recording();
+    std::string error;
+    const auto recovered = workload::RecoverTraceBytes(recording.file, &error);
+    if (!recovered || recovered->streams.size() != 1) {
+        Fatal("micro_trace: the recording did not recover: " + error);
+    }
+    for (auto _ : state) {
+        SumHost host;
+        workload::ReplayStream(recovered->streams[0], host);
+        benchmark::DoNotOptimize(host.sum());
+    }
+    ReportTimePerRef(state, recording.accesses);
+}
+BENCHMARK(BM_ReplayDecode)->Unit(benchmark::kMillisecond);
+
+}  // namespace
+
+SPUR_MICRO_BENCHMARK_MAIN();

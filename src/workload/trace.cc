@@ -298,7 +298,7 @@ constexpr uint64_t kSwarVarintLimit = uint64_t{1} << 56;
 /** Room TraceEncoder makes per op: its longest op plus a word store. */
 constexpr size_t kMaxOpBytes = 32;
 
-/** Bytes an access run needs left in its payload (DecodeAccessRun). */
+/** Bytes an access run needs left in its payload (AccessRunEnds). */
 constexpr size_t kRunBytes = 72;
 
 /** Most accesses one 64-byte run window can hold (2 bytes each). */
@@ -352,24 +352,30 @@ CompactVarint(uint64_t word)
 }
 
 /**
- * The stop bits of the 64 bytes at @p p: bit i is set when byte i is
- * below 0x80, which marks every opcode and every varint's last byte.
- * The multiply gathers each word's inverted high bits into its top
- * byte (the partial products never collide, so nothing carries).
+ * Gathers the high bit of each byte of @p bits (no other bit may be
+ * set) into the low byte: bit i of the result is byte i's high bit.
+ * The partial products of the multiply never collide, so nothing
+ * carries.
  */
 uint64_t
-StopBits(const char* p)
+GatherHighBits(uint64_t bits)
 {
-    uint64_t stops = 0;
-    for (unsigned k = 0; k < 8; ++k) {
-        const uint64_t word = Load64(p + 8 * k);
-        stops |= (((~word & kHighBits) * 0x0002040810204081) >> 56) << (8 * k);
-    }
-    return stops;
+    return (bits * 0x0002040810204081) >> 56;
 }
 
-// Forced inline: it runs once per replayed access, and with DecodeOps
-// instantiated twice GCC otherwise keeps it out of line.
+/** std::popcount without a libgcc call (baseline x86-64 has no popcnt). */
+unsigned
+PopCount(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555;
+    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F;
+    return static_cast<unsigned>((x * 0x0101010101010101) >> 56);
+}
+
+// Forced inline: it runs for every op field the run path leaves to the
+// switch, and with DecodeOps instantiated twice GCC otherwise keeps it
+// out of line.
 [[gnu::always_inline]] inline bool
 ReadVarint(std::string_view bytes, size_t* pos, uint64_t* out)
 {
@@ -430,64 +436,98 @@ Fail(std::string* error, const std::string& message)
 }
 
 /**
- * The access-run fast path of DecodeOps.  Decodes the access ops at the
- * start of the 64-byte window at @p p (the caller guarantees kRunBytes
- * readable bytes) into @p types / @p addrs, advancing *last_addr, and
- * returns the bytes they span.  An access op is an opcode and one
- * varint, so in a run the window's stop bits come in pairs: the lowest
- * set bit is the next opcode and the one after it ends its varint.
- * Clearing them is all the loop carries, and one 8-byte load compacts
- * each value, so no branch depends on varint length.  The run stops,
- * leaving the rest to DecodeOps' switch, at anything else: a byte that
- * is not an access opcode (a byte of 0x80 or more shows up as a gap
- * before the next stop bit), a varint longer than 5 bytes or
- * non-canonical (a trailing 0x00 group), or an op that reaches the
- * window's end.
+ * The access-run classifier of DecodeOps.  Returns the varint-end bits
+ * of the access ops at the start of the 64-byte window at @p p (the
+ * caller guarantees kRunBytes readable bytes): bit i is set when byte i
+ * ends one of them, so the run holds popcount ops and spans up to the
+ * highest set bit.  Zero means the window does not start with one.
+ *
+ * One pass over the window's words builds three masks — the stop bytes
+ * (below 0x80: every opcode and every varint's last byte), the access
+ * opcodes 6-8, and the zero bytes — and a prefix XOR of the stops
+ * splits them by parity.  An access op is an opcode and one varint, so
+ * in a run the stops alternate: a stop with odd inclusive parity is an
+ * opcode, one with even parity ends a varint, and a non-stop byte is a
+ * continuation byte when the parity is odd and a gap (a byte of 0x80 or
+ * more where an opcode belongs) when it is even.  The run ends at the
+ * first bad byte: a gap, an opcode that is not an access, a trailing
+ * 0x00 group ending a multi-byte varint (non-canonical), or the fifth
+ * continuation byte in a row (a varint longer than 5 bytes).  An op
+ * that reaches the window's end has no end bit in it.  What the run
+ * declines goes to DecodeOps' switch at the same offset.
+ */
+[[gnu::always_inline]] inline uint64_t
+AccessRunEnds(const char* p)
+{
+    constexpr uint64_t kLowBits = ~kHighBits;
+    uint64_t stops = 0;
+    uint64_t access = 0;
+    uint64_t zeros = 0;
+    for (unsigned k = 0; k < 8; ++k) {
+        const uint64_t word = Load64(p + 8 * k);
+        // On the 7-bit lanes, adding 0x7a carries into a lane's high bit
+        // from 6 up and adding 0x77 from 9 up; adding 0x7f from 1 up.
+        // access and zeros are only read where stops is set.
+        const uint64_t low = word & kLowBits;
+        const uint64_t op = (low + 0x7a7a7a7a7a7a7a7a) &
+                            ~(low + 0x7777777777777777) & kHighBits;
+        const uint64_t zero = ~(low + kLowBits) & kHighBits;
+        stops |= GatherHighBits(~word & kHighBits) << (8 * k);
+        access |= GatherHighBits(op) << (8 * k);
+        zeros |= GatherHighBits(zero) << (8 * k);
+    }
+    uint64_t parity = stops;  // Bit i: XOR of stops bits 0..i.
+    for (unsigned shift = 1; shift < 64; shift *= 2) {
+        parity ^= parity << shift;
+    }
+    const uint64_t opcodes = stops & parity;
+    const uint64_t ends = stops & ~parity;
+    const uint64_t cont = ~stops & parity;
+    const uint64_t gaps = ~stops & ~parity;
+    const uint64_t bad = gaps | (opcodes & ~access) |
+                         (ends & zeros & (cont << 1)) |
+                         (cont & (cont >> 1) & (cont >> 2) & (cont >> 3) &
+                          (cont >> 4));
+    return ends & (bad - 1) & ~bad;
+}
+
+/**
+ * The access-run decoder of DecodeOps: writes the run whose end bits
+ * @p run AccessRunEnds found at @p p to @p out as references of
+ * @p pid, advancing *last_addr, and returns how many it wrote.  The
+ * classifier has already checked every op, so the loop has no check
+ * and no data-dependent exit: each op's opcode follows the previous
+ * end, and one 8-byte load compacts its value.
  */
 [[gnu::always_inline]] inline size_t
-DecodeAccessRun(const char* p, ProcessAddr* last_addr, AccessType* types,
-                ProcessAddr* addrs, size_t* count)
+DecodeAccessRun(const char* p, uint64_t run, ProcessAddr* last_addr,
+                Pid pid, MemRef* out)
 {
-    uint64_t stops = StopBits(p);
     ProcessAddr addr = *last_addr;
-    unsigned next = 0;  // Where the next op must start.
+    unsigned at = 0;  // The next op's opcode.
     size_t n = 0;
-    for (;;) {
-        const auto at = static_cast<unsigned>(std::countr_zero(stops));
-        stops &= stops - 1;
-        const auto end = static_cast<unsigned>(std::countr_zero(stops));
-        stops &= stops - 1;
-        if (end > 63) {
-            break;
-        }
-        // Shift counts are masked: when bytes is out of range the op is
-        // rejected below, and only its value is garbage.
-        const unsigned bytes = end - at;
+    do {
+        const auto end = static_cast<unsigned>(std::countr_zero(run));
+        run &= run - 1;
         const uint64_t word = Load64(p + at + 1) &
-                              (~uint64_t{0} >> ((64 - 8 * bytes) & 63));
-        const unsigned type = static_cast<uint8_t>(p[at]) - kOpIFetch;
-        const bool trailing_zero = (bytes > 1) & (p[end] == 0);
-        if ((at != next) | (type > kOpWrite - kOpIFetch) | (bytes > 5) |
-            trailing_zero) {
-            break;
-        }
+                              (~uint64_t{0} >> (64 - 8 * (end - at)));
         addr = static_cast<ProcessAddr>(static_cast<int64_t>(addr) +
                                         ZigzagDecode(CompactVarint(word)));
-        types[n] = static_cast<AccessType>(type);
-        addrs[n] = addr;
-        ++n;
-        next = end + 1;
-    }
+        out[n++] = MemRef{pid, addr,
+                          static_cast<AccessType>(
+                              static_cast<uint8_t>(p[at]) - kOpIFetch)};
+        at = end + 1;
+    } while (run != 0);
     *last_addr = addr;
-    *count = n;
-    return next;
+    return n;
 }
 
 /** Decoder state carried from one B payload of a stream to the next. */
 struct DecodeState {
     uint64_t created = 0;      ///< Trace pids created so far.
     bool have_pid = false;     ///< A setpid has been seen.
-    ProcessAddr last_addr = 0; ///< Base of the next access delta.
+    ProcessAddr last_addr = 0; ///< Base of the next access delta
+                               ///< (replay only; counting skips it).
 };
 
 /**
@@ -498,7 +538,10 @@ struct DecodeState {
  * access address already un-delta'd.  An op cut by the payload's end is
  * malformed: ops never straddle B frames.  Stops at the first malformed
  * op with *why set.  The visitor is a template parameter, not a virtual
- * interface, so every visitor call inlines into the replay loop.
+ * interface, so every visitor call inlines into the replay loop.  A
+ * visitor with kCountOnly set gets access counts (CountAccessOps) and
+ * no addresses, so validation does no per-access work in a run; any
+ * other one gets each access decoded into its AccessSlots().
  */
 template <class Visitor>
 bool
@@ -512,19 +555,22 @@ DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
     uint64_t created = state->created;
     bool have_pid = state->have_pid;
     ProcessAddr last_addr = state->last_addr;
-    AccessType types[kMaxRunAccesses];
-    ProcessAddr addrs[kMaxRunAccesses];
     while (pos < ops.size()) {
         // Access runs first; whatever the run path declines (including
         // the payload's last kRunBytes) falls to the switch at the same
         // offset, which alone accepts, rejects and words the errors.
         if (have_pid && ops.size() - pos >= kRunBytes) {
-            size_t n = 0;
-            const size_t used = DecodeAccessRun(ops.data() + pos, &last_addr,
-                                                types, addrs, &n);
-            if (n != 0) {
-                visitor.Accesses(types, addrs, n);
-                pos += used;
+            const char* window = ops.data() + pos;
+            const uint64_t run = AccessRunEnds(window);
+            if (run != 0) {
+                if constexpr (Visitor::kCountOnly) {
+                    visitor.CountAccessOps(PopCount(run));
+                } else {
+                    visitor.Issue(DecodeAccessRun(window, run, &last_addr,
+                                                  visitor.pid(),
+                                                  visitor.AccessSlots()));
+                }
+                pos += static_cast<size_t>(std::bit_width(run));
                 continue;
             }
         }
@@ -594,12 +640,16 @@ DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
             if (!ReadVarint(ops, &pos, &value) || !have_pid) {
                 return Fail(why, "op stream: bad access");
             }
-            last_addr = static_cast<ProcessAddr>(
-                static_cast<int64_t>(last_addr) + ZigzagDecode(value));
-            visitor.Access(opcode == kOpIFetch ? AccessType::kIFetch
-                           : opcode == kOpRead ? AccessType::kRead
-                                               : AccessType::kWrite,
-                           last_addr);
+            if constexpr (Visitor::kCountOnly) {
+                visitor.CountAccessOps(1);
+            } else {
+                last_addr = static_cast<ProcessAddr>(
+                    static_cast<int64_t>(last_addr) + ZigzagDecode(value));
+                *visitor.AccessSlots() =
+                    MemRef{visitor.pid(), last_addr,
+                           static_cast<AccessType>(opcode - kOpIFetch)};
+                visitor.Issue(1);
+            }
             break;
           default:
             return Fail(why, "op stream: unknown opcode");
@@ -607,12 +657,16 @@ DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
     }
     state->created = created;
     state->have_pid = have_pid;
-    state->last_addr = last_addr;
+    if constexpr (!Visitor::kCountOnly) {
+        state->last_addr = last_addr;
+    }
     return true;
 }
 
 /** Validation: counts what the E payload claims, touches nothing. */
 struct OpCounter {
+    static constexpr bool kCountOnly = true;
+
     uint64_t ops = 0;
     uint64_t accesses = 0;
 
@@ -622,12 +676,7 @@ struct OpCounter {
     void Map(uint64_t, ProcessAddr, uint64_t, vm::PageKind) { ++ops; }
     void Share(uint64_t, unsigned, uint64_t, unsigned) { ++ops; }
     void Switch() { ++ops; }
-    void Access(AccessType, ProcessAddr)
-    {
-        ++ops;
-        ++accesses;
-    }
-    void Accesses(const AccessType*, const ProcessAddr*, size_t n)
+    void CountAccessOps(uint64_t n)
     {
         ops += n;
         accesses += n;
@@ -642,6 +691,8 @@ struct OpCounter {
 class Replayer
 {
   public:
+    static constexpr bool kCountOnly = false;
+
     explicit Replayer(WorkloadHost& host)
         : host_(host)
     {
@@ -684,29 +735,25 @@ class Replayer
         ++stats.context_switches;
     }
 
-    void Access(AccessType type, ProcessAddr addr)
-    {
-        Accesses(&type, &addr, 1);
-    }
+    /** The pid of the accesses decoded next. */
+    Pid pid() const { return current_pid_; }
 
-    /** Appends a decoded run, flushing each time the batch fills. */
-    void Accesses(const AccessType* types, const ProcessAddr* addrs,
-                  size_t n)
+    /** Where decoded accesses go: room for kMaxRunAccesses references. */
+    MemRef* AccessSlots() { return batch_.data() + fill_; }
+
+    /**
+     * Takes the @p n references just decoded into AccessSlots().  A
+     * batch is issued as soon as it holds kBatchRefs, at exactly that
+     * size; the references past it open the next one.
+     */
+    void Issue(size_t n)
     {
         stats.accesses += n;
-        while (n != 0) {
-            const size_t take = std::min(n, kBatchRefs - fill_);
-            MemRef* out = batch_.data() + fill_;
-            for (size_t k = 0; k < take; ++k) {
-                out[k] = MemRef{current_pid_, addrs[k], types[k]};
-            }
-            fill_ += take;
-            types += take;
-            addrs += take;
-            n -= take;
-            if (fill_ == kBatchRefs) {
-                Flush();
-            }
+        fill_ += n;
+        if (fill_ >= kBatchRefs) [[unlikely]] {
+            host_.AccessBatch(batch_.data(), kBatchRefs);
+            fill_ -= kBatchRefs;
+            std::copy_n(batch_.data() + kBatchRefs, fill_, batch_.data());
         }
     }
 
@@ -726,7 +773,9 @@ class Replayer
 
     WorkloadHost& host_;
     std::vector<Pid> host_pid_;  ///< Indexed by trace pid.
-    std::vector<MemRef> batch_ = std::vector<MemRef>(kBatchRefs);
+    /** kBatchRefs plus the room a run decoded past it needs. */
+    std::vector<MemRef> batch_ =
+        std::vector<MemRef>(kBatchRefs + kMaxRunAccesses);
     size_t fill_ = 0;            ///< References in batch_.
     Pid current_pid_ = 0;
 };

@@ -54,12 +54,15 @@
  *
  * The coding of access ops has no branch on varint length (DESIGN.md
  * §19), so it assumes a little-endian host (a static_assert).  The
- * encoder writes each varint below 2^56 with one 8-byte word store; the
- * decoder walks runs of access ops through the stop bits (bytes below
- * 0x80) of a 64-byte window, extracting each 1-5 byte varint from one
- * 8-byte load, and leaves everything else — other ops, longer or
- * non-canonical varints, a payload's last 72 bytes — to its op switch.
- * Both paths accept exactly the same bytes.
+ * encoder writes each varint below 2^56 with one 8-byte word store.  The
+ * decoder classifies a 64-byte window at a time: word masks of its stop
+ * bytes (below 0x80), access opcodes and zero bytes, split by a prefix
+ * XOR of the stops into opcodes, varint ends and continuation bytes,
+ * give the run of access ops before the first bad byte.  Validation
+ * only counts the run's ends; replay extracts each 1-5 byte varint
+ * from one 8-byte load.  Everything else — other ops, longer or
+ * non-canonical varints, a payload's last 72 bytes — goes to the op
+ * switch.  Both paths accept exactly the same bytes.
  *
  * An access before the first setpid is malformed.  Every B payload
  * holds whole ops: an op never straddles two B frames (the encoder

@@ -15,6 +15,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "src/common/framed_log.h"
+#include "src/common/random.h"
 #include "src/core/system.h"
 #include "src/workload/trace.h"
 #include "src/workload/workloads.h"
@@ -713,6 +715,347 @@ TEST(TraceTest, RunPathRejectsWhatTheSwitchRejects)
     EXPECT_EQ(host.log[1], "access 0 4 1");
     EXPECT_EQ(host.log[2], "access 0 4 1");
     EXPECT_EQ(host.log[3], "access 0 8 1");
+}
+
+/**
+ * The reference op decoder: a plain byte-at-a-time LEB128 reading of
+ * one B payload with DecodeOps' rules and error texts, logging what
+ * replay into an OpLogHost(0) must log.  It knows nothing of 64-byte
+ * windows, so comparing it with recovery and replay tests the access
+ * runs.
+ */
+struct ByteDecoded {
+    bool ok = true;
+    std::string error;  ///< "op stream: ..." when !ok.
+    std::vector<std::string> log;
+    uint64_t ops = 0;
+    uint64_t accesses = 0;
+};
+
+ByteDecoded
+ByteDecode(const std::string& ops)
+{
+    ByteDecoded out;
+    size_t pos = 0;
+    const auto varint = [&](uint64_t* value) {
+        *value = 0;
+        for (unsigned shift = 0; shift < 64 && pos < ops.size();
+             shift += 7) {
+            const auto byte = static_cast<uint8_t>(ops[pos++]);
+            if (shift == 63 && (byte & 0x7f) > 1) {
+                return false;
+            }
+            *value |= static_cast<uint64_t>(byte & 0x7f) << shift;
+            if ((byte & 0x80) == 0) {
+                return byte != 0 || shift == 0;
+            }
+        }
+        return false;
+    };
+    const auto small = [&](uint8_t max, uint64_t* value) {
+        if (pos >= ops.size() || static_cast<uint8_t>(ops[pos]) > max) {
+            return false;
+        }
+        *value = static_cast<uint8_t>(ops[pos++]);
+        return true;
+    };
+    const auto fail = [&](const char* why) {
+        out.ok = false;
+        out.error = std::string("op stream: ") + why;
+        return out;
+    };
+    uint64_t created = 0;
+    bool have_pid = false;
+    uint64_t pid = 0;
+    ProcessAddr addr = 0;
+    while (pos < ops.size()) {
+        const auto opcode = static_cast<uint8_t>(ops[pos++]);
+        uint64_t a = 0;
+        uint64_t b = 0;
+        uint64_t c = 0;
+        uint64_t d = 0;
+        switch (opcode) {
+          case 0:
+            if (!varint(&a) || a != created) {
+                return fail("bad create pid");
+            }
+            out.log.push_back("create " + std::to_string(created++));
+            break;
+          case 1:
+          case 5:
+            if (!varint(&a) || a >= created) {
+                return fail("pid out of range");
+            }
+            if (opcode == 1) {
+                out.log.push_back("destroy " + std::to_string(a));
+            } else {
+                have_pid = true;
+                pid = a;
+            }
+            break;
+          case 2:
+            if (!varint(&a) || a >= created || !varint(&b) ||
+                b > 0xFFFFFFFF || !varint(&c) ||
+                !small(static_cast<uint8_t>(vm::PageKind::kFileCache), &d)) {
+                return fail("bad map op");
+            }
+            out.log.push_back(OpLogHost::MapLine(
+                static_cast<Pid>(a), static_cast<ProcessAddr>(b), c,
+                static_cast<vm::PageKind>(d)));
+            break;
+          case 3:
+            if (!varint(&a) || a >= created || !small(3, &b) ||
+                !varint(&c) || c >= created || !small(3, &d)) {
+                return fail("bad share op");
+            }
+            out.log.push_back("share " + std::to_string(a) + " " +
+                              std::to_string(b) + " " + std::to_string(c) +
+                              " " + std::to_string(d));
+            break;
+          case 4:
+            out.log.push_back("switch");
+            break;
+          case 6:
+          case 7:
+          case 8:
+            if (!varint(&a) || !have_pid) {
+                return fail("bad access");
+            }
+            addr = static_cast<ProcessAddr>(
+                addr + static_cast<ProcessAddr>((a >> 1) ^ (0 - (a & 1))));
+            out.log.push_back(OpLogHost::AccessLine(
+                MemRef{static_cast<Pid>(pid), addr,
+                       static_cast<AccessType>(opcode - 6)}));
+            ++out.accesses;
+            break;
+          default:
+            return fail("unknown opcode");
+        }
+        ++out.ops;
+    }
+    return out;
+}
+
+/** A random access op whose varint is @p bytes (1-5) long. */
+std::string
+RandomAccess(Rng& rng, size_t bytes)
+{
+    const uint64_t low = bytes == 1 ? 0 : uint64_t{1} << (7 * (bytes - 1));
+    const uint64_t high = uint64_t{1} << (7 * bytes);
+    return static_cast<char>(6 + rng.NextBelow(3)) +
+           Leb128(low + rng.NextBelow(high - low));
+}
+
+TEST(TraceTest, AccessRunsMatchAByteDecoder)
+{
+    // Each defect is written where an op starts, at every offset of a
+    // run window but 1 (a window's byte 1 is inside its first op: no op
+    // a window can start with is 1 byte long).  Valid ops other than
+    // 1-5 byte accesses must leave the run for the switch; the
+    // straddling access is valid, crosses the window's end from offset
+    // 59 and ends on its last byte at offset 58; the rest are malformed.
+    std::vector<std::pair<std::string, std::string>> defects = {
+        {"gap byte", ""},  // A random byte of 0x80 or more, per case.
+        {"create", std::string("\x00\x02", 2)},
+        {"destroy", "\x01\x01"},
+        {"map", std::string("\x02\x00", 2) + Leb128(0x40000000) +
+                    Leb128(0x2000) + "\x01"},
+        {"share", std::string("\x03\x01\x02\x00\x03", 5)},
+        {"switch", "\x04"},
+        {"setpid", "\x05\x01"},
+        {"opcode 9", "\x09\x08"},
+        {"opcode 0x86", "\x86\x08"},
+        {"6-byte varint", "\x07" + Leb128(uint64_t{1} << 40)},
+        {"10-byte varint", "\x06" + Leb128(~uint64_t{0})},
+        {"straddling access", ""},
+    };
+    for (size_t bytes = 2; bytes <= 6; ++bytes) {
+        defects.emplace_back(
+            std::to_string(bytes) + "-byte trailing 0x00",
+            "\x08" + std::string(bytes - 1, '\x9f') + std::string(1, '\0'));
+    }
+
+    Rng rng(0x5eed0019);
+    // create 0, create 1, setpid 0; then random ops, mostly accesses.
+    const std::string head("\x00\x00\x00\x01\x05\x00", 6);
+    const auto random_op = [&](std::string* op) {
+        if (rng.NextBelow(16) == 0) {
+            *op = rng.NextBelow(2) != 0 ? "\x04" : "\x05\x01";
+            return false;
+        }
+        *op = RandomAccess(rng, 1 + rng.NextBelow(5));
+        return true;
+    };
+    size_t accepted = 0;
+    size_t rejected = 0;
+    for (const auto& [what, defect] : defects) {
+        for (size_t k = 0; k < 64; ++k) {
+            if (k == 1) {
+                continue;
+            }
+            for (const bool near_end : {false, true}) {
+                // `window` tracks where DecodeOps' windows start: at an
+                // access that does not fit the current one, and after
+                // any other op.
+                std::string ops = head;
+                size_t window = ops.size();
+                const auto add = [&](const std::string& op, bool access) {
+                    const size_t start = ops.size();
+                    ops += op;
+                    if (!access) {
+                        window = ops.size();
+                    } else if (ops.size() - window > 64) {
+                        window = start;
+                    }
+                };
+                std::string op;
+                for (uint64_t i = rng.NextBelow(120); i != 0; --i) {
+                    const bool access = random_op(&op);
+                    add(op, access);
+                }
+                // Pad to offset k (64 is the next window's 0) with
+                // 2-6 byte accesses, never leaving a 1-byte gap.
+                for (size_t off = (ops.size() - window) % 64; off != k;
+                     off = (ops.size() - window) % 64) {
+                    const size_t gap = (off < k ? k : 64) - off;
+                    size_t bytes = 2;  // Starts the next window at gap 1.
+                    if (gap > 1) {
+                        do {
+                            bytes = 2 + rng.NextBelow(
+                                            std::min<size_t>(gap, 6) - 1);
+                        } while (bytes == gap - 1);
+                    }
+                    add(RandomAccess(rng, bytes - 1), true);
+                }
+                const size_t at = ops.size();
+                if (what == "gap byte") {
+                    ops += static_cast<char>(0x80 + rng.NextBelow(0x80));
+                } else if (what == "straddling access") {
+                    ops += RandomAccess(rng,
+                                        std::clamp<size_t>(65 - k, 2, 6) - 1);
+                } else {
+                    ops += defect;
+                }
+                // A long tail leaves the defect to the run windows; a
+                // short one puts it in the payload's last 72 bytes.
+                const size_t tail = near_end ? 72 : 200;
+                for (random_op(&op); ops.size() + op.size() - at < tail;
+                     random_op(&op)) {
+                    ops += op;
+                }
+
+                const std::string where =
+                    what + " at window offset " + std::to_string(k) +
+                    (near_end ? " near the payload's end" : "");
+                const ByteDecoded want = ByteDecode(ops);
+                (want.ok ? accepted : rejected) += 1;
+                std::string error;
+                const auto recovered =
+                    RecoverTraceBytes(EncodeTraceFile({HandBuiltStream(
+                                          "runs", {ops}, want.ops,
+                                          want.accesses)}),
+                                      &error);
+                ASSERT_EQ(recovered.has_value(), want.ok)
+                    << where << ": " << error;
+                if (!want.ok) {
+                    EXPECT_EQ(error, "stream '" +
+                                         MetaFor("runs", 1, want.accesses)
+                                             .Identity() +
+                                         "': " + want.error)
+                        << where;
+                    continue;
+                }
+                ASSERT_EQ(recovered->streams.size(), 1u) << where;
+                EXPECT_EQ(recovered->streams[0].op_count, want.ops) << where;
+                OpLogHost host(0);
+                EXPECT_EQ(ReplayStream(recovered->streams[0], host).accesses,
+                          want.accesses)
+                    << where;
+                EXPECT_EQ(host.log, want.log) << where;
+            }
+        }
+    }
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 500u);
+}
+
+/** An OpLogHost that logs each AccessBatch's size and keeps its refs. */
+class BatchLogHost : public OpLogHost
+{
+  public:
+    BatchLogHost()
+        : OpLogHost(1)
+    {
+    }
+
+    void AccessBatch(const MemRef* batch, size_t n) override
+    {
+        log.push_back("batch " + std::to_string(n));
+        refs.insert(refs.end(), batch, batch + n);
+    }
+
+    std::vector<MemRef> refs;
+};
+
+TEST(TraceTest, ReplayIssuesFullBatchesInRecordingOrder)
+{
+    // Runs of accesses from two processes (a pid change is a setpid op,
+    // which does not close a batch), with 1-5 byte address deltas,
+    // separated by switches and one map.  Every batch holds exactly
+    // 4096 references but the one a non-access op or the stream's end
+    // closes.
+    Rng rng(0x5eed0020);
+    TraceEncoder encoder(MetaFor("batches", 1, 0));
+    std::vector<MemRef> recorded;
+    std::vector<std::string> expected;
+    encoder.OnCreateProcess(1);
+    encoder.OnCreateProcess(2);
+    expected = {"create 1", "create 2"};
+    ProcessAddr addr = 0;
+    const auto run = [&](size_t n) {
+        for (size_t i = 0; i < n; ++i) {
+            const Pid pid = (recorded.size() / 1000) % 2 == 0 ? 1 : 2;
+            const uint64_t bits = 1 + 7 * rng.NextBelow(5);
+            addr = static_cast<ProcessAddr>(
+                addr + rng.NextBelow(uint64_t{1} << (bits - 1)));
+            recorded.push_back(MemRef{
+                pid, addr, static_cast<AccessType>(rng.NextBelow(3))});
+            encoder.OnAccess(recorded.back());
+        }
+        for (size_t full = n / 4096; full != 0; --full) {
+            expected.push_back("batch 4096");
+        }
+        if (n % 4096 != 0) {
+            expected.push_back("batch " + std::to_string(n % 4096));
+        }
+    };
+    for (const size_t n : {size_t{40000}, size_t{5000}, size_t{4096},
+                           size_t{31}, size_t{4097}, size_t{8192}}) {
+        run(n);
+        encoder.OnContextSwitch();
+        expected.push_back("switch");
+    }
+    run(12345);
+    encoder.OnMapRegion(2, 0x40000000, 0x2000, vm::PageKind::kData);
+    expected.push_back(
+        OpLogHost::MapLine(2, 0x40000000, 0x2000, vm::PageKind::kData));
+    run(100);
+
+    std::string error;
+    const auto recovered = RecoverTraceBytes(
+        EncodeTraceFile({encoder.Finish(recorded.size())}), &error);
+    ASSERT_TRUE(recovered.has_value()) << error;
+    ASSERT_EQ(recovered->streams.size(), 1u);
+    BatchLogHost host;
+    EXPECT_EQ(ReplayStream(recovered->streams[0], host).accesses,
+              recorded.size());
+    EXPECT_EQ(host.log, expected);
+    ASSERT_EQ(host.refs.size(), recorded.size());
+    for (size_t i = 0; i < recorded.size(); ++i) {
+        ASSERT_EQ(OpLogHost::AccessLine(host.refs[i]),
+                  OpLogHost::AccessLine(recorded[i]))
+            << "reference " << i;
+    }
 }
 
 TEST(TraceDeathTest, RejectsMissingFile)

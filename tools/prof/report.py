@@ -38,7 +38,8 @@ LAYERS = [
     ("miss", r"spur::core::SpurSystem::"
              r"(AccessMissImpl|WriteHitSlow|ResidentPte|ChargeDirty)"),
     ("hit loop", r"spur::core::SpurSystem::Access(Batch)?Impl"),
-    ("decode", r"Decode|Replay|RecoverTrace|StopBits|CompactVarint"),
+    ("decode", r"Decode|Replay|RecoverTrace|AccessRunEnds|GatherHighBits"
+               r"|PopCount|CompactVarint"),
     ("encode", r"Encode|PutVarint|RecordingHost"),
     ("digest", r"Digest"),
     ("generation", r"spur::workload::|spur::Rng::|Zipf"),
