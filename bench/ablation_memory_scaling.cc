@@ -12,7 +12,6 @@
  *
  * Flags: --refs=M (millions), --reps=N (default 1), --seed=S, plus the
  *        standard session flags --jobs=N, --json=FILE, --shard=K/N,
- *        --telemetry, --costs=FILE,
  *        --stream=FILE, --resume=FILE (src/runner/session.h)
  */
 #include <cstdio>

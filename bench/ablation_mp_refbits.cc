@@ -8,8 +8,8 @@
  *
  * Flags: --refs=M (millions per CPU count; default 3), --seed=S,
  *        plus the standard session flags --jobs=N, --json=FILE,
- *        --shard=K/N, --telemetry, --costs=FILE,
- *        --stream=FILE, --resume=FILE (src/runner/session.h)
+ *        --shard=K/N, --stream=FILE, --resume=FILE
+ *        (src/runner/session.h)
  */
 #include <cstdio>
 #include <memory>

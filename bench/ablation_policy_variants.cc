@@ -18,8 +18,8 @@
  *        DESIGN.md §19 scenario-library workloads — ctx-switch,
  *        flush-storm, server-churn, gc-sweep — to the analytic table),
  *        plus the standard session flags --jobs=N, --json=FILE,
- *        --shard=K/N, --telemetry, --costs=FILE, --stream=FILE,
- *        --resume=FILE, --record-trace=FILE, --replay-trace=FILE
+ *        --shard=K/N, --stream=FILE, --resume=FILE,
+ *        --record-trace=FILE, --replay-trace=FILE
  *        (src/runner/session.h)
  */
 #include <cstdio>

@@ -15,8 +15,8 @@
  *
  * Flags: --refs=M (millions, default 6), --mem=MB (default 8), --seed=S,
  *        plus the standard session flags --jobs=N, --json=FILE,
- *        --shard=K/N, --telemetry, --costs=FILE,
- *        --stream=FILE, --resume=FILE (src/runner/session.h)
+ *        --shard=K/N, --stream=FILE, --resume=FILE
+ *        (src/runner/session.h)
  */
 #include <cstdio>
 

@@ -16,9 +16,9 @@
  *        --scenarios (append the DESIGN.md §19 scenario-library
  *        workloads — ctx-switch, flush-storm, server-churn, gc-sweep —
  *        as extra rows), plus the standard session flags --jobs=N,
- *        --json=FILE, --shard=K/N, --telemetry, --costs=FILE,
- *        --stream=FILE, --resume=FILE, --record-trace=FILE,
- *        --replay-trace=FILE (src/runner/session.h)
+ *        --json=FILE, --shard=K/N, --stream=FILE, --resume=FILE,
+ *        --record-trace=FILE, --replay-trace=FILE
+ *        (src/runner/session.h)
  */
 #include <cstdio>
 #include <vector>

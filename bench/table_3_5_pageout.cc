@@ -14,8 +14,8 @@
  *        (append a page-out table over the DESIGN.md §19 scenario
  *        library — ctx-switch, flush-storm, server-churn, gc-sweep),
  *        plus the standard session flags --jobs=N, --json=FILE,
- *        --shard=K/N, --telemetry, --costs=FILE, --stream=FILE,
- *        --resume=FILE, --record-trace=FILE, --replay-trace=FILE
+ *        --shard=K/N, --stream=FILE, --resume=FILE,
+ *        --record-trace=FILE, --replay-trace=FILE
  *        (src/runner/session.h)
  */
 #include <cstdio>

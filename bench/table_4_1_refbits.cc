@@ -8,8 +8,8 @@
  *
  * Flags: --reps=N (default 3; the paper used 5), --refs=M (millions),
  *        --csv, --seed=S, plus the standard session flags --jobs=N,
- *        --json=FILE, --shard=K/N, --telemetry, --costs=FILE,
- *        --stream=FILE, --resume=FILE (src/runner/session.h)
+ *        --json=FILE, --shard=K/N, --stream=FILE, --resume=FILE
+ *        (src/runner/session.h)
  */
 #include <cstdio>
 #include <string>

@@ -53,12 +53,12 @@ TokenRules()
          "platform RNG breaks cross-machine reproducibility; use the "
          "seeded spur::Rng (src/common/random.h)"},
         {"no-wallclock",
-         "wall-clock reads are confined to the telemetry/cost layer",
+         "wall-clock reads are confined to the telemetry layer",
          {"time(", "clock(", "system_clock", "steady_clock",
           "high_resolution_clock", "gettimeofday", "clock_gettime",
           "localtime", "gmtime", "strftime", "asctime", "ctime("},
-         {"src/sweep/telemetry.", "src/sweep/cost."},
-         "wall-clock read outside the telemetry/cost whitelist; results "
+         {"src/sweep/telemetry."},
+         "wall-clock read outside the telemetry whitelist; results "
          "must depend only on config and seed"},
         {"no-locale",
          "locale-dependent formatting is forbidden",

@@ -12,7 +12,6 @@
 #include "src/common/random.h"
 #include "src/common/thread_annotations.h"
 #include "src/runner/thread_pool.h"
-#include "src/sweep/telemetry.h"
 
 namespace spur::runner {
 
@@ -29,15 +28,9 @@ EffectiveJobs(unsigned jobs, size_t count)
         std::min<size_t>(jobs, std::max<size_t>(count, 1)));
 }
 
-/**
- * The cells this shard owns, in execution order: the shuffled list
- * filtered to the shard and, when a cost table is supplied, reordered
- * longest-first (stable, so unknown-cost cells keep their shuffled
- * relative order behind every measured one).
- */
+/** The cells this shard owns, in the shuffled execution order. */
 std::vector<CellId>
-ShardCells(const std::vector<core::RunConfig>& configs, uint32_t reps,
-           const MatrixOptions& options)
+ShardCells(size_t num_configs, uint32_t reps, const MatrixOptions& options)
 {
     const uint32_t shard_count = std::max(options.shard_count, 1u);
     if (options.shard_index >= shard_count) {
@@ -46,7 +39,7 @@ ShardCells(const std::vector<core::RunConfig>& configs, uint32_t reps,
               " out of range for count " + std::to_string(shard_count));
     }
     std::vector<CellId> cells =
-        MatrixOrder(configs.size(), reps, options.shuffle_seed);
+        MatrixOrder(num_configs, reps, options.shuffle_seed);
     if (shard_count > 1) {
         std::vector<CellId> mine;
         mine.reserve(cells.size() / shard_count + 1);
@@ -57,27 +50,6 @@ ShardCells(const std::vector<core::RunConfig>& configs, uint32_t reps,
             }
         }
         cells = std::move(mine);
-    }
-    if (options.cost) {
-        std::vector<double> costs(cells.size());
-        for (size_t i = 0; i < cells.size(); ++i) {
-            costs[i] = options.cost(configs[cells[i].config_index],
-                                    cells[i].rep);
-        }
-        std::vector<size_t> order(cells.size());
-        for (size_t i = 0; i < order.size(); ++i) {
-            order[i] = i;
-        }
-        std::stable_sort(order.begin(), order.end(),
-                         [&costs](size_t a, size_t b) {
-                             return costs[a] > costs[b];
-                         });
-        std::vector<CellId> sorted;
-        sorted.reserve(cells.size());
-        for (const size_t i : order) {
-            sorted.push_back(cells[i]);
-        }
-        cells = std::move(sorted);
     }
     return cells;
 }
@@ -185,7 +157,7 @@ std::vector<std::vector<core::RunResult>>
 RunMatrix(const std::vector<core::RunConfig>& configs, uint32_t reps,
           const MatrixOptions& options, const CellCallback& progress)
 {
-    std::vector<CellId> cells = ShardCells(configs, reps, options);
+    std::vector<CellId> cells = ShardCells(configs.size(), reps, options);
     // The resume hook filters owned cells before any scheduling; skipped
     // cells surface through progress so the caller can substitute their
     // previously recorded results.
@@ -229,11 +201,7 @@ RunMatrix(const std::vector<core::RunConfig>& configs, uint32_t reps,
             cell.rep = id.rep;
             cell.config = configs[id.config_index];
             cell.config.seed = CellSeed(cell.config.seed, id.rep);
-            const sweep::Stopwatch stopwatch;
             cell.result = core::RunOnce(cell.config);
-            cell.wall_seconds = stopwatch.Seconds();
-            cell.peak_rss_bytes = sweep::PeakRssBytes();
-            cell.worker = CurrentWorkerIndex();
             results[id.config_index][id.rep] = cell.result;
             if (progress) {
                 progress(cell);
@@ -269,11 +237,7 @@ RunMatrix(const std::vector<core::RunConfig>& configs, uint32_t reps,
             d.cell.config = configs[id.config_index];
             d.cell.config.seed = CellSeed(d.cell.config.seed, id.rep);
             try {
-                const sweep::Stopwatch stopwatch;
                 d.cell.result = core::RunOnce(d.cell.config);
-                d.cell.wall_seconds = stopwatch.Seconds();
-                d.cell.peak_rss_bytes = sweep::PeakRssBytes();
-                d.cell.worker = CurrentWorkerIndex();
             } catch (...) {
                 d.error = std::current_exception();
             }

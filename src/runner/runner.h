@@ -40,12 +40,8 @@ struct Cell {
     core::RunResult result;
     /// False when MatrixOptions::skip elided the run (e.g. the cell was
     /// satisfied from a --resume file): identity and config are filled
-    /// in, result and telemetry stay default.
+    /// in, the result stays default.
     bool executed = true;
-    // Telemetry sampled around the cell's execution (sweep layer).
-    double wall_seconds = 0.0;    ///< Wall-clock duration of RunOnce.
-    uint64_t peak_rss_bytes = 0;  ///< Process peak RSS at completion.
-    uint32_t worker = 0;          ///< 0-based worker-thread index.
 };
 
 /** Fired once per completed cell, on the calling thread. */
@@ -67,7 +63,7 @@ uint64_t CellSeed(uint64_t config_seed, uint32_t rep);
 std::vector<CellId> MatrixOrder(size_t num_configs, uint32_t reps,
                                 uint64_t shuffle_seed);
 
-/** Execution options for the sharded / cost-aware matrix runner. */
+/** Execution options for the sharded matrix runner. */
 struct MatrixOptions {
     uint64_t shuffle_seed = 42;
     unsigned jobs = 0;        ///< 0 = DefaultJobs(), 1 = run inline.
@@ -78,12 +74,6 @@ struct MatrixOptions {
     uint32_t shard_index = 0;
     uint32_t shard_count = 1;
     uint64_t shard_offset = 0;
-    /// Optional measured-cost hint (seconds; negative = unknown).  When
-    /// set, this shard's cells execute longest-first — better pool
-    /// utilization on heterogeneous sweeps — with unknown-cost cells
-    /// keeping their shuffled order after all known ones.  Scheduling
-    /// order never changes results (cells are seeded by identity).
-    std::function<double(const core::RunConfig& config, uint32_t rep)> cost;
     /// Optional resume hook, called once per owned cell — with the
     /// derived per-cell seed — before it is scheduled; true = do not
     /// run it.  Skipped cells still fire progress, with Cell::executed
@@ -94,13 +84,12 @@ struct MatrixOptions {
 };
 
 /**
- * The sharded / cost-aware form of RunMatrix: executes the cells this
- * shard owns and leaves every other cell of the result matrix
- * default-constructed.  The union of all shards' executed cells is
- * bit-identical to a single full run (tests/sweep_test.cc).  Progress
- * fires once per *owned* cell, on the calling thread: executed cells
- * carry their result and telemetry, cells elided by MatrixOptions::skip
- * arrive with Cell::executed false.
+ * The sharded form of RunMatrix: executes the cells this shard owns and
+ * leaves every other cell of the result matrix default-constructed.  The
+ * union of all shards' executed cells is bit-identical to a single full
+ * run (tests/sweep_test.cc).  Progress fires once per *owned* cell, on
+ * the calling thread: executed cells carry their result, cells elided
+ * by MatrixOptions::skip arrive with Cell::executed false.
  */
 std::vector<std::vector<core::RunResult>> RunMatrix(
     const std::vector<core::RunConfig>& configs, uint32_t reps,

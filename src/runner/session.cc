@@ -8,14 +8,12 @@
 #include "src/common/thread_annotations.h"
 #include "src/runner/thread_pool.h"
 #include "src/sweep/merge.h"
-#include "src/sweep/telemetry.h"
 
 namespace spur::runner {
 
 BenchSession::BenchSession(std::string bench_name, const Args& args)
   : bench_(std::move(bench_name)),
-    json_path_(args.GetString("json")),
-    telemetry_(args.Has("telemetry"))
+    json_path_(args.GetString("json"))
 {
     const int64_t requested = args.GetInt("jobs", 0);
     jobs_ = (requested > 0) ? static_cast<unsigned>(requested)
@@ -32,22 +30,6 @@ BenchSession::BenchSession(std::string bench_name, const Args& args)
                   shard_text + "'");
         }
         shard_ = *shard;
-    }
-
-    const std::string costs_path = args.GetString("costs");
-    if (!costs_path.empty()) {
-        std::string error;
-        const std::optional<sweep::SweepDocument> document =
-            sweep::LoadSweepFile(costs_path, &error);
-        if (!document) {
-            Fatal("--costs: " + error);
-        }
-        costs_ = sweep::CostTable::FromDocument(*document);
-        if (costs_.empty()) {
-            Warn("--costs: " + costs_path +
-                 " holds no telemetry (produce it with --telemetry); "
-                 "keeping shuffled order");
-        }
     }
 
     const std::string resume_path = args.GetString("resume");
@@ -138,11 +120,6 @@ BenchSession::RunMatrix(const std::vector<core::RunConfig>& configs,
     options.shard_index = shard_.index;
     options.shard_count = shard_.count;
     options.shard_offset = total_cells_;
-    if (!costs_.empty()) {
-        options.cost = [this](const core::RunConfig& config, uint32_t rep) {
-            return costs_.Lookup(config, rep);
-        };
-    }
     if (!resume_.empty()) {
         options.skip = [this](const core::RunConfig& config, uint32_t rep) {
             return resume_.find(CellIdentity(config, rep)) != resume_.end();
@@ -231,12 +208,6 @@ BenchSession::RunAll(const std::vector<core::RunConfig>& configs)
     }
 
     std::vector<core::RunResult> results(configs.size());
-    struct Telemetry {
-        double wall_seconds = 0.0;
-        uint64_t peak_rss_bytes = 0;
-        uint32_t worker = 0;
-    };
-    std::vector<Telemetry> telemetry(run.size());
 
     // In-order streaming committer: a cell is committed the moment every
     // owned cell before it in input order is finished (or resumed), so a
@@ -263,26 +234,14 @@ BenchSession::RunAll(const std::vector<core::RunConfig>& configs)
                 ++resumed_cells_;
                 continue;
             }
-            stats::RunRecord record = MakeRecord(configs[i], 0, results[i]);
-            if (telemetry_) {
-                stats::CellTelemetry cell;
-                cell.wall_seconds = telemetry[slot_of[k]].wall_seconds;
-                cell.peak_rss_bytes = telemetry[slot_of[k]].peak_rss_bytes;
-                cell.worker = telemetry[slot_of[k]].worker;
-                record.telemetry = cell;
-            }
-            Commit(std::move(record));
+            Commit(MakeRecord(configs[i], 0, results[i]));
         }
     };
     commit_ready();  // Leading resumed cells stream before execution.
     const std::vector<core::RunConfig> hooked = WithTraceHooks(configs);
     ParallelFor(run.size(), jobs_, [&](size_t slot) {
         const size_t i = run[slot];
-        const sweep::Stopwatch stopwatch;
         results[i] = core::RunOnce(hooked[i]);
-        telemetry[slot].wall_seconds = stopwatch.Seconds();
-        telemetry[slot].peak_rss_bytes = sweep::PeakRssBytes();
-        telemetry[slot].worker = CurrentWorkerIndex();
         {
             MutexLock lock(drain.mutex);
             drain.finished[slot] = true;
@@ -362,16 +321,7 @@ BenchSession::CommitCell(const Cell& cell)
         ++resumed_cells_;
         return;
     }
-    stats::RunRecord record = MakeRecord(cell.config, cell.rep,
-                                         cell.result);
-    if (telemetry_) {
-        stats::CellTelemetry telemetry;
-        telemetry.wall_seconds = cell.wall_seconds;
-        telemetry.peak_rss_bytes = cell.peak_rss_bytes;
-        telemetry.worker = cell.worker;
-        record.telemetry = telemetry;
-    }
-    Commit(std::move(record));
+    Commit(MakeRecord(cell.config, cell.rep, cell.result));
 }
 
 void

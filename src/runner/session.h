@@ -14,13 +14,6 @@
  *                 to shard K iff o % N == K.  Per-cell seeding makes
  *                 the union of the N shard outputs bit-identical to a
  *                 full run; merge the JSON with `spur_sweep merge`.
- *   --telemetry   stamp each recorded cell with wall-clock duration,
- *                 peak RSS and worker-thread index.  Off by default so
- *                 the JSON stays byte-identical across job counts,
- *                 shardings and machines.
- *   --costs=F     prior sweep JSON (produced with --telemetry) whose
- *                 measured durations drive longest-first scheduling;
- *                 changes utilization, never results.
  *   --stream=F    append every record to F as an fsync'd frame the
  *                 moment it is recorded (src/sweep/stream.h), with a
  *                 verified trailer at Finish() — so a crashed or killed
@@ -71,7 +64,6 @@
 #include "src/core/run_trace.h"
 #include "src/runner/runner.h"
 #include "src/stats/run_record.h"
-#include "src/sweep/cost.h"
 #include "src/sweep/shard.h"
 #include "src/sweep/stream.h"
 
@@ -84,9 +76,9 @@ class BenchSession
     /**
      * Reads the standard flags from @p args and installs the job count
      * as the process-wide default (SetDefaultJobs).  A malformed
-     * --shard, an unreadable --costs/--resume file, a --resume file
-     * from a different bench or sharding, or an unwritable --stream
-     * path is a Fatal() user error.
+     * --shard, an unreadable --resume file or one from a different
+     * bench or sharding, or an unwritable --stream path is a Fatal()
+     * user error.
      */
     BenchSession(std::string bench_name, const Args& args);
 
@@ -95,9 +87,6 @@ class BenchSession
 
     /** The slice of the sweep this process runs (0/1 = everything). */
     const sweep::ShardSpec& shard() const { return shard_; }
-
-    /** True when --telemetry was requested. */
-    bool telemetry_enabled() const { return telemetry_; }
 
     /** Sharded work units seen (cells of every matrix so far). */
     uint64_t total_cells() const { return total_cells_; }
@@ -110,8 +99,8 @@ class BenchSession
 
     /**
      * Parallel experiment matrix (see runner::RunMatrix) on this
-     * session's job count, shard, cost table and resume set; every cell
-     * this shard executes or resumes is recorded for --json/--stream in
+     * session's job count, shard and resume set; every cell this shard
+     * executes or resumes is recorded for --json/--stream in
      * deterministic (config, rep) order.  Under --shard or --resume,
      * cells not run in-process stay default-constructed in the returned
      * matrix — printed tables are partial; the JSON records are the
@@ -172,10 +161,10 @@ class BenchSession
 
     /**
      * Commits one matrix cell: the resumed record for a skipped cell,
-     * or a fresh record (plus telemetry when enabled) for an executed
-     * one.  Called in ascending (config, rep) order as each ordered
-     * prefix completes, so --stream gains a durable record the moment a
-     * cell's predecessors are all done.
+     * or a fresh record for an executed one.  Called in ascending
+     * (config, rep) order as each ordered prefix completes, so --stream
+     * gains a durable record the moment a cell's predecessors are all
+     * done.
      */
     void CommitCell(const Cell& cell) SPUR_EXCLUDES(mutex_);
 
@@ -186,8 +175,6 @@ class BenchSession
     std::string json_path_;
     unsigned jobs_;
     sweep::ShardSpec shard_;
-    bool telemetry_ = false;
-    sweep::CostTable costs_;
     // Session-thread state: mutated on the owning thread between runs
     // (sharding carries offsets across calls).  resumed_cells_ is also
     // bumped from RunAll's in-order committer, serialized by its local

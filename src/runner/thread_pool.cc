@@ -9,7 +9,6 @@ namespace spur::runner {
 
 namespace {
 std::atomic<unsigned> g_default_jobs{0};
-thread_local unsigned t_worker_index = 0;
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads)
@@ -19,7 +18,7 @@ ThreadPool::ThreadPool(unsigned threads)
     }
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i) {
-        workers_.emplace_back([this, i] { WorkerLoop(i); });
+        workers_.emplace_back([this] { WorkerLoop(); });
     }
 }
 
@@ -46,9 +45,8 @@ ThreadPool::Submit(std::function<void()> task)
 }
 
 void
-ThreadPool::WorkerLoop(unsigned worker_index)
+ThreadPool::WorkerLoop()
 {
-    t_worker_index = worker_index;
     for (;;) {
         std::function<void()> task;
         {
@@ -84,12 +82,6 @@ DefaultJobs()
 {
     const unsigned jobs = g_default_jobs.load(std::memory_order_relaxed);
     return (jobs > 0) ? jobs : HardwareJobs();
-}
-
-unsigned
-CurrentWorkerIndex()
-{
-    return t_worker_index;
 }
 
 }  // namespace spur::runner

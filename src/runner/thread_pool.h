@@ -45,7 +45,7 @@ class ThreadPool
     unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
   private:
-    void WorkerLoop(unsigned worker_index);
+    void WorkerLoop();
 
     /** True when a worker should stop sleeping on ready_. */
     bool HasWork() const SPUR_REQUIRES(mutex_)
@@ -73,13 +73,6 @@ void SetDefaultJobs(unsigned jobs);
 
 /** The effective default job count (never 0). */
 unsigned DefaultJobs();
-
-/**
- * 0-based index of the pool worker running the current thread, 0 on
- * any thread outside a pool.  Recorded in per-cell telemetry so the
- * JSON trajectory shows how cells spread over workers.
- */
-unsigned CurrentWorkerIndex();
 
 }  // namespace spur::runner
 

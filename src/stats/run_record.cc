@@ -86,15 +86,6 @@ JsonWriter::ToJson(const RunRecord& record)
         out += Quoted(name) + ": " + NumberToJson(value);
     }
     out += "}";
-    if (record.telemetry) {
-        out += ", \"telemetry\": {\"wall_seconds\": ";
-        out += NumberToJson(record.telemetry->wall_seconds);
-        out += ", \"peak_rss_bytes\": ";
-        out += std::to_string(record.telemetry->peak_rss_bytes);
-        out += ", \"worker\": ";
-        out += std::to_string(record.telemetry->worker);
-        out += "}";
-    }
     out += "}";
     return out;
 }

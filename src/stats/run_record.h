@@ -6,8 +6,7 @@
  * print-only tables, so the perf trajectory can be tracked by tooling.
  * A RunRecord is one observation — typically one (config, repetition)
  * cell of the experiment matrix — flattened to plain fields plus an
- * ordered list of bench-specific named metrics and, when requested
- * (--telemetry), the cell's wall-clock cost.
+ * ordered list of bench-specific named metrics.
  *
  * Documents are stamped with kSchemaVersion and a shard header (which
  * slice of the sweep this file holds; see src/sweep/) so the spur_sweep
@@ -17,7 +16,6 @@
 #define SPUR_STATS_RUN_RECORD_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,13 +28,6 @@ namespace spur::stats {
  * know (tests/sweep_test.cc round-trips the current shape).
  */
 inline constexpr int kSchemaVersion = 1;
-
-/** Wall-clock telemetry of one executed cell (omitted unless enabled). */
-struct CellTelemetry {
-    double wall_seconds = 0.0;    ///< Wall-clock duration of the cell.
-    uint64_t peak_rss_bytes = 0;  ///< Process peak RSS when it finished.
-    uint32_t worker = 0;          ///< 0-based worker-thread index.
-};
 
 /** One machine-readable run observation. */
 struct RunRecord {
@@ -53,9 +44,6 @@ struct RunRecord {
     double elapsed_seconds = 0.0;
     /// Bench-specific extras, kept ordered for byte-stable output.
     std::vector<std::pair<std::string, double>> metrics;
-    /// Per-cell wall-clock telemetry; only set under --telemetry, so the
-    /// default JSON stays byte-identical across job counts and machines.
-    std::optional<CellTelemetry> telemetry;
 
     /** Appends one named metric. */
     void AddMetric(const std::string& name, double value)

@@ -42,44 +42,6 @@ ReadUint(const JsonValue& value, const char* name, T* out,
     return true;
 }
 
-bool
-ParseTelemetry(const JsonValue& value, stats::CellTelemetry* out,
-               std::string* error)
-{
-    if (!value.IsObject()) {
-        return Fail(error, "'telemetry' must be an object");
-    }
-    bool saw_wall = false;
-    bool saw_rss = false;
-    bool saw_worker = false;
-    for (const auto& [name, field] : value.members()) {
-        if (name == "wall_seconds") {
-            if (!field.IsNumber() && !field.IsNull()) {
-                return Fail(error, "'wall_seconds' must be a number");
-            }
-            out->wall_seconds = field.AsDouble();
-            saw_wall = true;
-        } else if (name == "peak_rss_bytes") {
-            if (!ReadUint(field, "peak_rss_bytes", &out->peak_rss_bytes,
-                          error)) {
-                return false;
-            }
-            saw_rss = true;
-        } else if (name == "worker") {
-            if (!ReadUint(field, "worker", &out->worker, error)) {
-                return false;
-            }
-            saw_worker = true;
-        } else {
-            return Fail(error, "unknown telemetry field '" + name + "'");
-        }
-    }
-    if (!saw_wall || !saw_rss || !saw_worker) {
-        return Fail(error, "telemetry is missing a required field");
-    }
-    return true;
-}
-
 }  // namespace
 
 bool
@@ -149,12 +111,6 @@ ParseRunRecord(const JsonValue& value, stats::RunRecord* out,
                 }
                 out->AddMetric(metric, metric_value.AsDouble());
             }
-        } else if (name == "telemetry") {
-            stats::CellTelemetry telemetry;
-            if (!ParseTelemetry(field, &telemetry, error)) {
-                return false;
-            }
-            out->telemetry = telemetry;
         } else {
             return Fail(error, "unknown record field '" + name + "'");
         }
@@ -364,20 +320,8 @@ RecordIdentity(const stats::RunRecord& record)
     return key;
 }
 
-std::string
-RecordPayload(const stats::RunRecord& record)
-{
-    if (!record.telemetry) {
-        return stats::JsonWriter::ToJson(record);
-    }
-    stats::RunRecord stripped = record;
-    stripped.telemetry.reset();
-    return stats::JsonWriter::ToJson(stripped);
-}
-
 std::optional<SweepDocument>
-MergeDocuments(std::vector<SweepDocument> documents,
-               const MergeOptions& options, std::string* error)
+MergeDocuments(std::vector<SweepDocument> documents, std::string* error)
 {
     if (documents.empty()) {
         Fail(error, "no documents to merge");
@@ -435,32 +379,26 @@ MergeDocuments(std::vector<SweepDocument> documents,
         return std::nullopt;
     }
 
-    // Canonical order: cell identity, then telemetry-stripped payload,
-    // then the full serialization as a deterministic tiebreaker.
+    // Canonical order: cell identity, then the serialized payload.
     struct Entry {
         std::string identity;
         std::string payload;
-        std::string full;
         stats::RunRecord record;
     };
     std::vector<Entry> entries;
     for (SweepDocument& document : documents) {
         for (stats::RunRecord& record : document.records) {
-            if (options.strip_telemetry) {
-                record.telemetry.reset();
-            }
             Entry entry;
             entry.identity = RecordIdentity(record);
-            entry.payload = RecordPayload(record);
-            entry.full = stats::JsonWriter::ToJson(record);
+            entry.payload = stats::JsonWriter::ToJson(record);
             entry.record = std::move(record);
             entries.push_back(std::move(entry));
         }
     }
     std::sort(entries.begin(), entries.end(),
               [](const Entry& a, const Entry& b) {
-                  return std::tie(a.identity, a.payload, a.full) <
-                         std::tie(b.identity, b.payload, b.full);
+                  return std::tie(a.identity, a.payload) <
+                         std::tie(b.identity, b.payload);
               });
 
     SweepDocument merged;

@@ -11,10 +11,10 @@
  * into a canonical order (sorted by cell identity, then payload), so
  * merging the N shard files of a sweep yields the byte-identical
  * document to merging the single-process full run.  Records whose
- * telemetry-stripped payload is identical collapse to one — that is how
- * bespoke (non-matrix) records every shard recomputes deterministically
- * merge — while records that share a cell identity but disagree on
- * payload are rejected as incompatible runs.
+ * payload is identical collapse to one — that is how bespoke
+ * (non-matrix) records every shard recomputes deterministically merge —
+ * while records that share a cell identity but disagree on payload are
+ * rejected as incompatible runs.
  */
 #ifndef SPUR_SWEEP_MERGE_H_
 #define SPUR_SWEEP_MERGE_H_
@@ -88,26 +88,12 @@ bool ValidateShardAccounting(const SweepDocument& document,
 std::string RecordIdentity(const stats::RunRecord& record);
 
 /**
- * The record's full payload with telemetry stripped — the unit of
- * bit-identity for the shard-union contract (telemetry legitimately
- * differs between machines).
- */
-std::string RecordPayload(const stats::RunRecord& record);
-
-struct MergeOptions {
-    /// Drop telemetry from the merged records, so documents produced
-    /// with --telemetry can be byte-compared across shardings.
-    bool strip_telemetry = false;
-};
-
-/**
  * Merges shard documents into one canonical full document (a single
  * input canonicalizes record order in place).  Returns nullopt and sets
  * *error on any contract violation listed in the file comment.
  */
 std::optional<SweepDocument> MergeDocuments(
-    std::vector<SweepDocument> documents, const MergeOptions& options,
-    std::string* error);
+    std::vector<SweepDocument> documents, std::string* error);
 
 /** Serializes @p document in stats::JsonWriter's format. */
 std::string ToJson(const SweepDocument& document);

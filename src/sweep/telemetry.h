@@ -1,13 +1,11 @@
 /**
  * @file
- * Per-cell telemetry primitives for the sweep layer: a monotonic
- * stopwatch and the process's peak resident set size.
+ * Host-measurement primitives: a monotonic stopwatch and the process's
+ * peak resident set size.
  *
- * The runner samples these around every executed matrix cell so the
- * JSON run records double as a performance trajectory of the simulator
- * itself (wall-clock cost and memory footprint per cell), and so
- * measured durations can be fed back as a cost table for longest-first
- * scheduling (src/sweep/cost.h).
+ * The benchmark harness (spur_bench/) times its layers with these.  No
+ * simulated result or output byte depends on them, which is why the
+ * no-wallclock lint rule allows clock reads here and nowhere else.
  */
 #ifndef SPUR_SWEEP_TELEMETRY_H_
 #define SPUR_SWEEP_TELEMETRY_H_

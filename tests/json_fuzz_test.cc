@@ -55,7 +55,7 @@ Iterations()
     return 300;
 }
 
-/** A representative document: sharded, metrics, telemetry, escapes. */
+/** A representative document: sharded, metrics, escapes. */
 std::string
 CorpusDocument()
 {
@@ -76,11 +76,6 @@ CorpusDocument()
     stats::RunRecord second = record;
     second.rep = 3;
     second.elapsed_seconds = 0.0;
-    stats::CellTelemetry telemetry;
-    telemetry.wall_seconds = 0.25;
-    telemetry.peak_rss_bytes = 1u << 20;
-    telemetry.worker = 1;
-    second.telemetry = telemetry;
     stats::DocumentMeta meta;
     meta.bench = "fuzz \"bench\"\n";
     meta.shard_index = 1;

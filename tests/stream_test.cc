@@ -418,8 +418,7 @@ TEST(StreamResumeTest, ResumedShardMergesWithFreshShardsByteIdentically)
     auto full_doc =
         ParseSweepDocument(SessionDocument(full, "t"), &error);
     ASSERT_TRUE(full_doc.has_value()) << error;
-    const auto canonical =
-        MergeDocuments({*full_doc}, MergeOptions{}, &error);
+    const auto canonical = MergeDocuments({*full_doc}, &error);
     ASSERT_TRUE(canonical.has_value()) << error;
 
     // Shard 0 streams, "crashes" mid-file, recovers and resumes; shard 1
@@ -456,8 +455,7 @@ TEST(StreamResumeTest, ResumedShardMergesWithFreshShardsByteIdentically)
     EXPECT_TRUE(ValidateShardAccounting(*doc0, &error)) << error;
     EXPECT_TRUE(ValidateShardAccounting(*doc1, &error)) << error;
     // ...and their merge is byte-identical to the uninterrupted one.
-    const auto merged =
-        MergeDocuments({*doc0, *doc1}, MergeOptions{}, &error);
+    const auto merged = MergeDocuments({*doc0, *doc1}, &error);
     ASSERT_TRUE(merged.has_value()) << error;
     EXPECT_EQ(ToJson(*merged), ToJson(*canonical));
     runner::SetDefaultJobs(0);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the distributed sweep subsystem (src/sweep/): shard
- * assignment, the shard-union bit-identity contract, cost-aware
- * scheduling, per-cell telemetry, the JSON reader, document round trips,
- * and the spur_sweep merge/validate contract.
+ * assignment, the shard-union bit-identity contract, the host
+ * measurement primitives, the JSON reader, document round trips, and
+ * the spur_sweep merge/validate contract.
  */
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "src/runner/session.h"
 #include "src/runner/thread_pool.h"
 #include "src/stats/run_record.h"
-#include "src/sweep/cost.h"
 #include "src/sweep/json.h"
 #include "src/sweep/merge.h"
 #include "src/sweep/shard.h"
@@ -164,45 +163,6 @@ TEST(ShardedRunMatrixTest, ShardOffsetShiftsAssignment)
     EXPECT_EQ(executed, 2u);  // Half of the 4 cells.
 }
 
-TEST(ShardedRunMatrixTest, CostOrderingChangesNoResultBytes)
-{
-    const auto configs = SmallMatrix();
-    const uint32_t reps = 2;
-    const auto plain = runner::RunMatrix(configs, reps, /*shuffle_seed=*/9,
-                                         /*jobs=*/2);
-    runner::MatrixOptions options;
-    options.shuffle_seed = 9;
-    options.jobs = 2;
-    // An adversarial cost function: reverse-biased, with one unknown.
-    options.cost = [](const core::RunConfig& config, uint32_t rep) {
-        if (rep == 1) {
-            return -1.0;  // Unknown: keeps shuffled order at the back.
-        }
-        return config.memory_mb * 10.0 + rep;
-    };
-    const auto sorted = runner::RunMatrix(configs, reps, options);
-    for (size_t i = 0; i < configs.size(); ++i) {
-        for (uint32_t r = 0; r < reps; ++r) {
-            ExpectIdentical(sorted[i][r], plain[i][r]);
-        }
-    }
-}
-
-TEST(ShardedRunMatrixTest, TelemetryIsPlausible)
-{
-    size_t cells = 0;
-    runner::MatrixOptions options;
-    options.jobs = 2;
-    runner::RunMatrix(SmallMatrix(), /*reps=*/1, options,
-                      [&](const runner::Cell& cell) {
-                          ++cells;
-                          EXPECT_GT(cell.wall_seconds, 0.0);
-                          EXPECT_GT(cell.peak_rss_bytes, 0u);
-                          EXPECT_LT(cell.worker, 2u);
-                      });
-    EXPECT_EQ(cells, 2u);
-}
-
 TEST(TelemetryTest, StopwatchAndRssReportPositiveValues)
 {
     const Stopwatch stopwatch;
@@ -240,7 +200,8 @@ TEST(SessionShardTest, ShardRecordsUnionToFullSession)
     EXPECT_EQ(full.ran_cells(), 4u);
     std::map<std::string, std::string> expected;
     for (const stats::RunRecord& record : full.records()) {
-        expected[RecordIdentity(record)] = RecordPayload(record);
+        expected[RecordIdentity(record)] =
+            stats::JsonWriter::ToJson(record);
     }
     EXPECT_EQ(expected.size(), 4u);
 
@@ -258,7 +219,8 @@ TEST(SessionShardTest, ShardRecordsUnionToFullSession)
             // No cell is produced by both shards.
             EXPECT_TRUE(
                 merged.emplace(RecordIdentity(record),
-                               RecordPayload(record)).second);
+                               stats::JsonWriter::ToJson(record))
+                    .second);
         }
     }
     EXPECT_EQ(ran_sum, 4u);
@@ -283,56 +245,6 @@ TEST(SessionShardTest, ConsecutiveCallsBalanceAcrossShards)
     shard1.RunAll(one);
     shard1.RunAll(one);
     EXPECT_EQ(shard1.ran_cells(), 1u);
-    runner::SetDefaultJobs(0);
-}
-
-TEST(SessionShardTest, TelemetryFlagControlsRecordTelemetry)
-{
-    const auto configs = SmallMatrix();
-    runner::BenchSession plain("t", MakeArgs({"bench", "--jobs=1"}));
-    plain.RunMatrix(configs, /*reps=*/1);
-    for (const stats::RunRecord& record : plain.records()) {
-        EXPECT_FALSE(record.telemetry.has_value());
-    }
-
-    runner::BenchSession timed(
-        "t", MakeArgs({"bench", "--jobs=2", "--telemetry"}));
-    EXPECT_TRUE(timed.telemetry_enabled());
-    timed.RunMatrix(configs, /*reps=*/1);
-    ASSERT_EQ(timed.records().size(), 2u);
-    for (const stats::RunRecord& record : timed.records()) {
-        ASSERT_TRUE(record.telemetry.has_value());
-        EXPECT_GT(record.telemetry->wall_seconds, 0.0);
-        EXPECT_GT(record.telemetry->peak_rss_bytes, 0u);
-    }
-    runner::SetDefaultJobs(0);
-}
-
-TEST(SessionShardTest, CostsFileReordersWithoutChangingRecords)
-{
-    const auto configs = SmallMatrix();
-    runner::BenchSession plain("t", MakeArgs({"bench", "--jobs=2"}));
-    plain.RunMatrix(configs, /*reps=*/2);
-
-    // Produce a telemetry document and feed it back as a cost table.
-    const std::string path = ::testing::TempDir() + "sweep_costs.json";
-    {
-        runner::BenchSession timed(
-            "t", MakeArgs({"bench", "--jobs=2", "--telemetry",
-                           "--json=" + path}));
-        timed.RunMatrix(configs, /*reps=*/2);
-        ASSERT_EQ(timed.Finish(), 0);
-    }
-    runner::BenchSession scheduled(
-        "t", MakeArgs({"bench", "--jobs=2", "--costs=" + path}));
-    scheduled.RunMatrix(configs, /*reps=*/2);
-    std::remove(path.c_str());
-
-    ASSERT_EQ(scheduled.records().size(), plain.records().size());
-    for (size_t i = 0; i < plain.records().size(); ++i) {
-        EXPECT_EQ(stats::JsonWriter::ToJson(scheduled.records()[i]),
-                  stats::JsonWriter::ToJson(plain.records()[i]));
-    }
     runner::SetDefaultJobs(0);
 }
 
@@ -435,7 +347,6 @@ TEST(SweepDocumentTest, RoundTripIsByteIdentical)
     std::vector<stats::RunRecord> records;
     records.push_back(MakeRecord(meta.bench, "SLC", 5, 0, 17));
     records.push_back(MakeRecord(meta.bench, "WORKLOAD1\x01", 8, 1, 23));
-    records[1].telemetry = stats::CellTelemetry{0.25, 1 << 20, 3};
 
     const std::string json = stats::JsonWriter::ToJson(meta, records);
     std::string error;
@@ -448,8 +359,6 @@ TEST(SweepDocumentTest, RoundTripIsByteIdentical)
     EXPECT_EQ(document->meta.total_cells, 12u);
     EXPECT_EQ(document->meta.ran_cells, 2u);
     ASSERT_EQ(document->records.size(), 2u);
-    ASSERT_TRUE(document->records[1].telemetry.has_value());
-    EXPECT_EQ(document->records[1].telemetry->worker, 3u);
 
     // Re-serializing the parsed document reproduces the input bytes.
     EXPECT_EQ(ToJson(*document), json);
@@ -508,6 +417,15 @@ TEST(SweepDocumentTest, RejectsRecordSchemaViolations)
     missing.erase(seed_pos, std::string(", \"seed\": 1").size());
     EXPECT_FALSE(ParseSweepDocument(missing, &error).has_value());
     EXPECT_NE(error.find("missing field 'seed'"), std::string::npos);
+
+    // A per-cell telemetry block is not part of the record schema.
+    std::string telemetry = json;
+    telemetry.insert(pos,
+                     "\"telemetry\": {\"wall_seconds\": 0.25, "
+                     "\"peak_rss_bytes\": 1048576, \"worker\": 1}, ");
+    EXPECT_FALSE(ParseSweepDocument(telemetry, &error).has_value());
+    EXPECT_NE(error.find("unknown record field 'telemetry'"),
+              std::string::npos);
 }
 
 // ---- Standalone shard accounting (spur_sweep validate) ----------------
@@ -595,8 +513,7 @@ TEST(MergeTest, MergesShardsIntoCanonicalDocument)
     shards[1].meta.ran_cells = 2;
 
     std::string error;
-    const auto merged =
-        MergeDocuments(shards, MergeOptions{}, &error);
+    const auto merged = MergeDocuments(shards, &error);
     ASSERT_TRUE(merged.has_value()) << error;
     EXPECT_EQ(merged->meta.bench, "b");
     EXPECT_EQ(merged->meta.shard_index, 0u);
@@ -609,7 +526,7 @@ TEST(MergeTest, MergesShardsIntoCanonicalDocument)
     // Canonical order: merging the shards in the opposite order yields
     // the byte-identical document.
     std::vector<SweepDocument> reversed{shards[1], shards[0]};
-    const auto merged2 = MergeDocuments(reversed, MergeOptions{}, &error);
+    const auto merged2 = MergeDocuments(reversed, &error);
     ASSERT_TRUE(merged2.has_value()) << error;
     EXPECT_EQ(ToJson(*merged), ToJson(*merged2));
 }
@@ -623,25 +540,11 @@ TEST(MergeTest, SingleDocumentIsCanonicalized)
         "b", 0, 1, 2,
         {MakeRecord("b", "SLC", 8, 0, 2), MakeRecord("b", "SLC", 5, 0, 1)}));
     std::string error;
-    const auto merged = MergeDocuments(docs, MergeOptions{}, &error);
+    const auto merged = MergeDocuments(docs, &error);
     ASSERT_TRUE(merged.has_value()) << error;
     ASSERT_EQ(merged->records.size(), 2u);
     EXPECT_LE(RecordIdentity(merged->records[0]),
               RecordIdentity(merged->records[1]));
-}
-
-TEST(MergeTest, StripTelemetryDropsTelemetry)
-{
-    stats::RunRecord record = MakeRecord("b", "SLC", 5, 0, 1);
-    record.telemetry = stats::CellTelemetry{1.5, 4096, 0};
-    std::vector<SweepDocument> docs;
-    docs.push_back(MakeShardDocument("b", 0, 1, 1, {record}));
-    std::string error;
-    MergeOptions options;
-    options.strip_telemetry = true;
-    const auto merged = MergeDocuments(docs, options, &error);
-    ASSERT_TRUE(merged.has_value()) << error;
-    EXPECT_FALSE(merged->records[0].telemetry.has_value());
 }
 
 TEST(MergeTest, RejectsContractViolations)
@@ -654,32 +557,28 @@ TEST(MergeTest, RejectsContractViolations)
     // Bench mismatch.
     EXPECT_FALSE(MergeDocuments(
                      {MakeShardDocument("b", 0, 2, 2, {cell(5, 0)}),
-                      MakeShardDocument("c", 1, 2, 2, {cell(5, 1)})},
-                     MergeOptions{}, &error)
+                      MakeShardDocument("c", 1, 2, 2, {cell(5, 1)})}, &error)
                      .has_value());
     EXPECT_NE(error.find("bench mismatch"), std::string::npos);
 
     // Duplicate shard index.
     EXPECT_FALSE(MergeDocuments(
                      {MakeShardDocument("b", 0, 2, 2, {cell(5, 0)}),
-                      MakeShardDocument("b", 0, 2, 2, {cell(5, 1)})},
-                     MergeOptions{}, &error)
+                      MakeShardDocument("b", 0, 2, 2, {cell(5, 1)})}, &error)
                      .has_value());
     EXPECT_NE(error.find("appears more than once"), std::string::npos);
 
     // Missing shard.
     EXPECT_FALSE(MergeDocuments(
                      {MakeShardDocument("b", 0, 3, 3, {cell(5, 0)}),
-                      MakeShardDocument("b", 2, 3, 3, {cell(5, 2)})},
-                     MergeOptions{}, &error)
+                      MakeShardDocument("b", 2, 3, 3, {cell(5, 2)})}, &error)
                      .has_value());
     EXPECT_NE(error.find("missing shard(s) 1"), std::string::npos);
 
     // Shard shape mismatch.
     EXPECT_FALSE(MergeDocuments(
                      {MakeShardDocument("b", 0, 2, 2, {cell(5, 0)}),
-                      MakeShardDocument("b", 1, 2, 4, {cell(5, 1)})},
-                     MergeOptions{}, &error)
+                      MakeShardDocument("b", 1, 2, 4, {cell(5, 1)})}, &error)
                      .has_value());
     EXPECT_NE(error.find("total_cells mismatch"), std::string::npos);
 
@@ -687,16 +586,14 @@ TEST(MergeTest, RejectsContractViolations)
     EXPECT_FALSE(MergeDocuments(
                      {MakeShardDocument("b", 0, 2, 2,
                                         {cell(5, 0), cell(5, 1)}),
-                      MakeShardDocument("b", 1, 2, 2, {cell(8, 0)})},
-                     MergeOptions{}, &error)
+                      MakeShardDocument("b", 1, 2, 2, {cell(8, 0)})}, &error)
                      .has_value());
     EXPECT_NE(error.find("duplicate cells"), std::string::npos);
 
     // Missing cells: fewer ran than the sweep holds.
     EXPECT_FALSE(MergeDocuments(
                      {MakeShardDocument("b", 0, 2, 4, {cell(5, 0)}),
-                      MakeShardDocument("b", 1, 2, 4, {cell(5, 1)})},
-                     MergeOptions{}, &error)
+                      MakeShardDocument("b", 1, 2, 4, {cell(5, 1)})}, &error)
                      .has_value());
     EXPECT_NE(error.find("missing cells"), std::string::npos);
 
@@ -705,57 +602,9 @@ TEST(MergeTest, RejectsContractViolations)
     conflicting.page_ins += 1;
     EXPECT_FALSE(MergeDocuments(
                      {MakeShardDocument("b", 0, 2, 2, {cell(5, 0)}),
-                      MakeShardDocument("b", 1, 2, 2, {conflicting})},
-                     MergeOptions{}, &error)
+                      MakeShardDocument("b", 1, 2, 2, {conflicting})}, &error)
                      .has_value());
     EXPECT_NE(error.find("conflicting records"), std::string::npos);
-}
-
-// ---- CostTable --------------------------------------------------------
-
-TEST(CostTableTest, LooksUpByIdentityAndKeepsMax)
-{
-    CostTable table;
-    EXPECT_TRUE(table.empty());
-    table.Add("SLC", "SPUR", "MISS", 8, 0, 1.5);
-    table.Add("SLC", "SPUR", "MISS", 8, 0, 0.5);  // Collision: keep max.
-    table.Add("SLC", "SPUR", "MISS", 8, 1, 2.5);
-    EXPECT_EQ(table.size(), 2u);
-
-    core::RunConfig config;
-    config.workload = core::WorkloadId::kSlc;
-    config.dirty = policy::DirtyPolicyKind::kSpur;
-    config.ref = policy::RefPolicyKind::kMiss;
-    config.memory_mb = 8;
-    EXPECT_DOUBLE_EQ(table.Lookup(config, 0), 1.5);
-    EXPECT_DOUBLE_EQ(table.Lookup(config, 1), 2.5);
-    EXPECT_LT(table.Lookup(config, 2), 0.0);  // Unknown cell.
-    config.memory_mb = 5;
-    EXPECT_LT(table.Lookup(config, 0), 0.0);
-}
-
-TEST(CostTableTest, FromDocumentSkipsRecordsWithoutTelemetry)
-{
-    SweepDocument document;
-    document.meta.bench = "b";
-    stats::RunRecord timed = MakeRecord("b", "SLC", 8, 0, 1);
-    timed.dirty_policy = "SPUR";
-    timed.telemetry = stats::CellTelemetry{0.75, 4096, 0};
-    stats::RunRecord untimed = MakeRecord("b", "SLC", 8, 1, 1);
-    stats::RunRecord zero = MakeRecord("b", "SLC", 8, 2, 1);
-    zero.telemetry = stats::CellTelemetry{0.0, 4096, 0};
-    document.records = {timed, untimed, zero};
-    document.meta.total_cells = 3;
-    document.meta.ran_cells = 3;
-
-    const CostTable table = CostTable::FromDocument(document);
-    EXPECT_EQ(table.size(), 1u);
-    core::RunConfig config;
-    config.workload = core::WorkloadId::kSlc;
-    config.dirty = policy::DirtyPolicyKind::kSpur;
-    config.ref = policy::RefPolicyKind::kMiss;
-    config.memory_mb = 8;
-    EXPECT_DOUBLE_EQ(table.Lookup(config, 0), 0.75);
 }
 
 }  // namespace

@@ -7,19 +7,12 @@
  *       --json) and prints a one-line summary per file.  Exit 1 if any
  *       file fails.
  *
- *   spur_sweep merge [--out=FILE] [--strip-telemetry] FILE...
+ *   spur_sweep merge [--out=FILE] FILE...
  *       Merges the shard files of one sweep into a single canonical
  *       document (see src/sweep/merge.h for the contract) and writes it
  *       to --out (default "-" = stdout).  A single input file is
  *       canonicalized in place, which is how CI byte-compares a merged
  *       N-shard sweep against a full single-process run.
- *
- *   spur_sweep diff-telemetry [--threshold=F] [--min-wall=S] BASE NEW
- *       Compares per-cell --telemetry cost (wall clock, peak RSS)
- *       between two sweep documents and reports cells that regressed
- *       by more than the threshold (default +25%).  Exit 1 when any
- *       cell regressed — advisory in CI (non-fatal step), since
- *       telemetry is machine-dependent.  See src/sweep/diff.h.
  *
  *   spur_sweep recover [--out=FILE] STREAM
  *       Turns a --stream file (src/sweep/stream.h) into a sweep JSON
@@ -47,7 +40,6 @@
 #include "src/audit/doc_audit.h"
 #include "src/common/args.h"
 #include "src/stats/run_record.h"
-#include "src/sweep/diff.h"
 #include "src/sweep/merge.h"
 #include "src/sweep/stream.h"
 
@@ -55,20 +47,12 @@ namespace {
 
 using spur::IsFlagArg;
 using spur::MatchFlag;
-using spur::ParsePositiveDouble;
 using spur::ToolCommand;
-using spur::sweep::DiffOptions;
-using spur::sweep::DiffTelemetry;
-using spur::sweep::FormatDiffReport;
-using spur::sweep::HasFatalRegressions;
-using spur::sweep::HasRegressions;
 using spur::sweep::LoadSweepFile;
 using spur::sweep::MergeDocuments;
-using spur::sweep::MergeOptions;
 using spur::sweep::RecoveredStream;
 using spur::sweep::RecoverStreamFile;
 using spur::sweep::SweepDocument;
-using spur::sweep::TelemetryDiff;
 using spur::sweep::ValidateShardAccounting;
 
 int
@@ -79,19 +63,10 @@ Usage()
          "schema-check sweep JSON documents (--json output) and their "
          "shard cell accounting",
          {}},
-        {"merge [options] FILE...",
+        {"merge [--out=FILE] FILE...",
          "merge the shard files of one sweep into one canonical "
          "document (FILE may be '-' for stdin)",
-         {{"--out=FILE", "write the merged document here (default '-')"},
-          {"--strip-telemetry", "drop telemetry blocks while merging"}}},
-        {"diff-telemetry [options] BASE NEW",
-         "compare per-cell wall-clock/RSS telemetry between two "
-         "documents; exit 1 on regressions",
-         {{"--threshold=F", "regression fraction (default 0.25)"},
-          {"--min-wall=S", "ignore cells faster than S seconds"},
-          {"--fail-throughput=F",
-           "CI perf gate: wall/RSS turn advisory; fail only when refs/s "
-           "drops more than F below base"}}},
+         {{"--out=FILE", "write the merged document here (default '-')"}}},
         {"recover [--out=FILE] STREAM",
          "turn a --stream file (possibly truncated by a crash) into a "
          "sweep document for --resume",
@@ -158,14 +133,11 @@ int
 Merge(const std::vector<std::string>& args)
 {
     std::string out_path = "-";
-    MergeOptions options;
     std::vector<std::string> paths;
     std::string value;
     for (const std::string& arg : args) {
         if (MatchFlag(arg, "out", &value)) {
             out_path = value;
-        } else if (arg == "--strip-telemetry") {
-            options.strip_telemetry = true;
         } else if (IsFlagArg(arg)) {
             std::cerr << "spur_sweep: unknown merge option '" << arg
                       << "'\n";
@@ -192,74 +164,13 @@ Merge(const std::vector<std::string>& args)
 
     std::string error;
     const std::optional<SweepDocument> merged =
-        MergeDocuments(std::move(documents), options, &error);
+        MergeDocuments(std::move(documents), &error);
     if (!merged) {
         std::cerr << "spur_sweep: merge failed: " << error << "\n";
         return 1;
     }
 
     return WriteDocument(spur::sweep::ToJson(*merged), out_path);
-}
-
-int
-Diff(const std::vector<std::string>& args)
-{
-    DiffOptions options;
-    std::vector<std::string> paths;
-    std::string value;
-    for (const std::string& arg : args) {
-        if (MatchFlag(arg, "threshold", &value)) {
-            if (!ParsePositiveDouble(value, &options.threshold)) {
-                std::cerr << "spur_sweep: bad --threshold value in '" << arg
-                          << "'\n";
-                return 2;
-            }
-        } else if (MatchFlag(arg, "min-wall", &value)) {
-            if (!ParsePositiveDouble(value, &options.min_wall_seconds)) {
-                std::cerr << "spur_sweep: bad --min-wall value in '" << arg
-                          << "'\n";
-                return 2;
-            }
-        } else if (MatchFlag(arg, "fail-throughput", &value)) {
-            if (!ParsePositiveDouble(value,
-                                     &options.throughput_threshold)) {
-                std::cerr << "spur_sweep: bad --fail-throughput value in '"
-                          << arg << "'\n";
-                return 2;
-            }
-        } else if (IsFlagArg(arg)) {
-            std::cerr << "spur_sweep: unknown diff-telemetry option '"
-                      << arg << "'\n";
-            return 2;
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.size() != 2) {
-        return Usage();
-    }
-
-    std::vector<SweepDocument> documents;
-    documents.reserve(2);
-    for (const std::string& path : paths) {
-        std::string error;
-        std::optional<SweepDocument> document = LoadSweepFile(path, &error);
-        if (!document) {
-            std::cerr << "spur_sweep: " << path << ": " << error << "\n";
-            return 2;
-        }
-        documents.push_back(std::move(*document));
-    }
-
-    const TelemetryDiff diff =
-        DiffTelemetry(documents[0], documents[1], options);
-    std::cout << FormatDiffReport(diff, options);
-    // In gate mode only throughput drops fail the run — wall/RSS stay
-    // advisory (printed above).  Without the gate, any regression fails.
-    if (options.throughput_threshold > 0.0) {
-        return HasFatalRegressions(diff) ? 1 : 0;
-    }
-    return HasRegressions(diff) ? 1 : 0;
 }
 
 int
@@ -330,8 +241,7 @@ Audit(const std::vector<std::string>& args)
     std::optional<SweepDocument> merged = std::move(documents[0]);
     if (documents.size() > 1) {
         std::string error;
-        merged = MergeDocuments(std::move(documents), MergeOptions{},
-                                &error);
+        merged = MergeDocuments(std::move(documents), &error);
         if (!merged) {
             std::cerr << "spur_sweep: merge failed: " << error << "\n";
             return 1;
@@ -369,9 +279,6 @@ main(int argc, char** argv)
     }
     if (mode == "merge") {
         return Merge(rest);
-    }
-    if (mode == "diff-telemetry") {
-        return Diff(rest);
     }
     if (mode == "recover") {
         return Recover(rest);
