@@ -4,23 +4,33 @@
  *
  *   BM_RecoverTrace   RecoverTraceBytes over a whole trace file: frame
  *                     parse, both digests and count-only op validation.
+ *   BM_LoadTrace      TraceLibrary::Load of the same file from a temp
+ *                     file: the read plus everything BM_RecoverTrace
+ *                     times, the replay side's whole setup.
  *   BM_ReplayDecode   ReplayStream of the recovered stream into a host
  *                     whose AccessBatch only sums the references, so
  *                     the time is decode plus batching, no simulation.
  *
- * Both run over one WORKLOAD1 recording of 1 M references (seed 1, the
- * 8 MB prototype's geometry), generated untimed before the loop, and
- * report time_per_ref, the run time per recorded access (printed in ns;
- * google-benchmark's JSON holds it in seconds).
+ * All run over one WORKLOAD1 recording of 1 M references (seed 1, the
+ * 8 MB prototype's geometry), generated untimed before the loop.
+ * BM_RecoverTrace and BM_ReplayDecode report time_per_ref, the run time
+ * per recorded access; BM_LoadTrace reports time_per_byte, the run time
+ * per file byte (both printed in ns; google-benchmark's JSON holds them
+ * in seconds).
  */
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 
 #include "bench/micro_common.h"
 
+#include "src/common/framed_log.h"
 #include "src/common/log.h"
 #include "src/core/experiment.h"
 #include "src/core/run_trace.h"
@@ -117,6 +127,39 @@ BM_RecoverTrace(benchmark::State& state)
     ReportTimePerRef(state, recording.accesses);
 }
 BENCHMARK(BM_RecoverTrace)->Unit(benchmark::kMillisecond);
+
+void
+BM_LoadTrace(benchmark::State& state)
+{
+    const Recording& recording = Workload1Recording();
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("micro_trace-" + std::to_string(::getpid()) + ".trace"))
+            .string();
+    std::string error;
+    framed_log::DurableAppender out;
+    if (!out.Open(path, &error) || !out.Append(recording.file, &error)) {
+        Fatal("micro_trace: " + error);
+    }
+    out.Close();
+    for (auto _ : state) {
+        workload::TraceLibrary library;
+        if (!library.Load(path, &error)) {
+            Fatal("micro_trace: the recording did not load: " + error);
+        }
+        benchmark::DoNotOptimize(library);
+    }
+    std::remove(path.c_str());
+    const auto bytes = static_cast<int64_t>(recording.file.size());
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            bytes);
+    // An inverted iteration-invariant rate: seconds per file byte.
+    state.counters["time_per_byte"] = benchmark::Counter(
+        static_cast<double>(bytes),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LoadTrace)->Unit(benchmark::kMillisecond);
 
 void
 BM_ReplayDecode(benchmark::State& state)

@@ -5,6 +5,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -1098,12 +1100,12 @@ TraceFileWriter::Finish(std::string* error)
 // ---------------------------------------------------------------------------
 
 std::string
-EncodeTraceFile(const std::vector<std::string>& stream_frames)
+EncodeTraceFile(std::span<const std::string_view> stream_frames)
 {
     const std::string header = framed_log::EncodeFrame('H', HeaderPayload());
     uint64_t digest = framed_log::kDigestInit;
     size_t size = std::string_view(kTraceMagic).size() + header.size();
-    for (const std::string& frames : stream_frames) {
+    for (const std::string_view frames : stream_frames) {
         digest = framed_log::DigestMix(digest, frames);
         size += frames.size();
     }
@@ -1113,16 +1115,40 @@ EncodeTraceFile(const std::vector<std::string>& stream_frames)
     bytes.reserve(size + trailer.size());
     bytes += kTraceMagic;
     bytes += header;
-    for (const std::string& frames : stream_frames) {
+    for (const std::string_view frames : stream_frames) {
         bytes += frames;
     }
     bytes += trailer;
     return bytes;
 }
 
-std::optional<RecoveredTrace>
-RecoverTraceBytes(const std::string& bytes, std::string* error)
+std::string
+EncodeTraceFile(std::initializer_list<std::string_view> stream_frames)
 {
+    return EncodeTraceFile(std::span(stream_frames.begin(),
+                                     stream_frames.size()));
+}
+
+std::string
+EncodeTraceFile(const std::vector<std::string>& stream_frames)
+{
+    const std::vector<std::string_view> views(stream_frames.begin(),
+                                              stream_frames.end());
+    return EncodeTraceFile(views);
+}
+
+namespace {
+
+/**
+ * The one trace parser behind RecoverTraceBytes and RecoverTraceFile.
+ * Every recovered stream shares @p file and views its S..E bytes in
+ * place.
+ */
+std::optional<RecoveredTrace>
+RecoverShared(const std::shared_ptr<const std::string>& file,
+              std::string* error)
+{
+    const std::string& bytes = *file;
     RecoveredTrace result;
     switch (framed_log::CheckMagic(bytes, kTraceMagic)) {
       case framed_log::ParseStatus::kTruncated:
@@ -1227,7 +1253,7 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
 
         // One stream: S, B*, E, read in one pass.  Each B payload goes
         // through both digests at once and is validated where it lies;
-        // the stream's bytes are copied once, into `framed`.
+        // `framed` then views the stream's bytes in the shared buffer.
         TraceStream stream;
         const size_t stream_start = pos;
         if (!ParseMetaPayload(frame.payload, &stream.meta)) {
@@ -1302,11 +1328,20 @@ RecoverTraceBytes(const std::string& bytes, std::string* error)
         file_digest = framed_log::DigestMix(
             stream_file_digest, view.substr(pos, frame.end - pos));
         pos = frame.end;
-        stream.framed.assign(bytes, stream_start, pos - stream_start);
+        stream.file = file;
+        stream.framed = view.substr(stream_start, pos - stream_start);
         result.streams.push_back(std::move(stream));
         recovered_end = pos;
     }
     return truncated("before the trailer");
+}
+
+}  // namespace
+
+std::optional<RecoveredTrace>
+RecoverTraceBytes(const std::string& bytes, std::string* error)
+{
+    return RecoverShared(std::make_shared<const std::string>(bytes), error);
 }
 
 std::optional<RecoveredTrace>
@@ -1316,7 +1351,8 @@ RecoverTraceFile(const std::string& path, std::string* error)
     if (!framed_log::ReadFile(path, &bytes, error)) {
         return std::nullopt;
     }
-    return RecoverTraceBytes(bytes, error);
+    return RecoverShared(
+        std::make_shared<const std::string>(std::move(bytes)), error);
 }
 
 // ---------------------------------------------------------------------------

@@ -73,9 +73,10 @@
  * whatever recovery accepts, replay runs.
  *
  * Recovery reads each stream once: every B payload goes through the op
- * digest and the file digest together and is validated in place, and
- * the stream's S..E bytes are then copied once, into TraceStream::framed,
- * which replay decodes directly.
+ * digest and the file digest together and is validated in place.  The
+ * stream's S..E bytes are never copied: TraceStream::framed is a view
+ * into the one immutable buffer that holds the whole file, and replay
+ * decodes the B payloads inside it.
  *
  * Recovery semantics: a trace cut at any byte offset recovers the
  * streams whose E frame is present and verified; a torn tail (and any
@@ -89,8 +90,12 @@
 #define SPUR_WORKLOAD_TRACE_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/framed_log.h"
@@ -289,12 +294,17 @@ class TraceFileWriter
 
 /**
  * One complete, digest-verified stream read back from a trace.  Its
- * only copy of the stream bytes is `framed`: re-encoding writes it as
- * is, and replay decodes the B payloads inside it.
+ * stream bytes are `framed`, a view into the recovered file's one
+ * immutable buffer, which `file` keeps alive: every stream of a file
+ * shares that buffer, and it lives while any copy of any of them does,
+ * so a TraceStream may be copied out of its RecoveredTrace or
+ * TraceLibrary and outlive it.  Re-encoding writes `framed` as is, and
+ * replay decodes the B payloads inside it.
  */
 struct TraceStream {
     TraceStreamMeta meta;
-    std::string framed;    ///< The exact S..E frame bytes.
+    std::shared_ptr<const std::string> file;  ///< Owns `framed`'s bytes.
+    std::string_view framed;  ///< The exact S..E frame bytes.
     uint64_t op_count = 0;
     uint64_t accesses = 0;
     uint64_t refs_issued = 0;
@@ -318,12 +328,15 @@ struct RecoveredTrace {
  * Parses @p bytes as a trace.  Truncation at any byte offset recovers
  * the complete-stream prefix; corruption (anything truncation cannot
  * produce, including malformed op payloads behind a valid digest)
- * returns nullopt with *error set.
+ * returns nullopt with *error set.  @p bytes is copied once into the
+ * buffer the recovered streams share, so the result does not depend on
+ * the argument's lifetime.
  */
 std::optional<RecoveredTrace> RecoverTraceBytes(const std::string& bytes,
                                                 std::string* error);
 
-/** Reads @p path and recovers it via RecoverTraceBytes. */
+/** Reads @p path into the streams' shared buffer, with no further copy,
+ *  and recovers it as RecoverTraceBytes does. */
 std::optional<RecoveredTrace> RecoverTraceFile(const std::string& path,
                                                std::string* error);
 
@@ -331,15 +344,20 @@ std::optional<RecoveredTrace> RecoverTraceFile(const std::string& path,
  * Renders a complete trace file from framed stream bytes (each entry a
  * TraceEncoder::Finish() result or a TraceStream::framed).  A complete
  * file recovered by RecoverTraceBytes re-encodes byte-identically —
- * the fix-point the fuzzer holds the parser to.
+ * the fix-point the fuzzer holds the parser to.  The other two
+ * overloads forward here.
  */
+std::string EncodeTraceFile(std::span<const std::string_view> stream_frames);
+std::string EncodeTraceFile(
+    std::initializer_list<std::string_view> stream_frames);
 std::string EncodeTraceFile(const std::vector<std::string>& stream_frames);
 
 /**
  * A loaded trace library: the replay side of --replay-trace.  Load
  * demands a complete file (recover partial ones with `spur_trace
- * validate` / RecoverTraceFile first); lookups are read-only and
- * therefore safe from parallel sweep cells.
+ * validate` / RecoverTraceFile first) and reads it once; every stream
+ * views that one buffer.  Lookups are read-only and therefore safe
+ * from parallel sweep cells.
  */
 class TraceLibrary
 {

@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -497,7 +498,7 @@ TEST(TraceFuzzTest, RecoverNeverCrashesAndAcceptedInputsAreFixpoints)
         // recovers again with the same streams — and a mutant accepted
         // as *complete* must be byte-identical under re-encoding (the
         // strict-parse fixpoint).
-        std::vector<std::string> frames;
+        std::vector<std::string_view> frames;
         for (const workload::TraceStream& stream : recovered->streams) {
             frames.push_back(stream.framed);
         }

@@ -18,7 +18,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -167,6 +169,113 @@ TEST(TraceTest, RoundTripsThroughFileAndLibrary)
     EXPECT_EQ(stats.accesses, rec.accesses);
     EXPECT_EQ(replayed.accesses(), counting.accesses());
     EXPECT_EQ(replayed.context_switches(), counting.context_switches());
+}
+
+/** What replaying @p stream into a fresh 8 MB SPUR/MISS machine
+ *  yields: its ReplayStats and every event count. */
+struct Replayed {
+    ReplayStats stats;
+    std::vector<uint64_t> events;
+};
+
+Replayed
+ReplayOnSpur(const TraceStream& stream)
+{
+    core::SpurSystem system(sim::MachineConfig::Prototype(8),
+                            policy::DirtyPolicyKind::kSpur,
+                            policy::RefPolicyKind::kMiss);
+    Replayed r;
+    r.stats = ReplayStream(stream, system);
+    for (size_t i = 0; i < sim::kNumEvents; ++i) {
+        r.events.push_back(system.events().Get(static_cast<sim::Event>(i)));
+    }
+    return r;
+}
+
+void
+ExpectSameReplay(const Replayed& got, const Replayed& want)
+{
+    EXPECT_EQ(got.stats.refs_issued, want.stats.refs_issued);
+    EXPECT_EQ(got.stats.accesses, want.stats.accesses);
+    EXPECT_EQ(got.stats.context_switches, want.stats.context_switches);
+    EXPECT_EQ(got.stats.processes, want.stats.processes);
+    EXPECT_EQ(got.events, want.events);
+}
+
+TEST(TraceTest, StreamCopiesOutliveTheirSource)
+{
+    // A TraceStream views its file's shared buffer: a copy must keep
+    // the bytes alive after the RecoveredTrace or TraceLibrary it came
+    // from, and the bytes it was recovered from, die with their block.
+    const TraceStreamMeta meta = MetaFor("ctx-switch", 4, 80'000);
+    CountingHost host(sim::MachineConfig::Prototype(8));
+    const Recorded rec = Record(meta, MakeCtxSwitchHeavy(), host);
+    std::string error;
+
+    std::optional<TraceStream> from_bytes;
+    Replayed want;
+    {
+        const std::string bytes = EncodeTraceFile({rec.framed});
+        const auto recovered = RecoverTraceBytes(bytes, &error);
+        ASSERT_TRUE(recovered.has_value()) << error;
+        ASSERT_EQ(recovered->streams.size(), 1u);
+        want = ReplayOnSpur(recovered->streams[0]);
+        from_bytes = recovered->streams[0];
+    }
+    EXPECT_EQ(from_bytes->framed, rec.framed);
+    ExpectSameReplay(ReplayOnSpur(*from_bytes), want);
+
+    std::optional<TraceStream> from_library;
+    {
+        ScopedTempDir tmp;
+        const std::string path = tmp.Path("lifetime.trc");
+        WriteFile(path, EncodeTraceFile({rec.framed}));
+        TraceLibrary library;
+        ASSERT_TRUE(library.Load(path, &error)) << error;
+        const TraceStream* found = library.Find(meta.Identity());
+        ASSERT_NE(found, nullptr);
+        from_library = *found;
+    }
+    EXPECT_EQ(from_library->framed, rec.framed);
+    ExpectSameReplay(ReplayOnSpur(*from_library), want);
+    EXPECT_EQ(want.stats.accesses, rec.accesses);
+    EXPECT_EQ(want.stats.refs_issued, rec.refs_issued);
+}
+
+TEST(TraceTest, LoadedStreamsViewOneFileBuffer)
+{
+    // Loading copies no stream: both streams' bytes lie in the one
+    // buffer the file was read into, back to back as in the file.
+    ScopedTempDir tmp;
+    const std::string path = tmp.Path("zero_copy.trc");
+    CountingHost host_a(sim::MachineConfig::Prototype(8));
+    CountingHost host_b(sim::MachineConfig::Prototype(8));
+    const Recorded a = Record(MetaFor("ctx-switch", 5, 40'000),
+                              MakeCtxSwitchHeavy(), host_a);
+    const Recorded b =
+        Record(MetaFor("gc-sweep", 6, 40'000), MakeGcSweep(), host_b);
+    const std::string file = EncodeTraceFile({a.framed, b.framed});
+    WriteFile(path, file);
+
+    TraceLibrary library;
+    std::string error;
+    ASSERT_TRUE(library.Load(path, &error)) << error;
+    ASSERT_EQ(library.streams().size(), 2u);
+    const TraceStream& first = library.streams()[0];
+    const TraceStream& second = library.streams()[1];
+    ASSERT_NE(first.file, nullptr);
+    EXPECT_EQ(first.file, second.file);
+    const std::string_view buffer(*first.file);
+    EXPECT_EQ(buffer, file);
+    for (const TraceStream* stream : {&first, &second}) {
+        EXPECT_GE(stream->framed.data(), buffer.data());
+        EXPECT_LE(stream->framed.data() + stream->framed.size(),
+                  buffer.data() + buffer.size());
+    }
+    EXPECT_EQ(first.framed.data() + first.framed.size(),
+              second.framed.data());
+    EXPECT_EQ(first.framed, a.framed);
+    EXPECT_EQ(second.framed, b.framed);
 }
 
 TEST(TraceTest, RecordingIsDeterministic)
@@ -1176,6 +1285,15 @@ TEST(TraceGoldenTest, SmallTraceMatchesGolden)
     ASSERT_EQ(recovered->streams.size(), 1u);
     EXPECT_EQ(recovered->streams[0].accesses, 3u);
     EXPECT_EQ(EncodeTraceFile({recovered->streams[0].framed}), file);
+
+    // So must the views of the same bytes loaded from a file.
+    ScopedTempDir tmp;
+    const std::string path = tmp.Path("golden.trc");
+    WriteFile(path, file);
+    TraceLibrary library;
+    ASSERT_TRUE(library.Load(path, &error)) << error;
+    ASSERT_EQ(library.streams().size(), 1u);
+    EXPECT_EQ(EncodeTraceFile({library.streams()[0].framed}), file);
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -311,7 +312,7 @@ Inspect(const std::string& path, const std::string& repair_path)
                     recovered->note.c_str());
     }
     if (!repair_path.empty()) {
-        std::vector<std::string> frames;
+        std::vector<std::string_view> frames;
         frames.reserve(recovered->streams.size());
         for (const spur::workload::TraceStream& stream :
              recovered->streams) {
