@@ -1,7 +1,11 @@
 /**
  * @file
- * google-benchmark micro-benchmarks for SPUR-TRACE/1 decode on its own:
+ * google-benchmark micro-benchmarks for SPUR-TRACE/1 encode and decode
+ * on their own:
  *
+ *   BM_EncodeTrace    RecordingHost -> CountingHost over a captured op
+ *                     sequence: the encoder's op coding, its in-loop op
+ *                     digest and Finish, no generation.
  *   BM_RecoverTrace   RecoverTraceBytes over a whole trace file: frame
  *                     parse, both digests and count-only op validation.
  *   BM_LoadTrace      TraceLibrary::Load of the same file from a temp
@@ -11,8 +15,9 @@
  *                     whose AccessBatch only sums the references, so
  *                     the time is decode plus batching, no simulation.
  *
- * All run over one WORKLOAD1 recording of 1 M references (seed 1, the
- * 8 MB prototype's geometry), generated untimed before the loop.
+ * All run over one WORKLOAD1 run of 1 M references (seed 1, the 8 MB
+ * prototype's geometry), generated untimed before the loop: its host
+ * calls for BM_EncodeTrace, its recording for the rest.  BM_EncodeTrace,
  * BM_RecoverTrace and BM_ReplayDecode report time_per_ref, the run time
  * per recorded access; BM_LoadTrace reports time_per_byte, the run time
  * per file byte (both printed in ns; google-benchmark's JSON holds them
@@ -25,8 +30,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/micro_common.h"
 
@@ -42,6 +49,96 @@ namespace {
 
 using namespace spur;
 
+/** The WORKLOAD1 run every benchmark here works on. */
+core::RunConfig
+Workload1Config()
+{
+    core::RunConfig config;
+    config.workload = core::WorkloadId::kWorkload1;
+    config.refs = 1'000'000;
+    return config;
+}
+
+/** A counts-only host that also logs every call, to be made again on
+ *  another host. */
+class CaptureHost : public workload::CountingHost
+{
+  public:
+    using Call = std::function<void(workload::WorkloadHost&)>;
+
+    CaptureHost()
+        : CountingHost(sim::MachineConfig::Prototype(8))
+    {
+    }
+
+    Pid CreateProcess() override
+    {
+        calls.push_back([](workload::WorkloadHost& h) { h.CreateProcess(); });
+        return CountingHost::CreateProcess();
+    }
+    void DestroyProcess(Pid pid) override
+    {
+        calls.push_back(
+            [pid](workload::WorkloadHost& h) { h.DestroyProcess(pid); });
+    }
+    void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
+                   vm::PageKind kind) override
+    {
+        calls.push_back([=](workload::WorkloadHost& h) {
+            h.MapRegion(pid, base, bytes, kind);
+        });
+    }
+    void ShareSegment(Pid pid, unsigned reg, Pid other,
+                      unsigned other_reg) override
+    {
+        calls.push_back([=](workload::WorkloadHost& h) {
+            h.ShareSegment(pid, reg, other, other_reg);
+        });
+    }
+    void Access(const MemRef& ref) override { AccessBatch(&ref, 1); }
+    void AccessBatch(const MemRef* refs, size_t n) override
+    {
+        calls.push_back([batch = std::vector<MemRef>(refs, refs + n)](
+                            workload::WorkloadHost& h) {
+            h.AccessBatch(batch.data(), batch.size());
+        });
+        accesses += n;
+    }
+    void OnContextSwitch() override
+    {
+        calls.push_back([](workload::WorkloadHost& h) { h.OnContextSwitch(); });
+    }
+
+    std::vector<Call> calls;
+    uint64_t accesses = 0;
+};
+
+/** A run's host calls, in order. */
+struct CapturedRun {
+    std::vector<CaptureHost::Call> calls;
+    uint64_t accesses = 0;
+    uint64_t refs_issued = 0;
+};
+
+/** Captures the host calls of 1 M references of WORKLOAD1. */
+const CapturedRun&
+Workload1Calls()
+{
+    static const CapturedRun captured = [] {
+        const core::RunConfig config = Workload1Config();
+        workload::WorkloadSpec spec = core::SpecFor(config);
+        const uint32_t slice_refs = spec.slice_refs;
+        CaptureHost capture;
+        workload::Driver driver(capture, std::move(spec), config.refs,
+                                config.seed, slice_refs);
+        driver.Run();
+        // Taken before ~Driver's teardown calls reach the host.
+        return CapturedRun{std::move(capture.calls), capture.accesses,
+                           driver.refs_issued()};
+    }();
+    return captured;
+}
+
 /** A recorded trace file and the accesses it holds. */
 struct Recording {
     std::string file;
@@ -53,9 +150,7 @@ const Recording&
 Workload1Recording()
 {
     static const Recording recording = [] {
-        core::RunConfig config;
-        config.workload = core::WorkloadId::kWorkload1;
-        config.refs = 1'000'000;
+        const core::RunConfig config = Workload1Config();
         const workload::TraceStreamMeta meta = core::TraceMetaFor(config);
         workload::WorkloadSpec spec = core::SpecFor(config);
         const uint32_t slice_refs = spec.slice_refs;
@@ -111,6 +206,30 @@ class SumHost : public workload::CountingHost
   private:
     uint64_t sum_ = 0;
 };
+
+void
+BM_EncodeTrace(benchmark::State& state)
+{
+    const CapturedRun& captured = Workload1Calls();
+    const workload::TraceStreamMeta meta =
+        core::TraceMetaFor(Workload1Config());
+    std::string framed;
+    for (auto _ : state) {
+        workload::CountingHost counting(sim::MachineConfig::Prototype(8));
+        workload::TraceEncoder encoder(meta);
+        workload::RecordingHost recorder(counting, encoder);
+        for (const CaptureHost::Call& call : captured.calls) {
+            call(recorder);
+        }
+        framed = encoder.Finish(captured.refs_issued);
+        benchmark::DoNotOptimize(framed);
+    }
+    if (Workload1Recording().file.find(framed) == std::string::npos) {
+        Fatal("micro_trace: the captured calls encode another stream");
+    }
+    ReportTimePerRef(state, captured.accesses);
+}
+BENCHMARK(BM_EncodeTrace)->Unit(benchmark::kMillisecond);
 
 void
 BM_RecoverTrace(benchmark::State& state)

@@ -12,8 +12,6 @@ namespace spur::framed_log {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
 bool
 Fail(std::string* error, const std::string& message)
 {
@@ -117,8 +115,7 @@ uint64_t
 DigestBytes(uint64_t digest, std::string_view bytes)
 {
     for (const char c : bytes) {
-        digest ^= static_cast<unsigned char>(c);
-        digest *= kFnvPrime;
+        digest = DigestStep(digest, static_cast<unsigned char>(c));
     }
     return digest;
 }
@@ -136,8 +133,8 @@ DigestMixPair(uint64_t* first, uint64_t* second, std::string_view payload)
     uint64_t b = *second;
     for (const char c : payload) {
         const auto byte = static_cast<unsigned char>(c);
-        a = (a ^ byte) * kFnvPrime;
-        b = (b ^ byte) * kFnvPrime;
+        a = DigestStep(a, byte);
+        b = DigestStep(b, byte);
     }
     *first = DigestBytes(a, "\n");
     *second = DigestBytes(b, "\n");

@@ -76,6 +76,17 @@ ParseStatus CheckMagic(std::string_view bytes, std::string_view magic);
 /** FNV-1a 64 offset basis: the digest of nothing. */
 inline constexpr uint64_t kDigestInit = 14695981039346656037ULL;
 
+/**
+ * One FNV-1a 64 step: mixes @p byte into @p digest.  DigestBytes,
+ * DigestMixPair and TraceEncoder's access loop, which interleaves the
+ * chain with its encoding, are all chains of it.
+ */
+[[gnu::always_inline]] inline uint64_t
+DigestStep(uint64_t digest, unsigned char byte)
+{
+    return (digest ^ byte) * 1099511628211ULL;
+}
+
 /** Mixes @p payload and a '\n' separator into @p digest. */
 uint64_t DigestMix(uint64_t digest, std::string_view payload);
 

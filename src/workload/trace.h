@@ -54,7 +54,8 @@
  *
  * The coding of access ops has no branch on varint length (DESIGN.md
  * §19), so it assumes a little-endian host (a static_assert).  The
- * encoder writes each varint below 2^56 with one 8-byte word store.  The
+ * encoder writes each varint below 2^56 with one 8-byte word store, and
+ * mixes the op bytes it has written into the E digest as it goes.  The
  * decoder classifies a 64-byte window at a time: word masks of its stop
  * bytes (below 0x80), access opcodes and zero bytes, split by a prefix
  * XOR of the stops into opcodes, varint ends and continuation bytes,
@@ -150,7 +151,15 @@ class TraceEncoder
     void OnShareSegment(Pid host_pid, unsigned reg, Pid other,
                         unsigned other_reg);
     void OnContextSwitch();
-    void OnAccess(const MemRef& ref);
+    void OnAccess(const MemRef& ref) { OnAccesses(&ref, 1); }
+
+    /**
+     * Records @p n accesses: the one access-encoding loop.  Besides the
+     * ops it advances the op digest over bytes of the open batch it has
+     * already written (never past batch_len_), so FlushBatch mixes only
+     * the rest.
+     */
+    void OnAccesses(const MemRef* refs, size_t n);
 
     /**
      * Seals the stream: flushes the final op batch and appends the E
@@ -185,6 +194,8 @@ class TraceEncoder
     std::string batch_;         ///< Open batch buffer; bytes past
                                 ///< batch_len_ are scratch.
     size_t batch_len_ = 0;      ///< Op bytes in the open batch.
+    size_t digested_ = 0;       ///< Open-batch bytes already in digest_
+                                ///< (<= batch_len_).
     uint64_t digest_;           ///< Rolling FNV over B payloads.
     uint64_t ops_ = 0;
     uint64_t accesses_ = 0;

@@ -1167,6 +1167,176 @@ TEST(TraceTest, ReplayIssuesFullBatchesInRecordingOrder)
     }
 }
 
+TEST(TraceTest, AccessBatchesEncodeLikeSingleAccesses)
+{
+    // TraceEncoder::OnAccesses mixes 4 written bytes of the open batch
+    // into the op digest after each access while at least 4 are unmixed,
+    // and FlushBatch mixes the rest.  This test tracks that lag itself.
+    // Eight batches fill to 64 KiB and are closed by a switch with 0-7
+    // bytes unmixed before it; the last grows past 128 KiB with no
+    // switch, so the buffer is reallocated inside an AccessBatch call,
+    // and Finish closes it with nothing unmixed.  Accesses carry 1-5
+    // byte deltas and setpids.  Recording one at a time and in batches
+    // of 1, 7, 1500 and 4096 must all give the stream built here, whose
+    // E digest is DigestMix over the payloads computed here.
+    struct Op {
+        enum Kind : uint8_t { kCreate, kMap, kSwitch, kAccess } kind;
+        MemRef ref;
+    };
+    constexpr size_t kFlushBytes = 64 * 1024;
+    Rng rng(0x5eed0022);
+    std::vector<Op> ops;
+    std::vector<std::string> payloads(1);
+    size_t mixed = 0;  // Bytes of payloads.back() in the digest.
+    uint64_t op_count = 0;
+    uint64_t accesses = 0;
+    Pid current = 0;  // Host pid of the last setpid; 0 before the first.
+    ProcessAddr addr = 0;  // The encoder's delta base starts at 0.
+    std::vector<size_t> closing_lags;
+
+    const auto lag = [&] { return payloads.back().size() - mixed; };
+    const auto create = [&] {
+        ops.push_back(Op{Op::kCreate, {}});
+        payloads.back() += '\0' + Leb128(op_count);  // Pids 0, 1, 2.
+        ++op_count;
+    };
+    // An access whose delta is a @p varint_bytes varint (1-5).
+    const auto access = [&](Pid pid, unsigned varint_bytes) {
+        const uint64_t least =
+            varint_bytes == 1 ? 1 : (uint64_t{1} << (7 * varint_bytes - 8)) + 1;
+        const uint64_t magnitude = least + rng.NextBelow(least);
+        const int64_t delta = addr >= 0x80000000
+                                  ? -static_cast<int64_t>(magnitude)
+                                  : static_cast<int64_t>(magnitude);
+        addr = static_cast<ProcessAddr>(static_cast<int64_t>(addr) + delta);
+        const auto type = static_cast<AccessType>(rng.NextBelow(3));
+        ops.push_back(Op{Op::kAccess, MemRef{pid, addr, type}});
+        if (pid != current) {
+            payloads.back() += '\x05' + Leb128(pid - 1);
+            current = pid;
+            ++op_count;
+        }
+        const std::string delta_bytes = Leb128(Zigzag(delta));
+        ASSERT_EQ(delta_bytes.size(), varint_bytes);
+        payloads.back() += static_cast<char>(6 + static_cast<int>(type)) +
+                           delta_bytes;
+        ++op_count;
+        ++accesses;
+        if (lag() >= 4) {
+            mixed += 4;
+        }
+    };
+    const auto random_access = [&] {
+        Pid pid = current;
+        if (pid == 0 || rng.NextBelow(300) == 0) {
+            pid = static_cast<Pid>(1 + rng.NextBelow(3));
+        }
+        access(pid, 1 + static_cast<unsigned>(rng.NextBelow(5)));
+    };
+    // Accesses of known size from the current pid walk the lag to
+    // @p target: a 2-byte op takes 2 off it, 3 bytes 1, 5 adds 1, 6 adds 2.
+    const auto steer = [&](size_t target) {
+        while (lag() != target) {
+            const size_t now = lag();
+            const unsigned op_bytes =
+                now > target ? (now - target >= 2 ? 2 : 3)
+                             : (target - now >= 2 ? 6 : 5);
+            access(current, op_bytes - 1);
+        }
+    };
+
+    create();
+    create();
+    create();
+    ops.push_back(Op{Op::kMap, {}});
+    payloads.back() += "\x02" + Leb128(0) + Leb128(0x40000000) +
+                       Leb128(0x2000) + "\x01";
+    ++op_count;
+    for (size_t target = 0; target < 8; ++target) {
+        while (payloads.back().size() < kFlushBytes) {
+            random_access();
+            if (payloads.back().size() < kFlushBytes - 64 &&
+                rng.NextBelow(2000) == 0) {
+                ops.push_back(Op{Op::kSwitch, {}});  // Closes no batch.
+                payloads.back() += '\x04';
+                ++op_count;
+            }
+        }
+        steer(target);
+        closing_lags.push_back(lag());
+        ops.push_back(Op{Op::kSwitch, {}});
+        payloads.back() += '\x04';
+        ++op_count;
+        payloads.emplace_back();
+        mixed = 0;
+    }
+    while (payloads.back().size() < 140 * 1024) {
+        random_access();
+    }
+    steer(0);
+    ASSERT_EQ(closing_lags, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+
+    uint64_t digest = framed_log::kDigestInit;
+    for (const std::string& payload : payloads) {
+        digest = framed_log::DigestMix(digest, payload);
+    }
+    const std::string expected =
+        HandBuiltStream("lag", payloads, op_count, accesses);
+    ASSERT_NE(expected.find("\"digest\": \"" + framed_log::DigestHex(digest) +
+                            "\""),
+              std::string::npos);
+
+    // batch == 0: one RecordingHost::Access call per reference.
+    for (const size_t batch : {0, 1, 7, 1500, 4096}) {
+        CountingHost counting(sim::MachineConfig::Prototype(8));
+        TraceEncoder encoder(MetaFor("lag", 1, accesses));
+        RecordingHost recorder(counting, encoder);
+        std::vector<MemRef> pending;
+        const auto drain = [&] {
+            if (!pending.empty()) {
+                recorder.AccessBatch(pending.data(), pending.size());
+                pending.clear();
+            }
+        };
+        for (const Op& op : ops) {
+            if (op.kind != Op::kAccess) {
+                drain();
+            }
+            switch (op.kind) {
+              case Op::kCreate:
+                recorder.CreateProcess();
+                break;
+              case Op::kMap:
+                recorder.MapRegion(1, 0x40000000, 0x2000,
+                                   vm::PageKind::kData);
+                break;
+              case Op::kSwitch:
+                recorder.OnContextSwitch();
+                break;
+              case Op::kAccess:
+                if (batch == 0) {
+                    recorder.Access(op.ref);
+                } else {
+                    pending.push_back(op.ref);
+                    if (pending.size() == batch) {
+                        drain();
+                    }
+                }
+                break;
+            }
+        }
+        drain();
+        EXPECT_EQ(counting.accesses(), accesses);
+        const std::string framed = encoder.Finish(accesses);
+        const auto differ = std::mismatch(framed.begin(), framed.end(),
+                                          expected.begin(), expected.end());
+        EXPECT_TRUE(framed == expected)
+            << "batch " << batch << ": " << framed.size() << " vs "
+            << expected.size() << " bytes, first difference at byte "
+            << (differ.first - framed.begin());
+    }
+}
+
 TEST(TraceDeathTest, RejectsMissingFile)
 {
     CountingHost host(sim::MachineConfig::Prototype(8));
