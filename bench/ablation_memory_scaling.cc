@@ -11,8 +11,8 @@
  * (no ref faults, no clears) stay, so the curves cross.
  *
  * Flags: --refs=M (millions), --reps=N (default 1), --seed=S, plus the
- *        standard session flags --jobs=N, --json=FILE, --shard=K/N,
- *        --stream=FILE, --resume=FILE (src/runner/session.h)
+ *        standard session flags --jobs=N, --json=FILE
+ *        (src/runner/session.h)
  */
 #include <cstdio>
 #include <vector>

@@ -7,8 +7,7 @@
  * maintenance cost (flush work plus induced refetch misses) scales.
  *
  * Flags: --refs=M (millions per CPU count; default 3), --seed=S,
- *        plus the standard session flags --jobs=N, --json=FILE,
- *        --shard=K/N, --stream=FILE, --resume=FILE
+ *        plus the standard session flags --jobs=N, --json=FILE
  *        (src/runner/session.h)
  */
 #include <cstdio>
@@ -153,9 +152,9 @@ main(int argc, char** argv)
             t.AddSeparator();
         }
         stats::RunRecord record;
-        // The CPU count is part of the cell's identity (records with one
-        // identity must agree byte-for-byte when sweep shards merge), so
-        // it goes in the workload label, not only the metrics.
+        // The CPU count is part of the cell's identity (workload,
+        // policies, memory, rep, seed), so it goes in the workload label,
+        // not only the metrics.
         record.workload = "MP" + std::to_string(combos[i].cpus);
         record.ref_policy = ToString(combos[i].ref);
         record.memory_mb = 8;

@@ -14,8 +14,7 @@
  * provide faster access times than physical address caches".
  *
  * Flags: --refs=M (millions, default 6), --mem=MB (default 8), --seed=S,
- *        plus the standard session flags --jobs=N, --json=FILE,
- *        --shard=K/N, --stream=FILE, --resume=FILE
+ *        plus the standard session flags --jobs=N, --json=FILE
  *        (src/runner/session.h)
  */
 #include <cstdio>

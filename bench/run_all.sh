@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every paper table/figure and ablation into stdout.
 #
-# Usage: bench/run_all.sh [build_dir] [--json-dir=DIR] [--shard=K/N]
-#                         [--stream-dir=DIR] [extra flags...]
-#        bench/run_all.sh [build_dir] --merge-dir=DIR
+# Usage: bench/run_all.sh [build_dir] [--json-dir=DIR] [extra flags...]
 #
 # The optional build_dir (default: build) must come first.  Every other
 # argument is passed through to each bench binary, so e.g.
@@ -13,47 +11,15 @@
 # runs the whole suite with 8 worker threads.  With --json-dir=DIR each
 # bench additionally writes machine-readable run records to
 # DIR/<bench>.json (the micro benches emit google-benchmark's JSON).
-#
-# --shard=K/N runs this process's slice of a distributed sweep: each
-# bench gets the flag passed through and its JSON lands in
-# DIR/<bench>.shard_K_of_N.json.  The micro benches do not shard
-# (google-benchmark has no cell notion), so only shard 0 runs them.
-# After all N shard invocations have run with the same --json-dir,
-# merge per-bench with:
-#
-#   bench/run_all.sh build --merge-dir=DIR
-#
-# which runs `spur_sweep merge` over every DIR/<bench>.shard_*.json
-# group and writes the canonical merged DIR/<bench>.json files.
-#
-# --stream-dir=DIR additionally gives each bench --stream so every
-# record lands crash-tolerantly in DIR/<bench><shard suffix>.stream as
-# it completes; a killed suite is recovered per file with
-# `spur_sweep recover` and finished with --resume (DESIGN.md §14).
-# Like sharding, the micro benches are excluded (google-benchmark has
-# no record stream).
 set -euo pipefail
 
 BUILD="build"
 JSON_DIR=""
-MERGE_DIR=""
-STREAM_DIR=""
-SHARD=""
 ARGS=()
 for arg in "$@"; do
     case "$arg" in
         --json-dir=*)
             JSON_DIR="${arg#--json-dir=}"
-            ;;
-        --stream-dir=*)
-            STREAM_DIR="${arg#--stream-dir=}"
-            ;;
-        --merge-dir=*)
-            MERGE_DIR="${arg#--merge-dir=}"
-            ;;
-        --shard=*)
-            SHARD="${arg#--shard=}"
-            ARGS+=("$arg")
             ;;
         --*)
             ARGS+=("$arg")
@@ -64,31 +30,6 @@ for arg in "$@"; do
     esac
 done
 
-if [[ -n "$MERGE_DIR" ]]; then
-    SWEEP="$BUILD/tools/spur_sweep"
-    if [[ ! -x "$SWEEP" ]]; then
-        echo "error: no $SWEEP (build first?)" >&2
-        exit 1
-    fi
-    shopt -s nullglob
-    merged=0
-    for first in "$MERGE_DIR"/*.shard_0_of_*.json; do
-        base="$(basename "$first")"
-        name="${base%%.shard_0_of_*.json}"
-        count="${base##*.shard_0_of_}"
-        count="${count%.json}"
-        shards=("$MERGE_DIR/$name".shard_*_of_"$count".json)
-        echo "== merging ${#shards[@]} shard(s) -> $MERGE_DIR/$name.json"
-        "$SWEEP" merge --out="$MERGE_DIR/$name.json" "${shards[@]}"
-        merged=$((merged + 1))
-    done
-    if [[ "$merged" -eq 0 ]]; then
-        echo "error: no *.shard_0_of_*.json files in '$MERGE_DIR'" >&2
-        exit 1
-    fi
-    exit 0
-fi
-
 if [[ ! -d "$BUILD/bench" ]]; then
     echo "error: no bench binaries under '$BUILD' (build first?)" >&2
     exit 1
@@ -96,17 +37,6 @@ fi
 
 if [[ -n "$JSON_DIR" ]]; then
     mkdir -p "$JSON_DIR"
-fi
-
-if [[ -n "$STREAM_DIR" ]]; then
-    mkdir -p "$STREAM_DIR"
-fi
-
-SHARD_SUFFIX=""
-SHARD_INDEX=""
-if [[ -n "$SHARD" ]]; then
-    SHARD_INDEX="${SHARD%%/*}"
-    SHARD_SUFFIX=".shard_${SHARD_INDEX}_of_${SHARD##*/}"
 fi
 
 # The scenario library (DESIGN.md §19) — ctx-switch, flush-storm,
@@ -119,23 +49,12 @@ table_3_5_pageout"
 for b in "$BUILD"/bench/*; do
     [[ -x "$b" && -f "$b" ]] || continue
     name="$(basename "$b")"
-    if [[ "$name" == micro_* && -n "$SHARD_INDEX" &&
-          "$SHARD_INDEX" != "0" ]]; then
-        continue  # micro benches don't shard; shard 0 covers them.
-    fi
     echo "==================================================================="
     echo "== $name"
     echo "==================================================================="
     EXTRA=()
     if [[ -n "$JSON_DIR" ]]; then
-        if [[ "$name" == micro_* ]]; then
-            EXTRA+=("--json=$JSON_DIR/$name.json")
-        else
-            EXTRA+=("--json=$JSON_DIR/$name$SHARD_SUFFIX.json")
-        fi
-    fi
-    if [[ -n "$STREAM_DIR" && "$name" != micro_* ]]; then
-        EXTRA+=("--stream=$STREAM_DIR/$name$SHARD_SUFFIX.stream")
+        EXTRA+=("--json=$JSON_DIR/$name.json")
     fi
     if [[ " $SCENARIO_BENCHES " == *" $name "* ]]; then
         EXTRA+=("--scenarios")

@@ -31,8 +31,8 @@
 namespace spur::audit {
 
 // Result-level audits report through the same severity/report types as
-// the machine-state checker (src/check/report.h), so spur_sweep can
-// render both the same way.
+// the machine-state checker (src/check/report.h), so both raise and
+// render the same way.
 using check::AuditReport;
 using check::Severity;
 

@@ -48,9 +48,9 @@ class Args
 };
 
 // ---------------------------------------------------------------------------
-// Flag helpers for the subcommand tools (spur_sweep, spur_lint,
-// spur_model).  Those tools mix flags with positional file arguments, so
-// the Args class is a poor fit: its "--name value" form would swallow
+// Flag helpers for the subcommand tools (spur_lint, spur_model,
+// spur_trace).  Those tools mix flags with positional file arguments,
+// so the Args class is a poor fit: its "--name value" form would swallow
 // positionals.  They instead scan their argument list and classify each
 // entry with the helpers below.
 // ---------------------------------------------------------------------------
@@ -75,9 +75,9 @@ bool ParsePositiveDouble(const std::string& text, double* out);
 bool ParseUnsigned(const std::string& text, uint64_t* out);
 
 // ---------------------------------------------------------------------------
-// Unified --help / usage rendering.  Every subcommand tool (spur_sweep,
-// spur_lint, spur_model, spur_trace) declares its commands as data and
-// renders them through FormatToolUsage, so flag docs line up the same
+// Unified --help / usage rendering.  Every subcommand tool (spur_lint,
+// spur_model, spur_trace) declares its commands as data and renders
+// them through FormatToolUsage, so flag docs line up the same
 // way in every tool instead of each hand-wrapping its own string.
 // ---------------------------------------------------------------------------
 

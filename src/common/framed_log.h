@@ -1,9 +1,9 @@
 /**
  * @file
- * The framed-log codec under SPUR-STREAM/1 (src/sweep/stream.h) and
- * SPUR-TRACE/1 (src/workload/trace.h), DESIGN.md §20.
+ * The framed-log codec under SPUR-TRACE/1 (src/workload/trace.h),
+ * DESIGN.md §20.
  *
- * Both formats are a magic line followed by frames
+ * A log is a magic line followed by frames
  *
  *     <tag> <len>\n<payload>\n
  *

@@ -4,9 +4,9 @@
  * architecture rules (DESIGN.md §13, §18).
  *
  * The repo's core contract is that every output byte is a pure function
- * of the configuration and seed: shard unions must byte-match full runs
- * (DESIGN.md §12) and parallel runs must byte-match sequential ones
- * (§9).  The per-file rules here reject the constructs that
+ * of the configuration and seed: parallel runs must byte-match
+ * sequential ones (DESIGN.md §9) and trace replays must byte-match live
+ * runs (§19).  The per-file rules here reject the constructs that
  * historically break that contract — wall-clock reads, platform RNGs,
  * locale-dependent formatting, iteration over unordered containers in
  * output-feeding code — plus structural rules (a single schema_version

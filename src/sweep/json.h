@@ -1,18 +1,15 @@
 /**
  * @file
- * Minimal JSON parser for the sweep tooling (spur_sweep merge/validate,
- * cost tables).  The repo historically only *wrote* JSON
- * (stats::JsonWriter); merging shard outputs requires reading it back.
+ * Minimal JSON reader.  spur_bench reads its committed digests
+ * (spur_bench/expected.json) with it.
  *
  * Scope: full JSON syntax except \uXXXX escapes above the control range
- * (JsonWriter never emits them).  Two properties matter for the merge
- * contract and are guaranteed here:
+ * (JsonWriter never emits them).  Two properties are guaranteed:
  *
- *  - Object member order is preserved, so a parse → re-serialize round
- *    trip of a JsonWriter document is byte-identical.
- *  - Numbers keep their raw source token; integer fields re-serialize
- *    through uint64 and doubles through strtod + "%.17g", both of which
- *    round-trip JsonWriter's own output exactly.
+ *  - Object member order is preserved, so readers see members in file
+ *    order.
+ *  - Numbers keep their raw source token, so a reader can take an
+ *    integer exactly (AsUint64) instead of through a double.
  */
 #ifndef SPUR_SWEEP_JSON_H_
 #define SPUR_SWEEP_JSON_H_

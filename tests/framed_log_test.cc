@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the framed-log codec (src/common/framed_log.h, DESIGN.md
- * §20) and for the properties every format built on it inherits: the
- * canonical-length rule in each consumer (SPUR-STREAM/1, SPUR-TRACE/1)
- * and the durable appender behind both file writers.
- * The seeded frame-level fuzzer lives with the other fuzzers in
- * tests/json_fuzz_test.cc.
+ * §20) and for the properties SPUR-TRACE/1 inherits from it: the
+ * canonical-length rule and the durable appender behind its file
+ * writer.  The seeded frame-level fuzzer lives with the other fuzzers
+ * in tests/json_fuzz_test.cc.
  */
 #include <gtest/gtest.h>
 
@@ -13,14 +12,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
 
 #include "src/common/framed_log.h"
-#include "src/stats/run_record.h"
-#include "src/sweep/stream.h"
 #include "src/workload/trace.h"
 
 namespace spur {
@@ -35,51 +31,13 @@ ReadFile(const std::string& path)
     return contents.str();
 }
 
-/** A complete one-record stream with its R length zero-padded. */
-std::string
-PaddedStream()
-{
-    const std::string path = testing::TempDir() + "framed_log_padded";
-    sweep::StreamWriter writer;
-    std::string error;
-    EXPECT_TRUE(writer.Open(path, "t", 0, 1, &error)) << error;
-    stats::RunRecord record;
-    record.bench = "t";
-    EXPECT_TRUE(writer.Append(record, &error)) << error;
-    stats::DocumentMeta meta;
-    meta.total_cells = 1;
-    meta.ran_cells = 1;
-    EXPECT_TRUE(writer.Finish(meta, &error)) << error;
-    const std::string bytes = ReadFile(path);
-    std::remove(path.c_str());
-    const size_t length = bytes.find("\nR ") + 3;
-    return bytes.substr(0, length) + "0" + bytes.substr(length);
-}
-
 TEST(FramedLogTest, ZeroPaddedLengthIsCorruptInEveryConsumer)
 {
     std::string trace = workload::EncodeTraceFile({});
     trace.replace(trace.find("H 20\n"), 4, "H 020");
-    const struct {
-        const char* consumer;
-        std::function<bool(std::string*)> accepts;
-    } cases[] = {
-        {"stream R frame",
-         [](std::string* error) {
-             return sweep::RecoverStreamBytes(PaddedStream(), error)
-                 .has_value();
-         }},
-        {"trace H frame",
-         [&trace](std::string* error) {
-             return workload::RecoverTraceBytes(trace, error).has_value();
-         }},
-    };
-    for (const auto& c : cases) {
-        std::string error;
-        EXPECT_FALSE(c.accepts(&error)) << c.consumer;
-        EXPECT_NE(error.find("leading zero"), std::string::npos)
-            << c.consumer << ": " << error;
-    }
+    std::string error;
+    EXPECT_FALSE(workload::RecoverTraceBytes(trace, &error).has_value());
+    EXPECT_NE(error.find("leading zero"), std::string::npos) << error;
 }
 
 // ---- The codec --------------------------------------------------------
@@ -210,67 +168,26 @@ TEST(FramedLogTest, ReadFileReportsMissingFiles)
     EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
-// ---- The durable appender, through both file writers -----------------
+// ---- The durable appender, through the trace file writer ------------
 
-/** Adapts sweep::StreamWriter to the shared test bodies. */
-struct StreamFormat {
-    static constexpr char kName[] = "Stream";
-    sweep::StreamWriter writer;
-
-    bool Open(const std::string& path, std::string* error)
-    {
-        return writer.Open(path, "t", 0, 1, error);
-    }
-    bool Append(std::string* error)
-    {
-        return writer.Append(stats::RunRecord{}, error);
-    }
-    bool Finish(std::string* error)
-    {
-        return writer.Finish(stats::DocumentMeta{}, error);
-    }
-};
-
-/** Adapts workload::TraceFileWriter to the shared test bodies. */
-struct TraceFormat {
-    static constexpr char kName[] = "Trace";
-    workload::TraceFileWriter writer;
-
-    bool Open(const std::string& path, std::string* error)
-    {
-        return writer.Open(path, error);
-    }
-    bool Append(std::string* error)
-    {
-        return writer.AppendStream("", error);
-    }
-    bool Finish(std::string* error) { return writer.Finish(error); }
-};
-
-template <class Format>
-void
-CheckAppendAndFinishRequireOpen()
+TEST(DurableWriterTest, AppendAndFinishRequireOpen)
 {
-    SCOPED_TRACE(Format::kName);
-    Format format;
+    workload::TraceFileWriter writer;
     std::string error;
-    EXPECT_FALSE(format.writer.is_open());
-    EXPECT_FALSE(format.Append(&error));
+    EXPECT_FALSE(writer.is_open());
+    EXPECT_FALSE(writer.AppendStream("", &error));
     EXPECT_FALSE(error.empty());
     error.clear();
-    EXPECT_FALSE(format.Finish(&error));
+    EXPECT_FALSE(writer.Finish(&error));
     EXPECT_FALSE(error.empty());
 }
 
-template <class Format>
-void
-CheckOpenFailsOnUnwritablePath()
+TEST(DurableWriterTest, OpenFailsOnUnwritablePath)
 {
-    SCOPED_TRACE(Format::kName);
-    Format format;
+    workload::TraceFileWriter writer;
     std::string error;
-    EXPECT_FALSE(format.Open("/nonexistent-dir/x.log", &error));
-    EXPECT_FALSE(format.writer.is_open());
+    EXPECT_FALSE(writer.Open("/nonexistent-dir/x.log", &error));
+    EXPECT_FALSE(writer.is_open());
     // The reason travels with the path.
     EXPECT_NE(error.find("/nonexistent-dir/x.log"), std::string::npos)
         << error;
@@ -278,41 +195,19 @@ CheckOpenFailsOnUnwritablePath()
         << error;
 }
 
-template <class Format>
-void
-CheckFinishClosesAndLeavesACompleteLog()
+TEST(DurableWriterTest, FinishClosesAndLeavesACompleteLog)
 {
-    SCOPED_TRACE(Format::kName);
-    const std::string path = testing::TempDir() + "framed_log_writer_" +
-                             Format::kName;
-    Format format;
+    const std::string path = testing::TempDir() + "framed_log_writer";
+    workload::TraceFileWriter writer;
     std::string error;
-    ASSERT_TRUE(format.Open(path, &error)) << error;
-    EXPECT_TRUE(format.writer.is_open());
-    EXPECT_FALSE(format.Open(path, &error));  // Already open.
-    ASSERT_TRUE(format.Finish(&error)) << error;
-    EXPECT_FALSE(format.writer.is_open());
+    ASSERT_TRUE(writer.Open(path, &error)) << error;
+    EXPECT_TRUE(writer.is_open());
+    EXPECT_FALSE(writer.Open(path, &error));  // Already open.
+    ASSERT_TRUE(writer.Finish(&error)) << error;
+    EXPECT_FALSE(writer.is_open());
     const std::string bytes = ReadFile(path);
     std::remove(path.c_str());
     EXPECT_EQ(bytes.back(), '\n');
-}
-
-TEST(DurableWriterTest, AppendAndFinishRequireOpen)
-{
-    CheckAppendAndFinishRequireOpen<StreamFormat>();
-    CheckAppendAndFinishRequireOpen<TraceFormat>();
-}
-
-TEST(DurableWriterTest, OpenFailsOnUnwritablePath)
-{
-    CheckOpenFailsOnUnwritablePath<StreamFormat>();
-    CheckOpenFailsOnUnwritablePath<TraceFormat>();
-}
-
-TEST(DurableWriterTest, FinishClosesAndLeavesACompleteLog)
-{
-    CheckFinishClosesAndLeavesACompleteLog<StreamFormat>();
-    CheckFinishClosesAndLeavesACompleteLog<TraceFormat>();
 }
 
 }  // namespace

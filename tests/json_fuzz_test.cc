@@ -1,12 +1,10 @@
 /**
  * @file
  * Deterministic seeded fuzzer for the readers: the JSON parser
- * (src/sweep/json.h), the document parser (src/sweep/merge.h), the
- * framed-log codec every durable format shares
- * (src/common/framed_log.h), and the stream and trace payload readers
- * above it (src/sweep/stream.h, src/workload/trace.h).
+ * (src/sweep/json.h), the framed-log codec (src/common/framed_log.h),
+ * and the trace payload reader above it (src/workload/trace.h).
  *
- * Structure-aware mutations of valid documents, logs, streams and traces
+ * Structure-aware mutations of valid documents, logs and traces
  * assert the crash-interruptible-format contract: the parsers never
  * crash on arbitrary bytes, every prefix of a valid log is truncation,
  * never corruption, and every input is either rejected with a
@@ -34,8 +32,6 @@
 #include "src/common/types.h"
 #include "src/stats/run_record.h"
 #include "src/sweep/json.h"
-#include "src/sweep/merge.h"
-#include "src/sweep/stream.h"
 #include "src/vm/region.h"
 #include "src/workload/trace.h"
 
@@ -56,7 +52,7 @@ Iterations()
     return 300;
 }
 
-/** A representative document: sharded, metrics, escapes. */
+/** A representative document: cell counts, metrics, escapes. */
 std::string
 CorpusDocument()
 {
@@ -79,46 +75,43 @@ CorpusDocument()
     second.elapsed_seconds = 0.0;
     stats::DocumentMeta meta;
     meta.bench = "fuzz \"bench\"\n";
-    meta.shard_index = 1;
-    meta.shard_count = 3;
     meta.total_cells = 12;
-    meta.ran_cells = 2;
     return stats::JsonWriter::ToJson(meta, {record, second});
 }
 
-/** A complete stream holding the corpus records, built frame by frame. */
+/**
+ * Compact re-serialization of a parsed value: member order, raw number
+ * tokens and decoded strings exactly as the parser kept them.
+ */
 std::string
-CorpusStream()
+Serialize(const JsonValue& value)
 {
-    // Composed in memory (no file I/O in the hot fuzz path); the golden
-    // files pin that this is StreamWriter's framing.
-    stats::RunRecord record;
-    record.bench = "fuzz";
-    record.workload = "SLC";
-    record.dirty_policy = "SPUR";
-    record.ref_policy = "MISS";
-    record.memory_mb = 8;
-    record.rep = 0;
-    record.seed = 9;
-    record.refs_issued = 100;
-    record.page_ins = 1;
-    record.page_outs = 0;
-    record.elapsed_seconds = 0.5;
-    record.AddMetric("n_ds", 1.0);
-    const std::string payload = stats::JsonWriter::ToJson(record);
-
-    stats::DocumentMeta meta;
-    meta.total_cells = 1;
-    meta.ran_cells = 1;
-    std::string bytes = kStreamMagic;
-    bytes += framed_log::EncodeFrame('H',
-                                     EncodeStreamHeaderPayload("fuzz", 0, 1));
-    bytes += framed_log::EncodeFrame('R', payload);
-    bytes += framed_log::EncodeFrame(
-        'T', EncodeStreamTrailerPayload(
-                 meta, 1,
-                 framed_log::DigestMix(framed_log::kDigestInit, payload)));
-    return bytes;
+    switch (value.kind()) {
+      case JsonValue::Kind::kNull:
+        return "null";
+      case JsonValue::Kind::kBool:
+        return value.AsBool() ? "true" : "false";
+      case JsonValue::Kind::kNumber:
+        return value.raw_number();
+      case JsonValue::Kind::kString:
+        return "\"" + stats::JsonWriter::Escape(value.AsString()) + "\"";
+      case JsonValue::Kind::kArray: {
+        std::string out = "[";
+        for (const JsonValue& item : value.items()) {
+            out += (out.size() == 1 ? "" : ",") + Serialize(item);
+        }
+        return out + "]";
+      }
+      case JsonValue::Kind::kObject: {
+        std::string out = "{";
+        for (const auto& [key, member] : value.members()) {
+            out += (out.size() == 1 ? "\"" : ",\"") +
+                   stats::JsonWriter::Escape(key) + "\":" + Serialize(member);
+        }
+        return out + "}";
+      }
+    }
+    return "";
 }
 
 /** Applies one random byte-level or structural mutation. */
@@ -235,88 +228,15 @@ TEST(JsonFuzzTest, ParserNeverCrashesAndAcceptedInputsAreFixpoints)
             continue;
         }
         ++accepted;
-        // Accepted inputs must round-trip through the document layer:
-        // if the mutant is still a valid sweep document, serializing it
-        // must be a parse fixpoint (raw tokens and member order kept).
-        std::string doc_error;
-        const std::optional<SweepDocument> document =
-            ParseSweepDocument(input, &doc_error);
-        if (!document) {
-            EXPECT_FALSE(doc_error.empty()) << "iteration " << i;
-            continue;
-        }
-        const std::string serialized = ToJson(*document);
-        const std::optional<SweepDocument> again =
-            ParseSweepDocument(serialized, &doc_error);
-        ASSERT_TRUE(again.has_value())
-            << "iteration " << i << ": " << doc_error;
-        EXPECT_EQ(ToJson(*again), serialized) << "iteration " << i;
+        // Accepted inputs re-serialize to a parse fixpoint: raw number
+        // tokens and member order survive the round trip.
+        const std::string serialized = Serialize(*value);
+        const std::optional<JsonValue> again = ParseJson(serialized, &error);
+        ASSERT_TRUE(again.has_value()) << "iteration " << i << ": " << error;
+        EXPECT_EQ(Serialize(*again), serialized) << "iteration " << i;
     }
     // The mutator must not be so destructive that nothing parses.
     EXPECT_GT(accepted, 0u);
-}
-
-TEST(JsonFuzzTest, UnmutatedCorpusRoundTripsByteIdentically)
-{
-    const std::string corpus = CorpusDocument();
-    std::string error;
-    const std::optional<SweepDocument> document =
-        ParseSweepDocument(corpus, &error);
-    ASSERT_TRUE(document.has_value()) << error;
-    EXPECT_EQ(ToJson(*document), corpus);
-}
-
-TEST(StreamFuzzTest, RecoverNeverCrashesAndNeverFailsSilently)
-{
-    const std::string corpus = CorpusStream();
-    {
-        // The unmutated corpus is a complete, verified stream.
-        std::string error;
-        const std::optional<RecoveredStream> recovered =
-            RecoverStreamBytes(corpus, &error);
-        ASSERT_TRUE(recovered.has_value()) << error;
-        EXPECT_TRUE(recovered->complete);
-        EXPECT_EQ(recovered->document.records.size(), 1u);
-    }
-    Rng rng(0x5eed0002);
-    const uint64_t iterations = Iterations();
-    for (uint64_t i = 0; i < iterations; ++i) {
-        std::string input = corpus;
-        const uint64_t rounds = 1 + rng.NextBelow(4);
-        for (uint64_t round = 0; round < rounds; ++round) {
-            input = Mutate(std::move(input), rng);
-        }
-        std::string error;
-        const std::optional<RecoveredStream> recovered =
-            RecoverStreamBytes(input, &error);
-        if (!recovered) {
-            EXPECT_FALSE(error.empty()) << "iteration " << i;
-            continue;
-        }
-        // Whatever recovers must be a valid (possibly partial) sweep
-        // document, or --resume could not consume it.
-        std::string doc_error;
-        const std::optional<SweepDocument> document =
-            ParseSweepDocument(ToJson(recovered->document), &doc_error);
-        ASSERT_TRUE(document.has_value())
-            << "iteration " << i << ": " << doc_error;
-        EXPECT_EQ(document->records.size(),
-                  recovered->document.records.size())
-            << "iteration " << i;
-    }
-}
-
-TEST(StreamFuzzTest, EveryPrefixOfCorpusStreamRecovers)
-{
-    const std::string corpus = CorpusStream();
-    for (size_t cut = 0; cut < corpus.size(); ++cut) {
-        std::string error;
-        const std::optional<RecoveredStream> recovered =
-            RecoverStreamBytes(corpus.substr(0, cut), &error);
-        ASSERT_TRUE(recovered.has_value())
-            << "cut at byte " << cut << ": " << error;
-        EXPECT_FALSE(recovered->complete) << "cut at byte " << cut;
-    }
 }
 
 // ---- The framed-log codec (src/common/framed_log.h) -------------------

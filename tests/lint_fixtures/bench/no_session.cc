@@ -7,6 +7,6 @@
 int
 main()
 {
-    std::printf("raw bytes that --json, --shard and spur_sweep never see\n");
+    std::printf("raw bytes that --json never sees\n");
     return 0;
 }

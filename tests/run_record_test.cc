@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/args.h"
+#include "src/runner/runner.h"
 #include "src/runner/session.h"
 #include "src/runner/thread_pool.h"
 #include "src/stats/run_record.h"
@@ -149,13 +150,37 @@ TEST(BenchSessionTest, DefaultsToHardwareJobs)
     SetDefaultJobs(0);
 }
 
+core::RunConfig
+SmallRun()
+{
+    core::RunConfig config;
+    config.workload = core::WorkloadId::kSlc;
+    config.refs = 100'000;
+    return config;
+}
+
+std::string
+ReadWholeFile(const std::string& path)
+{
+    std::string contents;
+    FILE* file = std::fopen(path.c_str(), "r");
+    if (file == nullptr) {
+        return contents;
+    }
+    char buffer[4096];
+    size_t read = 0;
+    while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+        contents.append(buffer, read);
+    }
+    std::fclose(file);
+    return contents;
+}
+
 TEST(BenchSessionTest, MatrixRunsAreRecordedInConfigOrder)
 {
     const Args args = MakeArgs({"bench", "--jobs=2"});
     BenchSession session("t", args);
-    core::RunConfig config;
-    config.workload = core::WorkloadId::kSlc;
-    config.refs = 100'000;
+    const core::RunConfig config = SmallRun();
     std::vector<core::RunConfig> configs(2, config);
     configs[1].memory_mb = 5;
     session.RunMatrix(configs, /*reps=*/2, /*shuffle_seed=*/7);
@@ -170,22 +195,91 @@ TEST(BenchSessionTest, MatrixRunsAreRecordedInConfigOrder)
     SetDefaultJobs(0);
 }
 
+TEST(BenchSessionTest, MatrixCellsRunAtTheirDerivedSeeds)
+{
+    const Args args = MakeArgs({"bench", "--jobs=3"});
+    BenchSession session("t", args);
+    std::vector<core::RunConfig> configs(2, SmallRun());
+    configs[1].seed = 6;
+    configs[1].ref = policy::RefPolicyKind::kNoRef;
+    const auto results =
+        session.RunMatrix(configs, /*reps=*/2, /*shuffle_seed=*/3);
+    ASSERT_EQ(results.size(), 2u);
+    for (size_t i = 0; i < configs.size(); ++i) {
+        ASSERT_EQ(results[i].size(), 2u);
+        for (uint32_t r = 0; r < 2; ++r) {
+            core::RunConfig cell = configs[i];
+            cell.seed = CellSeed(configs[i].seed, r);
+            const core::RunResult expected = core::RunOnce(cell);
+            EXPECT_EQ(results[i][r].refs_issued, expected.refs_issued);
+            EXPECT_EQ(results[i][r].page_ins, expected.page_ins);
+            EXPECT_EQ(results[i][r].events.TotalMisses(),
+                      expected.events.TotalMisses());
+            EXPECT_DOUBLE_EQ(results[i][r].elapsed_seconds,
+                             expected.elapsed_seconds);
+        }
+    }
+    SetDefaultJobs(0);
+}
+
+TEST(BenchSessionTest, RunAllRecordsInInputOrderAtAnyJobCount)
+{
+    std::vector<core::RunConfig> configs(3, SmallRun());
+    configs[0].seed = 11;
+    configs[1].seed = 4;
+    configs[1].memory_mb = 5;
+    configs[2].seed = 9;
+    std::string documents[2];
+    const char* jobs[2] = {"--jobs=1", "--jobs=4"};
+    for (int k = 0; k < 2; ++k) {
+        const Args args = MakeArgs({"bench", jobs[k]});
+        BenchSession session("t", args);
+        session.RunAll(configs);
+        const std::vector<stats::RunRecord> records = session.records();
+        ASSERT_EQ(records.size(), configs.size());
+        for (size_t i = 0; i < configs.size(); ++i) {
+            EXPECT_EQ(records[i].seed, configs[i].seed);  // Verbatim.
+            EXPECT_EQ(records[i].memory_mb, configs[i].memory_mb);
+            EXPECT_EQ(records[i].rep, 0u);
+        }
+        documents[k] = stats::JsonWriter::ToJson("t", records);
+    }
+    EXPECT_EQ(documents[0], documents[1]);
+    SetDefaultJobs(0);
+}
+
 TEST(BenchSessionTest, FinishWritesJson)
 {
     const std::string path = ::testing::TempDir() + "session_test.json";
     const Args args = MakeArgs({"bench", "--json=" + path, "--jobs=1"});
     BenchSession session("session_test", args);
+    session.RunMatrix({SmallRun()}, /*reps=*/2);
     stats::RunRecord record;
     record.AddMetric("custom", 1.0);
     session.Record(std::move(record));
     EXPECT_EQ(session.Finish(), 0);
-    FILE* file = std::fopen(path.c_str(), "r");
-    ASSERT_NE(file, nullptr);
-    std::fclose(file);
+    const std::string contents = ReadWholeFile(path);
     std::remove(path.c_str());
+    // The schema-1 header: one shard that ran every cell.
+    EXPECT_EQ(contents.substr(0, contents.find('[') + 1),
+              "{\"schema_version\": 1, \"bench\": \"session_test\", "
+              "\"shard\": {\"index\": 0, \"count\": 1, "
+              "\"total_cells\": 2, \"ran_cells\": 2}, \"records\": [");
     // The bench name was stamped onto the anonymous record.
-    EXPECT_EQ(session.records()[0].bench, "session_test");
+    ASSERT_EQ(session.records().size(), 3u);
+    EXPECT_EQ(session.records()[2].bench, "session_test");
     SetDefaultJobs(0);
+}
+
+TEST(BenchSessionDeathTest, RemovedFlagsAreFatal)
+{
+    for (const char* flag : {"--shard=1/2", "--stream=x", "--resume=x"}) {
+        const std::string name =
+            std::string(flag).substr(0, std::string(flag).find('='));
+        EXPECT_EXIT(BenchSession("t", MakeArgs({"bench", flag})),
+                    testing::ExitedWithCode(1), name + " was removed")
+            << flag;
+    }
 }
 
 }  // namespace

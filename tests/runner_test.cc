@@ -1,17 +1,13 @@
 /**
  * @file
  * Tests for the run-orchestration layer (src/runner/): the determinism
- * contract (parallel results bit-identical to sequential), progress
- * callback delivery, exception safety of the pool, and the thread pool
- * itself.
+ * contract (parallel results bit-identical to sequential), exception
+ * safety of the pool, and the thread pool itself.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -91,41 +87,6 @@ TEST(RunnerTest, DefaultJobCountMatchesExplicitJobCount)
     for (size_t i = 0; i < via_default.size(); ++i) {
         ExpectIdentical(via_default[i][0], via_explicit[i][0]);
     }
-}
-
-TEST(RunnerTest, ProgressFiresExactlyOncePerCell)
-{
-    const auto configs = SmallMatrix();
-    std::set<std::pair<size_t, uint32_t>> seen;
-    int calls = 0;
-    RunMatrix(configs, /*reps=*/3, /*shuffle_seed=*/1, /*jobs=*/4,
-              [&](const Cell& cell) {
-                  ++calls;
-                  seen.insert({cell.config_index, cell.rep});
-              });
-    EXPECT_EQ(calls, 6);
-    EXPECT_EQ(seen.size(), 6u);  // Every (config, rep) pair, no repeats.
-}
-
-TEST(RunnerTest, ProgressRunsOnTheCallingThread)
-{
-    const auto caller = std::this_thread::get_id();
-    bool checked = false;
-    RunMatrix({SmallRun()}, /*reps=*/2, /*shuffle_seed=*/1, /*jobs=*/2,
-              [&](const Cell&) {
-                  EXPECT_EQ(std::this_thread::get_id(), caller);
-                  checked = true;
-              });
-    EXPECT_TRUE(checked);
-}
-
-TEST(RunnerTest, ProgressSeesDerivedCellSeed)
-{
-    RunMatrix({SmallRun()}, /*reps=*/2, /*shuffle_seed=*/1, /*jobs=*/2,
-              [&](const Cell& cell) {
-                  EXPECT_EQ(cell.config.seed,
-                            CellSeed(SmallRun().seed, cell.rep));
-              });
 }
 
 TEST(RunnerTest, CellSeedMatchesHistoricalDerivation)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Operator tool for SPUR-TRACE/1 workload-trace libraries (DESIGN.md
- * §19) — the record/replay counterpart of spur_sweep.
+ * §19).
  *
  *   spur_trace record --out=FILE [--workload=NAME | --all-scenarios]
  *                     [--seed=N] [--refs=N] [--intensity=F]
