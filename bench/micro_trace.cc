@@ -8,6 +8,10 @@
  *                     digest and Finish, no generation.
  *   BM_RecoverTrace   RecoverTraceBytes over a whole trace file: frame
  *                     parse, both digests and count-only op validation.
+ *   BM_DigestFloor    DigestMixPair over the same file's B payloads: the
+ *                     two FNV-1a chains recovery must run over every op
+ *                     byte, alone, so BM_RecoverTrace's distance from it
+ *                     is what parsing and validation add.
  *   BM_LoadTrace      TraceLibrary::Load of the same file from a temp
  *                     file: the read plus everything BM_RecoverTrace
  *                     times, the replay side's whole setup.
@@ -18,10 +22,10 @@
  * All run over one WORKLOAD1 run of 1 M references (seed 1, the 8 MB
  * prototype's geometry), generated untimed before the loop: its host
  * calls for BM_EncodeTrace, its recording for the rest.  BM_EncodeTrace,
- * BM_RecoverTrace and BM_ReplayDecode report time_per_ref, the run time
- * per recorded access; BM_LoadTrace reports time_per_byte, the run time
- * per file byte (both printed in ns; google-benchmark's JSON holds them
- * in seconds).
+ * BM_RecoverTrace, BM_DigestFloor and BM_ReplayDecode report
+ * time_per_ref, the run time per recorded access; BM_LoadTrace reports
+ * time_per_byte, the run time per file byte (both printed in ns;
+ * google-benchmark's JSON holds them in seconds).
  */
 #include <benchmark/benchmark.h>
 
@@ -32,6 +36,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -246,6 +251,45 @@ BM_RecoverTrace(benchmark::State& state)
     ReportTimePerRef(state, recording.accesses);
 }
 BENCHMARK(BM_RecoverTrace)->Unit(benchmark::kMillisecond);
+
+void
+BM_DigestFloor(benchmark::State& state)
+{
+    const Recording& recording = Workload1Recording();
+    // The B payloads, in file order, found untimed.
+    std::vector<std::string_view> payloads;
+    framed_log::Frame frame;
+    std::string why;
+    for (size_t pos = std::string_view(workload::kTraceMagic).size();
+         pos < recording.file.size(); pos = frame.end) {
+        if (framed_log::ParseFrame(recording.file, pos, "HSBET",
+                                   framed_log::kMaxFilePayload, &frame,
+                                   &why) != framed_log::ParseStatus::kOk) {
+            Fatal("micro_trace: the recording does not parse: " + why);
+        }
+        if (frame.tag == 'B') {
+            payloads.push_back(frame.payload);
+        }
+    }
+    uint64_t ops_digest = 0;
+    for (auto _ : state) {
+        ops_digest = framed_log::kDigestInit;
+        uint64_t file_digest = framed_log::kDigestInit;
+        for (const std::string_view payload : payloads) {
+            framed_log::DigestMixPair(&ops_digest, &file_digest, payload);
+        }
+        benchmark::DoNotOptimize(ops_digest);
+        benchmark::DoNotOptimize(file_digest);
+    }
+    std::string error;
+    const auto recovered = workload::RecoverTraceBytes(recording.file, &error);
+    if (!recovered || recovered->streams.size() != 1 ||
+        recovered->streams[0].digest != ops_digest) {
+        Fatal("micro_trace: the floor digested other bytes than recovery");
+    }
+    ReportTimePerRef(state, recording.accesses);
+}
+BENCHMARK(BM_DigestFloor)->Unit(benchmark::kMillisecond);
 
 void
 BM_LoadTrace(benchmark::State& state)

@@ -129,15 +129,9 @@ DigestMix(uint64_t digest, std::string_view payload)
 void
 DigestMixPair(uint64_t* first, uint64_t* second, std::string_view payload)
 {
-    uint64_t a = *first;
-    uint64_t b = *second;
-    for (const char c : payload) {
-        const auto byte = static_cast<unsigned char>(c);
-        a = DigestStep(a, byte);
-        b = DigestStep(b, byte);
-    }
-    *first = DigestBytes(a, "\n");
-    *second = DigestBytes(b, "\n");
+    DigestBytesPair(first, second, payload);
+    *first = DigestStep(*first, '\n');
+    *second = DigestStep(*second, '\n');
 }
 
 std::string

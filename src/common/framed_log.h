@@ -78,13 +78,32 @@ inline constexpr uint64_t kDigestInit = 14695981039346656037ULL;
 
 /**
  * One FNV-1a 64 step: mixes @p byte into @p digest.  DigestBytes,
- * DigestMixPair and TraceEncoder's access loop, which interleaves the
+ * DigestBytesPair and TraceEncoder's access loop, which interleaves the
  * chain with its encoding, are all chains of it.
  */
 [[gnu::always_inline]] inline uint64_t
 DigestStep(uint64_t digest, unsigned char byte)
 {
     return (digest ^ byte) * 1099511628211ULL;
+}
+
+/**
+ * Mixes @p bytes into two digests with no separator: DigestBytes on
+ * each, in one pass whose two independent multiply chains overlap.
+ * Inline, so trace recovery's op decoder can run it between ops.
+ */
+[[gnu::always_inline]] inline void
+DigestBytesPair(uint64_t* first, uint64_t* second, std::string_view bytes)
+{
+    uint64_t a = *first;
+    uint64_t b = *second;
+    for (const char c : bytes) {
+        const auto byte = static_cast<unsigned char>(c);
+        a = DigestStep(a, byte);
+        b = DigestStep(b, byte);
+    }
+    *first = a;
+    *second = b;
 }
 
 /** Mixes @p payload and a '\n' separator into @p digest. */
@@ -97,9 +116,8 @@ uint64_t DigestMix(uint64_t digest, std::string_view payload);
 uint64_t DigestBytes(uint64_t digest, std::string_view bytes);
 
 /**
- * Advances two digests over one @p payload, then mixes '\n' into both:
- * the same values as DigestMix on each, in one pass whose two
- * independent multiply chains overlap.
+ * Advances two digests over one @p payload (DigestBytesPair), then mixes
+ * '\n' into both: the same values as DigestMix on each, in one pass.
  */
 void DigestMixPair(uint64_t* first, uint64_t* second,
                    std::string_view payload);

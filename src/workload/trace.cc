@@ -13,6 +13,7 @@
 #include "src/common/framed_log.h"
 #include "src/common/log.h"
 #include "src/vm/region.h"
+#include "src/workload/window_masks.h"
 
 namespace spur::workload {
 
@@ -306,6 +307,9 @@ constexpr size_t kRunBytes = 72;
 /** Most accesses one 64-byte run window can hold (2 bytes each). */
 constexpr size_t kMaxRunAccesses = 32;
 
+/** How far validation keeps the digests ahead of its ops (OpCounter). */
+constexpr size_t kDigestLead = 64;
+
 uint64_t
 Load64(const char* p)
 {
@@ -344,25 +348,28 @@ PutVarint(char* out, uint64_t value)
     return out + bytes;
 }
 
-/** Inverse of PutVarint's spread: 7-bit groups in bytes -> value. */
+/**
+ * The 7-bit groups of an n-byte varint, n = 1-5 (the varints an access
+ * run holds), as the low n bytes of a word less their high bits: ANDed
+ * with a load at the varint's first byte, it drops the bytes past the
+ * varint and its continuation bits.
+ */
+constexpr uint64_t kVarintGroups[6] = {
+    0, 0x7f, 0x7f7f, 0x7f7f7f, 0x7f7f7f7f, 0x7f7f7f7f7f,
+};
+
+/**
+ * Inverse of PutVarint's spread: 7-bit groups in bytes, their high bits
+ * clear -> value.
+ */
 uint64_t
 CompactVarint(uint64_t word)
 {
-    word = (word & 0x007F007F007F007F) | ((word & 0x7F007F007F007F00) >> 1);
+    // In each 16-bit lane, lo + hi / 2 (hi is the upper group, bits
+    // 8-14) is the lane less hi / 2: one subtract moves hi down a bit.
+    word -= (word & 0x7F007F007F007F00) >> 1;
     word = (word & 0x00003FFF00003FFF) | ((word & 0x3FFF00003FFF0000) >> 2);
     return (word & 0x000000000FFFFFFF) | ((word & 0x0FFFFFFF00000000) >> 4);
-}
-
-/**
- * Gathers the high bit of each byte of @p bits (no other bit may be
- * set) into the low byte: bit i of the result is byte i's high bit.
- * The partial products of the multiply never collide, so nothing
- * carries.
- */
-uint64_t
-GatherHighBits(uint64_t bits)
-{
-    return (bits * 0x0002040810204081) >> 56;
 }
 
 /** std::popcount without a libgcc call (baseline x86-64 has no popcnt). */
@@ -444,9 +451,9 @@ Fail(std::string* error, const std::string& message)
  * ends one of them, so the run holds popcount ops and spans up to the
  * highest set bit.  Zero means the window does not start with one.
  *
- * One pass over the window's words builds three masks — the stop bytes
- * (below 0x80: every opcode and every varint's last byte), the access
- * opcodes 6-8, and the zero bytes — and a prefix XOR of the stops
+ * ClassifyWindow builds three masks — the stop bytes (below 0x80: every
+ * opcode and every varint's last byte), the access opcodes 6-8, and the
+ * zero bytes (window_masks.h) — and a prefix XOR of the stops
  * splits them by parity.  An access op is an opcode and one varint, so
  * in a run the stops alternate: a stop with odd inclusive parity is an
  * opcode, one with even parity ends a varint, and a non-stop byte is a
@@ -461,23 +468,7 @@ Fail(std::string* error, const std::string& message)
 [[gnu::always_inline]] inline uint64_t
 AccessRunEnds(const char* p)
 {
-    constexpr uint64_t kLowBits = ~kHighBits;
-    uint64_t stops = 0;
-    uint64_t access = 0;
-    uint64_t zeros = 0;
-    for (unsigned k = 0; k < 8; ++k) {
-        const uint64_t word = Load64(p + 8 * k);
-        // On the 7-bit lanes, adding 0x7a carries into a lane's high bit
-        // from 6 up and adding 0x77 from 9 up; adding 0x7f from 1 up.
-        // access and zeros are only read where stops is set.
-        const uint64_t low = word & kLowBits;
-        const uint64_t op = (low + 0x7a7a7a7a7a7a7a7a) &
-                            ~(low + 0x7777777777777777) & kHighBits;
-        const uint64_t zero = ~(low + kLowBits) & kHighBits;
-        stops |= GatherHighBits(~word & kHighBits) << (8 * k);
-        access |= GatherHighBits(op) << (8 * k);
-        zeros |= GatherHighBits(zero) << (8 * k);
-    }
+    const auto [stops, access, zeros] = ClassifyWindow(p);
     uint64_t parity = stops;  // Bit i: XOR of stops bits 0..i.
     for (unsigned shift = 1; shift < 64; shift *= 2) {
         parity ^= parity << shift;
@@ -499,7 +490,8 @@ AccessRunEnds(const char* p)
  * @p pid, advancing *last_addr, and returns how many it wrote.  The
  * classifier has already checked every op, so the loop has no check
  * and no data-dependent exit: each op's opcode follows the previous
- * end, and one 8-byte load compacts its value.
+ * end, and one 8-byte load, masked to its varint's groups by length,
+ * compacts its value.
  */
 [[gnu::always_inline]] inline size_t
 DecodeAccessRun(const char* p, uint64_t run, ProcessAddr* last_addr,
@@ -511,8 +503,7 @@ DecodeAccessRun(const char* p, uint64_t run, ProcessAddr* last_addr,
     do {
         const auto end = static_cast<unsigned>(std::countr_zero(run));
         run &= run - 1;
-        const uint64_t word = Load64(p + at + 1) &
-                              (~uint64_t{0} >> (64 - 8 * (end - at)));
+        const uint64_t word = Load64(p + at + 1) & kVarintGroups[end - at];
         addr = static_cast<ProcessAddr>(static_cast<int64_t>(addr) +
                                         ZigzagDecode(CompactVarint(word)));
         out[n++] = MemRef{pid, addr,
@@ -542,8 +533,10 @@ struct DecodeState {
  * op with *why set.  The visitor is a template parameter, not a virtual
  * interface, so every visitor call inlines into the replay loop.  A
  * visitor with kCountOnly set gets access counts (CountAccessOps) and
- * no addresses, so validation does no per-access work in a run; any
- * other one gets each access decoded into its AccessSlots().
+ * no addresses, so validation does no per-access work in a run, and
+ * before each run or op it digests the payload up to kDigestLead bytes
+ * past it (DigestTo); any other one gets each access decoded into its
+ * AccessSlots().
  */
 template <class Visitor>
 bool
@@ -558,6 +551,9 @@ DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
     bool have_pid = state->have_pid;
     ProcessAddr last_addr = state->last_addr;
     while (pos < ops.size()) {
+        if constexpr (Visitor::kCountOnly) {
+            visitor.DigestTo(ops, std::min(pos + kDigestLead, ops.size()));
+        }
         // Access runs first; whatever the run path declines (including
         // the payload's last kRunBytes) falls to the switch at the same
         // offset, which alone accepts, rejects and words the errors.
@@ -665,12 +661,50 @@ DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
     return true;
 }
 
-/** Validation: counts what the E payload claims, touches nothing. */
+/**
+ * Validation: counts what the E payload claims, and carries the two
+ * digests a stream's B payloads feed, so recovery reads each payload
+ * once (RecoverShared).  DecodeOps keeps the digests up to
+ * kDigestLead bytes ahead of its position, so the FNV chains' latency
+ * hides the op checks; FinishPayload mixes the rest.  The cursor
+ * `digested` never passes the payload's end, and the bytes before it
+ * have been mixed once each, in order.
+ */
 struct OpCounter {
     static constexpr bool kCountOnly = true;
 
     uint64_t ops = 0;
     uint64_t accesses = 0;
+    uint64_t ops_digest = framed_log::kDigestInit;  ///< The E frame's.
+    uint64_t file_digest = 0;  ///< The file's, through the stream so far.
+    size_t digested = 0;       ///< The open payload's bytes mixed so far.
+
+    /**
+     * Mixes the bytes of @p payload before @p end into both digests.
+     * Skips the call when there are none, as for every op in the
+     * payload's last kDigestLead bytes: that measured faster than an
+     * empty call.
+     */
+    void DigestTo(std::string_view payload, size_t end)
+    {
+        if (end > digested) {
+            framed_log::DigestBytesPair(
+                &ops_digest, &file_digest,
+                payload.substr(digested, end - digested));
+            digested = end;
+        }
+    }
+
+    /**
+     * Mixes what DecodeOps left of @p payload (all of it once decoding
+     * has failed) and its '\n' terminator, the op digest's separator.
+     */
+    void FinishPayload(std::string_view payload)
+    {
+        framed_log::DigestMixPair(&ops_digest, &file_digest,
+                                  payload.substr(digested));
+        digested = 0;
+    }
 
     void Create() { ++ops; }
     void Destroy(uint64_t) { ++ops; }
@@ -1287,9 +1321,10 @@ RecoverShared(const std::shared_ptr<const std::string>& file,
             return std::nullopt;
         }
 
-        // One stream: S, B*, E, read in one pass.  Each B payload goes
-        // through both digests at once and is validated where it lies;
-        // `framed` then views the stream's bytes in the shared buffer.
+        // One stream: S, B*, E, read in one pass.  Each B payload is
+        // validated where it lies, and the validator mixes it into both
+        // digests as it goes (OpCounter); `framed` then views the
+        // stream's bytes in the shared buffer.
         TraceStream stream;
         const size_t stream_start = pos;
         if (!ParseMetaPayload(frame.payload, &stream.meta)) {
@@ -1299,12 +1334,11 @@ RecoverShared(const std::shared_ptr<const std::string>& file,
         }
         // The file digest mixes the stream's frame bytes in order: raw
         // updates here, its '\n' separator after the E frame.
-        uint64_t stream_file_digest = framed_log::DigestBytes(
-            file_digest, view.substr(pos, frame.end - pos));
-        pos = frame.end;
-        uint64_t ops_digest = framed_log::kDigestInit;
         DecodeState state;
         OpCounter counts;
+        counts.file_digest = framed_log::DigestBytes(
+            file_digest, view.substr(pos, frame.end - pos));
+        pos = frame.end;
         // A malformed op stops decoding but not digesting: it is
         // reported only after the truncation, E-frame and op-digest
         // checks, where a whole-stream decode would have reported it.
@@ -1324,14 +1358,12 @@ RecoverShared(const std::shared_ptr<const std::string>& file,
             }
             const size_t payload_start =
                 static_cast<size_t>(frame.payload.data() - view.data());
-            stream_file_digest = framed_log::DigestBytes(
-                stream_file_digest, view.substr(pos, payload_start - pos));
-            // The payload's '\n' terminator is the op digest's separator.
-            framed_log::DigestMixPair(&ops_digest, &stream_file_digest,
-                                      frame.payload);
+            counts.file_digest = framed_log::DigestBytes(
+                counts.file_digest, view.substr(pos, payload_start - pos));
             if (decoded) {
                 decoded = DecodeOps(frame.payload, &state, counts, &why);
             }
+            counts.FinishPayload(frame.payload);
             pos = frame.end;
         }
         if (frame.tag != 'E') {
@@ -1346,7 +1378,7 @@ RecoverShared(const std::shared_ptr<const std::string>& file,
                             FormatUint(pos));
             return std::nullopt;
         }
-        if (stream.digest != ops_digest) {
+        if (stream.digest != counts.ops_digest) {
             Fail(error, "stream '" + stream.meta.Identity() +
                             "': op digest mismatch");
             return std::nullopt;
@@ -1362,7 +1394,7 @@ RecoverShared(const std::shared_ptr<const std::string>& file,
             return std::nullopt;
         }
         file_digest = framed_log::DigestMix(
-            stream_file_digest, view.substr(pos, frame.end - pos));
+            counts.file_digest, view.substr(pos, frame.end - pos));
         pos = frame.end;
         stream.file = file;
         stream.framed = view.substr(stream_start, pos - stream_start);

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -28,6 +29,7 @@
 #include "src/common/random.h"
 #include "src/core/system.h"
 #include "src/workload/trace.h"
+#include "src/workload/window_masks.h"
 #include "src/workload/workloads.h"
 
 namespace spur::workload {
@@ -562,6 +564,80 @@ TEST(TraceTest, MalformedOpIsCorruptUnlessTruncatedBeforeItsEnd)
     }
 }
 
+TEST(TraceTest, FusedRecoveryKeepsErrorPrecedence)
+{
+    // Recovery digests each payload as it validates it.  A defect the
+    // run path meets, far before the payload's last 72 bytes, stops the
+    // validation with most of its payload, and all of the next one,
+    // still to digest: all of it must still be digested.
+    const auto accesses = [](size_t n) {
+        std::string ops;
+        for (size_t i = 0; i < n; ++i) {
+            ops += "\x07\x08";
+        }
+        return ops;
+    };
+    const std::string good =
+        HandBuiltStream("good", {kCreate + kSetPid + kRead}, 3, 1);
+    struct Case {
+        const char* what;
+        std::string op;
+    };
+    const Case cases[] = {
+        {"trailing 0x00", std::string("\x06\x80\x00", 3)},
+        {"6-byte trailing 0x00",
+         std::string("\x06\x80\x80\x80\x80\x80\x00", 7)},
+    };
+    for (const Case& c : cases) {
+        std::string first = kCreate + kSetPid + accesses(100);
+        first += c.op;
+        first += accesses(2000);
+        const std::string second = accesses(2000);
+        const size_t defect = first.find(c.op);
+        const std::string bad =
+            HandBuiltStream("bad", {first, second}, 4103, 4101);
+        const std::string file = EncodeTraceFile({good, bad});
+        const size_t bad_start = file.find(bad);
+        ASSERT_NE(bad_start, std::string::npos) << c.what;
+        const size_t first_at = bad_start + bad.find(first);
+        const size_t second_at =
+            bad_start + bad.find(second, bad.find(first) + first.size());
+
+        // Whole: the decode error, after both digests agree.
+        std::string error;
+        EXPECT_FALSE(RecoverTraceBytes(file, &error).has_value()) << c.what;
+        EXPECT_EQ(error, "stream '" + MetaFor("bad", 1, 4101).Identity() +
+                             "': op stream: bad access")
+            << c.what;
+
+        // One byte flipped after the defect, past the digest's lead, at
+        // the payload's end, or in the next payload: the op digest
+        // disagrees, and that is reported first.
+        for (const size_t at :
+             {first_at + defect + c.op.size() + 200,
+              first_at + first.size() - 1, second_at + second.size() / 2}) {
+            std::string flipped = file;
+            flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+            EXPECT_FALSE(RecoverTraceBytes(flipped, &error).has_value())
+                << c.what << " flipped at " << at;
+            EXPECT_NE(error.find("op digest mismatch"), std::string::npos)
+                << c.what << " flipped at " << at << ": " << error;
+        }
+
+        // Cut inside either payload, after the defect: a torn tail.
+        for (const size_t cut :
+             {first_at + defect + c.op.size() + 200, second_at + 100}) {
+            const auto recovered =
+                RecoverTraceBytes(file.substr(0, cut), &error);
+            ASSERT_TRUE(recovered.has_value()) << c.what << ": " << error;
+            EXPECT_FALSE(recovered->complete) << c.what;
+            ASSERT_EQ(recovered->streams.size(), 1u) << c.what;
+            EXPECT_EQ(recovered->streams[0].framed, good) << c.what;
+            EXPECT_EQ(recovered->dropped_bytes, cut - bad_start) << c.what;
+        }
+    }
+}
+
 // ---- Access coding ------------------------------------------------------
 
 /** The byte-loop LEB128 writer the encoder's word stores must match. */
@@ -701,8 +777,10 @@ TEST(TraceTest, AccessDeltasOfEveryVarintLengthRoundTrip)
     uint64_t ops = 0;
     const auto map = [&](uint64_t bytes) {
         encoder.OnMapRegion(5, 0x40000000, bytes, vm::PageKind::kData);
-        payloads.back() += "\x02" + Leb128(0) + Leb128(0x40000000) +
-                           Leb128(bytes) + "\x01";
+        // A std::string first operand: GCC 12's -Wrestrict misfires on
+        // `"..." + std::string&&` here.
+        payloads.back() += std::string("\x02") + Leb128(0) +
+                           Leb128(0x40000000) + Leb128(bytes) + "\x01";
         expected.push_back(
             OpLogHost::MapLine(5, 0x40000000, bytes, vm::PageKind::kData));
         ++ops;
@@ -1086,6 +1164,77 @@ TEST(TraceTest, AccessRunsMatchAByteDecoder)
     }
     EXPECT_GT(accepted, 1000u);
     EXPECT_GT(rejected, 500u);
+}
+
+std::string
+HexMasks(const WindowMasks& masks)
+{
+    char buffer[80];
+    std::snprintf(buffer, sizeof(buffer),
+                  "stops %016llx access %016llx zeros %016llx",
+                  static_cast<unsigned long long>(masks.stops),
+                  static_cast<unsigned long long>(masks.access),
+                  static_cast<unsigned long long>(masks.zeros));
+    return buffer;
+}
+
+TEST(TraceTest, WindowMasksMatchTheSwarOracle)
+{
+    // The portable builder against the classes byte by byte, and the
+    // SSE2 builder, where this build has it, against the portable one.
+    size_t windows = 0;
+    const auto check = [&](const char* p) {
+        ++windows;
+        WindowMasks bytes;
+        for (unsigned i = 0; i < 64; ++i) {
+            const auto byte = static_cast<uint8_t>(p[i]);
+            const uint64_t bit = uint64_t{1} << i;
+            bytes.stops |= byte < 0x80 ? bit : 0;
+            bytes.access |= byte >= 6 && byte <= 8 ? bit : 0;
+            bytes.zeros |= byte == 0 ? bit : 0;
+        }
+        const WindowMasks swar = WindowMasksSwar(p);
+        if (swar != bytes) {
+            return testing::AssertionFailure()
+                   << "SWAR " << HexMasks(swar) << ", bytes "
+                   << HexMasks(bytes);
+        }
+#if defined(__SSE2__)
+        const WindowMasks sse2 = WindowMasksSse2(p);
+        if (sse2 != swar) {
+            return testing::AssertionFailure()
+                   << "SSE2 " << HexMasks(sse2) << ", SWAR "
+                   << HexMasks(swar);
+        }
+#endif
+        return testing::AssertionSuccess();
+    };
+
+    // Every 64-byte window of a recorded WORKLOAD1 stream.
+    CountingHost host(sim::MachineConfig::Prototype(8));
+    const std::string framed =
+        Record(MetaFor("workload1", 1, 50'000), MakeWorkload1(), host)
+            .framed;
+    ASSERT_GT(framed.size(), 64u * 1024);
+    for (size_t at = 0; at + 64 <= framed.size(); ++at) {
+        ASSERT_TRUE(check(framed.data() + at)) << "stream offset " << at;
+    }
+
+    // Seeded random windows, mostly of the bytes on the classes' edges.
+    const uint8_t edges[] = {0x00, 0x05, 0x06, 0x07, 0x08, 0x09,
+                             0x7f, 0x80, 0x81, 0xff};
+    Rng rng(0x5eed0024);
+    char window[64];
+    for (int round = 0; round < 20'000; ++round) {
+        for (char& byte : window) {
+            byte = static_cast<char>(
+                rng.NextBelow(4) != 0
+                    ? edges[rng.NextBelow(sizeof(edges))]
+                    : rng.NextBelow(256));
+        }
+        ASSERT_TRUE(check(window)) << "random window " << round;
+    }
+    EXPECT_GT(windows, 200'000u);
 }
 
 /** An OpLogHost that logs each AccessBatch's size and keeps its refs. */
