@@ -15,9 +15,12 @@
  *   BM_LoadTrace      TraceLibrary::Load of the same file from a temp
  *                     file: the read plus everything BM_RecoverTrace
  *                     times, the replay side's whole setup.
- *   BM_ReplayDecode   ReplayStream of the recovered stream into a host
- *                     whose AccessBatch only sums the references, so
- *                     the time is decode plus batching, no simulation.
+ *   BM_ReplayDecode   ReplayStreamWith of the recovered stream into a
+ *                     host whose AccessBatch only sums the references,
+ *                     so the time is decode plus batching, no
+ *                     simulation; once per replay kernel, /swar and
+ *                     /pext (which reports an error and times nothing
+ *                     on a CPU without BMI2).
  *
  * All run over one WORKLOAD1 run of 1 M references (seed 1, the 8 MB
  * prototype's geometry), generated untimed before the loop: its host
@@ -47,6 +50,7 @@
 #include "src/core/experiment.h"
 #include "src/core/run_trace.h"
 #include "src/sim/config.h"
+#include "src/workload/replay_kernel.h"
 #include "src/workload/trace.h"
 #include "src/workload/workloads.h"
 
@@ -325,8 +329,14 @@ BM_LoadTrace(benchmark::State& state)
 BENCHMARK(BM_LoadTrace)->Unit(benchmark::kMillisecond);
 
 void
-BM_ReplayDecode(benchmark::State& state)
+BM_ReplayDecode(benchmark::State& state, workload::ReplayKernel kernel)
 {
+    if (kernel == workload::ReplayKernel::kPext &&
+        !workload::CpuHasBmi2()) {
+        state.SkipWithError("skipped: this CPU has no BMI2 for the PEXT "
+                            "kernel");
+        return;
+    }
     const Recording& recording = Workload1Recording();
     std::string error;
     const auto recovered = workload::RecoverTraceBytes(recording.file, &error);
@@ -335,12 +345,15 @@ BM_ReplayDecode(benchmark::State& state)
     }
     for (auto _ : state) {
         SumHost host;
-        workload::ReplayStream(recovered->streams[0], host);
+        workload::ReplayStreamWith(recovered->streams[0], host, kernel);
         benchmark::DoNotOptimize(host.sum());
     }
     ReportTimePerRef(state, recording.accesses);
 }
-BENCHMARK(BM_ReplayDecode)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReplayDecode, swar, workload::ReplayKernel::kSwar)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReplayDecode, pext, workload::ReplayKernel::kPext)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -13,6 +13,7 @@
 #include "src/common/framed_log.h"
 #include "src/common/log.h"
 #include "src/vm/region.h"
+#include "src/workload/replay_kernel.h"
 #include "src/workload/window_masks.h"
 
 namespace spur::workload {
@@ -348,30 +349,6 @@ PutVarint(char* out, uint64_t value)
     return out + bytes;
 }
 
-/**
- * The 7-bit groups of an n-byte varint, n = 1-5 (the varints an access
- * run holds), as the low n bytes of a word less their high bits: ANDed
- * with a load at the varint's first byte, it drops the bytes past the
- * varint and its continuation bits.
- */
-constexpr uint64_t kVarintGroups[6] = {
-    0, 0x7f, 0x7f7f, 0x7f7f7f, 0x7f7f7f7f, 0x7f7f7f7f7f,
-};
-
-/**
- * Inverse of PutVarint's spread: 7-bit groups in bytes, their high bits
- * clear -> value.
- */
-uint64_t
-CompactVarint(uint64_t word)
-{
-    // In each 16-bit lane, lo + hi / 2 (hi is the upper group, bits
-    // 8-14) is the lane less hi / 2: one subtract moves hi down a bit.
-    word -= (word & 0x7F007F007F007F00) >> 1;
-    word = (word & 0x00003FFF00003FFF) | ((word & 0x3FFF00003FFF0000) >> 2);
-    return (word & 0x000000000FFFFFFF) | ((word & 0x0FFFFFFF00000000) >> 4);
-}
-
 /** std::popcount without a libgcc call (baseline x86-64 has no popcnt). */
 unsigned
 PopCount(uint64_t x)
@@ -490,9 +467,10 @@ AccessRunEnds(const char* p)
  * @p pid, advancing *last_addr, and returns how many it wrote.  The
  * classifier has already checked every op, so the loop has no check
  * and no data-dependent exit: each op's opcode follows the previous
- * end, and one 8-byte load, masked to its varint's groups by length,
- * compacts its value.
+ * end, and @p Varint (replay_kernel.h) turns one 8-byte load and the
+ * varint's length into its value.
  */
+template <class Varint>
 [[gnu::always_inline]] inline size_t
 DecodeAccessRun(const char* p, uint64_t run, ProcessAddr* last_addr,
                 Pid pid, MemRef* out)
@@ -503,9 +481,9 @@ DecodeAccessRun(const char* p, uint64_t run, ProcessAddr* last_addr,
     do {
         const auto end = static_cast<unsigned>(std::countr_zero(run));
         run &= run - 1;
-        const uint64_t word = Load64(p + at + 1) & kVarintGroups[end - at];
+        const uint64_t value = Varint::Value(Load64(p + at + 1), end - at);
         addr = static_cast<ProcessAddr>(static_cast<int64_t>(addr) +
-                                        ZigzagDecode(CompactVarint(word)));
+                                        ZigzagDecode(value));
         out[n++] = MemRef{pid, addr,
                           static_cast<AccessType>(
                               static_cast<uint8_t>(p[at]) - kOpIFetch)};
@@ -536,10 +514,12 @@ struct DecodeState {
  * no addresses, so validation does no per-access work in a run, and
  * before each run or op it digests the payload up to kDigestLead bytes
  * past it (DigestTo); any other one gets each access decoded into its
- * AccessSlots().
+ * AccessSlots(), the runs' varints by @p Varint.  Forced inline, so each
+ * caller is one instantiation's whole loop: the PEXT replay wrapper must
+ * compile all of it for BMI2.
  */
-template <class Visitor>
-bool
+template <class Visitor, class Varint = VarintSwar>
+[[gnu::always_inline]] inline bool
 DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
           std::string* why)
 {
@@ -564,9 +544,9 @@ DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
                 if constexpr (Visitor::kCountOnly) {
                     visitor.CountAccessOps(PopCount(run));
                 } else {
-                    visitor.Issue(DecodeAccessRun(window, run, &last_addr,
-                                                  visitor.pid(),
-                                                  visitor.AccessSlots()));
+                    visitor.Issue(DecodeAccessRun<Varint>(
+                        window, run, &last_addr, visitor.pid(),
+                        visitor.AccessSlots()));
                 }
                 pos += static_cast<size_t>(std::bit_width(run));
                 continue;
@@ -720,6 +700,17 @@ struct OpCounter {
 };
 
 /**
+ * Recovery's decode, out of line: RecoverShared's frame loop stays
+ * small, and the count-only loop gains nothing from sitting in it.
+ */
+[[gnu::noinline]] bool
+ValidateOps(std::string_view ops, DecodeState* state, OpCounter& counts,
+            std::string* why)
+{
+    return DecodeOps(ops, state, counts, why);
+}
+
+/**
  * Replay: renames trace pids back to host pids and issues every op to
  * the host, batching accesses through AccessBatch.  Any other op
  * flushes the open batch first, so the host sees recording order.
@@ -815,6 +806,34 @@ class Replayer
     size_t fill_ = 0;            ///< References in batch_.
     Pid current_pid_ = 0;
 };
+
+#if defined(__x86_64__)
+/**
+ * The PEXT kernel's decode: all of DecodeOps<Replayer, VarintPext>,
+ * compiled for BMI1 and BMI2 (which also turns countr_zero and the
+ * end-bit clear into tzcnt and blsr).  Only HostReplayKernel() or a
+ * CpuHasBmi2() check may lead here.
+ */
+[[gnu::target("bmi,bmi2")]] bool
+DecodeOpsPext(std::string_view ops, DecodeState* state, Replayer& replayer,
+              std::string* why)
+{
+    return DecodeOps<Replayer, VarintPext>(ops, state, replayer, why);
+}
+#endif
+
+/** One B payload of a replay, decoded by @p kernel. */
+bool
+DecodeReplayOps(ReplayKernel kernel, std::string_view ops,
+                DecodeState* state, Replayer& replayer, std::string* why)
+{
+#if defined(__x86_64__)
+    if (kernel == ReplayKernel::kPext) {
+        return DecodeOpsPext(ops, state, replayer, why);
+    }
+#endif
+    return DecodeOps(ops, state, replayer, why);
+}
 
 }  // namespace
 
@@ -1361,7 +1380,7 @@ RecoverShared(const std::shared_ptr<const std::string>& file,
             counts.file_digest = framed_log::DigestBytes(
                 counts.file_digest, view.substr(pos, payload_start - pos));
             if (decoded) {
-                decoded = DecodeOps(frame.payload, &state, counts, &why);
+                decoded = ValidateOps(frame.payload, &state, counts, &why);
             }
             counts.FinishPayload(frame.payload);
             pos = frame.end;
@@ -1460,9 +1479,44 @@ TraceLibrary::Find(const std::string& identity) const
 // Replay
 // ---------------------------------------------------------------------------
 
+bool
+CpuHasBmi2()
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("bmi") && __builtin_cpu_supports("bmi2");
+#else
+    return false;
+#endif
+}
+
+ReplayKernel
+HostReplayKernel()
+{
+#if defined(__x86_64__)
+    static const ReplayKernel kernel = [] {
+        const bool bmi2 = CpuHasBmi2();  // Runs __builtin_cpu_init first.
+        return ChooseReplayKernel(bmi2, __builtin_cpu_is("amdfam17h"));
+    }();
+    return kernel;
+#else
+    return ReplayKernel::kSwar;
+#endif
+}
+
 ReplayStats
 ReplayStream(const TraceStream& stream, WorkloadHost& host)
 {
+    return ReplayStreamWith(stream, host, HostReplayKernel());
+}
+
+ReplayStats
+ReplayStreamWith(const TraceStream& stream, WorkloadHost& host,
+                 ReplayKernel kernel)
+{
+    if (kernel == ReplayKernel::kPext && !CpuHasBmi2()) {
+        Fatal("trace: the PEXT replay kernel needs a CPU with BMI2");
+    }
     const sim::MachineConfig& config = host.config();
     if (config.page_bytes != stream.meta.page_bytes ||
         config.block_bytes != stream.meta.block_bytes) {
@@ -1490,7 +1544,8 @@ ReplayStream(const TraceStream& stream, WorkloadHost& host)
             break;
         }
         if (frame.tag == 'B' &&
-            !DecodeOps(frame.payload, &state, replayer, &why)) {
+            !DecodeReplayOps(kernel, frame.payload, &state, replayer,
+                             &why)) {
             Fatal("trace: malformed op stream escaped validation: " + why);
         }
     }

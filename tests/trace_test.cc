@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -28,6 +29,7 @@
 #include "src/common/framed_log.h"
 #include "src/common/random.h"
 #include "src/core/system.h"
+#include "src/workload/replay_kernel.h"
 #include "src/workload/trace.h"
 #include "src/workload/window_masks.h"
 #include "src/workload/workloads.h"
@@ -1023,6 +1025,26 @@ ByteDecode(const std::string& ops)
     return out;
 }
 
+/**
+ * Every replay kernel this host can run: SWAR always, so it stays tested
+ * where replay itself picks PEXT, and PEXT where the CPU has BMI2.
+ */
+std::vector<ReplayKernel>
+HostKernels()
+{
+    std::vector<ReplayKernel> kernels = {ReplayKernel::kSwar};
+    if (CpuHasBmi2()) {
+        kernels.push_back(ReplayKernel::kPext);
+    }
+    return kernels;
+}
+
+const char*
+KernelName(ReplayKernel kernel)
+{
+    return kernel == ReplayKernel::kPext ? "PEXT" : "SWAR";
+}
+
 /** A random access op whose varint is @p bytes (1-5) long. */
 std::string
 RandomAccess(Rng& rng, size_t bytes)
@@ -1154,11 +1176,16 @@ TEST(TraceTest, AccessRunsMatchAByteDecoder)
                 }
                 ASSERT_EQ(recovered->streams.size(), 1u) << where;
                 EXPECT_EQ(recovered->streams[0].op_count, want.ops) << where;
-                OpLogHost host(0);
-                EXPECT_EQ(ReplayStream(recovered->streams[0], host).accesses,
-                          want.accesses)
-                    << where;
-                EXPECT_EQ(host.log, want.log) << where;
+                for (const ReplayKernel kernel : HostKernels()) {
+                    OpLogHost host(0);
+                    EXPECT_EQ(ReplayStreamWith(recovered->streams[0], host,
+                                               kernel)
+                                  .accesses,
+                              want.accesses)
+                        << where << ", " << KernelName(kernel);
+                    EXPECT_EQ(host.log, want.log)
+                        << where << ", " << KernelName(kernel);
+                }
             }
         }
     }
@@ -1237,6 +1264,86 @@ TEST(TraceTest, WindowMasksMatchTheSwarOracle)
     EXPECT_GT(windows, 200'000u);
 }
 
+TEST(TraceTest, PextVarintMatchesSwarCompaction)
+{
+#if defined(__x86_64__)
+    if (!CpuHasBmi2()) {
+        GTEST_SKIP() << "this CPU has no BMI2, so it cannot run the PEXT "
+                        "kernel (replay runs SWAR here)";
+    }
+    const auto check = [](uint64_t word, unsigned n) {
+        const uint64_t pext = VarintPext::Value(word, n);
+        const uint64_t swar = VarintSwar::Value(word, n);
+        if (pext != swar) {
+            return testing::AssertionFailure()
+                   << "word " << std::hex << word << std::dec << ", " << n
+                   << " bytes: PEXT " << pext << ", SWAR " << swar;
+        }
+        return testing::AssertionSuccess();
+    };
+
+    // Canonical varints of boundary values, written byte by byte with
+    // their continuation bits and followed by arbitrary bytes: both
+    // kernels must give the value itself.
+    std::vector<uint64_t> values = {0, 1};
+    for (unsigned k = 1; k <= 5; ++k) {
+        values.push_back((uint64_t{1} << (7 * k)) - 1);  // All-ones groups.
+        values.push_back(uint64_t{1} << (7 * k));
+    }
+    // The zigzags of the extreme 32-bit deltas and of the extreme
+    // address deltas (the encoder's deltas are 33-bit differences).
+    for (const int64_t delta :
+         {int64_t{INT32_MIN}, int64_t{INT32_MAX}, -int64_t{UINT32_MAX},
+          int64_t{UINT32_MAX}}) {
+        const auto u = static_cast<uint64_t>(delta);
+        values.push_back((u << 1) ^ static_cast<uint64_t>(delta >> 63));
+    }
+    Rng rng(0x5eed0025);
+    for (const uint64_t value : values) {
+        if (value >> 35 != 0) {
+            continue;  // Needs more than 5 bytes: never in an access run.
+        }
+        const unsigned bytes =
+            (static_cast<unsigned>(std::bit_width(value | 1)) + 6) / 7;
+        for (int past = 0; past < 16; ++past) {
+            // Arbitrary bytes past the varint, then the varint's bytes.
+            uint64_t word = rng.Next() << (8 * bytes);
+            for (unsigned i = 0; i < bytes; ++i) {
+                const uint64_t byte = ((value >> (7 * i)) & 0x7f) |
+                                      (i + 1 < bytes ? 0x80 : 0);
+                word |= byte << (8 * i);
+            }
+            ASSERT_TRUE(check(word, bytes)) << "value " << value;
+            ASSERT_EQ(VarintPext::Value(word, bytes), value)
+                << "word " << std::hex << word;
+        }
+    }
+
+    // Arbitrary words at every length: continuation bits and the bytes
+    // past the varint are noise both kernels must ignore alike.
+    for (int round = 0; round < 100'000; ++round) {
+        const uint64_t word = rng.Next();
+        for (unsigned n = 1; n <= 5; ++n) {
+            ASSERT_TRUE(check(word, n)) << "random word " << round;
+        }
+    }
+#else
+    GTEST_SKIP() << "the PEXT kernel exists only in x86-64 builds";
+#endif
+}
+
+TEST(TraceTest, ReplayKernelPredicateAvoidsSlowPext)
+{
+    EXPECT_EQ(ChooseReplayKernel(false, false), ReplayKernel::kSwar);
+    EXPECT_EQ(ChooseReplayKernel(false, true), ReplayKernel::kSwar);
+    // Zen 1 and 2 (AMD family 17h) have BMI2 but microcoded pext.
+    EXPECT_EQ(ChooseReplayKernel(true, true), ReplayKernel::kSwar);
+    EXPECT_EQ(ChooseReplayKernel(true, false), ReplayKernel::kPext);
+    if (!CpuHasBmi2()) {
+        EXPECT_EQ(HostReplayKernel(), ReplayKernel::kSwar);
+    }
+}
+
 /** An OpLogHost that logs each AccessBatch's size and keeps its refs. */
 class BatchLogHost : public OpLogHost
 {
@@ -1304,15 +1411,19 @@ TEST(TraceTest, ReplayIssuesFullBatchesInRecordingOrder)
         EncodeTraceFile({encoder.Finish(recorded.size())}), &error);
     ASSERT_TRUE(recovered.has_value()) << error;
     ASSERT_EQ(recovered->streams.size(), 1u);
-    BatchLogHost host;
-    EXPECT_EQ(ReplayStream(recovered->streams[0], host).accesses,
-              recorded.size());
-    EXPECT_EQ(host.log, expected);
-    ASSERT_EQ(host.refs.size(), recorded.size());
-    for (size_t i = 0; i < recorded.size(); ++i) {
-        ASSERT_EQ(OpLogHost::AccessLine(host.refs[i]),
-                  OpLogHost::AccessLine(recorded[i]))
-            << "reference " << i;
+    for (const ReplayKernel kernel : HostKernels()) {
+        SCOPED_TRACE(KernelName(kernel));
+        BatchLogHost host;
+        EXPECT_EQ(ReplayStreamWith(recovered->streams[0], host, kernel)
+                      .accesses,
+                  recorded.size());
+        EXPECT_EQ(host.log, expected);
+        ASSERT_EQ(host.refs.size(), recorded.size());
+        for (size_t i = 0; i < recorded.size(); ++i) {
+            ASSERT_EQ(OpLogHost::AccessLine(host.refs[i]),
+                      OpLogHost::AccessLine(recorded[i]))
+                << "reference " << i;
+        }
     }
 }
 

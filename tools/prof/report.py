@@ -39,7 +39,8 @@ LAYERS = [
              r"(AccessMissImpl|WriteHitSlow|ResidentPte|ChargeDirty)"),
     ("hit loop", r"spur::core::SpurSystem::Access(Batch)?Impl"),
     ("decode", r"Decode|Replay|RecoverTrace|AccessRunEnds|ClassifyWindow"
-               r"|WindowMasks|GatherHighBits|PopCount|CompactVarint"),
+               r"|WindowMasks|GatherHighBits|PopCount|CompactVarint"
+               r"|VarintSwar|VarintPext"),
     ("encode", r"Encode|PutVarint|RecordingHost"),
     ("digest", r"Digest"),
     ("generation", r"spur::workload::|spur::Rng::|Zipf"),
