@@ -42,6 +42,7 @@ Run(unsigned cpus, policy::RefPolicyKind ref, uint64_t refs, uint64_t seed)
     config.page_in_us = 800.0;
     core::MpSpurSystem system(config, cpus, policy::DirtyPolicyKind::kSpur,
                               ref);
+    core::Kernel& kernel = system.kernel();
     const uint64_t page = config.page_bytes;
 
     // One worker process per CPU: a private heap, plus segment 3 shared
@@ -49,15 +50,15 @@ Run(unsigned cpus, policy::RefPolicyKind ref, uint64_t refs, uint64_t seed)
     // reference stream is a simple Zipf mix over the two, read-mostly.
     std::vector<Pid> worker_pids(cpus);
     for (unsigned cpu = 0; cpu < cpus; ++cpu) {
-        worker_pids[cpu] = system.CreateProcess();
-        system.MapRegion(worker_pids[cpu], workload::kHeapBase, 420 * page,
+        worker_pids[cpu] = kernel.CreateProcess();
+        kernel.MapRegion(worker_pids[cpu], workload::kHeapBase, 420 * page,
                          vm::PageKind::kHeap);
         if (cpu == 0) {
-            system.MapRegion(worker_pids[0], workload::kStackBase,
+            kernel.MapRegion(worker_pids[0], workload::kStackBase,
                              96 * page, vm::PageKind::kHeap);
         } else {
             // Segment 3 shared with worker 0: one global address.
-            system.ShareSegment(worker_pids[cpu], 3, worker_pids[0], 3);
+            kernel.ShareSegment(worker_pids[cpu], 3, worker_pids[0], 3);
         }
     }
 
@@ -65,7 +66,7 @@ Run(unsigned cpus, policy::RefPolicyKind ref, uint64_t refs, uint64_t seed)
     // regardless of the worker count, so the page daemon clears
     // reference bits at a comparable rate in every configuration.
     const uint64_t filler_pages = config.NumFrames() + 256;
-    system.MapRegion(worker_pids[0], workload::kDataBase,
+    kernel.MapRegion(worker_pids[0], workload::kDataBase,
                      filler_pages * page, vm::PageKind::kHeap);
     uint64_t filler_pos = 0;
 
@@ -97,12 +98,12 @@ Run(unsigned cpus, policy::RefPolicyKind ref, uint64_t refs, uint64_t seed)
 
     MpRun result;
     result.total_flush_cycles =
-        system.timing().Get(sim::TimeBucket::kFlush);
-    result.page_ins = system.events().Get(sim::Event::kPageIn);
-    result.ref_clears = system.events().Get(sim::Event::kRefClear);
+        kernel.timing().Get(sim::TimeBucket::kFlush);
+    result.page_ins = kernel.events().Get(sim::Event::kPageIn);
+    result.ref_clears = kernel.events().Get(sim::Event::kRefClear);
     result.bus_transfers =
-        system.events().Get(sim::Event::kBusCacheToCache);
-    result.elapsed_seconds = system.timing().ElapsedSeconds();
+        kernel.events().Get(sim::Event::kBusCacheToCache);
+    result.elapsed_seconds = kernel.timing().ElapsedSeconds();
     return result;
 }
 

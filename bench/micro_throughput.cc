@@ -9,8 +9,9 @@
  * number reported is the simulator's end-to-end per-reference cost —
  * segment mapping, cache lookup, policy dispatch, event counting, cycle
  * accounting — with reference *generation* excluded from the timed loop.
- * The items_per_second counter is the headline simulated-refs/sec figure
- * the CI perf gate tracks.
+ * The items_per_second counter reads as simulated refs/sec for that
+ * path alone; the end-to-end figures that gate a change come from
+ * `spur_bench` (spur_bench/README.md).
  */
 #include <benchmark/benchmark.h>
 
@@ -23,7 +24,6 @@
 #include "src/policy/dirty_policy.h"
 #include "src/policy/ref_policy.h"
 #include "src/sim/config.h"
-#include "src/sim/counters.h"
 #include "src/workload/process.h"
 #include "src/workload/profile.h"
 
@@ -58,15 +58,10 @@ MakeRefStream(workload::WorkloadHost& host)
 /// measured cost.
 void
 RunFullSystem(benchmark::State& state, policy::DirtyPolicyKind dirty,
-              policy::RefPolicyKind ref, bool attach_counters,
-              bool batched = false)
+              policy::RefPolicyKind ref, bool batched = false)
 {
     const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
     core::SpurSystem system(config, dirty, ref);
-    sim::PerfCounters counters;
-    if (attach_counters) {
-        system.AttachPerfCounters(&counters);
-    }
     workload::WorkloadHost& host = system;
 
     std::vector<MemRef> refs = MakeRefStream(host);
@@ -104,7 +99,7 @@ void
 BM_FullSystem_SPUR_MISS(benchmark::State& state)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kSpur,
-                  policy::RefPolicyKind::kMiss, /*attach_counters=*/false);
+                  policy::RefPolicyKind::kMiss);
 }
 BENCHMARK(BM_FullSystem_SPUR_MISS);
 
@@ -112,7 +107,7 @@ void
 BM_FullSystem_FAULT_NOREF(benchmark::State& state)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kFault,
-                  policy::RefPolicyKind::kNoRef, /*attach_counters=*/false);
+                  policy::RefPolicyKind::kNoRef);
 }
 BENCHMARK(BM_FullSystem_FAULT_NOREF);
 
@@ -120,7 +115,7 @@ void
 BM_FullSystem_WRITE_REF(benchmark::State& state)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kWrite,
-                  policy::RefPolicyKind::kRef, /*attach_counters=*/false);
+                  policy::RefPolicyKind::kRef);
 }
 BENCHMARK(BM_FullSystem_WRITE_REF);
 
@@ -128,19 +123,9 @@ void
 BM_FullSystem_MIN_NOREF(benchmark::State& state)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kMin,
-                  policy::RefPolicyKind::kNoRef, /*attach_counters=*/false);
+                  policy::RefPolicyKind::kNoRef);
 }
 BENCHMARK(BM_FullSystem_MIN_NOREF);
-
-/// The observed variant: PerfCounters attached, every event mirrored.
-/// Tracks the cost of observation staying *off* the unobserved path.
-void
-BM_FullSystem_SPUR_MISS_Observed(benchmark::State& state)
-{
-    RunFullSystem(state, policy::DirtyPolicyKind::kSpur,
-                  policy::RefPolicyKind::kMiss, /*attach_counters=*/true);
-}
-BENCHMARK(BM_FullSystem_SPUR_MISS_Observed);
 
 // Batched-issue variants: the same streams through AccessBatch(), the
 // entry point the workload driver uses.  These are the headline
@@ -150,8 +135,7 @@ void
 BM_FullSystemBatch_SPUR_MISS(benchmark::State& state)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kSpur,
-                  policy::RefPolicyKind::kMiss, /*attach_counters=*/false,
-                  /*batched=*/true);
+                  policy::RefPolicyKind::kMiss, /*batched=*/true);
 }
 BENCHMARK(BM_FullSystemBatch_SPUR_MISS);
 
@@ -159,8 +143,7 @@ void
 BM_FullSystemBatch_FAULT_NOREF(benchmark::State& state)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kFault,
-                  policy::RefPolicyKind::kNoRef, /*attach_counters=*/false,
-                  /*batched=*/true);
+                  policy::RefPolicyKind::kNoRef, /*batched=*/true);
 }
 BENCHMARK(BM_FullSystemBatch_FAULT_NOREF);
 
@@ -168,8 +151,7 @@ void
 BM_FullSystemBatch_WRITE_REF(benchmark::State& state)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kWrite,
-                  policy::RefPolicyKind::kRef, /*attach_counters=*/false,
-                  /*batched=*/true);
+                  policy::RefPolicyKind::kRef, /*batched=*/true);
 }
 BENCHMARK(BM_FullSystemBatch_WRITE_REF);
 
@@ -177,8 +159,7 @@ void
 BM_FullSystemBatch_MIN_NOREF(benchmark::State& state)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kMin,
-                  policy::RefPolicyKind::kNoRef, /*attach_counters=*/false,
-                  /*batched=*/true);
+                  policy::RefPolicyKind::kNoRef, /*batched=*/true);
 }
 BENCHMARK(BM_FullSystemBatch_MIN_NOREF);
 

@@ -35,19 +35,20 @@ main(int argc, char** argv)
     core::MpSpurSystem machine(config, cpus,
                                policy::DirtyPolicyKind::kSpur,
                                policy::RefPolicyKind::kMiss);
+    core::Kernel& kernel = machine.kernel();
     const uint64_t page = config.page_bytes;
 
     // Workers: private heaps, plus one segment shared with worker 0.
     std::vector<Pid> pids(cpus);
     for (unsigned cpu = 0; cpu < cpus; ++cpu) {
-        pids[cpu] = machine.CreateProcess();
-        machine.MapRegion(pids[cpu], workload::kHeapBase, 256 * page,
-                          vm::PageKind::kHeap);
+        pids[cpu] = kernel.CreateProcess();
+        kernel.MapRegion(pids[cpu], workload::kHeapBase, 256 * page,
+                         vm::PageKind::kHeap);
         if (cpu == 0) {
-            machine.MapRegion(pids[0], workload::kStackBase, 64 * page,
-                              vm::PageKind::kHeap);
+            kernel.MapRegion(pids[0], workload::kStackBase, 64 * page,
+                             vm::PageKind::kHeap);
         } else {
-            machine.ShareSegment(pids[cpu], 3, pids[0], 3);
+            kernel.ShareSegment(pids[cpu], 3, pids[0], 3);
         }
     }
 
@@ -69,7 +70,7 @@ main(int argc, char** argv)
         }
     }
 
-    const auto& ev = machine.events();
+    const auto& ev = kernel.events();
     Table t(std::to_string(cpus) +
             "-CPU SPUR multiprocessor, 30% shared references");
     t.SetHeader({"quantity", "count"});

@@ -84,16 +84,6 @@ AuditReport::Summary() const
 }
 
 void
-AuditReport::Merge(const AuditReport& other)
-{
-    passes_.insert(passes_.end(), other.passes_.begin(),
-                   other.passes_.end());
-    for (const Violation& violation : other.violations_) {
-        Add(violation);
-    }
-}
-
-void
 AuditReport::RaiseIfFailed(const std::string& where) const
 {
     if (num_warnings_ != 0 && num_errors_ == 0) {

@@ -78,9 +78,6 @@ class AuditReport
     /** Multi-line human-readable summary (one line per violation). */
     std::string Summary() const;
 
-    /** Merges @p other's passes and violations into this report. */
-    void Merge(const AuditReport& other);
-
     /**
      * Panics with the full summary when the report contains errors;
      * @p where names the audit point for the message.  Warnings are

@@ -131,7 +131,8 @@ RunOnce(const RunConfig& config)
         const workload::ReplayStats stats =
             workload::ReplayStream(*stream, system);
         if constexpr (check::kAuditEnabled) {
-            system.Audit().RaiseIfFailed("core::RunOnce (end of replay)");
+            system.kernel().Audit().RaiseIfFailed(
+                "core::RunOnce (end of replay)");
         }
         return Harvest(system, stats.refs_issued);
     }
@@ -171,7 +172,7 @@ RunOnce(const RunConfig& config)
     // End-of-run audit: the cell's final state must satisfy every
     // invariant before its numbers enter any table.
     if constexpr (check::kAuditEnabled) {
-        system.Audit().RaiseIfFailed("core::RunOnce (end of run)");
+        system.kernel().Audit().RaiseIfFailed("core::RunOnce (end of run)");
     }
 
     return Harvest(system, driver.refs_issued());

@@ -23,113 +23,53 @@ AllCachesFlusher::FlushPageChecked(GlobalAddr addr)
 MpSpurSystem::MpSpurSystem(const sim::MachineConfig& config,
                            unsigned num_cpus, policy::DirtyPolicyKind dirty,
                            policy::RefPolicyKind ref)
-    : config_(config),
-      timing_(config_),
-      bus_(events_),
-      flusher_(caches_),
-      block_fetch_cycles_(config_.BlockFetchCycles())
+    : flusher_(caches_),
+      kernel_(config, flusher_, dirty, ref),
+      bus_(kernel_.events())
 {
-    config_.Validate();
     if (num_cpus < 1 || num_cpus > 12) {
         Fatal("MpSpurSystem: a SPUR workstation holds 1..12 processor "
               "boards, got " + std::to_string(num_cpus));
     }
+    std::vector<const cache::VirtualCache*> audited;
     for (unsigned cpu = 0; cpu < num_cpus; ++cpu) {
-        caches_.push_back(std::make_unique<cache::VirtualCache>(config_));
+        caches_.push_back(
+            std::make_unique<cache::VirtualCache>(kernel_.config()));
         bus_.Attach(caches_.back().get());
         xlates_.push_back(std::make_unique<xlate::Translator>(
-            *caches_.back(), table_, config_));
+            *caches_.back(), kernel_.page_table(), kernel_.config()));
+        audited.push_back(caches_.back().get());
     }
-    dirty_ = policy::MakeDirtyPolicy(dirty, flusher_, config_);
-    ref_ = policy::MakeRefPolicy(ref, flusher_, config_);
-    vm_ = std::make_unique<vm::VirtualMemory>(config_, table_, flusher_,
-                                              events_, timing_);
-    vm_->SetPolicies(dirty_.get(), ref_.get());
+    kernel_.SetAuditedCaches(std::move(audited));
 }
 
 MpSpurSystem::~MpSpurSystem() = default;
 
-Pid
-MpSpurSystem::CreateProcess()
-{
-    const Pid pid = segmap_.CreateProcess();
-    process_regions_[pid];
-    return pid;
-}
-
-void
-MpSpurSystem::DestroyProcess(Pid pid)
-{
-    auto it = process_regions_.find(pid);
-    if (it == process_regions_.end()) {
-        Fatal("MpSpurSystem: destroying unknown pid " + std::to_string(pid));
-    }
-    for (const auto& [base, start_vpn] : it->second) {
-        vm_->UnmapRegion(start_vpn);
-    }
-    process_regions_.erase(it);
-    segmap_.DestroyProcess(pid);
-    if constexpr (check::kAuditEnabled) {
-        Audit().RaiseIfFailed("MpSpurSystem::DestroyProcess");
-    }
-}
-
-void
-MpSpurSystem::MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
-                        vm::PageKind kind)
-{
-    const uint64_t page_bytes = config_.page_bytes;
-    if (base % page_bytes != 0 || bytes == 0 || bytes % page_bytes != 0) {
-        Fatal("MpSpurSystem: region must be page aligned and nonempty");
-    }
-    auto it = process_regions_.find(pid);
-    if (it == process_regions_.end()) {
-        Fatal("MpSpurSystem: MapRegion on unknown pid");
-    }
-    const GlobalAddr gva = segmap_.ToGlobal(pid, base);
-    const GlobalVpn start = gva >> config_.PageShift();
-    vm_->MapRegion(start, bytes / page_bytes, kind);
-    it->second.emplace(base, start);
-}
-
 void
 MpSpurSystem::Access(unsigned cpu, const MemRef& ref)
 {
-    if constexpr (check::kAuditEnabled) {
-        if (--audit_countdown_ == 0) {
-            audit_countdown_ = check::kAuditAccessInterval;
-            Audit().RaiseIfFailed("MpSpurSystem::Access (periodic)");
-        }
-    }
+    kernel_.CountAccessForAudit();
 
-    const GlobalAddr gva = segmap_.ToGlobal(ref.pid, ref.addr);
-
-    switch (ref.type) {
-      case AccessType::kIFetch:
-        events_.Add(sim::Event::kIFetch);
-        break;
-      case AccessType::kRead:
-        events_.Add(sim::Event::kRead);
-        break;
-      case AccessType::kWrite:
-        events_.Add(sim::Event::kWrite);
-        break;
-    }
+    sim::EventCounts& events = kernel_.events();
+    const GlobalAddr gva = kernel_.ToGlobal(ref.pid, ref.addr);
+    events.Add(sim::RefEvent(ref.type));
 
     cache::VirtualCache& vcache = *caches_[cpu];
     cache::LineRef line = vcache.Lookup(gva);
     if (line) {
-        timing_.Charge(sim::TimeBucket::kExecute, config_.t_cache_hit);
+        kernel_.timing().Charge(sim::TimeBucket::kExecute,
+                                kernel_.config().t_cache_hit);
         if (ref.type != AccessType::kWrite) {
             return;
         }
         if (!line.block_dirty()) {
-            events_.Add(sim::Event::kWriteHitCleanBlock);
+            events.Add(sim::Event::kWriteHitCleanBlock);
         }
-        if (!dirty_->WriteHitFastPath(line)) {
-            const policy::DirtyCost cost =
-                dirty_->OnWriteHit(line, gva, ResidentPte(gva), events_);
-            ChargeDirty(cost);
+        policy::DirtyPolicy& dirty = kernel_.dirty_policy();
+        if (!dirty.WriteHitFastPath(line)) {
+            const policy::DirtyCost cost = dirty.OnWriteHit(
+                line, gva, kernel_.ResidentPte(gva), events);
+            kernel_.ChargeDirty(cost);
             if (cost.line_invalidated) {
                 AccessMiss(cpu, gva, ref.type);
                 return;
@@ -138,41 +78,35 @@ MpSpurSystem::Access(unsigned cpu, const MemRef& ref)
         // Coherency: gain exclusive ownership before the store.
         if (line.state() != cache::CoherencyState::kOwnedExclusive) {
             bus_.Upgrade(gva, cpu);
-            timing_.Charge(sim::TimeBucket::kMissStall, 1);
+            kernel_.timing().Charge(sim::TimeBucket::kMissStall, 1);
         }
         cache::VirtualCache::MarkWritten(line);
         return;
     }
 
-    switch (ref.type) {
-      case AccessType::kIFetch:
-        events_.Add(sim::Event::kIFetchMiss);
-        break;
-      case AccessType::kRead:
-        events_.Add(sim::Event::kReadMiss);
-        break;
-      case AccessType::kWrite:
-        events_.Add(sim::Event::kWriteMiss);
-        break;
-    }
+    events.Add(sim::MissEvent(ref.type));
     AccessMiss(cpu, gva, ref.type);
 }
 
 void
 MpSpurSystem::AccessMiss(unsigned cpu, GlobalAddr gva, AccessType type)
 {
-    xlate::XlateResult xr = xlates_[cpu]->Translate(gva, events_);
-    timing_.Charge(sim::TimeBucket::kXlate, xr.cycles);
+    sim::EventCounts& events = kernel_.events();
+    sim::TimingModel& timing = kernel_.timing();
+    xlate::XlateResult xr = xlates_[cpu]->Translate(gva, events);
+    timing.Charge(sim::TimeBucket::kXlate, xr.cycles);
     pt::Pte* pte = xr.pte;
     if (!pte->valid()) {
-        pte = &vm_->HandlePageFault(gva);
+        pte = &kernel_.memory().HandlePageFault(gva);
     }
 
-    const policy::RefCost ref_cost = ref_->OnCacheMiss(*pte, events_);
-    timing_.Charge(sim::TimeBucket::kFault, ref_cost.fault_cycles);
+    const policy::RefCost ref_cost =
+        kernel_.ref_policy().OnCacheMiss(*pte, events);
+    timing.Charge(sim::TimeBucket::kFault, ref_cost.fault_cycles);
 
     if (type == AccessType::kWrite) {
-        ChargeDirty(dirty_->OnWriteMiss(gva, *pte, events_));
+        kernel_.ChargeDirty(
+            kernel_.dirty_policy().OnWriteMiss(gva, *pte, events));
     }
 
     // The bus transaction settles ownership before the fill.
@@ -182,83 +116,10 @@ MpSpurSystem::AccessMiss(unsigned cpu, GlobalAddr gva, AccessType type)
         bus_.Read(gva, cpu);
     }
 
-    cache::VirtualCache& vcache = *caches_[cpu];
     cache::Eviction eviction;
     cache::LineRef line =
-        vcache.Fill(gva, pte->protection(), pte->dirty(), &eviction);
-    if (eviction.writeback) {
-        events_.Add(sim::Event::kWriteback);
-        timing_.Charge(sim::TimeBucket::kMissStall, block_fetch_cycles_);
-    }
-    timing_.Charge(sim::TimeBucket::kMissStall, block_fetch_cycles_);
-
-    if (type == AccessType::kWrite) {
-        events_.Add(sim::Event::kWriteMissFill);
-        cache::VirtualCache::MarkWritten(line);
-    }
-}
-
-check::AuditReport
-MpSpurSystem::Audit() const
-{
-    check::AuditContext context;
-    context.config = &config_;
-    context.caches.reserve(caches_.size());
-    for (const auto& vcache : caches_) {
-        context.caches.push_back(vcache.get());
-    }
-    context.table = &table_;
-    context.frames = &vm_->frames();
-    context.store = &vm_->store();
-    context.regions = &vm_->regions();
-    context.events = &events_;
-    context.dirty = dirty_->kind();
-    context.ref = ref_->kind();
-    return check::InvariantChecker::Default().Run(context);
-}
-
-void
-MpSpurSystem::ClearRefBit(GlobalAddr gva)
-{
-    pt::Pte* pte = table_.FindMutable(gva >> config_.PageShift());
-    if (pte == nullptr || !pte->valid()) {
-        Panic("MpSpurSystem::ClearRefBit: page not resident");
-    }
-    const GlobalAddr page_addr = gva & ~(config_.page_bytes - 1);
-    const policy::RefCost cost =
-        ref_->ClearRefBit(*pte, page_addr, events_);
-    timing_.Charge(sim::TimeBucket::kKernel, cost.kernel_cycles);
-    timing_.Charge(sim::TimeBucket::kFlush, cost.flush_cycles);
-}
-
-void
-MpSpurSystem::FlushPage(GlobalAddr gva)
-{
-    const GlobalAddr page_addr = gva & ~(config_.page_bytes - 1);
-    const cache::FlushResult result = flusher_.FlushPageChecked(page_addr);
-    events_.Add(sim::Event::kPageFlush);
-    events_.Add(sim::Event::kBlockFlush, result.blocks_flushed);
-    events_.Add(sim::Event::kWriteback, result.writebacks);
-    timing_.Charge(sim::TimeBucket::kFlush,
-                   config_.t_flush_page * flusher_.NumFlushTargets());
-}
-
-pt::Pte&
-MpSpurSystem::ResidentPte(GlobalAddr gva)
-{
-    pt::Pte* pte = table_.FindMutable(gva >> config_.PageShift());
-    if (pte == nullptr || !pte->valid()) {
-        Panic("MpSpurSystem: cache hit on a non-resident page");
-    }
-    return *pte;
-}
-
-void
-MpSpurSystem::ChargeDirty(const policy::DirtyCost& cost)
-{
-    timing_.Charge(sim::TimeBucket::kFault, cost.fault_cycles);
-    timing_.Charge(sim::TimeBucket::kFlush, cost.flush_cycles);
-    timing_.Charge(sim::TimeBucket::kDirtyAux, cost.aux_cycles);
+        caches_[cpu]->Fill(gva, pte->protection(), pte->dirty(), &eviction);
+    kernel_.ChargeFill(line, eviction, type);
 }
 
 }  // namespace spur::core

@@ -25,20 +25,13 @@
 #include <vector>
 
 #include "src/cache/bus.h"
-#include "src/check/audit.h"
-#include "src/check/checker.h"
-#include "src/workload/host.h"
 #include "src/cache/cache.h"
 #include "src/cache/flusher.h"
 #include "src/common/types.h"
+#include "src/core/kernel.h"
 #include "src/policy/dirty_policy.h"
 #include "src/policy/ref_policy.h"
-#include "src/pt/page_table.h"
-#include "src/pt/segment_map.h"
 #include "src/sim/config.h"
-#include "src/sim/events.h"
-#include "src/sim/timing.h"
-#include "src/vm/vm.h"
 #include "src/xlate/translator.h"
 
 namespace spur::core {
@@ -77,16 +70,9 @@ class MpSpurSystem
     MpSpurSystem(const MpSpurSystem&) = delete;
     MpSpurSystem& operator=(const MpSpurSystem&) = delete;
 
-    // ---- Address-space management (shared kernel) ------------------------
-
-    Pid CreateProcess();
-    void DestroyProcess(Pid pid);
-    void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
-                   vm::PageKind kind);
-    void ShareSegment(Pid pid, unsigned reg, Pid other, unsigned other_reg)
-    {
-        segmap_.ShareSegment(pid, reg, other, other_reg);
-    }
+    /** The shared kernel: address spaces, counters, timing, audit. */
+    Kernel& kernel() { return kernel_; }
+    const Kernel& kernel() const { return kernel_; }
 
     // ---- The hot path ------------------------------------------------------
 
@@ -99,53 +85,17 @@ class MpSpurSystem
     {
         return static_cast<unsigned>(caches_.size());
     }
-    const sim::MachineConfig& config() const { return config_; }
-    const sim::EventCounts& events() const { return events_; }
-    const sim::TimingModel& timing() const { return timing_; }
     const cache::VirtualCache& vcache(unsigned cpu) const
     {
         return *caches_[cpu];
     }
-    const vm::VirtualMemory& memory() const { return *vm_; }
-    GlobalAddr ToGlobal(Pid pid, ProcessAddr addr) const
-    {
-        return segmap_.ToGlobal(pid, addr);
-    }
-
-    /**
-     * Runs every registered invariant pass (src/check/) over the whole
-     * machine — all caches at once, which additionally arms the
-     * cross-cache Berkeley Ownership audit.  Audit builds (SPUR_AUDIT=ON)
-     * invoke it automatically every check::kAuditAccessInterval accesses
-     * and at process teardown.
-     */
-    check::AuditReport Audit() const;
-
-    // ---- Model-checking hooks (src/model/ conformance driver) -----------
-
-    /** The PTE covering @p gva, or nullptr when none exists yet. */
-    const pt::Pte* FindPte(GlobalAddr gva) const
-    {
-        return table_.Find(gva >> config_.PageShift());
-    }
-
-    /**
-     * Clears the reference bit of @p gva's (resident) page exactly the
-     * way the page daemon's front hand does: through the reference
-     * policy (REF flushes every cache), with its cycles charged.
-     */
-    void ClearRefBit(GlobalAddr gva);
-
-    /** Flushes @p gva's page from every cache (tag-checked), with the
-     *  kernel flush-path event and cycle accounting. */
-    void FlushPage(GlobalAddr gva);
 
     /**
      * A WorkloadHost view of one processor: synthetic processes and the
      * job driver built for the uniprocessor API can run pinned to a CPU
      * of the multiprocessor through this adapter.
      */
-    class CpuPort : public workload::WorkloadHost
+    class CpuPort final : public KernelHost
     {
       public:
         CpuPort(MpSpurSystem& system, unsigned cpu)
@@ -153,34 +103,11 @@ class MpSpurSystem
         {
         }
 
-        Pid CreateProcess() override { return system_.CreateProcess(); }
-        void DestroyProcess(Pid pid) override
-        {
-            system_.DestroyProcess(pid);
-        }
-        void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
-                       vm::PageKind kind) override
-        {
-            system_.MapRegion(pid, base, bytes, kind);
-        }
-        void ShareSegment(Pid pid, unsigned reg, Pid other,
-                          unsigned other_reg) override
-        {
-            system_.ShareSegment(pid, reg, other, other_reg);
-        }
+        Kernel& kernel() override { return system_.kernel(); }
+        const Kernel& kernel() const override { return system_.kernel(); }
         void Access(const MemRef& ref) override
         {
             system_.Access(cpu_, ref);
-        }
-        void OnContextSwitch() override
-        {
-            system_.events_.Add(sim::Event::kContextSwitch);
-            system_.timing_.Charge(sim::TimeBucket::kKernel,
-                                   system_.config_.t_context_switch);
-        }
-        const sim::MachineConfig& config() const override
-        {
-            return system_.config_;
         }
 
       private:
@@ -192,29 +119,13 @@ class MpSpurSystem
     CpuPort Port(unsigned cpu) { return CpuPort(*this, cpu); }
 
   private:
-    friend class CpuPort;
-    sim::MachineConfig config_;
-    sim::EventCounts events_;
-    sim::TimingModel timing_;
-    pt::SegmentMap segmap_;
-    pt::PageTable table_;
     std::vector<std::unique_ptr<cache::VirtualCache>> caches_;
+    AllCachesFlusher flusher_;
+    Kernel kernel_;
     cache::SnoopBus bus_;
     std::vector<std::unique_ptr<xlate::Translator>> xlates_;
-    AllCachesFlusher flusher_;
-    std::unique_ptr<policy::DirtyPolicy> dirty_;
-    std::unique_ptr<policy::RefPolicy> ref_;
-    std::unique_ptr<vm::VirtualMemory> vm_;
-    std::unordered_map<Pid, std::unordered_map<ProcessAddr, GlobalVpn>>
-        process_regions_;
-    Cycles block_fetch_cycles_;
-
-    /// Accesses until the next periodic audit (audit builds only).
-    uint64_t audit_countdown_ = check::kAuditAccessInterval;
 
     void AccessMiss(unsigned cpu, GlobalAddr gva, AccessType type);
-    pt::Pte& ResidentPte(GlobalAddr gva);
-    void ChargeDirty(const policy::DirtyCost& cost);
 };
 
 }  // namespace spur::core

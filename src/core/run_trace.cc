@@ -69,20 +69,6 @@ TraceRecordSession::Finish(std::string* error)
 }
 
 bool
-TraceRecordSession::failed() const
-{
-    MutexLock lock(mutex_);
-    return failed_;
-}
-
-uint64_t
-TraceRecordSession::streams() const
-{
-    MutexLock lock(mutex_);
-    return writer_.streams();
-}
-
-bool
 TraceReplaySource::Load(const std::string& path, std::string* error)
 {
     return library_.Load(path, error);

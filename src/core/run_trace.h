@@ -54,8 +54,8 @@ class TraceRecordSession
 
     /**
      * Commits a claimed stream's TraceEncoder::Finish() bytes.  A
-     * failed append is remembered (failed()) rather than fatal, so the
-     * sweep's own results still land.
+     * failed append is remembered (Finish() then fails) rather than
+     * fatal, so the sweep's own results still land.
      */
     void Commit(const std::string& identity, const std::string& bytes)
         SPUR_EXCLUDES(mutex_);
@@ -63,14 +63,8 @@ class TraceRecordSession
     /** Writes the trailer; false + *error on failure. */
     bool Finish(std::string* error) SPUR_EXCLUDES(mutex_);
 
-    /** True once any append or the trailer failed. */
-    bool failed() const SPUR_EXCLUDES(mutex_);
-
-    /** Streams committed so far. */
-    uint64_t streams() const SPUR_EXCLUDES(mutex_);
-
   private:
-    mutable Mutex mutex_;
+    Mutex mutex_;
     workload::TraceFileWriter writer_ SPUR_GUARDED_BY(mutex_);
     /// Identities claimed so far.  std::map for determinism-by-habit;
     /// only membership is queried.

@@ -2,10 +2,10 @@
  * @file
  * SpurSystem: the complete simulated SPUR workstation.
  *
- * Wires together the virtual-address cache, in-cache translation, the
- * Sprite-like VM, the pluggable dirty/reference-bit policies, the cycle
- * accounting and the event counters, and exposes the single hot-path
- * entry point Access() that workloads drive with memory references.
+ * Wires the virtual-address cache and in-cache translation to the
+ * Sprite kernel (kernel.h: VM, dirty/reference-bit policies, cycle
+ * accounting, event counters), and exposes the hot-path entry points
+ * Access()/AccessBatch() that workloads drive with memory references.
  *
  * This is the library's primary public type: construct one per
  * experiment run, create processes and regions, feed references, read
@@ -15,30 +15,19 @@
 #define SPUR_CORE_SYSTEM_H_
 
 #include <cstddef>
-#include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "src/cache/cache.h"
-#include "src/check/audit.h"
-#include "src/check/checker.h"
-#include "src/workload/host.h"
 #include "src/common/types.h"
+#include "src/core/kernel.h"
 #include "src/policy/dirty_policy.h"
 #include "src/policy/ref_policy.h"
-#include "src/pt/page_table.h"
-#include "src/pt/segment_map.h"
 #include "src/sim/config.h"
-#include "src/sim/counters.h"
-#include "src/sim/events.h"
-#include "src/sim/timing.h"
-#include "src/vm/vm.h"
 #include "src/xlate/translator.h"
 
 namespace spur::core {
 
 /** One simulated SPUR workstation. */
-class SpurSystem : public workload::WorkloadHost
+class SpurSystem final : public KernelHost
 {
   public:
     /**
@@ -54,47 +43,16 @@ class SpurSystem : public workload::WorkloadHost
     SpurSystem(const SpurSystem&) = delete;
     SpurSystem& operator=(const SpurSystem&) = delete;
 
-    // ---- Process and address-space management ---------------------------
-
-    /** Creates a process with four private global segments. */
-    Pid CreateProcess() override;
-
-    /** Tears down a process: unmaps its regions, frees its pages. */
-    void DestroyProcess(Pid pid) override;
-
-    /**
-     * Declares a region of @p pid's address space.
-     * @param base  process virtual address (page aligned).
-     * @param bytes region length (page aligned, nonzero).
-     * @param kind  what backs the pages.
-     */
-    void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
-                   vm::PageKind kind) override;
-
-    /** Removes the region mapped at @p base and frees its pages. */
-    void UnmapRegion(Pid pid, ProcessAddr base);
-
-    /**
-     * Shares memory the SPUR way: points @p pid's segment register
-     * @p reg at the same global segment as @p other's @p other_reg, so
-     * both processes use one global virtual address for the shared pages
-     * (no synonyms possible, [Hill86]).  Typical use: shared program
-     * text across repeated invocations of the same tool.
-     */
-    void ShareSegment(Pid pid, unsigned reg, Pid other,
-                      unsigned other_reg) override
-    {
-        segmap_.ShareSegment(pid, reg, other, other_reg);
-    }
+    Kernel& kernel() override { return kernel_; }
+    const Kernel& kernel() const override { return kernel_; }
 
     // ---- The hot path ----------------------------------------------------
     //
     // Access()/AccessBatch() dispatch through member-function pointers to
-    // a per-(dirty, ref, observer) template instantiation: the policy
-    // logic (policy_ops.h) and the event-sink observer check are resolved
-    // at compile time, so the per-reference loop runs with no virtual
-    // policy calls.  The pointers are selected once at construction and
-    // re-selected when an observer is (de)attached.
+    // a per-(dirty, ref) template instantiation: the policy logic
+    // (policy_ops.h) is resolved at compile time, so the per-reference
+    // loop runs with no virtual policy calls.  The pointers are selected
+    // once at construction.
 
     /** Executes one memory reference through the whole memory system. */
     void Access(const MemRef& ref) override { (this->*access_fn_)(ref); }
@@ -112,137 +70,48 @@ class SpurSystem : public workload::WorkloadHost
         Access(MemRef{pid, addr, type});
     }
 
-    /** Accounts a context switch (scheduler notification). */
-    void OnContextSwitch() override;
-
-    // ---- State access ------------------------------------------------------
-
-    const sim::MachineConfig& config() const override { return config_; }
-    const sim::EventCounts& events() const { return events_; }
-    const sim::TimingModel& timing() const { return timing_; }
     const cache::VirtualCache& vcache() const { return vcache_; }
-    const vm::VirtualMemory& memory() const { return *vm_; }
-    const pt::PageTable& page_table() const { return table_; }
-    const pt::SegmentMap& segments() const { return segmap_; }
-
-    policy::DirtyPolicyKind dirty_kind() const { return dirty_->kind(); }
-    policy::RefPolicyKind ref_kind() const { return ref_->kind(); }
-
-    /**
-     * Attaches the hardware counter model: every subsequent event is also
-     * mirrored into it (slower; used by fidelity tests and examples).
-     * Pass nullptr to detach.
-     */
-    void AttachPerfCounters(sim::PerfCounters* counters)
-    {
-        events_.SetObserver(counters);
-        // The observer state is baked into the dispatched instantiation
-        // (branchless unobserved event adds), so re-select.
-        SelectDispatch();
-    }
-
-    /** The global virtual address a reference resolves to (for tests). */
-    GlobalAddr ToGlobal(Pid pid, ProcessAddr addr) const
-    {
-        return segmap_.ToGlobal(pid, addr);
-    }
-
-    /**
-     * Runs every registered invariant pass (src/check/) against the
-     * current machine state.  Always available; audit builds
-     * (SPUR_AUDIT=ON) additionally invoke it automatically at context
-     * switches and every check::kAuditAccessInterval accesses, aborting
-     * on any violation.
-     */
-    check::AuditReport Audit() const;
-
-    // ---- Model-checking hooks (src/model/ conformance driver) -----------
-
-    /** The PTE covering @p gva, or nullptr when none exists yet. */
-    const pt::Pte* FindPte(GlobalAddr gva) const
-    {
-        return table_.Find(gva >> config_.PageShift());
-    }
-
-    /**
-     * Clears the reference bit of @p gva's (resident) page exactly the
-     * way the page daemon's front hand does: through the reference
-     * policy, with its kernel/flush cycles charged.
-     */
-    void ClearRefBit(GlobalAddr gva);
-
-    /** Flushes @p gva's page from the cache (tag-checked), with the
-     *  kernel flush-path event and cycle accounting. */
-    void FlushPage(GlobalAddr gva);
 
   private:
-    sim::MachineConfig config_;
-    sim::EventCounts events_;
-    sim::TimingModel timing_;
-    pt::SegmentMap segmap_;
-    pt::PageTable table_;
     cache::VirtualCache vcache_;
+    Kernel kernel_;
     xlate::Translator xlate_;
-    std::unique_ptr<policy::DirtyPolicy> dirty_;
-    std::unique_ptr<policy::RefPolicy> ref_;
-    std::unique_ptr<vm::VirtualMemory> vm_;
-
-    /// Region starts (global vpn) per process, keyed by process base addr.
-    std::unordered_map<Pid,
-                       std::unordered_map<ProcessAddr, GlobalVpn>>
-        process_regions_;
-
-    /// Cached cost of fetching one block from memory.
-    Cycles block_fetch_cycles_;
-
-    /// Accesses until the next periodic audit (audit builds only).
-    uint64_t audit_countdown_ = check::kAuditAccessInterval;
 
     // ---- Devirtualized dispatch -----------------------------------------
 
     using AccessFn = void (SpurSystem::*)(const MemRef&);
     using AccessBatchFn = void (SpurSystem::*)(const MemRef*, size_t);
 
-    /// Selected (dirty, ref, observer) instantiations of the hot path.
+    /// Selected (dirty, ref) instantiations of the hot path.
     AccessFn access_fn_ = nullptr;
     AccessBatchFn batch_fn_ = nullptr;
 
     /** Points access_fn_/batch_fn_ at the instantiation matching the
-     *  current policies and observer state. */
+     *  kernel's policies. */
     void SelectDispatch();
 
     template <policy::DirtyPolicyKind D>
-    void SelectDispatchRef(bool observed);
+    void SelectDispatchRef();
 
     template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
-    void SetDispatchFns(bool observed);
+    void SetDispatchFns();
 
     /** One reference through the compile-time-policy path. */
-    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R,
-              bool kObserved>
+    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
     void AccessImpl(const MemRef& ref);
 
     /** Per-reference loop over AccessImpl with one dispatch. */
-    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R,
-              bool kObserved>
+    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
     void AccessBatchImpl(const MemRef* refs, size_t n);
 
     /** Handles the miss path for @p gva; @p type as in Access(). */
-    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R,
-              bool kObserved>
+    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
     void AccessMissImpl(GlobalAddr gva, AccessType type);
 
     /** The non-fast-path tail of a write hit: policy hook, cost
      *  charging, and the FLUSH re-execute-as-miss case. */
-    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R,
-              bool kObserved>
+    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
     void WriteHitSlow(cache::LineRef line, GlobalAddr gva);
-
-    /** Returns the PTE backing a *hit* line (must exist and be valid). */
-    pt::Pte& ResidentPte(GlobalAddr gva);
-
-    /** Applies a DirtyCost to the timing buckets. */
-    void ChargeDirty(const policy::DirtyCost& cost);
 };
 
 }  // namespace spur::core

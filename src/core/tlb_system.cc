@@ -1,8 +1,6 @@
 #include "src/core/tlb_system.h"
 
-#include <string>
-
-#include "src/common/log.h"
+#include <memory>
 
 namespace spur::core {
 
@@ -10,14 +8,15 @@ cache::FlushResult
 TlbSystem::ReclaimFlusher::FlushPageChecked(GlobalAddr addr)
 {
     TlbSystem& sys = system_;
-    const GlobalVpn vpn = addr >> sys.config_.PageShift();
+    const unsigned page_shift = sys.kernel_.config().PageShift();
+    const GlobalVpn vpn = addr >> page_shift;
     cache::FlushResult result;
-    const pt::Pte* pte = sys.table_.Find(vpn);
+    const pt::Pte* pte = sys.kernel_.FindPte(addr);
     if (pte != nullptr && pte->valid()) {
         // Invalidate the physical frame's lines (the next occupant of the
         // frame arrives by I/O, which is not coherent with the cache).
         const PhysAddr frame_base = static_cast<PhysAddr>(pte->pfn())
-                                    << sys.config_.PageShift();
+                                    << page_shift;
         result = sys.pcache_.FlushPageChecked(frame_base);
     }
     // Shoot down the translation.
@@ -44,92 +43,47 @@ TlbSystem::TlbRefPolicy::ClearRefBit(pt::Pte& pte, GlobalAddr page_addr,
     // The cached translation must go, or the hardware would keep
     // skipping the R update: the TLB shootdown is the whole cost of
     // clearing a bit here (no cache flush!).
-    system_.tlb_.Invalidate(page_addr >> system_.config_.PageShift());
+    system_.tlb_.Invalidate(page_addr >>
+                            system_.kernel_.config().PageShift());
     policy::RefCost cost;
-    cost.kernel_cycles = system_.config_.t_ref_clear;
+    cost.kernel_cycles = system_.kernel_.config().t_ref_clear;
     return cost;
 }
 
 TlbSystem::TlbSystem(const sim::MachineConfig& config, uint32_t tlb_entries)
-    : config_(config),
-      timing_(config_),
-      tlb_(tlb_entries),
-      pcache_(config_),
+    : tlb_(tlb_entries),
+      pcache_(config),
       flusher_(*this),
-      ref_policy_(*this),
-      block_fetch_cycles_(config_.BlockFetchCycles()),
+      // MIN is exactly right here: the hardware maintains D with zero
+      // marginal cost, so only intrinsic state changes happen.
+      kernel_(config, flusher_, policy::DirtyPolicyKind::kMin,
+              policy::RefPolicyKind::kRef,
+              std::make_unique<TlbRefPolicy>(*this)),
       // A miss walks two levels in memory: one block fetch per level.
-      t_walk_(2 * Cycles{config.BlockFetchCycles()})
+      t_walk_(2 * Cycles{kernel_.config().BlockFetchCycles()})
 {
-    config_.Validate();
-    // MIN is exactly right here: the hardware maintains D with zero
-    // marginal cost, so only intrinsic state changes happen.
-    dirty_ = policy::MakeDirtyPolicy(policy::DirtyPolicyKind::kMin,
-                                     pcache_, config_);
-    vm_ = std::make_unique<vm::VirtualMemory>(config_, table_, flusher_,
-                                              events_, timing_);
-    vm_->SetPolicies(dirty_.get(), &ref_policy_);
 }
 
 TlbSystem::~TlbSystem() = default;
 
-Pid
-TlbSystem::CreateProcess()
-{
-    const Pid pid = segmap_.CreateProcess();
-    process_regions_[pid];
-    return pid;
-}
-
-void
-TlbSystem::DestroyProcess(Pid pid)
-{
-    auto it = process_regions_.find(pid);
-    if (it == process_regions_.end()) {
-        Fatal("TlbSystem: destroying unknown pid " + std::to_string(pid));
-    }
-    for (const auto& [base, start_vpn] : it->second) {
-        vm_->UnmapRegion(start_vpn);
-    }
-    process_regions_.erase(it);
-    segmap_.DestroyProcess(pid);
-    OnContextSwitch();
-}
-
-void
-TlbSystem::MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
-                     vm::PageKind kind)
-{
-    const uint64_t page_bytes = config_.page_bytes;
-    if (base % page_bytes != 0 || bytes == 0 || bytes % page_bytes != 0) {
-        Fatal("TlbSystem: region must be page aligned and nonempty");
-    }
-    auto it = process_regions_.find(pid);
-    if (it == process_regions_.end()) {
-        Fatal("TlbSystem: MapRegion on unknown pid");
-    }
-    const GlobalAddr gva = segmap_.ToGlobal(pid, base);
-    const GlobalVpn start = gva >> config_.PageShift();
-    vm_->MapRegion(start, bytes / page_bytes, kind);
-    it->second.emplace(base, start);
-}
-
 pt::Pte&
 TlbSystem::Translate(GlobalAddr gva, bool is_write)
 {
-    const GlobalVpn vpn = gva >> config_.PageShift();
-    timing_.Charge(sim::TimeBucket::kXlate, t_tlb_);
+    sim::EventCounts& events = kernel_.events();
+    sim::TimingModel& timing = kernel_.timing();
+    const GlobalVpn vpn = gva >> kernel_.config().PageShift();
+    timing.Charge(sim::TimeBucket::kXlate, t_tlb_);
     if (!tlb_.Lookup(vpn)) {
         // Hardware page-table walk.
-        events_.Add(sim::Event::kXlatePteMiss);
-        timing_.Charge(sim::TimeBucket::kXlate, t_walk_);
+        events.Add(sim::Event::kXlatePteMiss);
+        timing.Charge(sim::TimeBucket::kXlate, t_walk_);
         tlb_.Insert(vpn);
     } else {
-        events_.Add(sim::Event::kXlatePteHit);
+        events.Add(sim::Event::kXlatePteHit);
     }
-    pt::Pte* pte = table_.FindMutable(vpn);
+    pt::Pte* pte = kernel_.page_table().FindMutable(vpn);
     if (pte == nullptr || !pte->valid()) {
-        pte = &vm_->HandlePageFault(gva);
+        pte = &kernel_.memory().HandlePageFault(gva);
         tlb_.Insert(vpn);
     }
     // The famous free lunch: R and D are set as a side effect of the
@@ -138,9 +92,9 @@ TlbSystem::Translate(GlobalAddr gva, bool is_write)
         pte->set_referenced(true);
     }
     if (is_write && !pte->dirty()) {
-        events_.Add(sim::Event::kDirtyFault);  // Bookkeeping: a
-        if (pte->zfod_clean()) {               // clean->dirty transition,
-            events_.Add(sim::Event::kDirtyFaultZfod);  // not a fault.
+        events.Add(sim::Event::kDirtyFault);  // Bookkeeping: a
+        if (pte->zfod_clean()) {              // clean->dirty transition,
+            events.Add(sim::Event::kDirtyFaultZfod);  // not a fault.
             pte->set_zfod_clean(false);
         }
         pte->set_dirty(true);
@@ -151,69 +105,36 @@ TlbSystem::Translate(GlobalAddr gva, bool is_write)
 void
 TlbSystem::Access(const MemRef& ref)
 {
-    const GlobalAddr gva = segmap_.ToGlobal(ref.pid, ref.addr);
+    const sim::MachineConfig& config = kernel_.config();
+    sim::EventCounts& events = kernel_.events();
+    const GlobalAddr gva = kernel_.ToGlobal(ref.pid, ref.addr);
     const bool is_write = ref.type == AccessType::kWrite;
-
-    switch (ref.type) {
-      case AccessType::kIFetch:
-        events_.Add(sim::Event::kIFetch);
-        break;
-      case AccessType::kRead:
-        events_.Add(sim::Event::kRead);
-        break;
-      case AccessType::kWrite:
-        events_.Add(sim::Event::kWrite);
-        break;
-    }
+    events.Add(sim::RefEvent(ref.type));
 
     // Translation first: it is on the critical path of every access.
     pt::Pte& pte = Translate(gva, is_write);
     const PhysAddr pa =
-        (static_cast<PhysAddr>(pte.pfn()) << config_.PageShift()) |
-        (gva & (config_.page_bytes - 1));
+        (static_cast<PhysAddr>(pte.pfn()) << config.PageShift()) |
+        (gva & (config.page_bytes - 1));
 
     cache::LineRef line = pcache_.Lookup(pa);
     if (line) {
-        timing_.Charge(sim::TimeBucket::kExecute, config_.t_cache_hit);
+        kernel_.timing().Charge(sim::TimeBucket::kExecute,
+                                config.t_cache_hit);
         if (is_write) {
             if (!line.block_dirty()) {
-                events_.Add(sim::Event::kWriteHitCleanBlock);
+                events.Add(sim::Event::kWriteHitCleanBlock);
             }
             cache::VirtualCache::MarkWritten(line);
         }
         return;
     }
 
-    switch (ref.type) {
-      case AccessType::kIFetch:
-        events_.Add(sim::Event::kIFetchMiss);
-        break;
-      case AccessType::kRead:
-        events_.Add(sim::Event::kReadMiss);
-        break;
-      case AccessType::kWrite:
-        events_.Add(sim::Event::kWriteMiss);
-        break;
-    }
+    events.Add(sim::MissEvent(ref.type));
     cache::Eviction eviction;
     cache::LineRef filled =
         pcache_.Fill(pa, pte.protection(), pte.dirty(), &eviction);
-    if (eviction.writeback) {
-        events_.Add(sim::Event::kWriteback);
-        timing_.Charge(sim::TimeBucket::kMissStall, block_fetch_cycles_);
-    }
-    timing_.Charge(sim::TimeBucket::kMissStall, block_fetch_cycles_);
-    if (is_write) {
-        events_.Add(sim::Event::kWriteMissFill);
-        cache::VirtualCache::MarkWritten(filled);
-    }
-}
-
-void
-TlbSystem::OnContextSwitch()
-{
-    events_.Add(sim::Event::kContextSwitch);
-    timing_.Charge(sim::TimeBucket::kKernel, config_.t_context_switch);
+    kernel_.ChargeFill(filled, eviction, ref.type);
 }
 
 }  // namespace spur::core

@@ -26,27 +26,22 @@
 #ifndef SPUR_CORE_TLB_SYSTEM_H_
 #define SPUR_CORE_TLB_SYSTEM_H_
 
-#include <memory>
-#include <unordered_map>
+#include <cstdint>
 
 #include "src/cache/cache.h"
-#include "src/workload/host.h"
 #include "src/cache/flusher.h"
 #include "src/common/types.h"
-#include "src/policy/dirty_policy.h"
+#include "src/core/kernel.h"
 #include "src/policy/ref_policy.h"
-#include "src/pt/page_table.h"
-#include "src/pt/segment_map.h"
+#include "src/pt/pte.h"
 #include "src/sim/config.h"
 #include "src/sim/events.h"
-#include "src/sim/timing.h"
-#include "src/vm/vm.h"
 #include "src/xlate/tlb.h"
 
 namespace spur::core {
 
 /** The TLB + physical-cache baseline machine. */
-class TlbSystem : public workload::WorkloadHost
+class TlbSystem final : public KernelHost
 {
   public:
     explicit TlbSystem(const sim::MachineConfig& config,
@@ -57,17 +52,8 @@ class TlbSystem : public workload::WorkloadHost
     TlbSystem(const TlbSystem&) = delete;
     TlbSystem& operator=(const TlbSystem&) = delete;
 
-    // ---- Address-space management (same surface as SpurSystem) ----------
-
-    Pid CreateProcess() override;
-    void DestroyProcess(Pid pid) override;
-    void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
-                   vm::PageKind kind) override;
-    void ShareSegment(Pid pid, unsigned reg, Pid other,
-                      unsigned other_reg) override
-    {
-        segmap_.ShareSegment(pid, reg, other, other_reg);
-    }
+    Kernel& kernel() override { return kernel_; }
+    const Kernel& kernel() const override { return kernel_; }
 
     // ---- The hot path ------------------------------------------------------
 
@@ -79,21 +65,9 @@ class TlbSystem : public workload::WorkloadHost
         Access(MemRef{pid, addr, type});
     }
 
-    /** Context switch: untagged TLBs flush (we use the global space, so
-     *  like SPUR no flush is needed — only the switch cost). */
-    void OnContextSwitch() override;
-
     // ---- State access ------------------------------------------------------
 
-    const sim::MachineConfig& config() const override { return config_; }
-    const sim::EventCounts& events() const { return events_; }
-    const sim::TimingModel& timing() const { return timing_; }
     const xlate::Tlb& tlb() const { return tlb_; }
-    const vm::VirtualMemory& memory() const { return *vm_; }
-    GlobalAddr ToGlobal(Pid pid, ProcessAddr addr) const
-    {
-        return segmap_.ToGlobal(pid, addr);
-    }
 
   private:
     /**
@@ -133,20 +107,10 @@ class TlbSystem : public workload::WorkloadHost
         TlbSystem& system_;
     };
 
-    sim::MachineConfig config_;
-    sim::EventCounts events_;
-    sim::TimingModel timing_;
-    pt::SegmentMap segmap_;
-    pt::PageTable table_;
     xlate::Tlb tlb_;
     cache::VirtualCache pcache_;  ///< Physically indexed/tagged cache.
     ReclaimFlusher flusher_;
-    TlbRefPolicy ref_policy_;
-    std::unique_ptr<policy::DirtyPolicy> dirty_;  ///< MIN: bits are free.
-    std::unique_ptr<vm::VirtualMemory> vm_;
-    std::unordered_map<Pid, std::unordered_map<ProcessAddr, GlobalVpn>>
-        process_regions_;
-    Cycles block_fetch_cycles_;
+    Kernel kernel_;
     Cycles t_tlb_ = 1;         ///< Serial TLB access per reference.
     Cycles t_walk_;            ///< Page-table walk on a TLB miss.
 

@@ -47,18 +47,16 @@ class Harness
             }
             uni_ = std::make_unique<core::SpurSystem>(machine, config.dirty,
                                                       config.ref);
-            pid_ = uni_->CreateProcess();
-            uni_->MapRegion(pid_, kHeapBase,
-                            machine.cache_bytes + machine.page_bytes,
-                            vm::PageKind::kHeap);
+            kernel_ = &uni_->kernel();
         } else {
             mp_ = std::make_unique<core::MpSpurSystem>(
                 machine, config.procs, config.dirty, config.ref);
-            pid_ = mp_->CreateProcess();
-            mp_->MapRegion(pid_, kHeapBase,
+            kernel_ = &mp_->kernel();
+        }
+        pid_ = kernel_->CreateProcess();
+        kernel_->MapRegion(pid_, kHeapBase,
                            machine.cache_bytes + machine.page_bytes,
                            vm::PageKind::kHeap);
-        }
         for (unsigned b = 0; b < kTrackedBlocks; ++b) {
             target_va_[b] = static_cast<ProcessAddr>(
                 kHeapBase + (kFirstTrackedBlock + b) * machine.block_bytes);
@@ -87,18 +85,10 @@ class Harness
                                             AccessType::kRead});
                 return;
             case StimulusKind::kFlushPage:
-                if (uni_ != nullptr) {
-                    uni_->FlushPage(target_gva_[0]);
-                } else {
-                    mp_->FlushPage(target_gva_[0]);
-                }
+                kernel_->FlushPage(target_gva_[0]);
                 return;
             case StimulusKind::kClearRef:
-                if (uni_ != nullptr) {
-                    uni_->ClearRefBit(target_gva_[0]);
-                } else {
-                    mp_->ClearRefBit(target_gva_[0]);
-                }
+                kernel_->ClearRefBit(target_gva_[0]);
                 return;
         }
     }
@@ -121,9 +111,7 @@ class Harness
                 }
             }
         }
-        const pt::Pte* pte = uni_ != nullptr
-                                 ? uni_->FindPte(target_gva_[0])
-                                 : mp_->FindPte(target_gva_[0]);
+        const pt::Pte* pte = kernel_->FindPte(target_gva_[0]);
         if (pte != nullptr && pte->valid()) {
             state.pte.resident = true;
             state.pte.prot = pte->protection();
@@ -138,8 +126,7 @@ class Harness
   private:
     GlobalAddr ToGlobal(ProcessAddr va) const
     {
-        return uni_ != nullptr ? uni_->ToGlobal(pid_, va)
-                               : mp_->ToGlobal(pid_, va);
+        return kernel_->ToGlobal(pid_, va);
     }
 
     /**
@@ -190,6 +177,7 @@ class Harness
     unsigned procs_;
     std::unique_ptr<core::SpurSystem> uni_;
     std::unique_ptr<core::MpSpurSystem> mp_;
+    core::Kernel* kernel_ = nullptr;  ///< The machine's kernel (either).
     Pid pid_ = 0;
     std::array<ProcessAddr, kTrackedBlocks> target_va_ = {};
     std::array<ProcessAddr, kTrackedBlocks> alias_va_ = {};

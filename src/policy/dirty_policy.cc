@@ -43,8 +43,7 @@ ParseDirtyPolicy(const std::string& name)
 namespace {
 
 /**
- * Virtual-dispatch adapter over the compile-time ops in policy_ops.h.
- * Events pass through sim::EventCounts::Add (observer mirror preserved);
+ * Virtual-dispatch adapter over the compile-time ops in policy_ops.h;
  * the devirtualized hot path instantiates DirtyOps<K> directly instead.
  */
 template <DirtyPolicyKind K>

@@ -10,11 +10,6 @@
  * methods, and the devirtualized `SpurSystem` hot path instantiates them
  * directly per (dirty, ref) run configuration — so both paths execute
  * byte-for-byte identical event counting and cycle charging.
- *
- * The `Events` template parameter accepts either `sim::EventCounts`
- * (observer branch preserved — what the virtual wrappers pass) or a
- * `sim::EventSink<false>` (branchless — what the unobserved hot path
- * passes); see events.h.
  */
 // spur:hot-path
 #ifndef SPUR_POLICY_POLICY_OPS_H_
@@ -39,9 +34,8 @@ namespace detail {
  * subset (Section 3.2 excludes those as non-intrinsic) and consuming the
  * page's zero-fill marker.
  */
-template <typename Events>
 inline void
-CountNecessaryFault(pt::Pte& pte, Events& events)
+CountNecessaryFault(pt::Pte& pte, sim::EventCounts& events)
 {
     events.Add(sim::Event::kDirtyFault);
     if (pte.zfod_clean()) {
@@ -71,9 +65,8 @@ struct DirtyOps<DirtyPolicyKind::kMin> {
         return writable ? Protection::kReadWrite : Protection::kReadOnly;
     }
 
-    template <typename Events>
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
-                                pt::Pte& pte, Events& events,
+                                pt::Pte& pte, sim::EventCounts& events,
                                 cache::PageFlusher& flusher,
                                 const sim::MachineConfig& config)
     {
@@ -94,9 +87,9 @@ struct DirtyOps<DirtyPolicyKind::kMin> {
         return cost;
     }
 
-    template <typename Events>
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
-                                 Events& events, cache::PageFlusher& flusher,
+                                 sim::EventCounts& events,
+                                 cache::PageFlusher& flusher,
                                  const sim::MachineConfig& config)
     {
         (void)addr;
@@ -138,9 +131,8 @@ struct FaultFamilyOps {
         return Protection::kReadOnly;
     }
 
-    template <typename Events>
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
-                                pt::Pte& pte, Events& events,
+                                pt::Pte& pte, sim::EventCounts& events,
                                 cache::PageFlusher& flusher,
                                 const sim::MachineConfig& config)
     {
@@ -179,9 +171,9 @@ struct FaultFamilyOps {
         return cost;
     }
 
-    template <typename Events>
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
-                                 Events& events, cache::PageFlusher& flusher,
+                                 sim::EventCounts& events,
+                                 cache::PageFlusher& flusher,
                                  const sim::MachineConfig& config)
     {
         DirtyCost cost;
@@ -247,9 +239,8 @@ struct DirtyOps<DirtyPolicyKind::kSpur> {
         return writable ? Protection::kReadWrite : Protection::kReadOnly;
     }
 
-    template <typename Events>
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
-                                pt::Pte& pte, Events& events,
+                                pt::Pte& pte, sim::EventCounts& events,
                                 cache::PageFlusher& flusher,
                                 const sim::MachineConfig& config)
     {
@@ -279,9 +270,9 @@ struct DirtyOps<DirtyPolicyKind::kSpur> {
         return cost;
     }
 
-    template <typename Events>
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
-                                 Events& events, cache::PageFlusher& flusher,
+                                 sim::EventCounts& events,
+                                 cache::PageFlusher& flusher,
                                  const sim::MachineConfig& config)
     {
         (void)addr;
@@ -320,9 +311,8 @@ struct WriteFamilyOps {
         return writable ? Protection::kReadWrite : Protection::kReadOnly;
     }
 
-    template <typename Events>
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
-                                pt::Pte& pte, Events& events,
+                                pt::Pte& pte, sim::EventCounts& events,
                                 cache::PageFlusher& flusher,
                                 const sim::MachineConfig& config)
     {
@@ -351,9 +341,9 @@ struct WriteFamilyOps {
         return cost;
     }
 
-    template <typename Events>
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
-                                 Events& events, cache::PageFlusher& flusher,
+                                 sim::EventCounts& events,
+                                 cache::PageFlusher& flusher,
                                  const sim::MachineConfig& config)
     {
         (void)addr;
@@ -404,9 +394,8 @@ struct DirtyOps<DirtyPolicyKind::kSpurProt> {
         return Protection::kReadOnly;  // Clean writable pages start RO.
     }
 
-    template <typename Events>
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
-                                pt::Pte& pte, Events& events,
+                                pt::Pte& pte, sim::EventCounts& events,
                                 cache::PageFlusher& flusher,
                                 const sim::MachineConfig& config)
     {
@@ -435,9 +424,9 @@ struct DirtyOps<DirtyPolicyKind::kSpurProt> {
         return cost;
     }
 
-    template <typename Events>
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
-                                 Events& events, cache::PageFlusher& flusher,
+                                 sim::EventCounts& events,
+                                 cache::PageFlusher& flusher,
                                  const sim::MachineConfig& config)
     {
         (void)addr;
@@ -472,8 +461,7 @@ struct RefOps;
 // ---------------------------------------------------------------------------
 template <bool kFlushOnClear>
 struct MissFamilyRefOps {
-    template <typename Events>
-    static RefCost OnCacheMiss(pt::Pte& pte, Events& events,
+    static RefCost OnCacheMiss(pt::Pte& pte, sim::EventCounts& events,
                                const sim::MachineConfig& config)
     {
         RefCost cost;
@@ -487,9 +475,9 @@ struct MissFamilyRefOps {
 
     static bool ReadRefBit(const pt::Pte& pte) { return pte.referenced(); }
 
-    template <typename Events>
     static RefCost ClearRefBit(pt::Pte& pte, GlobalAddr page_addr,
-                               Events& events, cache::PageFlusher& flusher,
+                               sim::EventCounts& events,
+                               cache::PageFlusher& flusher,
                                const sim::MachineConfig& config)
     {
         RefCost cost;
@@ -527,8 +515,7 @@ struct RefOps<RefPolicyKind::kRef> : MissFamilyRefOps<true> {
 // ---------------------------------------------------------------------------
 template <>
 struct RefOps<RefPolicyKind::kNoRef> {
-    template <typename Events>
-    static RefCost OnCacheMiss(pt::Pte& pte, Events& events,
+    static RefCost OnCacheMiss(pt::Pte& pte, sim::EventCounts& events,
                                const sim::MachineConfig& config)
     {
         // The hardware bit is left permanently set (the VM sets it at
@@ -545,9 +532,9 @@ struct RefOps<RefPolicyKind::kNoRef> {
         return false;  // The machine-dependent read always says "unused".
     }
 
-    template <typename Events>
     static RefCost ClearRefBit(pt::Pte& pte, GlobalAddr page_addr,
-                               Events& events, cache::PageFlusher& flusher,
+                               sim::EventCounts& events,
+                               cache::PageFlusher& flusher,
                                const sim::MachineConfig& config)
     {
         (void)pte;

@@ -43,9 +43,9 @@ constexpr Event kModeTable[kNumCounterModes][kNumHwCounters] = {
 
 }  // namespace
 
-PerfCounters::PerfCounters()
+PerfCounters::PerfCounters(const EventCounts& counts)
+    : counts_(&counts), snapshot_(counts)
 {
-    RebuildSlotMap();
 }
 
 void
@@ -55,17 +55,7 @@ PerfCounters::SetMode(unsigned mode)
         Fatal("PerfCounters: mode must be 0..3, got " + std::to_string(mode));
     }
     mode_ = mode;
-    regs_.fill(0);
-    RebuildSlotMap();
-}
-
-void
-PerfCounters::Observe(Event event, uint32_t n)
-{
-    const int8_t slot = slot_of_event_[static_cast<size_t>(event)];
-    if (slot >= 0) {
-        regs_[static_cast<size_t>(slot)] += n;  // 32-bit wrap is intended.
-    }
+    Clear();
 }
 
 uint32_t
@@ -74,13 +64,12 @@ PerfCounters::Read(size_t index) const
     if (index >= kNumHwCounters) {
         Fatal("PerfCounters: register index out of range");
     }
-    return regs_[index];
-}
-
-void
-PerfCounters::Clear()
-{
-    regs_.fill(0);
+    const Event event = kModeTable[mode_][index];
+    if (event == Event::kCount) {
+        return 0;
+    }
+    // The 32-bit wrap is intended.
+    return static_cast<uint32_t>(counts_->Get(event) - snapshot_.Get(event));
 }
 
 Event
@@ -95,20 +84,12 @@ PerfCounters::SlotEvent(unsigned mode, size_t index)
 int
 PerfCounters::IndexOf(Event event) const
 {
-    return slot_of_event_[static_cast<size_t>(event)];
-}
-
-void
-PerfCounters::RebuildSlotMap()
-{
-    slot_of_event_.fill(-1);
     for (size_t i = 0; i < kNumHwCounters; ++i) {
-        const Event event = kModeTable[mode_][i];
-        if (event != Event::kCount) {
-            slot_of_event_[static_cast<size_t>(event)] =
-                static_cast<int8_t>(i);
+        if (kModeTable[mode_][i] == event) {
+            return static_cast<int>(i);
         }
     }
+    return -1;
 }
 
 }  // namespace spur::sim

@@ -11,7 +11,6 @@
 #define SPUR_SIM_COUNTERS_H_
 
 #include <cstddef>
-#include <array>
 #include <cstdint>
 
 #include "src/sim/events.h"
@@ -25,19 +24,21 @@ inline constexpr size_t kNumHwCounters = 16;
 inline constexpr size_t kNumCounterModes = 4;
 
 /**
- * The cache controller's on-chip counter block.
+ * The cache controller's on-chip counter block, read as a window over the
+ * ground-truth EventCounts.
  *
- * Attach it to an EventCounts producer by calling Observe() for each event
- * (SpurSystem does this); only events present in the current mode's set are
- * accumulated, into 32-bit registers that wrap like the silicon did.
+ * Selecting a mode or clearing snapshots the counts; a register then
+ * reads the low 32 bits of its event's count minus the snapshot.  That
+ * is exactly what a 32-bit register zeroed at the snapshot and bumped by
+ * every later event holds, wrap included, since truncation to 32 bits
+ * commutes with addition — so the simulator counts each event once and
+ * the window costs nothing until it is read.
  */
-class PerfCounters : public EventObserver
+class PerfCounters
 {
   public:
-    PerfCounters();
-
-    PerfCounters(const PerfCounters&) = default;
-    PerfCounters& operator=(const PerfCounters&) = default;
+    /** A window over @p counts (which must outlive it), in mode 0. */
+    explicit PerfCounters(const EventCounts& counts);
 
     /** Selects the active event set (0..3) and zeroes the registers. */
     void SetMode(unsigned mode);
@@ -45,20 +46,11 @@ class PerfCounters : public EventObserver
     /** Currently selected mode. */
     unsigned mode() const { return mode_; }
 
-    /** Records @p n occurrences of @p event if the mode captures it. */
-    void Observe(Event event, uint32_t n = 1);
-
-    /** EventObserver: mirror of the ground-truth event stream. */
-    void OnEvent(Event event, uint64_t n) override
-    {
-        Observe(event, static_cast<uint32_t>(n));
-    }
-
     /** Reads hardware counter @p index (0..15) in the current mode. */
     uint32_t Read(size_t index) const;
 
     /** Zeroes all sixteen registers without changing the mode. */
-    void Clear();
+    void Clear() { snapshot_ = *counts_; }
 
     /**
      * Returns the event monitored by counter @p index in @p mode, or
@@ -73,12 +65,9 @@ class PerfCounters : public EventObserver
     int IndexOf(Event event) const;
 
   private:
+    const EventCounts* counts_;
+    EventCounts snapshot_;
     unsigned mode_ = 0;
-    std::array<uint32_t, kNumHwCounters> regs_{};
-    /// Per-event slot in the current mode, or -1. Rebuilt on SetMode().
-    std::array<int8_t, kNumEvents> slot_of_event_{};
-
-    void RebuildSlotMap();
 };
 
 }  // namespace spur::sim

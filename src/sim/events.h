@@ -14,6 +14,8 @@
 #include <array>
 #include <cstdint>
 
+#include "src/common/types.h"
+
 namespace spur::sim {
 
 /** Every countable event in the memory system. */
@@ -71,60 +73,21 @@ inline constexpr size_t kNumEvents = static_cast<size_t>(Event::kCount);
 /** Returns a short stable name for an event (for tables and traces). */
 const char* ToString(Event event);
 
-/**
- * Observer hook for event streams; the hardware PerfCounters model
- * implements this so it sees exactly what the ground truth sees.
- */
-class EventObserver
-{
-  public:
-    virtual void OnEvent(Event event, uint64_t n) = 0;
-
-  protected:
-    ~EventObserver() = default;
-};
-
 /** Ground-truth 64-bit counters for all events. */
 class EventCounts
 {
   public:
-    EventCounts() { Reset(); }
-
     /** Increments @p event by @p n. */
     void Add(Event event, uint64_t n = 1)
     {
         counts_[static_cast<size_t>(event)] += n;
-        if (observer_ != nullptr) {
-            observer_->OnEvent(event, n);
-        }
     }
-
-    /**
-     * Increment with the observer hoisted out: the caller has already
-     * established (at dispatch-selection time) that no observer is
-     * attached, so this is a single branchless array add.  Only the
-     * devirtualized hot path may use it; everything else goes through
-     * Add(), which preserves the mirror unconditionally.
-     */
-    void AddUnobserved(Event event, uint64_t n = 1)
-    {
-        counts_[static_cast<size_t>(event)] += n;
-    }
-
-    /** Attaches (or detaches with nullptr) a mirror observer. */
-    void SetObserver(EventObserver* observer) { observer_ = observer; }
-
-    /** True when a mirror observer is attached. */
-    bool HasObserver() const { return observer_ != nullptr; }
 
     /** Returns the current count of @p event. */
     uint64_t Get(Event event) const
     {
         return counts_[static_cast<size_t>(event)];
     }
-
-    /** Zeroes every counter. */
-    void Reset() { counts_.fill(0); }
 
     /** Total processor references (ifetch + read + write). */
     uint64_t TotalRefs() const
@@ -140,37 +103,40 @@ class EventCounts
     }
 
   private:
-    std::array<uint64_t, kNumEvents> counts_;
-    EventObserver* observer_ = nullptr;
+    std::array<uint64_t, kNumEvents> counts_{};
 };
 
-/**
- * Compile-time event sink over EventCounts: when @p kObserved is false
- * the observer check disappears from every Add in the instantiation
- * (the hot path's "branchless when no observer attached" contract);
- * when true, events flow through EventCounts::Add so the PerfCounters
- * mirror sees exactly what the ground truth sees.  The devirtualized
- * system re-selects its dispatch when an observer is (de)attached, so
- * the kObserved=false instantiation can never run with one present.
- */
-template <bool kObserved>
-class EventSink
+// The reference-type events and their miss counterparts mirror the
+// AccessType encoding, so classifying a reference is one indexed counter
+// add instead of a data-dependent (mispredict-prone) three-way branch.
+inline constexpr unsigned kMissEventOffset =
+    static_cast<unsigned>(Event::kIFetchMiss) -
+    static_cast<unsigned>(Event::kIFetch);
+static_assert(static_cast<unsigned>(Event::kIFetch) ==
+              static_cast<unsigned>(AccessType::kIFetch));
+static_assert(static_cast<unsigned>(Event::kRead) ==
+              static_cast<unsigned>(AccessType::kRead));
+static_assert(static_cast<unsigned>(Event::kWrite) ==
+              static_cast<unsigned>(AccessType::kWrite));
+static_assert(static_cast<unsigned>(Event::kReadMiss) ==
+              static_cast<unsigned>(AccessType::kRead) + kMissEventOffset);
+static_assert(static_cast<unsigned>(Event::kWriteMiss) ==
+              static_cast<unsigned>(AccessType::kWrite) + kMissEventOffset);
+
+/** The event counting a processor reference of @p type. */
+constexpr Event
+RefEvent(AccessType type)
 {
-  public:
-    explicit EventSink(EventCounts& counts) : counts_(counts) {}
+    return static_cast<Event>(static_cast<unsigned>(type));
+}
 
-    void Add(Event event, uint64_t n = 1)
-    {
-        if constexpr (kObserved) {
-            counts_.Add(event, n);
-        } else {
-            counts_.AddUnobserved(event, n);
-        }
-    }
-
-  private:
-    EventCounts& counts_;
-};
+/** The event counting a cache miss by a reference of @p type. */
+constexpr Event
+MissEvent(AccessType type)
+{
+    return static_cast<Event>(static_cast<unsigned>(type) +
+                              kMissEventOffset);
+}
 
 }  // namespace spur::sim
 

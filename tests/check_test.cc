@@ -461,21 +461,6 @@ TEST(AuditReportTest, SummaryNamesInvariantPolicyAndPage)
     EXPECT_EQ(report.NumErrors(), 1u);
 }
 
-TEST(AuditReportTest, MergeCombinesPassesAndCounts)
-{
-    AuditReport a;
-    a.BeginPass("one");
-    a.Add(Severity::kError, "P", kNoPage, "x");
-    AuditReport b;
-    b.BeginPass("two");
-    b.Add(Severity::kWarning, "P", kNoPage, "y");
-    a.Merge(b);
-    EXPECT_EQ(a.passes().size(), 2u);
-    EXPECT_EQ(a.NumErrors(), 1u);
-    EXPECT_EQ(a.NumWarnings(), 1u);
-    EXPECT_EQ(a.violations().size(), 2u);
-}
-
 // ---------------------------------------------------------------------------
 // Cross-policy dominance audits (fabricated matrices).
 // ---------------------------------------------------------------------------
@@ -623,12 +608,12 @@ TEST_P(SystemAuditTest, RandomWorkloadAuditsClean)
         system.Access(pid, addr,
                       kind < 0.3 ? AccessType::kWrite : AccessType::kRead);
         if (op % 10'000 == 9'999) {
-            const AuditReport report = system.Audit();
+            const AuditReport report = system.kernel().Audit();
             ASSERT_TRUE(report.ok()) << report.Summary();
             ASSERT_TRUE(report.violations().empty()) << report.Summary();
         }
     }
-    const AuditReport report = system.Audit();
+    const AuditReport report = system.kernel().Audit();
     EXPECT_TRUE(report.ok()) << report.Summary();
     EXPECT_TRUE(report.violations().empty()) << report.Summary();
     EXPECT_EQ(report.passes().size(),
@@ -666,9 +651,10 @@ TEST(MpSystemAuditTest, MultiprocessorWorkloadAuditsClean)
                               DirtyPolicyKind::kSpur, RefPolicyKind::kMiss);
     Rng rng(97);
 
-    const Pid pid = system.CreateProcess();
+    const Pid pid = system.kernel().CreateProcess();
     const uint64_t page = config.page_bytes;
-    system.MapRegion(pid, kHeapBase, 256 * page, vm::PageKind::kHeap);
+    system.kernel().MapRegion(pid, kHeapBase, 256 * page,
+                              vm::PageKind::kHeap);
 
     for (int op = 0; op < 40'000; ++op) {
         const auto cpu = static_cast<unsigned>(rng.NextBelow(4));
@@ -681,11 +667,11 @@ TEST(MpSystemAuditTest, MultiprocessorWorkloadAuditsClean)
                                   kind < 0.3 ? AccessType::kWrite
                                              : AccessType::kRead});
         if (op % 10'000 == 9'999) {
-            const AuditReport report = system.Audit();
+            const AuditReport report = system.kernel().Audit();
             ASSERT_TRUE(report.ok()) << report.Summary();
         }
     }
-    const AuditReport report = system.Audit();
+    const AuditReport report = system.kernel().Audit();
     EXPECT_TRUE(report.ok()) << report.Summary();
     EXPECT_TRUE(report.violations().empty()) << report.Summary();
 }

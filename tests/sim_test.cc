@@ -2,7 +2,7 @@
  * @file
  * Tests for the machine model: configuration validation, derived timing
  * quantities, the event-count ground truth, the hardware performance
- * counters (mode multiplexing, 32-bit wrap, observer mirroring) and the
+ * counters (mode multiplexing, 32-bit wrap, reads since a snapshot) and the
  * timing buckets.
  */
 #include <gtest/gtest.h>
@@ -99,8 +99,6 @@ TEST(EventCountsTest, StartsZeroAndAccumulates)
     counts.Add(Event::kRead);
     counts.Add(Event::kRead, 4);
     EXPECT_EQ(counts.Get(Event::kRead), 5u);
-    counts.Reset();
-    EXPECT_EQ(counts.Get(Event::kRead), 0u);
 }
 
 TEST(EventCountsTest, Totals)
@@ -129,7 +127,8 @@ TEST(EventCountsTest, EveryEventHasAName)
 
 TEST(PerfCountersTest, ModeSelectsEventSet)
 {
-    PerfCounters counters;
+    const EventCounts counts;
+    PerfCounters counters(counts);
     counters.SetMode(0);
     EXPECT_GE(counters.IndexOf(Event::kIFetch), 0);
     EXPECT_EQ(counters.IndexOf(Event::kDirtyFault), -1);
@@ -140,10 +139,11 @@ TEST(PerfCountersTest, ModeSelectsEventSet)
 
 TEST(PerfCountersTest, ObserveAccumulatesOnlyCapturedEvents)
 {
-    PerfCounters counters;
+    EventCounts counts;
+    PerfCounters counters(counts);
     counters.SetMode(0);
-    counters.Observe(Event::kIFetch, 3);
-    counters.Observe(Event::kDirtyFault, 7);  // Not in mode 0.
+    counts.Add(Event::kIFetch, 3);
+    counts.Add(Event::kDirtyFault, 7);  // Not in mode 0.
     const int slot = counters.IndexOf(Event::kIFetch);
     ASSERT_GE(slot, 0);
     EXPECT_EQ(counters.Read(static_cast<size_t>(slot)), 3u);
@@ -157,9 +157,10 @@ TEST(PerfCountersTest, ObserveAccumulatesOnlyCapturedEvents)
 
 TEST(PerfCountersTest, SetModeClearsRegisters)
 {
-    PerfCounters counters;
+    EventCounts counts;
+    PerfCounters counters(counts);
     counters.SetMode(0);
-    counters.Observe(Event::kIFetch, 100);
+    counts.Add(Event::kIFetch, 100);
     counters.SetMode(1);
     for (size_t i = 0; i < kNumHwCounters; ++i) {
         EXPECT_EQ(counters.Read(i), 0u);
@@ -168,12 +169,14 @@ TEST(PerfCountersTest, SetModeClearsRegisters)
 
 TEST(PerfCountersTest, RegistersWrapAt32Bits)
 {
-    PerfCounters counters;
+    EventCounts counts;
+    counts.Add(Event::kIFetch, 5);
+    PerfCounters counters(counts);
     counters.SetMode(0);
     const int slot = counters.IndexOf(Event::kIFetch);
     ASSERT_GE(slot, 0);
-    counters.Observe(Event::kIFetch, 0xFFFFFFFFu);
-    counters.Observe(Event::kIFetch, 2);
+    counts.Add(Event::kIFetch, 0xFFFFFFFFu);
+    counts.Add(Event::kIFetch, 2);
     EXPECT_EQ(counters.Read(static_cast<size_t>(slot)), 1u);
 }
 
@@ -181,8 +184,9 @@ TEST(PerfCountersTest, SlotEventTableIsConsistent)
 {
     // Every (mode, slot) pair either names a real event or is unused, and
     // IndexOf agrees with SlotEvent.
+    const EventCounts counts;
     for (unsigned mode = 0; mode < kNumCounterModes; ++mode) {
-        PerfCounters counters;
+        PerfCounters counters(counts);
         counters.SetMode(mode);
         for (size_t slot = 0; slot < kNumHwCounters; ++slot) {
             const Event event = PerfCounters::SlotEvent(mode, slot);
@@ -194,12 +198,12 @@ TEST(PerfCountersTest, SlotEventTableIsConsistent)
     }
 }
 
-TEST(PerfCountersTest, MirrorsEventCountsViaObserver)
+TEST(PerfCountersTest, ReadsTheCountsSinceTheLastClear)
 {
     EventCounts counts;
-    PerfCounters counters;
+    counts.Add(Event::kDirtyFault, 40);  // Before the window: not read.
+    PerfCounters counters(counts);
     counters.SetMode(2);
-    counts.SetObserver(&counters);
     counts.Add(Event::kDirtyFault, 5);
     counts.Add(Event::kDirtyBitMiss, 2);
     counts.Add(Event::kIFetch, 99);  // Not captured in mode 2.
@@ -209,14 +213,17 @@ TEST(PerfCountersTest, MirrorsEventCountsViaObserver)
     ASSERT_GE(dm, 0);
     EXPECT_EQ(counters.Read(static_cast<size_t>(ds)), 5u);
     EXPECT_EQ(counters.Read(static_cast<size_t>(dm)), 2u);
-    counts.SetObserver(nullptr);
-    counts.Add(Event::kDirtyFault, 5);
-    EXPECT_EQ(counters.Read(static_cast<size_t>(ds)), 5u);  // Unchanged.
+    counters.Clear();
+    EXPECT_EQ(counters.Read(static_cast<size_t>(ds)), 0u);
+    EXPECT_EQ(counters.mode(), 2u);
+    counts.Add(Event::kDirtyFault, 3);
+    EXPECT_EQ(counters.Read(static_cast<size_t>(ds)), 3u);
 }
 
 TEST(PerfCountersDeathTest, RejectsBadMode)
 {
-    PerfCounters counters;
+    const EventCounts counts;
+    PerfCounters counters(counts);
     EXPECT_EXIT(counters.SetMode(4), testing::ExitedWithCode(1), "mode");
 }
 

@@ -26,8 +26,8 @@ void
 CheckInvariants(const SpurSystem& system)
 {
     const auto& vcache = system.vcache();
-    const auto& table = system.page_table();
-    const auto& frames = system.memory().frames();
+    const auto& table = system.kernel().page_table();
+    const auto& frames = system.kernel().memory().frames();
     const unsigned page_shift = system.config().PageShift();
 
     // 1. Every valid non-PTE cache line belongs to a resident page, and

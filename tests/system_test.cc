@@ -2,7 +2,7 @@
  * @file
  * Integration tests for SpurSystem: the full access path through cache,
  * in-cache translation, VM and policies, including the Figure 3.1
- * scenario end-to-end, the FLUSH redo path, counter mirroring, and
+ * scenario end-to-end, the FLUSH redo path, the counter window, and
  * system-level invariants.
  */
 #include <gtest/gtest.h>
@@ -165,7 +165,7 @@ TEST_F(SystemTest, CacheHitImpliesResidentPage)
                         AccessType::kWrite);
     }
     const auto& vcache = system_->vcache();
-    const auto& table = system_->page_table();
+    const auto& table = system_->kernel().page_table();
     for (uint64_t index = 0; index < vcache.NumLines(); ++index) {
         const cache::Line& line = vcache.LineAt(index);
         if (!line.valid()) {
@@ -185,9 +185,8 @@ TEST_F(SystemTest, CacheHitImpliesResidentPage)
 TEST_F(SystemTest, PerfCountersMirrorGroundTruth)
 {
     Build();
-    sim::PerfCounters counters;
+    sim::PerfCounters counters(system_->events());
     counters.SetMode(2);  // Dirty/reference-bit events.
-    system_->AttachPerfCounters(&counters);
     for (int i = 0; i < 8; ++i) {
         system_->Access(pid_,
                         kHeapBase + i * system_->config().page_bytes,
@@ -219,15 +218,34 @@ TEST_F(SystemTest, SharedSegmentIsOneGlobalAddress)
 TEST_F(SystemTest, DestroyProcessFreesPages)
 {
     Build();
-    const uint32_t free_before = system_->memory().frames().NumFree();
+    const mem::FrameTable& frames = system_->kernel().memory().frames();
+    const uint32_t free_before = frames.NumFree();
     for (int i = 0; i < 16; ++i) {
         system_->Access(pid_,
                         kHeapBase + i * system_->config().page_bytes,
                         AccessType::kWrite);
     }
-    EXPECT_EQ(system_->memory().frames().NumFree(), free_before - 16);
+    EXPECT_EQ(frames.NumFree(), free_before - 16);
     system_->DestroyProcess(pid_);
-    EXPECT_EQ(system_->memory().frames().NumFree(), free_before);
+    EXPECT_EQ(frames.NumFree(), free_before);
+    // Teardown ends with the switch away from the dead process.
+    EXPECT_EQ(system_->events().Get(sim::Event::kContextSwitch), 1u);
+}
+
+TEST_F(SystemTest, UnmapRegionFreesOnlyThatRegion)
+{
+    Build();
+    const mem::FrameTable& frames = system_->kernel().memory().frames();
+    const uint32_t free_before = frames.NumFree();
+    for (int i = 0; i < 4; ++i) {
+        const uint64_t offset = i * system_->config().page_bytes;
+        system_->Access(pid_, kHeapBase + offset, AccessType::kWrite);
+        system_->Access(pid_, kCodeBase + offset, AccessType::kIFetch);
+    }
+    EXPECT_EQ(frames.NumFree(), free_before - 8);
+    system_->kernel().UnmapRegion(pid_, kHeapBase);
+    EXPECT_EQ(frames.NumFree(), free_before - 4);
+    EXPECT_EQ(system_->events().Get(sim::Event::kContextSwitch), 0u);
 }
 
 TEST_F(SystemTest, ContextSwitchAccounting)

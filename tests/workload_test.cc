@@ -34,7 +34,7 @@ TEST_F(WorkloadTest, ProcessMapsItsRegions)
 {
     ProcessProfile profile;
     SyntheticProcess process(system_, profile, 1);
-    const auto& regions = system_.memory().regions();
+    const auto& regions = system_.kernel().memory().regions();
     // code + data(file/output split) + heap + stack.
     EXPECT_GE(regions.NumRegions(), 4u);
     const GlobalVpn code_vpn =
@@ -112,16 +112,17 @@ TEST_F(WorkloadTest, LifetimeTerminates)
 
 TEST_F(WorkloadTest, DestructionFreesAddressSpace)
 {
-    const size_t regions_before = system_.memory().regions().NumRegions();
+    const vm::RegionMap& regions = system_.kernel().memory().regions();
+    const size_t regions_before = regions.NumRegions();
     {
         ProcessProfile profile;
         SyntheticProcess process(system_, profile, 5);
         for (int i = 0; i < 10000; ++i) {
             process.Step();
         }
-        EXPECT_GT(system_.memory().regions().NumRegions(), regions_before);
+        EXPECT_GT(regions.NumRegions(), regions_before);
     }
-    EXPECT_EQ(system_.memory().regions().NumRegions(), regions_before);
+    EXPECT_EQ(regions.NumRegions(), regions_before);
 }
 
 // ---------------------------------------------------------------------------

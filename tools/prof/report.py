@@ -35,8 +35,8 @@ LAYERS = [
     ("hit loop", r"WriteHitFastPath"),
     ("policy", r"spur::policy::"),
     ("vm", r"spur::(vm|mem)::"),
-    ("miss", r"spur::core::SpurSystem::"
-             r"(AccessMissImpl|WriteHitSlow|ResidentPte|ChargeDirty)"),
+    ("miss", r"spur::core::(SpurSystem::(AccessMissImpl|WriteHitSlow)"
+             r"|Kernel::(ResidentPte|ChargeDirty|ChargeFill))"),
     ("hit loop", r"spur::core::SpurSystem::Access(Batch)?Impl"),
     ("decode", r"Decode|Replay|RecoverTrace|AccessRunEnds|ClassifyWindow"
                r"|WindowMasks|GatherHighBits|PopCount|CompactVarint"
