@@ -100,6 +100,62 @@ Unpack(uint64_t tag, uint8_t m)
     line.block_dirty = (m & kBlockDirtyBit) != 0;
     return line;
 }
+
+/** Pack fills bits 0-5 only, so every metadata byte is below 64 and a
+ *  set of bytes fits one 64-bit map (bit m stands for byte m). */
+inline constexpr unsigned kUsedBits = 6;
+
+/**
+ * A test on a metadata byte: `(m & mask) == value`.  Policies state the
+ * line states they care about as patterns built from the ones below,
+ * so the bit layout stays in this header.
+ */
+struct Pattern {
+    uint8_t mask;
+    uint8_t value;
+
+    constexpr bool Matches(uint8_t m) const { return (m & mask) == value; }
+
+    /** The bytes this pattern matches, as a byte map. */
+    constexpr uint64_t Bytes() const
+    {
+        uint64_t bytes = 0;
+        for (unsigned m = 0; m < (1u << kUsedBits); ++m) {
+            if (Matches(static_cast<uint8_t>(m))) {
+                bytes |= uint64_t{1} << m;
+            }
+        }
+        return bytes;
+    }
+
+    /** This pattern, and the cached page-dirty bit P set. */
+    constexpr Pattern WithPageDirty() const
+    {
+        return {static_cast<uint8_t>(mask | kPageDirtyBit),
+                static_cast<uint8_t>(value | kPageDirtyBit)};
+    }
+
+    /** This pattern, and the cached protection PR equal to @p prot. */
+    constexpr Pattern WithProt(Protection prot) const
+    {
+        return {static_cast<uint8_t>(mask | kProtMask),
+                static_cast<uint8_t>(
+                    value | ((static_cast<uint8_t>(prot) << kProtShift) &
+                             kProtMask))};
+    }
+};
+
+/** A line a write has already marked: B set and CS OwnedExclusive, the
+ *  two fields LineRef::MarkWritten ORs in. */
+inline constexpr Pattern kWritten{
+    static_cast<uint8_t>(kBlockDirtyBit | kStateMask),
+    static_cast<uint8_t>(
+        kBlockDirtyBit |
+        static_cast<uint8_t>(CoherencyState::kOwnedExclusive))};
+
+/** An invalid slot: CS Invalid (the rest of the byte is zero too). */
+inline constexpr Pattern kInvalid{
+    kStateMask, static_cast<uint8_t>(CoherencyState::kInvalid)};
 }  // namespace meta
 
 /**

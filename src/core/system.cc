@@ -1,6 +1,7 @@
 // spur:hot-path
 #include "src/core/system.h"
 
+#include <algorithm>
 #include <array>
 
 #include "src/policy/policy_ops.h"
@@ -136,86 +137,128 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
         // Every event add is a plain commutative counter increment and
         // nothing can see the machine between the batch's references, so
         // the per-reference type counts and hit cycles accumulate in
-        // registers and flush once at the end.  Final events/timing
-        // state is bit-identical to the loop above; state mutation
-        // (cache, PTEs, VM) still happens strictly in order.
+        // registers and flush at the end of each chunk.  Final
+        // events/timing state is bit-identical to the loop above; state
+        // mutation (cache, PTEs, VM) still happens strictly in order.
+        //
+        // The fast path is one test that is almost always true: the
+        // reference hits, and is not a write to an unsettled line.  A
+        // settled line (DirtyOps<D>::kSettledWrite) already has B set
+        // and CS OwnedExclusive and passes WriteHitFastPath, so a write
+        // hit on it changes nothing but the type and hit counts.
+        // Misses and unsettled write hits leave the fast path and run
+        // the same code as AccessImpl.
         sim::EventCounts& events = kernel_.events();
         const pt::SegmentMap& segmap = kernel_.segments();
-        const Cycles t_hit = kernel_.config().t_cache_hit;
-        // Raw SoA view and geometry in locals: the write fast path's
-        // metadata byte store would otherwise (char aliasing) force
-        // every member below to be re-loaded from `this` each iteration.
+        // Raw SoA view and geometry in locals: a metadata byte store
+        // would otherwise (char aliasing) force every member below to
+        // be re-loaded from `this` each iteration.
         const cache::VirtualCache::HotView hv = vcache_.hot_view();
-        // Per-type counts as independent register accumulators: an
-        // indexed `++counts[type]` would chain same-address store
-        // forwards (70% of a typical stream is instruction fetches), so
-        // count reads and writes with branchless compares and derive the
-        // ifetch count from the total.
-        uint64_t reads = 0;
-        uint64_t writes = 0;
-        uint64_t hits = 0;
-        uint64_t clean_write_hits = 0;
-        // The four segment registers are cached per process across the
-        // batch (a batch is one scheduling quantum: a single process).
-        const std::array<uint32_t, pt::kSegmentsPerProcess>* segs = nullptr;
-        Pid segs_pid = 0;
-        for (size_t i = 0; i < n; ++i) {
-            const MemRef ref = refs[i];
-            reads += static_cast<uint64_t>(ref.type == AccessType::kRead);
-            writes += static_cast<uint64_t>(ref.type == AccessType::kWrite);
-            if (segs == nullptr || ref.pid != segs_pid) {
-                segs = &segmap.RegistersOf(ref.pid);
-                segs_pid = ref.pid;
+        static_assert(static_cast<unsigned>(AccessType::kIFetch) == 0 &&
+                      static_cast<unsigned>(AccessType::kRead) == 1 &&
+                      static_cast<unsigned>(AccessType::kWrite) == 2);
+        // The metadata bytes that send a reference of each type off the
+        // fast path, as byte maps (bit m for byte m): an invalid slot,
+        // and for a write every byte off the settled pattern.  Looking
+        // the reference type up leaves no branch on it, whose value is
+        // random from one reference to the next.
+        static constexpr uint64_t kLeave[] = {
+            cache::meta::kInvalid.Bytes(), cache::meta::kInvalid.Bytes(),
+            ~policy::DirtyOps<D>::kSettledWrite.Bytes()};
+        // The per-type counts share one register: type t adds
+        // kTypeOne[t] = 1 << (kTypeBits * t), and a chunk is short
+        // enough that no field carries into the next.  Hits are n
+        // minus the misses, so nothing is counted per hit.
+        constexpr unsigned kTypeBits = 21;
+        constexpr uint64_t kTypeMask = (uint64_t{1} << kTypeBits) - 1;
+        constexpr size_t kChunk = kTypeMask;
+        static constexpr uint64_t kTypeOne[] = {
+            1, uint64_t{1} << kTypeBits, uint64_t{1} << (2 * kTypeBits)};
+        size_t misses = 0;
+        // The cache indexes entirely below the segment shift (checked
+        // above), so a tag is the global segment's bits above the
+        // in-segment offset's.  segbase[r] is register r's segment in
+        // tag position less r's own, so that adding the process
+        // address's tag bits (register number included) gives the tag.
+        // Reloaded when the pid changes (a batch is one scheduling
+        // quantum: one process); the global address itself is formed
+        // only off the fast path.
+        const unsigned seg_shift = pt::kSegmentShift - hv.tag_shift;
+        std::array<uint64_t, pt::kSegmentsPerProcess> segbase{};
+        const auto load_segbase = [&segmap, &segbase, seg_shift](Pid pid) {
+            const std::array<uint32_t, pt::kSegmentsPerProcess>& regs =
+                segmap.RegistersOf(pid);
+            for (unsigned r = 0; r < pt::kSegmentsPerProcess; ++r) {
+                segbase[r] = (static_cast<uint64_t>(regs[r]) - r)
+                             << seg_shift;
             }
-            // The cache indexes entirely below the segment shift
-            // (checked above), so the slot index depends only on the
-            // process address and the tag/metadata loads overlap the
-            // segment-register resolution.
-            const GlobalAddr gva =
-                (static_cast<GlobalAddr>(
-                     (*segs)[ref.addr >> pt::kSegmentShift])
-                 << pt::kSegmentShift) |
-                (ref.addr & (pt::kSegmentBytes - 1));
-            const uint64_t index =
-                (ref.addr >> hv.block_shift) & hv.index_mask;
-            const uint64_t tag = gva >> hv.tag_shift;
-            const uint8_t m = hv.meta[index];
-            // spur-lint: allow(no-raw-meta-bits) — the SoA hot loop
-            if ((m & cache::meta::kStateMask) != 0 &&
-                hv.tags[index] == tag) {
-                ++hits;
-                // Hit tail: fetches and reads store nothing, so
-                // consecutive references to one block never chain a
-                // metadata store into the next tag check.  A write counts
-                // the Table 3.3 N_w-hit population, then either takes the
-                // fast path (B set, CS promoted to OwnedExclusive: one OR
-                // into the packed byte) or, under a lazy dirty policy's
-                // first write, the slow path.
-                if (ref.type == AccessType::kWrite) {
-                    clean_write_hits += static_cast<uint64_t>(
-                        // spur-lint: allow(no-raw-meta-bits) — hot loop
-                        (m & cache::meta::kBlockDirtyBit) == 0);
-                    cache::LineRef line(&hv.tags[index], &hv.meta[index]);
-                    if (!policy::DirtyOps<D>::WriteHitFastPath(line)) {
-                        WriteHitSlow<D, R>(line, gva);
-                        continue;
-                    }
-                    hv.meta[index] = static_cast<uint8_t>(
-                        // spur-lint: allow(no-raw-meta-bits) — hot loop
-                        m | cache::meta::kBlockDirtyBit |
-                        static_cast<uint8_t>(
-                            cache::CoherencyState::kOwnedExclusive));
-                }
-                continue;
-            }
-            events.Add(sim::MissEvent(ref.type));
-            AccessMissImpl<D, R>(gva, ref.type);
+        };
+        Pid pid = 0;
+        if (n > 0) {
+            pid = refs[0].pid;
+            load_segbase(pid);
         }
-        events.Add(sim::Event::kIFetch, n - reads - writes);
-        events.Add(sim::Event::kRead, reads);
-        events.Add(sim::Event::kWrite, writes);
-        events.Add(sim::Event::kWriteHitCleanBlock, clean_write_hits);
-        kernel_.timing().Charge(sim::TimeBucket::kExecute, hits * t_hit);
+        for (size_t begin = 0; begin < n; begin += kChunk) {
+            const MemRef* p = refs + begin;
+            const MemRef* const end = refs + std::min(n, begin + kChunk);
+            uint64_t types = 0;
+            while (true) {
+                // The fast scan makes no call, so its state stays in
+                // registers; it stops at the first reference that needs
+                // the machine.
+                uint64_t index = 0;
+                uint64_t tag = 0;
+                for (; p != end; ++p) {
+                    const MemRef ref = *p;
+                    const unsigned type = static_cast<unsigned>(ref.type);
+                    types += kTypeOne[type];
+                    if (ref.pid != pid) {
+                        pid = ref.pid;
+                        load_segbase(pid);
+                    }
+                    index = (ref.addr >> hv.block_shift) & hv.index_mask;
+                    tag = segbase[ref.addr >> pt::kSegmentShift] +
+                          (ref.addr >> hv.tag_shift);
+                    const uint8_t m = hv.meta[index];
+                    const uint64_t leave =
+                        (hv.tags[index] ^ tag) |
+                        ((kLeave[type] >> (m & 63)) & 1);
+                    if (leave != 0) [[unlikely]] {
+                        break;
+                    }
+                }
+                if (p == end) {
+                    break;
+                }
+                const MemRef ref = *p++;
+                const GlobalAddr gva = kernel_.ToGlobal(ref.pid, ref.addr);
+                cache::LineRef line(&hv.tags[index], &hv.meta[index]);
+                if (!line.valid() || line.tag() != tag) {
+                    ++misses;
+                    events.Add(sim::MissEvent(ref.type));
+                    AccessMissImpl<D, R>(gva, ref.type);
+                    continue;
+                }
+                // A write hit on an unsettled line: count the Table 3.3
+                // N_w-hit population, then either take the fast path (B
+                // set, CS promoted to OwnedExclusive: one OR into the
+                // packed byte) or, under a lazy dirty policy's first
+                // write, the slow path.
+                if (!line.block_dirty()) {
+                    events.Add(sim::Event::kWriteHitCleanBlock);
+                }
+                if (policy::DirtyOps<D>::WriteHitFastPath(line)) {
+                    line.MarkWritten();
+                    continue;
+                }
+                WriteHitSlow<D, R>(line, gva);
+            }
+            events.Add(sim::Event::kIFetch, types & kTypeMask);
+            events.Add(sim::Event::kRead, (types >> kTypeBits) & kTypeMask);
+            events.Add(sim::Event::kWrite, types >> (2 * kTypeBits));
+        }
+        kernel_.timing().Charge(sim::TimeBucket::kExecute,
+                                (n - misses) * kernel_.config().t_cache_hit);
     }
 }
 

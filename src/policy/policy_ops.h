@@ -46,6 +46,15 @@ CountNecessaryFault(pt::Pte& pte, sim::EventCounts& events)
 
 }  // namespace detail
 
+/**
+ * Each `DirtyOps<K>` states, besides its hooks, `kSettledWrite`: the
+ * metadata bytes on which a write hit changes nothing — the line is
+ * already marked written (cache::meta::kWritten) and `WriteHitFastPath`
+ * holds.  The batch loop keeps a write hit on such a line on its fast
+ * path without calling any hook, so the pattern must equal that
+ * conjunction on every byte
+ * (`DirtyOpsTest.SettledWritePatternMatchesTheFastPathOnEveryByte`).
+ */
 template <DirtyPolicyKind kKind>
 struct DirtyOps;
 
@@ -55,6 +64,9 @@ struct DirtyOps;
 // ---------------------------------------------------------------------------
 template <>
 struct DirtyOps<DirtyPolicyKind::kMin> {
+    static constexpr cache::meta::Pattern kSettledWrite =
+        cache::meta::kWritten.WithPageDirty();
+
     static bool WriteHitFastPath(cache::ConstLineRef line)
     {
         return line.page_dirty();
@@ -119,6 +131,9 @@ struct DirtyOps<DirtyPolicyKind::kMin> {
 // ---------------------------------------------------------------------------
 template <bool kFlushOnFault>
 struct FaultFamilyOps {
+    static constexpr cache::meta::Pattern kSettledWrite =
+        cache::meta::kWritten.WithProt(Protection::kReadWrite);
+
     static bool WriteHitFastPath(cache::ConstLineRef line)
     {
         return line.prot() == Protection::kReadWrite;
@@ -229,6 +244,10 @@ struct DirtyOps<DirtyPolicyKind::kFlush> : FaultFamilyOps<true> {
 // ---------------------------------------------------------------------------
 template <>
 struct DirtyOps<DirtyPolicyKind::kSpur> {
+    static constexpr cache::meta::Pattern kSettledWrite =
+        cache::meta::kWritten.WithProt(Protection::kReadWrite)
+            .WithPageDirty();
+
     static bool WriteHitFastPath(cache::ConstLineRef line)
     {
         return line.prot() == Protection::kReadWrite && line.page_dirty();
@@ -301,6 +320,8 @@ struct DirtyOps<DirtyPolicyKind::kSpur> {
 // ---------------------------------------------------------------------------
 template <bool kHardwareUpdate>
 struct WriteFamilyOps {
+    static constexpr cache::meta::Pattern kSettledWrite = cache::meta::kWritten;
+
     static bool WriteHitFastPath(cache::ConstLineRef line)
     {
         return line.block_dirty();
@@ -383,6 +404,9 @@ struct DirtyOps<DirtyPolicyKind::kWriteHw> : WriteFamilyOps<true> {
 // ---------------------------------------------------------------------------
 template <>
 struct DirtyOps<DirtyPolicyKind::kSpurProt> {
+    static constexpr cache::meta::Pattern kSettledWrite =
+        cache::meta::kWritten.WithProt(Protection::kReadWrite);
+
     static bool WriteHitFastPath(cache::ConstLineRef line)
     {
         return line.prot() == Protection::kReadWrite;

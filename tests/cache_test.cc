@@ -30,6 +30,33 @@ TEST(CacheTest, GeometryMatchesPrototype)
     EXPECT_EQ(vcache.NumValid(), 0u);
 }
 
+TEST(CacheTest, EveryLinePacksBelowSixtyFour)
+{
+    // The batch loop tests metadata bytes against 64-bit byte maps
+    // (meta::Pattern::Bytes), which holds only while Pack leaves the
+    // top two bits clear.
+    for (const CoherencyState state :
+         {CoherencyState::kInvalid, CoherencyState::kUnOwned,
+          CoherencyState::kOwnedShared, CoherencyState::kOwnedExclusive}) {
+        for (const Protection prot : {Protection::kNone,
+                                      Protection::kReadOnly,
+                                      Protection::kReadWrite}) {
+            for (const bool page_dirty : {false, true}) {
+                for (const bool block_dirty : {false, true}) {
+                    Line line;
+                    line.state = state;
+                    line.prot = prot;
+                    line.page_dirty = page_dirty;
+                    line.block_dirty = block_dirty;
+                    EXPECT_LT(meta::Pack(line), 1u << meta::kUsedBits);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(meta::kInvalid.Bytes() & 1, 1u);
+    EXPECT_EQ(meta::kWritten.Bytes() & 1, 0u);
+}
+
 TEST(CacheTest, MissThenFillThenHit)
 {
     VirtualCache vcache(Config());

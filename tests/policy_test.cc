@@ -10,6 +10,7 @@
 
 #include "src/cache/cache.h"
 #include "src/policy/dirty_policy.h"
+#include "src/policy/policy_ops.h"
 #include "src/policy/ref_policy.h"
 #include "src/pt/pte.h"
 #include "src/sim/config.h"
@@ -124,6 +125,43 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, DirtyPolicyTest,
                          [](const auto& info) {
                              return ToString(info.param);
                          });
+
+/**
+ * Checks DirtyOps<K>::kSettledWrite against its definition on all 256
+ * metadata bytes: a line is settled when it is already marked written
+ * (B set, CS OwnedExclusive) and WriteHitFastPath holds.
+ */
+template <DirtyPolicyKind K>
+void
+ExpectSettledPatternOnEveryByte()
+{
+    for (unsigned byte = 0; byte < 256; ++byte) {
+        const uint64_t tag = 0;
+        const uint8_t m = static_cast<uint8_t>(byte);
+        const cache::ConstLineRef line(&tag, &m);
+        const bool settled =
+            DirtyOps<K>::WriteHitFastPath(line) && line.block_dirty() &&
+            line.state() == cache::CoherencyState::kOwnedExclusive;
+        EXPECT_EQ(DirtyOps<K>::kSettledWrite.Matches(m), settled)
+            << ToString(K) << " meta byte " << byte;
+        if (byte < 64) {
+            EXPECT_EQ((DirtyOps<K>::kSettledWrite.Bytes() >> byte) & 1,
+                      uint64_t{settled})
+                << ToString(K) << " byte map, meta byte " << byte;
+        }
+    }
+}
+
+TEST(DirtyOpsTest, SettledWritePatternMatchesTheFastPathOnEveryByte)
+{
+    ExpectSettledPatternOnEveryByte<DirtyPolicyKind::kMin>();
+    ExpectSettledPatternOnEveryByte<DirtyPolicyKind::kFault>();
+    ExpectSettledPatternOnEveryByte<DirtyPolicyKind::kFlush>();
+    ExpectSettledPatternOnEveryByte<DirtyPolicyKind::kSpur>();
+    ExpectSettledPatternOnEveryByte<DirtyPolicyKind::kWrite>();
+    ExpectSettledPatternOnEveryByte<DirtyPolicyKind::kSpurProt>();
+    ExpectSettledPatternOnEveryByte<DirtyPolicyKind::kWriteHw>();
+}
 
 // ---------------------------------------------------------------------------
 // Policy-specific semantics.

@@ -7,11 +7,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "src/check/audit.h"
 #include "src/core/system.h"
 #include "src/sim/counters.h"
+#include "src/workload/driver.h"
 #include "src/workload/process.h"
+#include "src/workload/trace.h"
+#include "src/workload/workloads.h"
 
 namespace spur::core {
 namespace {
@@ -312,6 +320,234 @@ TEST_F(SystemTest, InCacheTranslationSharesPteBlocks)
     // At least most translations hit the shared PTE block; occasionally
     // a data fill evicts it (PTEs genuinely compete for cache space).
     EXPECT_GE(ev.Get(sim::Event::kXlatePteHit), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// AccessBatch against Access: the batch loop's fast path (settled write
+// hits, packed type counts, per-segment tag bases) must leave exactly
+// the events and cycles of the per-reference path.
+// ---------------------------------------------------------------------------
+
+constexpr DirtyPolicyKind kAllDirty[] = {
+    DirtyPolicyKind::kMin,  DirtyPolicyKind::kFault,
+    DirtyPolicyKind::kFlush, DirtyPolicyKind::kSpur,
+    DirtyPolicyKind::kWrite, DirtyPolicyKind::kSpurProt,
+    DirtyPolicyKind::kWriteHw};
+constexpr RefPolicyKind kAllRef[] = {
+    RefPolicyKind::kMiss, RefPolicyKind::kRef, RefPolicyKind::kNoRef};
+
+/**
+ * Forwards every operation to a SpurSystem but re-cuts the reference
+ * stream: the references between two other operations go to
+ * AccessBatch in pieces of at most `batch`, or one by one through
+ * Access when `batch` is 0.  The host contract makes every cut
+ * equivalent.
+ */
+class RebatchingHost final : public workload::WorkloadHost
+{
+  public:
+    RebatchingHost(SpurSystem& system, size_t batch)
+        : system_(system), batch_(batch)
+    {
+    }
+
+    Pid CreateProcess() override
+    {
+        Flush();
+        return system_.CreateProcess();
+    }
+    void DestroyProcess(Pid pid) override
+    {
+        Flush();
+        system_.DestroyProcess(pid);
+    }
+    void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
+                   vm::PageKind kind) override
+    {
+        Flush();
+        system_.MapRegion(pid, base, bytes, kind);
+    }
+    void ShareSegment(Pid pid, unsigned reg, Pid other,
+                      unsigned other_reg) override
+    {
+        Flush();
+        system_.ShareSegment(pid, reg, other, other_reg);
+    }
+    void Access(const MemRef& ref) override { pending_.push_back(ref); }
+    void AccessBatch(const MemRef* refs, size_t n) override
+    {
+        pending_.insert(pending_.end(), refs, refs + n);
+    }
+    void OnContextSwitch() override
+    {
+        Flush();
+        system_.OnContextSwitch();
+    }
+    const sim::MachineConfig& config() const override
+    {
+        return system_.config();
+    }
+
+    /** Issues the held references. */
+    void Flush()
+    {
+        if (batch_ == 0) {
+            for (const MemRef& ref : pending_) {
+                system_.Access(ref);
+            }
+        } else {
+            for (size_t i = 0; i < pending_.size(); i += batch_) {
+                system_.AccessBatch(pending_.data() + i,
+                                    std::min(batch_, pending_.size() - i));
+            }
+        }
+        pending_.clear();
+    }
+
+  private:
+    SpurSystem& system_;
+    size_t batch_;
+    std::vector<MemRef> pending_;
+};
+
+/** Every event count and every time bucket of @p system. */
+std::vector<uint64_t>
+Totals(const SpurSystem& system)
+{
+    std::vector<uint64_t> totals;
+    for (size_t i = 0; i < sim::kNumEvents; ++i) {
+        totals.push_back(system.events().Get(static_cast<sim::Event>(i)));
+    }
+    for (size_t i = 0; i < sim::kNumTimeBuckets; ++i) {
+        totals.push_back(
+            system.timing().Get(static_cast<sim::TimeBucket>(i)));
+    }
+    return totals;
+}
+
+/** @p spec's stream of @p refs references, recorded through a
+ *  CountingHost as `spur_trace record` records it. */
+std::string
+RecordStream(const std::string& name, workload::WorkloadSpec spec,
+             uint64_t refs)
+{
+    const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    workload::TraceStreamMeta meta;
+    meta.workload = name;
+    meta.seed = 1;
+    meta.refs = refs;
+    meta.page_bytes = config.page_bytes;
+    meta.block_bytes = config.block_bytes;
+    workload::CountingHost counting(config);
+    workload::TraceEncoder encoder(meta);
+    workload::RecordingHost recorder(counting, encoder);
+    const uint32_t slice_refs = spec.slice_refs;
+    workload::Driver driver(recorder, std::move(spec), refs, meta.seed,
+                            slice_refs);
+    driver.Run();
+    recorder.StopRecording();
+    return encoder.Finish(driver.refs_issued());
+}
+
+/** Totals after replaying @p stream on a fresh machine, its references
+ *  cut into batches of @p batch (0: one Access per reference). */
+std::vector<uint64_t>
+ReplayTotals(const workload::TraceStream& stream, uint32_t mem_mb,
+             DirtyPolicyKind dirty, RefPolicyKind ref, size_t batch)
+{
+    SpurSystem system(sim::MachineConfig::Prototype(mem_mb), dirty, ref);
+    RebatchingHost host(system, batch);
+    workload::ReplayStream(stream, host);
+    host.Flush();
+    return Totals(system);
+}
+
+TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
+{
+    if constexpr (check::kAuditEnabled) {
+        GTEST_SKIP() << "audit builds run the per-reference loop on both "
+                        "sides";
+    }
+    // 600,000 gc-sweep references page at 5 MB (page-outs, reference
+    // faults under REF), so the daemon's flushes interleave the batches.
+    const std::string file = workload::EncodeTraceFile(
+        {RecordStream("WORKLOAD1", workload::MakeWorkload1(), 400'000),
+         RecordStream("gc-sweep", workload::MakeGcSweep(), 600'000)});
+    std::string error;
+    const std::optional<workload::RecoveredTrace> trace =
+        workload::RecoverTraceBytes(file, &error);
+    ASSERT_TRUE(trace.has_value()) << error;
+    ASSERT_EQ(trace->streams.size(), 2u);
+
+    for (const workload::TraceStream& stream : trace->streams) {
+        for (const uint32_t mem_mb : {5u, 8u}) {
+            for (const DirtyPolicyKind dirty : kAllDirty) {
+                for (const RefPolicyKind ref : kAllRef) {
+                    SCOPED_TRACE(stream.meta.workload + " " +
+                                 std::to_string(mem_mb) + " MB " +
+                                 policy::ToString(dirty) + "/" +
+                                 policy::ToString(ref));
+                    const std::vector<uint64_t> want =
+                        ReplayTotals(stream, mem_mb, dirty, ref, 0);
+                    for (const size_t batch : {1u, 7u, 4096u, 20000u}) {
+                        EXPECT_EQ(ReplayTotals(stream, mem_mb, dirty, ref,
+                                               batch),
+                                  want)
+                            << "batch " << batch;
+                    }
+                }
+            }
+        }
+    }
+
+    // One batch longer than a packed type-count field holds (2^21 - 1):
+    // 2^21 instruction fetches, so a chunk one reference too long
+    // carries into the read count, then five writes.  Two processes
+    // alternate every 2^16 references so the tag bases reload inside
+    // the batch.
+    constexpr size_t kLong = (size_t{1} << 21) + 5;
+    const uint32_t page = sim::MachineConfig::Prototype(8).page_bytes;
+    for (const DirtyPolicyKind dirty : kAllDirty) {
+        SCOPED_TRACE(std::string("long batch ") + policy::ToString(dirty));
+        std::vector<uint64_t> totals[2];
+        for (int side = 0; side < 2; ++side) {
+            SpurSystem system(sim::MachineConfig::Prototype(8), dirty,
+                              RefPolicyKind::kMiss);
+            Pid pids[2];
+            for (Pid& pid : pids) {
+                pid = system.CreateProcess();
+                system.MapRegion(pid, kCodeBase, 64 * page,
+                                 vm::PageKind::kCode);
+                system.MapRegion(pid, kHeapBase, 8 * page,
+                                 vm::PageKind::kHeap);
+            }
+            std::vector<MemRef> refs(kLong);
+            for (size_t i = 0; i < kLong; ++i) {
+                const Pid pid = pids[(i >> 16) & 1];
+                refs[i] = i >= (size_t{1} << 21)
+                              ? MemRef{pid,
+                                       static_cast<ProcessAddr>(
+                                           kHeapBase + (i & 7) * page),
+                                       AccessType::kWrite}
+                              : MemRef{pid,
+                                       static_cast<ProcessAddr>(
+                                           kCodeBase + (i * 4) % (64 * page)),
+                                       AccessType::kIFetch};
+            }
+            if (side == 0) {
+                for (const MemRef& ref : refs) {
+                    system.Access(ref);
+                }
+                EXPECT_EQ(system.events().Get(sim::Event::kIFetch),
+                          uint64_t{1} << 21);
+                EXPECT_EQ(system.events().Get(sim::Event::kWrite), 5u);
+            } else {
+                system.AccessBatch(refs.data(), refs.size());
+            }
+            totals[side] = Totals(system);
+        }
+        EXPECT_EQ(totals[1], totals[0]);
+    }
 }
 
 }  // namespace
