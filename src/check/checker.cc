@@ -1,7 +1,6 @@
 #include "src/check/checker.h"
 
 #include "src/check/invariants.h"
-#include "src/common/log.h"
 
 namespace spur::check {
 
@@ -14,74 +13,27 @@ AuditContext::PolicyLabel() const
     return label;
 }
 
-void
-InvariantChecker::Register(std::string name, Pass pass)
-{
-    for (const auto& [existing, fn] : passes_) {
-        if (existing == name) {
-            Fatal("InvariantChecker: duplicate pass '" + name + "'");
-        }
-    }
-    passes_.emplace_back(std::move(name), std::move(pass));
-}
-
-std::vector<std::string>
-InvariantChecker::PassNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(passes_.size());
-    for (const auto& [name, fn] : passes_) {
-        names.push_back(name);
-    }
-    return names;
-}
-
 AuditReport
-InvariantChecker::Run(const AuditContext& context) const
+RunAllPasses(const AuditContext& context)
 {
     AuditReport report;
-    for (const auto& [name, fn] : passes_) {
-        report.BeginPass(name);
-        fn(context, report);
-    }
+    report.BeginPass(kPassCacheResident);
+    CheckCacheResidency(context, report);
+    report.BeginPass(kPassCachePteDirty);
+    CheckCacheDirtyCoherence(context, report);
+    report.BeginPass(kPassProtectionEmulation);
+    CheckProtectionEmulation(context, report);
+    report.BeginPass(kPassFrameTable);
+    CheckFrameResidency(context, report);
+    report.BeginPass(kPassFrameFreeList);
+    CheckFrameFreeList(context, report);
+    report.BeginPass(kPassBackingStore);
+    CheckBackingStoreCounts(context, report);
+    report.BeginPass(kPassRefFlush);
+    CheckRefFlushHygiene(context, report);
+    report.BeginPass(kPassMpCoherency);
+    CheckMpCoherency(context, report);
     return report;
-}
-
-AuditReport
-InvariantChecker::RunOne(const std::string& name,
-                         const AuditContext& context) const
-{
-    for (const auto& [pass_name, fn] : passes_) {
-        if (pass_name == name) {
-            AuditReport report;
-            report.BeginPass(pass_name);
-            fn(context, report);
-            return report;
-        }
-    }
-    Fatal("InvariantChecker: no pass named '" + name + "'");
-}
-
-InvariantChecker
-InvariantChecker::WithBuiltinPasses()
-{
-    InvariantChecker checker;
-    checker.Register(kPassCacheResident, CheckCacheResidency);
-    checker.Register(kPassCachePteDirty, CheckCacheDirtyCoherence);
-    checker.Register(kPassProtectionEmulation, CheckProtectionEmulation);
-    checker.Register(kPassFrameTable, CheckFrameResidency);
-    checker.Register(kPassFrameFreeList, CheckFrameFreeList);
-    checker.Register(kPassBackingStore, CheckBackingStoreCounts);
-    checker.Register(kPassRefFlush, CheckRefFlushHygiene);
-    checker.Register(kPassMpCoherency, CheckMpCoherency);
-    return checker;
-}
-
-const InvariantChecker&
-InvariantChecker::Default()
-{
-    static const InvariantChecker checker = WithBuiltinPasses();
-    return checker;
 }
 
 }  // namespace spur::check

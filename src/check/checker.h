@@ -1,7 +1,7 @@
 /**
  * @file
- * The InvariantChecker: a registry of audit passes that cross-validate
- * simulator state against the paper's state-machine invariants.
+ * The audit entry point: RunAllPasses cross-validates simulator state
+ * against the paper's state-machine invariants.
  *
  * A *pass* is a named function over an AuditContext — a read-only view of
  * one machine's caches, page table, frame table, backing store and policy
@@ -9,16 +9,13 @@
  * mutate state and never terminate the process themselves (the caller
  * decides, via AuditReport::RaiseIfFailed, whether a violation is fatal).
  *
- * The default checker (InvariantChecker::Default()) carries every built-in
- * pass from invariants.h.  Tests register bespoke passes on private
- * checker instances; the audit hooks in core/ and runner/ use the default.
+ * RunAllPasses runs every pass in invariants.h in a fixed order; tests
+ * call a single pass directly after report.BeginPass(name).
  */
 #ifndef SPUR_CHECK_CHECKER_H_
 #define SPUR_CHECK_CHECKER_H_
 
-#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/cache/cache.h"
@@ -56,39 +53,11 @@ struct AuditContext {
     std::string PolicyLabel() const;
 };
 
-/** A registry of named audit passes, run together over one context. */
-class InvariantChecker
-{
-  public:
-    using Pass = std::function<void(const AuditContext&, AuditReport&)>;
-
-    InvariantChecker() = default;
-
-    /** Registers @p pass under @p name (names must be unique). */
-    void Register(std::string name, Pass pass);
-
-    /** Number of registered passes. */
-    size_t NumPasses() const { return passes_.size(); }
-
-    /** Registered pass names, in registration order. */
-    std::vector<std::string> PassNames() const;
-
-    /** Runs every registered pass over @p context. */
-    AuditReport Run(const AuditContext& context) const;
-
-    /** Runs only the pass named @p name (fatal when unknown). */
-    AuditReport RunOne(const std::string& name,
-                       const AuditContext& context) const;
-
-    /** A fresh checker holding every built-in pass (invariants.h). */
-    static InvariantChecker WithBuiltinPasses();
-
-    /** The shared default checker used by the audit hooks. */
-    static const InvariantChecker& Default();
-
-  private:
-    std::vector<std::pair<std::string, Pass>> passes_;
-};
+/**
+ * Runs the eight passes of invariants.h over @p context, each under
+ * report.BeginPass(name), in the order of that file's pass table.
+ */
+AuditReport RunAllPasses(const AuditContext& context);
 
 }  // namespace spur::check
 

@@ -4,7 +4,7 @@
  *
  * An audit pass inspects simulator state and records a Violation for every
  * property it finds broken.  Violations always name the *invariant* (the
- * registered pass name), the *policy pair* the machine was running, and,
+ * pass name), the *policy pair* the machine was running, and,
  * where one is involved, the *page* — so a report line is actionable
  * without a debugger: "which rule, on which page, under which policy".
  */
@@ -34,7 +34,7 @@ const char* ToString(Severity severity);
 
 /** One broken invariant instance. */
 struct Violation {
-    std::string invariant;  ///< Registered pass name ("cache-pte-dirty").
+    std::string invariant;  ///< Pass name ("cache-pte-dirty").
     Severity severity = Severity::kError;
     std::string policy;     ///< Policy pair, e.g. "FAULT/MISS".
     GlobalVpn vpn = kNoPage; ///< Page involved, kNoPage when not page-level.

@@ -2,27 +2,15 @@
  * @file
  * Capability-annotated synchronization primitives (DESIGN.md §13).
  *
- * Thin wrappers over <mutex> / <condition_variable> that carry the
- * Clang Thread Safety Analysis attributes — libstdc++'s std::mutex is
- * not a capability type, so GUARDED_BY declarations must name one of
- * these instead.  Zero overhead: every member is an inline forward to
- * the standard primitive, and the annotations vanish entirely on GCC.
- *
- * Condition waits deliberately have no predicate overload: a predicate
- * lambda is a separate function to the analysis and would need its own
- * REQUIRES annotation, which lambdas cannot carry portably.  Callers
- * write the standard wait loop instead, which the analysis checks
- * end to end:
- *
- *   MutexLock lock(mutex_);
- *   while (!ready_condition) {   // guarded reads, provably locked
- *       cv_.Wait(mutex_);
- *   }
+ * Thin wrappers over <mutex> that carry the Clang Thread Safety
+ * Analysis attributes — libstdc++'s std::mutex is not a capability type,
+ * so GUARDED_BY declarations must name one of these instead.  Zero
+ * overhead: every member is an inline forward to the standard
+ * primitive, and the annotations vanish entirely on GCC.
  */
 #ifndef SPUR_COMMON_MUTEX_H_
 #define SPUR_COMMON_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #include "src/common/thread_annotations.h"
@@ -39,11 +27,6 @@ class SPUR_CAPABILITY("mutex") Mutex
 
     void Lock() SPUR_ACQUIRE() { mutex_.lock(); }
     void Unlock() SPUR_RELEASE() { mutex_.unlock(); }
-
-    // BasicLockable spelling so CondVar (condition_variable_any) can
-    // release and reacquire the mutex around a wait.
-    void lock() SPUR_ACQUIRE() { mutex_.lock(); }
-    void unlock() SPUR_RELEASE() { mutex_.unlock(); }
 
   private:
     std::mutex mutex_;
@@ -66,28 +49,6 @@ class SPUR_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex& mutex_;
-};
-
-/** Condition variable waiting on a Mutex (see the file comment). */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar&) = delete;
-    CondVar& operator=(const CondVar&) = delete;
-
-    /**
-     * Atomically releases @p mutex and blocks until notified; holds
-     * @p mutex again on return.  Spurious wakeups happen — always call
-     * from a while loop re-checking the guarded condition.
-     */
-    void Wait(Mutex& mutex) SPUR_REQUIRES(mutex) { cv_.wait(mutex); }
-
-    void NotifyOne() { cv_.notify_one(); }
-    void NotifyAll() { cv_.notify_all(); }
-
-  private:
-    std::condition_variable_any cv_;
 };
 
 }  // namespace spur

@@ -12,7 +12,7 @@
  *
  * The attributes only understand capability types, and libstdc++'s
  * std::mutex is not one, so annotated code locks through the
- * spur::Mutex / spur::MutexLock / spur::CondVar wrappers in
+ * spur::Mutex / spur::MutexLock wrappers in
  * src/common/mutex.h rather than <mutex> primitives directly.
  *
  * tests/thread_safety_fail.cc is a deliberately mis-locked translation

@@ -135,7 +135,7 @@ Kernel::Audit() const
     context.events = &events_;
     context.dirty = dirty_->kind();
     context.ref = ref_->kind();
-    return check::InvariantChecker::Default().Run(context);
+    return check::RunAllPasses(context);
 }
 
 }  // namespace spur::core

@@ -171,7 +171,7 @@ class Kernel
     }
 
     /**
-     * Runs every registered invariant pass (src/check/) over the
+     * Runs every invariant pass (check::RunAllPasses) over the
      * machine; several caches additionally arm the cross-cache Berkeley
      * Ownership audit.  Audit builds (SPUR_AUDIT=ON) invoke it at every
      * context switch and, through CountAccessForAudit(), every

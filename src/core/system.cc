@@ -3,15 +3,35 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 
+#include "src/common/log.h"
 #include "src/policy/policy_ops.h"
+#include "src/pt/segment_map.h"
 
 namespace spur::core {
+
+namespace {
+
+/** Rejects a cache larger than one segment, where the batch loop's
+ *  index-from-process-address trick would be unsound. */
+const sim::MachineConfig&
+WithinOneSegment(const sim::MachineConfig& config)
+{
+    if (config.cache_bytes > pt::kSegmentBytes) {
+        Fatal("SpurSystem: cache_bytes " +
+              std::to_string(config.cache_bytes) +
+              " exceeds one segment (1 GiB)");
+    }
+    return config;
+}
+
+}  // namespace
 
 SpurSystem::SpurSystem(const sim::MachineConfig& config,
                        policy::DirtyPolicyKind dirty,
                        policy::RefPolicyKind ref)
-    : vcache_(config),
+    : vcache_(WithinOneSegment(config)),
       kernel_(config, vcache_, dirty, ref),
       xlate_(vcache_, kernel_.page_table(), kernel_.config())
 {
@@ -126,13 +146,6 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
         for (size_t i = 0; i < n; ++i) {
             AccessImpl<D, R>(refs[i]);
         }
-    } else if (kernel_.config().cache_bytes > pt::kSegmentBytes) {
-        // Exotic configuration (cache larger than a segment): the
-        // index-from-process-address trick below is unsound, so keep the
-        // plain per-reference loop.
-        for (size_t i = 0; i < n; ++i) {
-            AccessImpl<D, R>(refs[i]);
-        }
     } else {
         // Every event add is a plain commutative counter increment and
         // nothing can see the machine between the batch's references, so
@@ -175,11 +188,12 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
         static constexpr uint64_t kTypeOne[] = {
             1, uint64_t{1} << kTypeBits, uint64_t{1} << (2 * kTypeBits)};
         size_t misses = 0;
-        // The cache indexes entirely below the segment shift (checked
-        // above), so a tag is the global segment's bits above the
-        // in-segment offset's.  segbase[r] is register r's segment in
-        // tag position less r's own, so that adding the process
-        // address's tag bits (register number included) gives the tag.
+        // The cache indexes entirely below the segment shift (the
+        // constructor rejects larger caches), so a tag is the global
+        // segment's bits above the in-segment offset's.  segbase[r] is
+        // register r's segment in tag position less r's own, so that
+        // adding the process address's tag bits (register number
+        // included) gives the tag.
         // Reloaded when the pid changes (a batch is one scheduling
         // quantum: one process); the global address itself is formed
         // only off the fast path.

@@ -263,13 +263,12 @@ Linter::Analyze() const
         }
     }
     for (const auto& [rule, sites] : live_by_rule) {
-        const size_t budget = RuleBudget(rule);
-        for (size_t i = budget; i < sites.size(); ++i) {
+        for (size_t i = kAllowBudget; i < sites.size(); ++i) {
             report.violations.push_back(
                 {sites[i]->file, sites[i]->line, kAllowBudgetRule,
                  "suppression site " + std::to_string(i + 1) + " of rule "
                  "'" + rule + "' exceeds its tree-wide budget of " +
-                     std::to_string(budget) +
+                     std::to_string(kAllowBudget) +
                      "; widen the rule's whitelist instead of "
                      "accumulating markers"});
         }

@@ -66,13 +66,13 @@ struct RuleInfo {
 std::vector<RuleInfo> Rules();
 
 /**
- * The tree-wide suppression budget of @p rule: how many live
+ * The tree-wide suppression budget of every rule: how many live
  * spur-lint: allow(rule) sites the tree may carry before each further
  * site becomes an allow-budget violation.  A budget keeps suppression
  * the exception: when legitimate sites accumulate, the rule's
  * whitelist is wrong and should be widened instead.
  */
-size_t RuleBudget(const std::string& rule);
+inline constexpr size_t kAllowBudget = 2;
 
 /** One spur-lint: allow(...) marker found in the tree. */
 struct AllowSite {

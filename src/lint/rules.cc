@@ -274,17 +274,6 @@ Rules()
     return rules;
 }
 
-size_t
-RuleBudget(const std::string& rule)
-{
-    // Budgets match the real tree's audited inventory plus zero slack:
-    // a new suppression site is a conscious, reviewed decision.
-    if (rule == "no-raw-meta-bits") {
-        return 3;  // The DMA/page-out fast paths in src/core/system.cc.
-    }
-    return 2;
-}
-
 FileScan
 ScanSourceFile(const std::string& path, const std::string& content)
 {

@@ -1,30 +1,21 @@
 #include "src/runner/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <thread>
 #include <utility>
 
 #include "src/check/audit.h"
 #include "src/audit/dominance.h"
-#include "src/common/mutex.h"
 #include "src/common/random.h"
-#include "src/common/thread_annotations.h"
-#include "src/runner/thread_pool.h"
 
 namespace spur::runner {
 
 namespace {
 
-/** Resolves a user-facing job count (0 = default) against the work size. */
-unsigned
-EffectiveJobs(unsigned jobs, size_t count)
-{
-    if (jobs == 0) {
-        jobs = DefaultJobs();
-    }
-    return static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(count, 1)));
-}
+/** Seed of MatrixOrder's shuffle; fixed, so the run order is too. */
+constexpr uint64_t kMatrixShuffleSeed = 42;
 
 /**
  * Post-matrix audit (audit builds only): once every cell of the grid has
@@ -55,7 +46,7 @@ CellSeed(uint64_t config_seed, uint32_t rep)
 }
 
 std::vector<CellId>
-MatrixOrder(size_t num_configs, uint32_t reps, uint64_t shuffle_seed)
+MatrixOrder(size_t num_configs, uint32_t reps)
 {
     std::vector<CellId> cells;
     cells.reserve(num_configs * reps);
@@ -64,58 +55,52 @@ MatrixOrder(size_t num_configs, uint32_t reps, uint64_t shuffle_seed)
             cells.push_back(CellId{i, r});
         }
     }
-    Rng rng(shuffle_seed);
+    Rng rng(kMatrixShuffleSeed);
     for (size_t i = cells.size(); i > 1; --i) {
         std::swap(cells[i - 1], cells[rng.NextBelow(i)]);
     }
     return cells;
 }
 
+unsigned
+HardwareJobs()
+{
+    const unsigned n = std::thread::hardware_concurrency();
+    return (n > 0) ? n : 1;
+}
+
 void
 ParallelFor(size_t count, unsigned jobs,
             const std::function<void(size_t)>& fn)
 {
-    if (count == 0) {
-        return;
+    if (jobs == 0) {
+        jobs = HardwareJobs();
     }
-    jobs = EffectiveJobs(jobs, count);
+    // Every thread claims the next unclaimed index from one cursor; each
+    // index owns its error slot, and the join publishes the slots (and
+    // whatever fn wrote) to this thread.
     std::vector<std::exception_ptr> errors(count);
-    if (jobs <= 1) {
-        for (size_t i = 0; i < count; ++i) {
+    std::atomic<size_t> cursor{0};
+    const auto drain = [&] {
+        for (size_t i = cursor++; i < count; i = cursor++) {
             try {
                 fn(i);
             } catch (...) {
                 errors[i] = std::current_exception();
             }
         }
+    };
+    const size_t threads = std::min<size_t>(jobs, count);
+    if (threads <= 1) {
+        drain();
     } else {
-        // Completion gate shared with the workers; the counter's guard
-        // is machine-checked via the annotation (DESIGN.md §13).
-        struct Gate {
-            Mutex mutex;
-            CondVar all_done;
-            size_t finished SPUR_GUARDED_BY(mutex) = 0;
-        } gate;
-        ThreadPool pool(jobs);
-        for (size_t i = 0; i < count; ++i) {
-            pool.Submit([&, i] {
-                try {
-                    fn(i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-                {
-                    MutexLock lock(gate.mutex);
-                    ++gate.finished;
-                }
-                gate.all_done.NotifyOne();
-            });
-        }
-        {
-            MutexLock lock(gate.mutex);
-            while (gate.finished != count) {
-                gate.all_done.Wait(gate.mutex);
-            }
+        // A jthread joins when destroyed, so the threads already started
+        // finish before an exception from starting the next one unwinds
+        // past cursor, errors and fn.
+        std::vector<std::jthread> workers;
+        workers.reserve(threads);
+        for (size_t t = 0; t < threads; ++t) {
+            workers.emplace_back(drain);
         }
     }
     for (const std::exception_ptr& error : errors) {
@@ -127,10 +112,9 @@ ParallelFor(size_t count, unsigned jobs,
 
 std::vector<std::vector<core::RunResult>>
 RunMatrix(const std::vector<core::RunConfig>& configs, uint32_t reps,
-          uint64_t shuffle_seed, unsigned jobs)
+          unsigned jobs)
 {
-    const std::vector<CellId> cells =
-        MatrixOrder(configs.size(), reps, shuffle_seed);
+    const std::vector<CellId> cells = MatrixOrder(configs.size(), reps);
     std::vector<std::vector<core::RunResult>> results(
         configs.size(), std::vector<core::RunResult>(reps));
     // One error slot per cell in (config, rep) order, so the rethrow

@@ -36,18 +36,22 @@ uint64_t CellSeed(uint64_t config_seed, uint32_t rep);
 
 /**
  * The shuffled (config, rep) execution order of the paper's Section 4.2
- * randomized experiment design.  Depends only on the matrix shape and
- * @p shuffle_seed, never on the job count.
+ * randomized experiment design: a Fisher-Yates pass under a fixed
+ * seed.  Depends only on the matrix shape, never on the job count.
  */
-std::vector<CellId> MatrixOrder(size_t num_configs, uint32_t reps,
-                                uint64_t shuffle_seed);
+std::vector<CellId> MatrixOrder(size_t num_configs, uint32_t reps);
+
+/** Threads to use when the caller passes jobs = 0: hardware concurrency
+ *  (never 0). */
+unsigned HardwareJobs();
 
 /**
- * Runs @p fn(i) for every i in [0, count) on up to @p jobs threads
- * (0 = DefaultJobs()).  Blocks until every index has finished.  If one
- * or more calls throw, the remaining indices still execute (the pool is
- * never abandoned mid-queue) and the first exception in index order is
- * rethrown on the calling thread.
+ * Runs @p fn(i) for every i in [0, count) on min(jobs, count) threads
+ * (0 = HardwareJobs(); 1 = inline on the calling thread), which take
+ * indices from one shared cursor.  Blocks until every index has
+ * finished.  If one or more calls throw, the remaining indices still
+ * execute and the first exception in index order is rethrown on the
+ * calling thread.
  */
 void ParallelFor(size_t count, unsigned jobs,
                  const std::function<void(size_t)>& fn);
@@ -56,7 +60,7 @@ void ParallelFor(size_t count, unsigned jobs,
  * The parallel equivalent of the sequential experiment matrix: executes
  * every (config, rep) cell in the shuffled order of the paper's
  * randomized design, spreading cells over @p jobs worker threads
- * (0 = DefaultJobs(), 1 = run inline).  result[i][r] is repetition r of
+ * (0 = HardwareJobs(), 1 = run inline).  result[i][r] is repetition r of
  * configs[i], run at seed CellSeed(configs[i].seed, r), bit-identical
  * for every job count.  Every cell runs even if some throw; the error
  * of the failed cell with the lowest (config, rep) is then rethrown,
@@ -64,7 +68,7 @@ void ParallelFor(size_t count, unsigned jobs,
  */
 std::vector<std::vector<core::RunResult>> RunMatrix(
     const std::vector<core::RunConfig>& configs, uint32_t reps,
-    uint64_t shuffle_seed = 42, unsigned jobs = 0);
+    unsigned jobs = 0);
 
 /**
  * Runs each config exactly once with its seed used verbatim (the

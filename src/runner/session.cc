@@ -5,7 +5,6 @@
 #include "src/common/log.h"
 #include "src/common/mutex.h"
 #include "src/runner/runner.h"
-#include "src/runner/thread_pool.h"
 
 namespace spur::runner {
 
@@ -16,8 +15,6 @@ BenchSession::BenchSession(std::string bench_name, const Args& args)
     const int64_t requested = args.GetInt("jobs", 0);
     jobs_ = (requested > 0) ? static_cast<unsigned>(requested)
                             : HardwareJobs();
-    // Library-level callers (runner::RunMatrix) inherit the flag too.
-    SetDefaultJobs(jobs_);
 
     for (const char* removed : {"shard", "stream", "resume"}) {
         if (args.Has(removed)) {
@@ -65,10 +62,9 @@ BenchSession::WithTraceHooks(
 
 std::vector<std::vector<core::RunResult>>
 BenchSession::RunMatrix(const std::vector<core::RunConfig>& configs,
-                        uint32_t reps, uint64_t shuffle_seed)
+                        uint32_t reps)
 {
-    auto results = runner::RunMatrix(WithTraceHooks(configs), reps,
-                                     shuffle_seed, jobs_);
+    auto results = runner::RunMatrix(WithTraceHooks(configs), reps, jobs_);
     for (size_t i = 0; i < configs.size(); ++i) {
         core::RunConfig cell = configs[i];
         for (uint32_t rep = 0; rep < reps; ++rep) {

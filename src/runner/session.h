@@ -4,8 +4,8 @@
  * replacing the per-binary hand-rolled loops:
  *
  *   --jobs=N      worker threads for experiment runs (default: hardware
- *                 concurrency); installed process-wide so
- *                 runner::RunMatrix callers inherit it.
+ *                 concurrency); read back with jobs() by benches with
+ *                 their own runner::ParallelFor loops.
  *   --json=F      write every run this session observed to F as JSON
  *                 run records ("-" = stdout) for the perf trajectory.
  *   --record-trace=F
@@ -56,10 +56,9 @@ class BenchSession
 {
   public:
     /**
-     * Reads the standard flags from @p args and installs the job count
-     * as the process-wide default (SetDefaultJobs).  A removed flag
-     * (--shard, --stream, --resume), both trace flags at once, or an
-     * unusable trace file is a Fatal() user error.
+     * Reads the standard flags from @p args.  A removed flag (--shard,
+     * --stream, --resume), both trace flags at once, or an unusable
+     * trace file is a Fatal() user error.
      */
     BenchSession(std::string bench_name, const Args& args);
 
@@ -73,8 +72,7 @@ class BenchSession
      * at any --jobs.
      */
     std::vector<std::vector<core::RunResult>> RunMatrix(
-        const std::vector<core::RunConfig>& configs, uint32_t reps,
-        uint64_t shuffle_seed = 42);
+        const std::vector<core::RunConfig>& configs, uint32_t reps);
 
     /**
      * Runs each config exactly once (seed verbatim) in parallel and

@@ -111,15 +111,6 @@ JsonWriter::ToJson(const DocumentMeta& meta,
     return out;
 }
 
-std::string
-JsonWriter::ToJson(const std::string& bench,
-                   const std::vector<RunRecord>& records)
-{
-    DocumentMeta meta;
-    meta.bench = bench;
-    return ToJson(meta, records);
-}
-
 bool
 JsonWriter::WriteFile(const std::string& path, const DocumentMeta& meta,
                       const std::vector<RunRecord>& records)
@@ -136,15 +127,6 @@ JsonWriter::WriteFile(const std::string& path, const DocumentMeta& meta,
     const bool ok = std::fwrite(document.data(), 1, document.size(),
                                 file) == document.size();
     return (std::fclose(file) == 0) && ok;
-}
-
-bool
-JsonWriter::WriteFile(const std::string& path, const std::string& bench,
-                      const std::vector<RunRecord>& records)
-{
-    DocumentMeta meta;
-    meta.bench = bench;
-    return WriteFile(path, meta, records);
 }
 
 }  // namespace spur::stats

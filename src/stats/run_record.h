@@ -78,19 +78,11 @@ class JsonWriter
     static std::string ToJson(const DocumentMeta& meta,
                               const std::vector<RunRecord>& records);
 
-    /** Convenience overload: a document with no cell count. */
-    static std::string ToJson(const std::string& bench,
-                              const std::vector<RunRecord>& records);
-
     /**
      * Writes the document to @p path ("-" = stdout).  Returns false on
      * I/O failure.
      */
     static bool WriteFile(const std::string& path, const DocumentMeta& meta,
-                          const std::vector<RunRecord>& records);
-
-    /** Convenience overload: a document with no cell count. */
-    static bool WriteFile(const std::string& path, const std::string& bench,
                           const std::vector<RunRecord>& records);
 };
 

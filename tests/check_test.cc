@@ -59,6 +59,25 @@ using policy::DirtyPolicyKind;
 using policy::RefPolicyKind;
 using workload::kHeapBase;
 
+/** The pass names RunAllPasses begins, in its order. */
+const std::vector<std::string> kAllPasses = {
+    kPassCacheResident, kPassCachePteDirty, kPassProtectionEmulation,
+    kPassFrameTable,    kPassFrameFreeList, kPassBackingStore,
+    kPassRefFlush,      kPassMpCoherency,
+};
+
+/** Runs the single pass @p check under @p name; returns its violations. */
+size_t
+CountFires(const char* name,
+           void (*check)(const AuditContext&, AuditReport&),
+           const AuditContext& context)
+{
+    AuditReport report;
+    report.BeginPass(name);
+    check(context, report);
+    return report.CountFor(name);
+}
+
 // ---------------------------------------------------------------------------
 // Hand-built state: one cache, page table, frame table, backing store.
 // ---------------------------------------------------------------------------
@@ -110,12 +129,11 @@ class PassTest : public testing::Test
                             nullptr);
     }
 
-    /** Runs one named pass and returns its violation count. */
-    size_t Fires(const char* pass) const
+    /** Runs one pass over the fixture's state; returns its violations. */
+    size_t Fires(const char* name,
+                 void (*check)(const AuditContext&, AuditReport&)) const
     {
-        return InvariantChecker::Default()
-            .RunOne(pass, context_)
-            .CountFor(pass);
+        return CountFires(name, check, context_);
     }
 
     sim::MachineConfig config_;
@@ -137,36 +155,35 @@ TEST_F(PassTest, HealthyStateIsSilentUnderEveryPass)
     cache::LineRef line = CacheBlock(101, dirty);
     cache::VirtualCache::MarkWritten(line);
 
-    const AuditReport report = InvariantChecker::Default().Run(context_);
+    const AuditReport report = RunAllPasses(context_);
     EXPECT_TRUE(report.ok());
     EXPECT_TRUE(report.violations().empty()) << report.Summary();
-    EXPECT_EQ(report.passes().size(),
-              InvariantChecker::Default().NumPasses());
+    EXPECT_EQ(report.passes(), kAllPasses);
 }
 
 TEST_F(PassTest, CacheResidentFiresOnBlockOfNonResidentPage)
 {
     const pt::Pte& pte = MakeResident(100);
     CacheBlock(100, pte);
-    EXPECT_EQ(Fires(kPassCacheResident), 0u);
+    EXPECT_EQ(Fires(kPassCacheResident, CheckCacheResidency), 0u);
 
     // Cache a block of page 200, whose PTE is invalid (never mapped).
     vcache_.Fill(AddrOf(200), Protection::kReadOnly, false, nullptr);
-    EXPECT_EQ(Fires(kPassCacheResident), 1u);
-    EXPECT_FALSE(InvariantChecker::Default().Run(context_).ok());
+    EXPECT_EQ(Fires(kPassCacheResident, CheckCacheResidency), 1u);
+    EXPECT_FALSE(RunAllPasses(context_).ok());
 }
 
 TEST_F(PassTest, CachePteDirtyFiresWhenCachedPRunsAheadOfD)
 {
     pt::Pte& pte = MakeResident(100, Protection::kReadWrite);
     cache::LineRef line = CacheBlock(100, pte);
-    EXPECT_EQ(Fires(kPassCachePteDirty), 0u);
+    EXPECT_EQ(Fires(kPassCachePteDirty, CheckCacheDirtyCoherence), 0u);
 
     line.set_page_dirty(true);  // P set while the PTE's D bit is clear.
-    EXPECT_EQ(Fires(kPassCachePteDirty), 1u);
+    EXPECT_EQ(Fires(kPassCachePteDirty, CheckCacheDirtyCoherence), 1u);
 
     pte.set_dirty(true);  // Recording the write repairs the invariant.
-    EXPECT_EQ(Fires(kPassCachePteDirty), 0u);
+    EXPECT_EQ(Fires(kPassCachePteDirty, CheckCacheDirtyCoherence), 0u);
 }
 
 TEST_F(PassTest, CachePteDirtyFiresOnUnrecordedBlockWrite)
@@ -177,15 +194,15 @@ TEST_F(PassTest, CachePteDirtyFiresOnUnrecordedBlockWrite)
 
     // SPUR's notion of "recorded" is the hardware D bit...
     context_.dirty = DirtyPolicyKind::kSpur;
-    EXPECT_EQ(Fires(kPassCachePteDirty), 1u);
+    EXPECT_EQ(Fires(kPassCachePteDirty, CheckCacheDirtyCoherence), 1u);
     // ...FAULT's is the software dirty bit, so D alone does not help...
     context_.dirty = DirtyPolicyKind::kFault;
-    EXPECT_EQ(Fires(kPassCachePteDirty), 1u);
+    EXPECT_EQ(Fires(kPassCachePteDirty, CheckCacheDirtyCoherence), 1u);
     pte.set_dirty(true);
-    EXPECT_EQ(Fires(kPassCachePteDirty), 1u);
+    EXPECT_EQ(Fires(kPassCachePteDirty, CheckCacheDirtyCoherence), 1u);
     // ...but the software bit does.
     pte.set_soft_dirty(true);
-    EXPECT_EQ(Fires(kPassCachePteDirty), 0u);
+    EXPECT_EQ(Fires(kPassCachePteDirty, CheckCacheDirtyCoherence), 0u);
 }
 
 TEST_F(PassTest, ProtectionEmulationFiresOnWritableCleanPage)
@@ -195,24 +212,24 @@ TEST_F(PassTest, ProtectionEmulationFiresOnWritableCleanPage)
 
     // Under a hardware-dirty-bit policy this state is legal...
     context_.dirty = DirtyPolicyKind::kSpur;
-    EXPECT_EQ(Fires(kPassProtectionEmulation), 0u);
+    EXPECT_EQ(Fires(kPassProtectionEmulation, CheckProtectionEmulation), 0u);
     // ...under the emulating policies the first write would be missed.
     for (const DirtyPolicyKind kind :
          {DirtyPolicyKind::kFault, DirtyPolicyKind::kFlush,
           DirtyPolicyKind::kSpurProt}) {
         context_.dirty = kind;
-        EXPECT_EQ(Fires(kPassProtectionEmulation), 1u)
+        EXPECT_EQ(Fires(kPassProtectionEmulation, CheckProtectionEmulation), 1u)
             << policy::ToString(kind);
     }
 
     // The emulation contract: clean writable pages are mapped read-only.
     context_.dirty = DirtyPolicyKind::kFault;
     pte.set_protection(Protection::kReadOnly);
-    EXPECT_EQ(Fires(kPassProtectionEmulation), 0u);
+    EXPECT_EQ(Fires(kPassProtectionEmulation, CheckProtectionEmulation), 0u);
     // Taking the dirty fault upgrades protection and sets the soft bit.
     pte.set_soft_dirty(true);
     pte.set_protection(Protection::kReadWrite);
-    EXPECT_EQ(Fires(kPassProtectionEmulation), 0u);
+    EXPECT_EQ(Fires(kPassProtectionEmulation, CheckProtectionEmulation), 0u);
 }
 
 TEST_F(PassTest, ProtectionEmulationFiresOnStaleCachedProtection)
@@ -221,12 +238,12 @@ TEST_F(PassTest, ProtectionEmulationFiresOnStaleCachedProtection)
     pt::Pte& pte = MakeResident(100, Protection::kReadOnly);
     pte.set_writable_intent(true);
     CacheBlock(100, pte);
-    EXPECT_EQ(Fires(kPassProtectionEmulation), 0u);
+    EXPECT_EQ(Fires(kPassProtectionEmulation, CheckProtectionEmulation), 0u);
 
     // A cached read-write PR while the PTE still says read-only means a
     // write would hit without faulting — the emulation's blind spot.
     vcache_.Lookup(AddrOf(100)).set_prot(Protection::kReadWrite);
-    EXPECT_EQ(Fires(kPassProtectionEmulation), 1u);
+    EXPECT_EQ(Fires(kPassProtectionEmulation, CheckProtectionEmulation), 1u);
 }
 
 TEST_F(PassTest, FrameTableFiresOnBoundFrameWithoutValidPte)
@@ -234,15 +251,15 @@ TEST_F(PassTest, FrameTableFiresOnBoundFrameWithoutValidPte)
     const FrameNum frame = frames_.Allocate();
     frames_.Bind(frame, 300);  // Page 300 never got a valid PTE.
     table_.Ensure(300);        // Materialized but invalid.
-    EXPECT_GE(Fires(kPassFrameTable), 1u);
+    EXPECT_GE(Fires(kPassFrameTable, CheckFrameResidency), 1u);
 }
 
 TEST_F(PassTest, FrameTableFiresOnPfnMismatch)
 {
     pt::Pte& pte = MakeResident(100);
-    EXPECT_EQ(Fires(kPassFrameTable), 0u);
+    EXPECT_EQ(Fires(kPassFrameTable, CheckFrameResidency), 0u);
     pte.set_pfn(pte.pfn() + 1);  // PTE now points at the wrong frame.
-    EXPECT_GE(Fires(kPassFrameTable), 1u);
+    EXPECT_GE(Fires(kPassFrameTable, CheckFrameResidency), 1u);
 }
 
 TEST_F(PassTest, FrameTableFiresOnOutOfRangePfn)
@@ -250,7 +267,7 @@ TEST_F(PassTest, FrameTableFiresOnOutOfRangePfn)
     pt::Pte& pte = table_.Ensure(500);
     pte.set_valid(true);
     pte.set_pfn(4000);  // Far beyond the 32-frame machine.
-    EXPECT_EQ(Fires(kPassFrameTable), 1u);
+    EXPECT_EQ(Fires(kPassFrameTable, CheckFrameResidency), 1u);
 }
 
 TEST_F(PassTest, FrameTableFiresOnDoubleBinding)
@@ -258,18 +275,18 @@ TEST_F(PassTest, FrameTableFiresOnDoubleBinding)
     MakeResident(100);
     const FrameNum second = frames_.Allocate();
     frames_.Bind(second, 100);  // Two frames now claim page 100.
-    EXPECT_GE(Fires(kPassFrameTable), 1u);
+    EXPECT_GE(Fires(kPassFrameTable, CheckFrameResidency), 1u);
 }
 
 TEST_F(PassTest, FrameFreeListFiresOnInjectedCorruption)
 {
     using Access = mem::FrameTableTestAccess;
-    EXPECT_EQ(Fires(kPassFrameFreeList), 0u);
+    EXPECT_EQ(Fires(kPassFrameFreeList, CheckFrameFreeList), 0u);
 
     // Leaked: silently drop a frame from the free list — now neither
     // free nor allocated.
     Access::FreeList(frames_).pop_back();
-    EXPECT_EQ(Fires(kPassFrameFreeList), 1u);
+    EXPECT_EQ(Fires(kPassFrameFreeList, CheckFrameFreeList), 1u);
 }
 
 TEST_F(PassTest, FrameFreeListFiresOnEachCorruptionKind)
@@ -282,9 +299,7 @@ TEST_F(PassTest, FrameFreeListFiresOnEachCorruptionKind)
         context.frames = &frames;
         // Free frame marked allocated: "both free and allocated".
         Access::SetAllocated(frames, Access::FreeList(frames).back(), true);
-        EXPECT_EQ(InvariantChecker::Default()
-                      .RunOne(kPassFrameFreeList, context)
-                      .CountFor(kPassFrameFreeList),
+        EXPECT_EQ(CountFires(kPassFrameFreeList, CheckFrameFreeList, context),
                   1u);
     }
     {
@@ -293,9 +308,7 @@ TEST_F(PassTest, FrameFreeListFiresOnEachCorruptionKind)
         context.frames = &frames;
         // Free frame still bound to a page.
         Access::SetVpn(frames, Access::FreeList(frames).back(), 42);
-        EXPECT_EQ(InvariantChecker::Default()
-                      .RunOne(kPassFrameFreeList, context)
-                      .CountFor(kPassFrameFreeList),
+        EXPECT_EQ(CountFires(kPassFrameFreeList, CheckFrameFreeList, context),
                   1u);
     }
     {
@@ -305,9 +318,7 @@ TEST_F(PassTest, FrameFreeListFiresOnEachCorruptionKind)
         // The same frame listed free twice.
         Access::FreeList(frames).push_back(
             Access::FreeList(frames).front());
-        EXPECT_EQ(InvariantChecker::Default()
-                      .RunOne(kPassFrameFreeList, context)
-                      .CountFor(kPassFrameFreeList),
+        EXPECT_EQ(CountFires(kPassFrameFreeList, CheckFrameFreeList, context),
                   1u);
     }
     {
@@ -316,9 +327,7 @@ TEST_F(PassTest, FrameFreeListFiresOnEachCorruptionKind)
         context.frames = &frames;
         // An out-of-range frame number on the free list.
         Access::FreeList(frames).push_back(999);
-        EXPECT_EQ(InvariantChecker::Default()
-                      .RunOne(kPassFrameFreeList, context)
-                      .CountFor(kPassFrameFreeList),
+        EXPECT_EQ(CountFires(kPassFrameFreeList, CheckFrameFreeList, context),
                   1u);
     }
 }
@@ -330,15 +339,15 @@ TEST_F(PassTest, BackingStoreFiresOnCounterMismatch)
     events_.Add(sim::Event::kPageOutDirty);
     store_.PageIn(100);
     events_.Add(sim::Event::kPageIn);
-    EXPECT_EQ(Fires(kPassBackingStore), 0u);
+    EXPECT_EQ(Fires(kPassBackingStore, CheckBackingStoreCounts), 0u);
 
     // A page-in event with no corresponding store read.
     events_.Add(sim::Event::kPageIn);
-    EXPECT_EQ(Fires(kPassBackingStore), 1u);
+    EXPECT_EQ(Fires(kPassBackingStore, CheckBackingStoreCounts), 1u);
 
     // Both directions wrong: two violations.
     events_.Add(sim::Event::kPageOutDirty);
-    EXPECT_EQ(Fires(kPassBackingStore), 2u);
+    EXPECT_EQ(Fires(kPassBackingStore, CheckBackingStoreCounts), 2u);
 }
 
 TEST_F(PassTest, RefFlushFiresOnResidentBlockOfClearedPage)
@@ -346,18 +355,19 @@ TEST_F(PassTest, RefFlushFiresOnResidentBlockOfClearedPage)
     context_.ref = RefPolicyKind::kRef;
     pt::Pte& pte = MakeResident(100);
     CacheBlock(100, pte);
-    EXPECT_EQ(Fires(kPassRefFlush), 0u);  // R is set: fine.
+    // R is set: fine.
+    EXPECT_EQ(Fires(kPassRefFlush, CheckRefFlushHygiene), 0u);
 
     // Clearing R without flushing breaks REF's contract (Section 4): the
     // next reference would hit in the cache and never re-set the bit.
     pte.set_referenced(false);
-    EXPECT_EQ(Fires(kPassRefFlush), 1u);
+    EXPECT_EQ(Fires(kPassRefFlush, CheckRefFlushHygiene), 1u);
 
     // MISS and NOREF make no flush promise, so the pass stays silent.
     context_.ref = RefPolicyKind::kMiss;
-    EXPECT_EQ(Fires(kPassRefFlush), 0u);
+    EXPECT_EQ(Fires(kPassRefFlush, CheckRefFlushHygiene), 0u);
     context_.ref = RefPolicyKind::kNoRef;
-    EXPECT_EQ(Fires(kPassRefFlush), 0u);
+    EXPECT_EQ(Fires(kPassRefFlush, CheckRefFlushHygiene), 0u);
 }
 
 TEST_F(PassTest, MpCoherencyFiresOnOwnershipViolations)
@@ -370,17 +380,17 @@ TEST_F(PassTest, MpCoherencyFiresOnOwnershipViolations)
     // Two clean shared copies: legal.
     CacheBlock(100, pte);
     peer.Fill(AddrOf(100), pte.protection(), pte.dirty(), nullptr);
-    EXPECT_EQ(Fires(kPassMpCoherency), 0u);
+    EXPECT_EQ(Fires(kPassMpCoherency, CheckMpCoherency), 0u);
 
     // An exclusive owner with a peer copy still resident: one violation
     // (the peer copy is clean, so there is one owner but a stale sharer).
     cache::VirtualCache::MarkWritten(vcache_.Lookup(AddrOf(100)));
     pte.set_dirty(true);
-    EXPECT_EQ(Fires(kPassMpCoherency), 1u);
+    EXPECT_EQ(Fires(kPassMpCoherency, CheckMpCoherency), 1u);
 
     // Both caches claiming ownership: two owners AND exclusive-with-peers.
     cache::VirtualCache::MarkWritten(peer.Lookup(AddrOf(100)));
-    EXPECT_GE(Fires(kPassMpCoherency), 2u);
+    EXPECT_GE(Fires(kPassMpCoherency, CheckMpCoherency), 2u);
 }
 
 TEST_F(PassTest, MpCoherencyFiresOnDirtyBlockWithoutOwner)
@@ -395,11 +405,11 @@ TEST_F(PassTest, MpCoherencyFiresOnDirtyBlockWithoutOwner)
     pt::Pte& pte = MakeResident(100, Protection::kReadWrite);
     pte.set_dirty(true);
     cache::LineRef line = CacheBlock(100, pte);
-    EXPECT_EQ(Fires(kPassMpCoherency), 0u);
+    EXPECT_EQ(Fires(kPassMpCoherency, CheckMpCoherency), 0u);
 
     // Corrupt: dirty data in an UnOwned copy.
     line.set_block_dirty(true);
-    EXPECT_EQ(Fires(kPassMpCoherency), 1u);
+    EXPECT_EQ(Fires(kPassMpCoherency, CheckMpCoherency), 1u);
 }
 
 TEST_F(PassTest, MpCoherencySkipsUniprocessors)
@@ -408,40 +418,31 @@ TEST_F(PassTest, MpCoherencySkipsUniprocessors)
     pte.set_dirty(true);
     cache::VirtualCache::MarkWritten(CacheBlock(100, pte));
     // A lone cache is trivially coherent — even "exclusive" states.
-    EXPECT_EQ(Fires(kPassMpCoherency), 0u);
+    EXPECT_EQ(Fires(kPassMpCoherency, CheckMpCoherency), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Checker and report plumbing.
+// The pass sequence and report plumbing.
 // ---------------------------------------------------------------------------
 
-TEST(InvariantCheckerTest, DefaultCarriesEveryBuiltinPass)
+TEST(RunAllPassesTest, KernelAuditRunsEveryPassInOrder)
 {
-    const std::vector<std::string> names =
-        InvariantChecker::Default().PassNames();
-    const std::vector<std::string> expected = {
-        kPassCacheResident, kPassCachePteDirty, kPassProtectionEmulation,
-        kPassFrameTable,    kPassFrameFreeList, kPassBackingStore,
-        kPassRefFlush,      kPassMpCoherency,
-    };
-    EXPECT_EQ(names, expected);
-    EXPECT_EQ(InvariantChecker::WithBuiltinPasses().NumPasses(),
-              names.size());
+    core::SpurSystem system(sim::MachineConfig::Prototype(8),
+                            DirtyPolicyKind::kSpur, RefPolicyKind::kMiss);
+    const AuditReport report = system.kernel().Audit();
+    EXPECT_EQ(report.passes(), kAllPasses);
+    EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
-TEST(InvariantCheckerTest, CustomPassesRunInRegistrationOrder)
+TEST(AuditReportTest, WarningsAloneDoNotFailAReport)
 {
-    InvariantChecker checker;
-    checker.Register("first", [](const AuditContext&, AuditReport& report) {
-        report.Add(Severity::kWarning, "P", kNoPage, "saw it");
-    });
-    checker.Register("second",
-                     [](const AuditContext&, AuditReport&) {});
-    AuditContext context;
-    const AuditReport report = checker.Run(context);
+    AuditReport report;
+    report.BeginPass("first");
+    report.Add(Severity::kWarning, "P", kNoPage, "saw it");
+    report.BeginPass("second");
     EXPECT_EQ(report.passes(),
               (std::vector<std::string>{"first", "second"}));
-    EXPECT_TRUE(report.ok());  // Warnings alone do not fail a report.
+    EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.NumWarnings(), 1u);
     EXPECT_EQ(report.CountFor("first"), 1u);
     EXPECT_EQ(report.CountFor("second"), 0u);
@@ -616,8 +617,7 @@ TEST_P(SystemAuditTest, RandomWorkloadAuditsClean)
     const AuditReport report = system.kernel().Audit();
     EXPECT_TRUE(report.ok()) << report.Summary();
     EXPECT_TRUE(report.violations().empty()) << report.Summary();
-    EXPECT_EQ(report.passes().size(),
-              InvariantChecker::Default().NumPasses());
+    EXPECT_EQ(report.passes(), kAllPasses);
 }
 
 INSTANTIATE_TEST_SUITE_P(

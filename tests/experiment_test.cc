@@ -76,8 +76,8 @@ TEST(ExperimentTest, RunMatrixGroupsByConfig)
 {
     std::vector<RunConfig> configs(2, SmallRun());
     configs[1].ref = policy::RefPolicyKind::kNoRef;
-    const auto results = runner::RunMatrix(
-        configs, /*reps=*/2, /*shuffle_seed=*/9, /*jobs=*/0);
+    const auto results =
+        runner::RunMatrix(configs, /*reps=*/2, /*jobs=*/0);
     ASSERT_EQ(results.size(), 2u);
     ASSERT_EQ(results[0].size(), 2u);
     ASSERT_EQ(results[1].size(), 2u);
@@ -90,8 +90,7 @@ TEST(ExperimentTest, RunMatrixGroupsByConfig)
 
 TEST(ExperimentTest, RepetitionsUseDistinctSeeds)
 {
-    const auto results =
-        runner::RunMatrix({SmallRun()}, /*reps=*/2, /*shuffle_seed=*/42);
+    const auto results = runner::RunMatrix({SmallRun()}, /*reps=*/2);
     EXPECT_NE(results[0][0].events.TotalMisses(),
               results[0][1].events.TotalMisses());
 }

@@ -3,7 +3,7 @@
 // cache's LAYERS.toml closure is {cache, common, sim}; runner is
 // forbidden, so the include below must produce exactly one layering
 // finding with a two-hop chain.
-#include "src/runner/thread_pool.h"
+#include "src/runner/runner.h"
 
 namespace spur::cache {
 

@@ -3,7 +3,7 @@
 // forbidden runner subsystem, so the violation must report the full
 // three-hop chain
 //   src/cache/layer_chain.cc -> src/cache/layer_chain_mid.h
-//     -> src/runner/thread_pool.h
+//     -> src/runner/runner.h
 // anchored at the first hop's include line in THIS file.
 #include "src/cache/layer_chain_mid.h"
 

@@ -5,7 +5,7 @@
 #ifndef SPUR_TESTS_LINT_FIXTURES_LAYER_CHAIN_MID_H_
 #define SPUR_TESTS_LINT_FIXTURES_LAYER_CHAIN_MID_H_
 
-#include "src/runner/thread_pool.h"
+#include "src/runner/runner.h"
 
 namespace spur::cache {
 

@@ -314,7 +314,7 @@ TEST(LintTest, LayeringReportsTheFullIncludeChain)
     EXPECT_NE(
         violations[0].message.find(
             "src/cache/layer_chain.cc -> src/cache/layer_chain_mid.h"
-            " -> src/runner/thread_pool.h"),
+            " -> src/runner/runner.h"),
         std::string::npos)
         << violations[0].message;
     EXPECT_EQ(violations[1].file, "src/cache/layer_chain_mid.h");

@@ -13,11 +13,19 @@
 #include "src/common/args.h"
 #include "src/runner/runner.h"
 #include "src/runner/session.h"
-#include "src/runner/thread_pool.h"
 #include "src/stats/run_record.h"
 
 namespace spur::stats {
 namespace {
+
+/** A document header naming @p bench, with no cell count. */
+DocumentMeta
+MetaFor(const std::string& bench)
+{
+    DocumentMeta meta;
+    meta.bench = bench;
+    return meta;
+}
 
 TEST(JsonWriterTest, EscapesSpecialCharacters)
 {
@@ -70,7 +78,7 @@ TEST(JsonWriterTest, NonFiniteNumbersBecomeNull)
 
 TEST(JsonWriterTest, DocumentWrapsRecordsArray)
 {
-    const std::string empty = JsonWriter::ToJson("b", {});
+    const std::string empty = JsonWriter::ToJson(MetaFor("b"), {});
     EXPECT_EQ(empty,
               "{\"schema_version\": 1, \"bench\": \"b\", "
               "\"shard\": {\"index\": 0, \"count\": 1, "
@@ -80,7 +88,7 @@ TEST(JsonWriterTest, DocumentWrapsRecordsArray)
     std::vector<RunRecord> records(2);
     records[0].bench = "b";
     records[1].bench = "b";
-    const std::string two = JsonWriter::ToJson("b", records);
+    const std::string two = JsonWriter::ToJson(MetaFor("b"), records);
     // Two objects, comma-separated, inside the records array.
     size_t count = 0;
     for (size_t pos = 0;
@@ -96,7 +104,7 @@ TEST(JsonWriterTest, WritesFile)
     const std::string path = ::testing::TempDir() + "run_record_test.json";
     RunRecord record;
     record.bench = "file_test";
-    ASSERT_TRUE(JsonWriter::WriteFile(path, "file_test", {record}));
+    ASSERT_TRUE(JsonWriter::WriteFile(path, MetaFor("file_test"), {record}));
     FILE* file = std::fopen(path.c_str(), "r");
     ASSERT_NE(file, nullptr);
     char buffer[512] = {};
@@ -111,7 +119,7 @@ TEST(JsonWriterTest, WritesFile)
 TEST(JsonWriterTest, WriteFileFailsOnBadPath)
 {
     EXPECT_FALSE(
-        JsonWriter::WriteFile("/nonexistent-dir/x.json", "b", {}));
+        JsonWriter::WriteFile("/nonexistent-dir/x.json", MetaFor("b"), {}));
 }
 
 }  // namespace
@@ -138,8 +146,6 @@ TEST(BenchSessionTest, ParsesJobsFlag)
     const Args args = MakeArgs({"bench", "--jobs=3"});
     BenchSession session("t", args);
     EXPECT_EQ(session.jobs(), 3u);
-    EXPECT_EQ(DefaultJobs(), 3u);
-    SetDefaultJobs(0);
 }
 
 TEST(BenchSessionTest, DefaultsToHardwareJobs)
@@ -147,7 +153,6 @@ TEST(BenchSessionTest, DefaultsToHardwareJobs)
     const Args args = MakeArgs({"bench"});
     BenchSession session("t", args);
     EXPECT_EQ(session.jobs(), HardwareJobs());
-    SetDefaultJobs(0);
 }
 
 core::RunConfig
@@ -183,7 +188,7 @@ TEST(BenchSessionTest, MatrixRunsAreRecordedInConfigOrder)
     const core::RunConfig config = SmallRun();
     std::vector<core::RunConfig> configs(2, config);
     configs[1].memory_mb = 5;
-    session.RunMatrix(configs, /*reps=*/2, /*shuffle_seed=*/7);
+    session.RunMatrix(configs, /*reps=*/2);
     ASSERT_EQ(session.records().size(), 4u);
     EXPECT_EQ(session.records()[0].rep, 0u);
     EXPECT_EQ(session.records()[1].rep, 1u);
@@ -192,7 +197,6 @@ TEST(BenchSessionTest, MatrixRunsAreRecordedInConfigOrder)
     EXPECT_EQ(session.records()[1].seed, CellSeed(config.seed, 1));
     EXPECT_EQ(session.records()[0].bench, "t");
     EXPECT_GT(session.records()[0].refs_issued, 0u);
-    SetDefaultJobs(0);
 }
 
 TEST(BenchSessionTest, MatrixCellsRunAtTheirDerivedSeeds)
@@ -202,8 +206,7 @@ TEST(BenchSessionTest, MatrixCellsRunAtTheirDerivedSeeds)
     std::vector<core::RunConfig> configs(2, SmallRun());
     configs[1].seed = 6;
     configs[1].ref = policy::RefPolicyKind::kNoRef;
-    const auto results =
-        session.RunMatrix(configs, /*reps=*/2, /*shuffle_seed=*/3);
+    const auto results = session.RunMatrix(configs, /*reps=*/2);
     ASSERT_EQ(results.size(), 2u);
     for (size_t i = 0; i < configs.size(); ++i) {
         ASSERT_EQ(results[i].size(), 2u);
@@ -219,7 +222,6 @@ TEST(BenchSessionTest, MatrixCellsRunAtTheirDerivedSeeds)
                              expected.elapsed_seconds);
         }
     }
-    SetDefaultJobs(0);
 }
 
 TEST(BenchSessionTest, RunAllRecordsInInputOrderAtAnyJobCount)
@@ -242,10 +244,9 @@ TEST(BenchSessionTest, RunAllRecordsInInputOrderAtAnyJobCount)
             EXPECT_EQ(records[i].memory_mb, configs[i].memory_mb);
             EXPECT_EQ(records[i].rep, 0u);
         }
-        documents[k] = stats::JsonWriter::ToJson("t", records);
+        documents[k] = stats::JsonWriter::ToJson(stats::MetaFor("t"), records);
     }
     EXPECT_EQ(documents[0], documents[1]);
-    SetDefaultJobs(0);
 }
 
 TEST(BenchSessionTest, FinishWritesJson)
@@ -268,7 +269,6 @@ TEST(BenchSessionTest, FinishWritesJson)
     // The bench name was stamped onto the anonymous record.
     ASSERT_EQ(session.records().size(), 3u);
     EXPECT_EQ(session.records()[2].bench, "session_test");
-    SetDefaultJobs(0);
 }
 
 TEST(BenchSessionDeathTest, RemovedFlagsAreFatal)

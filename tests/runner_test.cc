@@ -1,18 +1,18 @@
 /**
  * @file
  * Tests for the run-orchestration layer (src/runner/): the determinism
- * contract (parallel results bit-identical to sequential), exception
- * safety of the pool, and the thread pool itself.
+ * contract (parallel results bit-identical to sequential) and the
+ * exception safety of ParallelFor.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.h"
 #include "src/runner/runner.h"
-#include "src/runner/thread_pool.h"
 
 namespace spur::runner {
 namespace {
@@ -61,10 +61,8 @@ ExpectIdentical(const core::RunResult& a, const core::RunResult& b)
 TEST(RunnerTest, ParallelMatrixBitIdenticalToSequential)
 {
     const auto configs = SmallMatrix();
-    const auto sequential = RunMatrix(configs, /*reps=*/2,
-                                      /*shuffle_seed=*/9, /*jobs=*/1);
-    const auto parallel = RunMatrix(configs, /*reps=*/2,
-                                    /*shuffle_seed=*/9, /*jobs=*/4);
+    const auto sequential = RunMatrix(configs, /*reps=*/2, /*jobs=*/1);
+    const auto parallel = RunMatrix(configs, /*reps=*/2, /*jobs=*/4);
     ASSERT_EQ(sequential.size(), parallel.size());
     for (size_t i = 0; i < sequential.size(); ++i) {
         ASSERT_EQ(sequential[i].size(), parallel[i].size());
@@ -76,14 +74,12 @@ TEST(RunnerTest, ParallelMatrixBitIdenticalToSequential)
 
 TEST(RunnerTest, DefaultJobCountMatchesExplicitJobCount)
 {
-    // jobs=0 (the process-wide default) agrees with an explicit
-    // parallel run: callers inheriting the --jobs flag get the same
-    // bytes as callers picking a count by hand.
+    // jobs=0 (hardware concurrency) agrees with an explicit parallel
+    // run: callers leaving the count to the machine get the same bytes
+    // as callers picking a count by hand.
     const auto configs = SmallMatrix();
-    const auto via_default = RunMatrix(configs, /*reps=*/1,
-                                       /*shuffle_seed=*/9, /*jobs=*/0);
-    const auto via_explicit = RunMatrix(configs, /*reps=*/1,
-                                        /*shuffle_seed=*/9, /*jobs=*/3);
+    const auto via_default = RunMatrix(configs, /*reps=*/1, /*jobs=*/0);
+    const auto via_explicit = RunMatrix(configs, /*reps=*/1, /*jobs=*/3);
     for (size_t i = 0; i < via_default.size(); ++i) {
         ExpectIdentical(via_default[i][0], via_explicit[i][0]);
     }
@@ -122,7 +118,7 @@ TEST(RunnerTest, ThrowingCellDoesNotDeadlockAndRethrows)
                         }
                     }),
         std::runtime_error);
-    // Every other cell still ran; the pool drained instead of hanging.
+    // Every other cell still ran, and every thread was joined.
     EXPECT_EQ(executed.load(), 8);
 }
 
@@ -152,33 +148,25 @@ TEST(RunnerTest, PoolUsableAfterAnException)
     EXPECT_EQ(count.load(), 16);
 }
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask)
+TEST(RunnerTest, HardwareJobsIsAtLeastOne)
 {
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(4);
-        EXPECT_EQ(pool.size(), 4u);
-        for (int i = 0; i < 100; ++i) {
-            pool.Submit([&count] { ++count; });
-        }
-    }  // Destructor drains the queue before joining.
-    EXPECT_EQ(count.load(), 100);
+    EXPECT_GE(HardwareJobs(), 1u);
 }
 
-TEST(ThreadPoolTest, ZeroThreadsClampsToOne)
+TEST(RunnerTest, MatrixOrderIsTheHistoricalShuffle)
 {
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.size(), 1u);
-}
-
-TEST(ThreadPoolTest, DefaultJobsFollowsOverride)
-{
-    const unsigned hardware = HardwareJobs();
-    EXPECT_GE(hardware, 1u);
-    SetDefaultJobs(3);
-    EXPECT_EQ(DefaultJobs(), 3u);
-    SetDefaultJobs(0);  // Restore the hardware default.
-    EXPECT_EQ(DefaultJobs(), hardware);
+    // The Section 4.2 run order, pinned: it decides which cell of a
+    // stream records under --record-trace at --jobs=1, so it must not
+    // drift.
+    const std::vector<std::pair<size_t, uint32_t>> expected = {
+        {0, 0}, {0, 2}, {2, 3}, {0, 3}, {2, 1}, {2, 2},
+        {1, 1}, {1, 3}, {2, 0}, {1, 2}, {1, 0}, {0, 1},
+    };
+    std::vector<std::pair<size_t, uint32_t>> order;
+    for (const CellId& cell : MatrixOrder(3, 4)) {
+        order.emplace_back(cell.config_index, cell.rep);
+    }
+    EXPECT_EQ(order, expected);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "src/check/audit.h"
 #include "src/core/system.h"
+#include "src/pt/segment_map.h"
 #include "src/sim/counters.h"
 #include "src/workload/driver.h"
 #include "src/workload/process.h"
@@ -50,6 +51,17 @@ class SystemTest : public testing::Test
     std::unique_ptr<SpurSystem> system_;
     Pid pid_ = 0;
 };
+
+TEST(SpurSystemDeathTest, RejectsACacheLargerThanASegment)
+{
+    // The batch loop indexes the cache from the process address, which
+    // holds only while the whole cache fits below the segment shift.
+    sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    config.cache_bytes = pt::kSegmentBytes * 2;
+    EXPECT_EXIT(SpurSystem(config, DirtyPolicyKind::kSpur,
+                           RefPolicyKind::kMiss),
+                testing::ExitedWithCode(1), "exceeds one segment");
+}
 
 TEST_F(SystemTest, ColdReadMissesThenHits)
 {

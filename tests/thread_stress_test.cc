@@ -1,10 +1,11 @@
 /**
  * @file
- * Concurrency stress tests for the parallel-runner machinery: the thread
- * pool, ParallelFor, RunMatrix's completion queue, and the serialized
- * logger.  These are written for the TSan preset (build-tsan/) — under
- * ThreadSanitizer any data race in the exercised paths fails the test —
- * but they also run in every other build as plain correctness checks.
+ * Concurrency stress tests for the parallel-runner machinery:
+ * ParallelFor's shared cursor and error slots, RunMatrix, and the
+ * serialized logger.  These are written for the TSan preset
+ * (build-tsan/) — under ThreadSanitizer any data race in the exercised
+ * paths fails the test — but they also run in every other build as
+ * plain correctness checks.
  */
 #include <gtest/gtest.h>
 
@@ -17,55 +18,28 @@
 #include "src/common/log.h"
 #include "src/core/experiment.h"
 #include "src/runner/runner.h"
-#include "src/runner/thread_pool.h"
 
 namespace spur::runner {
 namespace {
 
-TEST(ThreadPoolStressTest, ManySubmittersManyTasks)
+TEST(ParallelForStressTest, ConcurrentCallersShareNoState)
 {
-    // Tasks submitted from several threads (through a feeder pool) into a
-    // shared worker pool: exercises the queue's mutex from both sides.
+    // Three threads of one ParallelFor each run their own ParallelFor:
+    // every call owns its cursor and error slots, so the inner loops
+    // neither lose nor repeat an index of one another.
     std::atomic<uint64_t> sum{0};
-    {
-        ThreadPool workers(4);
-        {
-            ThreadPool feeders(3);
-            for (int f = 0; f < 3; ++f) {
-                feeders.Submit([&workers, &sum, f] {
-                    for (uint64_t i = 0; i < 2'000; ++i) {
-                        workers.Submit([&sum, f, i] {
-                            sum.fetch_add(f * 10'000 + i % 7,
-                                          std::memory_order_relaxed);
-                        });
-                    }
-                });
-            }
-        }  // Feeders joined: all 6000 tasks are queued.
-    }      // Workers joined: all tasks ran.
+    ParallelFor(3, /*jobs=*/3, [&sum](size_t f) {
+        ParallelFor(2'000, /*jobs=*/4, [&sum, f](size_t i) {
+            sum.fetch_add(f * 10'000 + i % 7, std::memory_order_relaxed);
+        });
+    });
     uint64_t expected = 0;
-    for (int f = 0; f < 3; ++f) {
+    for (uint64_t f = 0; f < 3; ++f) {
         for (uint64_t i = 0; i < 2'000; ++i) {
             expected += f * 10'000 + i % 7;
         }
     }
     EXPECT_EQ(sum.load(), expected);
-}
-
-TEST(ThreadPoolStressTest, DestructorDrainsPendingQueue)
-{
-    // The destructor promises to drain the queue, not discard it; a lost
-    // task here would surface as a missed experiment cell in RunMatrix.
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 5'000; ++i) {
-            pool.Submit([&ran] {
-                ran.fetch_add(1, std::memory_order_relaxed);
-            });
-        }
-    }
-    EXPECT_EQ(ran.load(), 5'000);
 }
 
 TEST(ParallelForStressTest, AllIndicesVisitedExactlyOnce)
@@ -101,22 +75,17 @@ TEST(LogStressTest, ConcurrentLoggingAndVerbosityToggles)
     // shared state; hammering them together is the TSan target.  Output
     // goes to stderr, so keep the volume modest.
     SetVerbose(false);
-    {
-        ThreadPool pool(6);
-        for (int t = 0; t < 6; ++t) {
-            pool.Submit([t] {
-                for (int i = 0; i < 200; ++i) {
-                    if (t == 0 && i % 50 == 0) {
-                        SetVerbose(i % 100 == 0);
-                    } else if (t % 2 == 0) {
-                        Inform("stress inform " + std::to_string(i));
-                    } else if (i % 100 == 99) {
-                        Warn("stress warn " + std::to_string(t));
-                    }
-                }
-            });
+    ParallelFor(6, /*jobs=*/6, [](size_t t) {
+        for (int i = 0; i < 200; ++i) {
+            if (t == 0 && i % 50 == 0) {
+                SetVerbose(i % 100 == 0);
+            } else if (t % 2 == 0) {
+                Inform("stress inform " + std::to_string(i));
+            } else if (i % 100 == 99) {
+                Warn("stress warn " + std::to_string(t));
+            }
         }
-    }
+    });
     SetVerbose(true);
 }
 
@@ -136,10 +105,8 @@ TEST(RunMatrixStressTest, ParallelMatrixMatchesSequential)
         configs.push_back(config);
     }
 
-    const auto sequential = RunMatrix(configs, /*reps=*/3,
-                                      /*shuffle_seed=*/7, /*jobs=*/1);
-    const auto parallel =
-        RunMatrix(configs, /*reps=*/3, /*shuffle_seed=*/7, /*jobs=*/6);
+    const auto sequential = RunMatrix(configs, /*reps=*/3, /*jobs=*/1);
+    const auto parallel = RunMatrix(configs, /*reps=*/3, /*jobs=*/6);
 
     ASSERT_EQ(sequential.size(), parallel.size());
     for (size_t i = 0; i < sequential.size(); ++i) {
