@@ -6,6 +6,8 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench/micro_common.h"
 
 #include "src/cache/cache.h"
@@ -68,43 +70,75 @@ BM_CacheFill(benchmark::State& state)
 }
 BENCHMARK(BM_CacheFill);
 
+/**
+ * Writes every slot of the cache with a seeded random kind of line —
+ * invalid, or valid clean or dirty and of page @p page_tag's run or of
+ * another page — so the page flushes that follow meet a pattern no
+ * branch predictor learns.  Each run of BlocksPerPage() slots is one
+ * page's, and page r's base address is returned in @p pages[r].
+ */
 void
-BM_FlushPageChecked(benchmark::State& state)
+MixSlots(cache::VirtualCache& vcache, const sim::MachineConfig& config,
+         uint64_t page_tag, Rng& rng, std::vector<GlobalAddr>* pages)
+{
+    const uint64_t tag_shift =
+        config.BlockShift() + static_cast<unsigned>(config.IndexBits());
+    pages->clear();
+    for (uint64_t first = 0; first < vcache.NumLines();
+         first += config.BlocksPerPage()) {
+        pages->push_back((page_tag << tag_shift) |
+                         (first << config.BlockShift()));
+        for (uint64_t i = first; i < first + config.BlocksPerPage(); ++i) {
+            const uint64_t kind = rng.NextBelow(5);
+            cache::Line line;
+            if (kind != 0) {
+                line.tag = kind <= 2 ? page_tag : page_tag + kind;
+                line.prot = Protection::kReadWrite;
+                line.page_dirty = true;
+                line.block_dirty = kind % 2 == 0;
+                line.state = line.block_dirty
+                                 ? cache::CoherencyState::kOwnedExclusive
+                                 : cache::CoherencyState::kUnOwned;
+            }
+            vcache.SlotAt(i).Set(line);
+        }
+    }
+}
+
+/** Flushes every page of a freshly mixed cache per iteration. */
+template <bool kTagChecked>
+void
+BM_FlushMixedPages(benchmark::State& state)
 {
     sim::MachineConfig config = sim::MachineConfig::Prototype(8);
     cache::VirtualCache vcache(config);
     Rng rng(1);
+    std::vector<GlobalAddr> pages;
     for (auto _ : state) {
         state.PauseTiming();
-        const GlobalAddr page = rng.NextBelow(256) * config.page_bytes;
-        for (uint64_t b = 0; b < config.BlocksPerPage(); b += 2) {
-            vcache.Fill(page + b * config.block_bytes,
-                        Protection::kReadWrite, true, nullptr);
-        }
+        MixSlots(vcache, config, 1 + rng.NextBelow(1024), rng, &pages);
         state.ResumeTiming();
-        benchmark::DoNotOptimize(vcache.FlushPageChecked(page));
+        for (const GlobalAddr page : pages) {
+            benchmark::DoNotOptimize(kTagChecked
+                                         ? vcache.FlushPageChecked(page)
+                                         : vcache.FlushPageIndexed(page));
+        }
     }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(pages.size()));
+}
+
+void
+BM_FlushPageChecked(benchmark::State& state)
+{
+    BM_FlushMixedPages<true>(state);
 }
 BENCHMARK(BM_FlushPageChecked);
 
 void
 BM_FlushPageIndexed(benchmark::State& state)
 {
-    sim::MachineConfig config = sim::MachineConfig::Prototype(8);
-    cache::VirtualCache vcache(config);
-    Rng rng(1);
-    for (auto _ : state) {
-        state.PauseTiming();
-        const GlobalAddr page = rng.NextBelow(256) * config.page_bytes;
-        for (uint64_t b = 0; b < config.BlocksPerPage(); b += 2) {
-            vcache.Fill(page + b * config.block_bytes,
-                        Protection::kReadWrite, true, nullptr);
-        }
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(vcache.FlushPageIndexed(page));
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    BM_FlushMixedPages<false>(state);
 }
 BENCHMARK(BM_FlushPageIndexed);
 

@@ -2,12 +2,14 @@
  * @file
  * google-benchmark micro-benchmarks for in-cache translation and the
  * page-fault path: PTE cached vs. not, table pages at shared in-segment
- * offsets across many segments, fault handling with zero-fill
+ * offsets across many segments, a WORKLOAD1-like miss stream, fault
+ * handling with zero-fill
  * and with page-in, and the workload generator's raw speed.
  */
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <vector>
 
 #include "bench/micro_common.h"
 
@@ -68,8 +70,8 @@ BM_TranslateManySegments(benchmark::State& state)
     // many segments and their second-level indices differ only in high
     // bits.  BM_TranslatePteCold's uniform addresses spread the low bits
     // and so never exercise this case.  Each translation picks a random
-    // (segment, offset) pair, so the page table's MRU entry rarely hits
-    // and the second-level probe runs every time.
+    // (segment, offset) pair, so the page table's recent-page table
+    // rarely hits and the second-level probe runs every time.
     sim::MachineConfig config = sim::MachineConfig::Prototype(8);
     cache::VirtualCache vcache(config);
     pt::PageTable table;
@@ -95,6 +97,52 @@ BM_TranslateManySegments(benchmark::State& state)
     }
 }
 BENCHMARK(BM_TranslateManySegments);
+
+void
+BM_TranslateWorkload1Misses(benchmark::State& state)
+{
+    // WORKLOAD1's miss stream as translation sees it: ten processes,
+    // each with code and heap windows of two table pages and a stack
+    // page at the top of its segment (50 table pages, as in a
+    // 4M-reference WORKLOAD1 run), and misses arriving in quanta of
+    // one process.  Lookups interleave a few dozen table pages, which a
+    // one-entry cache in front of the page table's probe misses about
+    // half the time; BM_TranslateManySegments is the worst case, with
+    // every lookup a probe.
+    sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    cache::VirtualCache vcache(config);
+    pt::PageTable table;
+    xlate::Translator xlate(vcache, table, config);
+    sim::EventCounts events;
+    constexpr uint64_t kProcesses = 10;
+    constexpr uint64_t kQuantum = 32;
+    constexpr uint64_t kWindow = 8 << 20;  // Two table pages.
+    const auto segment_base = [](uint64_t process, uint64_t reg) {
+        return (1 + 4 * process + reg) << pt::kSegmentShift;
+    };
+    Rng rng(1);
+    std::vector<GlobalAddr> addrs(uint64_t{1} << 16);
+    uint64_t process = 0;
+    for (size_t i = 0; i < addrs.size(); ++i) {
+        if (i % kQuantum == 0) {
+            process = rng.NextBelow(kProcesses);
+        }
+        const uint64_t region = rng.NextBelow(5);
+        const uint64_t page = rng.NextBelow(kWindow) & ~uint64_t{0xFFF};
+        addrs[i] = region < 2   ? segment_base(process, 0) + page
+                   : region < 4 ? segment_base(process, 2) + page
+                                : segment_base(process, 4) - 1 -
+                                      (page >> 1);
+        xlate.Translate(addrs[i], events);
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            xlate.Translate(addrs[i++ & (addrs.size() - 1)], events));
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TranslateWorkload1Misses);
 
 void
 BM_PageFaultZeroFill(benchmark::State& state)

@@ -232,11 +232,15 @@ class LineRef : public ConstLineRef
     /** Sets B and promotes CS to OwnedExclusive.  OwnedExclusive is both
      *  state bits set, so the whole transition is one OR into the packed
      *  byte (the hardware's write-hit fast path). */
-    void MarkWritten()
+    void MarkWritten() { MarkWrittenIf(true); }
+
+    /** MarkWritten() when @p written, else a store of the byte as it
+     *  is: the OR's operand is the written bits times @p written, so a
+     *  caller whose condition is a coin flip takes no branch on it. */
+    void MarkWrittenIf(bool written)
     {
         *mutable_meta() = static_cast<uint8_t>(
-            *meta_ | meta::kBlockDirtyBit |
-            static_cast<uint8_t>(CoherencyState::kOwnedExclusive));
+            *meta_ | (meta::kWritten.value * static_cast<uint8_t>(written)));
     }
 
     /** Overwrites the whole line from a snapshot. */
@@ -289,6 +293,12 @@ struct Eviction {
     bool happened = false;     ///< A valid line was displaced.
     bool writeback = false;    ///< The displaced line was block-dirty.
     GlobalAddr block_addr = 0; ///< Block address of the displaced line.
+};
+
+/** Result of VirtualCache::Touch(). */
+struct Touched {
+    bool hit = false;        ///< The block was already cached.
+    bool writeback = false;  ///< A miss displaced a block-dirty line.
 };
 
 /** Result of a page flush operation. */
@@ -349,8 +359,48 @@ class VirtualCache : public PageFlusher
      * (@p prot, @p page_dirty).  Fills enter UnOwned (clean).  Any valid
      * line previously in the slot is described in @p eviction.
      */
-    LineRef Fill(GlobalAddr addr, Protection prot, bool page_dirty,
-                 Eviction* eviction);
+    [[gnu::always_inline]] LineRef Fill(GlobalAddr addr, Protection prot,
+                                        bool page_dirty, Eviction* eviction)
+    {
+        // Inlined, so a caller that reads only some of @p eviction's
+        // fields (the miss path reads `writeback`) computes only those.
+        const uint64_t index = IndexOf(addr);
+        const uint8_t old_meta = meta_[index];
+        if (eviction != nullptr) {
+            const bool valid = (old_meta & meta::kStateMask) != 0;
+            eviction->happened = valid;
+            eviction->writeback = static_cast<bool>(
+                valid & ((old_meta & meta::kBlockDirtyBit) != 0));
+            eviction->block_addr =
+                valid ? BlockAddrOf(index, tags_[index]) : 0;
+        }
+        tags_[index] = TagOf(addr);
+        meta_[index] = FillMeta(prot, page_dirty);
+        return LineRef(&tags_[index], &meta_[index]);
+    }
+
+    /**
+     * Makes sure the block containing @p addr is cached: a hit leaves
+     * its line as it is, a miss fills it as Fill() does.  No branch
+     * depends on the outcome: a hit stores the line's own tag and
+     * metadata byte back unchanged.
+     */
+    Touched Touch(GlobalAddr addr, Protection prot, bool page_dirty)
+    {
+        const uint64_t index = IndexOf(addr);
+        const uint64_t tag = TagOf(addr);
+        const uint8_t old = meta_[index];
+        // Bitwise, not short-circuit, so the compiler has no branch to
+        // make of them; `keep` is 0xFF on a hit and 0 on a miss.
+        const bool valid = (old & meta::kStateMask) != 0;
+        const bool hit = valid & (tags_[index] == tag);
+        const auto keep = static_cast<uint8_t>(-static_cast<int>(hit));
+        tags_[index] = tag;
+        meta_[index] = static_cast<uint8_t>(
+            (old & keep) | (FillMeta(prot, page_dirty) & ~keep));
+        const bool dirty = (old & meta::kBlockDirtyBit) != 0;
+        return Touched{hit, static_cast<bool>(!hit & valid & dirty)};
+    }
 
     /**
      * Marks the line as written: sets B, promotes CS to OwnedExclusive.
@@ -473,6 +523,17 @@ class VirtualCache : public PageFlusher
     // tag is also zeroed on invalidation so snapshots equal Line{}).
     std::vector<uint64_t> tags_;
     std::vector<uint8_t> meta_;
+
+    /** The metadata byte of a freshly filled line: UnOwned, clean, with
+     *  the PTE's @p prot and @p page_dirty. */
+    static uint8_t FillMeta(Protection prot, bool page_dirty)
+    {
+        return static_cast<uint8_t>(
+            static_cast<uint8_t>(CoherencyState::kUnOwned) |
+            ((static_cast<uint8_t>(prot) << meta::kProtShift) &
+             meta::kProtMask) |
+            (page_dirty ? meta::kPageDirtyBit : 0));
+    }
 
     template <bool kTagChecked>
     FlushResult FlushPageImpl(GlobalAddr addr);

@@ -101,10 +101,12 @@ Harvest(const SpurSystem& system, uint64_t refs_issued)
     return result;
 }
 
-}  // namespace
-
+/**
+ * RunOnce after its claim: records the live op stream when
+ * @p recording names the claimed identity.
+ */
 RunResult
-RunOnce(const RunConfig& config)
+RunClaimed(const RunConfig& config, const std::string* recording)
 {
     sim::MachineConfig machine =
         sim::MachineConfig::Prototype(config.memory_mb);
@@ -140,22 +142,13 @@ RunOnce(const RunConfig& config)
     workload::WorkloadSpec spec = SpecFor(config);
     const uint32_t slice_refs = spec.slice_refs;
 
-    // Live generation, optionally recording: the first cell to claim
-    // this stream identity captures the op stream through a forwarding
-    // shim; losers (same workload, different policy/memory) run plain —
-    // the generator cannot see the difference.
     std::optional<workload::TraceEncoder> encoder;
     std::optional<workload::RecordingHost> recorder;
-    std::string identity;
     workload::WorkloadHost* host = &system;
-    if (config.trace_record != nullptr) {
-        const workload::TraceStreamMeta meta = TraceMetaFor(config);
-        identity = meta.Identity();
-        if (config.trace_record->Claim(identity)) {
-            encoder.emplace(meta);
-            recorder.emplace(system, *encoder);
-            host = &*recorder;
-        }
+    if (recording != nullptr) {
+        encoder.emplace(TraceMetaFor(config));
+        recorder.emplace(system, *encoder);
+        host = &*recorder;
     }
 
     workload::Driver driver(*host, std::move(spec), refs, config.seed,
@@ -165,7 +158,7 @@ RunOnce(const RunConfig& config)
         // Stop before teardown: counters are sampled (and the stream
         // sealed) at this point of the run, not after driver teardown.
         recorder->StopRecording();
-        config.trace_record->Commit(identity,
+        config.trace_record->Commit(*recording,
                                     encoder->Finish(driver.refs_issued()));
     }
 
@@ -176,6 +169,32 @@ RunOnce(const RunConfig& config)
     }
 
     return Harvest(system, driver.refs_issued());
+}
+
+}  // namespace
+
+RunResult
+RunOnce(const RunConfig& config)
+{
+    // Live generation, optionally recording: the first cell to claim
+    // this stream identity captures the op stream through a forwarding
+    // shim; losers (same workload, different policy/memory) run plain —
+    // the generator cannot see the difference.  The claim comes first,
+    // so a cell claims its stream whatever it does next.
+    std::string identity;
+    bool recording = false;
+    if (config.trace_record != nullptr) {
+        identity = TraceMetaFor(config).Identity();
+        recording = config.trace_record->Claim(identity);
+    }
+    try {
+        return RunClaimed(config, recording ? &identity : nullptr);
+    } catch (...) {
+        if (recording) {
+            config.trace_record->Abandon(identity);
+        }
+        throw;
+    }
 }
 
 }  // namespace spur::core

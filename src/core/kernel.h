@@ -145,20 +145,21 @@ class Kernel
     /**
      * Accounts a block fill a miss of @p type made into @p line: the
      * fetch, the write-back of a dirty victim, and for a write miss the
-     * Table 3.3 N_w-miss count and the store itself.
+     * Table 3.3 N_w-miss count and the store itself.  A third of fills
+     * write a victim back and a quarter are write fills, so neither
+     * outcome is a branch: each selects a count, a charge and the bits
+     * the store ORs in.
      */
     void ChargeFill(cache::LineRef line, const cache::Eviction& eviction,
                     AccessType type)
     {
-        if (eviction.writeback) {
-            events_.Add(sim::Event::kWriteback);
-            timing_.Charge(sim::TimeBucket::kMissStall, block_fetch_cycles_);
-        }
-        timing_.Charge(sim::TimeBucket::kMissStall, block_fetch_cycles_);
-        if (type == AccessType::kWrite) {
-            events_.Add(sim::Event::kWriteMissFill);
-            cache::VirtualCache::MarkWritten(line);
-        }
+        const bool write = type == AccessType::kWrite;
+        events_.Add(sim::Event::kWriteback, eviction.writeback);
+        timing_.Charge(sim::TimeBucket::kMissStall,
+                       (1 + uint64_t{eviction.writeback}) *
+                           block_fetch_cycles_);
+        events_.Add(sim::Event::kWriteMissFill, write);
+        line.MarkWrittenIf(write);
     }
 
     // ---- Audit ------------------------------------------------------------

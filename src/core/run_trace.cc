@@ -31,6 +31,23 @@ TraceRecordSession::Open(const std::string& path, std::string* error)
     return writer_.Open(path, error);
 }
 
+TraceRecordSession::Stream&
+TraceRecordSession::Place(const std::string& identity)
+{
+    const auto [it, fresh] = streams_.try_emplace(identity);
+    if (fresh) {
+        it->second.place = places_++;
+    }
+    return it->second;
+}
+
+void
+TraceRecordSession::Reserve(const std::string& identity)
+{
+    MutexLock lock(mutex_);
+    Place(identity);
+}
+
 bool
 TraceRecordSession::Claim(const std::string& identity)
 {
@@ -38,7 +55,12 @@ TraceRecordSession::Claim(const std::string& identity)
     if (!writer_.is_open()) {
         return false;
     }
-    return claimed_.emplace(identity, true).second;
+    Stream& stream = Place(identity);
+    if (stream.claimed) {
+        return false;
+    }
+    stream.claimed = true;
+    return true;
 }
 
 void
@@ -46,11 +68,30 @@ TraceRecordSession::Commit(const std::string& identity,
                            const std::string& bytes)
 {
     MutexLock lock(mutex_);
+    const size_t place = streams_.at(identity).place;
+    while (next_ != place && !failed_) {
+        landed_.Wait(mutex_);
+    }
     std::string error;
-    if (!writer_.AppendStream(bytes, &error)) {
+    if (!failed_ && !writer_.AppendStream(bytes, &error)) {
         Warn("--record-trace: stream '" + identity + "': " + error);
         failed_ = true;
     }
+    ++next_;
+    landed_.NotifyAll();
+}
+
+void
+TraceRecordSession::Abandon(const std::string& identity)
+{
+    MutexLock lock(mutex_);
+    if (streams_.at(identity).place < next_) {
+        return;  // It landed before its cell failed.
+    }
+    Warn("--record-trace: stream '" + identity +
+         "' was not recorded (its cell failed)");
+    failed_ = true;
+    landed_.NotifyAll();
 }
 
 bool
@@ -58,10 +99,10 @@ TraceRecordSession::Finish(std::string* error)
 {
     MutexLock lock(mutex_);
     if (failed_) {
-        // The writer already closed on the failed append; the file is a
-        // recoverable prefix, not a complete trace.
+        // A stream append failed or a claimed stream was abandoned: the
+        // file is a recoverable prefix, not a complete trace.
         if (error != nullptr) {
-            *error = "a stream append failed; the trace is partial";
+            *error = "a stream was not recorded; the trace is partial";
         }
         return false;
     }

@@ -51,8 +51,7 @@ PageTable::FindSlow(GlobalVpn vpn) const
     if (slot.page == nullptr) {
         return nullptr;
     }
-    mru_index_ = index;
-    mru_page_ = slot.page;
+    recent_[RecentSlot(index)] = Recent{index, slot.page};
     return &(*slot.page)[vpn % kPtesPerPage];
 }
 
@@ -71,8 +70,7 @@ PageTable::EnsureSlow(GlobalVpn vpn)
         slot->page = owned_.back().get();
         ++count_;
     }
-    mru_index_ = index;
-    mru_page_ = slot->page;
+    recent_[RecentSlot(index)] = Recent{index, slot->page};
     return (*slot->page)[vpn % kPtesPerPage];
 }
 

@@ -64,6 +64,14 @@ std::vector<std::vector<core::RunResult>>
 BenchSession::RunMatrix(const std::vector<core::RunConfig>& configs,
                         uint32_t reps)
 {
+    if (trace_record_ != nullptr) {
+        // Place each stream at its first cell in the order cells start.
+        for (const CellId id : MatrixOrder(configs.size(), reps)) {
+            core::RunConfig cell = configs[id.config_index];
+            cell.seed = CellSeed(cell.seed, id.rep);
+            trace_record_->Reserve(core::TraceMetaFor(cell).Identity());
+        }
+    }
     auto results = runner::RunMatrix(WithTraceHooks(configs), reps, jobs_);
     for (size_t i = 0; i < configs.size(); ++i) {
         core::RunConfig cell = configs[i];
@@ -79,6 +87,11 @@ BenchSession::RunMatrix(const std::vector<core::RunConfig>& configs,
 std::vector<core::RunResult>
 BenchSession::RunAll(const std::vector<core::RunConfig>& configs)
 {
+    if (trace_record_ != nullptr) {
+        for (const core::RunConfig& config : configs) {
+            trace_record_->Reserve(core::TraceMetaFor(config).Identity());
+        }
+    }
     auto results = runner::RunAll(WithTraceHooks(configs), jobs_);
     for (size_t i = 0; i < configs.size(); ++i) {
         Record(configs[i], 0, results[i]);

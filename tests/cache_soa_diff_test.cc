@@ -149,6 +149,7 @@ class AosReferenceCache
     }
 
     const Line& LineAt(uint64_t index) const { return lines_[index]; }
+    void SetLine(uint64_t index, const Line& line) { lines_[index] = line; }
     uint64_t NumLines() const { return lines_.size(); }
 
   private:
@@ -334,6 +335,124 @@ TEST(CacheSoaDiffTest, PageLargerThanCacheAliasedFlush)
     config.block_bytes = 32;
     config.page_bytes = 4 * 1024;
     RunDifferential(config, 200'000, /*seed=*/0xCAFEu);
+}
+
+/** The kinds of line a page flush meets in a slot of its page's run. */
+enum class SlotKind { kInvalid, kOwnClean, kOwnDirty, kForeignClean,
+                      kForeignDirty };
+constexpr int kNumSlotKinds = 5;
+
+/** A line of @p kind in a slot of the page whose tag is @p page_tag. */
+Line
+LineOfKind(SlotKind kind, uint64_t page_tag, Rng& rng)
+{
+    Line line;
+    if (kind == SlotKind::kInvalid) {
+        return line;
+    }
+    const bool own = kind == SlotKind::kOwnClean ||
+                     kind == SlotKind::kOwnDirty;
+    const bool dirty = kind == SlotKind::kOwnDirty ||
+                       kind == SlotKind::kForeignDirty;
+    line.tag = own ? page_tag : page_tag + 1 + rng.NextBelow(3);
+    line.prot = static_cast<Protection>(1 + rng.NextBelow(2));
+    line.page_dirty = rng.Chance(0.5);
+    line.block_dirty = dirty;
+    // Clean lines are UnOwned; a dirty line is OwnedExclusive or, as a
+    // multiprocessor leaves it, OwnedShared.
+    line.state = !dirty           ? CoherencyState::kUnOwned
+                 : rng.Chance(0.5) ? CoherencyState::kOwnedExclusive
+                                   : CoherencyState::kOwnedShared;
+    return line;
+}
+
+/**
+ * Fills both caches with the same random lines, then writes one page's
+ * run of slots with lines of the kinds @p kind_of picks, flushes that
+ * page both ways on fresh copies, and compares each FlushResult field
+ * and every slot afterwards.
+ */
+template <typename KindOf>
+void
+FlushMixedPage(const sim::MachineConfig& config, uint64_t page_tag,
+               uint64_t run, Rng& rng, KindOf kind_of)
+{
+    const uint64_t tag_shift =
+        config.BlockShift() + static_cast<unsigned>(config.IndexBits());
+    const uint64_t first = run * config.BlocksPerPage();
+    const GlobalAddr page =
+        (page_tag << tag_shift) | (first << config.BlockShift());
+    std::vector<Line> lines(config.NumBlocks());
+    for (uint64_t i = 0; i < lines.size(); ++i) {
+        const bool in_page = i >= first && i < first + config.BlocksPerPage();
+        const SlotKind kind = in_page
+                                  ? kind_of(i - first)
+                                  : static_cast<SlotKind>(
+                                        rng.NextBelow(kNumSlotKinds));
+        lines[i] = LineOfKind(kind, page_tag, rng);
+    }
+    for (const bool checked : {true, false}) {
+        VirtualCache vcache(config);
+        AosReferenceCache model(config);
+        for (uint64_t i = 0; i < lines.size(); ++i) {
+            vcache.SlotAt(i).Set(lines[i]);
+            model.SetLine(i, lines[i]);
+        }
+        const FlushResult got = checked ? vcache.FlushPageChecked(page)
+                                        : vcache.FlushPageIndexed(page);
+        const FlushResult want = checked ? model.FlushPage<true>(page)
+                                         : model.FlushPage<false>(page);
+        EXPECT_EQ(got.slots_examined, want.slots_examined);
+        EXPECT_EQ(got.blocks_flushed, want.blocks_flushed);
+        EXPECT_EQ(got.writebacks, want.writebacks);
+        EXPECT_EQ(got.foreign_flushed, want.foreign_flushed);
+        ExpectSameState(vcache, model, run);
+    }
+}
+
+/** Seeded mixes of every slot kind, then pages of each kind alone. */
+void
+RunFlushCoverage(const sim::MachineConfig& config, uint64_t seed)
+{
+    Rng rng(seed);
+    const uint64_t runs = config.NumBlocks() / config.BlocksPerPage();
+    for (int trial = 0; trial < 200; ++trial) {
+        const uint64_t page_tag = rng.NextBelow(6);
+        FlushMixedPage(config, page_tag, rng.NextBelow(runs), rng,
+                       [&rng](uint64_t) {
+                           return static_cast<SlotKind>(
+                               rng.NextBelow(kNumSlotKinds));
+                       });
+        if (::testing::Test::HasFailure()) {
+            FAIL() << "mixed page, trial " << trial;
+        }
+    }
+    for (int kind = 0; kind < kNumSlotKinds; ++kind) {
+        FlushMixedPage(config, 1 + rng.NextBelow(5), rng.NextBelow(runs),
+                       rng, [kind](uint64_t) {
+                           return static_cast<SlotKind>(kind);
+                       });
+        if (::testing::Test::HasFailure()) {
+            FAIL() << "page of kind " << kind << " only";
+        }
+    }
+}
+
+TEST(CacheSoaDiffTest, PageFlushesCoverEveryKindOfLine)
+{
+    // Pages of 128 slots mixing invalid, own-clean, own-dirty,
+    // foreign-clean and foreign-dirty lines, including page tag 0
+    // (where an invalid slot's zeroed tag equals the page's).
+    RunFlushCoverage(sim::MachineConfig::Prototype(8), /*seed=*/0xF1u);
+    // 16-byte blocks: 256 slots per page.
+    sim::MachineConfig small = sim::MachineConfig::Prototype(8);
+    small.cache_bytes = 8 * 1024;
+    small.block_bytes = 16;
+    RunFlushCoverage(small, /*seed=*/0xF2u);
+    // 64-byte pages of 16-byte blocks: 4 slots per page, fewer than the
+    // eight the scan takes at a time, so only its one-slot loop runs.
+    small.page_bytes = 64;
+    RunFlushCoverage(small, /*seed=*/0xF3u);
 }
 
 }  // namespace

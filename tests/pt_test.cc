@@ -273,5 +273,93 @@ TEST(PageTableTest, MatchesAnOrderedMapAcrossGrowth)
     }
 }
 
+TEST(PageTableTest, RecentPagesMatchAnOrderedMapAcrossGrowth)
+{
+    // The recent-page table in front of the probe holds kRecentEntries
+    // pages; its entries are overwritten, never invalidated, so a stale
+    // entry must never answer for another page.  Seeded Ensure/Find/
+    // FindMutable calls interleave the same in-segment table pages
+    // across 48 segments, a group of indices that all share one recent
+    // entry, and pages that are only ever looked up, never created.
+    // Every returned pointer must be the same PTE of the same table page
+    // as at the page's creation, across every Grow() (64 -> 512 slots).
+    Rng rng(29);
+    PageTable table;
+    std::vector<uint64_t> created;   // Indices Ensure may create.
+    std::vector<uint64_t> missing;   // Indices never created.
+    const uint64_t per_segment =
+        (uint64_t{1} << (kSegmentShift - kPageShift)) / kPtesPerPage;
+    for (uint64_t segment = 1; segment <= 48; ++segment) {
+        for (const uint64_t page : {0u, 1u, 2u, 255u}) {
+            (page == 2 ? missing : created)
+                .push_back(segment * per_segment + page);
+        }
+    }
+    const size_t shared = PageTable::RecentSlot(created[0]);
+    std::vector<uint64_t> colliding;
+    for (uint64_t index = 100 * per_segment; colliding.size() < 12;
+         ++index) {
+        if (PageTable::RecentSlot(index) == shared) {
+            colliding.push_back(index);
+        }
+    }
+    ASSERT_GT(created.size() + colliding.size(),
+              PageTable::kRecentEntries);
+    created.insert(created.end(), colliding.begin(), colliding.end() - 4);
+    missing.insert(missing.end(), colliding.end() - 4, colliding.end());
+
+    std::map<GlobalVpn, Pte> written;           // PTEs the test has set.
+    std::map<uint64_t, const Pte*> first_pte;   // Page -> its PTE 0.
+    const auto expected = [&written](GlobalVpn vpn) -> Pte {
+        const auto it = written.find(vpn);
+        return it == written.end() ? Pte{} : it->second;
+    };
+    const auto check = [&](const Pte* pte, GlobalVpn vpn) {
+        const uint64_t index = PageTable::SecondLevelIndex(vpn);
+        const auto it = first_pte.find(index);
+        if (it == first_pte.end()) {
+            EXPECT_EQ(pte, nullptr) << "vpn " << vpn;
+            return;
+        }
+        ASSERT_EQ(pte, it->second + vpn % kPtesPerPage) << "vpn " << vpn;
+        EXPECT_EQ(*pte, expected(vpn)) << "vpn " << vpn;
+    };
+    for (int op = 0; op < 40000; ++op) {
+        const bool make = rng.NextBelow(8) != 0;
+        const std::vector<uint64_t>& pool = make ? created : missing;
+        const uint64_t index = pool[rng.NextBelow(pool.size())];
+        const GlobalVpn vpn =
+            index * kPtesPerPage + rng.NextBelow(kPtesPerPage);
+        const size_t pages = table.NumTablePages();
+        const uint64_t dice = rng.NextBelow(3);
+        if (dice == 0 && make) {
+            Pte& pte = table.Ensure(vpn);
+            first_pte.emplace(index, &pte - vpn % kPtesPerPage);
+            check(&pte, vpn);
+            pte = Pte(static_cast<uint32_t>(rng.Next()));
+            written[vpn] = pte;
+        } else if (dice == 1) {
+            check(table.Find(vpn), vpn);
+            ASSERT_EQ(table.NumTablePages(), pages) << "op " << op;
+        } else {
+            Pte* pte = table.FindMutable(vpn);
+            check(pte, vpn);
+            ASSERT_EQ(table.NumTablePages(), pages) << "op " << op;
+            if (pte != nullptr) {
+                pte->set_referenced(true);
+                written[vpn] = *pte;
+            }
+        }
+        ASSERT_EQ(table.NumTablePages(), first_pte.size()) << "op " << op;
+        if (::testing::Test::HasFatalFailure()) {
+            return;
+        }
+    }
+    ASSERT_EQ(first_pte.size(), created.size());  // 152 pages: 512 slots.
+    for (const uint64_t index : missing) {
+        EXPECT_EQ(table.Find(index * kPtesPerPage), nullptr);
+    }
+}
+
 }  // namespace
 }  // namespace spur::pt

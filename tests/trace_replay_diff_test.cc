@@ -15,10 +15,13 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/core/run_trace.h"
 #include "src/runner/session.h"
+#include "src/workload/trace.h"
 
 namespace spur {
 namespace {
@@ -177,8 +180,9 @@ TEST(TraceReplayDiffTest, ReplayedMatrixIsByteIdenticalAtAnyJobs)
 TEST(TraceReplayDiffTest, RecordingAtFourJobsMatchesOneJob)
 {
     // The claim-once protocol: whichever cell wins the race to record a
-    // stream, the committed bytes are the same, so a --jobs=4 recording
-    // replays to the same --json as a --jobs=1 recording.
+    // stream, the committed bytes are the same, and streams land in the
+    // matrix order of their first cells, so a --jobs=4 recording is the
+    // --jobs=1 file byte for byte and replays to the same --json.
     ScopedTempDir tmp;
     const std::string trace_j1 = tmp.Path("j1.trc");
     const std::string trace_j4 = tmp.Path("j4.trc");
@@ -187,6 +191,13 @@ TEST(TraceReplayDiffTest, RecordingAtFourJobsMatchesOneJob)
     const std::string live_j4 = RunSession(
         tmp, "record_j4", {"--jobs=4", "--record-trace=" + trace_j4});
     EXPECT_EQ(live_j4, live_j1);
+    const std::string bytes_j1 = ReadFile(trace_j1);
+    const std::string bytes_j4 = ReadFile(trace_j4);
+    ASSERT_FALSE(bytes_j1.empty());
+    EXPECT_TRUE(bytes_j4 == bytes_j1)
+        << "the --jobs=4 recording (" << bytes_j4.size()
+        << " bytes) differs from the --jobs=1 recording ("
+        << bytes_j1.size() << " bytes)";
 
     const std::string replay_a = RunSession(
         tmp, "replay_a", {"--jobs=4", "--replay-trace=" + trace_j1});
@@ -194,6 +205,85 @@ TEST(TraceReplayDiffTest, RecordingAtFourJobsMatchesOneJob)
         tmp, "replay_b", {"--jobs=1", "--replay-trace=" + trace_j4});
     EXPECT_EQ(replay_a, live_j1);
     EXPECT_EQ(replay_b, live_j1);
+}
+
+/** Identities and encoded bytes of @p n empty streams, distinct by seed. */
+void
+EmptyStreams(size_t n, std::vector<std::string>* ids,
+             std::vector<std::string>* bytes)
+{
+    for (size_t i = 0; i < n; ++i) {
+        workload::TraceStreamMeta meta;
+        meta.workload = "WORKLOAD1";
+        meta.seed = 100 + i;
+        meta.page_bytes = 4096;
+        meta.block_bytes = 32;
+        ids->push_back(meta.Identity());
+        workload::TraceEncoder encoder(meta);
+        bytes->push_back(encoder.Finish(0));
+    }
+}
+
+TEST(TraceRecordSessionTest, StreamsLandInReservedOrder)
+{
+    // Streams committed last place first, each from its own thread,
+    // still land in the order they were reserved: an early committer
+    // waits until every stream placed before it has landed.
+    ScopedTempDir tmp;
+    const std::string path = tmp.Path("ordered.trc");
+    core::TraceRecordSession session;
+    std::string error;
+    ASSERT_TRUE(session.Open(path, &error)) << error;
+    std::vector<std::string> ids;
+    std::vector<std::string> bytes;
+    EmptyStreams(4, &ids, &bytes);
+    for (const std::string& id : ids) {
+        session.Reserve(id);
+    }
+    session.Reserve(ids[0]);  // A second cell of a placed stream.
+    {
+        std::vector<std::jthread> committers;
+        for (size_t i = ids.size(); i-- > 0;) {
+            ASSERT_TRUE(session.Claim(ids[i]));
+            committers.emplace_back(
+                [&session, &ids, &bytes, i] {
+                    session.Commit(ids[i], bytes[i]);
+                });
+        }
+    }
+    EXPECT_FALSE(session.Claim(ids[0]));
+    ASSERT_TRUE(session.Finish(&error)) << error;
+    workload::TraceLibrary library;
+    ASSERT_TRUE(library.Load(path, &error)) << error;
+    ASSERT_EQ(library.streams().size(), ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(library.streams()[i].meta.Identity(), ids[i]) << i;
+    }
+}
+
+TEST(TraceRecordSessionTest, AnAbandonedStreamReleasesItsSuccessors)
+{
+    // A claimed stream whose cell fails is abandoned: the stream placed
+    // after it commits without waiting for it, and the trace is partial.
+    ScopedTempDir tmp;
+    const std::string path = tmp.Path("partial.trc");
+    core::TraceRecordSession session;
+    std::string error;
+    ASSERT_TRUE(session.Open(path, &error)) << error;
+    std::vector<std::string> ids;
+    std::vector<std::string> bytes;
+    EmptyStreams(2, &ids, &bytes);
+    session.Reserve(ids[0]);
+    session.Reserve(ids[1]);
+    ASSERT_TRUE(session.Claim(ids[1]));
+    ASSERT_TRUE(session.Claim(ids[0]));
+    {
+        std::jthread later(
+            [&session, &ids, &bytes] { session.Commit(ids[1], bytes[1]); });
+        session.Abandon(ids[0]);
+    }
+    EXPECT_FALSE(session.Finish(&error));
+    EXPECT_NE(error.find("partial"), std::string::npos) << error;
 }
 
 }  // namespace

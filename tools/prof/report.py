@@ -31,7 +31,8 @@ import sys
 LAYERS = [
     ("page table", r"spur::pt::PageTable::(Ensure|Find|Probe|Home|Grow)"),
     ("xlate", r"spur::xlate::"),
-    ("fill", r"spur::cache::VirtualCache::(Fill|Flush|Evict)"),
+    ("fill", r"spur::cache::(VirtualCache::(Fill|Flush|Evict)"
+             r"|\{anon\}::ScanPage)"),
     ("hit loop", r"WriteHitFastPath"),
     ("policy", r"spur::policy::"),
     ("vm", r"spur::(vm|mem)::"),
