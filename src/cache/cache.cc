@@ -1,6 +1,5 @@
 #include "src/cache/cache.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -33,18 +32,6 @@ VirtualCache::VirtualCache(const sim::MachineConfig& config)
       tags_(config.NumBlocks(), 0),
       meta_(config.NumBlocks(), 0)
 {
-}
-
-bool
-VirtualCache::InvalidateBlock(GlobalAddr addr)
-{
-    LineRef line = Lookup(addr);
-    if (!line) {
-        return false;
-    }
-    const bool writeback = line.block_dirty();
-    line.Invalidate();
-    return writeback;
 }
 
 namespace {
@@ -201,23 +188,6 @@ FlushResult
 VirtualCache::FlushPageIndexed(GlobalAddr addr)
 {
     return FlushPageImpl<false>(addr);
-}
-
-void
-VirtualCache::Reset()
-{
-    std::fill(tags_.begin(), tags_.end(), 0);
-    std::fill(meta_.begin(), meta_.end(), 0);
-}
-
-uint64_t
-VirtualCache::NumValid() const
-{
-    uint64_t count = 0;
-    for (const uint8_t m : meta_) {
-        count += (m & meta::kStateMask) != 0 ? 1 : 0;
-    }
-    return count;
 }
 
 }  // namespace spur::cache

@@ -290,9 +290,7 @@ class LineBuf
 
 /** Result of evicting a line during Fill(). */
 struct Eviction {
-    bool happened = false;     ///< A valid line was displaced.
-    bool writeback = false;    ///< The displaced line was block-dirty.
-    GlobalAddr block_addr = 0; ///< Block address of the displaced line.
+    bool writeback = false;  ///< A block-dirty line was displaced.
 };
 
 /** Result of VirtualCache::Touch(). */
@@ -329,21 +327,6 @@ class VirtualCache : public PageFlusher
                    : LineRef();
     }
 
-    /**
-     * Lookup with a precomputed slot @p index and expected @p tag.
-     * Batch loops use this to overlap the metadata load with the
-     * segment-map resolution: when the segment shift sits above the
-     * index bits, the index depends only on the process address, so the
-     * array accesses can issue before the global tag is known.
-     */
-    LineRef LookupAt(uint64_t index, uint64_t tag)
-    {
-        return ((meta_[index] & meta::kStateMask) != 0 &&
-                tags_[index] == tag)
-                   ? LineRef(&tags_[index], &meta_[index])
-                   : LineRef();
-    }
-
     /** Const lookup. */
     ConstLineRef Lookup(GlobalAddr addr) const
     {
@@ -356,23 +339,19 @@ class VirtualCache : public PageFlusher
 
     /**
      * Installs the block containing @p addr with cached PTE state
-     * (@p prot, @p page_dirty).  Fills enter UnOwned (clean).  Any valid
-     * line previously in the slot is described in @p eviction.
+     * (@p prot, @p page_dirty).  Fills enter UnOwned (clean).  A
+     * non-null @p eviction learns whether the line displaced from the
+     * slot was block-dirty.
      */
     [[gnu::always_inline]] LineRef Fill(GlobalAddr addr, Protection prot,
                                         bool page_dirty, Eviction* eviction)
     {
-        // Inlined, so a caller that reads only some of @p eviction's
-        // fields (the miss path reads `writeback`) computes only those.
         const uint64_t index = IndexOf(addr);
         const uint8_t old_meta = meta_[index];
         if (eviction != nullptr) {
             const bool valid = (old_meta & meta::kStateMask) != 0;
-            eviction->happened = valid;
             eviction->writeback = static_cast<bool>(
                 valid & ((old_meta & meta::kBlockDirtyBit) != 0));
-            eviction->block_addr =
-                valid ? BlockAddrOf(index, tags_[index]) : 0;
         }
         tags_[index] = TagOf(addr);
         meta_[index] = FillMeta(prot, page_dirty);
@@ -408,10 +387,6 @@ class VirtualCache : public PageFlusher
      */
     static void MarkWritten(LineRef line) { line.MarkWritten(); }
 
-    /** Invalidates the block containing @p addr if present.
-     *  Returns true when a dirty block was written back. */
-    bool InvalidateBlock(GlobalAddr addr);
-
     /**
      * Flushes every block of the page containing @p addr with the
      * *tag-checked* flush (the improved operation the paper assumes for
@@ -427,14 +402,8 @@ class VirtualCache : public PageFlusher
      */
     FlushResult FlushPageIndexed(GlobalAddr addr);
 
-    /** Invalidates the whole cache (no writebacks counted). */
-    void Reset();
-
     /** Number of lines. */
     uint64_t NumLines() const { return tags_.size(); }
-
-    /** Number of currently valid lines. */
-    uint64_t NumValid() const;
 
     /** Snapshot of the slot at @p index (tests, audit passes, the page
      *  daemon's flush path). */

@@ -50,16 +50,6 @@ Args::GetInt(const std::string& name, int64_t fallback) const
     return std::strtoll(it->second.c_str(), nullptr, 0);
 }
 
-double
-Args::GetDouble(const std::string& name, double fallback) const
-{
-    const auto it = flags_.find(name);
-    if (it == flags_.end() || it->second.empty()) {
-        return fallback;
-    }
-    return std::strtod(it->second.c_str(), nullptr);
-}
-
 bool
 MatchFlag(const std::string& arg, const std::string& name,
           std::string* value)

@@ -29,9 +29,6 @@ class Args
     /** Integer value of --name, or @p fallback. */
     int64_t GetInt(const std::string& name, int64_t fallback) const;
 
-    /** Floating-point value of --name, or @p fallback. */
-    double GetDouble(const std::string& name, double fallback) const;
-
     /** Positional (non-flag) arguments in order. */
     const std::vector<std::string>& positional() const
     {

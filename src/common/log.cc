@@ -4,17 +4,14 @@
 #include <cstdlib>
 
 #include "src/common/mutex.h"
-#include "src/common/thread_annotations.h"
 
 namespace spur {
 
 namespace {
 // Serializes all log output: worker threads in the parallel runner may
-// Warn()/Inform() concurrently, and interleaved fprintf bytes would
-// garble the stream.  g_verbose is guarded by the same mutex — under
-// clang -Wthread-safety an unlocked access is a compile error.
+// Warn() concurrently, and interleaved fprintf bytes would garble the
+// stream.
 Mutex g_log_mutex;
-bool g_verbose SPUR_GUARDED_BY(g_log_mutex) = true;
 }  // namespace
 
 void
@@ -42,22 +39,6 @@ Warn(const std::string& message)
 {
     MutexLock lock(g_log_mutex);
     std::fprintf(stderr, "warn: %s\n", message.c_str());
-}
-
-void
-Inform(const std::string& message)
-{
-    MutexLock lock(g_log_mutex);
-    if (g_verbose) {
-        std::fprintf(stderr, "info: %s\n", message.c_str());
-    }
-}
-
-void
-SetVerbose(bool verbose)
-{
-    MutexLock lock(g_log_mutex);
-    g_verbose = verbose;
 }
 
 }  // namespace spur

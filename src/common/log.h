@@ -4,7 +4,7 @@
  *
  * - Fatal():  the *user's* fault (bad configuration); exits with code 1.
  * - Panic():  the *simulator's* fault (broken invariant); aborts.
- * - Warn()/Inform(): non-fatal status messages on stderr.
+ * - Warn():   non-fatal status messages on stderr.
  *
  * All entry points are thread-safe: output is serialized by an internal
  * mutex so messages from parallel runner workers never interleave.
@@ -24,12 +24,6 @@ namespace spur {
 
 /** Prints a warning to stderr. */
 void Warn(const std::string& message);
-
-/** Prints an informational message to stderr. */
-void Inform(const std::string& message);
-
-/** Enables/disables Inform() output (default on). */
-void SetVerbose(bool verbose);
 
 }  // namespace spur
 

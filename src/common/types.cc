@@ -3,17 +3,6 @@
 namespace spur {
 
 const char*
-ToString(AccessType type)
-{
-    switch (type) {
-      case AccessType::kIFetch: return "ifetch";
-      case AccessType::kRead: return "read";
-      case AccessType::kWrite: return "write";
-    }
-    return "?";
-}
-
-const char*
 ToString(Protection prot)
 {
     switch (prot) {

@@ -62,9 +62,6 @@ enum class Protection : uint8_t {
     kReadWrite = 2, ///< All accesses permitted.
 };
 
-/** Returns a short human-readable name for an access type. */
-const char* ToString(AccessType type);
-
 /** Returns a short human-readable name for a protection level. */
 const char* ToString(Protection prot);
 

@@ -73,21 +73,6 @@ Kernel::MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
 }
 
 void
-Kernel::UnmapRegion(Pid pid, ProcessAddr base)
-{
-    auto it = process_regions_.find(pid);
-    if (it == process_regions_.end()) {
-        Fatal("Kernel: UnmapRegion on unknown pid " + std::to_string(pid));
-    }
-    auto region_it = it->second.find(base);
-    if (region_it == it->second.end()) {
-        Fatal("Kernel: no region mapped at this base");
-    }
-    vm_.UnmapRegion(region_it->second);
-    it->second.erase(region_it);
-}
-
-void
 Kernel::OnContextSwitch()
 {
     events_.Add(sim::Event::kContextSwitch);

@@ -78,9 +78,6 @@ class Kernel
     void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
                    vm::PageKind kind);
 
-    /** Removes the region mapped at @p base and frees its pages. */
-    void UnmapRegion(Pid pid, ProcessAddr base);
-
     /**
      * Shares memory the SPUR way: points @p pid's segment register
      * @p reg at the same global segment as @p other's @p other_reg, so

@@ -56,19 +56,6 @@ OverheadModel::Overhead(policy::DirtyPolicyKind kind,
 }
 
 double
-OverheadModel::RelativeToMin(policy::DirtyPolicyKind kind,
-                             const EventFrequencies& freq,
-                             bool exclude_zfod) const
-{
-    const double min =
-        Overhead(policy::DirtyPolicyKind::kMin, freq, exclude_zfod);
-    if (min <= 0) {
-        return 1.0;
-    }
-    return Overhead(kind, freq, exclude_zfod) / min;
-}
-
-double
 OverheadModel::WriteMissProbability(const EventFrequencies& freq)
 {
     const double total =

@@ -74,11 +74,6 @@ class OverheadModel
                     const EventFrequencies& freq,
                     bool exclude_zfod = true) const;
 
-    /** Overhead relative to MIN (Table 3.4's parenthesized column). */
-    double RelativeToMin(policy::DirtyPolicyKind kind,
-                         const EventFrequencies& freq,
-                         bool exclude_zfod = true) const;
-
     // ---- Footnote 3: the geometric excess-fault model --------------------
 
     /** p_w = N_w-miss / (N_w-hit + N_w-miss). */

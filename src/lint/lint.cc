@@ -294,12 +294,6 @@ Linter::Analyze() const
     return report;
 }
 
-std::vector<Violation>
-Linter::Run() const
-{
-    return Analyze().violations;
-}
-
 // ---------------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------------

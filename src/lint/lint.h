@@ -135,9 +135,6 @@ class Linter
     /** Runs every pass over the registered files, in file order. */
     LintReport Analyze() const;
 
-    /** Analyze().violations, for callers that only gate. */
-    std::vector<Violation> Run() const;
-
   private:
     struct SourceFile {
         std::string path;  ///< Normalized.

@@ -99,16 +99,4 @@ PageTable::ProbeLength(GlobalVpn vpn) const
     return ((at - Home(slots_, index)) & (slots_.size() - 1)) + 1;
 }
 
-size_t
-PageTable::NumValidPtes() const
-{
-    size_t valid = 0;
-    ForEachPte([&valid](GlobalVpn, const Pte& pte) {
-        if (pte.valid()) {
-            ++valid;
-        }
-    });
-    return valid;
-}
-
 }  // namespace spur::pt

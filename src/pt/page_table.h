@@ -117,9 +117,6 @@ class PageTable
     void ForEachPte(
         const std::function<void(GlobalVpn, const Pte&)>& fn) const;
 
-    /** Number of *valid* (resident) PTEs across all table pages. */
-    size_t NumValidPtes() const;
-
     /**
      * Slots the second-level probe examines for @p vpn, counting the
      * match or the empty slot that ends the walk (1 = its home slot).

@@ -3,9 +3,9 @@
  * The full set of architectural events the simulator can observe.
  *
  * `EventCounts` is the simulator's ground truth (64-bit, all events at
- * once).  The hardware-faithful `PerfCounters` facade in counters.h exposes
- * these through 16 32-bit mode-multiplexed registers like the SPUR cache
- * controller chip [Wood87].
+ * once).  The paper read its event counts through the SPUR cache
+ * controller's sixteen 32-bit mode-multiplexed counters [Wood87]; the
+ * tables here read these counts directly.
  */
 #ifndef SPUR_SIM_EVENTS_H_
 #define SPUR_SIM_EVENTS_H_

@@ -6,19 +6,6 @@
 
 namespace spur::vm {
 
-const char*
-ToString(PageKind kind)
-{
-    switch (kind) {
-      case PageKind::kCode: return "code";
-      case PageKind::kData: return "data";
-      case PageKind::kHeap: return "heap";
-      case PageKind::kStack: return "stack";
-      case PageKind::kFileCache: return "filecache";
-    }
-    return "?";
-}
-
 void
 RegionMap::Add(GlobalVpn start, uint64_t pages, PageKind kind)
 {

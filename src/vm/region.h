@@ -32,9 +32,6 @@ enum class PageKind : uint8_t {
     kFileCache,
 };
 
-/** Returns a short name for a page kind. */
-const char* ToString(PageKind kind);
-
 /** True when pages of this kind may be modified. */
 constexpr bool
 IsWritable(PageKind kind)

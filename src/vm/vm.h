@@ -83,9 +83,6 @@ class VirtualMemory
     /** High watermark in frames (daemon target). */
     uint32_t HighWatermark() const { return high_water_; }
 
-    /** Runs one daemon sweep now regardless of watermarks (tests). */
-    void ForceSweep() { SweepToTarget(high_water_); }
-
   private:
     const sim::MachineConfig& config_;
     pt::PageTable& table_;

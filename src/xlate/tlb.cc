@@ -42,12 +42,4 @@ Tlb::Invalidate(GlobalVpn vpn)
     }
 }
 
-void
-Tlb::Flush()
-{
-    for (Slot& slot : slots_) {
-        slot.valid = false;
-    }
-}
-
 }  // namespace spur::xlate

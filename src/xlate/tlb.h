@@ -47,9 +47,6 @@ class Tlb
     /** Removes @p vpn if present (page reclaim / remap shootdown). */
     void Invalidate(GlobalVpn vpn);
 
-    /** Empties the TLB (context-switch flush on untagged TLBs). */
-    void Flush();
-
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
     uint32_t NumEntries() const

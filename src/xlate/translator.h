@@ -26,8 +26,6 @@ namespace spur::xlate {
 struct XlateResult {
     pt::Pte* pte = nullptr;  ///< The PTE (never null; may be !valid()).
     Cycles cycles = 0;       ///< Controller cycles spent translating.
-    bool pte_hit = false;    ///< First-level PTE was found in the cache.
-    bool evicted_dirty = false;  ///< PTE fill displaced a dirty block.
 };
 
 /**
@@ -35,7 +33,9 @@ struct XlateResult {
  *
  * Header-inline: Translate() runs once per cache miss — the simulator's
  * second-hottest path — and inlining it into the miss handler lets the
- * PTE-block probe overlap the surrounding miss bookkeeping.
+ * PTE-block probe overlap the surrounding miss bookkeeping.  The inline
+ * is forced: left to its heuristics, GCC 12 calls Translate() out of
+ * line from most of SpurSystem's 21 miss handlers.
  */
 class Translator
 {
@@ -61,43 +61,16 @@ class Translator
      * kXlatePteHit / kXlatePteMiss / kXlateL2Access in @p events.  The
      * returned PTE is the authoritative one: the caller must check
      * `valid()` and raise a page fault when clear.
+     *
+     * About a third of WORKLOAD1's misses also miss the PTE block, a
+     * branch no predictor learns, so the outcome only selects counts
+     * and charges: a PTE miss adds one to the miss and second-level
+     * counts and a block fetch to the cost, and a write-back one more.
      */
-    XlateResult Translate(GlobalAddr addr, sim::EventCounts& events)
+    [[gnu::always_inline]] XlateResult Translate(GlobalAddr addr,
+                                                 sim::EventCounts& events)
     {
         const GlobalVpn vpn = addr >> page_shift_;
-        XlateResult result = TouchPteBlock(vpn, events);
-        result.pte = &table_.Ensure(vpn);
-        return result;
-    }
-
-    /**
-     * Probes the PTE through the cache *without* the full miss sequence —
-     * the dirty-bit check path used by the SPUR and WRITE policies.
-     * Returns the cycle cost (t_xlate_hit on a cached PTE, plus a memory
-     * fetch when it is not).
-     */
-    Cycles ProbePteCost(GlobalAddr addr, sim::EventCounts& events)
-    {
-        return TouchPteBlock(addr >> page_shift_, events).cycles;
-    }
-
-  private:
-    cache::VirtualCache& vcache_;
-    pt::PageTable& table_;
-    Cycles pte_hit_cycles_;
-    Cycles block_fetch_cycles_;
-    unsigned page_shift_;
-
-    /**
-     * Ensures the PTE block for @p vpn is cached; returns everything of
-     * the result but the PTE.  About a third of WORKLOAD1's misses also
-     * miss the PTE block, a branch no predictor learns, so the outcome
-     * only selects counts and charges: a PTE miss adds one to the miss
-     * and second-level counts and a block fetch to the cost, and a
-     * write-back one more.
-     */
-    XlateResult TouchPteBlock(GlobalVpn vpn, sim::EventCounts& events)
-    {
         // A PTE miss consults the wired second-level table (physical
         // access, no recursion possible) and fetches the PTE block.
         // Page-table pages are wired kernel data: their lines carry
@@ -115,10 +88,16 @@ class Translator
         XlateResult result;
         result.cycles = pte_hit_cycles_ +
                         (miss + touched.writeback) * block_fetch_cycles_;
-        result.pte_hit = touched.hit;
-        result.evicted_dirty = touched.writeback;
+        result.pte = &table_.Ensure(vpn);
         return result;
     }
+
+  private:
+    cache::VirtualCache& vcache_;
+    pt::PageTable& table_;
+    Cycles pte_hit_cycles_;
+    Cycles block_fetch_cycles_;
+    unsigned page_shift_;
 };
 
 }  // namespace spur::xlate

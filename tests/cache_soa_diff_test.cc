@@ -52,11 +52,6 @@ class AosReferenceCache
     {
         return addr >> (block_shift_ + index_bits_);
     }
-    GlobalAddr BlockAddrOf(uint64_t index, uint64_t tag) const
-    {
-        return (tag << (block_shift_ + index_bits_)) |
-               (index << block_shift_);
-    }
 
     const Line* Lookup(GlobalAddr addr) const
     {
@@ -76,10 +71,7 @@ class AosReferenceCache
         const uint64_t index = IndexOf(addr);
         Line& line = lines_[index];
         if (eviction != nullptr) {
-            eviction->happened = line.valid();
             eviction->writeback = line.valid() && line.block_dirty;
-            eviction->block_addr =
-                line.valid() ? BlockAddrOf(index, line.tag) : 0;
         }
         line.tag = TagOf(addr);
         line.prot = prot;
@@ -93,17 +85,6 @@ class AosReferenceCache
     {
         line.block_dirty = true;
         line.state = CoherencyState::kOwnedExclusive;
-    }
-
-    bool InvalidateBlock(GlobalAddr addr)
-    {
-        Line* line = Lookup(addr);
-        if (line == nullptr) {
-            return false;
-        }
-        const bool writeback = line->block_dirty;
-        *line = Line{};
-        return writeback;
     }
 
     template <bool kTagChecked>
@@ -135,17 +116,6 @@ class AosReferenceCache
             line = Line{};
         }
         return result;
-    }
-
-    void Reset() { lines_.assign(lines_.size(), Line{}); }
-
-    uint64_t NumValid() const
-    {
-        uint64_t count = 0;
-        for (const Line& line : lines_) {
-            count += line.valid() ? 1 : 0;
-        }
-        return count;
     }
 
     const Line& LineAt(uint64_t index) const { return lines_[index]; }
@@ -262,7 +232,7 @@ RunDifferential(const sim::MachineConfig& config, uint64_t num_ops,
                     AosReferenceCache::MarkWritten(*ref);
                 }
             }
-        } else if (dice < 85) {
+        } else if (dice < 92) {
             // Fill: the miss path.  Random PTE-derived state.
             const Protection prot = static_cast<Protection>(
                 1 + rng.NextBelow(2));  // kReadOnly or kReadWrite
@@ -271,14 +241,8 @@ RunDifferential(const sim::MachineConfig& config, uint64_t num_ops,
             Eviction want_ev;
             LineRef got = vcache.Fill(addr, prot, page_dirty, &got_ev);
             Line& want = model.Fill(addr, prot, page_dirty, &want_ev);
-            ASSERT_EQ(got_ev.happened, want_ev.happened) << "op " << op;
             ASSERT_EQ(got_ev.writeback, want_ev.writeback) << "op " << op;
-            ASSERT_EQ(got_ev.block_addr, want_ev.block_addr) << "op " << op;
             ASSERT_TRUE(SameLine(got.Get(), want)) << "op " << op;
-        } else if (dice < 92) {
-            ASSERT_EQ(vcache.InvalidateBlock(addr),
-                      model.InvalidateBlock(addr))
-                << "op " << op;
         } else if (dice < 96) {
             const FlushResult got = vcache.FlushPageChecked(addr);
             const FlushResult want = model.FlushPage<true>(addr);
@@ -289,13 +253,16 @@ RunDifferential(const sim::MachineConfig& config, uint64_t num_ops,
             ASSERT_TRUE(SameFlush(got, want)) << "indexed flush, op " << op;
         } else {
             // Rare: page-aligned flush of a *page base* address, plus a
-            // NumValid cross-check (cheap at this frequency).
+            // whole-cache cross-check (affordable at this frequency).
             const GlobalAddr page =
                 AlignDown(addr, page_bytes);
             const FlushResult got = vcache.FlushPageChecked(page);
             const FlushResult want = model.FlushPage<true>(page);
             ASSERT_TRUE(SameFlush(got, want)) << "aligned flush, op " << op;
-            ASSERT_EQ(vcache.NumValid(), model.NumValid()) << "op " << op;
+            ExpectSameState(vcache, model, op);
+            if (::testing::Test::HasFatalFailure()) {
+                return;
+            }
         }
         if (op % checkpoint_every == 0) {
             ExpectSameState(vcache, model, op);
@@ -305,10 +272,6 @@ RunDifferential(const sim::MachineConfig& config, uint64_t num_ops,
         }
     }
     ExpectSameState(vcache, model, num_ops);
-    vcache.Reset();
-    model.Reset();
-    ExpectSameState(vcache, model, num_ops + 1);
-    EXPECT_EQ(vcache.NumValid(), 0u);
 }
 
 TEST(CacheSoaDiffTest, PrototypeGeometryMillionOps)

@@ -408,7 +408,6 @@ TEST(ArgsTest, BareFlagAndDefaults)
     EXPECT_TRUE(args.Has("csv"));
     EXPECT_FALSE(args.Has("missing"));
     EXPECT_EQ(args.GetInt("missing", 42), 42);
-    EXPECT_DOUBLE_EQ(args.GetDouble("missing", 2.5), 2.5);
 }
 
 TEST(ArgsTest, Positional)
@@ -418,12 +417,6 @@ TEST(ArgsTest, Positional)
     ASSERT_EQ(args.positional().size(), 1u);
     EXPECT_EQ(args.positional()[0], "pos1");
     EXPECT_EQ(args.GetString("flag"), "pos2");
-}
-
-TEST(ArgsTest, DoubleValues)
-{
-    const Args args = MakeArgs({"--x=1.25"});
-    EXPECT_DOUBLE_EQ(args.GetDouble("x", 0), 1.25);
 }
 
 // ---------------------------------------------------------------------------

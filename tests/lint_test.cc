@@ -63,7 +63,7 @@ LintFixture(const std::string& name)
     Linter linter = MakeLinter();
     std::string error;
     EXPECT_TRUE(linter.AddFileFromDisk(FixturePath(name), &error)) << error;
-    return linter.Run();
+    return linter.Analyze().violations;
 }
 
 struct SeededFixture {
@@ -159,7 +159,7 @@ TEST(LintTest, WholeCorpusInOneRunStaysSorted)
             linter.AddFileFromDisk(FixturePath(seeded.fixture), &error))
             << error;
     }
-    const std::vector<Violation> violations = linter.Run();
+    const std::vector<Violation> violations = linter.Analyze().violations;
     EXPECT_EQ(violations.size(), std::size(kSeeded));
     for (size_t i = 1; i < violations.size(); ++i) {
         EXPECT_LE(violations[i - 1].file, violations[i].file);
@@ -170,7 +170,7 @@ TEST(LintTest, MissingSchemaDefinitionIsATreeLevelFinding)
 {
     Linter linter;
     linter.AddFile("src/stats/run_record.h", "struct RunRecord {};\n");
-    const std::vector<Violation> violations = linter.Run();
+    const std::vector<Violation> violations = linter.Analyze().violations;
     ASSERT_EQ(violations.size(), 1u);
     EXPECT_EQ(violations[0].rule, "schema-version-once");
     EXPECT_EQ(violations[0].line, 0u);
@@ -183,7 +183,7 @@ TEST(LintTest, DuplicateSchemaDefinitionInHomeIsFlagged)
     linter.AddFile("src/stats/run_record.h",
                    "inline constexpr int kSchemaVersion = 1;\n"
                    "inline constexpr int kSchemaVersion = 2;\n");
-    const std::vector<Violation> violations = linter.Run();
+    const std::vector<Violation> violations = linter.Analyze().violations;
     ASSERT_EQ(violations.size(), 1u);
     EXPECT_EQ(violations[0].rule, "schema-version-once");
     EXPECT_EQ(violations[0].line, 2u);
@@ -195,7 +195,7 @@ TEST(LintTest, SchemaVersionUseIsNotADefinition)
     linter.AddFile("src/core/uses.cc",
                    "bool Ok(int v) { return v == kSchemaVersion; }\n"
                    "int Copy() { return stats::kSchemaVersion + 0; }\n");
-    EXPECT_TRUE(linter.Run().empty());
+    EXPECT_TRUE(linter.Analyze().violations.empty());
 }
 
 TEST(LintTest, UnorderedContainersAreFineOutsideOutputCode)
@@ -208,7 +208,7 @@ TEST(LintTest, UnorderedContainersAreFineOutsideOutputCode)
                    "#include <unordered_set>\n"
                    "size_t Count(const std::unordered_set<int>& s)\n"
                    "{ return s.size(); }\n");
-    EXPECT_TRUE(linter.Run().empty());
+    EXPECT_TRUE(linter.Analyze().violations.empty());
 }
 
 TEST(LintTest, TokenMatchingRespectsWordBoundaries)
@@ -219,7 +219,7 @@ TEST(LintTest, TokenMatchingRespectsWordBoundaries)
     linter.AddFile("src/core/boundaries.cc",
                    "double elapsed_time(int ticks);\n"
                    "int runtime_clocks(int x);\n");
-    EXPECT_TRUE(linter.Run().empty());
+    EXPECT_TRUE(linter.Analyze().violations.empty());
 }
 
 TEST(LintTest, HotPathRuleNeedsTheMarker)
@@ -231,7 +231,7 @@ TEST(LintTest, HotPathRuleNeedsTheMarker)
                    "  public:\n"
                    "    virtual void Emit(int) = 0;\n"
                    "};\n");
-    EXPECT_TRUE(linter.Run().empty());
+    EXPECT_TRUE(linter.Analyze().violations.empty());
 }
 
 TEST(LintTest, HotPathRuleIgnoresCommentsAndIdentifiers)
@@ -243,7 +243,7 @@ TEST(LintTest, HotPathRuleIgnoresCommentsAndIdentifiers)
                    "// spur:hot-path\n"
                    "// the loop is devirtualized; virtual would hurt\n"
                    "class VirtualCacheView { int virtual_index; };\n");
-    EXPECT_TRUE(linter.Run().empty());
+    EXPECT_TRUE(linter.Analyze().violations.empty());
 }
 
 TEST(LintTest, HotPathRuleFlagsKeywordInMarkedFile)
@@ -252,7 +252,7 @@ TEST(LintTest, HotPathRuleFlagsKeywordInMarkedFile)
     linter.AddFile("src/core/marked_bad.h",
                    "// spur:hot-path\n"
                    "struct S { virtual ~S() = default; };\n");
-    const std::vector<Violation> violations = linter.Run();
+    const std::vector<Violation> violations = linter.Analyze().violations;
     ASSERT_EQ(violations.size(), 1u);
     EXPECT_EQ(violations[0].rule, "no-virtual-in-hot-path");
     EXPECT_EQ(violations[0].line, 2u);
@@ -263,7 +263,7 @@ TEST(LintTest, SuppressionOnSameLineWorks)
     Linter linter;
     linter.AddFile("src/core/same_line.cc",
                    "int x = rand();  // spur-lint: allow(no-rand) legacy\n");
-    EXPECT_TRUE(linter.Run().empty());
+    EXPECT_TRUE(linter.Analyze().violations.empty());
 }
 
 TEST(LintTest, SuppressionNamesOneRuleOnly)
@@ -274,7 +274,7 @@ TEST(LintTest, SuppressionNamesOneRuleOnly)
     Linter linter;
     linter.AddFile("src/core/wrong_rule.cc",
                    "int x = time(nullptr);  // spur-lint: allow(no-rand)\n");
-    const std::vector<Violation> violations = linter.Run();
+    const std::vector<Violation> violations = linter.Analyze().violations;
     ASSERT_EQ(violations.size(), 2u);
     EXPECT_EQ(violations[0].rule, "dead-allow");
     EXPECT_EQ(violations[1].rule, "no-wallclock");
@@ -287,7 +287,7 @@ TEST(LintTest, AllowNamingUnknownRuleIsDead)
     Linter linter;
     linter.AddFile("src/core/typo.cc",
                    "int x = 0;  // spur-lint: allow(no-randd)\n");
-    const std::vector<Violation> violations = linter.Run();
+    const std::vector<Violation> violations = linter.Analyze().violations;
     ASSERT_EQ(violations.size(), 1u);
     EXPECT_EQ(violations[0].rule, "dead-allow");
     EXPECT_NE(violations[0].message.find("does not exist"),
@@ -307,7 +307,7 @@ TEST(LintTest, LayeringReportsTheFullIncludeChain)
         ASSERT_TRUE(linter.AddFileFromDisk(FixturePath(name), &error))
             << error;
     }
-    const std::vector<Violation> violations = linter.Run();
+    const std::vector<Violation> violations = linter.Analyze().violations;
     ASSERT_EQ(violations.size(), 2u);
     EXPECT_EQ(violations[0].file, "src/cache/layer_chain.cc");
     EXPECT_EQ(violations[0].rule, "layering");
@@ -352,7 +352,7 @@ TEST(LintTest, AddTreeSkipsFixturesAndDeduplicates)
     const size_t after_tree = linter.file_count();
     EXPECT_GT(after_tree, 0u);
     // lint_fixtures is pruned from tree walks.
-    for (const Violation& violation : linter.Run()) {
+    for (const Violation& violation : linter.Analyze().violations) {
         ADD_FAILURE() << FormatViolation(violation);
     }
     // Adding the same tree again is a no-op (paths dedup on normalize).
@@ -371,7 +371,7 @@ TEST(LintTest, RealTreeIsClean)
         ASSERT_TRUE(linter.AddTree(SourceRootPath(dir), &error)) << error;
     }
     EXPECT_GT(linter.file_count(), 100u);
-    for (const Violation& violation : linter.Run()) {
+    for (const Violation& violation : linter.Analyze().violations) {
         ADD_FAILURE() << FormatViolation(violation);
     }
 }

@@ -22,6 +22,17 @@ using policy::DirtyPolicyKind;
 using policy::RefPolicyKind;
 using workload::kHeapBase;
 
+/** Number of valid lines, counted over the per-slot snapshots. */
+uint64_t
+CountValid(const cache::VirtualCache& vcache)
+{
+    uint64_t count = 0;
+    for (uint64_t i = 0; i < vcache.NumLines(); ++i) {
+        count += vcache.LineAt(i).valid() ? 1 : 0;
+    }
+    return count;
+}
+
 class MpSystemTest : public testing::Test
 {
   protected:
@@ -241,8 +252,8 @@ TEST_F(MpSystemTest, CpuPortRunsSyntheticProcesses)
     }
     EXPECT_EQ(kernel().events().TotalRefs(), 100'000u);
     // Both caches saw traffic.
-    EXPECT_GT(system_->vcache(0).NumValid(), 0u);
-    EXPECT_GT(system_->vcache(1).NumValid(), 0u);
+    EXPECT_GT(CountValid(system_->vcache(0)), 0u);
+    EXPECT_GT(CountValid(system_->vcache(1)), 0u);
 }
 
 }  // namespace

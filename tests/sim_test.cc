@@ -1,14 +1,11 @@
 /**
  * @file
  * Tests for the machine model: configuration validation, derived timing
- * quantities, the event-count ground truth, the hardware performance
- * counters (mode multiplexing, 32-bit wrap, reads since a snapshot) and the
- * timing buckets.
+ * quantities, the event-count ground truth and the timing buckets.
  */
 #include <gtest/gtest.h>
 
 #include "src/sim/config.h"
-#include "src/sim/counters.h"
 #include "src/sim/events.h"
 #include "src/sim/timing.h"
 
@@ -119,112 +116,6 @@ TEST(EventCountsTest, EveryEventHasAName)
     for (size_t i = 0; i < kNumEvents; ++i) {
         EXPECT_STRNE(ToString(static_cast<Event>(i)), "?");
     }
-}
-
-// ---------------------------------------------------------------------------
-// PerfCounters
-// ---------------------------------------------------------------------------
-
-TEST(PerfCountersTest, ModeSelectsEventSet)
-{
-    const EventCounts counts;
-    PerfCounters counters(counts);
-    counters.SetMode(0);
-    EXPECT_GE(counters.IndexOf(Event::kIFetch), 0);
-    EXPECT_EQ(counters.IndexOf(Event::kDirtyFault), -1);
-    counters.SetMode(2);
-    EXPECT_GE(counters.IndexOf(Event::kDirtyFault), 0);
-    EXPECT_EQ(counters.IndexOf(Event::kIFetch), -1);
-}
-
-TEST(PerfCountersTest, ObserveAccumulatesOnlyCapturedEvents)
-{
-    EventCounts counts;
-    PerfCounters counters(counts);
-    counters.SetMode(0);
-    counts.Add(Event::kIFetch, 3);
-    counts.Add(Event::kDirtyFault, 7);  // Not in mode 0.
-    const int slot = counters.IndexOf(Event::kIFetch);
-    ASSERT_GE(slot, 0);
-    EXPECT_EQ(counters.Read(static_cast<size_t>(slot)), 3u);
-    // The uncaptured event left every register unchanged.
-    uint32_t total = 0;
-    for (size_t i = 0; i < kNumHwCounters; ++i) {
-        total += counters.Read(i);
-    }
-    EXPECT_EQ(total, 3u);
-}
-
-TEST(PerfCountersTest, SetModeClearsRegisters)
-{
-    EventCounts counts;
-    PerfCounters counters(counts);
-    counters.SetMode(0);
-    counts.Add(Event::kIFetch, 100);
-    counters.SetMode(1);
-    for (size_t i = 0; i < kNumHwCounters; ++i) {
-        EXPECT_EQ(counters.Read(i), 0u);
-    }
-}
-
-TEST(PerfCountersTest, RegistersWrapAt32Bits)
-{
-    EventCounts counts;
-    counts.Add(Event::kIFetch, 5);
-    PerfCounters counters(counts);
-    counters.SetMode(0);
-    const int slot = counters.IndexOf(Event::kIFetch);
-    ASSERT_GE(slot, 0);
-    counts.Add(Event::kIFetch, 0xFFFFFFFFu);
-    counts.Add(Event::kIFetch, 2);
-    EXPECT_EQ(counters.Read(static_cast<size_t>(slot)), 1u);
-}
-
-TEST(PerfCountersTest, SlotEventTableIsConsistent)
-{
-    // Every (mode, slot) pair either names a real event or is unused, and
-    // IndexOf agrees with SlotEvent.
-    const EventCounts counts;
-    for (unsigned mode = 0; mode < kNumCounterModes; ++mode) {
-        PerfCounters counters(counts);
-        counters.SetMode(mode);
-        for (size_t slot = 0; slot < kNumHwCounters; ++slot) {
-            const Event event = PerfCounters::SlotEvent(mode, slot);
-            if (event != Event::kCount) {
-                EXPECT_EQ(counters.IndexOf(event),
-                          static_cast<int>(slot));
-            }
-        }
-    }
-}
-
-TEST(PerfCountersTest, ReadsTheCountsSinceTheLastClear)
-{
-    EventCounts counts;
-    counts.Add(Event::kDirtyFault, 40);  // Before the window: not read.
-    PerfCounters counters(counts);
-    counters.SetMode(2);
-    counts.Add(Event::kDirtyFault, 5);
-    counts.Add(Event::kDirtyBitMiss, 2);
-    counts.Add(Event::kIFetch, 99);  // Not captured in mode 2.
-    const int ds = counters.IndexOf(Event::kDirtyFault);
-    const int dm = counters.IndexOf(Event::kDirtyBitMiss);
-    ASSERT_GE(ds, 0);
-    ASSERT_GE(dm, 0);
-    EXPECT_EQ(counters.Read(static_cast<size_t>(ds)), 5u);
-    EXPECT_EQ(counters.Read(static_cast<size_t>(dm)), 2u);
-    counters.Clear();
-    EXPECT_EQ(counters.Read(static_cast<size_t>(ds)), 0u);
-    EXPECT_EQ(counters.mode(), 2u);
-    counts.Add(Event::kDirtyFault, 3);
-    EXPECT_EQ(counters.Read(static_cast<size_t>(ds)), 3u);
-}
-
-TEST(PerfCountersDeathTest, RejectsBadMode)
-{
-    const EventCounts counts;
-    PerfCounters counters(counts);
-    EXPECT_EXIT(counters.SetMode(4), testing::ExitedWithCode(1), "mode");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
  * @file
  * Integration tests for SpurSystem: the full access path through cache,
  * in-cache translation, VM and policies, including the Figure 3.1
- * scenario end-to-end, the FLUSH redo path, the counter window, and
- * system-level invariants.
+ * scenario end-to-end, the FLUSH redo path, and system-level
+ * invariants.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "src/check/audit.h"
 #include "src/core/system.h"
 #include "src/pt/segment_map.h"
-#include "src/sim/counters.h"
 #include "src/workload/driver.h"
 #include "src/workload/process.h"
 #include "src/workload/trace.h"
@@ -202,23 +201,6 @@ TEST_F(SystemTest, CacheHitImpliesResidentPage)
     }
 }
 
-TEST_F(SystemTest, PerfCountersMirrorGroundTruth)
-{
-    Build();
-    sim::PerfCounters counters(system_->events());
-    counters.SetMode(2);  // Dirty/reference-bit events.
-    for (int i = 0; i < 8; ++i) {
-        system_->Access(pid_,
-                        kHeapBase + i * system_->config().page_bytes,
-                        AccessType::kWrite);
-    }
-    const int slot = counters.IndexOf(sim::Event::kDirtyFault);
-    ASSERT_GE(slot, 0);
-    EXPECT_EQ(counters.Read(static_cast<size_t>(slot)),
-              system_->events().Get(sim::Event::kDirtyFault));
-    EXPECT_EQ(system_->events().Get(sim::Event::kDirtyFault), 8u);
-}
-
 TEST_F(SystemTest, SharedSegmentIsOneGlobalAddress)
 {
     Build();
@@ -250,22 +232,6 @@ TEST_F(SystemTest, DestroyProcessFreesPages)
     EXPECT_EQ(frames.NumFree(), free_before);
     // Teardown ends with the switch away from the dead process.
     EXPECT_EQ(system_->events().Get(sim::Event::kContextSwitch), 1u);
-}
-
-TEST_F(SystemTest, UnmapRegionFreesOnlyThatRegion)
-{
-    Build();
-    const mem::FrameTable& frames = system_->kernel().memory().frames();
-    const uint32_t free_before = frames.NumFree();
-    for (int i = 0; i < 4; ++i) {
-        const uint64_t offset = i * system_->config().page_bytes;
-        system_->Access(pid_, kHeapBase + offset, AccessType::kWrite);
-        system_->Access(pid_, kCodeBase + offset, AccessType::kIFetch);
-    }
-    EXPECT_EQ(frames.NumFree(), free_before - 8);
-    system_->kernel().UnmapRegion(pid_, kHeapBase);
-    EXPECT_EQ(frames.NumFree(), free_before - 4);
-    EXPECT_EQ(system_->events().Get(sim::Event::kContextSwitch), 0u);
 }
 
 TEST_F(SystemTest, ContextSwitchAccounting)

@@ -36,7 +36,6 @@ TEST_F(XlateTest, FirstTranslationMissesToSecondLevel)
 {
     const XlateResult result = xlate_.Translate(0x4000, events_);
     ASSERT_NE(result.pte, nullptr);
-    EXPECT_FALSE(result.pte_hit);
     EXPECT_EQ(events_.Get(sim::Event::kXlatePteMiss), 1u);
     EXPECT_EQ(events_.Get(sim::Event::kXlateL2Access), 1u);
     EXPECT_EQ(events_.Get(sim::Event::kXlatePteHit), 0u);
@@ -49,7 +48,6 @@ TEST_F(XlateTest, SecondTranslationHitsCachedPteBlock)
 {
     xlate_.Translate(0x4000, events_);
     const XlateResult result = xlate_.Translate(0x4000, events_);
-    EXPECT_TRUE(result.pte_hit);
     EXPECT_EQ(result.cycles, config_.t_xlate_hit);
     EXPECT_EQ(events_.Get(sim::Event::kXlatePteHit), 1u);
 }
@@ -60,14 +58,13 @@ TEST_F(XlateTest, NeighbouringPagesShareAPteBlock)
     // of pages [N & ~7, N | 7] - the "cache as a very large TLB" effect.
     xlate_.Translate(0 << 12, events_);
     for (GlobalVpn vpn = 1; vpn < 8; ++vpn) {
-        const XlateResult result =
-            xlate_.Translate(static_cast<GlobalAddr>(vpn) << 12, events_);
-        EXPECT_TRUE(result.pte_hit) << "vpn " << vpn;
+        xlate_.Translate(static_cast<GlobalAddr>(vpn) << 12, events_);
+        EXPECT_EQ(events_.Get(sim::Event::kXlatePteHit), vpn) << "vpn " << vpn;
     }
     // Page 8's PTE is in the next block.
-    const XlateResult result =
-        xlate_.Translate(GlobalAddr{8} << 12, events_);
-    EXPECT_FALSE(result.pte_hit);
+    xlate_.Translate(GlobalAddr{8} << 12, events_);
+    EXPECT_EQ(events_.Get(sim::Event::kXlatePteHit), 7u);
+    EXPECT_EQ(events_.Get(sim::Event::kXlatePteMiss), 2u);
 }
 
 TEST_F(XlateTest, ReturnsAuthoritativePte)
@@ -93,21 +90,11 @@ TEST_F(XlateTest, PteBlocksCompeteForCacheSpace)
                                        true, nullptr);
     cache::VirtualCache::MarkWritten(line);
     const XlateResult result = xlate_.Translate(0x0, events_);
-    EXPECT_TRUE(result.evicted_dirty);
     EXPECT_EQ(events_.Get(sim::Event::kWriteback), 1u);
     EXPECT_FALSE(vcache_.Lookup(conflicting));
     // The PTE fill charged the writeback too.
     EXPECT_EQ(result.cycles, config_.t_xlate_hit +
                                  2 * Cycles{config_.BlockFetchCycles()});
-}
-
-TEST_F(XlateTest, ProbePteCostMatchesHitAndMissCases)
-{
-    // Cold probe: miss cost.
-    EXPECT_EQ(xlate_.ProbePteCost(0x4000, events_),
-              config_.t_xlate_hit + config_.BlockFetchCycles());
-    // Warm probe: hit cost.
-    EXPECT_EQ(xlate_.ProbePteCost(0x4000, events_), config_.t_xlate_hit);
 }
 
 TEST_F(XlateTest, PteLineIsKernelProtectedAndPageDirty)
