@@ -22,12 +22,19 @@
  *                     /pext (which reports an error and times nothing
  *                     on a CPU without BMI2).
  *
- * All run over one WORKLOAD1 run of 1 M references (seed 1, the 8 MB
- * prototype's geometry), generated untimed before the loop: its host
- * calls for BM_EncodeTrace, its recording for the rest.  BM_EncodeTrace,
- * BM_RecoverTrace, BM_DigestFloor and BM_ReplayDecode report
- * time_per_ref, the run time per recorded access; BM_LoadTrace reports
- * time_per_byte, the run time per file byte (both printed in ns;
+ *   BM_Generate/<workload>
+ *                     A Driver run of 1 M references into a
+ *                     CountingHost, whose AccessBatch only counts: the
+ *                     reference generators and the driver's scheduling,
+ *                     no encoding and no simulation.  Once each for
+ *                     WORKLOAD1, flush-storm and gc-sweep.
+ *
+ * All but BM_Generate run over one WORKLOAD1 run of 1 M references (seed
+ * 1, the 8 MB prototype's geometry), generated untimed before the loop:
+ * its host calls for BM_EncodeTrace, its recording for the rest.
+ * BM_EncodeTrace, BM_RecoverTrace, BM_DigestFloor, BM_ReplayDecode and
+ * BM_Generate report time_per_ref, the run time per access; BM_LoadTrace
+ * reports time_per_byte, the run time per file byte (both printed in ns;
  * google-benchmark's JSON holds them in seconds).
  */
 #include <benchmark/benchmark.h>
@@ -354,6 +361,40 @@ BENCHMARK_CAPTURE(BM_ReplayDecode, swar, workload::ReplayKernel::kSwar)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ReplayDecode, pext, workload::ReplayKernel::kPext)
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_Generate(benchmark::State& state, core::WorkloadId id)
+{
+    core::RunConfig config = Workload1Config();
+    config.workload = id;
+    const workload::WorkloadSpec spec = core::SpecFor(config);
+    uint64_t accesses = 0;
+    for (auto _ : state) {
+        workload::CountingHost host(
+            sim::MachineConfig::Prototype(config.memory_mb));
+        workload::Driver driver(host, spec, config.refs, config.seed,
+                                spec.slice_refs);
+        driver.Run();
+        accesses = host.accesses();
+    }
+    if (accesses == 0) {
+        Fatal("micro_trace: the generator issued no accesses");
+    }
+    ReportTimePerRef(state, accesses);
+}
+
+/** BM_Generate/<workload>, under core::ToString's workload names. */
+const bool kGenerateRegistered = [] {
+    for (const core::WorkloadId id :
+         {core::WorkloadId::kWorkload1, core::WorkloadId::kFlushStorm,
+          core::WorkloadId::kGcSweep}) {
+        benchmark::RegisterBenchmark(
+            (std::string("BM_Generate/") + core::ToString(id)).c_str(),
+            BM_Generate, id)
+            ->Unit(benchmark::kMillisecond);
+    }
+    return true;
+}();
 
 }  // namespace
 

@@ -364,7 +364,8 @@ class VirtualCache : public PageFlusher
      * depends on the outcome: a hit stores the line's own tag and
      * metadata byte back unchanged.
      */
-    Touched Touch(GlobalAddr addr, Protection prot, bool page_dirty)
+    [[gnu::always_inline]] Touched Touch(GlobalAddr addr, Protection prot,
+                                         bool page_dirty)
     {
         const uint64_t index = IndexOf(addr);
         const uint64_t tag = TagOf(addr);

@@ -33,7 +33,6 @@ SyntheticProcess::SyntheticProcess(WorkloadHost& system,
                                    uint64_t seed, const ShareSpec* share)
     : system_(system),
       profile_(ClampWindows(profile)),
-      rng_(seed),
       pid_(system.CreateProcess()),
       block_bytes_(static_cast<uint32_t>(system.config().block_bytes)),
       page_bytes_(static_cast<uint32_t>(system.config().page_bytes)),
@@ -61,9 +60,7 @@ SyntheticProcess::SyntheticProcess(WorkloadHost& system,
       file_lo_(kDataBase +
                std::max(1u, profile_.data_pages / 2) * page_bytes_),
       data_end_(kDataBase + profile_.data_pages * page_bytes_),
-      seq_read_pos_(kDataBase),
-      alloc_front_(kHeapBase),
-      file_write_pos_(file_lo_)
+      state_{.rng = Rng(seed), .file_write_pos = file_lo_}
 {
     const auto& config = system.config();
     auto map = [&](ProcessAddr base, uint32_t pages, vm::PageKind kind) {
@@ -158,241 +155,246 @@ SyntheticProcess::~SyntheticProcess()
 
 // ---- The generator ---------------------------------------------------------
 // Forced inline into Fill(), so that the whole generator compiles to one
-// straight-line loop body writing into the caller's MemRef.
+// straight-line loop body writing into the caller's MemRef, over Fill()'s
+// local GenState: no call takes its address, so its fields stay in
+// registers for the whole batch.
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::Generate(MemRef& out)
+SyntheticProcess::Generate(GenState& s, MemRef& out) const
 {
     out.pid = pid_;
-    if (rng_.Next53() < ifetch_below_) {
-        IFetch(out);
+    if (s.rng.Next53() < ifetch_below_) {
+        IFetch(s, out);
     } else {
-        DataRef(out);
+        DataRef(s, out);
     }
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::IFetch(MemRef& out)
+SyntheticProcess::IFetch(GenState& s, MemRef& out) const
 {
-    // loop_base_ == 0 doubles as "no loop yet", so a loop placed at text
+    // loop_base == 0 doubles as "no loop yet", so a loop placed at text
     // offset 0 is re-picked as a far jump before it is fetched (a known
     // quirk, DESIGN.md §6; every pinned stream depends on it).
-    if (loop_base_ == 0) {
-        PickNextLoop();
+    if (s.loop_base == 0) {
+        PickNextLoop(s);
     }
-    Emit(out, loop_pc_, AccessType::kIFetch);
-    loop_pc_ += 4;
-    if (loop_pc_ == loop_end_) {
-        loop_pc_ = loop_base_;
-        if (--loop_iters_left_ == 0) {
-            PickNextLoop();
+    Emit(out, s.loop_pc, AccessType::kIFetch);
+    s.loop_pc += 4;
+    if (s.loop_pc == s.loop_end) {
+        s.loop_pc = s.loop_base;
+        if (--s.loop_iters_left == 0) {
+            PickNextLoop(s);
         }
     }
 }
 
-void
-SyntheticProcess::PickNextLoop()
+[[gnu::always_inline]] inline void
+SyntheticProcess::PickNextLoop(GenState& s) const
 {
-    if (loop_base_ == 0 || rng_.Chance(profile_.call_prob)) {
+    if (s.loop_base == 0 || s.rng.Chance(profile_.call_prob)) {
         // Call or long jump into the hot-code window, which itself drifts
         // slowly across the text (program phases).
-        if (rng_.Chance(0.02)) {
-            code_ws_base_ = static_cast<uint32_t>(rng_.NextBelow(
+        if (s.rng.Chance(0.02)) {
+            s.code_ws_base = static_cast<uint32_t>(s.rng.NextBelow(
                 std::max(1u,
                          profile_.code_pages - profile_.code_ws_pages + 1)));
         }
         const uint32_t page =
-            ZipfPage(code_zipf_, code_ws_base_, profile_.code_pages);
+            ZipfPage(s.rng, code_zipf_, s.code_ws_base, profile_.code_pages);
         const uint32_t block =
-            static_cast<uint32_t>(rng_.NextBelow(blocks_per_page_));
-        loop_base_ = BlockAddr(kCodeBase, page, block);
+            static_cast<uint32_t>(s.rng.NextBelow(blocks_per_page_));
+        s.loop_base = BlockAddr(kCodeBase, page, block);
     } else {
         // Fall through to the code after the previous loop body.
-        loop_base_ += loop_blocks_ * block_bytes_;
-        if (loop_base_ >= code_end_) {
-            loop_base_ = kCodeBase;
+        s.loop_base += s.loop_blocks * block_bytes_;
+        if (s.loop_base >= code_end_) {
+            s.loop_base = kCodeBase;
         }
     }
-    loop_blocks_ = 1 + static_cast<uint32_t>(
-                           rng_.NextBelow(profile_.loop_blocks_max));
-    loop_iters_left_ = 1 + static_cast<uint32_t>(
-                               rng_.NextBelow(profile_.loop_iters_max));
+    s.loop_blocks = 1 + static_cast<uint32_t>(
+                            s.rng.NextBelow(profile_.loop_blocks_max));
+    s.loop_iters_left = 1 + static_cast<uint32_t>(
+                                s.rng.NextBelow(profile_.loop_iters_max));
     // Keep the body inside the region.
-    if (loop_base_ + loop_blocks_ * block_bytes_ > code_end_) {
-        loop_base_ = code_end_ - loop_blocks_ * block_bytes_;
+    if (s.loop_base + s.loop_blocks * block_bytes_ > code_end_) {
+        s.loop_base = code_end_ - s.loop_blocks * block_bytes_;
     }
-    loop_pc_ = loop_base_;
-    loop_end_ = loop_base_ + loop_blocks_ * block_bytes_;
+    s.loop_pc = s.loop_base;
+    s.loop_end = s.loop_base + s.loop_blocks * block_bytes_;
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::DataRef(MemRef& out)
+SyntheticProcess::DataRef(GenState& s, MemRef& out) const
 {
     // Slide the heap working set occasionally: phase behaviour.
     const bool slide =
-        slide_draws_ ? rng_.Next53() < slide_below_ : slide_below_ != 0;
+        slide_draws_ ? s.rng.Next53() < slide_below_ : slide_below_ != 0;
     if (slide && profile_.heap_pages > 0) {
-        heap_ws_base_ = (heap_ws_base_ + 1 +
-                         static_cast<uint32_t>(rng_.NextBelow(4))) %
-                        heap_wrap_;
+        s.heap_ws_base = (s.heap_ws_base + 1 +
+                          static_cast<uint32_t>(s.rng.NextBelow(4))) %
+                         heap_wrap_;
     }
-    if (profile_.stack_pages > 0 && rng_.Next53() < stack_below_) {
-        GenStack(out);
+    if (profile_.stack_pages > 0 && s.rng.Next53() < stack_below_) {
+        GenStack(s, out);
         return;
     }
     // A pending write burst completes before anything else starts.
-    if (burst_words_ != 0) {
-        Emit(out, burst_addr_, AccessType::kWrite);
-        burst_addr_ += 4;
-        --burst_words_;
+    if (s.burst_words != 0) {
+        Emit(out, s.burst_addr, AccessType::kWrite);
+        s.burst_addr += 4;
+        --s.burst_words;
         return;
     }
-    const uint64_t m = rng_.Next53();
+    const uint64_t m = s.rng.Next53();
     const size_t k = size_t{m >= gen_below_[0]} + size_t{m >= gen_below_[1]} +
                      size_t{m >= gen_below_[2]} + size_t{m >= gen_below_[3]} +
                      size_t{m >= gen_below_[4]};
     switch (gen_of_k_[k]) {
     case Gen::kSeqRead:
-        GenSeqRead(out);
+        GenSeqRead(s, out);
         return;
     case Gen::kSeqWrite:
-        GenSeqWrite(out);
+        GenSeqWrite(s, out);
         return;
     case Gen::kRmw:
-        GenRmw(out);
+        GenRmw(s, out);
         return;
     case Gen::kScanUpdate:
-        GenScanUpdate(out);
+        GenScanUpdate(s, out);
         return;
     case Gen::kRand:
-        GenRand(out);
+        GenRand(s, out);
         return;
     case Gen::kFileWrite:
-        GenFileWrite(out);
+        GenFileWrite(s, out);
         return;
     case Gen::kStack:
-        GenStack(out);
+        GenStack(s, out);
         return;
     }
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::StartBurst(MemRef& out, ProcessAddr addr, uint32_t words)
+SyntheticProcess::StartBurst(GenState& s, MemRef& out, ProcessAddr addr,
+                             uint32_t words) const
 {
     // Clip the burst to its cache block so every word after the first
     // hits the freshly written (dirty) block.
     const uint32_t word_in_block = (addr % block_bytes_) / 4;
     const uint32_t room = block_bytes_ / 4 - word_in_block;
     const uint32_t len = std::max(1u, std::min(words, room));
-    burst_addr_ = addr + 4;
-    burst_words_ = len - 1;
+    s.burst_addr = addr + 4;
+    s.burst_words = len - 1;
     Emit(out, addr, AccessType::kWrite);
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::GenFileWrite(MemRef& out)
+SyntheticProcess::GenFileWrite(GenState& s, MemRef& out) const
 {
     // Sometimes re-read an earlier output page (previewing what was
     // written) rather than appending.
     const uint32_t written_pages =
-        static_cast<uint32_t>((file_write_pos_ - file_lo_) / page_bytes_);
-    if (written_pages > 0 && rng_.Next53() < reread_below_) {
+        static_cast<uint32_t>((s.file_write_pos - file_lo_) / page_bytes_);
+    if (written_pages > 0 && s.rng.Next53() < reread_below_) {
         const uint32_t page =
-            static_cast<uint32_t>(rng_.NextBelow(written_pages));
+            static_cast<uint32_t>(s.rng.NextBelow(written_pages));
         const ProcessAddr addr =
             file_lo_ + page * page_bytes_ +
-            static_cast<ProcessAddr>(rng_.NextBelow(page_bytes_) & ~3u);
+            static_cast<ProcessAddr>(s.rng.NextBelow(page_bytes_) & ~3u);
         Emit(out, addr, AccessType::kRead);
         return;
     }
-    Emit(out, file_write_pos_, AccessType::kWrite);
-    file_write_pos_ += 4;
-    if (file_write_pos_ >= data_end_) {
-        file_write_pos_ = file_lo_;
+    Emit(out, s.file_write_pos, AccessType::kWrite);
+    s.file_write_pos += 4;
+    if (s.file_write_pos >= data_end_) {
+        s.file_write_pos = file_lo_;
     }
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::GenSeqRead(MemRef& out)
+SyntheticProcess::GenSeqRead(GenState& s, MemRef& out) const
 {
     // Input files live in the lower part of the data region; output files
     // (GenFileWrite) in the upper part, so scans do not pre-cache the
     // blocks the writer dirties.
-    Emit(out, seq_read_pos_, AccessType::kRead);
-    seq_read_pos_ += 4;
-    if (seq_read_pos_ >= seq_read_end_) {
-        seq_read_pos_ = kDataBase;
+    Emit(out, s.seq_read_pos, AccessType::kRead);
+    s.seq_read_pos += 4;
+    if (s.seq_read_pos >= seq_read_end_) {
+        s.seq_read_pos = kDataBase;
     }
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::GenSeqWrite(MemRef& out)
+SyntheticProcess::GenSeqWrite(GenState& s, MemRef& out) const
 {
-    Emit(out, alloc_front_, AccessType::kWrite);
-    alloc_front_ += 4;
-    if (alloc_front_ >= heap_end_) {
-        alloc_front_ = kHeapBase;
+    Emit(out, s.alloc_front, AccessType::kWrite);
+    s.alloc_front += 4;
+    if (s.alloc_front >= heap_end_) {
+        s.alloc_front = kHeapBase;
     }
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::GenRmw(MemRef& out)
+SyntheticProcess::GenRmw(GenState& s, MemRef& out) const
 {
-    const uint32_t page = ZipfPage(heap_zipf_, heap_ws_base_, heap_wrap_);
+    const uint32_t page =
+        ZipfPage(s.rng, heap_zipf_, s.heap_ws_base, heap_wrap_);
     const uint32_t block =
-        static_cast<uint32_t>(rng_.NextBelow(blocks_per_page_));
+        static_cast<uint32_t>(s.rng.NextBelow(blocks_per_page_));
     const ProcessAddr addr = BlockAddr(kHeapBase, page, block);
     // The modify-write of a couple of words follows on later accesses.
-    burst_addr_ = addr;
-    burst_words_ = 2;
+    s.burst_addr = addr;
+    s.burst_words = 2;
     Emit(out, addr, AccessType::kRead);
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::GenScanUpdate(MemRef& out)
+SyntheticProcess::GenScanUpdate(GenState& s, MemRef& out) const
 {
     const uint32_t read_burst =
         std::min(profile_.scan_read_blocks, blocks_per_page_);
     const uint32_t write_burst =
         std::min(profile_.scan_write_blocks, read_burst);
 
-    if (scan_page_ == 0) {
+    if (s.scan_page == 0) {
         // Scans walk *allocated* structures: pages at or below the
         // allocation high-water mark.  Resident allocated pages are
         // already dirty (writes take the fast path), but pages that were
         // paged out and reloaded come back clean — so the excess-fault
         // rate tracks paging pressure, as in the paper's Table 3.3.
         const uint32_t allocated = static_cast<uint32_t>(
-            (alloc_front_ - kHeapBase) / page_bytes_);
+            (s.alloc_front - kHeapBase) / page_bytes_);
         if (allocated == 0) {
-            GenRand(out);
+            GenRand(s, out);
             return;
         }
         const uint32_t page =
-            static_cast<uint32_t>(rng_.NextBelow(allocated));
-        scan_page_ = kHeapBase + page * page_bytes_;
-        scan_index_ = 0;
-        scan_writing_ = false;
+            static_cast<uint32_t>(s.rng.NextBelow(allocated));
+        s.scan_page = kHeapBase + page * page_bytes_;
+        s.scan_index = 0;
+        s.scan_writing = false;
     }
-    if (!scan_writing_) {
-        Emit(out, scan_page_ + scan_index_ * block_bytes_, AccessType::kRead);
-        if (++scan_index_ >= read_burst) {
-            scan_index_ = 0;
-            scan_writing_ = true;
+    if (!s.scan_writing) {
+        Emit(out, s.scan_page + s.scan_index * block_bytes_,
+             AccessType::kRead);
+        if (++s.scan_index >= read_burst) {
+            s.scan_index = 0;
+            s.scan_writing = true;
         }
     } else {
-        Emit(out, scan_page_ + scan_index_ * block_bytes_,
+        Emit(out, s.scan_page + s.scan_index * block_bytes_,
              AccessType::kWrite);
-        if (++scan_index_ >= write_burst) {
-            scan_page_ = 0;  // Burst complete; pick a new page next time.
+        if (++s.scan_index >= write_burst) {
+            s.scan_page = 0;  // Burst complete; pick a new page next time.
         }
     }
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::GenRand(MemRef& out)
+SyntheticProcess::GenRand(GenState& s, MemRef& out) const
 {
-    const bool write = rng_.Next53() < rand_write_below_;
+    const bool write = s.rng.Next53() < rand_write_below_;
     // Reads concentrate on the hot (Zipf) pages, which therefore live in
     // the cache; update bursts scatter uniformly over the window, mostly
     // landing on blocks that are *not* cached — real programs update far
@@ -403,53 +405,55 @@ SyntheticProcess::GenRand(MemRef& out)
     // structures), which is where replaced-but-never-modified writable
     // pages come from (Table 3.5's "not modified" column).
     const uint32_t page =
-        write ? Wrap(heap_ws_base_ + static_cast<uint32_t>(
-                                         rng_.NextBelow(rand_write_span_)),
+        write ? Wrap(s.heap_ws_base + static_cast<uint32_t>(
+                                          s.rng.NextBelow(rand_write_span_)),
                      heap_wrap_)
-              : ZipfPage(heap_zipf_, heap_ws_base_, heap_wrap_);
+              : ZipfPage(s.rng, heap_zipf_, s.heap_ws_base, heap_wrap_);
     const uint32_t block =
-        static_cast<uint32_t>(rng_.NextBelow(blocks_per_page_));
+        static_cast<uint32_t>(s.rng.NextBelow(blocks_per_page_));
     const ProcessAddr addr =
         BlockAddr(kHeapBase, page, block) +
-        4 * static_cast<uint32_t>(rng_.NextBelow(block_bytes_ / 4));
+        4 * static_cast<uint32_t>(s.rng.NextBelow(block_bytes_ / 4));
     if (write) {
-        StartBurst(out, addr, profile_.write_burst_words);
+        StartBurst(s, out, addr, profile_.write_burst_words);
     } else {
         Emit(out, addr, AccessType::kRead);
     }
 }
 
 [[gnu::always_inline]] inline void
-SyntheticProcess::GenStack(MemRef& out)
+SyntheticProcess::GenStack(GenState& s, MemRef& out) const
 {
     // Stack activity clusters near the top (page 0 of the region), with a
     // write bias: call frames are written on entry.
-    const uint32_t page = static_cast<uint32_t>(stack_zipf_.Sample(rng_));
+    const uint32_t page = static_cast<uint32_t>(stack_zipf_.Sample(s.rng));
     const uint32_t block =
-        static_cast<uint32_t>(rng_.NextBelow(blocks_per_page_));
+        static_cast<uint32_t>(s.rng.NextBelow(blocks_per_page_));
     const ProcessAddr addr = BlockAddr(kStackBase, page, block);
-    if (rng_.Next53() < stack_store_below_) {
+    if (s.rng.Next53() < stack_store_below_) {
         // Frame setup: a run of stores.
-        StartBurst(out, addr, block_bytes_ / 4);
+        StartBurst(s, out, addr, block_bytes_ / 4);
     } else {
         Emit(out, addr, AccessType::kRead);
     }
 }
 
 [[gnu::always_inline]] inline uint32_t
-SyntheticProcess::ZipfPage(const ZipfTable& window, uint32_t window_base,
-                           uint32_t wrap)
+SyntheticProcess::ZipfPage(Rng& rng, const ZipfTable& window,
+                           uint32_t window_base, uint32_t wrap)
 {
-    const auto offset = static_cast<uint32_t>(window.Sample(rng_));
+    const auto offset = static_cast<uint32_t>(window.Sample(rng));
     return Wrap(window_base + offset, std::max(1u, wrap));
 }
 
 void
 SyntheticProcess::Fill(MemRef* out, size_t n)
 {
+    GenState s = state_;
     for (size_t i = 0; i < n; ++i) {
-        Generate(out[i]);
+        Generate(s, out[i]);
     }
+    state_ = s;
 }
 
 MemRef

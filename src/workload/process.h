@@ -92,9 +92,39 @@ class SyntheticProcess
     uint64_t refs_issued() const { return refs_issued_; }
 
   private:
+    /**
+     * Everything the generator changes: the rng and every cursor.  Fill()
+     * copies it into a local for the whole batch and writes it back
+     * once, so that the state can live in registers; kept in the object,
+     * each draw loaded and stored the rng's four words through `this`.
+     * Everything else the generator reads is fixed at construction and
+     * stays in the object.
+     */
+    struct GenState {
+        Rng rng;
+        // Instruction-fetch loop model.
+        ProcessAddr loop_base = 0;   ///< First block of the current loop body.
+        uint32_t loop_blocks = 1;    ///< Body length in blocks.
+        uint32_t loop_iters_left = 1;///< Iterations remaining.
+        ProcessAddr loop_pc = 0;     ///< Next fetch address.
+        ProcessAddr loop_end = 0;    ///< End of the body.
+        uint32_t code_ws_base = 0;   ///< Hot-code window base page.
+        ProcessAddr seq_read_pos = kDataBase;  ///< Data-scan cursor.
+        ProcessAddr alloc_front = kHeapBase;   ///< Heap allocation cursor
+                                               ///< (seq_write).
+        ProcessAddr file_write_pos = 0;  ///< Output-file cursor (file_write).
+        uint32_t heap_ws_base = 0;   ///< Heap working-set window base page.
+        // Pending write burst (rmw completion, rand/stack store runs).
+        ProcessAddr burst_addr = 0;  ///< Next word to write, or 0.
+        uint32_t burst_words = 0;    ///< Words remaining in the burst.
+        // scan_update state machine.
+        ProcessAddr scan_page = 0;   ///< Page being scanned (0 = pick new).
+        uint32_t scan_index = 0;     ///< Next block within the burst.
+        bool scan_writing = false;   ///< Read phase vs. write-back phase.
+    };
+
     WorkloadHost& system_;
     ProcessProfile profile_;
-    Rng rng_;
     Pid pid_;
     uint64_t refs_issued_ = 0;
 
@@ -138,52 +168,36 @@ class SyntheticProcess
     ProcessAddr file_lo_;         ///< Start of the output files.
     ProcessAddr data_end_;        ///< End of the data region.
 
-    // ---- Generator state ----------------------------------------------------
-    // Instruction-fetch loop model.
-    ProcessAddr loop_base_ = 0;   ///< First block of the current loop body.
-    uint32_t loop_blocks_ = 1;    ///< Body length in blocks.
-    uint32_t loop_iters_left_ = 1;///< Iterations remaining.
-    ProcessAddr loop_pc_ = 0;     ///< Next fetch address.
-    ProcessAddr loop_end_ = 0;    ///< End of the body.
-    uint32_t code_ws_base_ = 0;   ///< Hot-code window base page.
-    ProcessAddr seq_read_pos_;    ///< Data-scan cursor.
-    ProcessAddr alloc_front_;     ///< Heap allocation cursor (seq_write).
-    ProcessAddr file_write_pos_;  ///< Output-file cursor (file_write).
-    uint32_t heap_ws_base_ = 0;   ///< Heap working-set window base page.
-    // Pending write burst (rmw completion, rand/stack store runs).
-    ProcessAddr burst_addr_ = 0;  ///< Next word to write, or 0.
-    uint32_t burst_words_ = 0;    ///< Words remaining in the burst.
-    // scan_update state machine.
-    ProcessAddr scan_page_ = 0;   ///< Page being scanned (0 = pick new).
-    uint32_t scan_index_ = 0;     ///< Next block within the burst.
-    bool scan_writing_ = false;   ///< Read phase vs. write-back phase.
+    GenState state_;  ///< Between batches; see GenState.
 
     /** Generates @p n references into @p out: the one loop behind
      *  Next() and NextBatch(), with no lifetime check. */
     void Fill(MemRef* out, size_t n);
 
     // The generator body, written straight into the caller's MemRef.
-    // Everything but PickNextLoop inlines into Fill().
-    void Generate(MemRef& out);
-    void IFetch(MemRef& out);
-    void PickNextLoop();
-    void DataRef(MemRef& out);
-    void GenSeqRead(MemRef& out);
-    void GenSeqWrite(MemRef& out);
-    void GenRmw(MemRef& out);
-    void GenScanUpdate(MemRef& out);
-    void GenRand(MemRef& out);
-    void GenStack(MemRef& out);
-    void GenFileWrite(MemRef& out);
+    // All of it inlines into Fill(), so the local state @p s never has
+    // its address taken.
+    void Generate(GenState& s, MemRef& out) const;
+    void IFetch(GenState& s, MemRef& out) const;
+    void PickNextLoop(GenState& s) const;
+    void DataRef(GenState& s, MemRef& out) const;
+    void GenSeqRead(GenState& s, MemRef& out) const;
+    void GenSeqWrite(GenState& s, MemRef& out) const;
+    void GenRmw(GenState& s, MemRef& out) const;
+    void GenScanUpdate(GenState& s, MemRef& out) const;
+    void GenRand(GenState& s, MemRef& out) const;
+    void GenStack(GenState& s, MemRef& out) const;
+    void GenFileWrite(GenState& s, MemRef& out) const;
 
     /** Starts a write burst at @p addr, clipped to its cache block, and
      *  emits the first write of the burst. */
-    void StartBurst(MemRef& out, ProcessAddr addr, uint32_t words);
+    void StartBurst(GenState& s, MemRef& out, ProcessAddr addr,
+                    uint32_t words) const;
 
     /** Picks a page within [base, base + window) of a region of
      *  max(1, @p wrap) pages; base + window <= 2 * wrap. */
-    uint32_t ZipfPage(const ZipfTable& window, uint32_t window_base,
-                      uint32_t wrap);
+    static uint32_t ZipfPage(Rng& rng, const ZipfTable& window,
+                             uint32_t window_base, uint32_t wrap);
 
     /** A block-aligned address inside @p region_base + page. */
     ProcessAddr BlockAddr(ProcessAddr region_base, uint32_t page,

@@ -26,6 +26,17 @@ constexpr std::string_view kTraceTags = "HSBET";
 /** Flush an open op batch into a B frame at this size. */
 constexpr size_t kBatchFlushBytes = 64 * 1024;
 
+/**
+ * The encoder reserves its output up front at this many bytes per
+ * budgeted reference, in quarters (4.25 B/ref): above the 3.9-4.1 B/ref
+ * the paper workloads encode to, so a stream's frames land in one
+ * buffer instead of a doubling one that faults in fresh pages and
+ * copies what it holds at each step.  A stream that needs more still
+ * grows.  Capped at kMaxReserveBytes.
+ */
+constexpr uint64_t kReserveQuartersPerRef = 17;
+constexpr uint64_t kMaxReserveBytes = uint64_t{256} << 20;
+
 /** Highest valid vm::PageKind value in an op payload. */
 constexpr uint8_t kMaxPageKind =
     static_cast<uint8_t>(vm::PageKind::kFileCache);
@@ -867,6 +878,11 @@ TraceEncoder::TraceEncoder(TraceStreamMeta meta)
         }
     }
     framed_ = framed_log::EncodeFrame('S', MetaPayload(meta_));
+    const uint64_t refs = std::min(meta_.refs, kMaxReserveBytes);
+    framed_.reserve(static_cast<size_t>(
+        std::min(refs * kReserveQuartersPerRef / 4 + framed_.size() +
+                     kBatchFlushBytes,
+                 kMaxReserveBytes)));
 }
 
 void

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -525,6 +526,180 @@ TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
             totals[side] = Totals(system);
         }
         EXPECT_EQ(totals[1], totals[0]);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Whole-stream counts the unit tests below the system do not reach.
+// ---------------------------------------------------------------------------
+
+/** Event::kWriteback after @p refs live references of @p spec (seed 1)
+ *  on a @p mem_mb machine, read before the driver's teardown. */
+uint64_t
+LiveWritebacks(workload::WorkloadSpec spec, uint64_t refs, uint32_t mem_mb,
+               DirtyPolicyKind dirty)
+{
+    SpurSystem system(sim::MachineConfig::Prototype(mem_mb), dirty,
+                      RefPolicyKind::kMiss);
+    const uint32_t slice_refs = spec.slice_refs;
+    workload::Driver driver(system, std::move(spec), refs, /*seed=*/1,
+                            slice_refs);
+    driver.Run();
+    return system.events().Get(sim::Event::kWriteback);
+}
+
+TEST_F(SystemTest, WritebackCountsArePinned)
+{
+    // A miss that displaces a block-dirty line writes it back, and only
+    // such a miss: a clean victim counted as a write-back doubles that
+    // miss's stall charge and shows here.  Pinned per dirty policy, in
+    // kAllDirty order.  gc-sweep pages at 5 MB, so its counts there
+    // hold the page-out flushes' write-backs too.
+    struct Pin {
+        const char* name;
+        workload::WorkloadSpec (*make)();
+        uint64_t refs;
+        uint32_t mem_mb;
+        uint64_t writebacks[std::size(kAllDirty)];
+    };
+    const Pin pins[] = {
+        {"WORKLOAD1", workload::MakeWorkload1, 400'000, 5,
+         {9603, 9603, 9603, 9603, 9603, 9603, 9603}},
+        {"WORKLOAD1", workload::MakeWorkload1, 400'000, 8,
+         {9603, 9603, 9603, 9603, 9603, 9603, 9603}},
+        {"gc-sweep", workload::MakeGcSweep, 600'000, 5,
+         {15772, 15772, 15773, 15772, 15772, 15772, 15772}},
+        {"gc-sweep", workload::MakeGcSweep, 600'000, 8,
+         {15767, 15767, 15768, 15767, 15767, 15767, 15767}},
+    };
+    for (const Pin& pin : pins) {
+        for (size_t i = 0; i < std::size(kAllDirty); ++i) {
+            SCOPED_TRACE(std::string(pin.name) + " " +
+                         std::to_string(pin.mem_mb) + " MB " +
+                         policy::ToString(kAllDirty[i]));
+            EXPECT_EQ(LiveWritebacks(pin.make(), pin.refs, pin.mem_mb,
+                                     kAllDirty[i]),
+                      pin.writebacks[i]);
+        }
+    }
+}
+
+/**
+ * Forwards every operation to a SpurSystem and records its Totals
+ * right after reference number `at`, splitting the batch that holds
+ * it: the first `at` references of a longer run, seen exactly as a run
+ * of `at` references sees them.
+ */
+class PrefixHost final : public workload::WorkloadHost
+{
+  public:
+    PrefixHost(SpurSystem& system, uint64_t at) : system_(system), at_(at)
+    {
+    }
+
+    Pid CreateProcess() override { return system_.CreateProcess(); }
+    void DestroyProcess(Pid pid) override { system_.DestroyProcess(pid); }
+    void MapRegion(Pid pid, ProcessAddr base, uint64_t bytes,
+                   vm::PageKind kind) override
+    {
+        system_.MapRegion(pid, base, bytes, kind);
+    }
+    void ShareSegment(Pid pid, unsigned reg, Pid other,
+                      unsigned other_reg) override
+    {
+        system_.ShareSegment(pid, reg, other, other_reg);
+    }
+    void Access(const MemRef& ref) override { AccessBatch(&ref, 1); }
+    void AccessBatch(const MemRef* refs, size_t n) override
+    {
+        const size_t head =
+            (seen_ < at_) ? static_cast<size_t>(std::min<uint64_t>(
+                                n, at_ - seen_))
+                          : 0;
+        system_.AccessBatch(refs, head);
+        seen_ += head;
+        if (head != 0 && seen_ == at_) {
+            at_totals_ = Totals(system_);
+            cut_ = head < n;
+        }
+        system_.AccessBatch(refs + head, n - head);
+        seen_ += n - head;
+    }
+    void OnContextSwitch() override { system_.OnContextSwitch(); }
+    const sim::MachineConfig& config() const override
+    {
+        return system_.config();
+    }
+
+    /** Totals after reference `at` (empty if the run stopped short). */
+    const std::vector<uint64_t>& at_totals() const { return at_totals_; }
+
+    /** Whether reference `at` fell inside a batch, which was cut there. */
+    bool cut() const { return cut_; }
+
+  private:
+    SpurSystem& system_;
+    uint64_t at_;
+    uint64_t seen_ = 0;
+    std::vector<uint64_t> at_totals_;
+    bool cut_ = false;
+};
+
+TEST_F(SystemTest, DriverRunIsAPrefixOfALongerRun)
+{
+    // A run of B references must see what the first B references of a
+    // run of 2B see: the generator, the scheduler and the machine take
+    // no input from the budget but where the driver stops.  B falls
+    // inside a quantum of the longer run, so there the decorator cuts
+    // the batch the shorter run's last quantum ends.  By B both
+    // workloads page at 5 MB, so page-ins, page-outs and the daemon's
+    // sweeps are in the comparison.
+    constexpr uint64_t kB = 2'013'000;
+    const struct {
+        const char* name;
+        workload::WorkloadSpec (*make)();
+    } workloads[] = {{"WORKLOAD1", workload::MakeWorkload1},
+                     {"SLC", workload::MakeSlc}};
+    const sim::MachineConfig machine = sim::MachineConfig::Prototype(5);
+    for (const auto& w : workloads) {
+        for (const RefPolicyKind ref : kAllRef) {
+            SCOPED_TRACE(std::string(w.name) + " " + policy::ToString(ref));
+            std::vector<uint64_t> at_b[2];
+            std::vector<uint64_t> end_of_b;
+            for (int side = 0; side < 2; ++side) {
+                const uint64_t budget = (side == 0) ? kB : 2 * kB;
+                SpurSystem system(machine, DirtyPolicyKind::kSpur, ref);
+                PrefixHost host(system, kB);
+                workload::WorkloadSpec spec = w.make();
+                const uint32_t slice_refs = spec.slice_refs;
+                workload::Driver driver(host, std::move(spec), budget,
+                                        /*seed=*/1, slice_refs);
+                driver.Run();
+                ASSERT_EQ(driver.refs_issued(), budget);
+                at_b[side] = host.at_totals();
+                if (side == 0) {
+                    end_of_b = Totals(system);
+                } else {
+                    EXPECT_TRUE(host.cut());
+                }
+            }
+            ASSERT_FALSE(at_b[0].empty());
+            EXPECT_GT(
+                at_b[0][static_cast<size_t>(sim::Event::kDaemonSweep)], 0u);
+            EXPECT_EQ(at_b[0], at_b[1]);
+
+            // Where the property stops: the shorter run ends its last,
+            // truncated quantum with a context switch, which the longer
+            // run, still inside that quantum at B, has not made.  A
+            // result read at the end of the run (core::RunOnce reads
+            // there) is the prefix plus one context switch.
+            std::vector<uint64_t> want = at_b[1];
+            want[static_cast<size_t>(sim::Event::kContextSwitch)] += 1;
+            want[sim::kNumEvents +
+                 static_cast<size_t>(sim::TimeBucket::kKernel)] +=
+                machine.t_context_switch;
+            EXPECT_EQ(end_of_b, want);
+        }
     }
 }
 
