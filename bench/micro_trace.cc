@@ -18,9 +18,11 @@
  *   BM_ReplayDecode   ReplayStreamWith of the recovered stream into a
  *                     host whose AccessBatch only sums the references,
  *                     so the time is decode plus batching, no
- *                     simulation; once per replay kernel, /swar and
- *                     /pext (which reports an error and times nothing
- *                     on a CPU without BMI2).
+ *                     simulation; once per replay kernel, /swar,
+ *                     /pext and /avx512 (each of the last two reports
+ *                     an error and times nothing on a CPU that cannot
+ *                     run it: without BMI2, or without the AVX-512
+ *                     kernel's features).
  *
  *   BM_Generate/<workload>
  *                     A Driver run of 1 M references into a
@@ -344,6 +346,13 @@ BM_ReplayDecode(benchmark::State& state, workload::ReplayKernel kernel)
                             "kernel");
         return;
     }
+    if (kernel == workload::ReplayKernel::kAvx512 &&
+        !workload::CpuHasAvx512Vbmi2()) {
+        state.SkipWithError("skipped: this CPU or OS lacks AVX512F/BW/"
+                            "VBMI/VBMI2, PCLMUL or BMI2 for the AVX-512 "
+                            "kernel");
+        return;
+    }
     const Recording& recording = Workload1Recording();
     std::string error;
     const auto recovered = workload::RecoverTraceBytes(recording.file, &error);
@@ -360,6 +369,8 @@ BM_ReplayDecode(benchmark::State& state, workload::ReplayKernel kernel)
 BENCHMARK_CAPTURE(BM_ReplayDecode, swar, workload::ReplayKernel::kSwar)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ReplayDecode, pext, workload::ReplayKernel::kPext)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReplayDecode, avx512, workload::ReplayKernel::kAvx512)
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -28,6 +28,10 @@
 #include "src/sim/timing.h"
 #include "src/workload/driver.h"
 
+namespace spur::workload {
+class TraceLibrary;
+}  // namespace spur::workload
+
 namespace spur::core {
 
 /** Which of the paper's two workloads (plus extras) to run. */
@@ -65,7 +69,15 @@ inline constexpr WorkloadId kScenarioLibrary[] = {
 };
 
 class TraceRecordSession;
-class TraceReplaySource;
+
+/**
+ * The loaded --replay-trace library (src/workload/trace.h).  Load() once
+ * before the sweep; afterwards it is immutable, so parallel cells call
+ * Find() freely.  A cell whose identity is missing from the library is
+ * a Fatal user error in RunOnce (a partial trace silently degrading to
+ * live generation would defeat the byte-identity contract).
+ */
+using TraceReplaySource = workload::TraceLibrary;
 
 /** Everything needed to execute one run. */
 struct RunConfig {

@@ -109,10 +109,4 @@ TraceRecordSession::Finish(std::string* error)
     return writer_.Finish(error);
 }
 
-bool
-TraceReplaySource::Load(const std::string& path, std::string* error)
-{
-    return library_.Load(path, error);
-}
-
 }  // namespace spur::core

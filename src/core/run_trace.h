@@ -105,29 +105,6 @@ class TraceRecordSession
     bool failed_ SPUR_GUARDED_BY(mutex_) = false;
 };
 
-/**
- * The loaded --replay-trace library.  Load() once before the sweep;
- * afterwards it is immutable, so parallel cells call Find() freely.
- * A cell whose identity is missing from the library is a Fatal user
- * error in RunOnce (a partial trace silently degrading to live
- * generation would defeat the byte-identity contract).
- */
-class TraceReplaySource
-{
-  public:
-    bool Load(const std::string& path, std::string* error);
-
-    const workload::TraceStream* Find(const std::string& identity) const
-    {
-        return library_.Find(identity);
-    }
-
-    const workload::TraceLibrary& library() const { return library_; }
-
-  private:
-    workload::TraceLibrary library_;
-};
-
 }  // namespace spur::core
 
 #endif  // SPUR_CORE_RUN_TRACE_H_

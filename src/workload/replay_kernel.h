@@ -1,13 +1,16 @@
 /**
  * @file
- * The two kernels trace replay decodes access runs with, and the seam
+ * The three kernels trace replay decodes access runs with, and the seam
  * that picks one (DESIGN.md §19).  Private to src/workload: trace.cc,
- * the trace tests and bench/micro_trace.cc include it.
+ * op_decoder.h, replay_avx512.cc, the trace tests and
+ * bench/micro_trace.cc include it.
  *
  * An access run's varint of n bytes (n = 1-5), loaded as an 8-byte word
  * at its first byte, holds its 7-bit groups in bits 0-6, 8-14, ... of
- * the low n bytes; kVarintGroups[n] selects exactly those bits.  Both
- * kernels return the groups packed together, low group first:
+ * the low n bytes; kVarintGroups[n] selects exactly those bits.  The
+ * two scalar kernels decode a run one op at a time (ScalarRun in
+ * op_decoder.h) and return each varint's groups packed together, low
+ * group first:
  *
  *   VarintSwar  ANDs the word with the mask and closes the gaps with
  *               three shift-and-mask steps (CompactVarint).  Portable;
@@ -19,10 +22,16 @@
  *               x86-64 only, compiled for BMI1+BMI2 by a target
  *               attribute, never by a -march flag.
  *
- * ReplayStream runs HostReplayKernel(): PEXT where the CPU has BMI2 and
- * is not AMD family 17h (Zen 1 and 2 run pext in microcode, at tens to
- * hundreds of cycles per op depending on the mask), SWAR otherwise.
- * ReplayStreamWith lets the tests and the micro benchmark run either.
+ * The third, AVX-512 (replay_avx512.cc), turns a whole 64-byte window
+ * into all of its access ops in one step: the same masked-VByte idea
+ * applied to a whole run.  x86-64 only, compiled for SPUR_AVX512_TARGET
+ * by target attributes.
+ *
+ * ReplayStream runs HostReplayKernel(): AVX-512 where the CPU and the OS
+ * support everything its target names; else PEXT where the CPU has BMI2
+ * and is not AMD family 17h (Zen 1 and 2 run pext in microcode, at tens
+ * to hundreds of cycles per op depending on the mask); SWAR otherwise.
+ * ReplayStreamWith lets the tests and the micro benchmark run any.
  */
 #ifndef SPUR_WORKLOAD_REPLAY_KERNEL_H_
 #define SPUR_WORKLOAD_REPLAY_KERNEL_H_
@@ -83,17 +92,29 @@ struct VarintPext {
         return _pext_u64(word, kVarintGroups[n]);
     }
 };
+
+/**
+ * The target the AVX-512 kernel is compiled for, by attribute: the
+ * features CpuHasAvx512Vbmi2() checks.
+ */
+#define SPUR_AVX512_TARGET \
+    "avx512f,avx512bw,avx512vbmi,avx512vbmi2,pclmul,popcnt,bmi,bmi2"
 #endif
 
-enum class ReplayKernel : uint8_t { kSwar, kPext };
+enum class ReplayKernel : uint8_t { kSwar, kPext, kAvx512 };
 
 /**
  * The kernel for a CPU with or without BMI2 (@p bmi2: BMI1 and BMI2,
- * which the kernel's target needs) that is or is not AMD family 17h.
+ * which the PEXT kernel's target needs) that is or is not AMD family
+ * 17h, and that can or cannot run the AVX-512 kernel (@p avx512: the CPU
+ * and the OS support every feature of SPUR_AVX512_TARGET).
  */
 constexpr ReplayKernel
-ChooseReplayKernel(bool bmi2, bool amd_family_17h)
+ChooseReplayKernel(bool bmi2, bool amd_family_17h, bool avx512)
 {
+    if (avx512) {
+        return ReplayKernel::kAvx512;
+    }
     return bmi2 && !amd_family_17h ? ReplayKernel::kPext
                                    : ReplayKernel::kSwar;
 }
@@ -101,12 +122,16 @@ ChooseReplayKernel(bool bmi2, bool amd_family_17h)
 /** Whether this build and CPU can run the PEXT kernel at all. */
 bool CpuHasBmi2();
 
+/** Whether this build, CPU and OS can run the AVX-512 kernel at all. */
+bool CpuHasAvx512Vbmi2();
+
 /** ChooseReplayKernel of this CPU's CPUID, read once per process. */
 ReplayKernel HostReplayKernel();
 
 /**
  * ReplayStream with @p kernel in place of HostReplayKernel().  Asking
- * for PEXT where !CpuHasBmi2() is a fatal error.
+ * for PEXT where !CpuHasBmi2(), or for AVX-512 where
+ * !CpuHasAvx512Vbmi2(), is a fatal error.
  */
 ReplayStats ReplayStreamWith(const TraceStream& stream, WorkloadHost& host,
                              ReplayKernel kernel);

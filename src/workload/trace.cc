@@ -13,8 +13,8 @@
 #include "src/common/framed_log.h"
 #include "src/common/log.h"
 #include "src/vm/region.h"
+#include "src/workload/op_decoder.h"
 #include "src/workload/replay_kernel.h"
-#include "src/workload/window_masks.h"
 
 namespace spur::workload {
 
@@ -36,24 +36,6 @@ constexpr size_t kBatchFlushBytes = 64 * 1024;
  */
 constexpr uint64_t kReserveQuartersPerRef = 17;
 constexpr uint64_t kMaxReserveBytes = uint64_t{256} << 20;
-
-/** Highest valid vm::PageKind value in an op payload. */
-constexpr uint8_t kMaxPageKind =
-    static_cast<uint8_t>(vm::PageKind::kFileCache);
-
-/** Highest valid segment-register index in a share op. */
-constexpr uint8_t kMaxSegReg = 3;
-
-// Op opcodes (see the format comment in trace.h).
-constexpr uint8_t kOpCreate = 0;
-constexpr uint8_t kOpDestroy = 1;
-constexpr uint8_t kOpMapRegion = 2;
-constexpr uint8_t kOpShare = 3;
-constexpr uint8_t kOpSwitch = 4;
-constexpr uint8_t kOpSetPid = 5;
-constexpr uint8_t kOpIFetch = 6;
-constexpr uint8_t kOpRead = 7;
-constexpr uint8_t kOpWrite = 8;
 
 std::string
 FormatUint(uint64_t value)
@@ -313,23 +295,6 @@ constexpr uint64_t kSwarVarintLimit = uint64_t{1} << 56;
 /** Room TraceEncoder makes per op: its longest op plus a word store. */
 constexpr size_t kMaxOpBytes = 32;
 
-/** Bytes an access run needs left in its payload (AccessRunEnds). */
-constexpr size_t kRunBytes = 72;
-
-/** Most accesses one 64-byte run window can hold (2 bytes each). */
-constexpr size_t kMaxRunAccesses = 32;
-
-/** How far validation keeps the digests ahead of its ops (OpCounter). */
-constexpr size_t kDigestLead = 64;
-
-uint64_t
-Load64(const char* p)
-{
-    uint64_t word;
-    std::memcpy(&word, p, sizeof(word));
-    return word;
-}
-
 /**
  * Writes @p value as LEB128 at @p out and returns the end of it.  Below
  * 2^56 the 7-bit groups are spread into bytes with three mask-and-shift
@@ -360,48 +325,6 @@ PutVarint(char* out, uint64_t value)
     return out + bytes;
 }
 
-/** std::popcount without a libgcc call (baseline x86-64 has no popcnt). */
-unsigned
-PopCount(uint64_t x)
-{
-    x -= (x >> 1) & 0x5555555555555555;
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333);
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F;
-    return static_cast<unsigned>((x * 0x0101010101010101) >> 56);
-}
-
-// Forced inline: it runs for every op field the run path leaves to the
-// switch, and with DecodeOps instantiated twice GCC otherwise keeps it
-// out of line.
-[[gnu::always_inline]] inline bool
-ReadVarint(std::string_view bytes, size_t* pos, uint64_t* out)
-{
-    uint64_t value = 0;
-    unsigned shift = 0;
-    while (*pos < bytes.size()) {
-        const uint8_t byte = static_cast<uint8_t>(bytes[*pos]);
-        ++*pos;
-        if (shift == 63 && (byte & 0x7f) > 1) {
-            return false;  // Overflows 64 bits.
-        }
-        value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0) {
-            // Reject non-canonical encodings (a trailing 0x00 group)
-            // so every accepted op stream re-encodes byte-identically.
-            if (byte == 0 && shift != 0) {
-                return false;
-            }
-            *out = value;
-            return true;
-        }
-        shift += 7;
-        if (shift > 63) {
-            return false;
-        }
-    }
-    return false;
-}
-
 uint64_t
 ZigzagEncode(int64_t value)
 {
@@ -409,247 +332,11 @@ ZigzagEncode(int64_t value)
            static_cast<uint64_t>(value >> 63);
 }
 
-int64_t
-ZigzagDecode(uint64_t value)
-{
-    return static_cast<int64_t>(value >> 1) ^
-           -static_cast<int64_t>(value & 1);
-}
-
 /** Out of line, so TraceEncoder::OnAccesses keeps its loop lean. */
 [[noreturn, gnu::cold, gnu::noinline]] void
 FatalAccessType(uint8_t type)
 {
     Fatal("trace: invalid access type " + std::to_string(type));
-}
-
-bool
-Fail(std::string* error, const std::string& message)
-{
-    if (error != nullptr) {
-        *error = message;
-    }
-    return false;
-}
-
-/**
- * The access-run classifier of DecodeOps.  Returns the varint-end bits
- * of the access ops at the start of the 64-byte window at @p p (the
- * caller guarantees kRunBytes readable bytes): bit i is set when byte i
- * ends one of them, so the run holds popcount ops and spans up to the
- * highest set bit.  Zero means the window does not start with one.
- *
- * ClassifyWindow builds three masks — the stop bytes (below 0x80: every
- * opcode and every varint's last byte), the access opcodes 6-8, and the
- * zero bytes (window_masks.h) — and a prefix XOR of the stops
- * splits them by parity.  An access op is an opcode and one varint, so
- * in a run the stops alternate: a stop with odd inclusive parity is an
- * opcode, one with even parity ends a varint, and a non-stop byte is a
- * continuation byte when the parity is odd and a gap (a byte of 0x80 or
- * more where an opcode belongs) when it is even.  The run ends at the
- * first bad byte: a gap, an opcode that is not an access, a trailing
- * 0x00 group ending a multi-byte varint (non-canonical), or the fifth
- * continuation byte in a row (a varint longer than 5 bytes).  An op
- * that reaches the window's end has no end bit in it.  What the run
- * declines goes to DecodeOps' switch at the same offset.
- */
-[[gnu::always_inline]] inline uint64_t
-AccessRunEnds(const char* p)
-{
-    const auto [stops, access, zeros] = ClassifyWindow(p);
-    uint64_t parity = stops;  // Bit i: XOR of stops bits 0..i.
-    for (unsigned shift = 1; shift < 64; shift *= 2) {
-        parity ^= parity << shift;
-    }
-    const uint64_t opcodes = stops & parity;
-    const uint64_t ends = stops & ~parity;
-    const uint64_t cont = ~stops & parity;
-    const uint64_t gaps = ~stops & ~parity;
-    const uint64_t bad = gaps | (opcodes & ~access) |
-                         (ends & zeros & (cont << 1)) |
-                         (cont & (cont >> 1) & (cont >> 2) & (cont >> 3) &
-                          (cont >> 4));
-    return ends & (bad - 1) & ~bad;
-}
-
-/**
- * The access-run decoder of DecodeOps: writes the run whose end bits
- * @p run AccessRunEnds found at @p p to @p out as references of
- * @p pid, advancing *last_addr, and returns how many it wrote.  The
- * classifier has already checked every op, so the loop has no check
- * and no data-dependent exit: each op's opcode follows the previous
- * end, and @p Varint (replay_kernel.h) turns one 8-byte load and the
- * varint's length into its value.
- */
-template <class Varint>
-[[gnu::always_inline]] inline size_t
-DecodeAccessRun(const char* p, uint64_t run, ProcessAddr* last_addr,
-                Pid pid, MemRef* out)
-{
-    ProcessAddr addr = *last_addr;
-    unsigned at = 0;  // The next op's opcode.
-    size_t n = 0;
-    do {
-        const auto end = static_cast<unsigned>(std::countr_zero(run));
-        run &= run - 1;
-        const uint64_t value = Varint::Value(Load64(p + at + 1), end - at);
-        addr = static_cast<ProcessAddr>(static_cast<int64_t>(addr) +
-                                        ZigzagDecode(value));
-        out[n++] = MemRef{pid, addr,
-                          static_cast<AccessType>(
-                              static_cast<uint8_t>(p[at]) - kOpIFetch)};
-        at = end + 1;
-    } while (run != 0);
-    *last_addr = addr;
-    return n;
-}
-
-/** Decoder state carried from one B payload of a stream to the next. */
-struct DecodeState {
-    uint64_t created = 0;      ///< Trace pids created so far.
-    bool have_pid = false;     ///< A setpid has been seen.
-    ProcessAddr last_addr = 0; ///< Base of the next access delta
-                               ///< (replay only; counting skips it).
-};
-
-/**
- * The one op decoder.  Walks one B payload of whole ops, enforcing
- * well-formed varints, known opcodes, dense pid assignment, a current
- * pid before the first access, and in-range field values, and hands
- * each op to @p visitor with its pids already range-checked and its
- * access address already un-delta'd.  An op cut by the payload's end is
- * malformed: ops never straddle B frames.  Stops at the first malformed
- * op with *why set.  The visitor is a template parameter, not a virtual
- * interface, so every visitor call inlines into the replay loop.  A
- * visitor with kCountOnly set gets access counts (CountAccessOps) and
- * no addresses, so validation does no per-access work in a run, and
- * before each run or op it digests the payload up to kDigestLead bytes
- * past it (DigestTo); any other one gets each access decoded into its
- * AccessSlots(), the runs' varints by @p Varint.  Forced inline, so each
- * caller is one instantiation's whole loop: the PEXT replay wrapper must
- * compile all of it for BMI2.
- */
-template <class Visitor, class Varint = VarintSwar>
-[[gnu::always_inline]] inline bool
-DecodeOps(std::string_view ops, DecodeState* state, Visitor& visitor,
-          std::string* why)
-{
-    // Locals, not *state, so the loop keeps them in registers across the
-    // visitor calls; written back on success only (a failure ends the
-    // stream anyway).
-    size_t pos = 0;
-    uint64_t created = state->created;
-    bool have_pid = state->have_pid;
-    ProcessAddr last_addr = state->last_addr;
-    while (pos < ops.size()) {
-        if constexpr (Visitor::kCountOnly) {
-            visitor.DigestTo(ops, std::min(pos + kDigestLead, ops.size()));
-        }
-        // Access runs first; whatever the run path declines (including
-        // the payload's last kRunBytes) falls to the switch at the same
-        // offset, which alone accepts, rejects and words the errors.
-        if (have_pid && ops.size() - pos >= kRunBytes) {
-            const char* window = ops.data() + pos;
-            const uint64_t run = AccessRunEnds(window);
-            if (run != 0) {
-                if constexpr (Visitor::kCountOnly) {
-                    visitor.CountAccessOps(PopCount(run));
-                } else {
-                    visitor.Issue(DecodeAccessRun<Varint>(
-                        window, run, &last_addr, visitor.pid(),
-                        visitor.AccessSlots()));
-                }
-                pos += static_cast<size_t>(std::bit_width(run));
-                continue;
-            }
-        }
-        const uint8_t opcode = static_cast<uint8_t>(ops[pos]);
-        ++pos;
-        uint64_t value = 0;
-        switch (opcode) {
-          case kOpCreate:
-            if (!ReadVarint(ops, &pos, &value) || value != created) {
-                return Fail(why, "op stream: bad create pid");
-            }
-            ++created;
-            visitor.Create();
-            break;
-          case kOpDestroy:
-          case kOpSetPid:
-            if (!ReadVarint(ops, &pos, &value) || value >= created) {
-                return Fail(why, "op stream: pid out of range");
-            }
-            if (opcode == kOpDestroy) {
-                visitor.Destroy(value);
-            } else {
-                have_pid = true;
-                visitor.SetPid(value);
-            }
-            break;
-          case kOpMapRegion: {
-            uint64_t base = 0;
-            uint64_t bytes = 0;
-            if (!ReadVarint(ops, &pos, &value) || value >= created ||
-                !ReadVarint(ops, &pos, &base) || base > ~ProcessAddr{0} ||
-                !ReadVarint(ops, &pos, &bytes) || pos >= ops.size() ||
-                static_cast<uint8_t>(ops[pos]) > kMaxPageKind) {
-                return Fail(why, "op stream: bad map op");
-            }
-            const auto kind =
-                static_cast<vm::PageKind>(static_cast<uint8_t>(ops[pos]));
-            ++pos;
-            visitor.Map(value, static_cast<ProcessAddr>(base), bytes, kind);
-            break;
-          }
-          case kOpShare: {
-            uint64_t other = 0;
-            if (!ReadVarint(ops, &pos, &value) || value >= created ||
-                pos >= ops.size() ||
-                static_cast<uint8_t>(ops[pos]) > kMaxSegReg) {
-                return Fail(why, "op stream: bad share op");
-            }
-            const auto reg = static_cast<uint8_t>(ops[pos]);
-            ++pos;
-            if (!ReadVarint(ops, &pos, &other) || other >= created ||
-                pos >= ops.size() ||
-                static_cast<uint8_t>(ops[pos]) > kMaxSegReg) {
-                return Fail(why, "op stream: bad share op");
-            }
-            const auto other_reg = static_cast<uint8_t>(ops[pos]);
-            ++pos;
-            visitor.Share(value, reg, other, other_reg);
-            break;
-          }
-          case kOpSwitch:
-            visitor.Switch();
-            break;
-          case kOpIFetch:
-          case kOpRead:
-          case kOpWrite:
-            if (!ReadVarint(ops, &pos, &value) || !have_pid) {
-                return Fail(why, "op stream: bad access");
-            }
-            if constexpr (Visitor::kCountOnly) {
-                visitor.CountAccessOps(1);
-            } else {
-                last_addr = static_cast<ProcessAddr>(
-                    static_cast<int64_t>(last_addr) + ZigzagDecode(value));
-                *visitor.AccessSlots() =
-                    MemRef{visitor.pid(), last_addr,
-                           static_cast<AccessType>(opcode - kOpIFetch)};
-                visitor.Issue(1);
-            }
-            break;
-          default:
-            return Fail(why, "op stream: unknown opcode");
-        }
-    }
-    state->created = created;
-    state->have_pid = have_pid;
-    if constexpr (!Visitor::kCountOnly) {
-        state->last_addr = last_addr;
-    }
-    return true;
 }
 
 /**
@@ -721,115 +408,19 @@ ValidateOps(std::string_view ops, DecodeState* state, OpCounter& counts,
     return DecodeOps(ops, state, counts, why);
 }
 
-/**
- * Replay: renames trace pids back to host pids and issues every op to
- * the host, batching accesses through AccessBatch.  Any other op
- * flushes the open batch first, so the host sees recording order.
- */
-class Replayer
-{
-  public:
-    static constexpr bool kCountOnly = false;
-
-    explicit Replayer(WorkloadHost& host)
-        : host_(host)
-    {
-    }
-
-    void Create()
-    {
-        Flush();
-        host_pid_.push_back(host_.CreateProcess());
-        ++stats.processes;
-    }
-
-    void Destroy(uint64_t pid)
-    {
-        Flush();
-        host_.DestroyProcess(host_pid_[pid]);
-    }
-
-    void SetPid(uint64_t pid) { current_pid_ = host_pid_[pid]; }
-
-    void Map(uint64_t pid, ProcessAddr base, uint64_t bytes,
-             vm::PageKind kind)
-    {
-        Flush();
-        host_.MapRegion(host_pid_[pid], base, bytes, kind);
-    }
-
-    void Share(uint64_t pid, unsigned reg, uint64_t other,
-               unsigned other_reg)
-    {
-        Flush();
-        host_.ShareSegment(host_pid_[pid], reg, host_pid_[other],
-                           other_reg);
-    }
-
-    void Switch()
-    {
-        Flush();
-        host_.OnContextSwitch();
-        ++stats.context_switches;
-    }
-
-    /** The pid of the accesses decoded next. */
-    Pid pid() const { return current_pid_; }
-
-    /** Where decoded accesses go: room for kMaxRunAccesses references. */
-    MemRef* AccessSlots() { return batch_.data() + fill_; }
-
-    /**
-     * Takes the @p n references just decoded into AccessSlots().  A
-     * batch is issued as soon as it holds kBatchRefs, at exactly that
-     * size; the references past it open the next one.
-     */
-    void Issue(size_t n)
-    {
-        stats.accesses += n;
-        fill_ += n;
-        if (fill_ >= kBatchRefs) [[unlikely]] {
-            host_.AccessBatch(batch_.data(), kBatchRefs);
-            fill_ -= kBatchRefs;
-            std::copy_n(batch_.data() + kBatchRefs, fill_, batch_.data());
-        }
-    }
-
-    void Flush()
-    {
-        if (fill_ != 0) {
-            host_.AccessBatch(batch_.data(), fill_);
-            fill_ = 0;
-        }
-    }
-
-    ReplayStats stats;
-
-  private:
-    /** AccessBatch size: a full batch is issued as soon as it fills. */
-    static constexpr size_t kBatchRefs = 4096;
-
-    WorkloadHost& host_;
-    std::vector<Pid> host_pid_;  ///< Indexed by trace pid.
-    /** kBatchRefs plus the room a run decoded past it needs. */
-    std::vector<MemRef> batch_ =
-        std::vector<MemRef>(kBatchRefs + kMaxRunAccesses);
-    size_t fill_ = 0;            ///< References in batch_.
-    Pid current_pid_ = 0;
-};
-
 #if defined(__x86_64__)
 /**
- * The PEXT kernel's decode: all of DecodeOps<Replayer, VarintPext>,
- * compiled for BMI1 and BMI2 (which also turns countr_zero and the
- * end-bit clear into tzcnt and blsr).  Only HostReplayKernel() or a
- * CpuHasBmi2() check may lead here.
+ * The PEXT kernel's decode: all of DecodeOps<Replayer,
+ * ScalarRun<VarintPext>>, compiled for BMI1 and BMI2 (which also turns
+ * countr_zero and the end-bit clear into tzcnt and blsr).  Only
+ * HostReplayKernel() or a CpuHasBmi2() check may lead here.
  */
 [[gnu::target("bmi,bmi2")]] bool
 DecodeOpsPext(std::string_view ops, DecodeState* state, Replayer& replayer,
               std::string* why)
 {
-    return DecodeOps<Replayer, VarintPext>(ops, state, replayer, why);
+    return DecodeOps<Replayer, ScalarRun<VarintPext>>(ops, state, replayer,
+                                                      why);
 }
 #endif
 
@@ -839,6 +430,9 @@ DecodeReplayOps(ReplayKernel kernel, std::string_view ops,
                 DecodeState* state, Replayer& replayer, std::string* why)
 {
 #if defined(__x86_64__)
+    if (kernel == ReplayKernel::kAvx512) {
+        return DecodeOpsAvx512(ops, state, replayer, why);
+    }
     if (kernel == ReplayKernel::kPext) {
         return DecodeOpsPext(ops, state, replayer, why);
     }
@@ -1506,13 +1100,31 @@ CpuHasBmi2()
 #endif
 }
 
+bool
+CpuHasAvx512Vbmi2()
+{
+#if defined(__x86_64__)
+    // libgcc sets the AVX-512 features only when XGETBV shows the OS
+    // saves the opmask and zmm state.
+    return CpuHasBmi2() && __builtin_cpu_supports("popcnt") &&
+           __builtin_cpu_supports("pclmul") &&
+           __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512bw") &&
+           __builtin_cpu_supports("avx512vbmi") &&
+           __builtin_cpu_supports("avx512vbmi2");
+#else
+    return false;
+#endif
+}
+
 ReplayKernel
 HostReplayKernel()
 {
 #if defined(__x86_64__)
     static const ReplayKernel kernel = [] {
         const bool bmi2 = CpuHasBmi2();  // Runs __builtin_cpu_init first.
-        return ChooseReplayKernel(bmi2, __builtin_cpu_is("amdfam17h"));
+        return ChooseReplayKernel(bmi2, __builtin_cpu_is("amdfam17h"),
+                                  CpuHasAvx512Vbmi2());
     }();
     return kernel;
 #else
@@ -1532,6 +1144,10 @@ ReplayStreamWith(const TraceStream& stream, WorkloadHost& host,
 {
     if (kernel == ReplayKernel::kPext && !CpuHasBmi2()) {
         Fatal("trace: the PEXT replay kernel needs a CPU with BMI2");
+    }
+    if (kernel == ReplayKernel::kAvx512 && !CpuHasAvx512Vbmi2()) {
+        Fatal("trace: the AVX-512 replay kernel needs a CPU with "
+              "AVX512F/BW/VBMI/VBMI2, PCLMUL and BMI2");
     }
     const sim::MachineConfig& config = host.config();
     if (config.page_bytes != stream.meta.page_bytes ||

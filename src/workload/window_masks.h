@@ -2,15 +2,17 @@
  * @file
  * The byte classes of a 64-byte window of SPUR-TRACE/1 op bytes, from
  * which the op decoder's access-run classifier (AccessRunEnds in
- * trace.cc, DESIGN.md §19) finds a run.  Private to src/workload:
- * trace.cc and the trace tests include it.
+ * op_decoder.h, DESIGN.md §19) finds a run.  Private to src/workload:
+ * op_decoder.h and the trace tests include it.
  *
- * Two builders give the same masks.  WindowMasksSse2 uses 16-byte
+ * Two builders here give the same masks.  WindowMasksSse2 uses 16-byte
  * compares and movemask, after simdjson's stage 1 (Langdale and Lemire,
  * arXiv:1902.08318); SSE2 is part of the x86-64 baseline, so every
  * x86-64 build takes it with no -march flag.  WindowMasksSwar uses
  * 8-byte word arithmetic and is the path everywhere else; on x86 the
- * tests run it as the SSE2 builder's oracle.
+ * tests run it as the SSE2 builder's oracle, and as the oracle of the
+ * third builder, the AVX-512 replay kernel's WindowMasksAvx512
+ * (replay_avx512.cc), which only that kernel runs.
  */
 #ifndef SPUR_WORKLOAD_WINDOW_MASKS_H_
 #define SPUR_WORKLOAD_WINDOW_MASKS_H_

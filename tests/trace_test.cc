@@ -29,6 +29,7 @@
 #include "src/common/framed_log.h"
 #include "src/common/random.h"
 #include "src/core/system.h"
+#include "src/workload/op_decoder.h"
 #include "src/workload/replay_kernel.h"
 #include "src/workload/trace.h"
 #include "src/workload/window_masks.h"
@@ -1027,7 +1028,8 @@ ByteDecode(const std::string& ops)
 
 /**
  * Every replay kernel this host can run: SWAR always, so it stays tested
- * where replay itself picks PEXT, and PEXT where the CPU has BMI2.
+ * where replay itself picks another, PEXT where the CPU has BMI2, and
+ * AVX-512 where it and the OS support the kernel's target.
  */
 std::vector<ReplayKernel>
 HostKernels()
@@ -1036,13 +1038,24 @@ HostKernels()
     if (CpuHasBmi2()) {
         kernels.push_back(ReplayKernel::kPext);
     }
+    if (CpuHasAvx512Vbmi2()) {
+        kernels.push_back(ReplayKernel::kAvx512);
+    }
     return kernels;
 }
 
 const char*
 KernelName(ReplayKernel kernel)
 {
-    return kernel == ReplayKernel::kPext ? "PEXT" : "SWAR";
+    switch (kernel) {
+      case ReplayKernel::kSwar:
+        return "SWAR";
+      case ReplayKernel::kPext:
+        return "PEXT";
+      case ReplayKernel::kAvx512:
+        return "AVX-512";
+    }
+    return "?";
 }
 
 /** A random access op whose varint is @p bytes (1-5) long. */
@@ -1208,7 +1221,10 @@ HexMasks(const WindowMasks& masks)
 TEST(TraceTest, WindowMasksMatchTheSwarOracle)
 {
     // The portable builder against the classes byte by byte, and the
-    // SSE2 builder, where this build has it, against the portable one.
+    // SSE2 and AVX-512 builders, where this build and CPU have them,
+    // against the portable one; with the AVX-512 builder, the CLMUL
+    // prefix XOR of the stops against the shift-xor one.
+    const bool avx512 = CpuHasAvx512Vbmi2();
     size_t windows = 0;
     const auto check = [&](const char* p) {
         ++windows;
@@ -1232,6 +1248,22 @@ TEST(TraceTest, WindowMasksMatchTheSwarOracle)
             return testing::AssertionFailure()
                    << "SSE2 " << HexMasks(sse2) << ", SWAR "
                    << HexMasks(swar);
+        }
+#endif
+#if defined(__x86_64__)
+        if (avx512) {
+            const WindowMasks wide = WindowMasksAvx512(p);
+            if (wide != swar) {
+                return testing::AssertionFailure()
+                       << "AVX-512 " << HexMasks(wide) << ", SWAR "
+                       << HexMasks(swar);
+            }
+            const uint64_t parity = PrefixXorClmul(swar.stops);
+            if (parity != PrefixXor(swar.stops)) {
+                return testing::AssertionFailure()
+                       << std::hex << "CLMUL parity " << parity
+                       << ", shift-xor " << PrefixXor(swar.stops);
+            }
         }
 #endif
         return testing::AssertionSuccess();
@@ -1334,14 +1366,161 @@ TEST(TraceTest, PextVarintMatchesSwarCompaction)
 
 TEST(TraceTest, ReplayKernelPredicateAvoidsSlowPext)
 {
-    EXPECT_EQ(ChooseReplayKernel(false, false), ReplayKernel::kSwar);
-    EXPECT_EQ(ChooseReplayKernel(false, true), ReplayKernel::kSwar);
+    EXPECT_EQ(ChooseReplayKernel(false, false, false), ReplayKernel::kSwar);
+    EXPECT_EQ(ChooseReplayKernel(false, true, false), ReplayKernel::kSwar);
     // Zen 1 and 2 (AMD family 17h) have BMI2 but microcoded pext.
-    EXPECT_EQ(ChooseReplayKernel(true, true), ReplayKernel::kSwar);
-    EXPECT_EQ(ChooseReplayKernel(true, false), ReplayKernel::kPext);
+    EXPECT_EQ(ChooseReplayKernel(true, true, false), ReplayKernel::kSwar);
+    EXPECT_EQ(ChooseReplayKernel(true, false, false), ReplayKernel::kPext);
+    // A CPU that runs the AVX-512 kernel takes it (its target includes
+    // BMI2, and no AMD family 17h part has AVX-512).
+    EXPECT_EQ(ChooseReplayKernel(true, false, true), ReplayKernel::kAvx512);
     if (!CpuHasBmi2()) {
         EXPECT_EQ(HostReplayKernel(), ReplayKernel::kSwar);
     }
+    EXPECT_EQ(HostReplayKernel() == ReplayKernel::kAvx512,
+              CpuHasAvx512Vbmi2());
+}
+
+TEST(TraceTest, Avx512RunStepMatchesSwar)
+{
+#if defined(__x86_64__)
+    if (!CpuHasAvx512Vbmi2()) {
+        GTEST_SKIP() << "this CPU or OS lacks AVX512F/BW/VBMI/VBMI2, "
+                        "PCLMUL or BMI2, so it cannot run the AVX-512 "
+                        "kernel (replay runs PEXT or SWAR here)";
+    }
+    // Varint values at every length's edges, 2^(7k) - 1 and 2^(7k), and
+    // the zigzags of +-(2^32 - 1) and of the largest 5-byte deltas,
+    // which the kernels add mod 2^32.
+    std::vector<uint64_t> edges = {0, 1};
+    for (unsigned k = 1; k <= 5; ++k) {
+        edges.push_back((uint64_t{1} << (7 * k)) - 1);
+        if (k < 5) {
+            edges.push_back(uint64_t{1} << (7 * k));
+        }
+    }
+    for (const int64_t delta : {int64_t{UINT32_MAX}, -int64_t{UINT32_MAX}}) {
+        const auto u = static_cast<uint64_t>(delta);
+        edges.push_back((u << 1) ^ static_cast<uint64_t>(delta >> 63));
+    }
+    edges.push_back((uint64_t{1} << 35) - 2);  // Zigzag of 2^34 - 1.
+
+    Rng rng(0x5eed0033);
+    const auto value_of_length = [&](unsigned bytes) {
+        if (rng.NextBelow(4) == 0) {
+            const uint64_t edge = edges[rng.NextBelow(edges.size())];
+            if ((static_cast<unsigned>(std::bit_width(edge | 1)) + 6) / 7 ==
+                bytes) {
+                return edge;
+            }
+        }
+        const uint64_t low =
+            bytes == 1 ? 0 : uint64_t{1} << (7 * (bytes - 1));
+        return low + rng.NextBelow((uint64_t{1} << (7 * bytes)) - low);
+    };
+
+    bool saw_ops[33] = {};
+    bool saw_length[6] = {};
+    bool saw_type[3] = {};
+    size_t full_windows = 0;
+    size_t no_runs = 0;
+    for (int round = 0; round < 50'000; ++round) {
+        // n ops whose varint lengths sum to at most 64 - n, or, for one
+        // window in four, to exactly that: a run ending at byte 63.
+        const auto n = static_cast<unsigned>(1 + rng.NextBelow(32));
+        std::vector<unsigned> lengths(n, 1);
+        const unsigned room = 64 - n;
+        const bool full = n >= 11 && rng.NextBelow(4) == 0;
+        unsigned used = n;
+        for (unsigned& length : lengths) {
+            const unsigned extra = std::min<unsigned>(
+                room - used, static_cast<unsigned>(rng.NextBelow(5)));
+            length += extra;
+            used += extra;
+        }
+        for (unsigned j = 0; full && used < room; j = (j + 1) % n) {
+            if (lengths[j] < 5) {
+                ++lengths[j];
+                ++used;
+            }
+        }
+        std::string bytes;
+        for (const unsigned length : lengths) {
+            const auto type = static_cast<unsigned>(rng.NextBelow(3));
+            saw_type[type] = true;
+            saw_length[length] = true;
+            bytes += static_cast<char>(6 + type);
+            bytes += Leb128(value_of_length(length));
+        }
+        // What follows a run shorter than the window: an access that
+        // crosses byte 63 where one can, else an op that is not an
+        // access or a gap byte.
+        if (const size_t at = bytes.size(); at >= 59 && at < 64 &&
+                                            rng.NextBelow(2) == 0) {
+            const auto length = static_cast<unsigned>(
+                64 - at + rng.NextBelow(at - 58));
+            bytes += static_cast<char>(6 + rng.NextBelow(3));
+            bytes += Leb128(value_of_length(length));
+        } else if (at < 64) {
+            bytes += static_cast<char>(rng.NextBelow(2) == 0
+                                           ? rng.NextBelow(6)
+                                           : 0x80 + rng.NextBelow(0x80));
+        }
+        // One window in 16 does not start with a run at all.
+        if (rng.NextBelow(16) == 0) {
+            bytes[0] = static_cast<char>(rng.NextBelow(2) == 0
+                                             ? rng.NextBelow(6)
+                                             : 0x80 + rng.NextBelow(0x80));
+        }
+        while (bytes.size() < kRunBytes) {
+            bytes += static_cast<char>(rng.NextBelow(256));
+        }
+        const char* p = bytes.data();
+
+        const auto pid = static_cast<Pid>(rng.Next());
+        const auto start = static_cast<ProcessAddr>(rng.Next());
+        const uint64_t run = AccessRunEnds(p);
+        std::vector<MemRef> want(kMaxRunAccesses);
+        ProcessAddr want_last = start;
+        const size_t want_refs =
+            run == 0 ? 0
+                     : DecodeAccessRun<VarintSwar>(p, run, &want_last, pid,
+                                                   want.data());
+        std::vector<MemRef> got(kMaxRunAccesses);
+        ProcessAddr got_last = start;
+        const RunStep step = DecodeRunAvx512(p, &got_last, pid, got.data());
+        const std::string where = "round " + std::to_string(round);
+        if (run == 0) {
+            ++no_runs;
+            ASSERT_EQ(step.bytes, 0u) << where;
+            ASSERT_EQ(got_last, start) << where;
+            continue;
+        }
+        ASSERT_EQ(want_refs, n) << where;  // The run is the ops built.
+        saw_ops[n] = true;
+        full_windows += std::bit_width(run) == 64 ? 1 : 0;
+        ASSERT_EQ(step.refs, want_refs) << where;
+        ASSERT_EQ(step.bytes, static_cast<size_t>(std::bit_width(run)))
+            << where;
+        ASSERT_EQ(got_last, want_last) << where;
+        for (size_t j = 0; j < want_refs; ++j) {
+            ASSERT_EQ(OpLogHost::AccessLine(got[j]),
+                      OpLogHost::AccessLine(want[j]))
+                << where << ", reference " << j;
+        }
+    }
+    for (unsigned n = 1; n <= 32; ++n) {
+        EXPECT_TRUE(saw_ops[n]) << "no run of " << n << " ops";
+    }
+    for (unsigned length = 1; length <= 5; ++length) {
+        EXPECT_TRUE(saw_length[length]) << "no " << length << "-byte varint";
+    }
+    EXPECT_TRUE(saw_type[0] && saw_type[1] && saw_type[2]);
+    EXPECT_GT(full_windows, 1000u);
+    EXPECT_GT(no_runs, 1000u);
+#else
+    GTEST_SKIP() << "the AVX-512 kernel exists only in x86-64 builds";
+#endif
 }
 
 /** An OpLogHost that logs each AccessBatch's size and keeps its refs. */

@@ -41,7 +41,8 @@ LAYERS = [
     ("hit loop", r"spur::core::SpurSystem::Access(Batch)?Impl"),
     ("decode", r"Decode|Replay|RecoverTrace|AccessRunEnds|ClassifyWindow"
                r"|WindowMasks|GatherHighBits|PopCount|CompactVarint"
-               r"|VarintSwar|VarintPext"),
+               r"|VarintSwar|VarintPext|RunEnds|PrefixXor|ScalarRun"
+               r"|Avx512|spur::workload::avx512::"),
     ("encode", r"Encode|PutVarint|RecordingHost"),
     ("digest", r"Digest"),
     ("generation", r"spur::workload::|spur::Rng::|Zipf"),
