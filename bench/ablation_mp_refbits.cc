@@ -17,6 +17,7 @@
 #include "src/common/args.h"
 #include "src/common/random.h"
 #include "src/common/table.h"
+#include "src/core/experiment.h"
 #include "src/core/mp_system.h"
 #include "src/runner/runner.h"
 #include "src/runner/session.h"
@@ -39,7 +40,7 @@ MpRun
 Run(unsigned cpus, policy::RefPolicyKind ref, uint64_t refs, uint64_t seed)
 {
     sim::MachineConfig config = sim::MachineConfig::Prototype(8);
-    config.page_in_us = 800.0;
+    config.page_in_us = core::kScaledPageInUs;
     core::MpSpurSystem system(config, cpus, policy::DirtyPolicyKind::kSpur,
                               ref);
     core::Kernel& kernel = system.kernel();

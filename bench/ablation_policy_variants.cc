@@ -59,7 +59,7 @@ main(int argc, char** argv)
     MechRun mech[2];
     runner::ParallelFor(2, session.jobs(), [&](size_t i) {
         sim::MachineConfig config = sim::MachineConfig::Prototype(6);
-        config.page_in_us = 800.0;
+        config.page_in_us = core::kScaledPageInUs;
         core::SpurSystem system(config, kinds[i],
                                 policy::RefPolicyKind::kMiss);
         workload::Driver driver(system, workload::MakeWorkload1(), refs, 3);

@@ -21,6 +21,7 @@
 
 #include "src/common/args.h"
 #include "src/common/table.h"
+#include "src/core/experiment.h"
 #include "src/core/system.h"
 #include "src/core/tlb_system.h"
 #include "src/runner/runner.h"
@@ -46,7 +47,7 @@ RunSpur(workload::WorkloadSpec (*make_spec)(), uint32_t mem, uint64_t refs,
         uint64_t seed)
 {
     sim::MachineConfig config = sim::MachineConfig::Prototype(mem);
-    config.page_in_us = 800.0;
+    config.page_in_us = core::kScaledPageInUs;
     core::SpurSystem machine(config, policy::DirtyPolicyKind::kSpur,
                              policy::RefPolicyKind::kMiss);
     workload::Driver driver(machine, make_spec(), refs, seed);
@@ -72,7 +73,7 @@ RunTlb(workload::WorkloadSpec (*make_spec)(), uint32_t mem, uint64_t refs,
        uint64_t seed)
 {
     sim::MachineConfig config = sim::MachineConfig::Prototype(mem);
-    config.page_in_us = 800.0;
+    config.page_in_us = core::kScaledPageInUs;
     core::TlbSystem machine(config);
     workload::Driver driver(machine, make_spec(), refs, seed);
     driver.Run();

@@ -16,6 +16,7 @@
 
 #include "src/common/args.h"
 #include "src/common/table.h"
+#include "src/core/experiment.h"
 #include "src/core/system.h"
 #include "src/runner/runner.h"
 #include "src/runner/session.h"
@@ -59,7 +60,7 @@ main(int argc, char** argv)
     PolicyRun runs[5];
     runner::ParallelFor(5, session.jobs(), [&](size_t i) {
         sim::MachineConfig config = sim::MachineConfig::Prototype(memory_mb);
-        config.page_in_us = 800.0;  // Scaled paging (see DESIGN.md).
+        config.page_in_us = core::kScaledPageInUs;
         core::SpurSystem system(config, kinds[i],
                                 policy::RefPolicyKind::kMiss);
         workload::Driver driver(system, workload::MakeWorkload1(), refs,

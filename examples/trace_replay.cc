@@ -18,11 +18,12 @@
 #include "src/common/args.h"
 #include "src/common/log.h"
 #include "src/common/table.h"
+#include "src/core/experiment.h"
+#include "src/core/run_trace.h"
 #include "src/core/system.h"
 #include "src/runner/runner.h"
 #include "src/runner/session.h"
 #include "src/workload/trace.h"
-#include "src/workload/workloads.h"
 
 int
 main(int argc, char** argv)
@@ -42,35 +43,24 @@ main(int argc, char** argv)
     // 1. Record: run the flush-storm scenario once on a live machine,
     // teeing every WorkloadHost call into a trace stream.
     {
+        core::RunConfig run;
+        run.workload = core::WorkloadId::kFlushStorm;
+        run.refs = refs;
+        run.seed = seed;
         core::SpurSystem system(config, policy::DirtyPolicyKind::kSpur,
                                 policy::RefPolicyKind::kMiss);
-        workload::WorkloadSpec spec = workload::MakeFlushStorm();
-        const uint32_t slice_refs = spec.slice_refs;
-        workload::TraceStreamMeta meta;
-        meta.workload = "flush-storm";
-        meta.seed = seed;
-        meta.refs = refs;
-        meta.page_bytes = config.page_bytes;
-        meta.block_bytes = config.block_bytes;
-        workload::TraceEncoder encoder(meta);
-        workload::RecordingHost recorder(system, encoder);
-        workload::Driver driver(recorder, std::move(spec), refs, seed,
-                                slice_refs);
-        driver.Run();
-        recorder.StopRecording();
-        const uint64_t ops = encoder.ops();
-        const uint64_t accesses = encoder.accesses();
+        const core::RecordedStream stream =
+            core::RecordLiveStream(run, system);
         workload::TraceFileWriter writer;
         std::string error;
         if (!writer.Open(path, &error) ||
-            !writer.AppendStream(encoder.Finish(driver.refs_issued()),
-                                 &error) ||
+            !writer.AppendStream(stream.bytes, &error) ||
             !writer.Finish(&error)) {
             Fatal("example_trace_replay: " + error);
         }
         std::printf("recorded %llu ops (%llu accesses) to %s\n",
-                    static_cast<unsigned long long>(ops),
-                    static_cast<unsigned long long>(accesses),
+                    static_cast<unsigned long long>(stream.ops),
+                    static_cast<unsigned long long>(stream.accesses),
                     path.c_str());
     }
 

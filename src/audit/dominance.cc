@@ -12,27 +12,27 @@ namespace {
 /** Everything that must match for two cells to be comparable, minus the
  *  dirty policy (MIN dominance) — the ref policy stays in the key. */
 using DirtyGroupKey = std::tuple<uint8_t, uint32_t, uint8_t, uint64_t,
-                                 uint64_t, double, double>;
+                                 uint64_t, double>;
 
 DirtyGroupKey
 DirtyKey(const core::RunConfig& config)
 {
     return {static_cast<uint8_t>(config.workload), config.memory_mb,
             static_cast<uint8_t>(config.ref), config.refs, config.seed,
-            config.intensity, config.page_in_us};
+            config.intensity};
 }
 
 /** Matching key for the NOREF-vs-MISS page-in comparison (ref policy
  *  removed, dirty policy kept). */
 using RefGroupKey = std::tuple<uint8_t, uint32_t, uint8_t, uint64_t,
-                               uint64_t, double, double>;
+                               uint64_t, double>;
 
 RefGroupKey
 RefKey(const core::RunConfig& config)
 {
     return {static_cast<uint8_t>(config.workload), config.memory_mb,
             static_cast<uint8_t>(config.dirty), config.refs, config.seed,
-            config.intensity, config.page_in_us};
+            config.intensity};
 }
 
 std::string

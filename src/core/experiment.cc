@@ -1,6 +1,5 @@
 #include "src/core/experiment.h"
 
-#include <optional>
 #include <utility>
 
 #include "src/check/audit.h"
@@ -101,21 +100,15 @@ Harvest(const SpurSystem& system, uint64_t refs_issued)
     return result;
 }
 
-/**
- * RunOnce after its claim: records the live op stream when
- * @p recording names the claimed identity.
- */
+}  // namespace
+
 RunResult
-RunClaimed(const RunConfig& config, const std::string* recording)
+RunOnce(const RunConfig& config)
 {
     sim::MachineConfig machine =
         sim::MachineConfig::Prototype(config.memory_mb);
-    machine.page_in_us =
-        (config.page_in_us > 0) ? config.page_in_us : kScaledPageInUs;
-
+    machine.page_in_us = kScaledPageInUs;
     SpurSystem system(machine, config.dirty, config.ref);
-    const uint64_t refs =
-        (config.refs != 0) ? config.refs : DefaultRefs(config.workload);
 
     if (config.trace_replay != nullptr) {
         // Trace-driven: the recorded op stream stands in for the live
@@ -139,62 +132,40 @@ RunClaimed(const RunConfig& config, const std::string* recording)
         return Harvest(system, stats.refs_issued);
     }
 
-    workload::WorkloadSpec spec = SpecFor(config);
-    const uint32_t slice_refs = spec.slice_refs;
+    // Counters are sampled once the budget is spent, before the driver
+    // tears its processes down.  The end-of-run audit comes first: the
+    // cell's final state must satisfy every invariant before its
+    // numbers enter any table.
+    RunResult result;
+    const auto at_end = [&system, &result](uint64_t refs_issued) {
+        if constexpr (check::kAuditEnabled) {
+            system.kernel().Audit().RaiseIfFailed(
+                "core::RunOnce (end of run)");
+        }
+        result = Harvest(system, refs_issued);
+    };
 
-    std::optional<workload::TraceEncoder> encoder;
-    std::optional<workload::RecordingHost> recorder;
-    workload::WorkloadHost* host = &system;
-    if (recording != nullptr) {
-        encoder.emplace(TraceMetaFor(config));
-        recorder.emplace(system, *encoder);
-        host = &*recorder;
-    }
-
-    workload::Driver driver(*host, std::move(spec), refs, config.seed,
-                            slice_refs);
-    driver.Run();
-    if (recorder.has_value()) {
-        // Stop before teardown: counters are sampled (and the stream
-        // sealed) at this point of the run, not after driver teardown.
-        recorder->StopRecording();
-        config.trace_record->Commit(*recording,
-                                    encoder->Finish(driver.refs_issued()));
-    }
-
-    // End-of-run audit: the cell's final state must satisfy every
-    // invariant before its numbers enter any table.
-    if constexpr (check::kAuditEnabled) {
-        system.kernel().Audit().RaiseIfFailed("core::RunOnce (end of run)");
-    }
-
-    return Harvest(system, driver.refs_issued());
-}
-
-}  // namespace
-
-RunResult
-RunOnce(const RunConfig& config)
-{
     // Live generation, optionally recording: the first cell to claim
     // this stream identity captures the op stream through a forwarding
     // shim; losers (same workload, different policy/memory) run plain —
-    // the generator cannot see the difference.  The claim comes first,
-    // so a cell claims its stream whatever it does next.
-    std::string identity;
-    bool recording = false;
+    // the generator cannot see the difference.
     if (config.trace_record != nullptr) {
-        identity = TraceMetaFor(config).Identity();
-        recording = config.trace_record->Claim(identity);
-    }
-    try {
-        return RunClaimed(config, recording ? &identity : nullptr);
-    } catch (...) {
-        if (recording) {
-            config.trace_record->Abandon(identity);
+        const std::string identity = TraceMetaFor(config).Identity();
+        if (config.trace_record->Claim(identity)) {
+            config.trace_record->Commit(
+                identity, RecordLiveStream(config, system, at_end).bytes);
+            return result;
         }
-        throw;
     }
+    workload::WorkloadSpec spec = SpecFor(config);
+    const uint32_t slice_refs = spec.slice_refs;
+    const uint64_t refs =
+        (config.refs != 0) ? config.refs : DefaultRefs(config.workload);
+    workload::Driver driver(system, std::move(spec), refs, config.seed,
+                            slice_refs);
+    driver.Run();
+    at_end(driver.refs_issued());
+    return result;
 }
 
 }  // namespace spur::core

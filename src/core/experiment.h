@@ -88,9 +88,6 @@ struct RunConfig {
     uint64_t refs = 0;       ///< 0 = the workload's default budget.
     uint64_t seed = 1;
     double intensity = 1.0;  ///< Dev-machine workloads only.
-    /// Page-in latency override in microseconds; <= 0 keeps the scaled
-    /// default (kScaledPageInUs).
-    double page_in_us = 0.0;
     /// Injected by BenchSession --record-trace: the first cell to claim
     /// this run's stream identity records its op stream (src/core/
     /// run_trace.h).  Not part of the cell identity; never serialized.

@@ -1,7 +1,10 @@
 #include "src/core/run_trace.h"
 
+#include <utility>
+
 #include "src/common/log.h"
 #include "src/sim/config.h"
+#include "src/workload/driver.h"
 
 namespace spur::core {
 
@@ -22,6 +25,31 @@ TraceMetaFor(const RunConfig& config)
     meta.page_bytes = machine.page_bytes;
     meta.block_bytes = machine.block_bytes;
     return meta;
+}
+
+RecordedStream
+RecordLiveStream(const RunConfig& config, workload::WorkloadHost& host,
+                 const std::function<void(uint64_t refs_issued)>& at_end)
+{
+    const workload::TraceStreamMeta meta = TraceMetaFor(config);
+    workload::WorkloadSpec spec = SpecFor(config);
+    const uint32_t slice_refs = spec.slice_refs;
+    workload::TraceEncoder encoder(meta);
+    workload::RecordingHost recorder(host, encoder);
+    workload::Driver driver(recorder, std::move(spec), meta.refs,
+                            config.seed, slice_refs);
+    driver.Run();
+    // Stop before teardown: the stream (and whatever at_end samples)
+    // ends at this point of the run, not after driver teardown.
+    recorder.StopRecording();
+    if (at_end) {
+        at_end(driver.refs_issued());
+    }
+    RecordedStream stream;
+    stream.ops = encoder.ops();
+    stream.accesses = encoder.accesses();
+    stream.bytes = encoder.Finish(driver.refs_issued());
+    return stream;
 }
 
 bool
@@ -64,42 +92,26 @@ TraceRecordSession::Claim(const std::string& identity)
 }
 
 void
-TraceRecordSession::Commit(const std::string& identity,
-                           const std::string& bytes)
+TraceRecordSession::Commit(const std::string& identity, std::string bytes)
 {
     MutexLock lock(mutex_);
-    const size_t place = streams_.at(identity).place;
-    while (next_ != place && !failed_) {
-        landed_.Wait(mutex_);
+    held_.emplace(streams_.at(identity).place, std::move(bytes));
+    for (auto it = held_.begin(); it != held_.end() && it->first == next_;
+         it = held_.erase(it), ++next_) {
+        std::string error;
+        if (!failed_ && !writer_.AppendStream(it->second, &error)) {
+            Warn("--record-trace: " + error);
+            failed_ = true;
+        }
     }
-    std::string error;
-    if (!failed_ && !writer_.AppendStream(bytes, &error)) {
-        Warn("--record-trace: stream '" + identity + "': " + error);
-        failed_ = true;
-    }
-    ++next_;
-    landed_.NotifyAll();
-}
-
-void
-TraceRecordSession::Abandon(const std::string& identity)
-{
-    MutexLock lock(mutex_);
-    if (streams_.at(identity).place < next_) {
-        return;  // It landed before its cell failed.
-    }
-    Warn("--record-trace: stream '" + identity +
-         "' was not recorded (its cell failed)");
-    failed_ = true;
-    landed_.NotifyAll();
 }
 
 bool
 TraceRecordSession::Finish(std::string* error)
 {
     MutexLock lock(mutex_);
-    if (failed_) {
-        // A stream append failed or a claimed stream was abandoned: the
+    if (failed_ || next_ != places_) {
+        // A stream append failed, or a placed stream never landed: the
         // file is a recoverable prefix, not a complete trace.
         if (error != nullptr) {
             *error = "a stream was not recorded; the trace is partial";

@@ -1,24 +1,26 @@
 /**
  * @file
  * Sweep-level trace glue: how --record-trace / --replay-trace thread a
- * SPUR-TRACE/1 library (src/workload/trace.h) through core::RunOnce.
+ * SPUR-TRACE/1 library (src/workload/trace.h) through core::RunOnce,
+ * and the one helper that records a live run's op stream.
  *
  * A stream's identity — workload, seed, refs, intensity, page/block
  * geometry — deliberately excludes the policies and memory size under
  * test, so a matrix of many cells maps onto few distinct streams.  The
  * recorder exploits that: the first cell to Claim() an identity records
  * it (generators are pure, so every would-be recorder produces the
- * same bytes); the rest run plain.  Claimed streams are committed to
- * the file whole and fsync'd under one mutex, so a killed sweep leaves
- * a recoverable complete-stream prefix and parallel cells never
- * interleave frames.  Streams land in the order of their first cells
- * in the matrix, not in the order cells finish, so the file's bytes do
- * not depend on --jobs.  The replay side is a read-only library shared
- * by every cell without locking.
+ * same bytes); the rest run plain.  Streams land whole and fsync'd, in
+ * the order of their first cells in the matrix, so a killed sweep
+ * leaves a recoverable complete-stream prefix and the file's bytes do
+ * not depend on --jobs.  A stream finished before its turn is held in
+ * memory; no cell waits.  The replay side is a read-only library
+ * shared by every cell without locking.
  */
 #ifndef SPUR_CORE_RUN_TRACE_H_
 #define SPUR_CORE_RUN_TRACE_H_
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -35,6 +37,26 @@ namespace spur::core {
  * intensity knob, and the machine's page/block geometry.
  */
 workload::TraceStreamMeta TraceMetaFor(const RunConfig& config);
+
+/** One stream recorded by RecordLiveStream. */
+struct RecordedStream {
+    std::string bytes;  ///< TraceEncoder::Finish() bytes.
+    uint64_t ops = 0;
+    uint64_t accesses = 0;
+};
+
+/**
+ * Drives SpecFor(@p config) to its budget through @p host, recording
+ * every host call into a stream of identity TraceMetaFor(@p config).
+ * Pid normalization makes the bytes the same whatever @p host is (the
+ * live machine or the counts-only CountingHost).  @p at_end, when set,
+ * runs once the budget is spent, with the references issued, before
+ * the driver tears its processes down: RunOnce samples the machine's
+ * counters there, and teardown ops do not enter the stream.
+ */
+RecordedStream RecordLiveStream(
+    const RunConfig& config, workload::WorkloadHost& host,
+    const std::function<void(uint64_t refs_issued)>& at_end = nullptr);
 
 /**
  * One --record-trace file shared by every cell of a session.
@@ -55,34 +77,21 @@ class TraceRecordSession
      */
     void Reserve(const std::string& identity) SPUR_EXCLUDES(mutex_);
 
-    /**
-     * True iff the calling cell should record @p identity: the first
-     * claimant wins, later cells (and re-runs of the same identity)
-     * run unrecorded.  A cell claims before anything else it does, so
-     * every reserved place has a claimant once its first cell starts.
-     */
+    /** True iff the calling cell should record @p identity: the first
+     *  claimant wins, later cells of the identity run unrecorded. */
     bool Claim(const std::string& identity) SPUR_EXCLUDES(mutex_);
 
     /**
-     * Commits a claimed stream's TraceEncoder::Finish() bytes at its
-     * place: waits until every stream placed before it has landed.
-     * Cells start in place order, so the stream it waits for is being
-     * recorded by a running cell, and at most about one stream per
-     * running cell is held.  A failed append is remembered (Finish()
-     * then fails) rather than fatal, so the sweep's own results still
-     * land.
+     * Hands over a claimed stream's TraceEncoder::Finish() bytes without
+     * waiting: the stream is held until every stream placed before it
+     * has landed.  A failed append is remembered (Finish() then fails)
+     * rather than fatal, so the sweep's own results still land.
      */
-    void Commit(const std::string& identity, const std::string& bytes)
+    void Commit(const std::string& identity, std::string bytes)
         SPUR_EXCLUDES(mutex_);
 
-    /**
-     * Gives up a claimed stream that will not be committed (its cell
-     * threw): the trace is partial from here on, and no later stream
-     * waits for it.
-     */
-    void Abandon(const std::string& identity) SPUR_EXCLUDES(mutex_);
-
-    /** Writes the trailer; false + *error on failure. */
+    /** Writes the trailer; false + *error when an append failed or a
+     *  placed stream never landed (the file is then a partial trace). */
     bool Finish(std::string* error) SPUR_EXCLUDES(mutex_);
 
   private:
@@ -96,9 +105,10 @@ class TraceRecordSession
     Stream& Place(const std::string& identity) SPUR_REQUIRES(mutex_);
 
     Mutex mutex_;
-    CondVar landed_;
     workload::TraceFileWriter writer_ SPUR_GUARDED_BY(mutex_);
     std::map<std::string, Stream> streams_ SPUR_GUARDED_BY(mutex_);
+    /// Committed streams waiting for an earlier place, by place.
+    std::map<size_t, std::string> held_ SPUR_GUARDED_BY(mutex_);
     /// Places given out so far, and the place of the next stream to land.
     size_t places_ SPUR_GUARDED_BY(mutex_) = 0;
     size_t next_ SPUR_GUARDED_BY(mutex_) = 0;

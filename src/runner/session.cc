@@ -172,6 +172,16 @@ BenchSession::Finish()
             exit_code = 1;
         }
     }
+    if (total_cells_ == 0 &&
+        (trace_record_ != nullptr || trace_replay_ != nullptr)) {
+        // The bench's own loops ran live and recorded nothing: say so
+        // rather than pass a live run off as traced.
+        Warn(std::string(trace_record_ != nullptr ? "--record-trace"
+                                                  : "--replay-trace") +
+             ": " + bench_ + " ran no session cell, so the flag had "
+             "no effect");
+        exit_code = 1;
+    }
     return exit_code;
 }
 

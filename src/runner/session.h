@@ -12,15 +12,24 @@
  *                 capture each distinct workload stream this session
  *                 generates into F as a SPUR-TRACE/1 library
  *                 (src/workload/trace.h): the first cell per stream
- *                 identity records, every other cell runs plain.  The
- *                 file is fsync'd per stream, so a killed run leaves a
- *                 recoverable prefix (`spur_trace validate`).
+ *                 identity records, every other cell runs plain.
+ *                 Streams land in matrix order, so F's bytes are the
+ *                 same at any --jobs; a stream finished early is held
+ *                 in memory until its turn, never its cell's thread.
+ *                 The file is fsync'd per stream, so a killed run
+ *                 leaves a recoverable prefix (`spur_trace validate`).
  *   --replay-trace=F
  *                 drive every cell from the recorded op streams in F
  *                 instead of the live generators; results — and the
  *                 --json bytes — are byte-identical to a live run at
  *                 any --jobs.  A cell whose stream is missing from F is
  *                 a Fatal error, never a silent live run.
+ *
+ * The trace flags reach session cells only (RunMatrix / RunAll).  A
+ * bench that runs no session cell fails Finish() when given either
+ * flag.  A bench that mixes bespoke loops with session cells (e.g.
+ * ablation_policy_variants' SPUR vs SPUR-PROT pair) still runs its
+ * bespoke part live.
  *
  * A session always runs and records its whole sweep in one process;
  * the --shard, --stream and --resume flags are rejected with a Fatal
@@ -103,7 +112,8 @@ class BenchSession
      * Writes the --json file if one was requested, stamped with the
      * schema version and this session's cell count, and finishes the
      * --record-trace file if one is open.  Returns the process exit
-     * code (non-zero if any write failed).
+     * code: non-zero if any write failed, or if a trace flag was given
+     * and no session cell ran.
      */
     int Finish() SPUR_EXCLUDES(mutex_);
 

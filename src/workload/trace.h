@@ -278,7 +278,8 @@ class CountingHost : public WorkloadHost
  * Appends encoded streams to a trace file.  The magic line and H frame
  * land at Open; every AppendStream is written and fsync'd whole, so a
  * killed recorder leaves a file whose complete-stream prefix recovers.
- * Not thread-safe; core::TraceRecordSession serializes callers.
+ * Not thread-safe: core::TraceRecordSession calls it under its mutex,
+ * appending streams in place order and holding any that arrive early.
  */
 class TraceFileWriter
 {

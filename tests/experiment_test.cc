@@ -61,17 +61,6 @@ TEST(ExperimentTest, RunOnceFillsDerivedFields)
     EXPECT_NEAR(bucket_total, r.elapsed_seconds, 1e-9);
 }
 
-TEST(ExperimentTest, PageInLatencyOverride)
-{
-    RunConfig slow = SmallRun();
-    slow.page_in_us = 50'000.0;
-    const RunResult fast = RunOnce(SmallRun());
-    const RunResult slow_result = RunOnce(slow);
-    EXPECT_EQ(fast.page_ins, slow_result.page_ins);  // Same behaviour...
-    EXPECT_GT(slow_result.elapsed_seconds,
-              fast.elapsed_seconds);  // ...slower clock.
-}
-
 TEST(ExperimentTest, RunMatrixGroupsByConfig)
 {
     std::vector<RunConfig> configs(2, SmallRun());

@@ -271,6 +271,56 @@ TEST(BenchSessionTest, FinishWritesJson)
     EXPECT_EQ(session.records()[2].bench, "session_test");
 }
 
+/** Finish()'s exit code for a session over @p words that runs
+ *  @p configs through RunAll, or no session cell when it is empty;
+ *  *warnings gets what Finish() printed. */
+int
+FinishAfter(std::vector<std::string> words,
+            const std::vector<core::RunConfig>& configs,
+            std::string* warnings)
+{
+    BenchSession session("t", MakeArgs(std::move(words)));
+    if (!configs.empty()) {
+        session.RunAll(configs);
+    }
+    stats::RunRecord record;  // A bespoke loop's observation.
+    record.AddMetric("custom", 1.0);
+    session.Record(std::move(record));
+    testing::internal::CaptureStderr();
+    const int code = session.Finish();
+    *warnings = testing::internal::GetCapturedStderr();
+    return code;
+}
+
+TEST(BenchSessionTest, TraceFlagsFailASessionThatRanNoCell)
+{
+    // A bench whose own loops run live cannot honour a trace flag; it
+    // must fail rather than pass a live run off as recorded or replayed.
+    const std::string path = ::testing::TempDir() + "session_test.trc";
+    const std::string record = "--record-trace=" + path;
+    const std::string replay = "--replay-trace=" + path;
+    std::string warnings;
+    EXPECT_NE(FinishAfter({"bench", record}, {}, &warnings), 0);
+    EXPECT_NE(warnings.find("--record-trace"), std::string::npos)
+        << warnings;
+    // The file left behind is a valid (empty) trace, so the replay flag
+    // fails for the same reason rather than on a bad file.
+    EXPECT_NE(FinishAfter({"bench", replay}, {}, &warnings), 0);
+    EXPECT_NE(warnings.find("--replay-trace"), std::string::npos)
+        << warnings;
+
+    // Sessions that ran a session cell finish cleanly with either flag.
+    EXPECT_EQ(FinishAfter({"bench", "--jobs=1", record}, {SmallRun()},
+                          &warnings),
+              0)
+        << warnings;
+    EXPECT_EQ(FinishAfter({"bench", "--jobs=1", replay}, {SmallRun()},
+                          &warnings),
+              0)
+        << warnings;
+    std::remove(path.c_str());
+}
+
 TEST(BenchSessionDeathTest, RemovedFlagsAreFatal)
 {
     for (const char* flag : {"--shard=1/2", "--stream=x", "--resume=x"}) {

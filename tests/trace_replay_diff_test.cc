@@ -15,7 +15,6 @@
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -103,15 +102,29 @@ MatrixConfigs()
     return configs;
 }
 
+/** @p configs moved to @p memory_mb: the same stream identities. */
+std::vector<core::RunConfig>
+AtMemory(std::vector<core::RunConfig> configs, uint32_t memory_mb)
+{
+    for (core::RunConfig& config : configs) {
+        config.memory_mb = memory_mb;
+    }
+    return configs;
+}
+
 /**
  * Runs the matrix through one BenchSession built from @p flags plus a
  * --json path, returning the document bytes.  All sessions share the
- * bench name, so the documents are comparable byte for byte.
+ * bench name, so the documents are comparable byte for byte.  With
+ * @p matrices the session then runs two RunMatrix calls at reps = 2,
+ * the second over identities the first already placed (as paper-mode
+ * Table 3.4 runs one matrix per workload and memory size).
  */
 std::string
 RunSession(ScopedTempDir& tmp, const std::string& tag,
            std::vector<std::string> flags,
-           std::vector<core::RunResult>* results = nullptr)
+           std::vector<core::RunResult>* results = nullptr,
+           bool matrices = false)
 {
     const std::string json_path = tmp.Path(tag + ".json");
     flags.push_back("--json=" + json_path);
@@ -124,6 +137,10 @@ RunSession(ScopedTempDir& tmp, const std::string& tag,
     const Args args(static_cast<int>(argv.size()), argv.data());
     runner::BenchSession session("trace_replay_diff", args);
     std::vector<core::RunResult> run = session.RunAll(MatrixConfigs());
+    if (matrices) {
+        session.RunMatrix(MatrixConfigs(), /*reps=*/2);
+        session.RunMatrix(AtMemory(MatrixConfigs(), 6), /*reps=*/2);
+    }
     EXPECT_EQ(session.Finish(), 0) << tag;
     if (results != nullptr) {
         *results = std::move(run);
@@ -182,14 +199,18 @@ TEST(TraceReplayDiffTest, RecordingAtFourJobsMatchesOneJob)
     // The claim-once protocol: whichever cell wins the race to record a
     // stream, the committed bytes are the same, and streams land in the
     // matrix order of their first cells, so a --jobs=4 recording is the
-    // --jobs=1 file byte for byte and replays to the same --json.
+    // --jobs=1 file byte for byte and replays to the same --json.  The
+    // sessions also run repeated matrices whose identities are already
+    // placed, where only the first cell of each identity records.
     ScopedTempDir tmp;
     const std::string trace_j1 = tmp.Path("j1.trc");
     const std::string trace_j4 = tmp.Path("j4.trc");
     const std::string live_j1 = RunSession(
-        tmp, "record_j1", {"--jobs=1", "--record-trace=" + trace_j1});
+        tmp, "record_j1", {"--jobs=1", "--record-trace=" + trace_j1},
+        nullptr, /*matrices=*/true);
     const std::string live_j4 = RunSession(
-        tmp, "record_j4", {"--jobs=4", "--record-trace=" + trace_j4});
+        tmp, "record_j4", {"--jobs=4", "--record-trace=" + trace_j4},
+        nullptr, /*matrices=*/true);
     EXPECT_EQ(live_j4, live_j1);
     const std::string bytes_j1 = ReadFile(trace_j1);
     const std::string bytes_j4 = ReadFile(trace_j4);
@@ -200,9 +221,11 @@ TEST(TraceReplayDiffTest, RecordingAtFourJobsMatchesOneJob)
         << bytes_j1.size() << " bytes)";
 
     const std::string replay_a = RunSession(
-        tmp, "replay_a", {"--jobs=4", "--replay-trace=" + trace_j1});
+        tmp, "replay_a", {"--jobs=4", "--replay-trace=" + trace_j1},
+        nullptr, /*matrices=*/true);
     const std::string replay_b = RunSession(
-        tmp, "replay_b", {"--jobs=1", "--replay-trace=" + trace_j4});
+        tmp, "replay_b", {"--jobs=1", "--replay-trace=" + trace_j4},
+        nullptr, /*matrices=*/true);
     EXPECT_EQ(replay_a, live_j1);
     EXPECT_EQ(replay_b, live_j1);
 }
@@ -226,9 +249,10 @@ EmptyStreams(size_t n, std::vector<std::string>* ids,
 
 TEST(TraceRecordSessionTest, StreamsLandInReservedOrder)
 {
-    // Streams committed last place first, each from its own thread,
-    // still land in the order they were reserved: an early committer
-    // waits until every stream placed before it has landed.
+    // Streams committed last place first, all from one thread, still
+    // land in the order they were reserved: an early stream is held
+    // until every stream placed before it has landed, and no Commit
+    // waits for another.
     ScopedTempDir tmp;
     const std::string path = tmp.Path("ordered.trc");
     core::TraceRecordSession session;
@@ -241,15 +265,9 @@ TEST(TraceRecordSessionTest, StreamsLandInReservedOrder)
         session.Reserve(id);
     }
     session.Reserve(ids[0]);  // A second cell of a placed stream.
-    {
-        std::vector<std::jthread> committers;
-        for (size_t i = ids.size(); i-- > 0;) {
-            ASSERT_TRUE(session.Claim(ids[i]));
-            committers.emplace_back(
-                [&session, &ids, &bytes, i] {
-                    session.Commit(ids[i], bytes[i]);
-                });
-        }
+    for (size_t i = ids.size(); i-- > 0;) {
+        ASSERT_TRUE(session.Claim(ids[i]));
+        session.Commit(ids[i], bytes[i]);
     }
     EXPECT_FALSE(session.Claim(ids[0]));
     ASSERT_TRUE(session.Finish(&error)) << error;
@@ -261,10 +279,12 @@ TEST(TraceRecordSessionTest, StreamsLandInReservedOrder)
     }
 }
 
-TEST(TraceRecordSessionTest, AnAbandonedStreamReleasesItsSuccessors)
+TEST(TraceRecordSessionTest, AStreamThatNeverLandsLeavesAPartialTrace)
 {
-    // A claimed stream whose cell fails is abandoned: the stream placed
-    // after it commits without waiting for it, and the trace is partial.
+    // The cell of place 0 fails before it commits; places 1 and 2
+    // commit.  Nothing may land out of order, so the file holds no
+    // complete stream, recovers as a truncated trace, and Finish()
+    // reports it partial.
     ScopedTempDir tmp;
     const std::string path = tmp.Path("partial.trc");
     core::TraceRecordSession session;
@@ -272,18 +292,22 @@ TEST(TraceRecordSessionTest, AnAbandonedStreamReleasesItsSuccessors)
     ASSERT_TRUE(session.Open(path, &error)) << error;
     std::vector<std::string> ids;
     std::vector<std::string> bytes;
-    EmptyStreams(2, &ids, &bytes);
-    session.Reserve(ids[0]);
-    session.Reserve(ids[1]);
-    ASSERT_TRUE(session.Claim(ids[1]));
+    EmptyStreams(3, &ids, &bytes);
+    for (const std::string& id : ids) {
+        session.Reserve(id);
+    }
     ASSERT_TRUE(session.Claim(ids[0]));
-    {
-        std::jthread later(
-            [&session, &ids, &bytes] { session.Commit(ids[1], bytes[1]); });
-        session.Abandon(ids[0]);
+    for (size_t i = 1; i < ids.size(); ++i) {
+        ASSERT_TRUE(session.Claim(ids[i]));
+        session.Commit(ids[i], bytes[i]);
     }
     EXPECT_FALSE(session.Finish(&error));
     EXPECT_NE(error.find("partial"), std::string::npos) << error;
+
+    const auto recovered = workload::RecoverTraceFile(path, &error);
+    ASSERT_TRUE(recovered.has_value()) << error;
+    EXPECT_FALSE(recovered->complete);
+    EXPECT_TRUE(recovered->streams.empty());
 }
 
 }  // namespace

@@ -28,6 +28,8 @@
 
 #include "src/common/framed_log.h"
 #include "src/common/random.h"
+#include "src/core/experiment.h"
+#include "src/core/run_trace.h"
 #include "src/core/system.h"
 #include "src/workload/op_decoder.h"
 #include "src/workload/replay_kernel.h"
@@ -297,15 +299,45 @@ TEST(TraceTest, RecordingIsDeterministic)
 TEST(TraceTest, RecordingIsHostIndependent)
 {
     // Pid normalization: the live machine and the counts-only host
-    // assign pids differently, but the trace bytes must not see it.
-    const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
-    const TraceStreamMeta meta = MetaFor("ctx-switch", 3, 80'000);
-    CountingHost counting(config);
-    const Recorded counted = Record(meta, MakeCtxSwitchHeavy(), counting);
-    core::SpurSystem live(config, policy::DirtyPolicyKind::kSpur,
-                          policy::RefPolicyKind::kMiss);
-    const Recorded simulated = Record(meta, MakeCtxSwitchHeavy(), live);
-    EXPECT_EQ(counted.framed, simulated.framed);
+    // assign pids differently, but the trace bytes must not see it —
+    // for every workload, and on a live machine small enough to page.
+    struct Case {
+        core::WorkloadId workload;
+        uint32_t memory_mb;
+        uint64_t refs;
+    };
+    std::vector<Case> cases;
+    for (const core::WorkloadId id : core::kAllWorkloads) {
+        cases.push_back({id, 8, 60'000});
+    }
+    cases.push_back({core::WorkloadId::kGcSweep, 5, 1'500'000});
+    for (const Case& c : cases) {
+        const std::string label = std::string(core::ToString(c.workload)) +
+                                  " at " + std::to_string(c.memory_mb) +
+                                  " MB";
+        core::RunConfig config;
+        config.workload = c.workload;
+        config.memory_mb = c.memory_mb;
+        config.refs = c.refs;
+        config.seed = 3;
+        const sim::MachineConfig machine =
+            sim::MachineConfig::Prototype(c.memory_mb);
+        CountingHost counting(machine);
+        const core::RecordedStream counted =
+            core::RecordLiveStream(config, counting);
+        core::SpurSystem live(machine, policy::DirtyPolicyKind::kSpur,
+                              policy::RefPolicyKind::kMiss);
+        const core::RecordedStream simulated =
+            core::RecordLiveStream(config, live);
+        EXPECT_TRUE(counted.bytes == simulated.bytes) << label;
+        EXPECT_EQ(simulated.accesses, c.refs) << label;
+        if (c.memory_mb < 8) {
+            // The live machine paged out and back in while recording.
+            EXPECT_GT(live.events().Get(sim::Event::kPageOutDirty), 0u)
+                << label;
+            EXPECT_GT(live.events().Get(sim::Event::kPageIn), 0u) << label;
+        }
+    }
 }
 
 TEST(TraceTest, EmptyTraceRoundTrips)

@@ -138,7 +138,10 @@ TEST_F(VmTest, FileBackedFaultPagesIn)
     EXPECT_TRUE(pte.valid());
     EXPECT_FALSE(pte.zfod_clean());
     EXPECT_EQ(events_->Get(sim::Event::kPageIn), 1u);
-    EXPECT_GT(timing_->Get(sim::TimeBucket::kPagingIo), 0u);
+    // One page-in waits MachineConfig::page_in_us (PageInCycles), all
+    // of it charged to the elapsed time's paging I/O bucket.
+    EXPECT_EQ(timing_->Get(sim::TimeBucket::kPagingIo),
+              config_.PageInCycles());
 }
 
 TEST_F(VmTest, CodeFaultMapsReadOnly)

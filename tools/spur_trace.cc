@@ -35,7 +35,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/common/args.h"
@@ -44,7 +43,6 @@
 #include "src/core/run_trace.h"
 #include "src/core/system.h"
 #include "src/sim/config.h"
-#include "src/workload/driver.h"
 #include "src/workload/trace.h"
 
 namespace {
@@ -112,28 +110,19 @@ bool
 RecordOne(const spur::core::RunConfig& config,
           spur::workload::TraceFileWriter& writer)
 {
-    namespace workload = spur::workload;
-    const workload::TraceStreamMeta meta = spur::core::TraceMetaFor(config);
-    workload::WorkloadSpec spec = spur::core::SpecFor(config);
-    const uint32_t slice_refs = spec.slice_refs;
-    workload::CountingHost host(
+    spur::workload::CountingHost host(
         spur::sim::MachineConfig::Prototype(config.memory_mb));
-    workload::TraceEncoder encoder(meta);
-    workload::RecordingHost recorder(host, encoder);
-    workload::Driver driver(recorder, std::move(spec), meta.refs,
-                            config.seed, slice_refs);
-    driver.Run();
-    recorder.StopRecording();
-    const uint64_t ops = encoder.ops();
-    const uint64_t accesses = encoder.accesses();
+    const spur::core::RecordedStream stream =
+        spur::core::RecordLiveStream(config, host);
     std::string error;
-    if (!writer.AppendStream(encoder.Finish(driver.refs_issued()),
-                             &error)) {
+    if (!writer.AppendStream(stream.bytes, &error)) {
         std::cerr << "spur_trace: " << error << "\n";
         return false;
     }
-    std::cout << "recorded '" << meta.Identity() << "': " << ops
-              << " ops, " << accesses << " accesses\n";
+    std::cout << "recorded '"
+              << spur::core::TraceMetaFor(config).Identity()
+              << "': " << stream.ops << " ops, " << stream.accesses
+              << " accesses\n";
     return true;
 }
 
