@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/overhead_model.h"
@@ -26,10 +25,8 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 0)) * 1'000'000ull;
-    runner::BenchSession session("ablation_excess_model", args);
+    runner::BenchSession session("ablation_excess_model", argc, argv);
+    const uint64_t refs = session.Refs(0);
 
     Table sweep("Geometric model sweep: E[excess per necessary] = "
                 "(1 - p_w) / p_w");

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/overhead_model.h"
@@ -21,10 +20,8 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 0)) * 1'000'000ull;
-    runner::BenchSession session("ablation_flush_crossover", args);
+    runner::BenchSession session("ablation_flush_crossover", argc, argv);
+    const uint64_t refs = session.Refs(0);
 
     const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
     const core::OverheadModel model(config);

@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "src/cache/cache.h"
-#include "src/common/args.h"
 #include "src/common/random.h"
 #include "src/common/table.h"
 #include "src/runner/runner.h"
@@ -26,8 +25,7 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    runner::BenchSession session("ablation_flush_mechanism", args);
+    runner::BenchSession session("ablation_flush_mechanism", argc, argv);
     const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
 
     Table t("Indexed (SPUR hardware) vs. tag-checked page flush: "

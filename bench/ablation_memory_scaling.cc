@@ -10,14 +10,13 @@
  * elapsed-time penalty shrinks as paging vanishes while its savings
  * (no ref faults, no clears) stay, so the curves cross.
  *
- * Flags: --refs=M (millions), --reps=N (default 1), --seed=S, plus the
- *        standard session flags --jobs=N, --json=FILE
- *        (src/runner/session.h)
+ * Flags: the session flags (src/runner/session.h): --refs=M (millions),
+ *        --reps=N (default 1), --seed=S (default 1), --jobs=N,
+ *        --json=FILE and the trace flags
  */
 #include <cstdio>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/runner/session.h"
@@ -27,12 +26,9 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 0)) * 1'000'000ull;
-    const auto reps = static_cast<uint32_t>(args.GetInt("reps", 1));
-    const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-    runner::BenchSession session("ablation_memory_scaling", args);
+    runner::BenchSession session("ablation_memory_scaling", argc, argv);
+    const uint64_t refs = session.Refs(0);
+    const uint64_t seed = session.Seed(1);
 
     const core::WorkloadId workloads[] = {core::WorkloadId::kSlc,
                                           core::WorkloadId::kWorkload1};
@@ -57,7 +53,7 @@ main(int argc, char** argv)
         }
     }
 
-    const auto results = session.RunMatrix(configs, reps);
+    const auto results = session.RunMatrix(configs, session.Reps(1));
 
     Table t("Future work (Section 5): reference bits vs. memory size");
     t.SetHeader({"workload", "memory (MB)", "MISS page-ins",

@@ -6,15 +6,14 @@
  * processors under MISS and REF and reports how the reference-bit
  * maintenance cost (flush work plus induced refetch misses) scales.
  *
- * Flags: --refs=M (millions per CPU count; default 3), --seed=S,
- *        plus the standard session flags --jobs=N, --json=FILE
- *        (src/runner/session.h)
+ * Flags: the session flags (src/runner/session.h): --refs=M (millions
+ *        per CPU count; default 3), --seed=S (default 21), --jobs=N,
+ *        --json=FILE
  */
 #include <cstdio>
 #include <memory>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/random.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
@@ -113,11 +112,9 @@ Run(unsigned cpus, policy::RefPolicyKind ref, uint64_t refs, uint64_t seed)
 int
 main(int argc, char** argv)
 {
-    const Args args(argc, argv);
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 3)) * 1'000'000ull;
-    const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 21));
-    runner::BenchSession session("ablation_mp_refbits", args);
+    runner::BenchSession session("ablation_mp_refbits", argc, argv);
+    const uint64_t refs = session.Refs(3);
+    const uint64_t seed = session.Seed(21);
 
     // Each (cpus, policy) combination builds its own MpSpurSystem, so
     // the grid runs concurrently on the session's job count.

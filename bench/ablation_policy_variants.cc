@@ -14,17 +14,16 @@
  * Mechanistic runs (each policy actually executes); w-hit-driven terms
  * are also reported at prototype scale via the analytic model.
  *
- * Flags: --refs=M (millions, default 6), --scenarios (append the
- *        DESIGN.md §19 scenario-library workloads — ctx-switch,
- *        flush-storm, server-churn, gc-sweep — to the analytic table),
- *        plus the standard session flags --jobs=N, --json=FILE,
- *        --record-trace=FILE, --replay-trace=FILE
- *        (src/runner/session.h)
+ * Flags: --scenarios (append the DESIGN.md §19 scenario-library
+ *        workloads — ctx-switch, flush-storm, server-churn, gc-sweep —
+ *        to the analytic table), plus the session flags
+ *        (src/runner/session.h): --refs=M (millions, default 6),
+ *        --jobs=N, --json=FILE, --record-trace=FILE,
+ *        --replay-trace=FILE
  */
 #include <cstdio>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/overhead_model.h"
@@ -38,10 +37,9 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 6)) * 1'000'000ull;
-    runner::BenchSession session("ablation_policy_variants", args);
+    runner::BenchSession session("ablation_policy_variants", argc, argv,
+                                 {{"scenarios"}});
+    const uint64_t refs = session.Refs(6);
 
     // Mechanistic comparison: SPUR vs SPUR-PROT must match exactly.
     // Each policy drives a private SpurSystem, so the pair runs
@@ -109,7 +107,7 @@ main(int argc, char** argv)
     const core::OverheadModel model(sim::MachineConfig::Prototype(8));
     std::vector<core::WorkloadId> workloads = {core::WorkloadId::kSlc,
                                                core::WorkloadId::kWorkload1};
-    if (args.Has("scenarios")) {
+    if (session.args().Has("scenarios")) {
         // The scenario library (DESIGN.md §19), marked by its workload
         // names in the rows below.
         for (const core::WorkloadId id : core::kScenarioLibrary) {

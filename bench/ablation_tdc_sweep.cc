@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/overhead_model.h"
@@ -18,10 +17,8 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 0)) * 1'000'000ull;
-    runner::BenchSession session("ablation_tdc_sweep", args);
+    runner::BenchSession session("ablation_tdc_sweep", argc, argv);
+    const uint64_t refs = session.Refs(0);
 
     Table t("Ablation: WRITE-policy overhead vs. t_dc "
             "(millions of cycles; FAULT shown for comparison)");

@@ -13,13 +13,12 @@
  * the net advantage — quantifying "virtual address caches generally
  * provide faster access times than physical address caches".
  *
- * Flags: --refs=M (millions, default 6), --mem=MB (default 8), --seed=S,
- *        plus the standard session flags --jobs=N, --json=FILE
- *        (src/runner/session.h)
+ * Flags: --memory-mb=N (default 8), plus the session flags
+ *        (src/runner/session.h): --refs=M (millions, default 6),
+ *        --seed=S (default 13), --jobs=N, --json=FILE
  */
 #include <cstdio>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/system.h"
@@ -91,12 +90,11 @@ RunTlb(workload::WorkloadSpec (*make_spec)(), uint32_t mem, uint64_t refs,
 int
 main(int argc, char** argv)
 {
-    const Args args(argc, argv);
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 6)) * 1'000'000ull;
-    const auto mem = static_cast<uint32_t>(args.GetInt("mem", 8));
-    const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 13));
-    runner::BenchSession session("ablation_tlb_baseline", args);
+    runner::BenchSession session("ablation_tlb_baseline", argc, argv,
+                                 {runner::kMemoryMbFlag});
+    const uint64_t refs = session.Refs(6);
+    const uint32_t mem = session.MemoryMb(8);
+    const uint64_t seed = session.Seed(13);
 
     Table t("Virtual-address cache (SPUR) vs. TLB + physical cache, "
             "identical workloads at " + std::to_string(mem) + " MB");

@@ -16,11 +16,10 @@
  * mechanism, where step 3 costs a 25-cycle dirty-bit miss instead of a
  * 1000-cycle fault.
  *
- * Flags: --jobs=N (accepted for uniformity), --json=FILE
+ * Flags: the session flags (src/runner/session.h), for uniformity
  */
 #include <cstdio>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/system.h"
 #include "src/runner/session.h"
@@ -111,8 +110,7 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    runner::BenchSession session("fig_3_1_stale_protection", args);
+    runner::BenchSession session("fig_3_1_stale_protection", argc, argv);
 
     std::printf("Figure 3.1: writes to previously cached blocks after the\n"
                 "page's first dirty fault.\n\n");

@@ -4,12 +4,11 @@
  * formats — by rendering the live bit layouts of pt::Pte and cache::Line
  * and demonstrating the copy-on-fill of PR and the page dirty bit.
  *
- * Flags: --jobs=N (accepted for uniformity), --json=FILE
+ * Flags: the session flags (src/runner/session.h), for uniformity
  */
 #include <cstdio>
 
 #include "src/cache/cache.h"
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/pt/pte.h"
 #include "src/runner/session.h"
@@ -19,8 +18,7 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    runner::BenchSession session("fig_3_2_formats", args);
+    runner::BenchSession session("fig_3_2_formats", argc, argv);
 
     std::printf("Figure 3.2(a): SPUR Page Table Entry format\n\n");
     std::printf("  31                    12 11  10   9   8  7 6  5  4  3  2  1  0\n");

@@ -8,7 +8,9 @@
 #
 #   bench/run_all.sh build --jobs=8 --reps=2
 #
-# runs the whole suite with 8 worker threads.  With --json-dir=DIR each
+# runs the whole suite with 8 worker threads.  google-benchmark's own
+# --benchmark_* flags go to the micro_* benches only: every other bench
+# rejects a flag it does not know (exit 2).  With --json-dir=DIR each
 # bench additionally writes machine-readable run records to
 # DIR/<bench>.json (the micro benches emit google-benchmark's JSON).
 set -euo pipefail
@@ -16,10 +18,14 @@ set -euo pipefail
 BUILD="build"
 JSON_DIR=""
 ARGS=()
+MICRO_ARGS=()
 for arg in "$@"; do
     case "$arg" in
         --json-dir=*)
             JSON_DIR="${arg#--json-dir=}"
+            ;;
+        --benchmark_*)
+            MICRO_ARGS+=("$arg")
             ;;
         --*)
             ARGS+=("$arg")
@@ -58,6 +64,9 @@ for b in "$BUILD"/bench/*; do
     fi
     if [[ " $SCENARIO_BENCHES " == *" $name "* ]]; then
         EXTRA+=("--scenarios")
+    fi
+    if [[ "$name" == micro_* ]]; then
+        EXTRA+=(${MICRO_ARGS[@]+"${MICRO_ARGS[@]}"})
     fi
     "$b" ${ARGS[@]+"${ARGS[@]}"} ${EXTRA[@]+"${EXTRA[@]}"}
     echo

@@ -3,10 +3,11 @@
  * Reproduces Table 2.1 — "SPUR System Configuration" — from the live
  * MachineConfig, and validates the derived timing quantities the rest of
  * the evaluation depends on (block fetch latency, page-in cost).
+ *
+ * Flags: --memory-mb=N (default 8) and the session flags (session.h)
  */
 #include <cstdio>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/runner/session.h"
 #include "src/sim/config.h"
@@ -15,11 +16,10 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    runner::BenchSession session("table_2_1_config", args);
+    runner::BenchSession session("table_2_1_config", argc, argv,
+                                 {runner::kMemoryMbFlag});
     sim::MachineConfig config =
-        sim::MachineConfig::Prototype(
-            static_cast<uint32_t>(args.GetInt("memory-mb", 8)));
+        sim::MachineConfig::Prototype(session.MemoryMb(8));
 
     Table t("Table 2.1: SPUR System Configuration");
     t.SetHeader({"Parameter", "Value"});

@@ -6,14 +6,13 @@
  * bits) and reading the cache controller's counters, exactly as the
  * prototype measurements were taken.
  *
- * Flags: --reps=N (default 1), --refs=M (override run length, millions),
- *        --csv, --seed=S, plus the standard session flags --jobs=N,
- *        --json=FILE (src/runner/session.h)
+ * Flags: the session flags (src/runner/session.h): --reps=N (default
+ *        1), --refs=M (override run length, millions), --seed=S
+ *        (default 1), --jobs=N, --json=FILE and the trace flags
  */
 #include <cstdio>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/runner/session.h"
@@ -23,12 +22,9 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const auto reps = static_cast<uint32_t>(args.GetInt("reps", 1));
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 0)) * 1'000'000ull;
-    const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-    runner::BenchSession session("table_3_3_event_freq", args);
+    runner::BenchSession session("table_3_3_event_freq", argc, argv);
+    const uint64_t refs = session.Refs(0);
+    const uint64_t seed = session.Seed(1);
 
     std::vector<core::RunConfig> configs;
     for (const core::WorkloadId workload :
@@ -45,7 +41,7 @@ main(int argc, char** argv)
         }
     }
 
-    const auto results = session.RunMatrix(configs, reps);
+    const auto results = session.RunMatrix(configs, session.Reps(1));
 
     Table t("Table 3.3: Event Frequencies  (N_w-hit / N_w-miss in "
             "prototype-equivalent millions via the documented "
@@ -84,15 +80,11 @@ main(int argc, char** argv)
                   Table::Num(wmiss.Mean() * scale / 1e6, 2),
                   Table::Num(elapsed.Mean(), 0)});
     }
-    if (args.Has("csv")) {
-        t.PrintCsv(stdout);
-    } else {
-        t.Print(stdout);
-        std::printf(
-            "\nShape checks vs. the paper: excess faults are a small\n"
-            "fraction of necessary faults and shrink with memory;\n"
-            "N_w-hit : N_w-miss is roughly 1 : 4-6; N_zfod is nearly\n"
-            "constant across memory sizes while N_ds falls.\n");
-    }
+    t.Print(stdout);
+    std::printf(
+        "\nShape checks vs. the paper: excess faults are a small\n"
+        "fraction of necessary faults and shrink with memory;\n"
+        "N_w-hit : N_w-miss is roughly 1 : 4-6; N_zfod is nearly\n"
+        "constant across memory sizes while N_ds falls.\n");
     return session.Finish();
 }

@@ -12,17 +12,16 @@
  * and reports the simulator's actually-charged cycles, validating the
  * analytic model.
  *
- * Flags: --reps=N, --refs=M (millions), --mechanistic, --csv, --seed=S,
- *        --scenarios (append the DESIGN.md §19 scenario-library
- *        workloads — ctx-switch, flush-storm, server-churn, gc-sweep —
- *        as extra rows), plus the standard session flags --jobs=N,
- *        --json=FILE, --record-trace=FILE, --replay-trace=FILE
- *        (src/runner/session.h)
+ * Flags: --mechanistic, --scenarios (append the DESIGN.md §19
+ *        scenario-library workloads — ctx-switch, flush-storm,
+ *        server-churn, gc-sweep — as extra rows), plus the session flags
+ *        (src/runner/session.h): --reps=N (default 1), --refs=M
+ *        (millions), --seed=S (default 1), --jobs=N, --json=FILE,
+ *        --record-trace=FILE, --replay-trace=FILE
  */
 #include <cstdio>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/overhead_model.h"
@@ -77,17 +76,14 @@ PrintPreamble()
 int
 main(int argc, char** argv)
 {
-    const Args args(argc, argv);
-    const auto reps = static_cast<uint32_t>(args.GetInt("reps", 1));
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 0)) * 1'000'000ull;
-    const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-    const bool mechanistic = args.Has("mechanistic");
-    runner::BenchSession session("table_3_4_dirty_overhead", args);
+    runner::BenchSession session("table_3_4_dirty_overhead", argc, argv,
+                                 {{"mechanistic"}, {"scenarios"}});
+    const bool mechanistic = session.args().Has("mechanistic");
+    const uint32_t reps = session.Reps(1);
+    const uint64_t refs = session.Refs(0);
+    const uint64_t seed = session.Seed(1);
 
-    if (!args.Has("csv")) {
-        PrintPreamble();
-    }
+    PrintPreamble();
 
     Table t(mechanistic
                 ? "Table 3.4 (mechanistic): measured dirty-bit cycles per "
@@ -105,7 +101,7 @@ main(int argc, char** argv)
     // scenario library rows (marked by their workload names).
     std::vector<core::WorkloadId> workloads = {core::WorkloadId::kSlc,
                                                core::WorkloadId::kWorkload1};
-    if (args.Has("scenarios")) {
+    if (session.args().Has("scenarios")) {
         for (const core::WorkloadId id : core::kScenarioLibrary) {
             workloads.push_back(id);
         }
@@ -221,15 +217,11 @@ main(int argc, char** argv)
         }
     }
 
-    if (args.Has("csv")) {
-        t.PrintCsv(stdout);
-    } else {
-        t.Print(stdout);
-        std::printf(
-            "\nShape checks vs. the paper: MIN < SPUR (~1.03) < FAULT "
-            "(~1.15-1.35)\n< FLUSH (1.50) << WRITE (5-10x).  Hardware "
-            "support buys at most a\nfew tens of percent of a tiny "
-            "overhead: FAULT needs no hardware at all.\n");
-    }
+    t.Print(stdout);
+    std::printf(
+        "\nShape checks vs. the paper: MIN < SPUR (~1.03) < FAULT "
+        "(~1.15-1.35)\n< FLUSH (1.50) << WRITE (5-10x).  Hardware "
+        "support buys at most a\nfew tens of percent of a tiny "
+        "overhead: FAULT needs no hardware at all.\n");
     return session.Finish();
 }

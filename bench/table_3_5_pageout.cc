@@ -10,18 +10,16 @@
  * dirty bits saved), and the extra paging I/O that would occur without
  * dirty bits.
  *
- * Flags: --refs=M (millions, per host), --csv, --seed=S, --scenarios
- *        (append a page-out table over the DESIGN.md §19 scenario
- *        library — ctx-switch, flush-storm, server-churn, gc-sweep),
- *        plus the standard session flags --jobs=N, --json=FILE,
- *        --record-trace=FILE, --replay-trace=FILE
- *        (src/runner/session.h)
+ * Flags: --scenarios (append a page-out table over the DESIGN.md §19
+ *        scenario library — ctx-switch, flush-storm, server-churn,
+ *        gc-sweep), plus the session flags (src/runner/session.h):
+ *        --refs=M (millions, per host), --seed=S (default 7), --jobs=N,
+ *        --json=FILE, --record-trace=FILE, --replay-trace=FILE
  */
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/runner/session.h"
@@ -30,11 +28,10 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 0)) * 1'000'000ull;
-    const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 7));
-    runner::BenchSession session("table_3_5_pageout", args);
+    runner::BenchSession session("table_3_5_pageout", argc, argv,
+                                 {{"scenarios"}});
+    const uint64_t refs = session.Refs(0);
+    const uint64_t seed = session.Seed(7);
 
     struct Host {
         const char* name;
@@ -100,20 +97,16 @@ main(int argc, char** argv)
                   Table::Pct(pct_additional, 1)});
     }
 
-    if (args.Has("csv")) {
-        t.PrintCsv(stdout);
-    } else {
-        t.Print(stdout);
-        std::printf(
-            "\nShape checks vs. the paper: at 8 MB at least ~80%% of\n"
-            "replaced writable pages were actually modified (>=90%% at\n"
-            "12+ MB), and dropping dirty bits would add at most a few\n"
-            "percent of paging I/O — dirty bits buy very little here.\n");
-    }
+    t.Print(stdout);
+    std::printf(
+        "\nShape checks vs. the paper: at 8 MB at least ~80%% of\n"
+        "replaced writable pages were actually modified (>=90%% at\n"
+        "12+ MB), and dropping dirty bits would add at most a few\n"
+        "percent of paging I/O — dirty bits buy very little here.\n");
 
     // The scenario library (DESIGN.md §19): the same page-out columns
     // over the VAC-stress scripts, on one 8 MB machine each.
-    if (args.Has("scenarios")) {
+    if (session.args().Has("scenarios")) {
         Table s("Scenario library: page-out results (8 MB, SPUR/MISS)");
         s.SetHeader({"Scenario", "Page-Ins", "Potentially Modified",
                      "Not Modified", "% Not Modified",
@@ -152,11 +145,7 @@ main(int argc, char** argv)
                       Table::Pct(pct_not_modified),
                       Table::Pct(pct_additional, 1)});
         }
-        if (args.Has("csv")) {
-            s.PrintCsv(stdout);
-        } else {
-            s.Print(stdout);
-        }
+        s.Print(stdout);
     }
     return session.Finish();
 }

@@ -6,15 +6,14 @@
  * in the paper's experiment design.  Reports page-ins and elapsed time,
  * each with the percentage relative to MISS at the same point.
  *
- * Flags: --reps=N (default 3; the paper used 5), --refs=M (millions),
- *        --csv, --seed=S, plus the standard session flags --jobs=N,
- *        --json=FILE (src/runner/session.h)
+ * Flags: the session flags (src/runner/session.h): --reps=N (default
+ *        3; the paper used 5), --refs=M (millions), --seed=S (default
+ *        1), --jobs=N, --json=FILE and the trace flags
  */
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/runner/session.h"
@@ -41,12 +40,10 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const auto reps = static_cast<uint32_t>(args.GetInt("reps", 3));
-    const uint64_t refs =
-        static_cast<uint64_t>(args.GetInt("refs", 0)) * 1'000'000ull;
-    const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-    runner::BenchSession session("table_4_1_refbits", args);
+    runner::BenchSession session("table_4_1_refbits", argc, argv);
+    const uint32_t reps = session.Reps(3);
+    const uint64_t refs = session.Refs(0);
+    const uint64_t seed = session.Seed(1);
 
     const policy::RefPolicyKind order[] = {policy::RefPolicyKind::kMiss,
                                            policy::RefPolicyKind::kRef,
@@ -112,15 +109,11 @@ main(int argc, char** argv)
         t.AddSeparator();
     }
 
-    if (args.Has("csv")) {
-        t.PrintCsv(stdout);
-    } else {
-        t.Print(stdout);
-        std::printf(
-            "\nShape checks vs. the paper: NOREF generates substantially\n"
-            "more page-ins at 5-6 MB but converges at 8 MB; REF's page-in\n"
-            "savings never pay for its flush overhead, so MISS has the\n"
-            "best (or near-best) elapsed time everywhere.\n");
-    }
+    t.Print(stdout);
+    std::printf(
+        "\nShape checks vs. the paper: NOREF generates substantially\n"
+        "more page-ins at 5-6 MB but converges at 8 MB; REF's page-in\n"
+        "savings never pay for its flush overhead, so MISS has the\n"
+        "best (or near-best) elapsed time everywhere.\n");
     return session.Finish();
 }

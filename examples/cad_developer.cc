@@ -8,13 +8,11 @@
  * not modelled, and the per-bucket elapsed-time breakdown shows where
  * the cycles go.
  *
- * Usage: example_cad_developer [memory_mb] [million_refs]
- *                              [--jobs=N] [--json=FILE]
+ * Usage: example_cad_developer [--memory-mb=N (6)] [--refs=M (8)] plus
+ *        the session flags (src/runner/session.h)
  */
 #include <cstdio>
-#include <cstdlib>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/system.h"
@@ -27,13 +25,10 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const auto& pos = args.positional();
-    const uint32_t memory_mb =
-        !pos.empty() ? static_cast<uint32_t>(std::atoi(pos[0].c_str())) : 6;
-    const uint64_t refs =
-        (pos.size() > 1 ? std::atoll(pos[1].c_str()) : 8) * 1'000'000ull;
-    runner::BenchSession session("example_cad_developer", args);
+    runner::BenchSession session("example_cad_developer", argc, argv,
+                                 {runner::kMemoryMbFlag});
+    const uint32_t memory_mb = session.MemoryMb(6);
+    const uint64_t refs = session.Refs(8);
 
     Table t("CAD developer session (WORKLOAD1) at " +
             std::to_string(memory_mb) + " MB, " +

@@ -5,13 +5,12 @@
  * while tuning the synthetic workload profiles; kept as an example of the
  * low-level inspection API.
  *
- * Usage: example_calibrate [w1|slc|dev] [memory_mb] [million_refs] [seed]
- *                          [--jobs=N] [--json=FILE]
+ * Usage: example_calibrate [--workload=NAME (WORKLOAD1)] [--memory-mb=N
+ *        (8)] [--refs=M] [--seed=S (1)] plus the session flags
+ *        (src/runner/session.h); NAME is a table name, e.g. SLC
  */
 #include <cstdio>
-#include <cstdlib>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/overhead_model.h"
@@ -21,25 +20,15 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const auto& pos = args.positional();
+    runner::BenchSession session(
+        "example_calibrate", argc, argv,
+        {runner::WorkloadFlag(), runner::kMemoryMbFlag});
 
     core::RunConfig run;
-    if (!pos.empty()) {
-        if (pos[0] == "slc") {
-            run.workload = core::WorkloadId::kSlc;
-        } else if (pos[0] == "dev") {
-            run.workload = core::WorkloadId::kDevMachine;
-        }
-    }
-    run.memory_mb =
-        pos.size() > 1 ? static_cast<uint32_t>(std::atoi(pos[1].c_str()))
-                       : 8;
-    if (pos.size() > 2) {
-        run.refs = std::atoll(pos[2].c_str()) * 1'000'000ull;
-    }
-    run.seed = pos.size() > 3 ? std::atoll(pos[3].c_str()) : 1;
-    runner::BenchSession session("example_calibrate", args);
+    run.workload = session.Workload(core::WorkloadId::kWorkload1);
+    run.memory_mb = session.MemoryMb(8);
+    run.refs = session.Refs(0);
+    run.seed = session.Seed(1);
 
     const core::RunResult r = core::RunOnce(run);
     const core::EventFrequencies& f = r.frequencies;

@@ -4,14 +4,12 @@
  * compared across the three reference-bit policies over a sweep of
  * memory sizes — a miniature of Table 4.1 with a configurable sweep.
  *
- * Usage: example_lisp_compiler [million_refs] [mem_mb ...]
- *                              [--jobs=N] [--json=FILE]
+ * Usage: example_lisp_compiler [--refs=M (8)] [--memory-mb=N (5, 6, 8)]
+ *        plus the session flags (src/runner/session.h)
  */
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/runner/session.h"
@@ -20,19 +18,13 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const auto& pos = args.positional();
-    const uint64_t refs =
-        (!pos.empty() ? std::atoll(pos[0].c_str()) : 8) * 1'000'000ull;
-    std::vector<uint32_t> memories;
-    for (size_t i = 1; i < pos.size(); ++i) {
-        memories.push_back(
-            static_cast<uint32_t>(std::atoi(pos[i].c_str())));
+    runner::BenchSession session("example_lisp_compiler", argc, argv,
+                                 {runner::kMemoryMbFlag});
+    const uint64_t refs = session.Refs(8);
+    std::vector<uint32_t> memories = {5, 6, 8};
+    if (session.args().Has("memory-mb")) {
+        memories = {session.MemoryMb(0)};
     }
-    if (memories.empty()) {
-        memories = {5, 6, 8};
-    }
-    runner::BenchSession session("example_lisp_compiler", args);
 
     std::vector<core::RunConfig> configs;
     for (const uint32_t mb : memories) {

@@ -5,14 +5,12 @@
  * traffic and the shared dirty-fault machinery (one fault per page for
  * the whole machine, because the PTE is shared).
  *
- * Usage: example_multiprocessor [cpus] [million_refs]
- *                               [--jobs=N] [--json=FILE]
+ * Usage: example_multiprocessor [--refs=M (2)] plus the session flags
+ *        (src/runner/session.h)
  */
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/random.h"
 #include "src/common/table.h"
 #include "src/core/mp_system.h"
@@ -23,13 +21,9 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const auto& pos = args.positional();
-    const unsigned cpus =
-        !pos.empty() ? static_cast<unsigned>(std::atoi(pos[0].c_str())) : 4;
-    const uint64_t refs =
-        (pos.size() > 1 ? std::atoll(pos[1].c_str()) : 2) * 1'000'000ull;
-    runner::BenchSession session("example_multiprocessor", args);
+    runner::BenchSession session("example_multiprocessor", argc, argv);
+    constexpr unsigned cpus = 4;
+    const uint64_t refs = session.Refs(2);
 
     sim::MachineConfig config = sim::MachineConfig::Prototype(8);
     core::MpSpurSystem machine(config, cpus,

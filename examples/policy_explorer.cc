@@ -4,14 +4,13 @@
  * memory-size range on one workload and prints a compact grid — the
  * "what if" explorer for the paper's entire design space.
  *
- * Usage: example_policy_explorer [w1|slc] [million_refs] [mem_mb ...]
- *                                [--jobs=N] [--json=FILE]
+ * Usage: example_policy_explorer [--workload=NAME (WORKLOAD1)] [--refs=M
+ *        (6)] [--memory-mb=N (5, 8)] plus the session flags
+ *        (src/runner/session.h); NAME is a table name, e.g. SLC
  */
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/runner/session.h"
@@ -20,23 +19,16 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const auto& pos = args.positional();
-    core::WorkloadId workload = core::WorkloadId::kWorkload1;
-    if (!pos.empty() && pos[0] == "slc") {
-        workload = core::WorkloadId::kSlc;
+    runner::BenchSession session(
+        "example_policy_explorer", argc, argv,
+        {runner::WorkloadFlag(), runner::kMemoryMbFlag});
+    const core::WorkloadId workload =
+        session.Workload(core::WorkloadId::kWorkload1);
+    const uint64_t refs = session.Refs(6);
+    std::vector<uint32_t> memories = {5, 8};
+    if (session.args().Has("memory-mb")) {
+        memories = {session.MemoryMb(0)};
     }
-    const uint64_t refs =
-        (pos.size() > 1 ? std::atoll(pos[1].c_str()) : 6) * 1'000'000ull;
-    std::vector<uint32_t> memories;
-    for (size_t i = 2; i < pos.size(); ++i) {
-        memories.push_back(
-            static_cast<uint32_t>(std::atoi(pos[i].c_str())));
-    }
-    if (memories.empty()) {
-        memories = {5, 8};
-    }
-    runner::BenchSession session("example_policy_explorer", args);
 
     const policy::DirtyPolicyKind dirty_kinds[] = {
         policy::DirtyPolicyKind::kMin, policy::DirtyPolicyKind::kFault,

@@ -3,13 +3,11 @@
  * Quickstart: build a SPUR machine, run a small synthetic workload, and
  * print the event counters and the elapsed-time breakdown.
  *
- * Usage: example_quickstart [memory_mb] [million_refs]
- *                           [--jobs=N] [--json=FILE]
+ * Usage: example_quickstart [--memory-mb=N (8)] [--refs=M (4)] plus the
+ *        session flags (src/runner/session.h)
  */
 #include <cstdio>
-#include <cstdlib>
 
-#include "src/common/args.h"
 #include "src/common/table.h"
 #include "src/core/system.h"
 #include "src/runner/session.h"
@@ -21,13 +19,10 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const auto& pos = args.positional();
-    const uint32_t memory_mb =
-        !pos.empty() ? static_cast<uint32_t>(std::atoi(pos[0].c_str())) : 8;
-    const uint64_t refs =
-        (pos.size() > 1 ? std::atoll(pos[1].c_str()) : 4) * 1'000'000ull;
-    runner::BenchSession session("example_quickstart", args);
+    runner::BenchSession session("example_quickstart", argc, argv,
+                                 {runner::kMemoryMbFlag});
+    const uint32_t memory_mb = session.MemoryMb(8);
+    const uint64_t refs = session.Refs(4);
 
     // 1. Configure the prototype machine (Table 2.1 defaults).
     sim::MachineConfig config = sim::MachineConfig::Prototype(memory_mb);

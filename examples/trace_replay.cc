@@ -7,15 +7,14 @@
  * being pure reverses that verdict: one generation pass is recorded
  * once and feeds five policy cells byte-identically.
  *
- * Usage: example_trace_replay [trace_path] [million_refs]
- *                             [--jobs=N] [--json=FILE]
+ * Usage: example_trace_replay [--refs=M (2)] plus the session flags
+ *        (src/runner/session.h); the trace lives in /tmp/spur_example.trc
+ *        until the run ends
  */
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
-#include "src/common/args.h"
 #include "src/common/log.h"
 #include "src/common/table.h"
 #include "src/core/experiment.h"
@@ -29,14 +28,10 @@ int
 main(int argc, char** argv)
 {
     using namespace spur;
-    const Args args(argc, argv);
-    const auto& pos = args.positional();
-    const std::string path =
-        !pos.empty() ? pos[0] : "/tmp/spur_example.trc";
-    const uint64_t refs =
-        (pos.size() > 1 ? std::atoll(pos[1].c_str()) : 2) * 1'000'000ull;
+    runner::BenchSession session("example_trace_replay", argc, argv);
+    const std::string path = "/tmp/spur_example.trc";
+    const uint64_t refs = session.Refs(2);
     const uint64_t seed = 5;
-    runner::BenchSession session("example_trace_replay", args);
 
     const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
 

@@ -1,87 +1,205 @@
 #include "src/common/args.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <utility>
+
+#include "src/common/log.h"
 
 namespace spur {
 
-Args::Args(int argc, char** argv)
+namespace {
+
+/** How @p flag is written, e.g. "--refs=N" or "--format=text|json";
+ *  appended piecewise because GCC 12's -Wrestrict misfires on
+ *  `const char* + std::string&&`. */
+std::string
+Spelling(const Flag& flag)
 {
-    program_ = (argc > 0) ? argv[0] : "";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            positional_.push_back(std::move(arg));
+    std::string spelled = "--";
+    spelled += flag.name;
+    switch (flag.kind) {
+      case FlagKind::kSwitch: break;
+      case FlagKind::kUnsigned: spelled += "=N"; break;
+      case FlagKind::kPositive: spelled += "=F"; break;
+      case FlagKind::kText:
+        if (flag.choices.empty()) {
+            spelled += "=TEXT";
+        }
+        for (size_t i = 0; i < flag.choices.size(); ++i) {
+            spelled += (i == 0) ? '=' : '|';
+            spelled += flag.choices[i];
+        }
+        break;
+    }
+    return spelled;
+}
+
+/** True when @p value suits the value flag @p flag. */
+bool
+Fits(const Flag& flag, const std::string& value)
+{
+    uint64_t number = 0;
+    double real = 0.0;
+    switch (flag.kind) {
+      case FlagKind::kSwitch: return value.empty();
+      case FlagKind::kUnsigned:
+        return ParseUnsigned(value, &number) && number >= flag.min &&
+               number <= flag.max;
+      case FlagKind::kPositive: return ParsePositiveDouble(value, &real);
+      case FlagKind::kText:
+        return flag.choices.empty() ||
+               std::find(flag.choices.begin(), flag.choices.end(),
+                         value) != flag.choices.end();
+    }
+    return false;
+}
+
+}  // namespace
+
+Args::Args(int argc, char** argv, std::vector<Flag> flags,
+           size_t max_positionals, int first)
+  : flags_(std::move(flags))
+{
+    first = std::min(first, argc);
+    const std::string error = Read(
+        std::vector<std::string>(argv + first, argv + argc),
+        max_positionals);
+    if (error.empty()) {
+        return;
+    }
+    std::string label = (argc > 0) ? argv[0] : "";
+    label.erase(0, label.find_last_of('/') + 1);
+    for (int i = 1; i < first; ++i) {
+        label += ' ';
+        label += argv[i];
+    }
+    std::fprintf(stderr, "%s: %s\n", label.c_str(), error.c_str());
+    std::exit(2);
+}
+
+std::optional<Args>
+Args::Parse(const std::vector<std::string>& words, std::vector<Flag> flags,
+            size_t max_positionals, std::string* error)
+{
+    Args args;
+    args.flags_ = std::move(flags);
+    *error = args.Read(words, max_positionals);
+    if (!error->empty()) {
+        return std::nullopt;
+    }
+    return args;
+}
+
+std::string
+Args::Read(const std::vector<std::string>& words, size_t max_positionals)
+{
+    for (const std::string& word : words) {
+        if (word.rfind("--", 0) != 0) {
+            if (positional_.size() == max_positionals) {
+                return std::string("unexpected argument '") + word + "'";
+            }
+            positional_.push_back(word);
             continue;
         }
-        arg = arg.substr(2);
-        const size_t eq = arg.find('=');
-        if (eq != std::string::npos) {
-            flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
-        } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-            flags_[arg] = argv[++i];
-        } else {
-            flags_[arg] = "";
+        const size_t eq = word.find('=');
+        const std::string name = word.substr(2, eq - 2);
+        const Flag* flag = Find(name);
+        if (flag == nullptr) {
+            std::string error = "unknown flag '";
+            error += word;
+            error += "' (accepted:";
+            for (const Flag& f : flags_) {
+                error += ' ';
+                error += Spelling(f);
+            }
+            error += flags_.empty() ? " none)" : ")";
+            return error;
         }
+        // A switch takes no "=", a value flag needs one and a fitting value.
+        const bool valued = (eq != std::string::npos);
+        const std::string value = valued ? word.substr(eq + 1) : "";
+        if (valued != (flag->kind != FlagKind::kSwitch) ||
+            (valued && !Fits(*flag, value))) {
+            std::string error = std::string("bad argument '") + word +
+                                "' (want " + Spelling(*flag);
+            if (flag->min > 0 || flag->max < UINT64_MAX) {
+                error += std::string(", N in ") + std::to_string(flag->min) +
+                         ".." + std::to_string(flag->max);
+            }
+            return error + ")";
+        }
+        values_[name] = value;
     }
+    return "";
+}
+
+const Flag*
+Args::Find(const std::string& name) const
+{
+    const auto flag =
+        std::find_if(flags_.begin(), flags_.end(),
+                     [&](const Flag& f) { return f.name == name; });
+    return (flag != flags_.end()) ? &*flag : nullptr;
+}
+
+const std::string*
+Args::Value(const std::string& name) const
+{
+    if (Find(name) == nullptr) {
+        Panic(std::string("Args: --") + name + " is not a declared flag");
+    }
+    const auto it = values_.find(name);
+    return (it != values_.end()) ? &it->second : nullptr;
 }
 
 bool
 Args::Has(const std::string& name) const
 {
-    return flags_.find(name) != flags_.end();
+    return Value(name) != nullptr;
 }
 
 std::string
 Args::GetString(const std::string& name, const std::string& fallback) const
 {
-    const auto it = flags_.find(name);
-    return (it != flags_.end()) ? it->second : fallback;
+    const std::string* value = Value(name);
+    return (value != nullptr) ? *value : fallback;
 }
 
-int64_t
-Args::GetInt(const std::string& name, int64_t fallback) const
+uint64_t
+Args::GetUnsigned(const std::string& name, uint64_t fallback) const
 {
-    const auto it = flags_.find(name);
-    if (it == flags_.end() || it->second.empty()) {
-        return fallback;
+    const std::string* value = Value(name);
+    if (value != nullptr) {
+        ParseUnsigned(*value, &fallback);
     }
-    return std::strtoll(it->second.c_str(), nullptr, 0);
+    return fallback;
 }
 
-bool
-MatchFlag(const std::string& arg, const std::string& name,
-          std::string* value)
+double
+Args::GetDouble(const std::string& name, double fallback) const
 {
-    if (arg.size() < name.size() + 2 || arg.compare(0, 2, "--") != 0 ||
-        arg.compare(2, name.size(), name) != 0) {
-        return false;
+    const std::string* value = Value(name);
+    if (value != nullptr) {
+        ParsePositiveDouble(*value, &fallback);
     }
-    const size_t after = 2 + name.size();
-    if (arg.size() == after) {
-        value->clear();
-        return true;
-    }
-    if (arg[after] != '=') {
-        return false;
-    }
-    *value = arg.substr(after + 1);
-    return true;
-}
-
-bool
-IsFlagArg(const std::string& arg)
-{
-    return arg.size() > 1 && arg.rfind("--", 0) == 0;
+    return fallback;
 }
 
 bool
 ParsePositiveDouble(const std::string& text, double* out)
 {
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+        return false;
+    }
     char* end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || !(value > 0.0)) {
+    if (end == text.c_str() || *end != '\0' || !(value > 0.0) ||
+        !std::isfinite(value)) {
         return false;
     }
     *out = value;
@@ -91,7 +209,7 @@ ParsePositiveDouble(const std::string& text, double* out)
 bool
 ParseUnsigned(const std::string& text, uint64_t* out)
 {
-    if (text.empty() || text[0] == '-') {
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
         return false;
     }
     errno = 0;

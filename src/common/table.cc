@@ -87,43 +87,6 @@ Table::Print(std::FILE* out) const
     print_rule();
 }
 
-void
-Table::PrintCsv(std::FILE* out) const
-{
-    auto print_row = [&](const std::vector<std::string>& row) {
-        for (size_t i = 0; i < row.size(); ++i) {
-            // Cells never contain commas or quotes in our tables; quote
-            // defensively if one ever does.
-            const std::string& cell = row[i];
-            if (cell.find_first_of(",\"\n") != std::string::npos) {
-                std::string quoted = "\"";
-                for (char c : cell) {
-                    if (c == '"') {
-                        quoted += '"';
-                    }
-                    quoted += c;
-                }
-                quoted += '"';
-                std::fprintf(out, "%s", quoted.c_str());
-            } else {
-                std::fprintf(out, "%s", cell.c_str());
-            }
-            std::fputc(i + 1 < row.size() ? ',' : '\n', out);
-        }
-    };
-    if (!title_.empty()) {
-        std::fprintf(out, "# %s\n", title_.c_str());
-    }
-    if (!header_.empty()) {
-        print_row(header_);
-    }
-    for (const auto& row : rows_) {
-        if (!row.empty()) {
-            print_row(row);
-        }
-    }
-}
-
 std::string
 Table::Num(double value, int decimals)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Aligned ASCII table and CSV output, used by the bench harnesses to print
- * the paper's tables.
+ * Aligned ASCII table output, used by the bench harnesses to print the
+ * paper's tables (their --json is the machine-readable form).
  */
 #ifndef SPUR_COMMON_TABLE_H_
 #define SPUR_COMMON_TABLE_H_
@@ -40,9 +40,6 @@ class Table
 
     /** Renders the table with column alignment to @p out. */
     void Print(std::FILE* out) const;
-
-    /** Renders the table as CSV (no separators, title as a comment). */
-    void PrintCsv(std::FILE* out) const;
 
     /** Number of data rows added so far. */
     size_t NumRows() const { return rows_.size(); }

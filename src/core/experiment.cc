@@ -25,6 +25,17 @@ ToString(WorkloadId id)
     return "?";
 }
 
+std::optional<WorkloadId>
+ParseWorkload(const std::string& name)
+{
+    for (const WorkloadId id : kAllWorkloads) {
+        if (name == ToString(id)) {
+            return id;
+        }
+    }
+    return std::nullopt;
+}
+
 double
 RefCompression(WorkloadId id)
 {

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,9 @@ enum class WorkloadId : uint8_t {
 
 /** Returns the paper's name for a workload id. */
 const char* ToString(WorkloadId id);
+
+/** The workload whose ToString() spelling is @p name, if any. */
+std::optional<WorkloadId> ParseWorkload(const std::string& name);
 
 /** Every workload id, in declaration order (tools and servers iterate
  *  this instead of hand-listing enumerators). */

@@ -8,24 +8,43 @@
 
 namespace spur::runner {
 
-BenchSession::BenchSession(std::string bench_name, const Args& args)
-  : bench_(std::move(bench_name)),
-    json_path_(args.GetString("json"))
+std::vector<Flag>
+SessionFlags(std::vector<Flag> extra)
 {
-    const int64_t requested = args.GetInt("jobs", 0);
+    std::vector<Flag> flags = {
+        {"jobs", FlagKind::kUnsigned, 0, UINT32_MAX},
+        {"json", FlagKind::kText},
+        {"record-trace", FlagKind::kText},
+        {"replay-trace", FlagKind::kText},
+        {"refs", FlagKind::kUnsigned, 0, UINT64_MAX / 1'000'000},
+        {"reps", FlagKind::kUnsigned, 1, UINT32_MAX},
+        {"seed", FlagKind::kUnsigned},
+    };
+    flags.insert(flags.end(), extra.begin(), extra.end());
+    return flags;
+}
+
+Flag
+WorkloadFlag()
+{
+    Flag flag{"workload", FlagKind::kText};
+    for (const core::WorkloadId id : core::kAllWorkloads) {
+        flag.choices.emplace_back(core::ToString(id));
+    }
+    return flag;
+}
+
+BenchSession::BenchSession(std::string bench_name, int argc, char** argv,
+                           std::vector<Flag> extra)
+  : bench_(std::move(bench_name)),
+    args_(argc, argv, SessionFlags(std::move(extra)))
+{
+    const uint64_t requested = args_.GetUnsigned("jobs", 0);
     jobs_ = (requested > 0) ? static_cast<unsigned>(requested)
                             : HardwareJobs();
 
-    for (const char* removed : {"shard", "stream", "resume"}) {
-        if (args.Has(removed)) {
-            Fatal(std::string("--") + removed +
-                  " was removed: a session runs and records its whole "
-                  "sweep (spread it over threads with --jobs)");
-        }
-    }
-
-    const std::string record_trace = args.GetString("record-trace");
-    const std::string replay_trace = args.GetString("replay-trace");
+    const std::string record_trace = args_.GetString("record-trace");
+    const std::string replay_trace = args_.GetString("replay-trace");
     if (!record_trace.empty() && !replay_trace.empty()) {
         Fatal("--record-trace and --replay-trace are mutually exclusive "
               "(replaying records nothing new)");
@@ -44,6 +63,13 @@ BenchSession::BenchSession(std::string bench_name, const Args& args)
             Fatal("--replay-trace: " + error);
         }
     }
+}
+
+core::WorkloadId
+BenchSession::Workload(core::WorkloadId fallback) const
+{
+    return *core::ParseWorkload(
+        args_.GetString("workload", core::ToString(fallback)));
 }
 
 std::vector<core::RunConfig>
@@ -158,10 +184,11 @@ BenchSession::Finish()
     meta.bench = bench_;
     meta.total_cells = total_cells_;
     int exit_code = 0;
-    if (!json_path_.empty()) {
+    const std::string json_path = args_.GetString("json");
+    if (!json_path.empty()) {
         const std::vector<stats::RunRecord> records = this->records();
-        if (!stats::JsonWriter::WriteFile(json_path_, meta, records)) {
-            Warn("BenchSession: failed to write " + json_path_);
+        if (!stats::JsonWriter::WriteFile(json_path, meta, records)) {
+            Warn("BenchSession: failed to write " + json_path);
             exit_code = 1;
         }
     }

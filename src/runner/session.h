@@ -1,7 +1,9 @@
 /**
  * @file
- * Shared harness for the bench and example binaries' standard flags,
- * replacing the per-binary hand-rolled loops:
+ * Shared harness for the bench and example binaries.  A session
+ * parses its binary's command line (src/common/args.h): the binary's
+ * own flags plus these, and anything else is a usage error (exit 2)
+ * before any cell runs.
  *
  *   --jobs=N      worker threads for experiment runs (default: hardware
  *                 concurrency); read back with jobs() by benches with
@@ -24,6 +26,10 @@
  *                 --json bytes — are byte-identical to a live run at
  *                 any --jobs.  A cell whose stream is missing from F is
  *                 a Fatal error, never a silent live run.
+ *   --refs=M, --reps=N, --seed=S
+ *                 the suite flags bench/run_all.sh passes to every
+ *                 binary, read with Refs(), Reps() and Seed() (a binary
+ *                 with no use for one ignores it).
  *
  * The trace flags reach session cells only (RunMatrix / RunAll).  A
  * bench that runs no session cell fails Finish() when given either
@@ -31,15 +37,9 @@
  * ablation_policy_variants' SPUR vs SPUR-PROT pair) still runs its
  * bespoke part live.
  *
- * A session always runs and records its whole sweep in one process;
- * the --shard, --stream and --resume flags are rejected with a Fatal
- * error rather than ignored, so a stale script cannot pass off a full
- * sweep as a shard.
- *
  * Usage:
- *   const Args args(argc, argv);
- *   runner::BenchSession session("table_4_1_refbits", args);
- *   const auto results = session.RunMatrix(configs, reps);
+ *   runner::BenchSession session("table_4_1_refbits", argc, argv);
+ *   const auto results = session.RunMatrix(configs, session.Reps(3));
  *   ... print tables ...
  *   return session.Finish();
  */
@@ -60,19 +60,62 @@
 
 namespace spur::runner {
 
+/** The flags every session binary accepts (see the file comment),
+ *  followed by the binary's own @p extra. */
+std::vector<Flag> SessionFlags(std::vector<Flag> extra = {});
+
+/** --memory-mb=N, the one spelling of a machine's memory size. */
+inline const Flag kMemoryMbFlag = {"memory-mb", FlagKind::kUnsigned, 1,
+                                   UINT32_MAX};
+
+/** --workload=NAME, NAME a core::ToString(WorkloadId) spelling. */
+Flag WorkloadFlag();
+
 /** Per-binary session: parses the standard flags, collects run records. */
 class BenchSession
 {
   public:
     /**
-     * Reads the standard flags from @p args.  A removed flag (--shard,
-     * --stream, --resume), both trace flags at once, or an unusable
-     * trace file is a Fatal() user error.
+     * Parses argv[1..argc) against SessionFlags(@p extra) (a usage
+     * error exits 2) and reads the standard flags.  Both trace flags at
+     * once, or an unusable trace file, is a Fatal() user error.
      */
-    BenchSession(std::string bench_name, const Args& args);
+    BenchSession(std::string bench_name, int argc, char** argv,
+                 std::vector<Flag> extra = {});
+
+    /** The parsed command line, for the binary's own flags. */
+    const Args& args() const { return args_; }
 
     /** The effective worker count for this session (never 0). */
     unsigned jobs() const { return jobs_; }
+
+    /** --refs in references (the flag counts millions), else
+     *  @p fallback_millions million; 0 = each workload's own budget. */
+    uint64_t Refs(uint64_t fallback_millions) const
+    {
+        return args_.GetUnsigned("refs", fallback_millions) * 1'000'000;
+    }
+
+    /** --reps, else @p fallback. */
+    uint32_t Reps(uint32_t fallback) const
+    {
+        return static_cast<uint32_t>(args_.GetUnsigned("reps", fallback));
+    }
+
+    /** --seed, else @p fallback. */
+    uint64_t Seed(uint64_t fallback) const
+    {
+        return args_.GetUnsigned("seed", fallback);
+    }
+
+    /** --memory-mb (declared with kMemoryMbFlag), else @p fallback. */
+    uint32_t MemoryMb(uint32_t fallback) const
+    {
+        return static_cast<uint32_t>(args_.GetUnsigned("memory-mb", fallback));
+    }
+
+    /** --workload (declared with WorkloadFlag()), else @p fallback. */
+    core::WorkloadId Workload(core::WorkloadId fallback) const;
 
     /**
      * Parallel experiment matrix (see runner::RunMatrix) on this
@@ -128,7 +171,7 @@ class BenchSession
         const std::vector<core::RunConfig>& configs) const;
 
     std::string bench_;
-    std::string json_path_;
+    Args args_;
     unsigned jobs_;
     /// Matrix cells run so far (every RunMatrix/RunAll cell); mutated
     /// on the owning thread between runs.

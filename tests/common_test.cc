@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -315,14 +316,10 @@ TEST(ZipfTableTest, FormulaOnlyTablesStillAgree)
 // ---------------------------------------------------------------------------
 
 std::string
-Render(Table& table, bool csv = false)
+Render(Table& table)
 {
     std::FILE* f = std::tmpfile();
-    if (csv) {
-        table.PrintCsv(f);
-    } else {
-        table.Print(f);
-    }
+    table.Print(f);
     std::fseek(f, 0, SEEK_SET);
     std::string out;
     char buf[4096];
@@ -356,18 +353,6 @@ TEST(TableTest, PadsShortRows)
     EXPECT_NE(out.find("only"), std::string::npos);
 }
 
-TEST(TableTest, CsvEscapesSpecialCells)
-{
-    Table t("T");
-    t.SetHeader({"x"});
-    t.AddRow({"has,comma"});
-    t.AddRow({"has\"quote"});
-    const std::string out = Render(t, /*csv=*/true);
-    EXPECT_NE(out.find("\"has,comma\""), std::string::npos);
-    EXPECT_NE(out.find("\"has\"\"quote\""), std::string::npos);
-    EXPECT_NE(out.find("# T"), std::string::npos);
-}
-
 TEST(TableTest, Formatters)
 {
     EXPECT_EQ(Table::Num(uint64_t{12345}), "12345");
@@ -381,42 +366,150 @@ TEST(TableTest, Formatters)
 // args.h
 // ---------------------------------------------------------------------------
 
-Args
-MakeArgs(std::vector<const char*> argv)
+/** One flag of every kind, plus a bounded number and a choice. */
+std::vector<Flag>
+DemoFlags()
 {
-    argv.insert(argv.begin(), "prog");
-    return Args(static_cast<int>(argv.size()),
-                const_cast<char**>(argv.data()));
+    return {{"reps", FlagKind::kUnsigned},
+            {"small", FlagKind::kUnsigned, 1, 3},
+            {"ratio", FlagKind::kPositive},
+            {"name", FlagKind::kText},
+            {.name = "format",
+             .kind = FlagKind::kText,
+             .choices = {"text", "json"}},
+            {"verbose"}};
+}
+
+/** Parses @p words against DemoFlags(); *error gets the usage error. */
+std::optional<Args>
+Parse(const std::vector<std::string>& words, std::string* error,
+      size_t max_positionals = 0)
+{
+    return Args::Parse(words, DemoFlags(), max_positionals, error);
 }
 
 TEST(ArgsTest, ParsesEqualsForm)
 {
-    const Args args = MakeArgs({"--reps=5", "--name=x"});
-    EXPECT_EQ(args.GetInt("reps", 0), 5);
-    EXPECT_EQ(args.GetString("name"), "x");
+    std::string error;
+    const auto args = Parse(
+        {"--reps=5", "--name=x", "--ratio=0.5", "--format=json"}, &error);
+    ASSERT_TRUE(args) << error;
+    EXPECT_EQ(args->GetUnsigned("reps", 0), 5u);
+    EXPECT_EQ(args->GetString("name"), "x");
+    EXPECT_DOUBLE_EQ(args->GetDouble("ratio", 1.0), 0.5);
+    EXPECT_EQ(args->GetString("format"), "json");
+    // Text may be empty; the largest uint64 is a number.
+    const auto edge =
+        Parse({"--name=", "--reps=18446744073709551615", "--small=3"},
+              &error);
+    ASSERT_TRUE(edge) << error;
+    EXPECT_TRUE(edge->Has("name"));
+    EXPECT_EQ(edge->GetString("name", "fallback"), "");
+    EXPECT_EQ(edge->GetUnsigned("reps", 0), UINT64_MAX);
+    EXPECT_EQ(edge->GetUnsigned("small", 0), 3u);
 }
 
-TEST(ArgsTest, ParsesSpaceForm)
+TEST(ArgsTest, RejectsSpaceForm)
 {
-    const Args args = MakeArgs({"--reps", "7"});
-    EXPECT_EQ(args.GetInt("reps", 0), 7);
+    // "--name value" is not a form: the value flag is bare, whatever
+    // follows it.
+    std::string error;
+    EXPECT_FALSE(Parse({"--reps", "7"}, &error, /*max_positionals=*/1));
+    EXPECT_EQ(error, "bad argument '--reps' (want --reps=N)");
 }
 
 TEST(ArgsTest, BareFlagAndDefaults)
 {
-    const Args args = MakeArgs({"--csv"});
-    EXPECT_TRUE(args.Has("csv"));
-    EXPECT_FALSE(args.Has("missing"));
-    EXPECT_EQ(args.GetInt("missing", 42), 42);
+    std::string error;
+    const auto args = Parse({"--verbose"}, &error);
+    ASSERT_TRUE(args) << error;
+    EXPECT_TRUE(args->Has("verbose"));
+    EXPECT_FALSE(args->Has("reps"));
+    EXPECT_EQ(args->GetUnsigned("reps", 42), 42u);
+    EXPECT_DOUBLE_EQ(args->GetDouble("ratio", 1.5), 1.5);
+    EXPECT_EQ(args->GetString("name", "fallback"), "fallback");
+    // A switch takes no value, not even an empty one.
+    EXPECT_FALSE(Parse({"--verbose=1"}, &error));
+    EXPECT_EQ(error, "bad argument '--verbose=1' (want --verbose)");
+    EXPECT_FALSE(Parse({"--verbose="}, &error));
 }
 
 TEST(ArgsTest, Positional)
 {
-    const Args args = MakeArgs({"pos1", "--flag", "pos2"});
-    // "pos2" follows a bare flag, so it is consumed as its value.
-    ASSERT_EQ(args.positional().size(), 1u);
-    EXPECT_EQ(args.positional()[0], "pos1");
-    EXPECT_EQ(args.GetString("flag"), "pos2");
+    std::string error;
+    const auto args =
+        Parse({"pos1", "--verbose", "pos2", "-"}, &error, /*max=*/3);
+    ASSERT_TRUE(args) << error;
+    EXPECT_EQ(args->positional(),
+              (std::vector<std::string>{"pos1", "pos2", "-"}));
+    EXPECT_TRUE(args->Has("verbose"));
+    // One past the declared count, or any at all when none is declared.
+    EXPECT_FALSE(Parse({"a", "b"}, &error, /*max=*/1));
+    EXPECT_EQ(error, "unexpected argument 'b'");
+    EXPECT_FALSE(Parse({"foo"}, &error));
+    EXPECT_EQ(error, "unexpected argument 'foo'");
+}
+
+TEST(ArgsTest, RejectsUnknownFlags)
+{
+    std::string error;
+    for (const char* word : {"--bogus", "--rep=1", "--repsx=1", "--", "--=1",
+                             "--Reps=1"}) {
+        EXPECT_FALSE(Parse({"--reps=1", word}, &error)) << word;
+        EXPECT_EQ(error.rfind(std::string("unknown flag '") + word + "'", 0),
+                  0u)
+            << error;
+    }
+    // The message lists what the binary does accept.
+    EXPECT_NE(error.find("(accepted: --reps=N --small=N --ratio=F "
+                         "--name=TEXT --format=text|json --verbose)"),
+              std::string::npos)
+        << error;
+}
+
+TEST(ArgsTest, RejectsMalformedNumbers)
+{
+    std::string error;
+    for (const char* value :
+         {"abc", "1x", "-1", "18446744073709551616", "", " 1", "+1", "0x"}) {
+        EXPECT_FALSE(Parse({std::string("--reps=") + value}, &error))
+            << value;
+        EXPECT_EQ(error, std::string("bad argument '--reps=") + value +
+                             "' (want --reps=N)");
+    }
+    EXPECT_FALSE(Parse({"--small=4"}, &error));
+    EXPECT_EQ(error, "bad argument '--small=4' (want --small=N, N in 1..3)");
+    EXPECT_FALSE(Parse({"--small=0"}, &error));
+    for (const char* value : {"0", "-1.5", "abc", "inf", "nan", "1e999",
+                              "2x"}) {
+        EXPECT_FALSE(Parse({std::string("--ratio=") + value}, &error))
+            << value;
+        EXPECT_EQ(error, std::string("bad argument '--ratio=") + value +
+                             "' (want --ratio=F)");
+    }
+    EXPECT_FALSE(Parse({"--format=xml"}, &error));
+    EXPECT_EQ(error, "bad argument '--format=xml' (want --format=text|json)");
+    EXPECT_FALSE(Parse({"--format"}, &error));
+}
+
+TEST(ArgsDeathTest, UsageErrorExitsTwoNamingTheCommand)
+{
+    // The exiting constructor labels the error with the program's base
+    // name and the words before `first` (a tool's subcommand).
+    const char* words[] = {"build/tools/demo", "sub", "--reps=abc"};
+    EXPECT_EXIT(Args(3, const_cast<char**>(words), DemoFlags(),
+                     /*max_positionals=*/0, /*first=*/2),
+                testing::ExitedWithCode(2),
+                "^demo sub: bad argument '--reps=abc'");
+}
+
+TEST(ArgsDeathTest, ReadingAnUndeclaredFlagPanics)
+{
+    std::string error;
+    const auto args = Parse({}, &error);
+    ASSERT_TRUE(args) << error;
+    EXPECT_DEATH(args->Has("bogus"), "--bogus is not a declared flag");
+    EXPECT_DEATH(args->GetUnsigned("bogus", 0), "not a declared flag");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -128,31 +129,69 @@ TEST(JsonWriterTest, WriteFileFailsOnBadPath)
 namespace spur::runner {
 namespace {
 
-Args
-MakeArgs(std::vector<std::string> words)
+/** A session named @p name over the command line @p words (words[0]
+ *  is the program). */
+std::unique_ptr<BenchSession>
+MakeSession(std::vector<std::string> words, const std::string& name = "t")
 {
-    static std::vector<std::string> storage;
-    storage = std::move(words);
-    static std::vector<char*> argv;
-    argv.clear();
-    for (std::string& word : storage) {
+    std::vector<char*> argv;
+    for (std::string& word : words) {
         argv.push_back(word.data());
     }
-    return Args(static_cast<int>(argv.size()), argv.data());
+    return std::make_unique<BenchSession>(
+        name, static_cast<int>(argv.size()), argv.data());
 }
 
 TEST(BenchSessionTest, ParsesJobsFlag)
 {
-    const Args args = MakeArgs({"bench", "--jobs=3"});
-    BenchSession session("t", args);
-    EXPECT_EQ(session.jobs(), 3u);
+    const auto session = MakeSession({"bench", "--jobs=3"});
+    EXPECT_EQ(session->jobs(), 3u);
 }
 
 TEST(BenchSessionTest, DefaultsToHardwareJobs)
 {
-    const Args args = MakeArgs({"bench"});
-    BenchSession session("t", args);
-    EXPECT_EQ(session.jobs(), HardwareJobs());
+    const auto session = MakeSession({"bench"});
+    EXPECT_EQ(session->jobs(), HardwareJobs());
+}
+
+TEST(BenchSessionTest, ReadsTheSuiteFlags)
+{
+    const auto given =
+        MakeSession({"bench", "--refs=2", "--reps=3", "--seed=9"});
+    EXPECT_EQ(given->Refs(6), 2'000'000u);
+    EXPECT_EQ(given->Reps(1), 3u);
+    EXPECT_EQ(given->Seed(1), 9u);
+    const auto absent = MakeSession({"bench"});
+    EXPECT_EQ(absent->Refs(6), 6'000'000u);
+    EXPECT_EQ(absent->Refs(0), 0u);  // Each workload's own budget.
+    EXPECT_EQ(absent->Reps(3), 3u);
+    EXPECT_EQ(absent->Seed(21), 21u);
+}
+
+TEST(BenchSessionTest, SuiteFlagsRejectWhatTheirTypesCannotHold)
+{
+    // --refs counts millions, so its limit is the largest count whose
+    // product still fits 64 bits; --reps and --jobs are 32-bit, and
+    // --reps is at least 1.
+    std::string error;
+    const auto parse = [&](const std::string& word) {
+        return Args::Parse({word}, SessionFlags(), 0, &error).has_value();
+    };
+    EXPECT_TRUE(parse("--refs=18446744073709"));
+    EXPECT_FALSE(parse("--refs=18446744073710"));
+    EXPECT_TRUE(parse("--reps=4294967295"));
+    EXPECT_FALSE(parse("--reps=4294967296"));
+    EXPECT_FALSE(parse("--reps=0"));  // It would print an all-zero table.
+    EXPECT_FALSE(parse("--jobs=4294967296"));
+    for (const char* word : {"--refs=abc", "--refs=-1", "--refs", "--seed=1x",
+                             "--json", "--no-such-flag", "--csv"}) {
+        EXPECT_FALSE(parse(word)) << word;
+    }
+    // The binary's own flags come after the session's.
+    EXPECT_TRUE(Args::Parse({"--scenarios", "--refs=1"},
+                            SessionFlags({{"scenarios"}}), 0, &error)
+                    .has_value())
+        << error;
 }
 
 core::RunConfig
@@ -183,30 +222,28 @@ ReadWholeFile(const std::string& path)
 
 TEST(BenchSessionTest, MatrixRunsAreRecordedInConfigOrder)
 {
-    const Args args = MakeArgs({"bench", "--jobs=2"});
-    BenchSession session("t", args);
+    const auto session = MakeSession({"bench", "--jobs=2"});
     const core::RunConfig config = SmallRun();
     std::vector<core::RunConfig> configs(2, config);
     configs[1].memory_mb = 5;
-    session.RunMatrix(configs, /*reps=*/2);
-    ASSERT_EQ(session.records().size(), 4u);
-    EXPECT_EQ(session.records()[0].rep, 0u);
-    EXPECT_EQ(session.records()[1].rep, 1u);
-    EXPECT_EQ(session.records()[2].memory_mb, 5u);
-    EXPECT_EQ(session.records()[0].seed, CellSeed(config.seed, 0));
-    EXPECT_EQ(session.records()[1].seed, CellSeed(config.seed, 1));
-    EXPECT_EQ(session.records()[0].bench, "t");
-    EXPECT_GT(session.records()[0].refs_issued, 0u);
+    session->RunMatrix(configs, /*reps=*/2);
+    ASSERT_EQ(session->records().size(), 4u);
+    EXPECT_EQ(session->records()[0].rep, 0u);
+    EXPECT_EQ(session->records()[1].rep, 1u);
+    EXPECT_EQ(session->records()[2].memory_mb, 5u);
+    EXPECT_EQ(session->records()[0].seed, CellSeed(config.seed, 0));
+    EXPECT_EQ(session->records()[1].seed, CellSeed(config.seed, 1));
+    EXPECT_EQ(session->records()[0].bench, "t");
+    EXPECT_GT(session->records()[0].refs_issued, 0u);
 }
 
 TEST(BenchSessionTest, MatrixCellsRunAtTheirDerivedSeeds)
 {
-    const Args args = MakeArgs({"bench", "--jobs=3"});
-    BenchSession session("t", args);
+    const auto session = MakeSession({"bench", "--jobs=3"});
     std::vector<core::RunConfig> configs(2, SmallRun());
     configs[1].seed = 6;
     configs[1].ref = policy::RefPolicyKind::kNoRef;
-    const auto results = session.RunMatrix(configs, /*reps=*/2);
+    const auto results = session->RunMatrix(configs, /*reps=*/2);
     ASSERT_EQ(results.size(), 2u);
     for (size_t i = 0; i < configs.size(); ++i) {
         ASSERT_EQ(results[i].size(), 2u);
@@ -234,10 +271,9 @@ TEST(BenchSessionTest, RunAllRecordsInInputOrderAtAnyJobCount)
     std::string documents[2];
     const char* jobs[2] = {"--jobs=1", "--jobs=4"};
     for (int k = 0; k < 2; ++k) {
-        const Args args = MakeArgs({"bench", jobs[k]});
-        BenchSession session("t", args);
-        session.RunAll(configs);
-        const std::vector<stats::RunRecord> records = session.records();
+        const auto session = MakeSession({"bench", jobs[k]});
+        session->RunAll(configs);
+        const std::vector<stats::RunRecord> records = session->records();
         ASSERT_EQ(records.size(), configs.size());
         for (size_t i = 0; i < configs.size(); ++i) {
             EXPECT_EQ(records[i].seed, configs[i].seed);  // Verbatim.
@@ -252,13 +288,13 @@ TEST(BenchSessionTest, RunAllRecordsInInputOrderAtAnyJobCount)
 TEST(BenchSessionTest, FinishWritesJson)
 {
     const std::string path = ::testing::TempDir() + "session_test.json";
-    const Args args = MakeArgs({"bench", "--json=" + path, "--jobs=1"});
-    BenchSession session("session_test", args);
-    session.RunMatrix({SmallRun()}, /*reps=*/2);
+    const auto session =
+        MakeSession({"bench", "--json=" + path, "--jobs=1"}, "session_test");
+    session->RunMatrix({SmallRun()}, /*reps=*/2);
     stats::RunRecord record;
     record.AddMetric("custom", 1.0);
-    session.Record(std::move(record));
-    EXPECT_EQ(session.Finish(), 0);
+    session->Record(std::move(record));
+    EXPECT_EQ(session->Finish(), 0);
     const std::string contents = ReadWholeFile(path);
     std::remove(path.c_str());
     // The schema-1 header: one shard that ran every cell.
@@ -267,8 +303,8 @@ TEST(BenchSessionTest, FinishWritesJson)
               "\"shard\": {\"index\": 0, \"count\": 1, "
               "\"total_cells\": 2, \"ran_cells\": 2}, \"records\": [");
     // The bench name was stamped onto the anonymous record.
-    ASSERT_EQ(session.records().size(), 3u);
-    EXPECT_EQ(session.records()[2].bench, "session_test");
+    ASSERT_EQ(session->records().size(), 3u);
+    EXPECT_EQ(session->records()[2].bench, "session_test");
 }
 
 /** Finish()'s exit code for a session over @p words that runs
@@ -279,15 +315,15 @@ FinishAfter(std::vector<std::string> words,
             const std::vector<core::RunConfig>& configs,
             std::string* warnings)
 {
-    BenchSession session("t", MakeArgs(std::move(words)));
+    const auto session = MakeSession(std::move(words));
     if (!configs.empty()) {
-        session.RunAll(configs);
+        session->RunAll(configs);
     }
     stats::RunRecord record;  // A bespoke loop's observation.
     record.AddMetric("custom", 1.0);
-    session.Record(std::move(record));
+    session->Record(std::move(record));
     testing::internal::CaptureStderr();
-    const int code = session.Finish();
+    const int code = session->Finish();
     *warnings = testing::internal::GetCapturedStderr();
     return code;
 }
@@ -323,11 +359,12 @@ TEST(BenchSessionTest, TraceFlagsFailASessionThatRanNoCell)
 
 TEST(BenchSessionDeathTest, RemovedFlagsAreFatal)
 {
+    // The sharding flags are gone like any other undeclared flag: a
+    // usage error before the session (and any cell) starts.
     for (const char* flag : {"--shard=1/2", "--stream=x", "--resume=x"}) {
-        const std::string name =
-            std::string(flag).substr(0, std::string(flag).find('='));
-        EXPECT_EXIT(BenchSession("t", MakeArgs({"bench", flag})),
-                    testing::ExitedWithCode(1), name + " was removed")
+        EXPECT_EXIT(MakeSession({"bench", flag}),
+                    testing::ExitedWithCode(2),
+                    std::string("bench: unknown flag '") + flag + "'")
             << flag;
     }
 }

@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "src/check/audit.h"
+#include "src/core/experiment.h"
+#include "src/core/run_trace.h"
 #include "src/core/system.h"
 #include "src/pt/segment_map.h"
 #include "src/workload/driver.h"
@@ -404,28 +406,17 @@ Totals(const SpurSystem& system)
     return totals;
 }
 
-/** @p spec's stream of @p refs references, recorded through a
+/** @p id's stream of @p refs references at seed 1, recorded through a
  *  CountingHost as `spur_trace record` records it. */
 std::string
-RecordStream(const std::string& name, workload::WorkloadSpec spec,
-             uint64_t refs)
+RecordStream(core::WorkloadId id, uint64_t refs)
 {
-    const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
-    workload::TraceStreamMeta meta;
-    meta.workload = name;
-    meta.seed = 1;
-    meta.refs = refs;
-    meta.page_bytes = config.page_bytes;
-    meta.block_bytes = config.block_bytes;
-    workload::CountingHost counting(config);
-    workload::TraceEncoder encoder(meta);
-    workload::RecordingHost recorder(counting, encoder);
-    const uint32_t slice_refs = spec.slice_refs;
-    workload::Driver driver(recorder, std::move(spec), refs, meta.seed,
-                            slice_refs);
-    driver.Run();
-    recorder.StopRecording();
-    return encoder.Finish(driver.refs_issued());
+    core::RunConfig config;
+    config.workload = id;
+    config.refs = refs;
+    config.seed = 1;
+    workload::CountingHost counting(sim::MachineConfig::Prototype(8));
+    return core::RecordLiveStream(config, counting).bytes;
 }
 
 /** Totals after replaying @p stream on a fresh machine, its references
@@ -450,8 +441,8 @@ TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
     // 600,000 gc-sweep references page at 5 MB (page-outs, reference
     // faults under REF), so the daemon's flushes interleave the batches.
     const std::string file = workload::EncodeTraceFile(
-        {RecordStream("WORKLOAD1", workload::MakeWorkload1(), 400'000),
-         RecordStream("gc-sweep", workload::MakeGcSweep(), 600'000)});
+        {RecordStream(core::WorkloadId::kWorkload1, 400'000),
+         RecordStream(core::WorkloadId::kGcSweep, 600'000)});
     std::string error;
     const std::optional<workload::RecoveredTrace> trace =
         workload::RecoverTraceBytes(file, &error);

@@ -134,8 +134,8 @@ RunSession(ScopedTempDir& tmp, const std::string& tag,
     for (std::string& flag : flags) {
         argv.push_back(flag.data());
     }
-    const Args args(static_cast<int>(argv.size()), argv.data());
-    runner::BenchSession session("trace_replay_diff", args);
+    runner::BenchSession session("trace_replay_diff",
+                                 static_cast<int>(argv.size()), argv.data());
     std::vector<core::RunResult> run = session.RunAll(MatrixConfigs());
     if (matrices) {
         session.RunMatrix(MatrixConfigs(), /*reps=*/2);

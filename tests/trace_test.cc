@@ -124,7 +124,9 @@ struct Recorded {
     uint64_t accesses = 0;
 };
 
-/** Records @p spec against @p host per the RunOnce recording recipe. */
+/** Records @p spec against @p host per the RunOnce recording recipe.
+ *  core::RecordLiveStream takes a RunConfig; these tests record specs
+ *  and identities (MetaFor) that no RunConfig names. */
 Recorded
 Record(const TraceStreamMeta& meta, WorkloadSpec spec, WorkloadHost& host)
 {

@@ -46,18 +46,8 @@ ConfigFor(core::WorkloadId id)
 std::string
 RecordStream(core::WorkloadId id)
 {
-    const core::RunConfig config = ConfigFor(id);
-    const workload::TraceStreamMeta meta = core::TraceMetaFor(config);
-    workload::WorkloadSpec spec = core::SpecFor(config);
-    const uint32_t slice_refs = spec.slice_refs;
     workload::CountingHost host(sim::MachineConfig::Prototype(8));
-    workload::TraceEncoder encoder(meta);
-    workload::RecordingHost recorder(host, encoder);
-    workload::Driver driver(recorder, std::move(spec), kRefs, kSeed,
-                            slice_refs);
-    driver.Run();
-    recorder.StopRecording();
-    return encoder.Finish(driver.refs_issued());
+    return core::RecordLiveStream(ConfigFor(id), host).bytes;
 }
 
 /** A live SPUR run of @p id; returns the system's counters by value. */

@@ -20,7 +20,7 @@
  *       --dot prints the subsystem include graph in DOT form (pipe
  *       through `dot -Tsvg` to render).
  *
- *   spur_lint allows [PATH...]
+ *   spur_lint allows [--layers=FILE] [PATH...]
  *       Inventories every allow() suppression marker with its
  *       liveness, so reviews can see the whole budget spend.
  *
@@ -28,7 +28,9 @@
  *       Prints every rule name with its one-line summary; --markdown
  *       emits the table DESIGN.md §18 embeds.
  *
- * The flat form `spur_lint PATH...` behaves as `check`.
+ * The flat form `spur_lint PATH...` behaves as `check`.  Each command
+ * accepts only the flags listed for it, in the "--name=value" form
+ * (src/common/args.h); anything else is a usage error, exit 2.
  *
  * The layer manifest defaults to ./LAYERS.toml when present; pass
  * --layers=FILE to point elsewhere.  Without a manifest the layering
@@ -62,7 +64,7 @@ Usage()
         {"graph [--dot] [--layers=FILE] [PATH...]",
          "print the observed subsystem include graph (--dot)",
          {}},
-        {"allows [PATH...]",
+        {"allows [--layers=FILE] [PATH...]",
          "inventory every allow() suppression marker with its liveness",
          {}},
         {"--list-rules [--markdown]",
@@ -78,52 +80,19 @@ Usage()
     return 2;
 }
 
-struct Options {
-    std::string command = "check";
-    std::string layers;
-    std::string format = "text";
-    bool dot = false;
-    bool list_rules = false;
-    bool markdown = false;
-    std::vector<std::string> paths;
-};
-
-bool
-ParseArgs(const std::vector<std::string>& args, Options* options)
+/** The flags @p command accepts (every command takes --layers). */
+std::vector<spur::Flag>
+CommandFlags(const std::string& command)
 {
-    size_t first = 0;
-    if (!args.empty() &&
-        (args[0] == "check" || args[0] == "graph" || args[0] == "allows")) {
-        options->command = args[0];
-        first = 1;
+    std::vector<spur::Flag> flags = {{"layers", spur::FlagKind::kText}};
+    if (command == "check") {
+        flags.push_back({.name = "format",
+                         .kind = spur::FlagKind::kText,
+                         .choices = {"text", "json"}});
+    } else if (command == "graph") {
+        flags.push_back({"dot"});
     }
-    std::string value;
-    for (size_t i = first; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        if (spur::MatchFlag(arg, "layers", &value)) {
-            options->layers = value;
-        } else if (spur::MatchFlag(arg, "format", &value)) {
-            if (value != "text" && value != "json") {
-                std::fprintf(stderr,
-                             "spur_lint: --format must be text or json\n");
-                return false;
-            }
-            options->format = value;
-        } else if (arg == "--dot") {
-            options->dot = true;
-        } else if (arg == "--list-rules") {
-            options->list_rules = true;
-        } else if (arg == "--markdown") {
-            options->markdown = true;
-        } else if (spur::IsFlagArg(arg)) {
-            std::fprintf(stderr, "spur_lint: unknown option '%s'\n",
-                         arg.c_str());
-            return false;
-        } else {
-            options->paths.push_back(arg);
-        }
-    }
-    return true;
+    return flags;
 }
 
 int
@@ -149,24 +118,28 @@ ListRules(bool markdown)
 int
 main(int argc, char** argv)
 {
-    const std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty()) {
+    const std::string first = (argc > 1) ? argv[1] : "";
+    if (first.empty()) {
         return Usage();
     }
-    Options options;
-    if (!ParseArgs(args, &options)) {
-        return Usage();
+    if (first == "--list-rules") {
+        const spur::Args args(argc, argv, {{"list-rules"}, {"markdown"}});
+        return ListRules(args.Has("markdown"));
     }
-    if (options.list_rules) {
-        return ListRules(options.markdown);
-    }
-    if (options.paths.empty()) {
+    // The flat form `spur_lint PATH...` is `check`.
+    const bool named =
+        first == "check" || first == "graph" || first == "allows";
+    const std::string command = named ? first : "check";
+    const spur::Args args(argc, argv, CommandFlags(command),
+                          /*max_positionals=*/SIZE_MAX,
+                          /*first=*/named ? 2 : 1);
+    if (args.positional().empty()) {
         return Usage();
     }
 
     spur::lint::Linter linter;
     std::string error;
-    for (const std::string& path : options.paths) {
+    for (const std::string& path : args.positional()) {
         std::error_code ec;
         const bool ok = std::filesystem::is_directory(path, ec)
                             ? linter.AddTree(path, &error)
@@ -176,7 +149,7 @@ main(int argc, char** argv)
             return 2;
         }
     }
-    std::string manifest = options.layers;
+    std::string manifest = args.GetString("layers");
     if (manifest.empty()) {
         std::error_code ec;
         if (std::filesystem::is_regular_file(kDefaultManifest, ec)) {
@@ -191,14 +164,14 @@ main(int argc, char** argv)
 
     const spur::lint::LintReport report = linter.Analyze();
 
-    if (options.command == "graph") {
-        if (options.dot) {
+    if (command == "graph") {
+        if (args.Has("dot")) {
             std::fputs(report.subsystem_dot.c_str(), stdout);
         }
         return 0;
     }
 
-    if (options.command == "allows") {
+    if (command == "allows") {
         for (const spur::lint::AllowSite& site : report.allows) {
             std::printf("%s:%zu: allow(%s) — %s\n", site.file.c_str(),
                         site.line, site.rule.c_str(),
@@ -211,7 +184,7 @@ main(int argc, char** argv)
     }
 
     // check (default).
-    if (options.format == "json") {
+    if (args.GetString("format", "text") == "json") {
         std::printf("[");
         for (size_t i = 0; i < report.violations.size(); ++i) {
             std::printf(

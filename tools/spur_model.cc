@@ -20,10 +20,15 @@
  *       be 1), --impl=mp drives MpSpurSystem::Access; the default
  *       drives mp, plus uni when procs is 1.  Exit 1 on divergence,
  *       with the offending stimulus trace.
+ *
+ * Each subcommand accepts only the flags listed for it, in the
+ * "--name=value" form (src/common/args.h); anything else is a usage
+ * error, exit 2.
  */
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/args.h"
@@ -121,43 +126,26 @@ RunConform(const ModelConfig& config, Implementation impl)
 int
 main(int argc, char** argv)
 {
-    const std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty()) {
-        return Usage();
-    }
-    const std::string mode = args.front();
+    const std::string mode = (argc > 1) ? argv[1] : "";
     if (mode != "explore" && mode != "conform") {
         return Usage();
     }
-
-    uint64_t procs = 2;
-    std::string policy = "all";
-    std::string ref = "all";
-    std::string impl = "all";
-    std::string value;
-    for (size_t i = 1; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        if (spur::MatchFlag(arg, "procs", &value)) {
-            if (!spur::ParseUnsigned(value, &procs) || procs < 1 ||
-                procs > kMaxProcs) {
-                std::fprintf(stderr,
-                             "spur_model: bad --procs value in '%s' "
-                             "(want 1..%u)\n",
-                             arg.c_str(), kMaxProcs);
-                return 2;
-            }
-        } else if (spur::MatchFlag(arg, "policy", &value)) {
-            policy = value;
-        } else if (spur::MatchFlag(arg, "ref", &value)) {
-            ref = value;
-        } else if (spur::MatchFlag(arg, "impl", &value)) {
-            impl = value;
-        } else {
-            std::fprintf(stderr, "spur_model: unknown argument '%s'\n",
-                         arg.c_str());
-            return Usage();
-        }
+    std::vector<spur::Flag> flags = {
+        {"procs", spur::FlagKind::kUnsigned, 1, kMaxProcs},
+        {"policy", spur::FlagKind::kText},
+        {"ref", spur::FlagKind::kText}};
+    if (mode == "conform") {
+        flags.push_back({.name = "impl",
+                         .kind = spur::FlagKind::kText,
+                         .choices = {"uni", "mp", "all"}});
     }
+    const spur::Args args(argc, argv, std::move(flags),
+                          /*max_positionals=*/0, /*first=*/2);
+    const uint64_t procs = args.GetUnsigned("procs", 2);
+    const std::string policy = args.GetString("policy", "all");
+    const std::string ref = args.GetString("ref", "all");
+    const std::string impl =
+        (mode == "conform") ? args.GetString("impl", "all") : "all";
 
     std::vector<spur::policy::DirtyPolicyKind> dirties;
     if (policy == "all") {
@@ -189,15 +177,11 @@ main(int argc, char** argv)
         impls = {Implementation::kUniprocessorBatch};
     } else if (impl == "mp") {
         impls = {Implementation::kMultiprocessor};
-    } else if (impl == "all") {
+    } else {
         if (procs == 1) {
             impls.push_back(Implementation::kUniprocessorBatch);
         }
         impls.push_back(Implementation::kMultiprocessor);
-    } else {
-        std::fprintf(stderr, "spur_model: bad --impl value '%s'\n",
-                     impl.c_str());
-        return 2;
     }
 
     int failures = 0;

@@ -11,7 +11,7 @@
  *       to what a live `--record-trace` run would capture, at a
  *       fraction of the cost — no cache or VM simulation runs.
  *
- *   spur_trace replay FILE [--dirty=NAME] [--ref=NAME] [--memory=N]
+ *   spur_trace replay FILE [--dirty=NAME] [--ref=NAME] [--memory-mb=N]
  *       Replays every stream of FILE through a fresh SPUR machine per
  *       stream and prints the resulting counters — the quick look at
  *       what a recorded workload does under one policy choice.
@@ -28,11 +28,14 @@
  *       1 for corruption.  With --out, writes the recovered streams
  *       back out as a complete trace — the repair path the CI
  *       kill-recovery job exercises.
+ *
+ * Each subcommand accepts only the flags listed for it, in the
+ * "--name=value" form (src/common/args.h); anything else is a usage
+ * error, exit 2.
  */
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,15 +45,14 @@
 #include "src/core/experiment.h"
 #include "src/core/run_trace.h"
 #include "src/core/system.h"
+#include "src/runner/session.h"
 #include "src/sim/config.h"
 #include "src/workload/trace.h"
 
 namespace {
 
-using spur::IsFlagArg;
-using spur::MatchFlag;
-using spur::ParsePositiveDouble;
-using spur::ParseUnsigned;
+using spur::Args;
+using spur::FlagKind;
 using spur::Table;
 using spur::ToolCommand;
 
@@ -73,7 +75,7 @@ Usage()
          "the counters",
          {{"--dirty=NAME", "dirty-bit policy (default SPUR)"},
           {"--ref=NAME", "reference-bit policy (default MISS)"},
-          {"--memory=N", "memory size in MB (default 8)"}}},
+          {"--memory-mb=N", "memory size in MB (default 8)"}}},
         {"info FILE",
          "list the streams (identity, ops, accesses, refs, digest); "
          "prints the recovery note for truncated files",
@@ -91,18 +93,6 @@ Usage()
         "any policy choice.",
         commands);
     return 2;
-}
-
-/** Parses a workload name by its core::ToString spelling. */
-std::optional<spur::core::WorkloadId>
-WorkloadByName(const std::string& name)
-{
-    for (const spur::core::WorkloadId id : spur::core::kAllWorkloads) {
-        if (name == spur::core::ToString(id)) {
-            return id;
-        }
-    }
-    return std::nullopt;
 }
 
 /** Records one workload's stream into @p writer; false on I/O error. */
@@ -127,48 +117,27 @@ RecordOne(const spur::core::RunConfig& config,
 }
 
 int
-Record(const std::vector<std::string>& args)
+Record(int argc, char** argv)
 {
-    std::string out_path;
-    std::string workload_name = "WORKLOAD1";
-    bool all_scenarios = false;
-    spur::core::RunConfig base;
-    std::string value;
-    for (const std::string& arg : args) {
-        if (MatchFlag(arg, "out", &value)) {
-            out_path = value;
-        } else if (MatchFlag(arg, "workload", &value)) {
-            workload_name = value;
-        } else if (arg == "--all-scenarios") {
-            all_scenarios = true;
-        } else if (MatchFlag(arg, "seed", &value)) {
-            if (!ParseUnsigned(value, &base.seed)) {
-                std::cerr << "spur_trace: bad --seed '" << value << "'\n";
-                return 2;
-            }
-        } else if (MatchFlag(arg, "refs", &value)) {
-            if (!ParseUnsigned(value, &base.refs)) {
-                std::cerr << "spur_trace: bad --refs '" << value << "'\n";
-                return 2;
-            }
-        } else if (MatchFlag(arg, "intensity", &value)) {
-            if (!ParsePositiveDouble(value, &base.intensity)) {
-                std::cerr << "spur_trace: bad --intensity '" << value
-                          << "'\n";
-                return 2;
-            }
-        } else {
-            std::cerr << "spur_trace: unknown record option '" << arg
-                      << "'\n";
-            return 2;
-        }
-    }
+    const Args args(argc, argv,
+                    {{"out", FlagKind::kText},
+                     spur::runner::WorkloadFlag(),
+                     {"all-scenarios"},
+                     {"seed", FlagKind::kUnsigned},
+                     {"refs", FlagKind::kUnsigned},
+                     {"intensity", FlagKind::kPositive}},
+                    /*max_positionals=*/0, /*first=*/2);
+    const std::string out_path = args.GetString("out");
     if (out_path.empty()) {
         return Usage();
     }
+    spur::core::RunConfig base;
+    base.seed = args.GetUnsigned("seed", base.seed);
+    base.refs = args.GetUnsigned("refs", base.refs);
+    base.intensity = args.GetDouble("intensity", base.intensity);
 
     std::vector<spur::core::RunConfig> configs;
-    if (all_scenarios) {
+    if (args.Has("all-scenarios")) {
         for (const spur::core::WorkloadId id :
              spur::core::kScenarioLibrary) {
             spur::core::RunConfig config = base;
@@ -176,14 +145,9 @@ Record(const std::vector<std::string>& args)
             configs.push_back(config);
         }
     } else {
-        const auto id = WorkloadByName(workload_name);
-        if (!id) {
-            std::cerr << "spur_trace: unknown workload '" << workload_name
-                      << "'\n";
-            return 2;
-        }
         spur::core::RunConfig config = base;
-        config.workload = *id;
+        config.workload = *spur::core::ParseWorkload(
+            args.GetString("workload", "WORKLOAD1"));
         configs.push_back(config);
     }
 
@@ -208,39 +172,23 @@ Record(const std::vector<std::string>& args)
 }
 
 int
-Replay(const std::vector<std::string>& args)
+Replay(int argc, char** argv)
 {
-    std::string path;
-    auto dirty = spur::policy::DirtyPolicyKind::kSpur;
-    auto ref = spur::policy::RefPolicyKind::kMiss;
-    uint32_t memory_mb = 8;
-    std::string value;
-    for (const std::string& arg : args) {
-        if (MatchFlag(arg, "dirty", &value)) {
-            dirty = spur::policy::ParseDirtyPolicy(value);
-        } else if (MatchFlag(arg, "ref", &value)) {
-            ref = spur::policy::ParseRefPolicy(value);
-        } else if (MatchFlag(arg, "memory", &value)) {
-            uint64_t parsed = 0;
-            if (!ParseUnsigned(value, &parsed) || parsed == 0) {
-                std::cerr << "spur_trace: bad --memory '" << value
-                          << "'\n";
-                return 2;
-            }
-            memory_mb = static_cast<uint32_t>(parsed);
-        } else if (IsFlagArg(arg)) {
-            std::cerr << "spur_trace: unknown replay option '" << arg
-                      << "'\n";
-            return 2;
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            return Usage();
-        }
-    }
-    if (path.empty()) {
+    const Args args(argc, argv,
+                    {{"dirty", FlagKind::kText},
+                     {"ref", FlagKind::kText},
+                     spur::runner::kMemoryMbFlag},
+                    /*max_positionals=*/1, /*first=*/2);
+    if (args.positional().empty()) {
         return Usage();
     }
+    const std::string& path = args.positional()[0];
+    const auto dirty =
+        spur::policy::ParseDirtyPolicy(args.GetString("dirty", "SPUR"));
+    const auto ref =
+        spur::policy::ParseRefPolicy(args.GetString("ref", "MISS"));
+    const auto memory_mb =
+        static_cast<uint32_t>(args.GetUnsigned("memory-mb", 8));
 
     spur::workload::TraceLibrary library;
     std::string error;
@@ -328,40 +276,27 @@ Inspect(const std::string& path, const std::string& repair_path)
 }
 
 int
-Info(const std::vector<std::string>& args)
+Info(int argc, char** argv)
 {
-    if (args.size() != 1 || IsFlagArg(args[0])) {
+    const Args args(argc, argv, {}, /*max_positionals=*/1, /*first=*/2);
+    if (args.positional().empty()) {
         return Usage();
     }
-    const int exit_code = Inspect(args[0], "");
+    const int exit_code = Inspect(args.positional()[0], "");
     // info is a report, not a gate: a recovered-truncated file is
     // still a successful inspection.
     return (exit_code == 1) ? 1 : 0;
 }
 
 int
-Validate(const std::vector<std::string>& args)
+Validate(int argc, char** argv)
 {
-    std::string path;
-    std::string repair_path;
-    std::string value;
-    for (const std::string& arg : args) {
-        if (MatchFlag(arg, "out", &value)) {
-            repair_path = value;
-        } else if (IsFlagArg(arg)) {
-            std::cerr << "spur_trace: unknown validate option '" << arg
-                      << "'\n";
-            return 2;
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            return Usage();
-        }
-    }
-    if (path.empty()) {
+    const Args args(argc, argv, {{"out", FlagKind::kText}},
+                    /*max_positionals=*/1, /*first=*/2);
+    if (args.positional().empty()) {
         return Usage();
     }
-    return Inspect(path, repair_path);
+    return Inspect(args.positional()[0], args.GetString("out"));
 }
 
 }  // namespace
@@ -369,23 +304,18 @@ Validate(const std::vector<std::string>& args)
 int
 main(int argc, char** argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty()) {
-        return Usage();
-    }
-    const std::string mode = args.front();
-    const std::vector<std::string> rest(args.begin() + 1, args.end());
+    const std::string mode = (argc > 1) ? argv[1] : "";
     if (mode == "record") {
-        return Record(rest);
+        return Record(argc, argv);
     }
     if (mode == "replay") {
-        return Replay(rest);
+        return Replay(argc, argv);
     }
     if (mode == "info") {
-        return Info(rest);
+        return Info(argc, argv);
     }
     if (mode == "validate") {
-        return Validate(rest);
+        return Validate(argc, argv);
     }
     return Usage();
 }
