@@ -1,24 +1,22 @@
 /**
  * @file
- * Shared main() for the google-benchmark micro benches, giving them the
- * same command-line surface as the table/ablation benches:
+ * Shared main() for the google-benchmark micro benches.  They accept
  *
- *   --jobs=N    accepted and ignored (micro benches are single-threaded
- *               timing loops; running them concurrently would only add
- *               noise to the numbers)
- *   --json=FILE translated to google-benchmark's own JSON reporter
- *               (--benchmark_out=FILE --benchmark_out_format=json)
+ *   --json=FILE     translated to google-benchmark's own JSON reporter
+ *                   (--benchmark_out=FILE --benchmark_out_format=json)
+ *   --benchmark_*   google-benchmark's flags, forwarded unchanged
  *
- * Native --benchmark_* flags are forwarded to benchmark::Initialize
- * unchanged.  Any other --flag (e.g. --reps passed by run_all.sh to the
- * whole suite) is dropped rather than rejected, so the micro benches can
- * share a command line with the table benches.
+ * and nothing else: any other argument (a table bench's --refs or
+ * --jobs included; bench/run_all.sh passes those to the other benches
+ * only), or a --benchmark_* flag google-benchmark does not know, is a
+ * usage error, named on stderr with exit 2 before anything runs.
  */
 #ifndef SPUR_BENCH_MICRO_COMMON_H_
 #define SPUR_BENCH_MICRO_COMMON_H_
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -43,13 +41,17 @@ Main(int argc, char** argv)
             storage.emplace_back(std::string("--benchmark_out=") +
                                  (arg + 7));
             storage.emplace_back("--benchmark_out_format=json");
-            continue;
+        } else if (std::strncmp(arg, "--benchmark_", 12) == 0) {
+            storage.emplace_back(arg);
+        } else {
+            std::string name = argv[0];
+            name.erase(0, name.find_last_of('/') + 1);
+            std::fprintf(stderr,
+                         "%s: unknown argument '%s' (accepted: "
+                         "--json=FILE --benchmark_*)\n",
+                         name.c_str(), arg);
+            return 2;
         }
-        if (std::strncmp(arg, "--", 2) == 0 &&
-            std::strncmp(arg, "--benchmark_", 12) != 0) {
-            continue;  // --jobs and other table-bench flags: ignored.
-        }
-        storage.emplace_back(arg);
     }
 
     std::vector<char*> rewritten;
@@ -61,7 +63,7 @@ Main(int argc, char** argv)
     benchmark::Initialize(&rewritten_argc, rewritten.data());
     if (benchmark::ReportUnrecognizedArguments(rewritten_argc,
                                                rewritten.data())) {
-        return 1;
+        return 2;
     }
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -3,16 +3,17 @@
 #
 # Usage: bench/run_all.sh [build_dir] [--json-dir=DIR] [extra flags...]
 #
-# The optional build_dir (default: build) must come first.  Every other
-# argument is passed through to each bench binary, so e.g.
+# The optional build_dir (default: build) must come first.
+# google-benchmark's own --benchmark_* flags go to the micro_* benches
+# only, and every other flag to every other bench, so e.g.
 #
 #   bench/run_all.sh build --jobs=8 --reps=2
 #
-# runs the whole suite with 8 worker threads.  google-benchmark's own
-# --benchmark_* flags go to the micro_* benches only: every other bench
-# rejects a flag it does not know (exit 2).  With --json-dir=DIR each
-# bench additionally writes machine-readable run records to
-# DIR/<bench>.json (the micro benches emit google-benchmark's JSON).
+# runs the table, figure and ablation benches with 8 worker threads.
+# Each bench rejects a flag it does not know (exit 2).  With
+# --json-dir=DIR each bench additionally writes machine-readable run
+# records to DIR/<bench>.json (the micro benches emit google-benchmark's
+# JSON).
 set -euo pipefail
 
 BUILD="build"
@@ -58,6 +59,10 @@ for b in "$BUILD"/bench/*; do
     echo "==================================================================="
     echo "== $name"
     echo "==================================================================="
+    FLAGS=(${ARGS[@]+"${ARGS[@]}"})
+    if [[ "$name" == micro_* ]]; then
+        FLAGS=(${MICRO_ARGS[@]+"${MICRO_ARGS[@]}"})
+    fi
     EXTRA=()
     if [[ -n "$JSON_DIR" ]]; then
         EXTRA+=("--json=$JSON_DIR/$name.json")
@@ -65,9 +70,6 @@ for b in "$BUILD"/bench/*; do
     if [[ " $SCENARIO_BENCHES " == *" $name "* ]]; then
         EXTRA+=("--scenarios")
     fi
-    if [[ "$name" == micro_* ]]; then
-        EXTRA+=(${MICRO_ARGS[@]+"${MICRO_ARGS[@]}"})
-    fi
-    "$b" ${ARGS[@]+"${ARGS[@]}"} ${EXTRA[@]+"${EXTRA[@]}"}
+    "$b" ${FLAGS[@]+"${FLAGS[@]}"} ${EXTRA[@]+"${EXTRA[@]}"}
     echo
 done

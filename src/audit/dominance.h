@@ -10,18 +10,22 @@
  *    alternative: its intrinsic dirty-fault count (N_ds - N_zfod,
  *    Section 3.2) can never exceed SPUR/WRITE/FAULT/FLUSH's on the same
  *    cell, because MIN takes exactly the necessary faults and nothing
- *    else ever removes one.
+ *    else ever removes one.  That holds only while both runs page the
+ *    same way.  FLUSH's page flushes make later references miss, and
+ *    under MISS a miss sets the reference bit, so the page daemon can
+ *    pick other victims; a FLUSH/MISS cell whose page-ins differ from
+ *    MIN's may then take fewer intrinsic faults (flush-storm at 5 MB
+ *    does).  That one case is a *warning* naming both page-in counts.
  *  - NOREF degenerates replacement to sweep order, so on a matched cell
  *    it pages in at least as much as MISS (Table 4.1's comparison).
  *    This one is reported as a *warning*: at large memories the two
  *    converge and the paper itself only claims the inequality for
  *    memory-constrained runs.
  *
- * runner::RunMatrix invokes this automatically after every matrix in
- * audit builds (SPUR_AUDIT=ON).
+ * runner::RunMatrix invokes this after every matrix.
  */
-#ifndef SPUR_AUDIT_DOMINANCE_H_
-#define SPUR_AUDIT_DOMINANCE_H_
+#ifndef SPUR_SRC_AUDIT_DOMINANCE_H_
+#define SPUR_SRC_AUDIT_DOMINANCE_H_
 
 #include <vector>
 
@@ -55,4 +59,4 @@ AuditReport AuditDominance(
 
 }  // namespace spur::audit
 
-#endif  // SPUR_AUDIT_DOMINANCE_H_
+#endif  // SPUR_SRC_AUDIT_DOMINANCE_H_

@@ -214,7 +214,7 @@ ParseUnsigned(const std::string& text, uint64_t* out)
     }
     errno = 0;
     char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
     if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
         return false;
     }

@@ -98,8 +98,9 @@ class Args
  *  garbage, leading space, trailing junk, or a non-positive result. */
 bool ParsePositiveDouble(const std::string& text, double* out);
 
-/** Parses a non-negative decimal/hex/octal integer; false unless
- *  @p text starts with a digit, and on trailing junk or overflow. */
+/** Parses a non-negative decimal integer; false unless @p text starts
+ *  with a digit, and on trailing junk (a hex "0x" included) or
+ *  overflow.  Leading zeros are decimal: "010" is 10. */
 bool ParseUnsigned(const std::string& text, uint64_t* out);
 
 // ---------------------------------------------------------------------------

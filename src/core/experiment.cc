@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/check/audit.h"
 #include "src/common/log.h"
 #include "src/core/run_trace.h"
 #include "src/workload/trace.h"
@@ -136,10 +135,8 @@ RunOnce(const RunConfig& config)
         }
         const workload::ReplayStats stats =
             workload::ReplayStream(*stream, system);
-        if constexpr (check::kAuditEnabled) {
-            system.kernel().Audit().RaiseIfFailed(
-                "core::RunOnce (end of replay)");
-        }
+        system.kernel().Audit().RaiseIfFailed(
+            "core::RunOnce (end of replay)");
         return Harvest(system, stats.refs_issued);
     }
 
@@ -149,10 +146,7 @@ RunOnce(const RunConfig& config)
     // numbers enter any table.
     RunResult result;
     const auto at_end = [&system, &result](uint64_t refs_issued) {
-        if constexpr (check::kAuditEnabled) {
-            system.kernel().Audit().RaiseIfFailed(
-                "core::RunOnce (end of run)");
-        }
+        system.kernel().Audit().RaiseIfFailed("core::RunOnce (end of run)");
         result = Harvest(system, refs_issued);
     };
 

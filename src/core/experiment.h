@@ -144,7 +144,8 @@ workload::WorkloadSpec SpecFor(const RunConfig& config);
 /** The default reference budget of a workload. */
 uint64_t DefaultRefs(WorkloadId id);
 
-/** Executes one run to completion. */
+/** Executes one run to completion, then audits the machine
+ *  (Kernel::Audit); a violated invariant aborts the run. */
 RunResult RunOnce(const RunConfig& config);
 
 // Matrix execution (randomized order, repetitions, parallel cells)

@@ -77,9 +77,6 @@ Kernel::OnContextSwitch()
 {
     events_.Add(sim::Event::kContextSwitch);
     timing_.Charge(sim::TimeBucket::kKernel, config_.t_context_switch);
-    if constexpr (check::kAuditEnabled) {
-        Audit().RaiseIfFailed("Kernel::OnContextSwitch");
-    }
 }
 
 void

@@ -22,7 +22,6 @@
 
 #include "src/cache/cache.h"
 #include "src/cache/flusher.h"
-#include "src/check/audit.h"
 #include "src/check/checker.h"
 #include "src/common/log.h"
 #include "src/common/types.h"
@@ -95,8 +94,7 @@ class Kernel
         return segmap_.ToGlobal(pid, addr);
     }
 
-    /** Accounts a context switch (scheduler notification); audit builds
-     *  audit the machine here. */
+    /** Accounts a context switch (scheduler notification). */
     void OnContextSwitch();
 
     // ---- Kernel entry points the model checker drives ---------------------
@@ -171,22 +169,10 @@ class Kernel
     /**
      * Runs every invariant pass (check::RunAllPasses) over the
      * machine; several caches additionally arm the cross-cache Berkeley
-     * Ownership audit.  Audit builds (SPUR_AUDIT=ON) invoke it at every
-     * context switch and, through CountAccessForAudit(), every
-     * check::kAuditAccessInterval accesses, aborting on any violation.
+     * Ownership audit.  core::RunOnce runs it at the end of every cell;
+     * tests run it mid-run (at context switches, or every N accesses).
      */
     check::AuditReport Audit() const;
-
-    /** Audit builds: counts one access toward the periodic audit. */
-    void CountAccessForAudit()
-    {
-        if constexpr (check::kAuditEnabled) {
-            if (--audit_countdown_ == 0) {
-                audit_countdown_ = check::kAuditAccessInterval;
-                Audit().RaiseIfFailed("Kernel: periodic access audit");
-            }
-        }
-    }
 
     // ---- State access -----------------------------------------------------
 
@@ -224,9 +210,6 @@ class Kernel
     Cycles block_fetch_cycles_;
 
     std::vector<const cache::VirtualCache*> audited_caches_;
-
-    /// Accesses until the next periodic audit (audit builds only).
-    uint64_t audit_countdown_ = check::kAuditAccessInterval;
 };
 
 /**

@@ -48,8 +48,6 @@ MpSpurSystem::~MpSpurSystem() = default;
 void
 MpSpurSystem::Access(unsigned cpu, const MemRef& ref)
 {
-    kernel_.CountAccessForAudit();
-
     sim::EventCounts& events = kernel_.events();
     const GlobalAddr gva = kernel_.ToGlobal(ref.pid, ref.addr);
     events.Add(sim::RefEvent(ref.type));

@@ -100,7 +100,8 @@ class SpurSystem final : public KernelHost
     template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
     void AccessImpl(const MemRef& ref);
 
-    /** Per-reference loop over AccessImpl with one dispatch. */
+    /** The batch scan: hits stay in registers, everything else runs
+     *  AccessImpl's code; one dispatch for the whole batch. */
     template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
     void AccessBatchImpl(const MemRef* refs, size_t n);
 

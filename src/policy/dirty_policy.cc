@@ -1,8 +1,5 @@
 #include "src/policy/dirty_policy.h"
 
-#include <algorithm>
-#include <cctype>
-
 #include "src/common/log.h"
 #include "src/policy/policy_ops.h"
 
@@ -23,21 +20,15 @@ ToString(DirtyPolicyKind kind)
     return "?";
 }
 
-DirtyPolicyKind
+std::optional<DirtyPolicyKind>
 ParseDirtyPolicy(const std::string& name)
 {
-    std::string upper = name;
-    std::transform(upper.begin(), upper.end(), upper.begin(),
-                   [](unsigned char c) { return std::toupper(c); });
-    if (upper == "MIN") return DirtyPolicyKind::kMin;
-    if (upper == "FAULT") return DirtyPolicyKind::kFault;
-    if (upper == "FLUSH") return DirtyPolicyKind::kFlush;
-    if (upper == "SPUR") return DirtyPolicyKind::kSpur;
-    if (upper == "WRITE") return DirtyPolicyKind::kWrite;
-    if (upper == "SPUR-PROT") return DirtyPolicyKind::kSpurProt;
-    if (upper == "WRITE-HW") return DirtyPolicyKind::kWriteHw;
-    Fatal("unknown dirty policy '" + name +
-          "' (expected MIN/FAULT/FLUSH/SPUR/WRITE/SPUR-PROT/WRITE-HW)");
+    for (const DirtyPolicyKind kind : kAllDirtyPolicies) {
+        if (name == ToString(kind)) {
+            return kind;
+        }
+    }
+    return std::nullopt;
 }
 
 namespace {

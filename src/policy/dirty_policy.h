@@ -36,6 +36,7 @@
 #define SPUR_POLICY_DIRTY_POLICY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/cache/cache.h"
@@ -61,8 +62,16 @@ enum class DirtyPolicyKind : uint8_t {
 /** Returns the paper's name for the policy ("FAULT", "SPUR", ...). */
 const char* ToString(DirtyPolicyKind kind);
 
-/** Parses a policy name (case-insensitive); fatal on unknown names. */
-DirtyPolicyKind ParseDirtyPolicy(const std::string& name);
+/** Every dirty-bit alternative, in declaration order. */
+inline constexpr DirtyPolicyKind kAllDirtyPolicies[] = {
+    DirtyPolicyKind::kMin,   DirtyPolicyKind::kFault,
+    DirtyPolicyKind::kFlush, DirtyPolicyKind::kSpur,
+    DirtyPolicyKind::kWrite, DirtyPolicyKind::kSpurProt,
+    DirtyPolicyKind::kWriteHw,
+};
+
+/** The policy ToString() spells @p name, or nullopt. */
+std::optional<DirtyPolicyKind> ParseDirtyPolicy(const std::string& name);
 
 /** Cycle charges produced by a policy action, by destination bucket. */
 struct DirtyCost {

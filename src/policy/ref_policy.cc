@@ -1,8 +1,5 @@
 #include "src/policy/ref_policy.h"
 
-#include <algorithm>
-#include <cctype>
-
 #include "src/common/log.h"
 #include "src/policy/policy_ops.h"
 
@@ -19,16 +16,15 @@ ToString(RefPolicyKind kind)
     return "?";
 }
 
-RefPolicyKind
+std::optional<RefPolicyKind>
 ParseRefPolicy(const std::string& name)
 {
-    std::string upper = name;
-    std::transform(upper.begin(), upper.end(), upper.begin(),
-                   [](unsigned char c) { return std::toupper(c); });
-    if (upper == "MISS") return RefPolicyKind::kMiss;
-    if (upper == "REF") return RefPolicyKind::kRef;
-    if (upper == "NOREF") return RefPolicyKind::kNoRef;
-    Fatal("unknown ref policy '" + name + "' (expected MISS/REF/NOREF)");
+    for (const RefPolicyKind kind : kAllRefPolicies) {
+        if (name == ToString(kind)) {
+            return kind;
+        }
+    }
+    return std::nullopt;
 }
 
 namespace {

@@ -19,6 +19,7 @@
 #define SPUR_POLICY_REF_POLICY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/cache/cache.h"
@@ -40,8 +41,12 @@ enum class RefPolicyKind : uint8_t {
 /** Returns the paper's name for the policy ("MISS", "REF", "NOREF"). */
 const char* ToString(RefPolicyKind kind);
 
-/** Parses a policy name (case-insensitive); fatal on unknown names. */
-RefPolicyKind ParseRefPolicy(const std::string& name);
+/** Every reference-bit policy, in declaration order. */
+inline constexpr RefPolicyKind kAllRefPolicies[] = {
+    RefPolicyKind::kMiss, RefPolicyKind::kRef, RefPolicyKind::kNoRef};
+
+/** The policy ToString() spells @p name, or nullopt. */
+std::optional<RefPolicyKind> ParseRefPolicy(const std::string& name);
 
 /** Cycle charges from a reference-bit action. */
 struct RefCost {

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "src/check/audit.h"
 #include "src/audit/dominance.h"
 #include "src/common/random.h"
 
@@ -16,24 +15,6 @@ namespace {
 
 /** Seed of MatrixOrder's shuffle; fixed, so the run order is too. */
 constexpr uint64_t kMatrixShuffleSeed = 42;
-
-/**
- * Post-matrix audit (audit builds only): once every cell of the grid has
- * finished, the cross-policy dominance invariants are checkable — MIN is
- * a lower bound on dirty faults, reference bits never increase page-ins.
- */
-void
-AuditMatrix(const std::vector<core::RunConfig>& configs,
-            const std::vector<std::vector<core::RunResult>>& results)
-{
-    if constexpr (check::kAuditEnabled) {
-        audit::AuditDominance(configs, results)
-            .RaiseIfFailed("runner::RunMatrix (post-matrix)");
-    } else {
-        (void)configs;
-        (void)results;
-    }
-}
 
 }  // namespace
 
@@ -136,7 +117,11 @@ RunMatrix(const std::vector<core::RunConfig>& configs, uint32_t reps,
             std::rethrow_exception(error);
         }
     }
-    AuditMatrix(configs, results);
+    // Once every cell has finished, the cross-policy dominance
+    // invariants are checkable: MIN is a lower bound on dirty faults,
+    // reference bits never increase page-ins.
+    audit::AuditDominance(configs, results)
+        .RaiseIfFailed("runner::RunMatrix (post-matrix)");
     return results;
 }
 

@@ -64,7 +64,8 @@ void ParallelFor(size_t count, unsigned jobs,
  * configs[i], run at seed CellSeed(configs[i].seed, r), bit-identical
  * for every job count.  Every cell runs even if some throw; the error
  * of the failed cell with the lowest (config, rep) is then rethrown,
- * whatever the completion order.
+ * whatever the completion order.  The finished grid then passes
+ * audit::AuditDominance: an error aborts, a warning goes to stderr.
  */
 std::vector<std::vector<core::RunResult>> RunMatrix(
     const std::vector<core::RunConfig>& configs, uint32_t reps,

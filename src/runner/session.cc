@@ -34,6 +34,26 @@ WorkloadFlag()
     return flag;
 }
 
+Flag
+DirtyPolicyFlag(std::string name)
+{
+    Flag flag{std::move(name), FlagKind::kText};
+    for (const policy::DirtyPolicyKind kind : policy::kAllDirtyPolicies) {
+        flag.choices.emplace_back(policy::ToString(kind));
+    }
+    return flag;
+}
+
+Flag
+RefPolicyFlag(std::string name)
+{
+    Flag flag{std::move(name), FlagKind::kText};
+    for (const policy::RefPolicyKind kind : policy::kAllRefPolicies) {
+        flag.choices.emplace_back(policy::ToString(kind));
+    }
+    return flag;
+}
+
 BenchSession::BenchSession(std::string bench_name, int argc, char** argv,
                            std::vector<Flag> extra)
   : bench_(std::move(bench_name)),

@@ -71,6 +71,14 @@ inline const Flag kMemoryMbFlag = {"memory-mb", FlagKind::kUnsigned, 1,
 /** --workload=NAME, NAME a core::ToString(WorkloadId) spelling. */
 Flag WorkloadFlag();
 
+/** --@p name=POLICY, POLICY a policy::ToString(DirtyPolicyKind)
+ *  spelling. */
+Flag DirtyPolicyFlag(std::string name);
+
+/** --@p name=POLICY, POLICY a policy::ToString(RefPolicyKind)
+ *  spelling. */
+Flag RefPolicyFlag(std::string name);
+
 /** Per-binary session: parses the standard flags, collects run records. */
 class BenchSession
 {

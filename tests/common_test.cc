@@ -407,6 +407,11 @@ TEST(ArgsTest, ParsesEqualsForm)
     EXPECT_EQ(edge->GetString("name", "fallback"), "");
     EXPECT_EQ(edge->GetUnsigned("reps", 0), UINT64_MAX);
     EXPECT_EQ(edge->GetUnsigned("small", 0), 3u);
+    // Numbers are decimal: a leading zero is not octal.
+    const auto padded = Parse({"--reps=010", "--small=03"}, &error);
+    ASSERT_TRUE(padded) << error;
+    EXPECT_EQ(padded->GetUnsigned("reps", 0), 10u);
+    EXPECT_EQ(padded->GetUnsigned("small", 0), 3u);
 }
 
 TEST(ArgsTest, RejectsSpaceForm)
@@ -471,7 +476,8 @@ TEST(ArgsTest, RejectsMalformedNumbers)
 {
     std::string error;
     for (const char* value :
-         {"abc", "1x", "-1", "18446744073709551616", "", " 1", "+1", "0x"}) {
+         {"abc", "1x", "-1", "18446744073709551616", "", " 1", "+1", "0x",
+          "0x10"}) {
         EXPECT_FALSE(Parse({std::string("--reps=") + value}, &error))
             << value;
         EXPECT_EQ(error, std::string("bad argument '--reps=") + value +

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "src/cache/cache.h"
 #include "src/policy/dirty_policy.h"
@@ -374,12 +375,16 @@ TEST_F(PolicyFixture, MinChargesOnlyNecessaryFaults)
 
 TEST_F(PolicyFixture, ParseRejectsUnknownNames)
 {
-    EXPECT_EXIT(ParseDirtyPolicy("bogus"), testing::ExitedWithCode(1),
-                "unknown dirty policy");
-    EXPECT_EXIT(ParseRefPolicy("bogus"), testing::ExitedWithCode(1),
-                "unknown ref policy");
-    EXPECT_EQ(ParseDirtyPolicy("fault"), DirtyPolicyKind::kFault);
-    EXPECT_EQ(ParseRefPolicy("noref"), RefPolicyKind::kNoRef);
+    EXPECT_EQ(ParseDirtyPolicy("bogus"), std::nullopt);
+    EXPECT_EQ(ParseRefPolicy("bogus"), std::nullopt);
+    // Each policy has one spelling, ToString's.
+    EXPECT_EQ(ParseDirtyPolicy("fault"), std::nullopt);
+    EXPECT_EQ(ParseRefPolicy("noref"), std::nullopt);
+    EXPECT_EQ(ParseDirtyPolicy("FAULT"), DirtyPolicyKind::kFault);
+    EXPECT_EQ(ParseRefPolicy("NOREF"), RefPolicyKind::kNoRef);
+    for (const RefPolicyKind kind : kAllRefPolicies) {
+        EXPECT_EQ(ParseRefPolicy(ToString(kind)), kind);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "src/check/audit.h"
+#include "src/check/report.h"
 #include "src/core/experiment.h"
 #include "src/core/run_trace.h"
 #include "src/core/system.h"
@@ -23,11 +23,14 @@
 #include "src/workload/process.h"
 #include "src/workload/trace.h"
 #include "src/workload/workloads.h"
+#include "tests/auditing_host.h"
 
 namespace spur::core {
 namespace {
 
 using policy::DirtyPolicyKind;
+using policy::kAllDirtyPolicies;
+using policy::kAllRefPolicies;
 using policy::RefPolicyKind;
 using workload::kCodeBase;
 using workload::kDataBase;
@@ -306,16 +309,9 @@ TEST_F(SystemTest, InCacheTranslationSharesPteBlocks)
 // ---------------------------------------------------------------------------
 // AccessBatch against Access: the batch loop's fast path (settled write
 // hits, packed type counts, per-segment tag bases) must leave exactly
-// the events and cycles of the per-reference path.
+// the events and cycles of the per-reference path, and a machine that
+// passes every invariant audit along the way.
 // ---------------------------------------------------------------------------
-
-constexpr DirtyPolicyKind kAllDirty[] = {
-    DirtyPolicyKind::kMin,  DirtyPolicyKind::kFault,
-    DirtyPolicyKind::kFlush, DirtyPolicyKind::kSpur,
-    DirtyPolicyKind::kWrite, DirtyPolicyKind::kSpurProt,
-    DirtyPolicyKind::kWriteHw};
-constexpr RefPolicyKind kAllRef[] = {
-    RefPolicyKind::kMiss, RefPolicyKind::kRef, RefPolicyKind::kNoRef};
 
 /**
  * Forwards every operation to a SpurSystem but re-cuts the reference
@@ -420,24 +416,33 @@ RecordStream(core::WorkloadId id, uint64_t refs)
 }
 
 /** Totals after replaying @p stream on a fresh machine, its references
- *  cut into batches of @p batch (0: one Access per reference). */
+ *  cut into batches of @p batch (0: one Access per reference).  The
+ *  batch side (@p batch > 0) audits the machine at every context switch
+ *  and at the end. */
 std::vector<uint64_t>
 ReplayTotals(const workload::TraceStream& stream, uint32_t mem_mb,
              DirtyPolicyKind dirty, RefPolicyKind ref, size_t batch)
 {
     SpurSystem system(sim::MachineConfig::Prototype(mem_mb), dirty, ref);
     RebatchingHost host(system, batch);
-    workload::ReplayStream(stream, host);
+    if (batch == 0) {
+        workload::ReplayStream(stream, host);
+        host.Flush();
+        return Totals(system);
+    }
+    testing_support::AuditingHost audited(host, system.kernel());
+    workload::ReplayStream(stream, audited);
     host.Flush();
+    EXPECT_GT(audited.audits(), 0u) << "batch " << batch;
+    EXPECT_EQ(audited.first_failure(), "") << "batch " << batch;
+    const check::AuditReport report = system.kernel().Audit();
+    EXPECT_TRUE(report.ok()) << "batch " << batch << ", at the end: "
+                             << report.Summary();
     return Totals(system);
 }
 
 TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
 {
-    if constexpr (check::kAuditEnabled) {
-        GTEST_SKIP() << "audit builds run the per-reference loop on both "
-                        "sides";
-    }
     // 600,000 gc-sweep references page at 5 MB (page-outs, reference
     // faults under REF), so the daemon's flushes interleave the batches.
     const std::string file = workload::EncodeTraceFile(
@@ -451,8 +456,8 @@ TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
 
     for (const workload::TraceStream& stream : trace->streams) {
         for (const uint32_t mem_mb : {5u, 8u}) {
-            for (const DirtyPolicyKind dirty : kAllDirty) {
-                for (const RefPolicyKind ref : kAllRef) {
+            for (const DirtyPolicyKind dirty : kAllDirtyPolicies) {
+                for (const RefPolicyKind ref : kAllRefPolicies) {
                     SCOPED_TRACE(stream.meta.workload + " " +
                                  std::to_string(mem_mb) + " MB " +
                                  policy::ToString(dirty) + "/" +
@@ -477,7 +482,7 @@ TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
     // the batch.
     constexpr size_t kLong = (size_t{1} << 21) + 5;
     const uint32_t page = sim::MachineConfig::Prototype(8).page_bytes;
-    for (const DirtyPolicyKind dirty : kAllDirty) {
+    for (const DirtyPolicyKind dirty : kAllDirtyPolicies) {
         SCOPED_TRACE(std::string("long batch ") + policy::ToString(dirty));
         std::vector<uint64_t> totals[2];
         for (int side = 0; side < 2; ++side) {
@@ -544,14 +549,14 @@ TEST_F(SystemTest, WritebackCountsArePinned)
     // A miss that displaces a block-dirty line writes it back, and only
     // such a miss: a clean victim counted as a write-back doubles that
     // miss's stall charge and shows here.  Pinned per dirty policy, in
-    // kAllDirty order.  gc-sweep pages at 5 MB, so its counts there
-    // hold the page-out flushes' write-backs too.
+    // kAllDirtyPolicies order.  gc-sweep pages at 5 MB, so its counts
+    // there hold the page-out flushes' write-backs too.
     struct Pin {
         const char* name;
         workload::WorkloadSpec (*make)();
         uint64_t refs;
         uint32_t mem_mb;
-        uint64_t writebacks[std::size(kAllDirty)];
+        uint64_t writebacks[std::size(kAllDirtyPolicies)];
     };
     const Pin pins[] = {
         {"WORKLOAD1", workload::MakeWorkload1, 400'000, 5,
@@ -564,12 +569,12 @@ TEST_F(SystemTest, WritebackCountsArePinned)
          {15767, 15767, 15768, 15767, 15767, 15767, 15767}},
     };
     for (const Pin& pin : pins) {
-        for (size_t i = 0; i < std::size(kAllDirty); ++i) {
+        for (size_t i = 0; i < std::size(kAllDirtyPolicies); ++i) {
             SCOPED_TRACE(std::string(pin.name) + " " +
                          std::to_string(pin.mem_mb) + " MB " +
-                         policy::ToString(kAllDirty[i]));
+                         policy::ToString(kAllDirtyPolicies[i]));
             EXPECT_EQ(LiveWritebacks(pin.make(), pin.refs, pin.mem_mb,
-                                     kAllDirty[i]),
+                                     kAllDirtyPolicies[i]),
                       pin.writebacks[i]);
         }
     }
@@ -653,7 +658,7 @@ TEST_F(SystemTest, DriverRunIsAPrefixOfALongerRun)
                      {"SLC", workload::MakeSlc}};
     const sim::MachineConfig machine = sim::MachineConfig::Prototype(5);
     for (const auto& w : workloads) {
-        for (const RefPolicyKind ref : kAllRef) {
+        for (const RefPolicyKind ref : kAllRefPolicies) {
             SCOPED_TRACE(std::string(w.name) + " " + policy::ToString(ref));
             std::vector<uint64_t> at_b[2];
             std::vector<uint64_t> end_of_b;

@@ -12,6 +12,7 @@
 #include "src/workload/process.h"
 #include "src/workload/workloads.h"
 #include "src/xlate/tlb.h"
+#include "tests/auditing_host.h"
 
 namespace spur {
 namespace {
@@ -144,6 +145,22 @@ TEST_F(TlbSystemTest, RunsAFullWorkloadViaTheDriver)
     EXPECT_EQ(machine.events().TotalRefs(), 300'000u);
     EXPECT_GT(machine.tlb().hits(), machine.tlb().misses());
     EXPECT_EQ(machine.events().Get(sim::Event::kRefFault), 0u);
+}
+
+TEST_F(TlbSystemTest, WorkloadAuditsCleanAtEveryContextSwitch)
+{
+    // gc-sweep pages at 5 MB, so reclaim shootdowns and page-outs run
+    // between the audits.
+    core::TlbSystem machine(sim::MachineConfig::Prototype(5));
+    testing_support::AuditingHost audited(machine, machine.kernel());
+    workload::Driver driver(audited, workload::MakeGcSweep(), 600'000, 1);
+    driver.Run();
+    EXPECT_GT(audited.audits(), 10u);
+    EXPECT_EQ(audited.first_failure(), "");
+    EXPECT_GT(machine.events().Get(sim::Event::kPageOutDirty), 0u);
+    EXPECT_GT(machine.events().Get(sim::Event::kRefClear), 0u);
+    const check::AuditReport report = machine.kernel().Audit();
+    EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 TEST_F(TlbSystemTest, ReclaimShootsDownTlbNotCache)

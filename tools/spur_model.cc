@@ -27,6 +27,7 @@
  */
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "src/model/conform.h"
 #include "src/model/explore.h"
 #include "src/model/spec.h"
+#include "src/runner/session.h"
 
 namespace {
 
@@ -130,10 +132,14 @@ main(int argc, char** argv)
     if (mode != "explore" && mode != "conform") {
         return Usage();
     }
+    spur::Flag policy_flag = spur::runner::DirtyPolicyFlag("policy");
+    spur::Flag ref_flag = spur::runner::RefPolicyFlag("ref");
+    policy_flag.choices.emplace_back("all");
+    ref_flag.choices.emplace_back("all");
     std::vector<spur::Flag> flags = {
         {"procs", spur::FlagKind::kUnsigned, 1, kMaxProcs},
-        {"policy", spur::FlagKind::kText},
-        {"ref", spur::FlagKind::kText}};
+        std::move(policy_flag),
+        std::move(ref_flag)};
     if (mode == "conform") {
         flags.push_back({.name = "impl",
                          .kind = spur::FlagKind::kText,
@@ -147,25 +153,17 @@ main(int argc, char** argv)
     const std::string impl =
         (mode == "conform") ? args.GetString("impl", "all") : "all";
 
-    std::vector<spur::policy::DirtyPolicyKind> dirties;
-    if (policy == "all") {
-        dirties = {spur::policy::DirtyPolicyKind::kMin,
-                   spur::policy::DirtyPolicyKind::kFault,
-                   spur::policy::DirtyPolicyKind::kFlush,
-                   spur::policy::DirtyPolicyKind::kSpur,
-                   spur::policy::DirtyPolicyKind::kWrite,
-                   spur::policy::DirtyPolicyKind::kSpurProt,
-                   spur::policy::DirtyPolicyKind::kWriteHw};
-    } else {
-        dirties = {spur::policy::ParseDirtyPolicy(policy)};
+    std::vector<spur::policy::DirtyPolicyKind> dirties(
+        std::begin(spur::policy::kAllDirtyPolicies),
+        std::end(spur::policy::kAllDirtyPolicies));
+    if (policy != "all") {
+        dirties = {*spur::policy::ParseDirtyPolicy(policy)};
     }
-    std::vector<spur::policy::RefPolicyKind> refs;
-    if (ref == "all") {
-        refs = {spur::policy::RefPolicyKind::kMiss,
-                spur::policy::RefPolicyKind::kRef,
-                spur::policy::RefPolicyKind::kNoRef};
-    } else {
-        refs = {spur::policy::ParseRefPolicy(ref)};
+    std::vector<spur::policy::RefPolicyKind> refs(
+        std::begin(spur::policy::kAllRefPolicies),
+        std::end(spur::policy::kAllRefPolicies));
+    if (ref != "all") {
+        refs = {*spur::policy::ParseRefPolicy(ref)};
     }
     std::vector<Implementation> impls;
     if (impl == "uni") {

@@ -175,8 +175,8 @@ int
 Replay(int argc, char** argv)
 {
     const Args args(argc, argv,
-                    {{"dirty", FlagKind::kText},
-                     {"ref", FlagKind::kText},
+                    {spur::runner::DirtyPolicyFlag("dirty"),
+                     spur::runner::RefPolicyFlag("ref"),
                      spur::runner::kMemoryMbFlag},
                     /*max_positionals=*/1, /*first=*/2);
     if (args.positional().empty()) {
@@ -184,9 +184,9 @@ Replay(int argc, char** argv)
     }
     const std::string& path = args.positional()[0];
     const auto dirty =
-        spur::policy::ParseDirtyPolicy(args.GetString("dirty", "SPUR"));
+        *spur::policy::ParseDirtyPolicy(args.GetString("dirty", "SPUR"));
     const auto ref =
-        spur::policy::ParseRefPolicy(args.GetString("ref", "MISS"));
+        *spur::policy::ParseRefPolicy(args.GetString("ref", "MISS"));
     const auto memory_mb =
         static_cast<uint32_t>(args.GetUnsigned("memory-mb", 8));
 

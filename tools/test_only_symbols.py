@@ -15,10 +15,9 @@ linked binary kept:
                   caller (a candidate, not a verdict; grep the name).
 
 Usage:
-  python3 tools/test_only_symbols.py BUILD_DIR [CMAKE_ARG...]
+  python3 tools/test_only_symbols.py BUILD_DIR
 
-CMAKE_ARGs go to both configure steps, e.g. -DSPUR_AUDIT=ON to see what
-the audit build keeps.  The report goes to stdout and, under GitHub
+The build is Release.  The report goes to stdout and, under GitHub
 Actions, to the step summary as well.  The build directory is separate
 from the presets' and their flags are left alone.
 """
@@ -39,9 +38,9 @@ def run(cmd):
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
 
 
-def build(source, build_dir, cmake_args):
+def build(source, build_dir):
     jobs = str(min(os.cpu_count() or 1, 8))
-    run(["cmake", "-S", source, "-B", build_dir] + GC_FLAGS + cmake_args)
+    run(["cmake", "-S", source, "-B", build_dir] + GC_FLAGS)
     run(["cmake", "--build", build_dir, "-j", jobs])
 
 
@@ -70,15 +69,14 @@ def executables(directory):
 
 
 def main(argv):
-    if len(argv) < 2 or argv[1].startswith("-"):
+    if len(argv) != 2 or argv[1].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     build_dir = os.path.abspath(argv[1])
-    cmake_args = argv[2:]
-    build(root, build_dir, cmake_args)
+    build(root, build_dir)
     bench_dir = os.path.join(build_dir, "spur_bench")
-    build(os.path.join(root, "spur_bench"), bench_dir, cmake_args)
+    build(os.path.join(root, "spur_bench"), bench_dir)
 
     exported = {name for name in symbols(
         os.path.join(build_dir, "src", "libspur.a"), "TW")
@@ -95,9 +93,8 @@ def main(argv):
     unkept = exported - kept_outside
     test_only = sorted(unkept & kept_by_tests)
     none = sorted(unkept - kept_by_tests)
-    label = " ".join(cmake_args) or "Release"
     lines = [
-        f"## Test-only library symbols ({label})",
+        "## Test-only library symbols (Release)",
         "",
         f"{len(exported)} exported by libspur.a, {len(test_only)} kept "
         f"only by spur_tests, {len(none)} kept by no binary "
