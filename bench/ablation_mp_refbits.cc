@@ -26,16 +26,9 @@ namespace {
 
 using namespace spur;
 
-/** One espresso-like worker per CPU, all sharing one result segment. */
-struct MpRun {
-    uint64_t total_flush_cycles = 0;
-    uint64_t page_ins = 0;
-    uint64_t ref_clears = 0;
-    uint64_t bus_transfers = 0;
-    double elapsed_seconds = 0;
-};
-
-MpRun
+/** Runs one espresso-like worker per CPU, all sharing one result
+ *  segment, and finishes the machine. */
+core::RunResult
 Run(unsigned cpus, policy::RefPolicyKind ref, uint64_t refs, uint64_t seed)
 {
     sim::MachineConfig config = sim::MachineConfig::Prototype(8);
@@ -96,15 +89,8 @@ Run(unsigned cpus, policy::RefPolicyKind ref, uint64_t refs, uint64_t seed)
         }
     }
 
-    MpRun result;
-    result.total_flush_cycles =
-        kernel.timing().Get(sim::TimeBucket::kFlush);
-    result.page_ins = kernel.events().Get(sim::Event::kPageIn);
-    result.ref_clears = kernel.events().Get(sim::Event::kRefClear);
-    result.bus_transfers =
-        kernel.events().Get(sim::Event::kBusCacheToCache);
-    result.elapsed_seconds = kernel.timing().ElapsedSeconds();
-    return result;
+    // The workers' references plus the cold scan's one per 24 rounds.
+    return core::FinishRun(kernel, per_cpu * cpus + (per_cpu + 23) / 24);
 }
 
 }  // namespace
@@ -129,7 +115,7 @@ main(int argc, char** argv)
             combos.push_back(Combo{cpus, ref});
         }
     }
-    std::vector<MpRun> runs(combos.size());
+    std::vector<core::RunResult> runs(combos.size());
     runner::ParallelFor(combos.size(), session.jobs(), [&](size_t i) {
         runs[i] = Run(combos[i].cpus, combos[i].ref, refs, seed);
     });
@@ -139,13 +125,15 @@ main(int argc, char** argv)
     t.SetHeader({"CPUs", "policy", "ref clears", "flush Mcycles",
                  "bus transfers", "page-ins", "elapsed (s)"});
     for (size_t i = 0; i < combos.size(); ++i) {
-        const MpRun& r = runs[i];
+        const core::RunResult& r = runs[i];
+        const uint64_t ref_clears = r.events.Get(sim::Event::kRefClear);
+        const uint64_t flush_cycles = r.timing.Get(sim::TimeBucket::kFlush);
+        const uint64_t bus_transfers =
+            r.events.Get(sim::Event::kBusCacheToCache);
         t.AddRow({std::to_string(combos[i].cpus), ToString(combos[i].ref),
-                  Table::Num(r.ref_clears),
-                  Table::Num(static_cast<double>(r.total_flush_cycles) /
-                                 1e6,
-                             2),
-                  Table::Num(r.bus_transfers), Table::Num(r.page_ins),
+                  Table::Num(ref_clears),
+                  Table::Num(static_cast<double>(flush_cycles) / 1e6, 2),
+                  Table::Num(bus_transfers), Table::Num(r.page_ins),
                   Table::Num(r.elapsed_seconds, 2)});
         if (i % 2 == 1) {
             t.AddSeparator();
@@ -161,11 +149,9 @@ main(int argc, char** argv)
         record.page_ins = r.page_ins;
         record.elapsed_seconds = r.elapsed_seconds;
         record.AddMetric("cpus", static_cast<double>(combos[i].cpus));
-        record.AddMetric("ref_clears", static_cast<double>(r.ref_clears));
-        record.AddMetric("flush_cycles",
-                         static_cast<double>(r.total_flush_cycles));
-        record.AddMetric("bus_transfers",
-                         static_cast<double>(r.bus_transfers));
+        record.AddMetric("ref_clears", static_cast<double>(ref_clears));
+        record.AddMetric("flush_cycles", static_cast<double>(flush_cycles));
+        record.AddMetric("bus_transfers", static_cast<double>(bus_transfers));
         session.Record(std::move(record));
     }
     t.Print(stdout);

@@ -27,11 +27,8 @@
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/overhead_model.h"
-#include "src/core/system.h"
 #include "src/runner/runner.h"
 #include "src/runner/session.h"
-#include "src/workload/driver.h"
-#include "src/workload/workloads.h"
 
 int
 main(int argc, char** argv)
@@ -42,58 +39,49 @@ main(int argc, char** argv)
     const uint64_t refs = session.Refs(6);
 
     // Mechanistic comparison: SPUR vs SPUR-PROT must match exactly.
-    // Each policy drives a private SpurSystem, so the pair runs
-    // concurrently; rows are emitted in fixed order afterwards.
-    struct MechRun {
-        uint64_t n_ds = 0;
-        uint64_t refreshes = 0;
-        uint64_t fault_cycles = 0;
-        uint64_t aux_cycles = 0;
-        uint64_t misses = 0;
-    };
+    // The pair runs as two RunOnce cells; rows are emitted in fixed
+    // order afterwards.
     const policy::DirtyPolicyKind kinds[] = {
         policy::DirtyPolicyKind::kSpur,
         policy::DirtyPolicyKind::kSpurProt};
-    MechRun mech[2];
-    runner::ParallelFor(2, session.jobs(), [&](size_t i) {
-        sim::MachineConfig config = sim::MachineConfig::Prototype(6);
-        config.page_in_us = core::kScaledPageInUs;
-        core::SpurSystem system(config, kinds[i],
-                                policy::RefPolicyKind::kMiss);
-        workload::Driver driver(system, workload::MakeWorkload1(), refs, 3);
-        driver.Run();
-        const auto& ev = system.events();
-        mech[i] = MechRun{ev.Get(sim::Event::kDirtyFault),
-                          ev.Get(sim::Event::kDirtyBitMiss),
-                          system.timing().Get(sim::TimeBucket::kFault),
-                          system.timing().Get(sim::TimeBucket::kDirtyAux),
-                          ev.TotalMisses()};
-    });
+    std::vector<core::RunConfig> pair;
+    for (const policy::DirtyPolicyKind kind : kinds) {
+        core::RunConfig config;
+        config.memory_mb = 6;
+        config.dirty = kind;
+        config.refs = refs;
+        config.seed = 3;
+        pair.push_back(config);
+    }
+    const auto mech = runner::RunAll(pair, session.jobs());
 
     Table eq("SPUR vs SPUR-PROT (mechanistic, WORKLOAD1 @ 6 MB): the "
              "generalized scheme is identical");
     eq.SetHeader({"policy", "N_ds", "refresh events", "fault cycles",
                   "aux cycles", "misses"});
     for (size_t i = 0; i < 2; ++i) {
-        eq.AddRow({ToString(kinds[i]), Table::Num(mech[i].n_ds),
-                   Table::Num(mech[i].refreshes),
-                   Table::Num(mech[i].fault_cycles),
-                   Table::Num(mech[i].aux_cycles),
-                   Table::Num(mech[i].misses)});
+        const uint64_t n_ds = mech[i].events.Get(sim::Event::kDirtyFault);
+        const uint64_t refreshes =
+            mech[i].events.Get(sim::Event::kDirtyBitMiss);
+        const uint64_t fault_cycles =
+            mech[i].timing.Get(sim::TimeBucket::kFault);
+        const uint64_t aux_cycles =
+            mech[i].timing.Get(sim::TimeBucket::kDirtyAux);
+        const uint64_t misses = mech[i].events.TotalMisses();
+        eq.AddRow({ToString(kinds[i]), Table::Num(n_ds),
+                   Table::Num(refreshes), Table::Num(fault_cycles),
+                   Table::Num(aux_cycles), Table::Num(misses)});
         stats::RunRecord record;
         record.workload = "WORKLOAD1";
         record.dirty_policy = ToString(kinds[i]);
         record.memory_mb = 6;
         record.seed = 3;
-        record.refs_issued = refs;
-        record.AddMetric("n_ds", static_cast<double>(mech[i].n_ds));
-        record.AddMetric("refresh_events",
-                         static_cast<double>(mech[i].refreshes));
-        record.AddMetric("fault_cycles",
-                         static_cast<double>(mech[i].fault_cycles));
-        record.AddMetric("aux_cycles",
-                         static_cast<double>(mech[i].aux_cycles));
-        record.AddMetric("misses", static_cast<double>(mech[i].misses));
+        record.refs_issued = mech[i].refs_issued;
+        record.AddMetric("n_ds", static_cast<double>(n_ds));
+        record.AddMetric("refresh_events", static_cast<double>(refreshes));
+        record.AddMetric("fault_cycles", static_cast<double>(fault_cycles));
+        record.AddMetric("aux_cycles", static_cast<double>(aux_cycles));
+        record.AddMetric("misses", static_cast<double>(misses));
         session.Record(std::move(record));
     }
     eq.Print(stdout);

@@ -18,71 +18,60 @@
  *        --seed=S (default 13), --jobs=N, --json=FILE
  */
 #include <cstdio>
+#include <utility>
 
 #include "src/common/table.h"
 #include "src/core/experiment.h"
-#include "src/core/system.h"
 #include "src/core/tlb_system.h"
 #include "src/runner/runner.h"
 #include "src/runner/session.h"
 #include "src/workload/driver.h"
-#include "src/workload/workloads.h"
 
 namespace {
 
 using namespace spur;
 
-/** One machine run: either SPUR or the TLB baseline on one workload. */
-struct MachineRun {
-    double xlate_seconds = 0;
-    uint64_t bit_events = 0;
-    double bit_fault_seconds = 0;
-    uint64_t page_ins = 0;
-    double elapsed_seconds = 0;
-};
-
-MachineRun
-RunSpur(workload::WorkloadSpec (*make_spec)(), uint32_t mem, uint64_t refs,
-        uint64_t seed)
+/** @p config's workload on the TLB + physical-cache machine, with
+ *  RunOnce's budget, quantum and page-in latency. */
+core::RunResult
+RunTlb(const core::RunConfig& config)
 {
-    sim::MachineConfig config = sim::MachineConfig::Prototype(mem);
-    config.page_in_us = core::kScaledPageInUs;
-    core::SpurSystem machine(config, policy::DirtyPolicyKind::kSpur,
-                             policy::RefPolicyKind::kMiss);
-    workload::Driver driver(machine, make_spec(), refs, seed);
+    sim::MachineConfig machine =
+        sim::MachineConfig::Prototype(config.memory_mb);
+    machine.page_in_us = core::kScaledPageInUs;
+    core::TlbSystem system(machine);
+    workload::WorkloadSpec spec = core::SpecFor(config);
+    const uint32_t slice_refs = spec.slice_refs;
+    const uint64_t refs =
+        (config.refs != 0) ? config.refs : core::DefaultRefs(config.workload);
+    workload::Driver driver(system, std::move(spec), refs, config.seed,
+                            slice_refs);
     driver.Run();
-    const auto& ev = machine.events();
-    MachineRun r;
-    r.xlate_seconds = machine.timing().Seconds(sim::TimeBucket::kXlate);
-    r.bit_events = ev.Get(sim::Event::kDirtyFault) +
-                   ev.Get(sim::Event::kDirtyBitMiss) +
-                   ev.Get(sim::Event::kRefFault) +
-                   ev.Get(sim::Event::kRefClear);
-    r.bit_fault_seconds = static_cast<double>((ev.Get(sim::Event::kDirtyFault) +
-                                               ev.Get(sim::Event::kRefFault)) *
-                                              config.t_fault) *
-                          config.cpu_cycle_ns * 1e-9;
-    r.page_ins = ev.Get(sim::Event::kPageIn);
-    r.elapsed_seconds = machine.timing().ElapsedSeconds();
-    return r;
+    return core::FinishRun(system.kernel(), driver.refs_issued());
 }
 
-MachineRun
-RunTlb(workload::WorkloadSpec (*make_spec)(), uint32_t mem, uint64_t refs,
-       uint64_t seed)
+/** Bit-maintenance events: SPUR's dirty and reference faults, dirty-bit
+ *  misses and reference clears; the TLB machine's reference clears. */
+uint64_t
+BitEvents(const core::RunResult& r, bool spur)
 {
-    sim::MachineConfig config = sim::MachineConfig::Prototype(mem);
-    config.page_in_us = core::kScaledPageInUs;
-    core::TlbSystem machine(config);
-    workload::Driver driver(machine, make_spec(), refs, seed);
-    driver.Run();
-    const auto& ev = machine.events();
-    MachineRun r;
-    r.xlate_seconds = machine.timing().Seconds(sim::TimeBucket::kXlate);
-    r.bit_events = ev.Get(sim::Event::kRefClear);
-    r.page_ins = ev.Get(sim::Event::kPageIn);
-    r.elapsed_seconds = machine.timing().ElapsedSeconds();
-    return r;
+    const sim::EventCounts& ev = r.events;
+    return ev.Get(sim::Event::kRefClear) +
+           (spur ? ev.Get(sim::Event::kDirtyFault) +
+                       ev.Get(sim::Event::kDirtyBitMiss) +
+                       ev.Get(sim::Event::kRefFault)
+                 : 0);
+}
+
+/** Seconds in SPUR's software bit faults (dirty and reference). */
+double
+BitFaultSeconds(const core::RunResult& r)
+{
+    const sim::MachineConfig& config = r.timing.config();
+    return static_cast<double>((r.events.Get(sim::Event::kDirtyFault) +
+                                r.events.Get(sim::Event::kRefFault)) *
+                               config.t_fault) *
+           config.cpu_cycle_ns * 1e-9;
 }
 
 }  // namespace
@@ -103,31 +92,33 @@ main(int argc, char** argv)
 
     // 2 workloads x 2 machines, each with a private system: the four
     // cells run concurrently and the table is assembled afterwards.
-    workload::WorkloadSpec (*const specs[])() = {&workload::MakeSlc,
-                                                 &workload::MakeWorkload1};
-    MachineRun runs[2][2];  // [workload][0=SPUR, 1=TLB]
+    const core::WorkloadId workloads[] = {core::WorkloadId::kSlc,
+                                          core::WorkloadId::kWorkload1};
+    core::RunResult runs[2][2];  // [workload][0=SPUR, 1=TLB]
     runner::ParallelFor(4, session.jobs(), [&](size_t i) {
-        const size_t w = i / 2;
-        if (i % 2 == 0) {
-            runs[w][0] = RunSpur(specs[w], mem, refs, seed);
-        } else {
-            runs[w][1] = RunTlb(specs[w], mem, refs, seed);
-        }
+        core::RunConfig config;
+        config.workload = workloads[i / 2];
+        config.memory_mb = mem;
+        config.refs = refs;
+        config.seed = seed;
+        runs[i / 2][i % 2] =
+            (i % 2 == 0) ? core::RunOnce(config) : RunTlb(config);
     });
 
     for (size_t w = 0; w < 2; ++w) {
-        const workload::WorkloadSpec probe = specs[w]();
-        const MachineRun& spur_run = runs[w][0];
-        const MachineRun& tlb_run = runs[w][1];
-        t.AddRow({probe.name, "SPUR (virtual cache)",
-                  Table::Num(spur_run.xlate_seconds, 2),
-                  Table::Num(spur_run.bit_events),
-                  Table::Num(spur_run.bit_fault_seconds, 2),
+        const core::RunResult& spur_run = runs[w][0];
+        const core::RunResult& tlb_run = runs[w][1];
+        t.AddRow({ToString(workloads[w]), "SPUR (virtual cache)",
+                  Table::Num(spur_run.timing.Seconds(sim::TimeBucket::kXlate),
+                             2),
+                  Table::Num(BitEvents(spur_run, true)),
+                  Table::Num(BitFaultSeconds(spur_run), 2),
                   Table::Num(spur_run.page_ins),
                   Table::Num(spur_run.elapsed_seconds, 2)});
         t.AddRow({"", "TLB + physical cache",
-                  Table::Num(tlb_run.xlate_seconds, 2),
-                  Table::Num(tlb_run.bit_events), Table::Num(0.0, 2),
+                  Table::Num(tlb_run.timing.Seconds(sim::TimeBucket::kXlate),
+                             2),
+                  Table::Num(BitEvents(tlb_run, false)), Table::Num(0.0, 2),
                   Table::Num(tlb_run.page_ins),
                   Table::Num(tlb_run.elapsed_seconds, 2)});
         const double tlb_elapsed = tlb_run.elapsed_seconds;
@@ -139,21 +130,23 @@ main(int argc, char** argv)
                       "%"});
         t.AddSeparator();
         for (size_t m = 0; m < 2; ++m) {
-            const MachineRun& r = runs[w][m];
+            const core::RunResult& r = runs[w][m];
             stats::RunRecord record;
-            record.workload = probe.name;
+            record.workload = ToString(workloads[w]);
             // The dirty-policy slot doubles as the machine label here:
             // the TLB baseline has no SPUR-style dirty policy at all.
             record.dirty_policy = m == 0 ? "SPUR" : "TLB";
             record.memory_mb = mem;
             record.seed = seed;
-            record.refs_issued = refs;
+            record.refs_issued = r.refs_issued;
             record.page_ins = r.page_ins;
             record.elapsed_seconds = r.elapsed_seconds;
-            record.AddMetric("xlate_seconds", r.xlate_seconds);
+            record.AddMetric("xlate_seconds",
+                             r.timing.Seconds(sim::TimeBucket::kXlate));
             record.AddMetric("bit_events",
-                             static_cast<double>(r.bit_events));
-            record.AddMetric("bit_fault_seconds", r.bit_fault_seconds);
+                             static_cast<double>(BitEvents(r, m == 0)));
+            record.AddMetric("bit_fault_seconds",
+                             m == 0 ? BitFaultSeconds(r) : 0.0);
             session.Record(std::move(record));
         }
     }

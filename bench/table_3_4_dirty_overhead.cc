@@ -165,15 +165,12 @@ main(int argc, char** argv)
                         stats::Summary::Over(
                             results[p],
                             [&](const core::RunResult& r) {
-                                const double fault_s = r.bucket_seconds[
-                                    static_cast<size_t>(
-                                        sim::TimeBucket::kFault)];
-                                const double flush_s = r.bucket_seconds[
-                                    static_cast<size_t>(
-                                        sim::TimeBucket::kFlush)];
-                                const double aux_s = r.bucket_seconds[
-                                    static_cast<size_t>(
-                                        sim::TimeBucket::kDirtyAux)];
+                                const double fault_s = r.timing.Seconds(
+                                    sim::TimeBucket::kFault);
+                                const double flush_s = r.timing.Seconds(
+                                    sim::TimeBucket::kFlush);
+                                const double aux_s = r.timing.Seconds(
+                                    sim::TimeBucket::kDirtyAux);
                                 const double cycle_ns =
                                     model_config.cpu_cycle_ns;
                                 double total = (fault_s + flush_s + aux_s) *

@@ -12,14 +12,12 @@
  *        the session flags (src/runner/session.h)
  */
 #include <cstdio>
+#include <vector>
 
 #include "src/common/table.h"
 #include "src/core/experiment.h"
-#include "src/core/system.h"
 #include "src/runner/runner.h"
 #include "src/runner/session.h"
-#include "src/workload/driver.h"
-#include "src/workload/workloads.h"
 
 int
 main(int argc, char** argv)
@@ -37,48 +35,36 @@ main(int argc, char** argv)
                  "dirty-bit misses", "PTE checks", "fault time (s)",
                  "flush time (s)", "elapsed (s)"});
 
-    // Each policy drives a private system, so the five mechanistic runs
-    // go through the pool together; rows are added in policy order.
-    struct PolicyRun {
-        uint64_t dirty_faults = 0;
-        uint64_t excess_faults = 0;
-        uint64_t dirty_bit_misses = 0;
-        uint64_t pte_checks = 0;
-        double fault_seconds = 0;
-        double flush_seconds = 0;
-        double elapsed_seconds = 0;
-    };
+    // Each policy is one RunOnce cell, so the five mechanistic runs go
+    // through the pool together; rows are added in policy order.
     const policy::DirtyPolicyKind kinds[] = {
         policy::DirtyPolicyKind::kMin, policy::DirtyPolicyKind::kFault,
         policy::DirtyPolicyKind::kFlush, policy::DirtyPolicyKind::kSpur,
         policy::DirtyPolicyKind::kWrite};
-    PolicyRun runs[5];
-    runner::ParallelFor(5, session.jobs(), [&](size_t i) {
-        sim::MachineConfig config = sim::MachineConfig::Prototype(memory_mb);
-        config.page_in_us = core::kScaledPageInUs;
-        core::SpurSystem system(config, kinds[i],
-                                policy::RefPolicyKind::kMiss);
-        workload::Driver driver(system, workload::MakeWorkload1(), refs,
-                                /*seed=*/11);
-        driver.Run();
-        const auto& ev = system.events();
-        runs[i] = PolicyRun{
-            ev.Get(sim::Event::kDirtyFault),
-            ev.Get(sim::Event::kExcessFault),
-            ev.Get(sim::Event::kDirtyBitMiss),
-            ev.Get(sim::Event::kDirtyCheck),
-            system.timing().Seconds(sim::TimeBucket::kFault),
-            system.timing().Seconds(sim::TimeBucket::kFlush),
-            system.timing().ElapsedSeconds()};
-    });
+    std::vector<core::RunConfig> configs;
+    for (const policy::DirtyPolicyKind kind : kinds) {
+        core::RunConfig config;
+        config.memory_mb = memory_mb;
+        config.dirty = kind;
+        config.refs = refs;
+        config.seed = 11;
+        configs.push_back(config);
+    }
+    const auto runs = runner::RunAll(configs, session.jobs());
 
     for (size_t i = 0; i < 5; ++i) {
-        const PolicyRun& r = runs[i];
-        t.AddRow({ToString(kinds[i]), Table::Num(r.dirty_faults),
-                  Table::Num(r.excess_faults),
-                  Table::Num(r.dirty_bit_misses), Table::Num(r.pte_checks),
-                  Table::Num(r.fault_seconds, 2),
-                  Table::Num(r.flush_seconds, 2),
+        const core::RunResult& r = runs[i];
+        const uint64_t dirty_faults = r.events.Get(sim::Event::kDirtyFault);
+        const uint64_t excess_faults = r.events.Get(sim::Event::kExcessFault);
+        const uint64_t dirty_bit_misses =
+            r.events.Get(sim::Event::kDirtyBitMiss);
+        const uint64_t pte_checks = r.events.Get(sim::Event::kDirtyCheck);
+        const double fault_seconds = r.timing.Seconds(sim::TimeBucket::kFault);
+        const double flush_seconds = r.timing.Seconds(sim::TimeBucket::kFlush);
+        t.AddRow({ToString(kinds[i]), Table::Num(dirty_faults),
+                  Table::Num(excess_faults), Table::Num(dirty_bit_misses),
+                  Table::Num(pte_checks), Table::Num(fault_seconds, 2),
+                  Table::Num(flush_seconds, 2),
                   Table::Num(r.elapsed_seconds, 2)});
         stats::RunRecord record;
         record.workload = "WORKLOAD1";
@@ -86,14 +72,14 @@ main(int argc, char** argv)
         record.ref_policy = "MISS";
         record.memory_mb = memory_mb;
         record.seed = 11;
-        record.refs_issued = refs;
+        record.refs_issued = r.refs_issued;
         record.elapsed_seconds = r.elapsed_seconds;
-        record.AddMetric("n_ds", static_cast<double>(r.dirty_faults));
-        record.AddMetric("n_ef", static_cast<double>(r.excess_faults));
-        record.AddMetric("n_dm", static_cast<double>(r.dirty_bit_misses));
-        record.AddMetric("pte_checks", static_cast<double>(r.pte_checks));
-        record.AddMetric("fault_seconds", r.fault_seconds);
-        record.AddMetric("flush_seconds", r.flush_seconds);
+        record.AddMetric("n_ds", static_cast<double>(dirty_faults));
+        record.AddMetric("n_ef", static_cast<double>(excess_faults));
+        record.AddMetric("n_dm", static_cast<double>(dirty_bit_misses));
+        record.AddMetric("pte_checks", static_cast<double>(pte_checks));
+        record.AddMetric("fault_seconds", fault_seconds);
+        record.AddMetric("flush_seconds", flush_seconds);
         session.Record(std::move(record));
     }
     t.Print(stdout);

@@ -13,6 +13,7 @@
 
 #include "src/common/random.h"
 #include "src/common/table.h"
+#include "src/core/experiment.h"
 #include "src/core/mp_system.h"
 #include "src/runner/session.h"
 #include "src/workload/process.h"
@@ -47,7 +48,8 @@ main(int argc, char** argv)
     }
 
     Rng rng(17);
-    for (uint64_t i = 0; i < refs / cpus; ++i) {
+    const uint64_t per_cpu = refs / cpus;
+    for (uint64_t i = 0; i < per_cpu; ++i) {
         for (unsigned cpu = 0; cpu < cpus; ++cpu) {
             const bool shared = rng.Chance(0.3);
             const ProcessAddr base =
@@ -64,7 +66,8 @@ main(int argc, char** argv)
         }
     }
 
-    const auto& ev = kernel.events();
+    const core::RunResult result = core::FinishRun(kernel, per_cpu * cpus);
+    const sim::EventCounts& ev = result.events;
     Table t(std::to_string(cpus) +
             "-CPU SPUR multiprocessor, 30% shared references");
     t.SetHeader({"quantity", "count"});
@@ -96,7 +99,7 @@ main(int argc, char** argv)
     record.ref_policy = "MISS";
     record.memory_mb = 8;
     record.seed = 17;
-    record.refs_issued = ev.TotalRefs();
+    record.refs_issued = result.refs_issued;
     record.AddMetric("cpus", static_cast<double>(cpus));
     record.AddMetric("misses", static_cast<double>(ev.TotalMisses()));
     record.AddMetric("bus_reads",

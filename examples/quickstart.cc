@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "src/common/table.h"
+#include "src/core/experiment.h"
 #include "src/core/system.h"
 #include "src/runner/session.h"
 #include "src/sim/config.h"
@@ -36,8 +37,13 @@ main(int argc, char** argv)
                             /*seed=*/1);
     driver.Run();
 
-    // 4. Report.
-    const sim::EventCounts& ev = system.events();
+    // 4. Finish the run: audit the machine's final state, then read its
+    // counters and timing.
+    const core::RunResult result =
+        core::FinishRun(system.kernel(), driver.refs_issued());
+
+    // 5. Report.
+    const sim::EventCounts& ev = result.events;
     Table t("Quickstart: " + std::to_string(memory_mb) + " MB, " +
             std::to_string(refs / 1'000'000) + "M refs, SPUR dirty policy, "
             "MISS ref policy");
@@ -69,9 +75,9 @@ main(int argc, char** argv)
     for (size_t i = 0; i < sim::kNumTimeBuckets; ++i) {
         const auto bucket = static_cast<sim::TimeBucket>(i);
         b.AddRow({ToString(bucket),
-                  Table::Num(system.timing().Seconds(bucket), 3)});
+                  Table::Num(result.timing.Seconds(bucket), 3)});
     }
-    b.AddRow({"TOTAL", Table::Num(system.timing().ElapsedSeconds(), 3)});
+    b.AddRow({"TOTAL", Table::Num(result.elapsed_seconds, 3)});
     b.Print(stdout);
 
     stats::RunRecord record;
@@ -80,10 +86,10 @@ main(int argc, char** argv)
     record.ref_policy = "MISS";
     record.memory_mb = memory_mb;
     record.seed = 1;
-    record.refs_issued = ev.TotalRefs();
-    record.page_ins = ev.Get(sim::Event::kPageIn);
-    record.page_outs = ev.Get(sim::Event::kPageOutDirty);
-    record.elapsed_seconds = system.timing().ElapsedSeconds();
+    record.refs_issued = result.refs_issued;
+    record.page_ins = result.page_ins;
+    record.page_outs = result.page_outs;
+    record.elapsed_seconds = result.elapsed_seconds;
     record.AddMetric("n_ds",
                      static_cast<double>(ev.Get(sim::Event::kDirtyFault)));
     record.AddMetric("total_misses",

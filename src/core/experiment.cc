@@ -90,27 +90,20 @@ DefaultRefs(WorkloadId id)
     Panic("DefaultRefs: bad workload id");
 }
 
-namespace {
-
-/** Samples the finished system into the standard result tuple. */
 RunResult
-Harvest(const SpurSystem& system, uint64_t refs_issued)
+FinishRun(const Kernel& kernel, uint64_t refs_issued)
 {
+    kernel.Audit().RaiseIfFailed("core::FinishRun");
     RunResult result;
-    result.events = system.events();
+    result.events = kernel.events();
     result.frequencies = EventFrequencies::FromEvents(result.events);
-    result.elapsed_seconds = system.timing().ElapsedSeconds();
+    result.timing = kernel.timing();
+    result.elapsed_seconds = result.timing.ElapsedSeconds();
     result.page_ins = result.events.Get(sim::Event::kPageIn);
     result.page_outs = result.events.Get(sim::Event::kPageOutDirty);
     result.refs_issued = refs_issued;
-    for (size_t i = 0; i < sim::kNumTimeBuckets; ++i) {
-        result.bucket_seconds[i] =
-            system.timing().Seconds(static_cast<sim::TimeBucket>(i));
-    }
     return result;
 }
-
-}  // namespace
 
 RunResult
 RunOnce(const RunConfig& config)
@@ -133,21 +126,16 @@ RunOnce(const RunConfig& config)
                   "' (record it with --record-trace or spur_trace "
                   "record)");
         }
-        const workload::ReplayStats stats =
-            workload::ReplayStream(*stream, system);
-        system.kernel().Audit().RaiseIfFailed(
-            "core::RunOnce (end of replay)");
-        return Harvest(system, stats.refs_issued);
+        return FinishRun(system.kernel(),
+                         workload::ReplayStream(*stream, system).refs_issued);
     }
 
-    // Counters are sampled once the budget is spent, before the driver
-    // tears its processes down.  The end-of-run audit comes first: the
-    // cell's final state must satisfy every invariant before its
-    // numbers enter any table.
+    // The run finishes once the budget is spent, before the driver
+    // tears its processes down: the cell's final state must satisfy
+    // every invariant before its numbers enter any table.
     RunResult result;
     const auto at_end = [&system, &result](uint64_t refs_issued) {
-        system.kernel().Audit().RaiseIfFailed("core::RunOnce (end of run)");
-        result = Harvest(system, refs_issued);
+        result = FinishRun(system.kernel(), refs_issued);
     };
 
     // Live generation, optionally recording: the first cell to claim

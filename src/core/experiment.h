@@ -13,7 +13,6 @@
 #ifndef SPUR_CORE_EXPERIMENT_H_
 #define SPUR_CORE_EXPERIMENT_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -134,8 +133,9 @@ struct RunResult {
     uint64_t page_ins = 0;
     uint64_t page_outs = 0;
     uint64_t refs_issued = 0;
-    /// Per-bucket seconds, indexed by sim::TimeBucket.
-    std::array<double, sim::kNumTimeBuckets> bucket_seconds{};
+    /// The run's cycle accounting: exact cycles per sim::TimeBucket
+    /// (Get) and their seconds (Seconds) on the run's machine.
+    sim::TimingModel timing{sim::MachineConfig{}};
 };
 
 /** The workload script a config runs (name, jobs, scheduling slice). */
@@ -144,8 +144,17 @@ workload::WorkloadSpec SpecFor(const RunConfig& config);
 /** The default reference budget of a workload. */
 uint64_t DefaultRefs(WorkloadId id);
 
-/** Executes one run to completion, then audits the machine
- *  (Kernel::Audit); a violated invariant aborts the run. */
+/**
+ * The one way out of a run: audits the finished machine
+ * (Kernel::Audit; a violated invariant aborts the process, a warning
+ * goes to stderr), then reads its counters and timing.  RunOnce ends
+ * every cell here; a bench that builds a machine RunOnce cannot (the
+ * multiprocessor, the TLB baseline) calls it once its run is done.
+ */
+RunResult FinishRun(const Kernel& kernel, uint64_t refs_issued);
+
+/** Executes one run to completion on the scaled machine and returns
+ *  FinishRun's result. */
 RunResult RunOnce(const RunConfig& config);
 
 // Matrix execution (randomized order, repetitions, parallel cells)

@@ -33,9 +33,9 @@
  *
  * The trace flags reach session cells only (RunMatrix / RunAll).  A
  * bench that runs no session cell fails Finish() when given either
- * flag.  A bench that mixes bespoke loops with session cells (e.g.
- * ablation_policy_variants' SPUR vs SPUR-PROT pair) still runs its
- * bespoke part live.
+ * flag.  Cells a bench runs itself, through runner::RunAll or
+ * core::RunOnce and recorded with its own RunRecords (e.g.
+ * ablation_policy_variants' SPUR vs SPUR-PROT pair), run live.
  *
  * Usage:
  *   runner::BenchSession session("table_4_1_refbits", argc, argv);

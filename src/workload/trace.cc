@@ -1186,23 +1186,4 @@ ReplayStreamWith(const TraceStream& stream, WorkloadHost& host,
     return replayer.stats;
 }
 
-ReplayStats
-ReplayTrace(const std::string& path, WorkloadHost& host)
-{
-    TraceLibrary library;
-    std::string error;
-    if (!library.Load(path, &error)) {
-        Fatal("trace: " + error);
-    }
-    ReplayStats total;
-    for (const TraceStream& stream : library.streams()) {
-        const ReplayStats stats = ReplayStream(stream, host);
-        total.refs_issued += stats.refs_issued;
-        total.accesses += stats.accesses;
-        total.context_switches += stats.context_switches;
-        total.processes += stats.processes;
-    }
-    return total;
-}
-
 }  // namespace spur::workload

@@ -403,12 +403,6 @@ struct ReplayStats {
  */
 ReplayStats ReplayStream(const TraceStream& stream, WorkloadHost& host);
 
-/**
- * Loads @p path (Fatal on error or a truncated file) and replays every
- * stream in file order.  Convenience for examples and spur_trace.
- */
-ReplayStats ReplayTrace(const std::string& path, WorkloadHost& host);
-
 }  // namespace spur::workload
 
 #endif  // SPUR_WORKLOAD_TRACE_H_

@@ -684,6 +684,35 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+TEST(FinishRunDeathTest, AbortsOnAnInjectedViolation)
+{
+    // FrameTableFiresOnPfnMismatch's corruption, on a machine that ran:
+    // one resident page's PTE points at the wrong frame.
+    const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    core::SpurSystem system(config, DirtyPolicyKind::kSpur,
+                            RefPolicyKind::kMiss);
+    const Pid pid = system.CreateProcess();
+    system.MapRegion(pid, kHeapBase, 4 * config.page_bytes,
+                     vm::PageKind::kHeap);
+    system.Access(pid, kHeapBase, AccessType::kWrite);
+    EXPECT_EQ(core::FinishRun(system.kernel(), 1).refs_issued, 1u);
+
+    pt::PageTable& table = system.kernel().page_table();
+    GlobalVpn resident = 0;
+    table.ForEachPte([&](GlobalVpn vpn, const pt::Pte& pte) {
+        if (pte.valid()) {
+            resident = vpn;
+        }
+    });
+    pt::Pte& pte = table.Ensure(resident);
+    ASSERT_TRUE(pte.valid());
+    pte.set_pfn(pte.pfn() + 1);
+    EXPECT_GE(system.kernel().Audit().CountFor(kPassFrameTable), 1u);
+    EXPECT_DEATH(core::FinishRun(system.kernel(), 1),
+                 "audit failed at core::FinishRun: audit: [0-9]+ passes, "
+                 "[1-9][0-9]* errors");
+}
+
 TEST(MpSystemAuditTest, MultiprocessorWorkloadAuditsClean)
 {
     sim::MachineConfig config = sim::MachineConfig::Prototype(8);

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -229,14 +228,6 @@ TEST(RngTest, Threshold53MatchesNextDoubleCompare)
     }
 }
 
-/** The deep variant runs under the `fuzz` ctest label. */
-bool
-DeepFuzz()
-{
-    const char* env = std::getenv("SPUR_FUZZ_ITERATIONS");
-    return env != nullptr && std::atoll(env) >= 10000;
-}
-
 /** The least 53-bit draw whose Zipf index exceeds @p j, by bisection
  *  of the formula alone (2^53 when none does). */
 uint64_t
@@ -257,9 +248,8 @@ TEST(ZipfTableTest, TableEqualsFormula)
     // formula could disagree, plus random draws through Sample() against
     // Rng::NextZipf on twin generators.
     constexpr uint64_t kTop = uint64_t{1} << 53;
-    const bool deep = DeepFuzz();
-    const uint64_t band = deep ? 3000 : 256;
-    const int draws = deep ? 1'000'000 : 100'000;
+    constexpr uint64_t kBand = 3000;
+    constexpr int kDraws = 1'000'000;
     const uint64_t sizes[] = {2, 3, 8, 24, 96, 240, 900, 1400};
     const double skews[] = {0.5, 0.85, 0.88, 0.95, 1.2};
     for (const uint64_t n : sizes) {
@@ -269,15 +259,15 @@ TEST(ZipfTableTest, TableEqualsFormula)
             uint64_t mismatches = 0;
             for (uint64_t j = 0; j + 1 < n; ++j) {
                 const uint64_t step = FormulaStep(n, exponent, j);
-                const uint64_t lo = (step > band) ? step - band : 0;
-                const uint64_t hi = std::min(step + band, kTop - 1);
+                const uint64_t lo = (step > kBand) ? step - kBand : 0;
+                const uint64_t hi = std::min(step + kBand, kTop - 1);
                 for (uint64_t m = lo; m <= hi; ++m) {
                     mismatches += table.Index(m) != ZipfIndex(n, exponent, m);
                 }
             }
             Rng formula(n * 31 + static_cast<uint64_t>(skew * 100));
             Rng sampled = formula;
-            for (int i = 0; i < draws; ++i) {
+            for (int i = 0; i < kDraws; ++i) {
                 mismatches +=
                     table.Sample(sampled) != formula.NextZipf(n, skew);
             }

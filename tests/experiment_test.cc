@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "src/core/experiment.h"
 #include "src/runner/runner.h"
 #include "src/stats/summary.h"
+#include "src/workload/driver.h"
 
 namespace spur::core {
 namespace {
@@ -54,11 +56,52 @@ TEST(ExperimentTest, RunOnceFillsDerivedFields)
     EXPECT_EQ(r.events.TotalRefs(), 300'000u);
     EXPECT_EQ(r.page_ins, r.events.Get(sim::Event::kPageIn));
     EXPECT_GT(r.elapsed_seconds, 0.0);
+    EXPECT_DOUBLE_EQ(r.elapsed_seconds, r.timing.ElapsedSeconds());
+    EXPECT_DOUBLE_EQ(r.timing.config().page_in_us, kScaledPageInUs);
     double bucket_total = 0;
-    for (double s : r.bucket_seconds) {
-        bucket_total += s;
+    for (size_t i = 0; i < sim::kNumTimeBuckets; ++i) {
+        bucket_total += r.timing.Seconds(static_cast<sim::TimeBucket>(i));
     }
     EXPECT_NEAR(bucket_total, r.elapsed_seconds, 1e-9);
+}
+
+TEST(ExperimentTest, FinishRunOnAHandDrivenMachineEqualsRunOnce)
+{
+    // The cell RunOnce builds, built and driven by hand: FinishRun must
+    // read it into the same result, every counter and cycle bucket.
+    const RunConfig config = SmallRun();
+    sim::MachineConfig machine =
+        sim::MachineConfig::Prototype(config.memory_mb);
+    machine.page_in_us = kScaledPageInUs;
+    SpurSystem system(machine, config.dirty, config.ref);
+    workload::WorkloadSpec spec = SpecFor(config);
+    const uint32_t slice_refs = spec.slice_refs;
+    workload::Driver driver(system, std::move(spec), config.refs,
+                            config.seed, slice_refs);
+    driver.Run();
+    const RunResult hand = FinishRun(system.kernel(), driver.refs_issued());
+    const RunResult cell = RunOnce(config);
+
+    EXPECT_EQ(hand.refs_issued, cell.refs_issued);
+    EXPECT_EQ(hand.page_ins, cell.page_ins);
+    EXPECT_EQ(hand.page_outs, cell.page_outs);
+    for (size_t i = 0; i < sim::kNumEvents; ++i) {
+        const auto event = static_cast<sim::Event>(i);
+        EXPECT_EQ(hand.events.Get(event), cell.events.Get(event))
+            << sim::ToString(event);
+    }
+    EXPECT_EQ(hand.frequencies.n_ds, cell.frequencies.n_ds);
+    EXPECT_EQ(hand.frequencies.n_zfod, cell.frequencies.n_zfod);
+    EXPECT_EQ(hand.frequencies.n_ef, cell.frequencies.n_ef);
+    EXPECT_EQ(hand.frequencies.n_w_hit, cell.frequencies.n_w_hit);
+    EXPECT_EQ(hand.frequencies.n_w_miss, cell.frequencies.n_w_miss);
+    for (size_t i = 0; i < sim::kNumTimeBuckets; ++i) {
+        const auto bucket = static_cast<sim::TimeBucket>(i);
+        EXPECT_EQ(hand.timing.Get(bucket), cell.timing.Get(bucket))
+            << sim::ToString(bucket);
+    }
+    EXPECT_DOUBLE_EQ(hand.elapsed_seconds, cell.elapsed_seconds);
+    EXPECT_GT(cell.timing.Get(sim::TimeBucket::kPagingIo), 0u);
 }
 
 TEST(ExperimentTest, RunMatrixGroupsByConfig)

@@ -12,15 +12,12 @@
  * fixpoint (serialize(parse(x)) parses back byte-identically).
  *
  * Everything is seeded through spur::Rng, so a failure reproduces from
- * its iteration number alone.  The default iteration count keeps the
- * default ctest suite fast; the `fuzz`-labelled ctest case re-runs the
- * suite with SPUR_FUZZ_ITERATIONS=10000.
+ * its iteration number alone.  Each fuzzer runs kIterations inputs.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -38,19 +35,8 @@
 namespace spur::sweep {
 namespace {
 
-/** Iterations per fuzz test; the `fuzz` ctest label raises it to 10k. */
-uint64_t
-Iterations()
-{
-    const char* env = std::getenv("SPUR_FUZZ_ITERATIONS");
-    if (env != nullptr) {
-        const long long parsed = std::atoll(env);
-        if (parsed > 0) {
-            return static_cast<uint64_t>(parsed);
-        }
-    }
-    return 300;
-}
+/** Inputs per fuzz test. */
+constexpr uint64_t kIterations = 10'000;
 
 /** A representative document: cell counts, metrics, escapes. */
 std::string
@@ -213,7 +199,7 @@ TEST(JsonFuzzTest, ParserNeverCrashesAndAcceptedInputsAreFixpoints)
 {
     const std::string corpus = CorpusDocument();
     Rng rng(0x5eed0001);
-    const uint64_t iterations = Iterations();
+    const uint64_t iterations = kIterations;
     uint64_t accepted = 0;
     for (uint64_t i = 0; i < iterations; ++i) {
         std::string input = corpus;
@@ -301,7 +287,7 @@ TEST(FramedLogFuzzTest, ParserNeverCrashesAndAcceptedFramesReencode)
               framed_log::ParseStatus::kTruncated);
     ASSERT_EQ(frames, 6u);
     Rng rng(0x5eed0004);
-    const uint64_t iterations = Iterations();
+    const uint64_t iterations = kIterations;
     uint64_t corrupt = 0;
     frames = 0;
     for (uint64_t i = 0; i < iterations; ++i) {
@@ -398,7 +384,7 @@ TEST(TraceFuzzTest, RecoverNeverCrashesAndAcceptedInputsAreFixpoints)
                   corpus);
     }
     Rng rng(0x5eed0003);
-    const uint64_t iterations = Iterations();
+    const uint64_t iterations = kIterations;
     uint64_t accepted = 0;
     for (uint64_t i = 0; i < iterations; ++i) {
         std::string input = corpus;

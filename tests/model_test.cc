@@ -11,8 +11,8 @@
  *       reachability facts (FLUSH never excess-faults; every other
  *       policy's write-hit-refresh is reachable);
  *   (c) differential conformance of the real SpurSystem batch path and
- *       MpSpurSystem against the spec (the deeper procs=3 sweep runs
- *       under the `model-deep` ctest label, see tests/CMakeLists.txt).
+ *       MpSpurSystem against the spec (the deeper procs=3 sweep is two
+ *       ctest entries of its own, see tests/CMakeLists.txt).
  */
 #include <gtest/gtest.h>
 
@@ -453,11 +453,20 @@ TEST(ConformTest, MultiprocessorMatchesSpecAtTwoProcs)
 TEST(ConformTest, DegenerateBusMatchesBatchPathStateForState)
 {
     // procs=1 through the MpSpurSystem: the snoop bus with no peers must
-    // agree with the spec (and hence with the uniprocessor batch path).
-    const ModelConfig config{1, DirtyPolicyKind::kFlush, RefPolicyKind::kRef};
-    const ConformResult result =
-        Conform(config, Implementation::kMultiprocessor);
-    EXPECT_TRUE(result.ok) << result.problem;
+    // agree with the spec (and hence with the uniprocessor batch path),
+    // for every policy pair.
+    for (const DirtyPolicyKind dirty : kAllDirty) {
+        for (const RefPolicyKind ref : kAllRef) {
+            const ModelConfig config{1, dirty, ref};
+            const ConformResult result =
+                Conform(config, Implementation::kMultiprocessor);
+            EXPECT_TRUE(result.ok)
+                << "dirty=" << policy::ToString(dirty)
+                << " ref=" << policy::ToString(ref) << "\n"
+                << result.problem;
+            EXPECT_GT(result.states_replayed, 0u);
+        }
+    }
 }
 
 }  // namespace

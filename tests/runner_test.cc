@@ -53,8 +53,9 @@ ExpectIdentical(const core::RunResult& a, const core::RunResult& b)
     // Timing accumulates in deterministic integer cycle counts, so even
     // the floating-point seconds must match exactly.
     EXPECT_DOUBLE_EQ(a.elapsed_seconds, b.elapsed_seconds);
-    for (size_t i = 0; i < a.bucket_seconds.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.bucket_seconds[i], b.bucket_seconds[i]);
+    for (size_t i = 0; i < sim::kNumTimeBuckets; ++i) {
+        const auto bucket = static_cast<sim::TimeBucket>(i);
+        EXPECT_EQ(a.timing.Get(bucket), b.timing.Get(bucket));
     }
 }
 

@@ -384,9 +384,13 @@ TEST(TraceTest, ReplayReproducesRecordedRunStatistics)
         ASSERT_TRUE(writer.Finish(&error)) << error;
     }
 
+    TraceLibrary library;
+    std::string error;
+    ASSERT_TRUE(library.Load(path, &error)) << error;
+    ASSERT_EQ(library.streams().size(), 1u);
     core::SpurSystem replayed(config, policy::DirtyPolicyKind::kSpur,
                               policy::RefPolicyKind::kMiss);
-    const ReplayStats stats = ReplayTrace(path, replayed);
+    const ReplayStats stats = ReplayStream(library.streams()[0], replayed);
     EXPECT_EQ(stats.refs_issued, live_refs);
     EXPECT_EQ(replayed.events().TotalMisses(), live_misses);
     EXPECT_EQ(replayed.events().Get(sim::Event::kDirtyFault),
@@ -409,12 +413,16 @@ TEST(TraceTest, ReplayUnderDifferentPolicyDiffers)
         ASSERT_TRUE(writer.AppendStream(rec.framed, &error)) << error;
         ASSERT_TRUE(writer.Finish(&error)) << error;
     }
+    TraceLibrary library;
+    std::string error;
+    ASSERT_TRUE(library.Load(path, &error)) << error;
+    ASSERT_EQ(library.streams().size(), 1u);
     core::SpurSystem fault_system(config, policy::DirtyPolicyKind::kFault,
                                   policy::RefPolicyKind::kMiss);
-    ReplayTrace(path, fault_system);
+    ReplayStream(library.streams()[0], fault_system);
     core::SpurSystem spur_system(config, policy::DirtyPolicyKind::kSpur,
                                  policy::RefPolicyKind::kMiss);
-    ReplayTrace(path, spur_system);
+    ReplayStream(library.streams()[0], spur_system);
     // FAULT turns the dirty-bit misses into excess faults.
     EXPECT_GT(fault_system.events().Get(sim::Event::kExcessFault), 0u);
     EXPECT_EQ(spur_system.events().Get(sim::Event::kExcessFault), 0u);
@@ -1810,11 +1818,14 @@ TEST(TraceTest, AccessBatchesEncodeLikeSingleAccesses)
     }
 }
 
+// A library that does not load is an error the caller reports (every
+// tool and session exits 1 on it), not a death.
 TEST(TraceDeathTest, RejectsMissingFile)
 {
-    CountingHost host(sim::MachineConfig::Prototype(8));
-    EXPECT_EXIT(ReplayTrace("/nonexistent/nope.trc", host),
-                testing::ExitedWithCode(1), "cannot open");
+    TraceLibrary library;
+    std::string error;
+    EXPECT_FALSE(library.Load("/nonexistent/nope.trc", &error));
+    EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
 TEST(TraceDeathTest, RejectsBadMagic)
@@ -1822,9 +1833,10 @@ TEST(TraceDeathTest, RejectsBadMagic)
     ScopedTempDir tmp;
     const std::string path = tmp.Path("bad.trc");
     WriteFile(path, "NOTATRACEFILE...");
-    CountingHost host(sim::MachineConfig::Prototype(8));
-    EXPECT_EXIT(ReplayTrace(path, host), testing::ExitedWithCode(1),
-                "not a SPUR-TRACE/1");
+    TraceLibrary library;
+    std::string error;
+    EXPECT_FALSE(library.Load(path, &error));
+    EXPECT_NE(error.find("not a SPUR-TRACE/1"), std::string::npos) << error;
 }
 
 TEST(TraceDeathTest, EncoderRejectsUnknownPidAndAccessType)
@@ -1859,10 +1871,13 @@ TEST(TraceDeathTest, RejectsGeometryMismatch)
     const Recorded rec = Record(meta, MakeCtxSwitchHeavy(), host);
     WriteFile(path, EncodeTraceFile({rec.framed}));
 
+    TraceLibrary library;
+    std::string error;
+    ASSERT_TRUE(library.Load(path, &error)) << error;
     sim::MachineConfig other = sim::MachineConfig::Prototype(8);
     other.page_bytes *= 2;
     CountingHost mismatched(other);
-    EXPECT_EXIT(ReplayTrace(path, mismatched),
+    EXPECT_EXIT(ReplayStream(library.streams()[0], mismatched),
                 testing::ExitedWithCode(1), "recorded at page/block");
 }
 

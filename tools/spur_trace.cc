@@ -12,9 +12,11 @@
  *       fraction of the cost — no cache or VM simulation runs.
  *
  *   spur_trace replay FILE [--dirty=NAME] [--ref=NAME] [--memory-mb=N]
- *       Replays every stream of FILE through a fresh SPUR machine per
- *       stream and prints the resulting counters — the quick look at
- *       what a recorded workload does under one policy choice.
+ *       Replays every stream of FILE as the core::RunOnce cell that
+ *       --replay-trace would run for it, and prints the resulting
+ *       counters — the quick look at what a recorded workload does
+ *       under one policy choice, with the numbers a table prints for
+ *       that cell.
  *
  *   spur_trace info FILE
  *       Prints the streams of FILE (identity, ops, accesses, refs,
@@ -44,7 +46,6 @@
 #include "src/common/table.h"
 #include "src/core/experiment.h"
 #include "src/core/run_trace.h"
-#include "src/core/system.h"
 #include "src/runner/session.h"
 #include "src/sim/config.h"
 #include "src/workload/trace.h"
@@ -71,8 +72,8 @@ Usage()
           {"--refs=N", "reference budget (default: workload's own)"},
           {"--intensity=F", "dev-machine intensity (default 1.0)"}}},
         {"replay FILE [options]",
-         "replay every stream through a fresh SPUR machine and print "
-         "the counters",
+         "replay every stream as the table cell it was recorded for and "
+         "print the counters",
          {{"--dirty=NAME", "dirty-bit policy (default SPUR)"},
           {"--ref=NAME", "reference-bit policy (default MISS)"},
           {"--memory-mb=N", "memory size in MB (default 8)"}}},
@@ -202,19 +203,34 @@ Replay(int argc, char** argv)
             std::to_string(memory_mb) + " MB");
     t.SetHeader({"stream", "refs", "misses", "dirty faults", "excess",
                  "page-ins", "elapsed (s)"});
-    const spur::sim::MachineConfig config =
-        spur::sim::MachineConfig::Prototype(memory_mb);
     for (const spur::workload::TraceStream& stream : library.streams()) {
-        spur::core::SpurSystem system(config, dirty, ref);
-        const spur::workload::ReplayStats stats =
-            spur::workload::ReplayStream(stream, system);
-        const auto& ev = system.events();
-        t.AddRow({stream.meta.Identity(), Table::Num(stats.refs_issued),
-                  Table::Num(ev.TotalMisses()),
-                  Table::Num(ev.Get(spur::sim::Event::kDirtyFault)),
-                  Table::Num(ev.Get(spur::sim::Event::kExcessFault)),
-                  Table::Num(ev.Get(spur::sim::Event::kPageIn)),
-                  Table::Num(system.timing().ElapsedSeconds(), 3)});
+        // The cell whose identity is the stream's, replayed from the
+        // library as a --replay-trace session runs it.
+        const spur::workload::TraceStreamMeta& meta = stream.meta;
+        const auto workload = spur::core::ParseWorkload(meta.workload);
+        spur::core::RunConfig config;
+        config.workload =
+            workload.value_or(spur::core::WorkloadId::kWorkload1);
+        config.memory_mb = memory_mb;
+        config.dirty = dirty;
+        config.ref = ref;
+        config.refs = meta.refs;
+        config.seed = meta.seed;
+        config.intensity = meta.intensity;
+        config.trace_replay = &library;
+        if (!workload ||
+            spur::core::TraceMetaFor(config).Identity() != meta.Identity()) {
+            std::cerr << "spur_trace: stream '" << meta.Identity()
+                      << "' is no workload of this build on the prototype "
+                         "machine's geometry\n";
+            return 1;
+        }
+        const spur::core::RunResult r = spur::core::RunOnce(config);
+        t.AddRow({meta.Identity(), Table::Num(r.refs_issued),
+                  Table::Num(r.events.TotalMisses()),
+                  Table::Num(r.events.Get(spur::sim::Event::kDirtyFault)),
+                  Table::Num(r.events.Get(spur::sim::Event::kExcessFault)),
+                  Table::Num(r.page_ins), Table::Num(r.elapsed_seconds, 3)});
     }
     t.Print(stdout);
     return 0;
