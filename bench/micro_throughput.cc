@@ -16,10 +16,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "bench/micro_common.h"
 
+#include "src/common/cpu.h"
 #include "src/core/system.h"
 #include "src/policy/dirty_policy.h"
 #include "src/policy/ref_policy.h"
@@ -52,16 +54,23 @@ MakeRefStream(workload::WorkloadHost& host)
     // identical process (same seed, same fresh system) to replay into.
 }
 
-/// Replays the stream through the host's per-reference entry point.
-/// Issued through the WorkloadHost interface — exactly how the workload
-/// driver reaches the system — so interface dispatch is part of the
-/// measured cost.
+/// Replays the stream through the host's per-reference entry point, or
+/// with @p scan through AccessBatch().  Issued through the WorkloadHost
+/// interface — exactly how the workload driver reaches the system — so
+/// interface dispatch is part of the measured cost.
 void
 RunFullSystem(benchmark::State& state, policy::DirtyPolicyKind dirty,
-              policy::RefPolicyKind ref, bool batched = false)
+              policy::RefPolicyKind ref,
+              std::optional<core::HitScanKernel> scan = std::nullopt)
 {
+    if (scan == core::HitScanKernel::kBmi2 && !CpuHasBmi2()) {
+        state.SkipWithError("skipped: this CPU has no BMI2 for the BMI2 "
+                            "hit scan");
+        return;
+    }
     const sim::MachineConfig config = sim::MachineConfig::Prototype(8);
-    core::SpurSystem system(config, dirty, ref);
+    core::SpurSystem system(config, dirty, ref,
+                            scan.value_or(core::HostHitScanKernel()));
     workload::WorkloadHost& host = system;
 
     std::vector<MemRef> refs = MakeRefStream(host);
@@ -77,7 +86,7 @@ RunFullSystem(benchmark::State& state, policy::DirtyPolicyKind dirty,
         host.Access(r);
     }
 
-    if (batched) {
+    if (scan.has_value()) {
         // The driver's issue path: one AccessBatch() dispatch per quantum.
         for (auto _ : state) {
             host.AccessBatch(refs.data(), refs.size());
@@ -128,40 +137,58 @@ BM_FullSystem_MIN_NOREF(benchmark::State& state)
 BENCHMARK(BM_FullSystem_MIN_NOREF);
 
 // Batched-issue variants: the same streams through AccessBatch(), the
-// entry point the workload driver uses.  These are the headline
-// simulated-refs/sec numbers.
+// entry point the workload driver uses, once per hit scan kernel
+// (`/baseline`, `/bmi2`).  These are the headline simulated-refs/sec
+// numbers.
 
 void
-BM_FullSystemBatch_SPUR_MISS(benchmark::State& state)
+BM_FullSystemBatch_SPUR_MISS(benchmark::State& state,
+                             core::HitScanKernel scan)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kSpur,
-                  policy::RefPolicyKind::kMiss, /*batched=*/true);
+                  policy::RefPolicyKind::kMiss, scan);
 }
-BENCHMARK(BM_FullSystemBatch_SPUR_MISS);
 
 void
-BM_FullSystemBatch_FAULT_NOREF(benchmark::State& state)
+BM_FullSystemBatch_FAULT_NOREF(benchmark::State& state,
+                               core::HitScanKernel scan)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kFault,
-                  policy::RefPolicyKind::kNoRef, /*batched=*/true);
+                  policy::RefPolicyKind::kNoRef, scan);
 }
-BENCHMARK(BM_FullSystemBatch_FAULT_NOREF);
 
 void
-BM_FullSystemBatch_WRITE_REF(benchmark::State& state)
+BM_FullSystemBatch_WRITE_REF(benchmark::State& state,
+                             core::HitScanKernel scan)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kWrite,
-                  policy::RefPolicyKind::kRef, /*batched=*/true);
+                  policy::RefPolicyKind::kRef, scan);
 }
-BENCHMARK(BM_FullSystemBatch_WRITE_REF);
 
 void
-BM_FullSystemBatch_MIN_NOREF(benchmark::State& state)
+BM_FullSystemBatch_MIN_NOREF(benchmark::State& state,
+                             core::HitScanKernel scan)
 {
     RunFullSystem(state, policy::DirtyPolicyKind::kMin,
-                  policy::RefPolicyKind::kNoRef, /*batched=*/true);
+                  policy::RefPolicyKind::kNoRef, scan);
 }
-BENCHMARK(BM_FullSystemBatch_MIN_NOREF);
+
+BENCHMARK_CAPTURE(BM_FullSystemBatch_SPUR_MISS, baseline,
+                  core::HitScanKernel::kBaseline);
+BENCHMARK_CAPTURE(BM_FullSystemBatch_SPUR_MISS, bmi2,
+                  core::HitScanKernel::kBmi2);
+BENCHMARK_CAPTURE(BM_FullSystemBatch_FAULT_NOREF, baseline,
+                  core::HitScanKernel::kBaseline);
+BENCHMARK_CAPTURE(BM_FullSystemBatch_FAULT_NOREF, bmi2,
+                  core::HitScanKernel::kBmi2);
+BENCHMARK_CAPTURE(BM_FullSystemBatch_WRITE_REF, baseline,
+                  core::HitScanKernel::kBaseline);
+BENCHMARK_CAPTURE(BM_FullSystemBatch_WRITE_REF, bmi2,
+                  core::HitScanKernel::kBmi2);
+BENCHMARK_CAPTURE(BM_FullSystemBatch_MIN_NOREF, baseline,
+                  core::HitScanKernel::kBaseline);
+BENCHMARK_CAPTURE(BM_FullSystemBatch_MIN_NOREF, bmi2,
+                  core::HitScanKernel::kBmi2);
 
 }  // namespace
 

@@ -54,6 +54,7 @@
 
 #include "bench/micro_common.h"
 
+#include "src/common/cpu.h"
 #include "src/common/framed_log.h"
 #include "src/common/log.h"
 #include "src/core/experiment.h"
@@ -340,14 +341,12 @@ BENCHMARK(BM_LoadTrace)->Unit(benchmark::kMillisecond);
 void
 BM_ReplayDecode(benchmark::State& state, workload::ReplayKernel kernel)
 {
-    if (kernel == workload::ReplayKernel::kPext &&
-        !workload::CpuHasBmi2()) {
+    if (kernel == workload::ReplayKernel::kPext && !CpuHasBmi2()) {
         state.SkipWithError("skipped: this CPU has no BMI2 for the PEXT "
                             "kernel");
         return;
     }
-    if (kernel == workload::ReplayKernel::kAvx512 &&
-        !workload::CpuHasAvx512Vbmi2()) {
+    if (kernel == workload::ReplayKernel::kAvx512 && !CpuHasAvx512Vbmi2()) {
         state.SkipWithError("skipped: this CPU or OS lacks AVX512F/BW/"
                             "VBMI/VBMI2, PCLMUL or BMI2 for the AVX-512 "
                             "kernel");

@@ -15,6 +15,7 @@
 #define SPUR_CORE_SYSTEM_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "src/cache/cache.h"
 #include "src/common/types.h"
@@ -26,6 +27,17 @@
 
 namespace spur::core {
 
+/**
+ * The instantiations of the batch hit scan (DESIGN.md §15): one source,
+ * compiled for baseline x86-64 and, by a target attribute, for BMI1 and
+ * BMI2.  Both give the same result on every reference.
+ */
+enum class HitScanKernel : uint8_t { kBaseline, kBmi2 };
+
+/** kBmi2 where this build and CPU have BMI2, else kBaseline; read from
+ *  CPUID once per process. */
+HitScanKernel HostHitScanKernel();
+
 /** One simulated SPUR workstation. */
 class SpurSystem final : public KernelHost
 {
@@ -34,9 +46,13 @@ class SpurSystem final : public KernelHost
      * @param config machine parameters (validated).
      * @param dirty  dirty-bit alternative to run.
      * @param ref    reference-bit policy to run.
+     * @param scan   the batch hit scan AccessBatch() runs; only tests
+     *               ask for another than the host's.  kBmi2 on a CPU
+     *               without BMI2 is a fatal error.
      */
     SpurSystem(const sim::MachineConfig& config,
-               policy::DirtyPolicyKind dirty, policy::RefPolicyKind ref);
+               policy::DirtyPolicyKind dirty, policy::RefPolicyKind ref,
+               HitScanKernel scan = HostHitScanKernel());
 
     ~SpurSystem();
 
@@ -76,6 +92,7 @@ class SpurSystem final : public KernelHost
     cache::VirtualCache vcache_;
     Kernel kernel_;
     xlate::Translator xlate_;
+    HitScanKernel scan_;
 
     // ---- Devirtualized dispatch -----------------------------------------
 
@@ -100,7 +117,7 @@ class SpurSystem final : public KernelHost
     template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
     void AccessImpl(const MemRef& ref);
 
-    /** The batch scan: hits stay in registers, everything else runs
+    /** The batch: scan_'s leaf takes the hits, everything else runs
      *  AccessImpl's code; one dispatch for the whole batch. */
     template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
     void AccessBatchImpl(const MemRef* refs, size_t n);

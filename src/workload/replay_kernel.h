@@ -119,12 +119,6 @@ ChooseReplayKernel(bool bmi2, bool amd_family_17h, bool avx512)
                                    : ReplayKernel::kSwar;
 }
 
-/** Whether this build and CPU can run the PEXT kernel at all. */
-bool CpuHasBmi2();
-
-/** Whether this build, CPU and OS can run the AVX-512 kernel at all. */
-bool CpuHasAvx512Vbmi2();
-
 /** ChooseReplayKernel of this CPU's CPUID, read once per process. */
 ReplayKernel HostReplayKernel();
 

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <utility>
 
+#include "src/common/cpu.h"
 #include "src/common/framed_log.h"
 #include "src/common/log.h"
 #include "src/vm/region.h"
@@ -1089,47 +1090,12 @@ TraceLibrary::Find(const std::string& identity) const
 // Replay
 // ---------------------------------------------------------------------------
 
-bool
-CpuHasBmi2()
-{
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("bmi") && __builtin_cpu_supports("bmi2");
-#else
-    return false;
-#endif
-}
-
-bool
-CpuHasAvx512Vbmi2()
-{
-#if defined(__x86_64__)
-    // libgcc sets the AVX-512 features only when XGETBV shows the OS
-    // saves the opmask and zmm state.
-    return CpuHasBmi2() && __builtin_cpu_supports("popcnt") &&
-           __builtin_cpu_supports("pclmul") &&
-           __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512bw") &&
-           __builtin_cpu_supports("avx512vbmi") &&
-           __builtin_cpu_supports("avx512vbmi2");
-#else
-    return false;
-#endif
-}
-
 ReplayKernel
 HostReplayKernel()
 {
-#if defined(__x86_64__)
-    static const ReplayKernel kernel = [] {
-        const bool bmi2 = CpuHasBmi2();  // Runs __builtin_cpu_init first.
-        return ChooseReplayKernel(bmi2, __builtin_cpu_is("amdfam17h"),
-                                  CpuHasAvx512Vbmi2());
-    }();
+    static const ReplayKernel kernel = ChooseReplayKernel(
+        CpuHasBmi2(), CpuIsAmdFamily17h(), CpuHasAvx512Vbmi2());
     return kernel;
-#else
-    return ReplayKernel::kSwar;
-#endif
 }
 
 ReplayStats

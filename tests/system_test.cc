@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/check/report.h"
+#include "src/common/cpu.h"
 #include "src/core/experiment.h"
 #include "src/core/run_trace.h"
 #include "src/core/system.h"
@@ -415,15 +416,17 @@ RecordStream(core::WorkloadId id, uint64_t refs)
     return core::RecordLiveStream(config, counting).bytes;
 }
 
-/** Totals after replaying @p stream on a fresh machine, its references
- *  cut into batches of @p batch (0: one Access per reference).  The
- *  batch side (@p batch > 0) audits the machine at every context switch
- *  and at the end. */
+/** Totals after replaying @p stream on a fresh machine that scans
+ *  batches with @p scan, its references cut into batches of @p batch
+ *  (0: one Access per reference).  The batch side (@p batch > 0) audits
+ *  the machine at every context switch and at the end. */
 std::vector<uint64_t>
 ReplayTotals(const workload::TraceStream& stream, uint32_t mem_mb,
-             DirtyPolicyKind dirty, RefPolicyKind ref, size_t batch)
+             DirtyPolicyKind dirty, RefPolicyKind ref, size_t batch,
+             HitScanKernel scan)
 {
-    SpurSystem system(sim::MachineConfig::Prototype(mem_mb), dirty, ref);
+    SpurSystem system(sim::MachineConfig::Prototype(mem_mb), dirty, ref,
+                      scan);
     RebatchingHost host(system, batch);
     if (batch == 0) {
         workload::ReplayStream(stream, host);
@@ -441,7 +444,10 @@ ReplayTotals(const workload::TraceStream& stream, uint32_t mem_mb,
     return Totals(system);
 }
 
-TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
+/** Checks that AccessBatch through @p scan leaves every event count and
+ *  time bucket where per-reference Access does. */
+void
+ExpectBatchMatchesAccess(HitScanKernel scan)
 {
     // 600,000 gc-sweep references page at 5 MB (page-outs, reference
     // faults under REF), so the daemon's flushes interleave the batches.
@@ -463,10 +469,10 @@ TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
                                  policy::ToString(dirty) + "/" +
                                  policy::ToString(ref));
                     const std::vector<uint64_t> want =
-                        ReplayTotals(stream, mem_mb, dirty, ref, 0);
+                        ReplayTotals(stream, mem_mb, dirty, ref, 0, scan);
                     for (const size_t batch : {1u, 7u, 4096u, 20000u}) {
                         EXPECT_EQ(ReplayTotals(stream, mem_mb, dirty, ref,
-                                               batch),
+                                               batch, scan),
                                   want)
                             << "batch " << batch;
                     }
@@ -487,7 +493,7 @@ TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
         std::vector<uint64_t> totals[2];
         for (int side = 0; side < 2; ++side) {
             SpurSystem system(sim::MachineConfig::Prototype(8), dirty,
-                              RefPolicyKind::kMiss);
+                              RefPolicyKind::kMiss, scan);
             Pid pids[2];
             for (Pid& pid : pids) {
                 pid = system.CreateProcess();
@@ -523,6 +529,28 @@ TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
         }
         EXPECT_EQ(totals[1], totals[0]);
     }
+}
+
+// The batch scan has two instantiations (HitScanKernel); every machine
+// runs the host's, so each is tested here by name.
+
+TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPair)
+{
+    ExpectBatchMatchesAccess(HitScanKernel::kBaseline);
+}
+
+TEST(SpurSystemTest, HostScanIsBmi2WhereTheCpuHasIt)
+{
+    EXPECT_EQ(HostHitScanKernel() == HitScanKernel::kBmi2, CpuHasBmi2());
+}
+
+TEST_F(SystemTest, AccessBatchMatchesAccessForEveryPolicyPairBmi2)
+{
+    if (!CpuHasBmi2()) {
+        GTEST_SKIP() << "this CPU has no BMI2, so it cannot run the BMI2 "
+                        "hit scan (batches run the baseline scan here)";
+    }
+    ExpectBatchMatchesAccess(HitScanKernel::kBmi2);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/cpu.h"
 #include "src/common/framed_log.h"
 #include "src/common/random.h"
 #include "src/core/experiment.h"

@@ -38,7 +38,8 @@ LAYERS = [
     ("vm", r"spur::(vm|mem)::"),
     ("miss", r"spur::core::(SpurSystem::(AccessMissImpl|WriteHitSlow)"
              r"|Kernel::(ResidentPte|ChargeDirty|ChargeFill))"),
-    ("hit loop", r"spur::core::SpurSystem::Access(Batch)?Impl"),
+    ("hit loop", r"spur::core::(SpurSystem::Access(Batch)?Impl"
+                 r"|\{anon\}::ScanHits)"),
     ("decode", r"Decode|Replay|RecoverTrace|AccessRunEnds|ClassifyWindow"
                r"|WindowMasks|GatherHighBits|PopCount|CompactVarint"
                r"|VarintSwar|VarintPext|RunEnds|PrefixXor|ScalarRun"
