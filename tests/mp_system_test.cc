@@ -193,19 +193,15 @@ TEST_F(MpSystemTest, OneCpuMatchesUniprocessorOnEveryNonBusEvent)
 {
     // One Sprite kernel runs under both machines, so on the same job
     // stream a 1-CPU multiprocessor counts exactly what the uniprocessor
-    // counts — lifecycle included — apart from its bus transactions.
+    // counts — lifecycle included — apart from its bus transactions, and
+    // spends the same cycles in every bucket but one: each ownership
+    // upgrade before a store stalls the processor one extra cycle.
     // The budget runs past a process's end, so teardown is exercised.
-    constexpr DirtyPolicyKind kDirty[] = {
-        DirtyPolicyKind::kMin, DirtyPolicyKind::kFault,
-        DirtyPolicyKind::kFlush, DirtyPolicyKind::kSpur,
-        DirtyPolicyKind::kWrite};
-    constexpr RefPolicyKind kRef[] = {
-        RefPolicyKind::kMiss, RefPolicyKind::kRef, RefPolicyKind::kNoRef};
     constexpr uint64_t kRefs = 400'000;
     constexpr uint64_t kSeed = 7;
     const sim::MachineConfig config = sim::MachineConfig::Prototype(5);
-    for (const DirtyPolicyKind dirty : kDirty) {
-        for (const RefPolicyKind ref : kRef) {
+    for (const DirtyPolicyKind dirty : policy::kAllDirtyPolicies) {
+        for (const RefPolicyKind ref : policy::kAllRefPolicies) {
             SCOPED_TRACE(std::string(policy::ToString(dirty)) + "/" +
                          policy::ToString(ref));
             SpurSystem uni(config, dirty, ref);
@@ -220,14 +216,24 @@ TEST_F(MpSystemTest, OneCpuMatchesUniprocessorOnEveryNonBusEvent)
                                        kRefs, kSeed);
             mp_driver.Run();
 
+            const sim::EventCounts& mp_events = mp.kernel().events();
             for (size_t i = 0; i < sim::kNumEvents; ++i) {
                 const auto event = static_cast<sim::Event>(i);
                 if (event >= sim::Event::kBusRead) {
                     continue;
                 }
-                EXPECT_EQ(mp.kernel().events().Get(event),
-                          uni.events().Get(event))
+                EXPECT_EQ(mp_events.Get(event), uni.events().Get(event))
                     << sim::ToString(event);
+            }
+            const uint64_t upgrades = mp_events.Get(sim::Event::kBusUpgrade);
+            EXPECT_GT(upgrades, 0u);
+            for (size_t i = 0; i < sim::kNumTimeBuckets; ++i) {
+                const auto bucket = static_cast<sim::TimeBucket>(i);
+                const Cycles extra =
+                    bucket == sim::TimeBucket::kMissStall ? upgrades : 0;
+                EXPECT_EQ(mp.kernel().timing().Get(bucket),
+                          uni.timing().Get(bucket) + extra)
+                    << sim::ToString(bucket);
             }
         }
     }
