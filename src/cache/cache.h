@@ -309,7 +309,7 @@ struct FlushResult {
 };
 
 /** The direct-mapped virtual-address cache. */
-class VirtualCache : public PageFlusher
+class VirtualCache final : public PageFlusher
 {
   public:
     explicit VirtualCache(const sim::MachineConfig& config);

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "src/common/log.h"
+
 namespace spur::core {
 
 namespace {
@@ -22,7 +24,7 @@ Kernel::Kernel(const sim::MachineConfig& config, cache::PageFlusher& flusher,
     : config_(Validated(config)),
       timing_(config_),
       flusher_(flusher),
-      dirty_(policy::MakeDirtyPolicy(dirty, flusher, config_)),
+      dirty_(policy::MakeDirtyPolicy(dirty)),
       ref_(ref_impl != nullptr ? std::move(ref_impl)
                                : policy::MakeRefPolicy(ref, flusher, config_)),
       vm_(config_, table_, flusher, events_, timing_),
@@ -102,6 +104,13 @@ Kernel::FlushPage(GlobalAddr gva)
     events_.Add(sim::Event::kWriteback, result.writebacks);
     timing_.Charge(sim::TimeBucket::kFlush,
                    config_.t_flush_page * flusher_.NumFlushTargets());
+}
+
+void
+Kernel::PanicHitOnNonResidentPage()
+{
+    Panic("Kernel: cache hit on a non-resident page (reclaim missed a "
+          "flush?)");
 }
 
 check::AuditReport

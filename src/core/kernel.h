@@ -5,12 +5,14 @@
  *
  * The uniprocessor (SpurSystem), the multiprocessor (MpSpurSystem) and
  * the TLB baseline (TlbSystem) differ in their caches and access paths
- * only.  Everything else — the segment map, the page table, the VM and
- * its page daemon, the dirty/reference policies, the per-process region
- * map, the event counts and the cycle accounting, and the kernel entry
- * points that act on them (process lifecycle, context switches, the
- * page daemon's reference-bit clear, kernel page flushes, the audit) —
- * is one Kernel, which the machine builds over its page-flush path.
+ * only; the two SPUR machines run one access path (access_path.h) and
+ * differ there only by coherence.  Everything else — the segment map,
+ * the page table, the VM and its page daemon, the page daemon's view of
+ * the dirty/reference policies, the per-process region map, the event
+ * counts and the cycle accounting, and the kernel entry points that act
+ * on them (process lifecycle, context switches, the page daemon's
+ * reference-bit clear, kernel page flushes, the audit) — is one Kernel,
+ * which the machine builds over its page-flush path.
  */
 #ifndef SPUR_CORE_KERNEL_H_
 #define SPUR_CORE_KERNEL_H_
@@ -23,7 +25,6 @@
 #include "src/cache/cache.h"
 #include "src/cache/flusher.h"
 #include "src/check/checker.h"
-#include "src/common/log.h"
 #include "src/common/types.h"
 #include "src/policy/dirty_policy.h"
 #include "src/policy/ref_policy.h"
@@ -118,13 +119,13 @@ class Kernel
 
     // ---- Shared pieces of the machines' access paths ---------------------
 
-    /** Returns the PTE backing a *hit* line (must exist and be valid). */
-    pt::Pte& ResidentPte(GlobalAddr gva)
+    /** Returns the PTE backing a *hit* line (must exist and be valid).
+     *  Inlined into every caller; the failure is out of line. */
+    [[gnu::always_inline]] pt::Pte& ResidentPte(GlobalAddr gva)
     {
         pt::Pte* pte = table_.FindMutable(gva >> config_.PageShift());
         if (pte == nullptr || !pte->valid()) {
-            Panic("Kernel: cache hit on a non-resident page (reclaim "
-                  "missed a flush?)");
+            PanicHitOnNonResidentPage();
         }
         return *pte;
     }
@@ -186,12 +187,15 @@ class Kernel
     const pt::PageTable& page_table() const { return table_; }
     vm::VirtualMemory& memory() { return vm_; }
     const vm::VirtualMemory& memory() const { return vm_; }
-    policy::DirtyPolicy& dirty_policy() { return *dirty_; }
-    policy::RefPolicy& ref_policy() { return *ref_; }
     policy::DirtyPolicyKind dirty_kind() const { return dirty_->kind(); }
     policy::RefPolicyKind ref_kind() const { return ref_->kind(); }
 
   private:
+    /** ResidentPte()'s failure: a cache hit on a page the VM reclaimed
+     *  without flushing it. */
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    PanicHitOnNonResidentPage();
+
     sim::MachineConfig config_;
     sim::EventCounts events_;
     sim::TimingModel timing_;

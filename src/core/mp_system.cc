@@ -1,3 +1,4 @@
+// spur:hot-path
 #include "src/core/mp_system.h"
 
 #include <string>
@@ -39,85 +40,16 @@ MpSpurSystem::MpSpurSystem(const sim::MachineConfig& config,
         xlates_.push_back(std::make_unique<xlate::Translator>(
             *caches_.back(), kernel_.page_table(), kernel_.config()));
         audited.push_back(caches_.back().get());
+        cpus_.push_back({kernel_, *caches_.back(), *xlates_.back(),
+                         BusCoherence{&bus_, cpu, &flusher_}});
     }
     kernel_.SetAuditedCaches(std::move(audited));
+    policy::Dispatch(dirty, ref, [this]<policy::DirtyPolicyKind D,
+                                        policy::RefPolicyKind R>() {
+        access_fn_ = &AccessPath<D, R, BusCoherence>::Access;
+    });
 }
 
 MpSpurSystem::~MpSpurSystem() = default;
-
-void
-MpSpurSystem::Access(unsigned cpu, const MemRef& ref)
-{
-    sim::EventCounts& events = kernel_.events();
-    const GlobalAddr gva = kernel_.ToGlobal(ref.pid, ref.addr);
-    events.Add(sim::RefEvent(ref.type));
-
-    cache::VirtualCache& vcache = *caches_[cpu];
-    cache::LineRef line = vcache.Lookup(gva);
-    if (line) {
-        kernel_.timing().Charge(sim::TimeBucket::kExecute,
-                                kernel_.config().t_cache_hit);
-        if (ref.type != AccessType::kWrite) {
-            return;
-        }
-        if (!line.block_dirty()) {
-            events.Add(sim::Event::kWriteHitCleanBlock);
-        }
-        policy::DirtyPolicy& dirty = kernel_.dirty_policy();
-        if (!dirty.WriteHitFastPath(line)) {
-            const policy::DirtyCost cost = dirty.OnWriteHit(
-                line, gva, kernel_.ResidentPte(gva), events);
-            kernel_.ChargeDirty(cost);
-            if (cost.line_invalidated) {
-                AccessMiss(cpu, gva, ref.type);
-                return;
-            }
-        }
-        // Coherency: gain exclusive ownership before the store.
-        if (line.state() != cache::CoherencyState::kOwnedExclusive) {
-            bus_.Upgrade(gva, cpu);
-            kernel_.timing().Charge(sim::TimeBucket::kMissStall, 1);
-        }
-        cache::VirtualCache::MarkWritten(line);
-        return;
-    }
-
-    events.Add(sim::MissEvent(ref.type));
-    AccessMiss(cpu, gva, ref.type);
-}
-
-void
-MpSpurSystem::AccessMiss(unsigned cpu, GlobalAddr gva, AccessType type)
-{
-    sim::EventCounts& events = kernel_.events();
-    sim::TimingModel& timing = kernel_.timing();
-    xlate::XlateResult xr = xlates_[cpu]->Translate(gva, events);
-    timing.Charge(sim::TimeBucket::kXlate, xr.cycles);
-    pt::Pte* pte = xr.pte;
-    if (!pte->valid()) {
-        pte = &kernel_.memory().HandlePageFault(gva);
-    }
-
-    const policy::RefCost ref_cost =
-        kernel_.ref_policy().OnCacheMiss(*pte, events);
-    timing.Charge(sim::TimeBucket::kFault, ref_cost.fault_cycles);
-
-    if (type == AccessType::kWrite) {
-        kernel_.ChargeDirty(
-            kernel_.dirty_policy().OnWriteMiss(gva, *pte, events));
-    }
-
-    // The bus transaction settles ownership before the fill.
-    if (type == AccessType::kWrite) {
-        bus_.ReadOwned(gva, cpu);
-    } else {
-        bus_.Read(gva, cpu);
-    }
-
-    cache::Eviction eviction;
-    cache::LineRef line =
-        caches_[cpu]->Fill(gva, pte->protection(), pte->dirty(), &eviction);
-    kernel_.ChargeFill(line, eviction, type);
-}
 
 }  // namespace spur::core

@@ -13,6 +13,10 @@
  * must flush the page from *all* the caches.  The ablation bench
  * `ablation_mp_refbits` quantifies that claim.
  *
+ * Each processor runs the uniprocessor's access path (access_path.h)
+ * with BusCoherence: the same events and charges as SpurSystem, plus
+ * the bus transactions and one stall cycle per ownership upgrade.
+ *
  * Timing note: the aggregate TimingModel accumulates total work cycles
  * across processors (not wall-clock of a parallel execution); the
  * experiments built on this class compare policy overheads, which are
@@ -28,6 +32,7 @@
 #include "src/cache/cache.h"
 #include "src/cache/flusher.h"
 #include "src/common/types.h"
+#include "src/core/access_path.h"
 #include "src/core/kernel.h"
 #include "src/policy/dirty_policy.h"
 #include "src/policy/ref_policy.h"
@@ -37,7 +42,7 @@
 namespace spur::core {
 
 /** Fans page flushes out across every cache in the machine. */
-class AllCachesFlusher : public cache::PageFlusher
+class AllCachesFlusher final : public cache::PageFlusher
 {
   public:
     explicit AllCachesFlusher(
@@ -76,8 +81,13 @@ class MpSpurSystem
 
     // ---- The hot path ------------------------------------------------------
 
-    /** Executes one reference on processor @p cpu. */
-    void Access(unsigned cpu, const MemRef& ref);
+    /** Executes one reference on processor @p cpu: the uniprocessor's
+     *  access path (access_path.h) for the constructor's policy pair,
+     *  over that CPU's cache, translator and bus port. */
+    void Access(unsigned cpu, const MemRef& ref)
+    {
+        access_fn_(cpus_[cpu], ref);
+    }
 
     // ---- State access ------------------------------------------------------
 
@@ -124,8 +134,11 @@ class MpSpurSystem
     Kernel kernel_;
     cache::SnoopBus bus_;
     std::vector<std::unique_ptr<xlate::Translator>> xlates_;
+    /// Each processor as the access path sees it.
+    std::vector<Cpu<BusCoherence>> cpus_;
 
-    void AccessMiss(unsigned cpu, GlobalAddr gva, AccessType type);
+    /// The (dirty, ref) instantiation of the access path, picked once.
+    void (*access_fn_)(const Cpu<BusCoherence>&, const MemRef&) = nullptr;
 };
 
 }  // namespace spur::core

@@ -169,109 +169,21 @@ SpurSystem::SpurSystem(const sim::MachineConfig& config,
     : vcache_(WithinOneSegment(config)),
       kernel_(config, vcache_, dirty, ref),
       xlate_(vcache_, kernel_.page_table(), kernel_.config()),
-      scan_(scan)
+      scan_(scan),
+      cpu_{kernel_, vcache_, xlate_, {}}
 {
     if (scan_ == HitScanKernel::kBmi2 && !CpuHasBmi2()) {
         Fatal("SpurSystem: the BMI2 hit scan needs a CPU with BMI2");
     }
     kernel_.SetAuditedCaches({&vcache_});
-    SelectDispatch();
+    policy::Dispatch(dirty, ref, [this]<policy::DirtyPolicyKind D,
+                                        policy::RefPolicyKind R>() {
+        access_fn_ = &AccessPath<D, R, NoCoherence>::Access;
+        batch_fn_ = &SpurSystem::AccessBatchImpl<D, R>;
+    });
 }
 
 SpurSystem::~SpurSystem() = default;
-
-// ---------------------------------------------------------------------------
-// The devirtualized hot path.  One AccessImpl instantiation exists per
-// (dirty policy, ref policy) configuration; the policy hooks inline from
-// policy_ops.h.  The bodies below must stay semantically identical to
-// the virtual-policy path (same events in the same order, same cycle
-// charges): the policy ops are the shared source of truth, and
-// tests/golden outputs pin the equivalence.
-// ---------------------------------------------------------------------------
-
-template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
-void
-SpurSystem::WriteHitSlow(cache::LineRef line, GlobalAddr gva)
-{
-    const policy::DirtyCost cost = policy::DirtyOps<D>::OnWriteHit(
-        line, gva, kernel_.ResidentPte(gva), kernel_.events(), vcache_,
-        kernel_.config());
-    kernel_.ChargeDirty(cost);
-    if (cost.line_invalidated) {
-        // FLUSH purged the written line inside the fault handler; the
-        // store re-executes as a cache miss and refills the block
-        // under the page's new protection.
-        AccessMissImpl<D, R>(gva, AccessType::kWrite);
-        return;
-    }
-    line.MarkWritten();
-}
-
-template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
-void
-SpurSystem::AccessImpl(const MemRef& ref)
-{
-    sim::EventCounts& events = kernel_.events();
-    const GlobalAddr gva = kernel_.ToGlobal(ref.pid, ref.addr);
-    events.Add(sim::RefEvent(ref.type));
-
-    cache::LineRef line = vcache_.Lookup(gva);
-    if (line) {
-        kernel_.timing().Charge(sim::TimeBucket::kExecute,
-                                kernel_.config().t_cache_hit);
-        if (ref.type != AccessType::kWrite) {
-            return;
-        }
-        // First write to a block that arrived via a read/fetch: this is
-        // the N_w-hit population of Table 3.3.
-        if (!line.block_dirty()) {
-            events.Add(sim::Event::kWriteHitCleanBlock);
-        }
-        if (policy::DirtyOps<D>::WriteHitFastPath(line)) {
-            line.MarkWritten();
-            return;
-        }
-        WriteHitSlow<D, R>(line, gva);
-        return;
-    }
-
-    events.Add(sim::MissEvent(ref.type));
-    AccessMissImpl<D, R>(gva, ref.type);
-}
-
-template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
-void
-SpurSystem::AccessMissImpl(GlobalAddr gva, AccessType type)
-{
-    sim::EventCounts& events = kernel_.events();
-    sim::TimingModel& timing = kernel_.timing();
-    const sim::MachineConfig& config = kernel_.config();
-    // In-cache translation: find the PTE (possibly faulting the page in).
-    xlate::XlateResult xr = xlate_.Translate(gva, events);
-    timing.Charge(sim::TimeBucket::kXlate, xr.cycles);
-    pt::Pte* pte = xr.pte;
-    if (!pte->valid()) {
-        pte = &kernel_.memory().HandlePageFault(gva);
-    }
-
-    // Reference bit: the controller checks R while it has the PTE.
-    const policy::RefCost ref_cost =
-        policy::RefOps<R>::OnCacheMiss(*pte, events, config);
-    timing.Charge(sim::TimeBucket::kFault, ref_cost.fault_cycles);
-
-    // Dirty bit: a write miss checks the dirty state before the fill.
-    if (type == AccessType::kWrite) {
-        kernel_.ChargeDirty(policy::DirtyOps<D>::OnWriteMiss(
-            gva, *pte, events, vcache_, config));
-    }
-
-    // Fill the block, copying PR and the page dirty bit from the PTE into
-    // the cache line (Figure 3.2).
-    cache::Eviction eviction;
-    cache::LineRef line =
-        vcache_.Fill(gva, pte->protection(), pte->dirty(), &eviction);
-    kernel_.ChargeFill(line, eviction, type);
-}
 
 template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
 void
@@ -281,7 +193,7 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
     // nothing can see the machine between the batch's references, so
     // the per-reference type counts and hit cycles accumulate in
     // registers and flush at the end of each chunk.  Final
-    // events/timing state is bit-identical to AccessImpl on each
+    // events/timing state is bit-identical to Path::Access on each
     // reference in turn; state mutation (cache, PTEs, VM) still happens
     // strictly in order.
     //
@@ -291,7 +203,8 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
     // and CS OwnedExclusive and passes WriteHitFastPath, so a write
     // hit on it changes nothing but the type and hit counts.  The
     // scan leaf runs it; misses and unsettled write hits leave the
-    // leaf and run the same code as AccessImpl.
+    // leaf and run Path::Access's code.
+    using Path = AccessPath<D, R, NoCoherence>;
     sim::EventCounts& events = kernel_.events();
     const pt::SegmentMap& segmap = kernel_.segments();
     // Raw SoA view and geometry in locals: a metadata byte store
@@ -350,22 +263,11 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
             if (!line.valid() || line.tag() != slot.tag) {
                 ++misses;
                 events.Add(sim::MissEvent(ref.type));
-                AccessMissImpl<D, R>(gva, ref.type);
+                Path::Miss(cpu_, gva, ref.type);
                 continue;
             }
-            // A write hit on an unsettled line: count the Table 3.3
-            // N_w-hit population, then either take the fast path (B
-            // set, CS promoted to OwnedExclusive: one OR into the
-            // packed byte) or, under a lazy dirty policy's first
-            // write, the slow path.
-            if (!line.block_dirty()) {
-                events.Add(sim::Event::kWriteHitCleanBlock);
-            }
-            if (policy::DirtyOps<D>::WriteHitFastPath(line)) {
-                line.MarkWritten();
-                continue;
-            }
-            WriteHitSlow<D, R>(line, gva);
+            // A write hit on an unsettled line.
+            Path::WriteHit(cpu_, line, gva);
         }
         events.Add(sim::Event::kIFetch, types & kTypeMask);
         events.Add(sim::Event::kRead, (types >> kTypeBits) & kTypeMask);
@@ -373,59 +275,6 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
     }
     kernel_.timing().Charge(sim::TimeBucket::kExecute,
                             (n - misses) * kernel_.config().t_cache_hit);
-}
-
-template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
-void
-SpurSystem::SetDispatchFns()
-{
-    access_fn_ = &SpurSystem::AccessImpl<D, R>;
-    batch_fn_ = &SpurSystem::AccessBatchImpl<D, R>;
-}
-
-template <policy::DirtyPolicyKind D>
-void
-SpurSystem::SelectDispatchRef()
-{
-    switch (kernel_.ref_kind()) {
-      case policy::RefPolicyKind::kMiss:
-        SetDispatchFns<D, policy::RefPolicyKind::kMiss>();
-        break;
-      case policy::RefPolicyKind::kRef:
-        SetDispatchFns<D, policy::RefPolicyKind::kRef>();
-        break;
-      case policy::RefPolicyKind::kNoRef:
-        SetDispatchFns<D, policy::RefPolicyKind::kNoRef>();
-        break;
-    }
-}
-
-void
-SpurSystem::SelectDispatch()
-{
-    switch (kernel_.dirty_kind()) {
-      case policy::DirtyPolicyKind::kMin:
-        SelectDispatchRef<policy::DirtyPolicyKind::kMin>();
-        break;
-      case policy::DirtyPolicyKind::kFault:
-        SelectDispatchRef<policy::DirtyPolicyKind::kFault>();
-        break;
-      case policy::DirtyPolicyKind::kFlush:
-        SelectDispatchRef<policy::DirtyPolicyKind::kFlush>();
-        break;
-      case policy::DirtyPolicyKind::kSpur:
-        SelectDispatchRef<policy::DirtyPolicyKind::kSpur>();
-        break;
-      case policy::DirtyPolicyKind::kWrite:
-        SelectDispatchRef<policy::DirtyPolicyKind::kWrite>();
-        break;
-      case policy::DirtyPolicyKind::kSpurProt:
-        SelectDispatchRef<policy::DirtyPolicyKind::kSpurProt>();
-        break;
-      case policy::DirtyPolicyKind::kWriteHw:
-        SelectDispatchRef<policy::DirtyPolicyKind::kWriteHw>();
-        break;
-    }
 }
 
 }  // namespace spur::core

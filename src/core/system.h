@@ -19,6 +19,7 @@
 
 #include "src/cache/cache.h"
 #include "src/common/types.h"
+#include "src/core/access_path.h"
 #include "src/core/kernel.h"
 #include "src/policy/dirty_policy.h"
 #include "src/policy/ref_policy.h"
@@ -64,14 +65,13 @@ class SpurSystem final : public KernelHost
 
     // ---- The hot path ----------------------------------------------------
     //
-    // Access()/AccessBatch() dispatch through member-function pointers to
-    // a per-(dirty, ref) template instantiation: the policy logic
+    // Access()/AccessBatch() run the access path (access_path.h) of
+    // the (dirty, ref) pair the constructor picked: the policy logic
     // (policy_ops.h) is resolved at compile time, so the per-reference
-    // loop runs with no virtual policy calls.  The pointers are selected
-    // once at construction.
+    // loop makes no virtual policy call.
 
     /** Executes one memory reference through the whole memory system. */
-    void Access(const MemRef& ref) override { (this->*access_fn_)(ref); }
+    void Access(const MemRef& ref) override { access_fn_(cpu_, ref); }
 
     /** Executes @p n references in issue order (identical semantics to a
      *  per-reference Access() loop; one dispatch for the whole run). */
@@ -93,43 +93,22 @@ class SpurSystem final : public KernelHost
     Kernel kernel_;
     xlate::Translator xlate_;
     HitScanKernel scan_;
+    /// The one processor, as the access path sees it.
+    const Cpu<NoCoherence> cpu_;
 
     // ---- Devirtualized dispatch -----------------------------------------
 
-    using AccessFn = void (SpurSystem::*)(const MemRef&);
+    using AccessFn = void (*)(const Cpu<NoCoherence>&, const MemRef&);
     using AccessBatchFn = void (SpurSystem::*)(const MemRef*, size_t);
 
-    /// Selected (dirty, ref) instantiations of the hot path.
+    /// The (dirty, ref) instantiations of the hot path, picked once.
     AccessFn access_fn_ = nullptr;
     AccessBatchFn batch_fn_ = nullptr;
 
-    /** Points access_fn_/batch_fn_ at the instantiation matching the
-     *  kernel's policies. */
-    void SelectDispatch();
-
-    template <policy::DirtyPolicyKind D>
-    void SelectDispatchRef();
-
-    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
-    void SetDispatchFns();
-
-    /** One reference through the compile-time-policy path. */
-    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
-    void AccessImpl(const MemRef& ref);
-
     /** The batch: scan_'s leaf takes the hits, everything else runs
-     *  AccessImpl's code; one dispatch for the whole batch. */
+     *  the access path's code; one dispatch for the whole batch. */
     template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
     void AccessBatchImpl(const MemRef* refs, size_t n);
-
-    /** Handles the miss path for @p gva; @p type as in Access(). */
-    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
-    void AccessMissImpl(GlobalAddr gva, AccessType type);
-
-    /** The non-fast-path tail of a write hit: policy hook, cost
-     *  charging, and the FLUSH re-execute-as-miss case. */
-    template <policy::DirtyPolicyKind D, policy::RefPolicyKind R>
-    void WriteHitSlow(cache::LineRef line, GlobalAddr gva);
 };
 
 }  // namespace spur::core

@@ -25,16 +25,6 @@ TlbSystem::ReclaimFlusher::FlushPageChecked(GlobalAddr addr)
 }
 
 policy::RefCost
-TlbSystem::TlbRefPolicy::OnCacheMiss(pt::Pte& pte, sim::EventCounts& events)
-{
-    // Never called on the TLB machine's hot path (bits are set during
-    // translation), but keep it correct for the shared VM code.
-    (void)events;
-    pte.set_referenced(true);
-    return policy::RefCost{};
-}
-
-policy::RefCost
 TlbSystem::TlbRefPolicy::ClearRefBit(pt::Pte& pte, GlobalAddr page_addr,
                                      sim::EventCounts& events)
 {

@@ -94,8 +94,6 @@ class TlbSystem final : public KernelHost
         {
             return policy::RefPolicyKind::kRef;
         }
-        policy::RefCost OnCacheMiss(pt::Pte& pte,
-                                    sim::EventCounts& events) override;
         bool ReadRefBit(const pt::Pte& pte) const override
         {
             return pte.referenced();

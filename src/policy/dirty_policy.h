@@ -39,12 +39,8 @@
 #include <optional>
 #include <string>
 
-#include "src/cache/cache.h"
-#include "src/cache/flusher.h"
 #include "src/common/types.h"
 #include "src/pt/pte.h"
-#include "src/sim/config.h"
-#include "src/sim/events.h"
 
 namespace spur::policy {
 
@@ -84,12 +80,10 @@ struct DirtyCost {
 };
 
 /**
- * Interface of a dirty-bit maintenance policy.
- *
- * The SpurSystem calls OnWriteHit for every write that hits in the cache
- * and OnWriteMiss for every write after its miss has been translated
- * (PTE in hand, page resident).  Policies update PTE and line state,
- * count events, and report cycle charges.
+ * A dirty-bit policy as the page daemon sees it: the protection a clean
+ * page is mapped with, and whether a page is modified.  What the policy
+ * does on each write (DirtyOps<K> in policy_ops.h) runs in the machines'
+ * compile-time access path (src/core/access_path.h), not through here.
  */
 class DirtyPolicy
 {
@@ -110,22 +104,6 @@ class DirtyPolicy
     virtual Protection ResidentProtection(bool writable) const = 0;
 
     /**
-     * True when a write hitting @p line needs no policy action (the
-     * cached checks pass).  The system skips the PTE lookup and the
-     * OnWriteHit call entirely on this fast path — exactly the "proceed
-     * without delay" case of the hardware.
-     */
-    virtual bool WriteHitFastPath(cache::ConstLineRef line) const = 0;
-
-    /** Handles a write that hit on @p line (slow path only). */
-    virtual DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
-                                 pt::Pte& pte, sim::EventCounts& events) = 0;
-
-    /** Handles a write miss after translation (before the fill). */
-    virtual DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
-                                  sim::EventCounts& events) = 0;
-
-    /**
      * The policy's notion of "this page is modified", consulted by the
      * page daemon at replacement time.  FAULT/FLUSH use the software
      * dirty bit; the hardware policies use the PTE D bit.
@@ -136,16 +114,8 @@ class DirtyPolicy
     DirtyPolicy() = default;
 };
 
-/**
- * Creates a policy instance.
- *
- * @param kind     which alternative.
- * @param flusher  the machine's cache(s): FLUSH purges pages through it.
- * @param config   time parameters (Table 3.2).
- */
-std::unique_ptr<DirtyPolicy> MakeDirtyPolicy(DirtyPolicyKind kind,
-                                             cache::PageFlusher& flusher,
-                                             const sim::MachineConfig& config);
+/** Creates the page daemon's view of policy @p kind. */
+std::unique_ptr<DirtyPolicy> MakeDirtyPolicy(DirtyPolicyKind kind);
 
 }  // namespace spur::policy
 

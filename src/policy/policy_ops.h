@@ -5,15 +5,18 @@
  * `DirtyOps<Kind>` / `RefOps<Kind>` templates.
  *
  * These are the single source of truth for policy behaviour.  The
- * virtual `DirtyPolicy`/`RefPolicy` classes (used by the cold paths, the
- * VM daemon, and the multiprocessor system) are thin wrappers over these
- * methods, and the devirtualized `SpurSystem` hot path instantiates them
- * directly per (dirty, ref) run configuration — so both paths execute
- * byte-for-byte identical event counting and cycle charging.
+ * access path of every SPUR machine (src/core/access_path.h)
+ * instantiates them directly per (dirty, ref) run configuration, picked
+ * once per machine by Dispatch() below.  The virtual `DirtyPolicy` and
+ * `RefPolicy` classes are the page daemon's cold interface (resident
+ * protection, the policy's dirty and reference bits, the bit clear),
+ * thin wrappers over the same methods.
  */
 // spur:hot-path
 #ifndef SPUR_POLICY_POLICY_OPS_H_
 #define SPUR_POLICY_POLICY_OPS_H_
+
+#include <concepts>
 
 #include "src/cache/cache.h"
 #include "src/cache/flusher.h"
@@ -45,6 +48,14 @@ CountNecessaryFault(pt::Pte& pte, sim::EventCounts& events)
 }
 
 }  // namespace detail
+
+/**
+ * A machine's page-flush path, as a dirty policy's hooks take it: its
+ * static type, not only PageFlusher, so that a flush through one
+ * VirtualCache (a final class) is a direct call.
+ */
+template <class F>
+concept Flusher = std::derived_from<F, cache::PageFlusher>;
 
 /**
  * Each `DirtyOps<K>` states, besides its hooks, `kSettledWrite`: the
@@ -79,7 +90,7 @@ struct DirtyOps<DirtyPolicyKind::kMin> {
 
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
                                 pt::Pte& pte, sim::EventCounts& events,
-                                cache::PageFlusher& flusher,
+                                Flusher auto& flusher,
                                 const sim::MachineConfig& config)
     {
         (void)addr;
@@ -101,7 +112,7 @@ struct DirtyOps<DirtyPolicyKind::kMin> {
 
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
                                  sim::EventCounts& events,
-                                 cache::PageFlusher& flusher,
+                                 Flusher auto& flusher,
                                  const sim::MachineConfig& config)
     {
         (void)addr;
@@ -148,7 +159,7 @@ struct FaultFamilyOps {
 
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
                                 pt::Pte& pte, sim::EventCounts& events,
-                                cache::PageFlusher& flusher,
+                                Flusher auto& flusher,
                                 const sim::MachineConfig& config)
     {
         DirtyCost cost;
@@ -188,7 +199,7 @@ struct FaultFamilyOps {
 
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
                                  sim::EventCounts& events,
-                                 cache::PageFlusher& flusher,
+                                 Flusher auto& flusher,
                                  const sim::MachineConfig& config)
     {
         DirtyCost cost;
@@ -215,7 +226,7 @@ struct FaultFamilyOps {
     static bool IsPageDirty(const pt::Pte& pte) { return pte.soft_dirty(); }
 
   private:
-    static void FlushPage(GlobalAddr addr, cache::PageFlusher& flusher,
+    static void FlushPage(GlobalAddr addr, Flusher auto& flusher,
                           const sim::MachineConfig& config, DirtyCost* cost)
     {
         flusher.FlushPageChecked(addr);
@@ -260,7 +271,7 @@ struct DirtyOps<DirtyPolicyKind::kSpur> {
 
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
                                 pt::Pte& pte, sim::EventCounts& events,
-                                cache::PageFlusher& flusher,
+                                Flusher auto& flusher,
                                 const sim::MachineConfig& config)
     {
         (void)addr;
@@ -291,7 +302,7 @@ struct DirtyOps<DirtyPolicyKind::kSpur> {
 
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
                                  sim::EventCounts& events,
-                                 cache::PageFlusher& flusher,
+                                 Flusher auto& flusher,
                                  const sim::MachineConfig& config)
     {
         (void)addr;
@@ -334,7 +345,7 @@ struct WriteFamilyOps {
 
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
                                 pt::Pte& pte, sim::EventCounts& events,
-                                cache::PageFlusher& flusher,
+                                Flusher auto& flusher,
                                 const sim::MachineConfig& config)
     {
         (void)addr;
@@ -364,7 +375,7 @@ struct WriteFamilyOps {
 
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
                                  sim::EventCounts& events,
-                                 cache::PageFlusher& flusher,
+                                 Flusher auto& flusher,
                                  const sim::MachineConfig& config)
     {
         (void)addr;
@@ -420,7 +431,7 @@ struct DirtyOps<DirtyPolicyKind::kSpurProt> {
 
     static DirtyCost OnWriteHit(cache::LineRef line, GlobalAddr addr,
                                 pt::Pte& pte, sim::EventCounts& events,
-                                cache::PageFlusher& flusher,
+                                Flusher auto& flusher,
                                 const sim::MachineConfig& config)
     {
         (void)addr;
@@ -450,7 +461,7 @@ struct DirtyOps<DirtyPolicyKind::kSpurProt> {
 
     static DirtyCost OnWriteMiss(GlobalAddr addr, pt::Pte& pte,
                                  sim::EventCounts& events,
-                                 cache::PageFlusher& flusher,
+                                 Flusher auto& flusher,
                                  const sim::MachineConfig& config)
     {
         (void)addr;
@@ -569,6 +580,66 @@ struct RefOps<RefPolicyKind::kNoRef> {
         return RefCost{};  // Clearing has no effect and costs nothing.
     }
 };
+
+// ===========================================================================
+// From a run's policy kinds to the compile-time ops.
+// ===========================================================================
+
+/**
+ * Calls `f.template operator()<D>()` for the D that @p dirty names and
+ * returns its result; @p f is typically a lambda `[]<DirtyPolicyKind
+ * D>() { ... }`.  The one place a dirty-policy value picks a template.
+ */
+template <class F>
+decltype(auto)
+Dispatch(DirtyPolicyKind dirty, F&& f)
+{
+    switch (dirty) {
+      case DirtyPolicyKind::kMin:
+        return f.template operator()<DirtyPolicyKind::kMin>();
+      case DirtyPolicyKind::kFault:
+        return f.template operator()<DirtyPolicyKind::kFault>();
+      case DirtyPolicyKind::kFlush:
+        return f.template operator()<DirtyPolicyKind::kFlush>();
+      case DirtyPolicyKind::kSpur:
+        return f.template operator()<DirtyPolicyKind::kSpur>();
+      case DirtyPolicyKind::kWrite:
+        return f.template operator()<DirtyPolicyKind::kWrite>();
+      case DirtyPolicyKind::kSpurProt:
+        return f.template operator()<DirtyPolicyKind::kSpurProt>();
+      case DirtyPolicyKind::kWriteHw:
+        return f.template operator()<DirtyPolicyKind::kWriteHw>();
+    }
+    Panic("policy::Dispatch: bad DirtyPolicyKind");
+}
+
+/** Dispatch() for a reference policy: `f.template operator()<R>()`. */
+template <class F>
+decltype(auto)
+Dispatch(RefPolicyKind ref, F&& f)
+{
+    switch (ref) {
+      case RefPolicyKind::kMiss:
+        return f.template operator()<RefPolicyKind::kMiss>();
+      case RefPolicyKind::kRef:
+        return f.template operator()<RefPolicyKind::kRef>();
+      case RefPolicyKind::kNoRef:
+        return f.template operator()<RefPolicyKind::kNoRef>();
+    }
+    Panic("policy::Dispatch: bad RefPolicyKind");
+}
+
+/** Dispatch() for a run's policy pair: `f.template operator()<D, R>()`. */
+template <class F>
+decltype(auto)
+Dispatch(DirtyPolicyKind dirty, RefPolicyKind ref, F&& f)
+{
+    return Dispatch(dirty, [&]<DirtyPolicyKind D>() -> decltype(auto) {
+        return Dispatch(ref, [&]<RefPolicyKind R>() -> decltype(auto) {
+            return f.template operator()<D, R>();
+        });
+    });
+}
 
 }  // namespace spur::policy
 

@@ -1,6 +1,5 @@
 #include "src/policy/ref_policy.h"
 
-#include "src/common/log.h"
 #include "src/policy/policy_ops.h"
 
 namespace spur::policy {
@@ -29,10 +28,7 @@ ParseRefPolicy(const std::string& name)
 
 namespace {
 
-/**
- * Virtual-dispatch adapter over the compile-time ops in policy_ops.h;
- * see DirtyPolicyImpl in dirty_policy.cc for the pattern.
- */
+/** The page daemon's view of RefOps<K> (policy_ops.h). */
 template <RefPolicyKind K>
 class RefPolicyImpl final : public RefPolicy
 {
@@ -44,11 +40,6 @@ class RefPolicyImpl final : public RefPolicy
     }
 
     RefPolicyKind kind() const override { return K; }
-
-    RefCost OnCacheMiss(pt::Pte& pte, sim::EventCounts& events) override
-    {
-        return RefOps<K>::OnCacheMiss(pte, events, config_);
-    }
 
     bool ReadRefBit(const pt::Pte& pte) const override
     {
@@ -73,18 +64,10 @@ std::unique_ptr<RefPolicy>
 MakeRefPolicy(RefPolicyKind kind, cache::PageFlusher& flusher,
               const sim::MachineConfig& config)
 {
-    switch (kind) {
-      case RefPolicyKind::kMiss:
-        return std::make_unique<RefPolicyImpl<RefPolicyKind::kMiss>>(
-            flusher, config);
-      case RefPolicyKind::kRef:
-        return std::make_unique<RefPolicyImpl<RefPolicyKind::kRef>>(
-            flusher, config);
-      case RefPolicyKind::kNoRef:
-        return std::make_unique<RefPolicyImpl<RefPolicyKind::kNoRef>>(
-            flusher, config);
-    }
-    Panic("MakeRefPolicy: bad kind");
+    return Dispatch(kind, [&]<RefPolicyKind K>() {
+        return std::unique_ptr<RefPolicy>(
+            std::make_unique<RefPolicyImpl<K>>(flusher, config));
+    });
 }
 
 }  // namespace spur::policy

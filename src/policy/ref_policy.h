@@ -22,7 +22,6 @@
 #include <optional>
 #include <string>
 
-#include "src/cache/cache.h"
 #include "src/cache/flusher.h"
 #include "src/common/types.h"
 #include "src/pt/pte.h"
@@ -55,7 +54,12 @@ struct RefCost {
     Cycles kernel_cycles = 0;  ///< Bit clearing work in the daemon.
 };
 
-/** Interface of a reference-bit policy. */
+/**
+ * A reference-bit policy as the page daemon sees it: its read and its
+ * clear of a page's bit.  The check on every cache miss (RefOps<K> in
+ * policy_ops.h) runs in the machines' compile-time access path
+ * (src/core/access_path.h), not through here.
+ */
 class RefPolicy
 {
   public:
@@ -66,12 +70,6 @@ class RefPolicy
 
     /** Which policy this is. */
     virtual RefPolicyKind kind() const = 0;
-
-    /**
-     * Called on every cache miss after translation: the hardware checks
-     * the PTE's R bit and faults to software when it must be set.
-     */
-    virtual RefCost OnCacheMiss(pt::Pte& pte, sim::EventCounts& events) = 0;
 
     /** The page daemon's read of the reference bit. */
     virtual bool ReadRefBit(const pt::Pte& pte) const = 0;
@@ -87,8 +85,8 @@ class RefPolicy
     RefPolicy() = default;
 };
 
-/** Creates a reference policy (REF flushes pages through the machine's
- *  cache(s) when clearing bits). */
+/** Creates the page daemon's view of policy @p kind (REF flushes pages
+ *  through the machine's cache(s) when clearing bits). */
 std::unique_ptr<RefPolicy> MakeRefPolicy(RefPolicyKind kind,
                                          cache::PageFlusher& flusher,
                                          const sim::MachineConfig& config);

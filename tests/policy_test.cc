@@ -20,15 +20,60 @@
 namespace spur::policy {
 namespace {
 
-class DirtyPolicyTest : public testing::TestWithParam<DirtyPolicyKind>
+/**
+ * A machine's pieces the policy ops act on, and the ops of a policy
+ * named at run time, reached through Dispatch() as the access path
+ * reaches them.
+ */
+class OpsHarness
 {
   protected:
-    DirtyPolicyTest()
-        : config_(sim::MachineConfig::Prototype(8)),
-          vcache_(config_),
-          policy_(MakeDirtyPolicy(GetParam(), vcache_, config_))
+    OpsHarness() : config_(sim::MachineConfig::Prototype(8)), vcache_(config_)
     {
     }
+
+    DirtyCost WriteHit(DirtyPolicyKind kind, cache::LineRef line,
+                       GlobalAddr addr, pt::Pte& pte)
+    {
+        return Dispatch(kind, [&]<DirtyPolicyKind K>() {
+            return DirtyOps<K>::OnWriteHit(line, addr, pte, events_, vcache_,
+                                           config_);
+        });
+    }
+
+    DirtyCost WriteMiss(DirtyPolicyKind kind, GlobalAddr addr, pt::Pte& pte)
+    {
+        return Dispatch(kind, [&]<DirtyPolicyKind K>() {
+            return DirtyOps<K>::OnWriteMiss(addr, pte, events_, vcache_,
+                                            config_);
+        });
+    }
+
+    static bool WriteHitFastPath(DirtyPolicyKind kind,
+                                 cache::ConstLineRef line)
+    {
+        return Dispatch(kind, [&]<DirtyPolicyKind K>() {
+            return DirtyOps<K>::WriteHitFastPath(line);
+        });
+    }
+
+    RefCost CacheMiss(RefPolicyKind kind, pt::Pte& pte)
+    {
+        return Dispatch(kind, [&]<RefPolicyKind K>() {
+            return RefOps<K>::OnCacheMiss(pte, events_, config_);
+        });
+    }
+
+    sim::MachineConfig config_;
+    cache::VirtualCache vcache_;
+    sim::EventCounts events_;
+};
+
+class DirtyPolicyTest : public testing::TestWithParam<DirtyPolicyKind>,
+                        public OpsHarness
+{
+  protected:
+    DirtyPolicyTest() : policy_(MakeDirtyPolicy(GetParam())) {}
 
     /** A clean writable page's PTE as the VM would install it. */
     pt::Pte CleanWritablePte() const
@@ -50,10 +95,7 @@ class DirtyPolicyTest : public testing::TestWithParam<DirtyPolicyKind>
         return line;
     }
 
-    sim::MachineConfig config_;
-    cache::VirtualCache vcache_;
     std::unique_ptr<DirtyPolicy> policy_;
-    sim::EventCounts events_;
 };
 
 TEST_P(DirtyPolicyTest, KindRoundTrips)
@@ -65,12 +107,12 @@ TEST_P(DirtyPolicyTest, KindRoundTrips)
 TEST_P(DirtyPolicyTest, FirstWriteMissIsExactlyOneNecessaryFault)
 {
     pt::Pte pte = CleanWritablePte();
-    const DirtyCost cost = policy_->OnWriteMiss(0x1000, pte, events_);
+    const DirtyCost cost = WriteMiss(GetParam(), 0x1000, pte);
     EXPECT_EQ(events_.Get(sim::Event::kDirtyFault), 1u);
     EXPECT_EQ(cost.fault_cycles, config_.t_fault);
     EXPECT_TRUE(policy_->IsPageDirty(pte));
     // A second write miss to the now-dirty page is free.
-    const DirtyCost again = policy_->OnWriteMiss(0x1020, pte, events_);
+    const DirtyCost again = WriteMiss(GetParam(), 0x1020, pte);
     EXPECT_EQ(events_.Get(sim::Event::kDirtyFault), 1u);
     EXPECT_EQ(again.fault_cycles, 0u);
 }
@@ -79,7 +121,7 @@ TEST_P(DirtyPolicyTest, ZeroFillFaultsAreClassified)
 {
     pt::Pte pte = CleanWritablePte();
     pte.set_zfod_clean(true);
-    policy_->OnWriteMiss(0x1000, pte, events_);
+    WriteMiss(GetParam(), 0x1000, pte);
     EXPECT_EQ(events_.Get(sim::Event::kDirtyFault), 1u);
     EXPECT_EQ(events_.Get(sim::Event::kDirtyFaultZfod), 1u);
     EXPECT_FALSE(pte.zfod_clean());  // Marker consumed.
@@ -91,15 +133,13 @@ TEST_P(DirtyPolicyTest, FastPathHoldsAfterPageDirtyAndBlockWritten)
     // the same block take the hardware fast path under every policy.
     pt::Pte pte = CleanWritablePte();
     cache::LineBuf line(LineFrom(pte));
-    const DirtyCost first =
-        policy_->OnWriteHit(line.ref(), 0x1000, pte, events_);
-    (void)first;
+    WriteHit(GetParam(), line.ref(), 0x1000, pte);
     if (policy_->kind() == DirtyPolicyKind::kFlush) {
         // FLUSH invalidated the line; refill from the updated PTE.
         line = cache::LineBuf(LineFrom(pte));
     }
     cache::VirtualCache::MarkWritten(line.ref());
-    EXPECT_TRUE(policy_->WriteHitFastPath(line.cref()));
+    EXPECT_TRUE(WriteHitFastPath(GetParam(), line.cref()));
 }
 
 TEST_P(DirtyPolicyTest, DirtyPageFillsTakeTheFastPathImmediately)
@@ -108,12 +148,12 @@ TEST_P(DirtyPolicyTest, DirtyPageFillsTakeTheFastPathImmediately)
     // state (or read-write protection) and never trip the policy. The
     // WRITE policy is the exception: it checks once per block regardless.
     pt::Pte pte = CleanWritablePte();
-    policy_->OnWriteMiss(0x1000, pte, events_);  // Dirties the page.
+    WriteMiss(GetParam(), 0x1000, pte);  // Dirties the page.
     cache::LineBuf line(LineFrom(pte));
     if (policy_->kind() == DirtyPolicyKind::kWrite) {
-        EXPECT_FALSE(policy_->WriteHitFastPath(line.cref()));
+        EXPECT_FALSE(WriteHitFastPath(GetParam(), line.cref()));
     } else {
-        EXPECT_TRUE(policy_->WriteHitFastPath(line.cref()));
+        EXPECT_TRUE(WriteHitFastPath(GetParam(), line.cref()));
     }
 }
 
@@ -168,33 +208,21 @@ TEST(DirtyOpsTest, SettledWritePatternMatchesTheFastPathOnEveryByte)
 // Policy-specific semantics.
 // ---------------------------------------------------------------------------
 
-class PolicyFixture : public testing::Test
+class PolicyFixture : public testing::Test, public OpsHarness
 {
-  protected:
-    PolicyFixture() : config_(sim::MachineConfig::Prototype(8)),
-                      vcache_(config_) {}
-
-    std::unique_ptr<DirtyPolicy> Make(DirtyPolicyKind kind)
-    {
-        return MakeDirtyPolicy(kind, vcache_, config_);
-    }
-
-    sim::MachineConfig config_;
-    cache::VirtualCache vcache_;
-    sim::EventCounts events_;
 };
 
 TEST_F(PolicyFixture, FaultInitialProtectionIsReadOnly)
 {
-    auto policy = Make(DirtyPolicyKind::kFault);
+    auto policy = MakeDirtyPolicy(DirtyPolicyKind::kFault);
     EXPECT_EQ(policy->ResidentProtection(true), Protection::kReadOnly);
-    auto spur = Make(DirtyPolicyKind::kSpur);
+    auto spur = MakeDirtyPolicy(DirtyPolicyKind::kSpur);
     EXPECT_EQ(spur->ResidentProtection(true), Protection::kReadWrite);
 }
 
 TEST_F(PolicyFixture, FaultExcessFaultOnStaleLine)
 {
-    auto policy = Make(DirtyPolicyKind::kFault);
+    const DirtyPolicyKind kind = DirtyPolicyKind::kFault;
     pt::Pte pte;
     pte.set_valid(true);
     pte.set_writable_intent(true);
@@ -206,8 +234,7 @@ TEST_F(PolicyFixture, FaultExcessFaultOnStaleLine)
                                       false, false});
     cache::LineBuf line_b = line_a;
 
-    const DirtyCost first =
-        policy->OnWriteHit(line_a.ref(), 0x0, pte, events_);
+    const DirtyCost first = WriteHit(kind, line_a.ref(), 0x0, pte);
     EXPECT_EQ(first.fault_cycles, config_.t_fault);
     EXPECT_EQ(events_.Get(sim::Event::kDirtyFault), 1u);
     EXPECT_EQ(events_.Get(sim::Event::kExcessFault), 0u);
@@ -216,8 +243,7 @@ TEST_F(PolicyFixture, FaultExcessFaultOnStaleLine)
     EXPECT_EQ(line_a.Get().prot, Protection::kReadWrite);
 
     // The second previously cached block still faults: the excess fault.
-    const DirtyCost second =
-        policy->OnWriteHit(line_b.ref(), 0x20, pte, events_);
+    const DirtyCost second = WriteHit(kind, line_b.ref(), 0x20, pte);
     EXPECT_EQ(second.fault_cycles, config_.t_fault);
     EXPECT_EQ(events_.Get(sim::Event::kExcessFault), 1u);
     EXPECT_EQ(events_.Get(sim::Event::kDirtyFault), 1u);  // Unchanged.
@@ -225,13 +251,14 @@ TEST_F(PolicyFixture, FaultExcessFaultOnStaleLine)
 
 TEST_F(PolicyFixture, FaultUsesSoftwareDirtyBit)
 {
-    auto policy = Make(DirtyPolicyKind::kFault);
+    const DirtyPolicyKind kind = DirtyPolicyKind::kFault;
+    const auto policy = MakeDirtyPolicy(kind);
     pt::Pte pte;
     pte.set_valid(true);
     pte.set_writable_intent(true);
     pte.set_protection(Protection::kReadOnly);
     EXPECT_FALSE(policy->IsPageDirty(pte));
-    policy->OnWriteMiss(0x0, pte, events_);
+    WriteMiss(kind, 0x0, pte);
     EXPECT_TRUE(pte.soft_dirty());
     EXPECT_FALSE(pte.dirty());  // The hardware D bit is not used.
     EXPECT_TRUE(policy->IsPageDirty(pte));
@@ -239,7 +266,7 @@ TEST_F(PolicyFixture, FaultUsesSoftwareDirtyBit)
 
 TEST_F(PolicyFixture, FlushPreventsExcessFaults)
 {
-    auto policy = Make(DirtyPolicyKind::kFlush);
+    const DirtyPolicyKind kind = DirtyPolicyKind::kFlush;
     pt::Pte pte;
     pte.set_valid(true);
     pte.set_writable_intent(true);
@@ -252,7 +279,7 @@ TEST_F(PolicyFixture, FlushPreventsExcessFaults)
     cache::LineRef line_a = vcache_.Lookup(page);
     ASSERT_TRUE(line_a);
 
-    const DirtyCost cost = policy->OnWriteHit(line_a, page, pte, events_);
+    const DirtyCost cost = WriteHit(kind, line_a, page, pte);
     EXPECT_EQ(cost.fault_cycles, config_.t_fault);
     EXPECT_EQ(cost.flush_cycles, config_.t_flush_page);
     EXPECT_TRUE(cost.line_invalidated);
@@ -264,21 +291,21 @@ TEST_F(PolicyFixture, FlushPreventsExcessFaults)
 
 TEST_F(PolicyFixture, FlushOnWriteMissAlsoFlushes)
 {
-    auto policy = Make(DirtyPolicyKind::kFlush);
+    const DirtyPolicyKind kind = DirtyPolicyKind::kFlush;
     pt::Pte pte;
     pte.set_valid(true);
     pte.set_writable_intent(true);
     pte.set_protection(Protection::kReadOnly);
     const GlobalAddr page = 0x20000;
     vcache_.Fill(page + 64, Protection::kReadOnly, false, nullptr);
-    const DirtyCost cost = policy->OnWriteMiss(page, pte, events_);
+    const DirtyCost cost = WriteMiss(kind, page, pte);
     EXPECT_EQ(cost.flush_cycles, config_.t_flush_page);
     EXPECT_FALSE(vcache_.Lookup(page + 64));
 }
 
 TEST_F(PolicyFixture, SpurDirtyBitMissRefreshesStaleCopy)
 {
-    auto policy = Make(DirtyPolicyKind::kSpur);
+    const DirtyPolicyKind kind = DirtyPolicyKind::kSpur;
     pt::Pte pte;
     pte.set_valid(true);
     pte.set_writable_intent(true);
@@ -291,7 +318,7 @@ TEST_F(PolicyFixture, SpurDirtyBitMissRefreshesStaleCopy)
                                     /*page_dirty=*/false,
                                     /*block_dirty=*/false});
 
-    const DirtyCost cost = policy->OnWriteHit(line.ref(), 0x0, pte, events_);
+    const DirtyCost cost = WriteHit(kind, line.ref(), 0x0, pte);
     EXPECT_EQ(cost.fault_cycles, 0u);
     EXPECT_EQ(cost.aux_cycles, config_.t_dirty_miss);
     EXPECT_EQ(events_.Get(sim::Event::kDirtyBitMiss), 1u);
@@ -303,7 +330,7 @@ TEST_F(PolicyFixture, SpurNecessaryFaultCostsFaultPlusDirtyMiss)
 {
     // O(SPUR) charges t_ds + t_dm per necessary fault: the fault plus the
     // forced miss that refreshes the cached copy.
-    auto policy = Make(DirtyPolicyKind::kSpur);
+    const DirtyPolicyKind kind = DirtyPolicyKind::kSpur;
     pt::Pte pte;
     pte.set_valid(true);
     pte.set_writable_intent(true);
@@ -311,7 +338,7 @@ TEST_F(PolicyFixture, SpurNecessaryFaultCostsFaultPlusDirtyMiss)
     cache::LineBuf line(cache::Line{0, Protection::kReadWrite,
                                     cache::CoherencyState::kUnOwned,
                                     false, false});
-    const DirtyCost cost = policy->OnWriteHit(line.ref(), 0x0, pte, events_);
+    const DirtyCost cost = WriteHit(kind, line.ref(), 0x0, pte);
     EXPECT_EQ(cost.fault_cycles, config_.t_fault);
     EXPECT_EQ(cost.aux_cycles, config_.t_dirty_miss);
     EXPECT_TRUE(pte.dirty());
@@ -320,7 +347,7 @@ TEST_F(PolicyFixture, SpurNecessaryFaultCostsFaultPlusDirtyMiss)
 
 TEST_F(PolicyFixture, WriteChecksOncePerBlock)
 {
-    auto policy = Make(DirtyPolicyKind::kWrite);
+    const DirtyPolicyKind kind = DirtyPolicyKind::kWrite;
     pt::Pte pte;
     pte.set_valid(true);
     pte.set_writable_intent(true);
@@ -330,33 +357,33 @@ TEST_F(PolicyFixture, WriteChecksOncePerBlock)
     cache::LineBuf line(cache::Line{0, Protection::kReadWrite,
                                     cache::CoherencyState::kUnOwned,
                                     true, false});
-    const DirtyCost cost = policy->OnWriteHit(line.ref(), 0x0, pte, events_);
+    const DirtyCost cost = WriteHit(kind, line.ref(), 0x0, pte);
     EXPECT_EQ(cost.aux_cycles, config_.t_dirty_check);
     EXPECT_EQ(cost.fault_cycles, 0u);  // Page already dirty: no fault.
     EXPECT_EQ(events_.Get(sim::Event::kDirtyCheck), 1u);
     // Once the block is written, no further checks.
     cache::VirtualCache::MarkWritten(line.ref());
-    EXPECT_TRUE(policy->WriteHitFastPath(line.cref()));
+    EXPECT_TRUE(WriteHitFastPath(kind, line.cref()));
 }
 
 TEST_F(PolicyFixture, WriteMissCheckIsFree)
 {
     // "When a write misses in the cache, the controller must examine the
     // PTE... so checking the dirty bit incurs no additional penalty."
-    auto policy = Make(DirtyPolicyKind::kWrite);
+    const DirtyPolicyKind kind = DirtyPolicyKind::kWrite;
     pt::Pte pte;
     pte.set_valid(true);
     pte.set_writable_intent(true);
     pte.set_protection(Protection::kReadWrite);
     pte.set_dirty(true);
-    const DirtyCost cost = policy->OnWriteMiss(0x0, pte, events_);
+    const DirtyCost cost = WriteMiss(kind, 0x0, pte);
     EXPECT_EQ(cost.aux_cycles, 0u);
     EXPECT_EQ(cost.fault_cycles, 0u);
 }
 
 TEST_F(PolicyFixture, MinChargesOnlyNecessaryFaults)
 {
-    auto policy = Make(DirtyPolicyKind::kMin);
+    const DirtyPolicyKind kind = DirtyPolicyKind::kMin;
     pt::Pte pte;
     pte.set_valid(true);
     pte.set_writable_intent(true);
@@ -366,7 +393,7 @@ TEST_F(PolicyFixture, MinChargesOnlyNecessaryFaults)
                                     cache::CoherencyState::kUnOwned,
                                     false, false});
     // Stale cached copy under MIN refreshes for free.
-    const DirtyCost cost = policy->OnWriteHit(line.ref(), 0x0, pte, events_);
+    const DirtyCost cost = WriteHit(kind, line.ref(), 0x0, pte);
     EXPECT_EQ(cost.fault_cycles, 0u);
     EXPECT_EQ(cost.aux_cycles, 0u);
     EXPECT_EQ(events_.Get(sim::Event::kDirtyBitMiss), 0u);
@@ -402,15 +429,14 @@ class RefPolicyTest : public PolicyFixture
 
 TEST_F(RefPolicyTest, MissPolicyFaultsToSetTheBit)
 {
-    auto policy = MakeRef(RefPolicyKind::kMiss);
     pt::Pte pte;
     pte.set_valid(true);
-    const RefCost cost = policy->OnCacheMiss(pte, events_);
+    const RefCost cost = CacheMiss(RefPolicyKind::kMiss, pte);
     EXPECT_EQ(cost.fault_cycles, config_.t_fault);
     EXPECT_TRUE(pte.referenced());
     EXPECT_EQ(events_.Get(sim::Event::kRefFault), 1u);
     // Set bit: no further faults.
-    const RefCost again = policy->OnCacheMiss(pte, events_);
+    const RefCost again = CacheMiss(RefPolicyKind::kMiss, pte);
     EXPECT_EQ(again.fault_cycles, 0u);
     EXPECT_EQ(events_.Get(sim::Event::kRefFault), 1u);
 }
@@ -452,7 +478,7 @@ TEST_F(RefPolicyTest, NoRefPolicyIsInert)
     auto policy = MakeRef(RefPolicyKind::kNoRef);
     pt::Pte pte;
     pte.set_referenced(true);  // Hardware bit left permanently set.
-    const RefCost miss_cost = policy->OnCacheMiss(pte, events_);
+    const RefCost miss_cost = CacheMiss(RefPolicyKind::kNoRef, pte);
     EXPECT_EQ(miss_cost.fault_cycles, 0u);
     EXPECT_EQ(events_.Get(sim::Event::kRefFault), 0u);
     // Reads always say "unreferenced"; clears change nothing.

@@ -100,8 +100,7 @@ class VmTest : public testing::Test
         timing_ = std::make_unique<sim::TimingModel>(config_);
         vm_ = std::make_unique<VirtualMemory>(config_, *table_, *vcache_,
                                               *events_, *timing_);
-        dirty_ = policy::MakeDirtyPolicy(policy::DirtyPolicyKind::kSpur,
-                                         *vcache_, config_);
+        dirty_ = policy::MakeDirtyPolicy(policy::DirtyPolicyKind::kSpur);
         ref_ = policy::MakeRefPolicy(policy::RefPolicyKind::kMiss, *vcache_,
                                      config_);
         vm_->SetPolicies(dirty_.get(), ref_.get());
@@ -160,8 +159,8 @@ TEST_F(VmTest, ResidentProtectionComesFromDirtyPolicy)
     const pt::Pte& pte = vm_->HandlePageFault(4000ull << 12);
     EXPECT_EQ(pte.protection(), Protection::kReadWrite);
 
-    auto fault_policy = policy::MakeDirtyPolicy(
-        policy::DirtyPolicyKind::kFault, *vcache_, config_);
+    auto fault_policy =
+        policy::MakeDirtyPolicy(policy::DirtyPolicyKind::kFault);
     vm_->SetPolicies(fault_policy.get(), ref_.get());
     const pt::Pte& pte2 = vm_->HandlePageFault((4000ull + 1) << 12);
     EXPECT_EQ(pte2.protection(), Protection::kReadOnly);
