@@ -165,16 +165,10 @@ main(int argc, char** argv)
                         stats::Summary::Over(
                             results[p],
                             [&](const core::RunResult& r) {
-                                const double fault_s = r.timing.Seconds(
-                                    sim::TimeBucket::kFault);
-                                const double flush_s = r.timing.Seconds(
-                                    sim::TimeBucket::kFlush);
-                                const double aux_s = r.timing.Seconds(
-                                    sim::TimeBucket::kDirtyAux);
-                                const double cycle_ns =
-                                    model_config.cpu_cycle_ns;
-                                double total = (fault_s + flush_s + aux_s) *
-                                               1e9 / cycle_ns;
+                                double total = static_cast<double>(
+                                    r.timing.Get(sim::TimeBucket::kFault) +
+                                    r.timing.Get(sim::TimeBucket::kFlush) +
+                                    r.timing.Get(sim::TimeBucket::kDirtyAux));
                                 // Remove costs that are not dirty-bit
                                 // overhead: ref faults, zero-fill faults,
                                 // page-fault software, and the VM's
