@@ -27,6 +27,7 @@ main(int argc, char** argv)
     const uint64_t refs = session.Refs(2);
 
     sim::MachineConfig config = sim::MachineConfig::Prototype(8);
+    config.page_in_us = core::kScaledPageInUs;  // As in every table.
     core::MpSpurSystem machine(config, cpus,
                                policy::DirtyPolicyKind::kSpur,
                                policy::RefPolicyKind::kMiss);

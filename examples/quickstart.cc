@@ -25,8 +25,10 @@ main(int argc, char** argv)
     const uint32_t memory_mb = session.MemoryMb(8);
     const uint64_t refs = session.Refs(4);
 
-    // 1. Configure the prototype machine (Table 2.1 defaults).
+    // 1. Configure the prototype machine (Table 2.1 defaults), with the
+    // page-in time scaled as in every table (core::kScaledPageInUs).
     sim::MachineConfig config = sim::MachineConfig::Prototype(memory_mb);
+    config.page_in_us = core::kScaledPageInUs;
 
     // 2. Build the system with the policies SPUR shipped with.
     core::SpurSystem system(config, policy::DirtyPolicyKind::kSpur,
