@@ -1,23 +1,13 @@
 /**
  * @file
- * The SPUR access path, written once for every SPUR machine: one
- * reference through a processor's virtual-address cache, the miss path
- * with in-cache translation, and the write-hit path.
- *
- * AccessPath<D, R, C> instantiates them per (dirty policy, reference
- * policy, coherence), so the policy logic of policy_ops.h inlines and
- * no reference makes a virtual call.  The machines differ only by their
- * coherence:
- *   - NoCoherence: the uniprocessor (SpurSystem).  One cache, nothing
- *     to keep coherent; every hook compiles to nothing.
- *   - BusCoherence: one processor of the multiprocessor (MpSpurSystem)
- *     and its port on the snooping bus (Berkeley Ownership, bus.h).  A
- *     miss reads the block over the bus before the fill, with ownership
- *     for a write; a store to a line this cache does not own
- *     exclusively first upgrades it, one bus transaction and one stall
- *     cycle.
- * The coherence also names the flush path a FLUSH policy purges a page
- * through: the processor's own cache, or every cache in the machine.
+ * The SPUR access path, once for both SPUR machines: one reference
+ * through a processor's virtual-address cache, the miss path with
+ * in-cache translation, and the write hit.  AccessPath<D, R, C>
+ * instantiates it per dirty policy, reference policy and coherence, so
+ * the policy logic of policy_ops.h inlines and no reference makes a
+ * virtual call.  The coherence is all the machines differ by: none on
+ * the uniprocessor (SpurSystem), a snoop-bus port (Berkeley Ownership,
+ * bus.h) on each multiprocessor CPU (MpSpurSystem).
  */
 // spur:hot-path
 #ifndef SPUR_CORE_ACCESS_PATH_H_
@@ -77,7 +67,8 @@ struct BusCoherence {
         }
     }
 
-    /** Gains exclusive ownership before a store to @p line. */
+    /** Gains exclusive ownership before a store to @p line: one bus
+     *  upgrade and one stall cycle, unless this cache owns it alone. */
     void BeforeStore(cache::ConstLineRef line, GlobalAddr gva,
                      sim::TimingModel& timing) const
     {
@@ -88,13 +79,32 @@ struct BusCoherence {
     }
 };
 
-/** What one processor's access path runs over. */
+/** What one multiprocessor CPU's access path runs over. */
 template <class Coherence>
 struct Cpu {
-    Kernel& kernel;  ///< The machine's kernel (shared by every CPU).
+    Kernel& kernel;  ///< The machine's kernel, shared by every CPU.
     cache::VirtualCache& vcache;
     xlate::Translator& xlate;
     Coherence coherence;
+};
+
+/** A uniprocessor's one CPU owns the machine: its cache, the kernel
+ *  over that cache, and the translator.  Owning them, not referring to
+ *  them, lets the path reach each at a fixed offset from one pointer. */
+template <>
+struct Cpu<NoCoherence> {
+    Cpu(const sim::MachineConfig& config, policy::DirtyPolicyKind dirty,
+        policy::RefPolicyKind ref)
+        : vcache(config),
+          kernel(config, vcache, dirty, ref),
+          xlate(vcache, kernel.page_table(), kernel.config())
+    {
+    }
+
+    cache::VirtualCache vcache;
+    Kernel kernel;
+    xlate::Translator xlate;
+    [[no_unique_address]] NoCoherence coherence;
 };
 
 /**
@@ -105,12 +115,12 @@ struct Cpu {
 template <policy::DirtyPolicyKind D, policy::RefPolicyKind R, class C>
 struct AccessPath {
     /** Executes one reference on @p cpu. */
-    static void Access(const Cpu<C>& cpu, const MemRef& ref);
+    static void Access(Cpu<C>& cpu, const MemRef& ref);
 
     /** The miss path for @p gva, whose miss the caller has counted:
      *  translate, check the reference and dirty bits, settle
      *  coherence, fill. */
-    static void Miss(const Cpu<C>& cpu, GlobalAddr gva, AccessType type);
+    static void Miss(Cpu<C>& cpu, GlobalAddr gva, AccessType type);
 
     /**
      * A write that hit @p line, whose hit the caller has counted and
@@ -118,7 +128,7 @@ struct AccessPath {
      * handling; then coherence and the store.  Inlined into both the
      * per-reference and the batch path.
      */
-    [[gnu::always_inline]] static void WriteHit(const Cpu<C>& cpu,
+    [[gnu::always_inline]] static void WriteHit(Cpu<C>& cpu,
                                                 cache::LineRef line,
                                                 GlobalAddr gva)
     {
@@ -148,7 +158,7 @@ struct AccessPath {
 
 template <policy::DirtyPolicyKind D, policy::RefPolicyKind R, class C>
 void
-AccessPath<D, R, C>::Access(const Cpu<C>& cpu, const MemRef& ref)
+AccessPath<D, R, C>::Access(Cpu<C>& cpu, const MemRef& ref)
 {
     Kernel& kernel = cpu.kernel;
     sim::EventCounts& events = kernel.events();
@@ -172,7 +182,7 @@ AccessPath<D, R, C>::Access(const Cpu<C>& cpu, const MemRef& ref)
 
 template <policy::DirtyPolicyKind D, policy::RefPolicyKind R, class C>
 void
-AccessPath<D, R, C>::Miss(const Cpu<C>& cpu, GlobalAddr gva, AccessType type)
+AccessPath<D, R, C>::Miss(Cpu<C>& cpu, GlobalAddr gva, AccessType type)
 {
     Kernel& kernel = cpu.kernel;
     sim::EventCounts& events = kernel.events();

@@ -187,8 +187,6 @@ class Kernel
     const pt::PageTable& page_table() const { return table_; }
     vm::VirtualMemory& memory() { return vm_; }
     const vm::VirtualMemory& memory() const { return vm_; }
-    policy::DirtyPolicyKind dirty_kind() const { return dirty_->kind(); }
-    policy::RefPolicyKind ref_kind() const { return ref_->kind(); }
 
   private:
     /** ResidentPte()'s failure: a cache hit on a page the VM reclaimed

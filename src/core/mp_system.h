@@ -138,7 +138,7 @@ class MpSpurSystem
     std::vector<Cpu<BusCoherence>> cpus_;
 
     /// The (dirty, ref) instantiation of the access path, picked once.
-    void (*access_fn_)(const Cpu<BusCoherence>&, const MemRef&) = nullptr;
+    void (*access_fn_)(Cpu<BusCoherence>&, const MemRef&) = nullptr;
 };
 
 }  // namespace spur::core

@@ -166,16 +166,12 @@ HostHitScanKernel()
 SpurSystem::SpurSystem(const sim::MachineConfig& config,
                        policy::DirtyPolicyKind dirty,
                        policy::RefPolicyKind ref, HitScanKernel scan)
-    : vcache_(WithinOneSegment(config)),
-      kernel_(config, vcache_, dirty, ref),
-      xlate_(vcache_, kernel_.page_table(), kernel_.config()),
-      scan_(scan),
-      cpu_{kernel_, vcache_, xlate_, {}}
+    : cpu_(WithinOneSegment(config), dirty, ref), scan_(scan)
 {
     if (scan_ == HitScanKernel::kBmi2 && !CpuHasBmi2()) {
         Fatal("SpurSystem: the BMI2 hit scan needs a CPU with BMI2");
     }
-    kernel_.SetAuditedCaches({&vcache_});
+    cpu_.kernel.SetAuditedCaches({&cpu_.vcache});
     policy::Dispatch(dirty, ref, [this]<policy::DirtyPolicyKind D,
                                         policy::RefPolicyKind R>() {
         access_fn_ = &AccessPath<D, R, NoCoherence>::Access;
@@ -205,12 +201,13 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
     // scan leaf runs it; misses and unsettled write hits leave the
     // leaf and run Path::Access's code.
     using Path = AccessPath<D, R, NoCoherence>;
-    sim::EventCounts& events = kernel_.events();
-    const pt::SegmentMap& segmap = kernel_.segments();
+    Kernel& kernel = cpu_.kernel;
+    sim::EventCounts& events = kernel.events();
+    const pt::SegmentMap& segmap = kernel.segments();
     // Raw SoA view and geometry in locals: a metadata byte store
     // would otherwise (char aliasing) force every member below to
     // be re-loaded from `this` each iteration.
-    const cache::VirtualCache::HotView hv = vcache_.hot_view();
+    const cache::VirtualCache::HotView hv = cpu_.vcache.hot_view();
     const ScanHitsFn scan = ScanHitsFor(scan_);
     // Hits are n minus the misses, so nothing is counted per hit.
     size_t misses = 0;
@@ -258,7 +255,7 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
             ++p;
             types += kTypeOne[static_cast<unsigned>(ref.type)];
             const Slot slot = SlotOf(hv, tables.segbase.data(), ref.addr);
-            const GlobalAddr gva = kernel_.ToGlobal(ref.pid, ref.addr);
+            const GlobalAddr gva = kernel.ToGlobal(ref.pid, ref.addr);
             cache::LineRef line(&hv.tags[slot.index], &hv.meta[slot.index]);
             if (!line.valid() || line.tag() != slot.tag) {
                 ++misses;
@@ -273,8 +270,8 @@ SpurSystem::AccessBatchImpl(const MemRef* refs, size_t n)
         events.Add(sim::Event::kRead, (types >> kTypeBits) & kTypeMask);
         events.Add(sim::Event::kWrite, types >> (2 * kTypeBits));
     }
-    kernel_.timing().Charge(sim::TimeBucket::kExecute,
-                            (n - misses) * kernel_.config().t_cache_hit);
+    kernel.timing().Charge(sim::TimeBucket::kExecute,
+                           (n - misses) * kernel.config().t_cache_hit);
 }
 
 }  // namespace spur::core

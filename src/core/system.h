@@ -60,8 +60,8 @@ class SpurSystem final : public KernelHost
     SpurSystem(const SpurSystem&) = delete;
     SpurSystem& operator=(const SpurSystem&) = delete;
 
-    Kernel& kernel() override { return kernel_; }
-    const Kernel& kernel() const override { return kernel_; }
+    Kernel& kernel() override { return cpu_.kernel; }
+    const Kernel& kernel() const override { return cpu_.kernel; }
 
     // ---- The hot path ----------------------------------------------------
     //
@@ -86,19 +86,16 @@ class SpurSystem final : public KernelHost
         Access(MemRef{pid, addr, type});
     }
 
-    const cache::VirtualCache& vcache() const { return vcache_; }
+    const cache::VirtualCache& vcache() const { return cpu_.vcache; }
 
   private:
-    cache::VirtualCache vcache_;
-    Kernel kernel_;
-    xlate::Translator xlate_;
+    /// The one processor, which owns the cache, kernel and translator.
+    Cpu<NoCoherence> cpu_;
     HitScanKernel scan_;
-    /// The one processor, as the access path sees it.
-    const Cpu<NoCoherence> cpu_;
 
     // ---- Devirtualized dispatch -----------------------------------------
 
-    using AccessFn = void (*)(const Cpu<NoCoherence>&, const MemRef&);
+    using AccessFn = void (*)(Cpu<NoCoherence>&, const MemRef&);
     using AccessBatchFn = void (SpurSystem::*)(const MemRef*, size_t);
 
     /// The (dirty, ref) instantiations of the hot path, picked once.
