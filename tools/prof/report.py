@@ -36,10 +36,10 @@ LAYERS = [
     ("hit loop", r"WriteHitFastPath"),
     ("policy", r"spur::policy::"),
     ("vm", r"spur::(vm|mem)::"),
-    ("miss", r"spur::core::(SpurSystem::(AccessMissImpl|WriteHitSlow)"
+    ("miss", r"spur::core::(AccessPath::Miss"
              r"|Kernel::(ResidentPte|ChargeDirty|ChargeFill))"),
-    ("hit loop", r"spur::core::(SpurSystem::Access(Batch)?Impl"
-                 r"|\{anon\}::ScanHits)"),
+    ("hit loop", r"spur::core::(SpurSystem::AccessBatchImpl"
+                 r"|AccessPath::Access|\{anon\}::ScanHits)"),
     ("decode", r"Decode|Replay|RecoverTrace|AccessRunEnds|ClassifyWindow"
                r"|WindowMasks|GatherHighBits|PopCount|CompactVarint"
                r"|VarintSwar|VarintPext|RunEnds|PrefixXor|ScalarRun"
