@@ -25,7 +25,7 @@
  * | mp-coherency           | Berkeley Ownership: at most one owner per      |
  * |                        | block; an exclusive owner has no peers.        |
  *
- * Cross-policy dominance checks over finished experiment matrices live in
+ * Cross-policy checks over finished experiment matrices live in
  * src/audit/dominance.h (they need run results, not machine state, and
  * so sit above src/core in the layer graph — see LAYERS.toml).
  */

@@ -117,9 +117,9 @@ RunMatrix(const std::vector<core::RunConfig>& configs, uint32_t reps,
             std::rethrow_exception(error);
         }
     }
-    // Once every cell has finished, the cross-policy dominance
-    // invariants are checkable: MIN is a lower bound on dirty faults,
-    // reference bits never increase page-ins.
+    // Once every cell has finished, the cross-policy invariants are
+    // checkable: a dirty policy moves only its kMayMove events away from
+    // MIN's, and reference bits never increase page-ins.
     audit::AuditDominance(configs, results)
         .RaiseIfFailed("runner::RunMatrix (post-matrix)");
     return results;

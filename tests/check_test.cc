@@ -8,11 +8,14 @@
  *       the normal mutators (cache lines and PTEs are directly writable)
  *       or through the FrameTableTestAccess backdoor for states the
  *       FrameTable API correctly refuses to construct.
- * The dominance audits get the same treatment with fabricated matrices.
+ * The cross-policy audits get the same treatment with fabricated
+ * matrices.
  */
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -53,9 +56,10 @@ namespace spur::check {
 namespace {
 
 using audit::AuditDominance;
-using audit::IntrinsicDirtyFaults;
-using audit::kPassMinDominance;
+using audit::Events;
+using audit::kPassMinTrajectory;
 using audit::kPassNorefPageIns;
+using audit::MayMoveFromMin;
 using policy::DirtyPolicyKind;
 using policy::RefPolicyKind;
 using workload::kHeapBase;
@@ -464,7 +468,7 @@ TEST(AuditReportTest, SummaryNamesInvariantPolicyAndPage)
 }
 
 // ---------------------------------------------------------------------------
-// Cross-policy dominance audits (fabricated matrices).
+// Cross-policy audits (fabricated matrices).
 // ---------------------------------------------------------------------------
 
 core::RunConfig
@@ -480,118 +484,142 @@ Cell(DirtyPolicyKind dirty, RefPolicyKind ref, uint64_t seed = 1)
     return config;
 }
 
+/** A run whose only nonzero counts are @p counts. */
 core::RunResult
-Result(uint64_t dirty_faults, uint64_t zfod, uint64_t page_ins)
+Result(std::initializer_list<std::pair<sim::Event, uint64_t>> counts,
+       uint64_t page_ins = 100)
 {
     core::RunResult result;
-    result.events.Add(sim::Event::kDirtyFault, dirty_faults);
-    result.events.Add(sim::Event::kDirtyFaultZfod, zfod);
+    for (const auto& [event, count] : counts) {
+        result.events.Add(event, count);
+    }
     result.page_ins = page_ins;
     return result;
 }
 
-TEST(DominanceTest, IntrinsicFaultsExcludeZeroFill)
+/** The min-trajectory errors of @p dirty / @p ref when its run and MIN's
+ *  differ as @p run and @p min do. */
+AuditReport
+AuditAgainstMin(DirtyPolicyKind dirty, RefPolicyKind ref,
+                const core::RunResult& min, const core::RunResult& run)
 {
-    EXPECT_EQ(IntrinsicDirtyFaults(Result(10, 6, 0)), 4u);
+    return AuditDominance({Cell(DirtyPolicyKind::kMin, ref), Cell(dirty, ref)},
+                          {{min}, {run}});
 }
 
-TEST(DominanceTest, SilentWhenMinIsALowerBound)
+TEST(DominanceTest, EachPolicyClassMovesExactlyItsEvents)
 {
-    const std::vector<core::RunConfig> configs = {
-        Cell(DirtyPolicyKind::kMin, RefPolicyKind::kMiss),
-        Cell(DirtyPolicyKind::kSpur, RefPolicyKind::kMiss),
+    // Written out here, not read from kMayMove, so that a row edited by
+    // mistake fails.
+    const std::set<sim::Event> mechanism = {sim::Event::kDirtyBitMiss,
+                                            sim::Event::kExcessFault,
+                                            sim::Event::kDirtyCheck};
+    const std::set<sim::Event> cache_content = {
+        sim::Event::kIFetchMiss,         sim::Event::kReadMiss,
+        sim::Event::kWriteMiss,          sim::Event::kWriteback,
+        sim::Event::kBlockFlush,         sim::Event::kXlatePteHit,
+        sim::Event::kXlatePteMiss,       sim::Event::kXlateL2Access,
+        sim::Event::kWriteHitCleanBlock, sim::Event::kWriteMissFill,
     };
-    const std::vector<std::vector<core::RunResult>> results = {
-        {Result(5, 0, 100)},
-        {Result(7, 0, 100)},
-    };
-    const AuditReport report = AuditDominance(configs, results);
-    EXPECT_TRUE(report.ok());
-    EXPECT_TRUE(report.violations().empty()) << report.Summary();
+    for (const DirtyPolicyKind dirty : policy::kAllDirtyPolicies) {
+        if (dirty == DirtyPolicyKind::kMin) {
+            continue;
+        }
+        for (const RefPolicyKind ref : policy::kAllRefPolicies) {
+            const bool flush = dirty == DirtyPolicyKind::kFlush;
+            for (size_t e = 0; e < sim::kNumEvents; ++e) {
+                const auto event = static_cast<sim::Event>(e);
+                SCOPED_TRACE(std::string(policy::ToString(dirty)) + "/" +
+                             policy::ToString(ref) + " " +
+                             sim::ToString(event));
+                const bool may_move =
+                    mechanism.count(event) != 0 ||
+                    (flush && ref == RefPolicyKind::kMiss) ||
+                    (flush && cache_content.count(event) != 0);
+                EXPECT_EQ((MayMoveFromMin(dirty, ref) & Events({event})) != 0,
+                          may_move);
+                // MIN moving the event is caught the same way.
+                for (const auto& [min, run] :
+                     {std::pair{Result({}), Result({{event, 3}})},
+                      std::pair{Result({{event, 3}}), Result({})}}) {
+                    const AuditReport report =
+                        AuditAgainstMin(dirty, ref, min, run);
+                    EXPECT_EQ(report.ok(), may_move) << report.Summary();
+                    EXPECT_EQ(report.NumWarnings(), 0u);
+                    EXPECT_EQ(report.CountFor(kPassMinTrajectory),
+                              may_move ? 0u : 1u);
+                }
+            }
+        }
+    }
+}
+
+TEST(DominanceTest, SilentWhenOnlyMaskedEventsDiffer)
+{
+    // SPUR's dirty-bit misses, FAULT's excess faults and WRITE's checks
+    // are the policies' own counts; the rest of the run is MIN's.
+    const core::RunResult min = Result({{sim::Event::kDirtyFault, 5},
+                                        {sim::Event::kReadMiss, 40}});
+    for (const auto& [dirty, extra] :
+         {std::pair{DirtyPolicyKind::kSpur, sim::Event::kDirtyBitMiss},
+          std::pair{DirtyPolicyKind::kFault, sim::Event::kExcessFault},
+          std::pair{DirtyPolicyKind::kWrite, sim::Event::kDirtyCheck}}) {
+        const AuditReport report = AuditAgainstMin(
+            dirty, RefPolicyKind::kMiss, min,
+            Result({{sim::Event::kDirtyFault, 5},
+                    {sim::Event::kReadMiss, 40},
+                    {extra, 7}}));
+        EXPECT_TRUE(report.violations().empty()) << report.Summary();
+    }
 }
 
 TEST(DominanceTest, FiresWhenMinExceedsAnAlternative)
 {
-    const std::vector<core::RunConfig> configs = {
-        Cell(DirtyPolicyKind::kMin, RefPolicyKind::kMiss),
-        Cell(DirtyPolicyKind::kFault, RefPolicyKind::kMiss),
-    };
-    const std::vector<std::vector<core::RunResult>> results = {
-        {Result(9, 0, 100)},
-        {Result(7, 0, 100)},
-    };
-    const AuditReport report = AuditDominance(configs, results);
+    // The error names the first differing event (in Event order) and
+    // both counts, once per cell and rep.
+    const AuditReport report = AuditAgainstMin(
+        DirtyPolicyKind::kFault, RefPolicyKind::kMiss,
+        Result({{sim::Event::kDirtyFault, 9}, {sim::Event::kPageIn, 4}}),
+        Result({{sim::Event::kDirtyFault, 7}, {sim::Event::kPageIn, 5}}));
     EXPECT_FALSE(report.ok());
-    EXPECT_EQ(report.CountFor(kPassMinDominance), 1u);
+    ASSERT_EQ(report.CountFor(kPassMinTrajectory), 1u);
+    const std::string detail = report.violations()[0].detail;
+    EXPECT_EQ(report.violations()[0].policy, "FAULT/MISS");
+    EXPECT_NE(detail.find("dirty_fault 7 but MIN's 9"), std::string::npos)
+        << detail;
+    EXPECT_EQ(detail.find("page_in"), std::string::npos) << detail;
 }
 
-TEST(DominanceTest, FlushMissPagingDifferentlyIsAWarning)
+TEST(DominanceTest, FlushMissIsExempt)
 {
-    // FLUSH's flushes make later references miss, and under MISS those
-    // misses set reference bits, so the page daemon can page
-    // differently from MIN and leave FLUSH fewer intrinsic faults
-    // (flush-storm at 5 MB: 13,672 against MIN's 13,758).
-    const std::vector<core::RunConfig> flush_miss = {
-        Cell(DirtyPolicyKind::kMin, RefPolicyKind::kMiss),
-        Cell(DirtyPolicyKind::kFlush, RefPolicyKind::kMiss),
-    };
-    const AuditReport warned = AuditDominance(
-        flush_miss, {{Result(9, 0, 100)}, {Result(7, 0, 98)}});
-    EXPECT_TRUE(warned.ok()) << warned.Summary();
-    EXPECT_EQ(warned.NumWarnings(), 1u);
-    EXPECT_EQ(warned.CountFor(kPassMinDominance), 1u);
-    EXPECT_NE(warned.Summary().find("100"), std::string::npos);
-    EXPECT_NE(warned.Summary().find("98"), std::string::npos);
-
-    // With the same page-ins the bound holds and a violation is an error.
-    EXPECT_FALSE(AuditDominance(flush_miss,
-                                {{Result(9, 0, 100)}, {Result(7, 0, 100)}})
-                     .ok());
-
-    // Any other pair stays an error, whatever its page-ins.
-    for (const auto& [dirty, ref] :
-         {std::pair{DirtyPolicyKind::kFlush, RefPolicyKind::kRef},
-          std::pair{DirtyPolicyKind::kFlush, RefPolicyKind::kNoRef},
-          std::pair{DirtyPolicyKind::kFault, RefPolicyKind::kMiss},
-          std::pair{DirtyPolicyKind::kSpur, RefPolicyKind::kMiss}}) {
-        SCOPED_TRACE(std::string(policy::ToString(dirty)) + "/" +
-                     policy::ToString(ref));
-        const AuditReport report = AuditDominance(
-            {Cell(DirtyPolicyKind::kMin, ref), Cell(dirty, ref)},
-            {{Result(9, 0, 100)}, {Result(7, 0, 98)}});
-        EXPECT_FALSE(report.ok());
-        EXPECT_EQ(report.NumErrors(), 1u);
+    // FLUSH/MISS's flushes make misses that set reference bits, so its
+    // page daemon may page differently from MIN's: no identity holds.
+    core::RunResult run;
+    for (size_t e = 0; e < sim::kNumEvents; ++e) {
+        run.events.Add(static_cast<sim::Event>(e), e + 1);
     }
-}
-
-TEST(DominanceTest, ComparesIntrinsicNotRawFaultCounts)
-{
-    // MIN's raw count is higher, but its zero-fill subset is excluded
-    // (Section 3.2's N_zfod), so the comparison still holds.
-    const std::vector<core::RunConfig> configs = {
-        Cell(DirtyPolicyKind::kMin, RefPolicyKind::kMiss),
-        Cell(DirtyPolicyKind::kSpur, RefPolicyKind::kMiss),
-    };
-    const std::vector<std::vector<core::RunResult>> results = {
-        {Result(10, 6, 100)},  // Intrinsic: 4.
-        {Result(5, 0, 100)},   // Intrinsic: 5.
-    };
-    EXPECT_TRUE(AuditDominance(configs, results).ok());
+    const AuditReport report = AuditAgainstMin(
+        DirtyPolicyKind::kFlush, RefPolicyKind::kMiss, Result({}), run);
+    EXPECT_TRUE(report.violations().empty()) << report.Summary();
 }
 
 TEST(DominanceTest, SkipsCellsWithoutAMatchedPartner)
 {
     // Different seeds: not the same cell, so no comparison is made even
-    // though the counts would violate dominance.
+    // though the counts differ.
     const std::vector<core::RunConfig> configs = {
         Cell(DirtyPolicyKind::kMin, RefPolicyKind::kMiss, /*seed=*/1),
         Cell(DirtyPolicyKind::kSpur, RefPolicyKind::kMiss, /*seed=*/2),
     };
     const std::vector<std::vector<core::RunResult>> results = {
-        {Result(9, 0, 100)},
-        {Result(7, 0, 100)},
+        {Result({{sim::Event::kDirtyFault, 9}})},
+        {Result({{sim::Event::kDirtyFault, 7}})},
     };
-    EXPECT_TRUE(AuditDominance(configs, results).violations().empty());
+    const AuditReport report = AuditDominance(configs, results);
+    EXPECT_TRUE(report.violations().empty()) << report.Summary();
+    EXPECT_EQ(report.passes(),
+              (std::vector<std::string>{kPassMinTrajectory,
+                                        kPassNorefPageIns}));
 }
 
 TEST(DominanceTest, NorefBelowMissIsAWarningNotAnError)
@@ -601,8 +629,8 @@ TEST(DominanceTest, NorefBelowMissIsAWarningNotAnError)
         Cell(DirtyPolicyKind::kSpur, RefPolicyKind::kNoRef),
     };
     const std::vector<std::vector<core::RunResult>> results = {
-        {Result(0, 0, 200)},
-        {Result(0, 0, 150)},  // NOREF paging in *less* than MISS.
+        {Result({}, 200)},
+        {Result({}, 150)},  // NOREF paging in *less* than MISS.
     };
     const AuditReport report = AuditDominance(configs, results);
     EXPECT_TRUE(report.ok());  // Warning severity: does not fail.
@@ -611,8 +639,8 @@ TEST(DominanceTest, NorefBelowMissIsAWarningNotAnError)
 
     // The expected direction is silent.
     const std::vector<std::vector<core::RunResult>> expected = {
-        {Result(0, 0, 200)},
-        {Result(0, 0, 260)},
+        {Result({}, 200)},
+        {Result({}, 260)},
     };
     EXPECT_TRUE(AuditDominance(configs, expected).violations().empty());
 }

@@ -7,13 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 
 #include "src/core/mp_system.h"
-#include "src/core/system.h"
-#include "src/workload/driver.h"
 #include "src/workload/process.h"
-#include "src/workload/workloads.h"
 
 namespace spur::core {
 namespace {
@@ -187,56 +183,6 @@ TEST_F(MpSystemTest, RefClearFlushCostScalesWithCpus)
     // Four caches to visit: flush time must grow substantially (close to
     // 4x; daemon step counts vary slightly between runs).
     EXPECT_GT(flush_4, 2 * flush_1);
-}
-
-TEST_F(MpSystemTest, OneCpuMatchesUniprocessorOnEveryNonBusEvent)
-{
-    // One Sprite kernel runs under both machines, so on the same job
-    // stream a 1-CPU multiprocessor counts exactly what the uniprocessor
-    // counts — lifecycle included — apart from its bus transactions, and
-    // spends the same cycles in every bucket but one: each ownership
-    // upgrade before a store stalls the processor one extra cycle.
-    // The budget runs past a process's end, so teardown is exercised.
-    constexpr uint64_t kRefs = 400'000;
-    constexpr uint64_t kSeed = 7;
-    const sim::MachineConfig config = sim::MachineConfig::Prototype(5);
-    for (const DirtyPolicyKind dirty : policy::kAllDirtyPolicies) {
-        for (const RefPolicyKind ref : policy::kAllRefPolicies) {
-            SCOPED_TRACE(std::string(policy::ToString(dirty)) + "/" +
-                         policy::ToString(ref));
-            SpurSystem uni(config, dirty, ref);
-            workload::Driver uni_driver(uni, workload::MakeWorkload1(),
-                                        kRefs, kSeed);
-            uni_driver.Run();
-            ASSERT_GT(uni_driver.NumSpawns(), uni_driver.NumLive());
-
-            MpSpurSystem mp(config, 1, dirty, ref);
-            MpSpurSystem::CpuPort port = mp.Port(0);
-            workload::Driver mp_driver(port, workload::MakeWorkload1(),
-                                       kRefs, kSeed);
-            mp_driver.Run();
-
-            const sim::EventCounts& mp_events = mp.kernel().events();
-            for (size_t i = 0; i < sim::kNumEvents; ++i) {
-                const auto event = static_cast<sim::Event>(i);
-                if (event >= sim::Event::kBusRead) {
-                    continue;
-                }
-                EXPECT_EQ(mp_events.Get(event), uni.events().Get(event))
-                    << sim::ToString(event);
-            }
-            const uint64_t upgrades = mp_events.Get(sim::Event::kBusUpgrade);
-            EXPECT_GT(upgrades, 0u);
-            for (size_t i = 0; i < sim::kNumTimeBuckets; ++i) {
-                const auto bucket = static_cast<sim::TimeBucket>(i);
-                const Cycles extra =
-                    bucket == sim::TimeBucket::kMissStall ? upgrades : 0;
-                EXPECT_EQ(mp.kernel().timing().Get(bucket),
-                          uni.timing().Get(bucket) + extra)
-                    << sim::ToString(bucket);
-            }
-        }
-    }
 }
 
 TEST_F(MpSystemTest, CpuPortRunsSyntheticProcesses)
