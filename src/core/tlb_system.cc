@@ -63,7 +63,8 @@ TlbSystem::Translate(GlobalAddr gva, bool is_write)
     sim::TimingModel& timing = kernel_.timing();
     const GlobalVpn vpn = gva >> kernel_.config().PageShift();
     timing.Charge(sim::TimeBucket::kXlate, t_tlb_);
-    if (!tlb_.Lookup(vpn)) {
+    bool loaded = !tlb_.Lookup(vpn);
+    if (loaded) {
         // Hardware page-table walk.
         events.Add(sim::Event::kXlatePteMiss);
         timing.Charge(sim::TimeBucket::kXlate, t_walk_);
@@ -75,10 +76,11 @@ TlbSystem::Translate(GlobalAddr gva, bool is_write)
     if (pte == nullptr || !pte->valid()) {
         pte = &kernel_.memory().HandlePageFault(gva);
         tlb_.Insert(vpn);
+        loaded = true;
     }
-    // The famous free lunch: R and D are set as a side effect of the
-    // translation the machine had to do anyway.
-    if (!pte->referenced()) {
+    // The famous free lunch: loading a translation sets R (so a clear
+    // must shoot it down, TlbRefPolicy::ClearRefBit), a write sets D.
+    if (loaded) {
         pte->set_referenced(true);
     }
     if (is_write && !pte->dirty()) {
