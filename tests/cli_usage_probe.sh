@@ -97,6 +97,8 @@ for command in check graph allows --list-rules; do
     probe "" "$tools/spur_lint" "$command"
 done
 probe "" "$tools/spur_lint"  # The flat form, `check` by default.
+# `graph` always prints DOT; its old --dot switch is an unknown flag.
+probe_one "" "--dot" "$tools/spur_lint" graph
 # A policy has one spelling, its ToString name.
 probe_one "" "--dirty=bogus" "$tools/spur_trace" replay missing.trace
 probe_one "" "--ref=bogus" "$tools/spur_trace" replay missing.trace

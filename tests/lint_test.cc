@@ -321,6 +321,32 @@ TEST(LintTest, LayeringReportsTheFullIncludeChain)
     EXPECT_EQ(violations[1].rule, "layering");
 }
 
+TEST(LintTest, IncludeCycleNamesEachWitness)
+{
+    // The fixture manifest declares both edges, so no include is out of
+    // reach; a cyclic layering is still a finding.  It names the cycle
+    // from its smallest member and the include that witnesses each edge,
+    // anchored at the first witness's file.
+    Linter linter;
+    std::string error;
+    ASSERT_TRUE(linter.LoadLayerManifest(
+        FixturePath("include_cycle_layers.toml"), &error))
+        << error;
+    for (const char* name :
+         {"src/mem/include_cycle.h", "src/pt/include_cycle.h"}) {
+        ASSERT_TRUE(linter.AddFileFromDisk(FixturePath(name), &error))
+            << error;
+    }
+    const std::vector<Violation> violations = linter.Analyze().violations;
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations[0].file, "src/mem/include_cycle.h");
+    EXPECT_EQ(violations[0].rule, "layering");
+    EXPECT_EQ(violations[0].message,
+              "subsystem include cycle: mem -> pt -> mem; "
+              "src/mem/include_cycle.h includes src/pt/include_cycle.h; "
+              "src/pt/include_cycle.h includes src/mem/include_cycle.h");
+}
+
 TEST(LintTest, NormalizePathKeepsRepoRelativeSuffix)
 {
     EXPECT_EQ(NormalizePath("/root/repo/src/common/log.cc"),
@@ -414,8 +440,8 @@ TEST(LintTest, FormatViolationJsonEscapesAndOrdersKeys)
 TEST(LintTest, SubsystemGraphMatchesGoldenDot)
 {
     // The DOT rendering over a fixed fixture set is pinned byte-for-
-    // byte so any formatting or ordering drift in `spur_lint graph
-    // --dot` shows up as a diff here first.
+    // byte so any formatting or ordering drift in `spur_lint graph`
+    // shows up as a diff here first.
     Linter linter = MakeLinter();
     std::string error;
     for (const char* name :

@@ -16,8 +16,8 @@
  *       findings are violations like any other, so `check` is also the
  *       architecture gate.
  *
- *   spur_lint graph [--dot] [--layers=FILE] [PATH...]
- *       --dot prints the subsystem include graph in DOT form (pipe
+ *   spur_lint graph [--layers=FILE] [PATH...]
+ *       Prints the observed subsystem include graph in DOT form (pipe
  *       through `dot -Tsvg` to render).
  *
  *   spur_lint allows [--layers=FILE] [PATH...]
@@ -61,8 +61,8 @@ Usage()
           {"--format=text|json",
            "violation rendering (json: one finding object per line, "
            "stable ordering)"}}},
-        {"graph [--dot] [--layers=FILE] [PATH...]",
-         "print the observed subsystem include graph (--dot)",
+        {"graph [--layers=FILE] [PATH...]",
+         "print the observed subsystem include graph in DOT form",
          {}},
         {"allows [--layers=FILE] [PATH...]",
          "inventory every allow() suppression marker with its liveness",
@@ -89,8 +89,6 @@ CommandFlags(const std::string& command)
         flags.push_back({.name = "format",
                          .kind = spur::FlagKind::kText,
                          .choices = {"text", "json"}});
-    } else if (command == "graph") {
-        flags.push_back({"dot"});
     }
     return flags;
 }
@@ -165,9 +163,7 @@ main(int argc, char** argv)
     const spur::lint::LintReport report = linter.Analyze();
 
     if (command == "graph") {
-        if (args.Has("dot")) {
-            std::fputs(report.subsystem_dot.c_str(), stdout);
-        }
+        std::fputs(report.subsystem_dot.c_str(), stdout);
         return 0;
     }
 
